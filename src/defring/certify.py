@@ -33,6 +33,7 @@ from .groups import FiniteGroup, PModule, SemidirectGroup, pgl2, semidirect_prod
 from .localalg import AlgMatrix, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
 from .modrep import (
     Representation,
+    difference_basis_matrices,
     end_rep,
     galois_module_rep,
     hom_space,
@@ -142,23 +143,7 @@ def integral_standard_lift(G: FiniteGroup, p: int, N: int) -> Representation:
     """The standard piece of the permutation lattice over Z/p^N: the
     generator matrices in the difference basis have integer entries, so the
     mod-p^N reduction is a homomorphic lift of the mod-p representation."""
-    npts = G.action.shape[1]
-    d = npts - 1
-
-    def diff_coords(a: int, b: int) -> np.ndarray:
-        v = np.zeros(d, dtype=np.int64)
-        if a < b:
-            v[a:b] = 1
-        elif a > b:
-            v[b:a] = -1
-        return v
-
-    mats = []
-    for s in G.generators:
-        perm = G.action[s]
-        cols = [diff_coords(int(perm[j]), int(perm[j + 1])) for j in range(d)]
-        mats.append(np.stack(cols, axis=1))
-    return Representation.from_generator_images(G, mats, p, N)
+    return Representation.from_generator_images(G, difference_basis_matrices(G), p, N)
 
 
 def assemble(spec: InstanceSpec) -> Assembly:
@@ -374,44 +359,47 @@ class RhoR:
             out.append(AlgMatrix.from_rows(R, rows))
         return out
 
-    def specialize_t_to_zero(self) -> np.ndarray:
-        return self.wpart
-
 
 def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
-    from .modrep import matrix_inv_mod
-
     p, n, N = asm.p, asm.n, asm.N
     mN, mn = p**N, p**n
-    gamma, K = asm.gamma, asm.K
+    gamma, K, G = asm.gamma, asm.K, asm.G
     d = asm.rho_w.degree
     order = gamma.order
     wpart = np.empty((order, d, d), dtype=np.int64)
     tpart = np.empty((order, d, d), dtype=np.int64)
-    # verify equivariance of alpha on every group element first
-    for g in range(asm.G.order):
-        rho_g = asm.rho_w.mats[g] % mn
-        inv_g = matrix_inv_mod(asm.rho_w.mats[g], p, N)
+    # equivariance of alpha on the generators of G; K and rho_W are actions,
+    # so it then holds on every group element
+    for s in G.generators:
+        rho_s = asm.rho_w.mats[s] % mn
+        inv_s = asm.rho_w.mats[G.inverse[s]] % mn
         for kv in K.basis_vectors():
-            lhs = alpha.of_vec(K.act(g, kv))
-            rhs = rho_g @ alpha.of_vec(kv) @ inv_g % mn
+            lhs = alpha.of_vec(K.act(s, kv))
+            rhs = rho_s @ alpha.of_vec(kv) @ inv_s % mn
             if (lhs % mn != rhs % mn).any():
-                raise CertifyError(f"alpha fails equivariance at group element {g}")
+                raise CertifyError(f"alpha fails equivariance at group generator {s}")
     for e in range(order):
         kvec, g = gamma.decode(e)
         w = asm.rho_w.mats[g]
         wpart[e] = w % mN
         tpart[e] = (alpha.of_vec(kvec) @ w) % mn
-    # homomorphism on all |Gamma|^2 pairs, in the two coordinates of R
-    table = gamma.table
-    for e in range(order):
-        w_prod = wpart[e] @ wpart % mN
-        t_prod = (wpart[e] % mn) @ tpart + tpart[e] @ (wpart % mn)
-        t_prod %= mn
-        rows = table[e]
-        if (w_prod != wpart[rows]).any() or (t_prod != tpart[rows]).any():
-            raise CertifyError(f"rho_R fails multiplicativity at element {e}")
+    # homomorphism in the two coordinates of R: the identity at element 0
+    # and rho_R(e) rho_R(s) = rho_R(es) for every e and generator s of Gamma,
+    # which covers all pairs (FiniteGroup.extend)
     eye = np.eye(d, dtype=np.int64)
+    if (wpart[0] != eye).any() or tpart[0].any():
+        raise CertifyError("rho_R does not map the identity to 1")
+    table = gamma.table
+    w_mn = wpart % mn
+    bad = np.zeros(order, dtype=bool)
+    for s in gamma.generators:
+        rows = table[:, s]
+        w_prod = wpart @ wpart[s] % mN
+        t_prod = (w_mn @ tpart[s] + tpart @ w_mn[s]) % mn
+        bad |= (w_prod != wpart[rows]).any(axis=(1, 2))
+        bad |= (t_prod != tpart[rows]).any(axis=(1, 2))
+    if bad.any():
+        raise CertifyError(f"rho_R fails multiplicativity at element {int(np.argmax(bad))}")
     is_ident = (wpart == eye).all(axis=(1, 2)) & (tpart == 0).all(axis=(1, 2))
     faithful = np.nonzero(is_ident)[0].tolist() == [0]
     # order identities on the kernel: (1 + t alpha(k))^m = 1 + m t alpha(k),

@@ -1,12 +1,12 @@
 """Group cohomology in low degrees via the normalized bar resolution.
 
 H^1 is computed from crossed homomorphisms parametrized by their values on
-the distinguished generators (the BFS words propagate the cocycle law to all
-pairs, so the constraint system stays small).  H^2 uses the normalized bar
-complex directly when it is small, and otherwise restricts to a Sylow
-p-subgroup: restriction is injective on cohomology with F_p-module
-coefficients, so vanishing upstairs follows exactly from vanishing on the
-Sylow subgroup.
+a generating set (the cocycle law on (element, generator) pairs propagates
+along the BFS spanning tree to all pairs, so the constraint system stays
+small).  H^2 uses the normalized bar complex directly when it is small, and
+otherwise restricts to a Sylow p-subgroup: restriction is injective on
+cohomology with F_p-module coefficients, so vanishing upstairs follows
+exactly from vanishing on the Sylow subgroup.
 """
 
 from __future__ import annotations
@@ -50,15 +50,13 @@ def h1_dim(M: Representation, gens: tuple[int, ...] | None = None) -> int:
     ng = len(gens)
     if ng == 0:
         return 0
-    parent, genidx = G._bfs_words(gens)
+    order, parent, genidx = G.spanning_tree(gens)
     n_unk = ng * dm
-    # coeff[e] expresses f(e) as a linear map of the generator values
+    # coeff[e] expresses f(e) as a linear map of the generator values,
+    # through f(par s) = f(par) + par.f(s) along the spanning tree
     coeff = np.zeros((G.order, dm, n_unk), dtype=np.int64)
-    by_depth = sorted(range(G.order), key=lambda e: _bfs_depth(parent, e))
-    for e in by_depth:
-        if e == 0:
-            continue
-        par, gi = int(parent[e]), int(genidx[e])
+    for e in order[1:]:
+        par, gi = parent[e], genidx[e]
         coeff[e] = coeff[par]
         coeff[e][:, gi * dm : (gi + 1) * dm] += M.mats[par]
         coeff[e] %= p
@@ -73,14 +71,6 @@ def h1_dim(M: Representation, gens: tuple[int, ...] | None = None) -> int:
     fixed = np.vstack([(M.mats[s] - np.eye(dm, dtype=np.int64)) % p for s in gens])
     b1 = kernels.rank_modp(fixed, p)
     return z1 - b1
-
-
-def _bfs_depth(parent, e):
-    k = 0
-    while e != 0:
-        e = int(parent[e])
-        k += 1
-    return k
 
 
 @dataclass

@@ -1,10 +1,11 @@
-"""Finite groups with full multiplication tables and BFS generator words.
+"""Finite groups with full multiplication tables and BFS spanning trees.
 
 All groups here are small enough (a few thousand elements) that the full
-table is the simplest correct representation: homomorphism checks become
-exhaustive, and the breadth-first word of each element in the distinguished
-generators gives a deterministic way to extend generator data (matrices,
-images) to the whole group.
+table is the simplest correct representation.  A breadth-first spanning tree
+of the Cayley graph on a generating set gives each element a word in the
+generators; `FiniteGroup.extend` carries generator data (matrices, images)
+along it to the whole group, and a homomorphism check on such data only has
+to compare e*s for every element e and generator s.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ class GroupError(ValueError):
 class FiniteGroup:
     """A finite group as an order x order multiplication table.
 
-    Element 0 is the identity.  `words[i]` is a tuple of generator indices
-    multiplying (left to right) to element i, found by BFS, so word length
-    is minimal for the distinguished generator set.
+    Element 0 is the identity.  `word(e)` is a tuple of generator indices
+    multiplying (left to right) to element e, read off the BFS spanning tree,
+    so word length is minimal for the distinguished generator set.
     """
 
     def __init__(self, table: np.ndarray, generators, name: str = "G", action=None):
@@ -41,7 +42,8 @@ class FiniteGroup:
         self.action = None if action is None else np.asarray(action, dtype=np.int64)
         self._validate_table()
         self.inverse = self._inverse_table()
-        self.parent, self.genidx = self._bfs_words(self.generators)
+        self._trees: dict[tuple[int, ...], tuple] = {}
+        self.spanning_tree()  # the distinguished generators must generate
 
     # -- construction helpers -------------------------------------------------
 
@@ -81,19 +83,16 @@ class FiniteGroup:
             raise GroupError("malformed table")
         if not (t[0] == np.arange(n)).all() or not (t[:, 0] == np.arange(n)).all():
             raise GroupError("element 0 is not the identity")
-        # latin square property
-        for i in range(n):
-            if len(set(t[i].tolist())) != n or len(set(t[:, i].tolist())) != n:
-                raise GroupError("table is not a latin square")
+        ar = np.arange(n)
+        if (np.sort(t, axis=1) != ar).any() or (np.sort(t, axis=0) != ar[:, None]).any():
+            raise GroupError("table is not a latin square")
         if n <= 200:
             if not (t[t, :] == t[:, t]).all():
                 raise GroupError("associativity fails")
         else:
-            rng = np.random.default_rng(0)
-            for _ in range(2000):
-                i, j, k = rng.integers(0, n, 3)
-                if t[t[i, j], k] != t[i, t[j, k]]:
-                    raise GroupError("associativity fails")
+            i, j, k = np.random.default_rng(0).integers(0, n, (2000, 3)).T
+            if (t[t[i, j], k] != t[i, t[j, k]]).any():
+                raise GroupError("associativity fails")
 
     def _inverse_table(self):
         inv = np.empty(self.order, dtype=np.int64)
@@ -102,26 +101,54 @@ class FiniteGroup:
             inv[i] = js[0]
         return inv
 
-    def _bfs_words(self, gens):
-        parent = np.full(self.order, -1, dtype=np.int64)
-        genidx = np.full(self.order, -1, dtype=np.int64)
+    def spanning_tree(self, gens=None) -> tuple:
+        """The BFS spanning tree of the Cayley graph on `gens` (default: the
+        distinguished generators), cached per generator tuple.
+
+        Returns (order, parent, genidx): `order` lists the elements in
+        discovery order from the identity, so every parent comes before its
+        children, and e = parent[e] * gens[genidx[e]] for e != 0.
+        """
+        gens = self.generators if gens is None else tuple(int(g) for g in gens)
+        tree = self._trees.get(gens)
+        if tree is not None:
+            return tree
+        parent = [-1] * self.order
+        genidx = [-1] * self.order
         parent[0] = 0
-        seen = 1
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for gi, g in enumerate(gens):
-                    h = int(self.table[e, g])
-                    if parent[h] < 0 and h != 0:
-                        parent[h] = e
-                        genidx[h] = gi
-                        seen += 1
-                        nxt.append(h)
-            frontier = nxt
-        if seen != self.order:
-            raise GroupError("distinguished generators do not generate the group")
-        return parent, genidx
+        order = [0]
+        rows = self.table[:, list(gens)].tolist()
+        for e in order:  # grows while it is walked: breadth-first
+            for gi, h in enumerate(rows[e]):
+                if parent[h] < 0:
+                    parent[h] = e
+                    genidx[h] = gi
+                    order.append(h)
+        if len(order) != self.order:
+            raise GroupError(f"generators {gens} do not generate the group")
+        tree = (tuple(order), tuple(parent), tuple(genidx))
+        self._trees[gens] = tree
+        return tree
+
+    def extend(self, gen_values, mul, one, gens=None) -> list:
+        """Values on every element from values on the generators `gens`
+        (default: the distinguished ones), along the spanning tree:
+        value(0) = one and value(e) = mul(value(parent[e]), gen_values[genidx[e]]).
+        Returns the list of values indexed by element.
+
+        Data extended this way is a homomorphism exactly when value(0) is
+        the identity and value(e) value(s) = value(e s) for every element e
+        and generator s: by induction on the length of a word s_1...s_k,
+        value(e) value(s_1...s_k) = value(e s_1...s_{k-1}) value(s_k)
+        = value(e s_1...s_k), and every element is such a word, so the map is
+        multiplicative on all pairs.  The checks built on this compare
+        |G| x #gens products instead of |G|^2.
+        """
+        order, parent, genidx = self.spanning_tree(gens)
+        values = [one] * self.order
+        for e in order[1:]:
+            values[e] = mul(values[parent[e]], gen_values[genidx[e]])
+        return values
 
     # -- basic operations ------------------------------------------------------
 
@@ -136,10 +163,11 @@ class FiniteGroup:
         return self.mul(self.mul(g, h), self.inv(g))
 
     def word(self, e: int) -> tuple[int, ...]:
+        _, parent, genidx = self.spanning_tree()
         out = []
         while e != 0:
-            out.append(int(self.genidx[e]))
-            e = int(self.parent[e])
+            out.append(genidx[e])
+            e = parent[e]
         return tuple(reversed(out))
 
     def element_order(self, e: int) -> int:
@@ -426,11 +454,6 @@ def twisted_frobenius_group(p: int) -> FiniteGroup:
     return FiniteGroup(table, [enc(1, 0), enc(0, 1)], name=f"TF{p}")
 
 
-def twisted_element_parts(G: FiniteGroup, e: int) -> tuple[int, int]:
-    """Inverse of the (i, e) encoding of twisted_frobenius_group."""
-    return divmod(e, 2)
-
-
 # ---------------------------------------------------------------------------
 # Modules with group action and semidirect products
 # ---------------------------------------------------------------------------
@@ -440,8 +463,9 @@ class PModule:
     """A free Z/p^n module of finite rank with an action of a FiniteGroup.
 
     The action is given by an invertible matrix per distinguished generator
-    of the group and extended through BFS words; construction verifies the
-    extension respects the full multiplication table.
+    of the group and extended along the spanning tree; construction checks
+    g.(s.v) = (gs).v for every element g and generator s, which makes the
+    extension an action (see FiniteGroup.extend).
     """
 
     def __init__(self, group: FiniteGroup, p: int, n: int, gen_mats):
@@ -454,31 +478,21 @@ class PModule:
             raise GroupError("need one action matrix per group generator")
         self.rank = int(gen_mats[0].shape[0]) if gen_mats else 0
         self.size = self.modulus**self.rank
-        self.mats = self._extend(gen_mats)
+        m = self.modulus
+        self.mats = np.array(
+            group.extend(gen_mats, lambda a, b: a @ b % m, np.eye(self.rank, dtype=np.int64))
+        )
         self._validate()
-
-    def _extend(self, gen_mats):
-        r = self.rank
-        mats = np.zeros((self.group.order, r, r), dtype=np.int64)
-        mats[0] = np.eye(r, dtype=np.int64)
-        order_by_depth = np.argsort([len(self.group.word(e)) for e in range(self.group.order)], kind="stable")
-        for e in order_by_depth:
-            e = int(e)
-            if e == 0:
-                continue
-            par, gi = int(self.group.parent[e]), int(self.group.genidx[e])
-            mats[e] = mats[par] @ gen_mats[gi] % self.modulus
-        return mats
 
     def _validate(self):
         from . import kernels
 
-        m = self.modulus
-        for g in range(self.group.order):
-            if kernels.rank_modp(self.mats[g], self.p) != self.rank:
+        table = self.group.table
+        for s in self.group.generators:
+            if kernels.rank_modp(self.mats[s], self.p) != self.rank:
                 raise GroupError("action matrix is not invertible")
-            prods = self.mats[g][None, :, :] @ self.mats % m
-            if not (prods == self.mats[self.group.table[g]] % m).all():
+            prods = self.mats @ self.mats[s] % self.modulus
+            if (prods != self.mats[table[:, s]]).any():
                 raise GroupError("action does not respect the group table")
 
     @property
@@ -515,7 +529,8 @@ class PModule:
 
 @dataclass
 class GroupHom:
-    """A homomorphism given on all elements, verified multiplicative."""
+    """A homomorphism given on all elements, verified multiplicative on
+    (element, generator) pairs, which covers all pairs (FiniteGroup.extend)."""
 
     source: FiniteGroup
     target: FiniteGroup
@@ -527,8 +542,9 @@ class GroupHom:
         img = self.images
         if img[0] != 0:
             raise GroupError("homomorphism must fix the identity")
-        if not (img[t_s] == t_t[img[:, None], img[None, :]]).all():
-            raise GroupError("not multiplicative on all pairs")
+        for s in self.source.generators:
+            if (img[t_s[:, s]] != t_t[img, img[s]]).any():
+                raise GroupError(f"not multiplicative at generator {s}")
 
     def __call__(self, e: int) -> int:
         return int(self.images[e])
@@ -646,30 +662,12 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupHom | None:
     for h in range(H.order):
         by_order.setdefault(H.element_order(h), []).append(h)
     candidates = [by_order.get(o, []) for o in gen_orders]
-    words = [G.word(e) for e in range(G.order)]
-    if tuple(gens) != G.generators:
-        # re-derive words in terms of the small generating set
-        sub = G._bfs_words(gens)
-        parent, genidx = sub
-
-        def word_of(e):
-            out = []
-            while e != 0:
-                out.append(int(genidx[e]))
-                e = int(parent[e])
-            return tuple(reversed(out))
-
-        words = [word_of(e) for e in range(G.order)]
     for images in product(*candidates):
-        img = np.zeros(G.order, dtype=np.int64)
-        ok = True
-        for e in range(G.order):
-            acc = 0
-            for gi in words[e]:
-                acc = H.mul(acc, images[gi])
-            img[e] = acc
+        img = np.array(G.extend(images, H.mul, 0, gens), dtype=np.int64)
         if len(set(img.tolist())) != G.order:
             continue
-        if (img[G.table] == H.table[img[:, None], img[None, :]]).all():
+        try:
             return GroupHom(G, H, img)
+        except GroupError:
+            continue
     return None

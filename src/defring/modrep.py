@@ -62,27 +62,27 @@ class Representation:
         m = p**N
         gen_mats = [np.asarray(g, dtype=np.int64) % m for g in gen_mats]
         d = gen_mats[0].shape[0] if gen_mats else 1
-        mats = np.zeros((group.order, d, d), dtype=np.int64)
-        mats[0] = np.eye(d, dtype=np.int64)
-        by_depth = sorted(range(group.order), key=lambda e: len(group.word(e)))
-        for e in by_depth:
-            if e == 0:
-                continue
-            par, gi = int(group.parent[e]), int(group.genidx[e])
-            mats[e] = mats[par] @ gen_mats[gi] % m
-        return cls(group, mats, p, N, validate=validate)
+        mats = group.extend(gen_mats, lambda a, b: a @ b % m, np.eye(d, dtype=np.int64))
+        return cls(group, np.array(mats), p, N, validate=validate)
 
     def validate(self):
+        """Identity at element 0, invertible generator images, and
+        rho(e) rho(s) = rho(es) for every element e and generator s; by
+        the argument in FiniteGroup.extend that is a homomorphism."""
         m = self.modulus
         eye = np.eye(self.degree, dtype=np.int64)
         if not (self.mats[0] == eye).all():
             raise RepresentationError("identity does not map to the identity matrix")
-        for g in range(self.group.order):
-            if kernels.rank_modp(self.mats[g], self.p) != self.degree:
-                raise RepresentationError(f"image of element {g} is singular")
-            prods = self.mats[g] @ self.mats % m
-            if not (prods == self.mats[self.group.table[g]]).all():
-                raise RepresentationError(f"multiplicativity fails at element {g}")
+        table = self.group.table
+        for s in self.group.generators:
+            if kernels.rank_modp(self.mats[s], self.p) != self.degree:
+                raise RepresentationError(f"image of generator {s} is singular")
+            prods = self.mats @ self.mats[s] % m
+            bad = np.nonzero((prods != self.mats[table[:, s]]).any(axis=(1, 2)))[0]
+            if bad.size:
+                raise RepresentationError(
+                    f"multiplicativity fails at element {bad[0]} times generator {s}"
+                )
 
     def matrix(self, e: int) -> np.ndarray:
         return self.mats[e]
@@ -127,9 +127,9 @@ class Representation:
 
 
 def dual_rep(V: Representation) -> Representation:
-    mats = np.stack(
-        [matrix_inv_mod(V.mats[g], V.p, V.N).T for g in range(V.group.order)]
-    )
+    """The contragredient rho(g)^{-T}.  V must be a homomorphism, as every
+    caller's is: rho(g)^-1 is read as rho(g^-1)."""
+    mats = V.mats[V.group.inverse].transpose(0, 2, 1)
     return Representation(V.group, mats, V.p, V.N, validate=False)
 
 
@@ -144,15 +144,13 @@ def end_rep(V: Representation) -> Representation:
     """End(V) with the conjugation action, in row-major matrix coordinates.
 
     The matrix of g acting by f -> rho(g) f rho(g)^-1 on vec(f) is
-    rho(g) (x) rho(g)^{-T}.
+    rho(g) (x) rho(g)^{-T}.  V must be a homomorphism, as every caller's is:
+    rho(g)^-1 is read as rho(g^-1).
     """
-    mats = np.stack(
-        [
-            np.kron(V.mats[g], matrix_inv_mod(V.mats[g], V.p, V.N).T) % V.modulus
-            for g in range(V.group.order)
-        ]
-    )
-    return Representation(V.group, mats, V.p, V.N, validate=False)
+    n, d = V.mats.shape[:2]
+    inv_t = V.mats[V.group.inverse].transpose(0, 2, 1)
+    mats = np.einsum("gij,gkl->gikjl", V.mats, inv_t).reshape(n, d * d, d * d)
+    return Representation(V.group, mats % V.modulus, V.p, V.N, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +181,26 @@ class PermutationPieces:
         return self.left_inverse @ (np.asarray(mat) % p) @ self.basis % p
 
 
+def difference_basis_matrices(G: FiniteGroup) -> list[np.ndarray]:
+    """Integer matrices of G's generators on the sum-zero part of the
+    permutation lattice, in the basis v_i = b_i - b_{i+1}."""
+    d = G.action.shape[1] - 1
+
+    def diff_coords(a: int, b: int) -> np.ndarray:
+        """b_a - b_b in the basis v_i."""
+        v = np.zeros(d, dtype=np.int64)
+        if a < b:
+            v[a:b] = 1
+        elif a > b:
+            v[b:a] = -1
+        return v
+
+    return [
+        np.stack([diff_coords(int(perm[j]), int(perm[j + 1])) for j in range(d)], axis=1)
+        for perm in G.action[list(G.generators)]
+    ]
+
+
 def standard_perm_rep(G: FiniteGroup, p: int) -> PermutationPieces:
     """Split the natural permutation module over F_p into trivial and
     standard pieces; requires p not to divide the number of points."""
@@ -199,21 +217,8 @@ def standard_perm_rep(G: FiniteGroup, p: int) -> PermutationPieces:
     natural = Representation(G, perm_mats, p, 1, validate=False)
     trivial = Representation(G, np.ones((G.order, 1, 1), dtype=np.int64), p, 1, validate=False)
 
-    def diff_coords(a: int, b: int) -> np.ndarray:
-        """b_a - b_b in the basis v_i = b_i - b_{i+1}."""
-        v = np.zeros(d, dtype=np.int64)
-        if a < b:
-            v[a:b] = 1
-        elif a > b:
-            v[b:a] = -1
-        return v % p
-
-    vmats = []
-    for s in G.generators:
-        perm = G.action[s]
-        cols = [diff_coords(int(perm[j]), int(perm[j + 1])) for j in range(d)]
-        vmats.append(np.stack(cols, axis=1))
-    standard = Representation.from_generator_images(G, vmats, p, 1)
+    # the integer matrices reduce mod p in from_generator_images
+    standard = Representation.from_generator_images(G, difference_basis_matrices(G), p, 1)
 
     inv_n = pow(npts, -1, p)
     e_t = np.full((npts, npts), inv_n, dtype=np.int64) % p
@@ -371,7 +376,7 @@ def is_projective_higman(V: Representation):
     F = x.reshape(d, d)
     acc = np.zeros((d, d), dtype=np.int64)
     for g in range(V.group.order):
-        acc += V.mats[g] @ F @ matrix_inv_mod(V.mats[g], p, 1)
+        acc += V.mats[g] @ F @ V.mats[V.group.inverse[g]]
     assert (acc % p == np.eye(d, dtype=np.int64)).all()
     return True, F
 
@@ -387,7 +392,7 @@ def hensel_lift_rep(Vbar: Representation, N: int) -> Representation:
     At each level the multiplicativity defect of the entrywise lift is a
     2-cocycle valued in End(V) mod p; a correcting 1-cochain is obtained by
     solving the coboundary system on (element, generator) pairs, which
-    suffices because BFS words propagate those relations to all pairs.
+    suffices by the induction in FiniteGroup.extend.
     Solvability at every level is guaranteed when V is projective over
     F_p[G], and failure raises with a diagnostic.
     """
@@ -397,10 +402,8 @@ def hensel_lift_rep(Vbar: Representation, N: int) -> Representation:
         return Vbar
     G, p, d = Vbar.group, Vbar.p, Vbar.degree
     gens = G.generators
-    conj = {
-        g: np.kron(Vbar.mats[g], matrix_inv_mod(Vbar.mats[g], p, 1).T) % p
-        for g in range(G.order)
-    }
+    conj = end_rep(Vbar).mats
+    inv_bar = Vbar.mats[G.inverse]
     current = Vbar.mats.copy()
     for level in range(1, N):
         m_next = p ** (level + 1)
@@ -413,7 +416,6 @@ def hensel_lift_rep(Vbar: Representation, N: int) -> Representation:
         def block_slot(e):
             return (e - 1) * d * d
 
-        inv_bar = {e: matrix_inv_mod(Vbar.mats[e], p, 1) for e in range(G.order)}
         for g in range(1, G.order):
             for s in gens:
                 gs = G.mul(g, s)

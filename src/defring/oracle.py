@@ -107,8 +107,7 @@ def enumerate_lifts(
             f"search space {search} exceeds guard {guard}; "
             "set DEFRING_GUARD_OVERRIDE to raise"
         )
-    parent, genidx = group._bfs_words(gens)
-    by_depth = [e for e in sorted(range(group.order), key=lambda e: _depth(parent, e))]
+    tree_order = group.spanning_tree(gens)[0]
     cands = []
     for s in gens:
         base = lift_of[rho_bar.mats[s] % rho_bar.p]
@@ -127,25 +126,23 @@ def enumerate_lifts(
         dtype=np.int64,
     )
 
+    def matmul(a, b):
+        return kernels.table_matmul(a, b, add, mul)
+
     def process_block(start: int, stop: int):
         flat = np.arange(start, stop, dtype=np.int64)
         gen_blocks = []
         for si in range(len(gens)):
             comp = (flat // strides[si]) % counts[si]
             gen_blocks.append(cands[si][comp])
-        B = len(flat)
-        mats = {0: np.broadcast_to(eye, (B, d, d)).copy()}
-        for e in by_depth:
-            if e == 0:
-                continue
-            par, gi = int(parent[e]), int(genidx[e])
-            mats[e] = kernels.table_matmul(mats[par], gen_blocks[gi], add, mul)
+        one = np.broadcast_to(eye, gen_blocks[0].shape).copy()
+        mats = group.extend(gen_blocks, matmul, one, gens)
         # filter in BFS order with compaction: the shallow equations kill
         # almost all assignments, so the deep ones run on tiny arrays
-        for e in by_depth:
+        for e in tree_order:
             alive = None
             for gi, s in enumerate(gens):
-                prod = kernels.table_matmul(mats[e], gen_blocks[gi], add, mul)
+                prod = matmul(mats[e], gen_blocks[gi])
                 target = mats[group.mul(e, s)]
                 ok = (prod == target).all(axis=(1, 2))
                 alive = ok if alive is None else (alive & ok)
@@ -156,7 +153,7 @@ def enumerate_lifts(
             keep = np.nonzero(alive)[0]
             flat = flat[keep]
             gen_blocks = [gb[keep] for gb in gen_blocks]
-            mats = {k: v[keep] for k, v in mats.items()}
+            mats = [v[keep] for v in mats]
         return [
             LiftAssignment(
                 gens,
@@ -175,19 +172,11 @@ def enumerate_lifts(
     else:
         results = [process_block(*b) for b in blocks]
     lifts = [l for chunk in results for l in chunk]
-    _assert_full_table(lifts, rho_bar, A, gens, add, mul, d, parent, genidx, by_depth)
+    _assert_full_table(lifts, rho_bar, A, gens, matmul, d, eye)
     return lifts
 
 
-def _depth(parent, e):
-    k = 0
-    while e != 0:
-        e = int(parent[e])
-        k += 1
-    return k
-
-
-def _assert_full_table(lifts, rho_bar, A, gens, add, mul, d, parent, genidx, by_depth):
+def _assert_full_table(lifts, rho_bar, A, gens, matmul, d, eye):
     """Definitive check: every surviving lift satisfies all |G|^2 equations."""
     group = rho_bar.group
     if not lifts:
@@ -197,19 +186,10 @@ def _assert_full_table(lifts, rho_bar, A, gens, add, mul, d, parent, genidx, by_
         np.array([l.images[si] for l in lifts], dtype=np.int64).reshape(B, d, d)
         for si in range(len(gens))
     ]
-    eye = np.array(
-        [[A.encode(A.one if i == j else A.zero) for j in range(d)] for i in range(d)],
-        dtype=np.int64,
-    )
-    mats = {0: np.broadcast_to(eye, (B, d, d)).copy()}
-    for e in by_depth:
-        if e == 0:
-            continue
-        par, gi = int(parent[e]), int(genidx[e])
-        mats[e] = kernels.table_matmul(mats[par], gen_blocks[gi], add, mul)
+    mats = group.extend(gen_blocks, matmul, np.broadcast_to(eye, (B, d, d)).copy(), gens)
     for g in range(group.order):
         for h in range(group.order):
-            prod = kernels.table_matmul(mats[g], mats[h], add, mul)
+            prod = matmul(mats[g], mats[h])
             if not (prod == mats[group.mul(g, h)]).all():
                 raise OracleError("full-table verification failed (internal error)")
     # each generator image must reduce to rho_bar's image
