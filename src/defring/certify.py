@@ -595,7 +595,12 @@ class Certificate:
 
 
 def certify_instance(spec: InstanceSpec) -> Certificate:
-    asm = assemble(spec)
+    return certify_assembly(assemble(spec))
+
+
+def certify_assembly(asm: Assembly) -> Certificate:
+    """The certification pipeline on an instance already assembled."""
+    spec = asm.spec
     cond_a = check_condition_a(asm)
     cond_b = find_alpha(asm)
     rho_r = None
@@ -711,18 +716,12 @@ def _injective_commutative_alpha(asm: Assembly) -> AlphaMap:
 def negative_control(p: int, n: int) -> NegativeControlReport:
     """Swap K for a commutative-image module: certification must refute, and
     the matching small-extension lift must succeed."""
-    if p == 2 and n == 1:
-        spec = InstanceSpec("twisted", p, n, control="scalar")
-        cert = certify_instance(spec)
-        asm = assemble(spec)
-        alpha = _injective_commutative_alpha(asm)
-        report = exp_lift_on_kernel(asm.K, alpha, spec.precision, a_hat=1)
-    else:
-        spec = InstanceSpec("twisted", p, n, control="commutative")
-        cert = certify_instance(spec)
-        asm = assemble(spec)
-        alpha = _injective_commutative_alpha(asm)
-        report = exp_lift_on_kernel(asm.K, alpha, spec.precision)
+    scalar = p == 2 and n == 1
+    spec = InstanceSpec("twisted", p, n, control="scalar" if scalar else "commutative")
+    asm = assemble(spec)
+    cert = certify_assembly(asm)
+    alpha = _injective_commutative_alpha(asm)
+    report = exp_lift_on_kernel(asm.K, alpha, spec.precision, a_hat=1 if scalar else None)
     if cert.verdict != "refuted":
         raise CertifyError("negative control unexpectedly certified")
     return NegativeControlReport(spec.name, cert.verdict, cert.failed_stage, report)

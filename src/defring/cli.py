@@ -114,7 +114,7 @@ def cmd_oracle(args) -> int:
     rings = standard_rings(spec.p)
     if args.ring not in rings:
         raise OracleError(f"unknown ring {args.ring!r}; choose from {sorted(rings)}")
-    report = functor_compare(asm, rho_r, rings[args.ring], threads=args.threads)
+    report = functor_compare(asm, rho_r, rings[args.ring])
     _emit(report.to_json_dict(), args)
     print(
         f"{spec.name} over {args.ring}: classes={report.class_count} "
@@ -162,7 +162,7 @@ def cmd_report(args) -> int:
     cb = find_alpha(asm)
     rho_r = build_rho_R(asm, cb.alpha)
     for name, ring in sorted(standard_rings(2).items()):
-        report = functor_compare(asm, rho_r, ring, threads=args.threads)
+        report = functor_compare(asm, rho_r, ring)
         out["oracle"].append(report.to_json_dict())
         failures += not report.bijective
     for p, n in [(2, 1), (2, 2), (3, 1)]:
@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("oracle", help="brute-force functor comparison on a test ring")
     _add_instance_args(sub)
     sub.add_argument("--ring", required=True, help="test ring name, e.g. Z4")
-    sub.add_argument("--threads", type=int, default=1)
     sub.set_defaults(func=cmd_oracle)
 
     sub = subs.add_parser("cohomology", help="cohomology dimensions for an instance")
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("report", help="run the full battery and emit one JSON report")
     sub.add_argument("--all", action="store_true", help="accepted for symmetry; the battery is always full")
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--json", action="store_true")
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_report)

@@ -1,12 +1,15 @@
 """Brute-force evaluation of the deformation functor on Artinian test rings.
 
 Ground truth for the certification: enumerate every lift of the mod-p
-representation over a small test ring A (generator images ranging over the
-full reduction cosets, validated against the whole multiplication table),
-partition the valid lifts into strict-equivalence classes (conjugation by
-matrices reducing to the identity), and compare the class count and the
-induced correspondence with the set of local W-algebra maps R -> A.  This
-route is deliberately independent of the cohomology module so the two can
+representation over a small test ring A, partition the valid lifts into
+strict-equivalence classes (conjugation by matrices reducing to the
+identity), and compare the class count and the induced correspondence with
+the set of local W-algebra maps R -> A.  Each generator image ranges over its
+reduction coset, cut to the matrices X with X^o(s) = I for the order o(s) of
+the generator s; every lift satisfies this, since rho(s)^o(s) = rho(1) = I.
+The products of the survivors are filtered by the equations e*s and
+validated against the whole multiplication table.  This route is
+deliberately independent of the cohomology module so the two can
 cross-check each other.
 """
 
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,6 @@ from .localalg import ArtinLocalAlgebra, count_homs_from_R, reduction_kernel_mat
 from .modrep import Representation
 
 DEFAULT_GUARD = 100_000_000
-BLOCK = 1 << 16
 
 
 class OracleError(ValueError):
@@ -72,6 +73,13 @@ def _ring_data(A: ArtinLocalAlgebra, rho_bar: Representation):
     return add, mul, maximal, lift_of, d
 
 
+def _identity(A: ArtinLocalAlgebra, d: int) -> np.ndarray:
+    return np.array(
+        [[A.encode(A.one if i == j else A.zero) for j in range(d)] for i in range(d)],
+        dtype=np.int64,
+    )
+
+
 def _candidates_for_generator(base_mat, maximal, add, d):
     """All lifts of one generator image: base + Delta, Delta over M_d(m_A)."""
     k = len(maximal)
@@ -90,11 +98,17 @@ def enumerate_lifts(
     rho_bar: Representation,
     A: ArtinLocalAlgebra,
     gens: tuple[int, ...] | None = None,
-    threads: int = 1,
 ) -> list[LiftAssignment]:
     """All lifts of rho_bar over A, as generator assignments in the
-    reduction cosets whose word-extension satisfies every multiplication-
-    table equation."""
+    reduction cosets whose extension over Gamma satisfies every
+    multiplication-table equation, in lexicographic order of the coset
+    candidates (first generator most significant).
+
+    Each generator's coset is first cut to the candidates X with
+    X^o(s) = I, where o(s) is the order of s.  The cut loses no lift: a lift
+    has rho(s)^o(s) = rho(s^o(s)) = I.  The product of the survivors is
+    extended over Gamma and filtered by the equations e*s in spanning-tree
+    order."""
     group = rho_bar.group
     if gens is None:
         gens = group.small_generating_set()
@@ -107,99 +121,86 @@ def enumerate_lifts(
             f"search space {search} exceeds guard {guard}; "
             "set DEFRING_GUARD_OVERRIDE to raise"
         )
-    tree_order = group.spanning_tree(gens)[0]
-    cands = []
-    for s in gens:
-        base = lift_of[rho_bar.mats[s] % rho_bar.p]
-        cands.append(_candidates_for_generator(base, maximal, add, d))
-    counts = [len(c) for c in cands]
-    strides = []
-    acc = 1
-    for c in reversed(counts):
-        strides.append(acc)
-        acc *= c
-    strides = list(reversed(strides))
-    total = acc
-
-    eye = np.array(
-        [[A.encode(A.one if i == j else A.zero) for j in range(d)] for i in range(d)],
-        dtype=np.int64,
-    )
+    eye = _identity(A, d)
 
     def matmul(a, b):
         return kernels.table_matmul(a, b, add, mul)
 
-    def process_block(start: int, stop: int):
-        flat = np.arange(start, stop, dtype=np.int64)
-        gen_blocks = []
-        for si in range(len(gens)):
-            comp = (flat // strides[si]) % counts[si]
-            gen_blocks.append(cands[si][comp])
-        one = np.broadcast_to(eye, gen_blocks[0].shape).copy()
-        mats = group.extend(gen_blocks, matmul, one, gens)
-        # filter in BFS order with compaction: the shallow equations kill
-        # almost all assignments, so the deep ones run on tiny arrays
-        for e in tree_order:
-            alive = None
-            for gi, s in enumerate(gens):
-                prod = matmul(mats[e], gen_blocks[gi])
-                target = mats[group.mul(e, s)]
-                ok = (prod == target).all(axis=(1, 2))
-                alive = ok if alive is None else (alive & ok)
-            if alive.all():
-                continue
-            if not alive.any():
-                return []
-            keep = np.nonzero(alive)[0]
-            flat = flat[keep]
-            gen_blocks = [gb[keep] for gb in gen_blocks]
-            mats = [v[keep] for v in mats]
-        return [
-            LiftAssignment(
-                gens,
-                tuple(
-                    tuple(int(x) for x in gen_blocks[si][i].reshape(-1))
-                    for si in range(len(gens))
-                ),
-            )
-            for i in range(len(flat))
-        ]
-
-    blocks = [(s, min(s + BLOCK, total)) for s in range(0, total, BLOCK)]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: process_block(*b), blocks))
-    else:
-        results = [process_block(*b) for b in blocks]
-    lifts = [l for chunk in results for l in chunk]
-    _assert_full_table(lifts, rho_bar, A, gens, matmul, d, eye)
+    cands = []
+    for s in gens:
+        cand = _candidates_for_generator(
+            lift_of[rho_bar.mats[s] % rho_bar.p], maximal, add, d
+        )
+        power = cand
+        for _ in range(group.element_order(s) - 1):
+            power = matmul(power, cand)
+        cands.append(cand[(power == eye).all(axis=(1, 2))])
+    grid = np.meshgrid(*(np.arange(len(c)) for c in cands), indexing="ij")
+    gen_blocks = [c[idx.reshape(-1)] for c, idx in zip(cands, grid)]
+    one = np.broadcast_to(eye, gen_blocks[0].shape).copy()
+    mats = group.extend(gen_blocks, matmul, one, gens)
+    # filter in BFS order with compaction: the shallow equations kill
+    # almost all assignments, so the deep ones run on tiny arrays
+    for e in group.spanning_tree(gens)[0]:
+        alive = np.ones(len(gen_blocks[0]), dtype=bool)
+        for gb, s in zip(gen_blocks, gens):
+            alive &= (matmul(mats[e], gb) == mats[group.mul(e, s)]).all(axis=(1, 2))
+        if not alive.all():
+            gen_blocks = [gb[alive] for gb in gen_blocks]
+            mats = [v[alive] for v in mats]
+    lifts = [
+        LiftAssignment(gens, tuple(tuple(gb[i].reshape(-1).tolist()) for gb in gen_blocks))
+        for i in range(len(gen_blocks[0]))
+    ]
+    _assert_full_table(lifts, rho_bar, A)
     return lifts
 
 
-def _assert_full_table(lifts, rho_bar, A, gens, matmul, d, eye):
-    """Definitive check: every surviving lift satisfies all |G|^2 equations."""
-    group = rho_bar.group
+def _assert_full_table(lifts, rho_bar, A):
+    """Definitive check: the extension of every lift satisfies all
+    |Gamma|^2 equations value(g) value(h) = value(gh), one batched product
+    per row g, and every generator image reduces to rho_bar's image."""
     if not lifts:
         return
-    B = len(lifts)
+    group, d = rho_bar.group, rho_bar.degree
+    add, mul, _, _ = A.tables()
+    gens, B = lifts[0].generators, len(lifts)
+
+    def matmul(a, b):
+        return kernels.table_matmul(a, b, add, mul)
+
     gen_blocks = [
         np.array([l.images[si] for l in lifts], dtype=np.int64).reshape(B, d, d)
         for si in range(len(gens))
     ]
-    mats = group.extend(gen_blocks, matmul, np.broadcast_to(eye, (B, d, d)).copy(), gens)
+    one = np.broadcast_to(_identity(A, d), (B, d, d)).copy()
+    M = np.stack(group.extend(gen_blocks, matmul, one, gens))
+    rights = M.reshape(-1, d, d)
     for g in range(group.order):
-        for h in range(group.order):
-            prod = matmul(mats[g], mats[h])
-            if not (prod == mats[group.mul(g, h)]).all():
-                raise OracleError("full-table verification failed (internal error)")
-    # each generator image must reduce to rho_bar's image
-    p = rho_bar.p
+        lefts = np.broadcast_to(M[g], M.shape).reshape(-1, d, d)
+        if not (matmul(lefts, rights) == M[group.table[g]].reshape(-1, d, d)).all():
+            raise OracleError("full-table verification failed (internal error)")
     res = np.array([A.residue(A.decode(c)) for c in range(A.size)], dtype=np.int64)
-    for si, s in enumerate(gens):
-        for l in lifts:
-            got = res[np.array(l.images[si], dtype=np.int64)].reshape(d, d)
-            if (got != rho_bar.mats[s] % p).any():
-                raise OracleError("lift does not reduce to the base representation")
+    for gb, s in zip(gen_blocks, gens):
+        if (res[gb] != rho_bar.mats[s] % rho_bar.p).any():
+            raise OracleError("lift does not reduce to the base representation")
+
+
+def _kernel_inverses(A: ArtinLocalAlgebra, U: np.ndarray) -> np.ndarray:
+    """Inverses of a stack U of matrices in 1 + M_d(m_A), by the Newton
+    iteration X <- X(2I - UX) from X = I.  The error I - UX squares at each
+    step, so after k steps its entries lie in m_A^(2^k).  As m_A^L = 0 for
+    some L <= log2 |A|, the whole stack converges within L steps."""
+    add, mul, neg, _ = A.tables()
+    eye = _identity(A, U.shape[-1])
+    two = add[eye, eye]
+    X = np.broadcast_to(eye, U.shape)
+    for _ in range(A.size.bit_length() + 1):
+        UX = kernels.table_matmul(U, X, add, mul)
+        if (UX == eye).all():
+            return X
+        X = kernels.table_matmul(X, add[two, neg[UX]], add, mul)
+    raise OracleError("Newton inversion in 1 + M_d(m_A) did not converge")
 
 
 def deformation_classes(
@@ -208,12 +209,11 @@ def deformation_classes(
     """Partition lifts into orbits of conjugation by 1 + M_d(m_A), with
     lexicographically minimal representatives."""
     add, mul, _, _, d = _ring_data(A, rho_bar)
-    kerm = reduction_kernel_matrices(A, d)
-    U_all = np.array([np.array(u.encode()).reshape(d, d) for u in kerm], dtype=np.int64)
-    Uinv_all = np.array(
-        [np.array(u.inverse().encode()).reshape(d, d) for u in kerm], dtype=np.int64
-    )
-    nC = len(kerm)
+    U_all = np.array(
+        [u.encode() for u in reduction_kernel_matrices(A, d)], dtype=np.int64
+    ).reshape(-1, d, d)
+    Uinv_all = _kernel_inverses(A, U_all)
+    nC = len(U_all)
     index_of = {l.key(): i for i, l in enumerate(lifts)}
     class_of: dict = {}
     reps = []
@@ -288,7 +288,6 @@ def functor_compare(
     rho_r: RhoR,
     A: ArtinLocalAlgebra,
     gens: tuple[int, ...] | None = None,
-    threads: int = 1,
 ) -> FunctorReport:
     """Desk-scale universality: map each local W-algebra hom R -> A to the
     class of the pushed-forward lift and check the correspondence is a
@@ -305,7 +304,7 @@ def functor_compare(
     if gens is None:
         gens = rho_bar.group.small_generating_set()
     gens = tuple(int(g) for g in gens)
-    lifts = enumerate_lifts(rho_bar, A, gens, threads=threads)
+    lifts = enumerate_lifts(rho_bar, A, gens)
     classes = deformation_classes(rho_bar, A, lifts)
     homs = count_homs_from_R(n, A)
     hom_to_class = []

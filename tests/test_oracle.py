@@ -1,12 +1,29 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
-from defring.certify import InstanceSpec, assemble, build_rho_R, find_alpha
+from defring import kernels
+from defring.certify import (
+    InstanceSpec,
+    assemble,
+    build_rho_R,
+    find_alpha,
+    parse_instance_name,
+)
 from defring.cohomology import h1_dim
-from defring.localalg import cyclic_ring, dual_numbers, standard_rings
+from defring.localalg import (
+    cyclic_ring,
+    dual_numbers,
+    reduction_kernel_matrices,
+    standard_rings,
+)
 from defring.modrep import end_rep
 from defring.oracle import (
+    LiftAssignment,
     OracleError,
+    _assert_full_table,
+    _kernel_inverses,
     deformation_classes,
     enumerate_lifts,
     functor_compare,
@@ -51,15 +68,7 @@ def test_class_count_independent_of_generating_set():
     A = dual_numbers(2)
     gamma = asm.gamma
     first = gamma.small_generating_set()
-    # find a second, different 2-element generating set deterministically
-    second = None
-    from itertools import combinations
-
-    for combo in combinations(range(1, gamma.order), 2):
-        if tuple(combo) != tuple(first) and gamma.generates(combo):
-            second = combo
-            break
-    assert second is not None
+    second = _second_generating_set(gamma)
     c1 = deformation_classes(asm.rho_bar, A, enumerate_lifts(asm.rho_bar, A, first))
     c2 = deformation_classes(asm.rho_bar, A, enumerate_lifts(asm.rho_bar, A, second))
     assert c1.class_count == c2.class_count == 2
@@ -107,14 +116,6 @@ def test_precision_check():
         functor_compare(asm, rho_r, A)
 
 
-def test_threaded_enumeration_matches_serial():
-    asm = s4_assembly()
-    A = standard_rings(2)["F2t3"]
-    serial = enumerate_lifts(asm.rho_bar, A, threads=1)
-    threaded = enumerate_lifts(asm.rho_bar, A, threads=4)
-    assert [l.images for l in serial] == [l.images for l in threaded]
-
-
 def test_precision_override_fixes_large_ring():
     # Z/16 needs W-precision 2^4; the default n+2 = 3 is insufficient, an
     # explicit override N = 4 makes the comparison run (and stay bijective)
@@ -142,3 +143,134 @@ def test_functor_compare_p3_dual_numbers():
     report = functor_compare(asm, rho_r, dual_numbers(3))
     assert report.bijective
     assert report.class_count == report.hom_count == 3
+
+
+# ---------------------------------------------------------------------------
+# The order prefilter and the batched checks lose nothing
+# ---------------------------------------------------------------------------
+
+
+def _second_generating_set(group):
+    """The first generating tuple after small_generating_set, scanning
+    element indices."""
+    first = group.small_generating_set()
+    for combo in combinations(range(1, group.order), len(first)):
+        if combo != tuple(first) and group.generates(combo):
+            return combo
+    raise AssertionError("no second generating set")
+
+
+def _coset(A, base):
+    """Every matrix over A reducing to the F_p matrix base, in the order of
+    the oracle's candidates: entry (0, 0) varies fastest."""
+    d = base.shape[0]
+    m = [A.encode(x) for x in A.maximal_ideal()]
+    lift = [A.encode(A.from_int(int(v))) for v in base.reshape(-1)]
+    add = A.tables()[0]
+    out = []
+    for digits in product(range(len(m)), repeat=d * d):
+        out.append([add[lift[pos], m[digits[d * d - 1 - pos]]] for pos in range(d * d)])
+    return np.array(out, dtype=np.int64).reshape(-1, d, d)
+
+
+def _homomorphic(rho_bar, A, gens, images):
+    """Indices of the assignments (one (B, d, d) stack per generator) whose
+    extension satisfies value(g) value(h) = value(gh) on all pairs of Gamma."""
+    group, d = rho_bar.group, rho_bar.degree
+    add, mul, _, _ = A.tables()
+    eye = np.array(
+        [[A.encode(A.one if i == j else A.zero) for j in range(d)] for i in range(d)]
+    )
+    values = {0: np.broadcast_to(eye, images[0].shape)}
+    frontier = [0]
+    while frontier:
+        e = frontier.pop(0)
+        for s, im in zip(gens, images):
+            if group.mul(e, s) not in values:
+                values[group.mul(e, s)] = kernels.table_matmul(values[e], im, add, mul)
+                frontier.append(group.mul(e, s))
+    assert len(values) == group.order
+    alive = np.arange(len(images[0]))
+    for g, h in product(range(group.order), repeat=2):
+        prod = kernels.table_matmul(values[g], values[h], add, mul)
+        ok = (prod == values[group.mul(g, h)]).all(axis=(1, 2))
+        if not ok.all():
+            alive = alive[ok]
+            values = {e: v[ok] for e, v in values.items()}
+    return alive
+
+
+def _reference_lifts(rho_bar, A, gens):
+    """The unpruned product of the reduction cosets, in lexicographic order,
+    filtered by the all-pairs predicate."""
+    cosets = [_coset(A, rho_bar.mats[s] % rho_bar.p) for s in gens]
+    grid = np.meshgrid(*(np.arange(len(c)) for c in cosets), indexing="ij")
+    images = [c[i.reshape(-1)] for c, i in zip(cosets, grid)]
+    return [
+        tuple(tuple(im[i].reshape(-1).tolist()) for im in images)
+        for i in _homomorphic(rho_bar, A, gens, images)
+    ]
+
+
+@pytest.mark.parametrize(
+    "instance,ring,which",
+    [("twisted-p2n1", r, w) for r in ("dual", "Z4", "Z8", "F2t3") for w in (0, 1)]
+    + [("twisted-p2n2", "dual", 0)],
+)
+def test_pruned_enumeration_matches_unpruned_reference(instance, ring, which):
+    asm = assemble(parse_instance_name(instance))
+    A = standard_rings(2)[ring]
+    group = asm.rho_bar.group
+    gens = group.small_generating_set() if which == 0 else _second_generating_set(group)
+    gens = tuple(int(g) for g in gens)
+    expected = _reference_lifts(asm.rho_bar, A, gens)
+    got = [l.images for l in enumerate_lifts(asm.rho_bar, A, gens)]
+    assert expected and got == expected
+
+
+@pytest.mark.parametrize(
+    "A", list(standard_rings(2).values()) + [dual_numbers(3)], ids=lambda A: A.name
+)
+def test_batched_kernel_inverses_match_algmatrix_inverse(A):
+    kerm = reduction_kernel_matrices(A, 2)
+    U = np.array([u.encode() for u in kerm], dtype=np.int64).reshape(-1, 2, 2)
+    expected = np.array([u.inverse().encode() for u in kerm]).reshape(-1, 2, 2)
+    assert (_kernel_inverses(A, U) == expected).all()
+
+
+def test_kernel_inverses_raise_on_a_singular_matrix():
+    A = dual_numbers(2)
+    U = np.array([u.encode() for u in reduction_kernel_matrices(A, 2)]).reshape(-1, 2, 2)
+    one, zero = A.encode(A.one), A.encode(A.zero)
+    singular = np.array([[[one, zero], [zero, zero]]])
+    with pytest.raises(OracleError, match="did not converge"):
+        _kernel_inverses(A, np.concatenate([U, singular]))
+
+
+@pytest.mark.parametrize("ring", ["dual", "Z8"])
+def test_full_table_check_catches_a_relation_broken_inside_m_A(ring):
+    asm = s4_assembly()
+    A = standard_rings(2)[ring]
+    lifts = enumerate_lifts(asm.rho_bar, A)
+    _assert_full_table(lifts, asm.rho_bar, A)
+    valid = {l.images for l in lifts}
+    add = A.tables()[0]
+    m = A.encode(A.maximal_ideal()[1])  # a nonzero element of m_A
+    bad = None
+    for l in lifts:
+        for si, pos in product(range(len(l.images)), range(4)):
+            images = [list(im) for im in l.images]
+            images[si][pos] = int(add[images[si][pos], m])
+            images = tuple(tuple(im) for im in images)
+            if images not in valid:
+                bad = LiftAssignment(l.generators, images)
+                break
+        if bad is not None:
+            break
+    # same reduction, but not a lift: some relation of Gamma fails
+    assert bad is not None
+    stacks = [np.array(im).reshape(1, 2, 2) for im in bad.images]
+    assert len(_homomorphic(asm.rho_bar, A, bad.generators, stacks)) == 0
+    corrupted = lifts[: len(lifts) // 2] + [bad] + lifts[len(lifts) // 2 :]
+    with pytest.raises(OracleError, match="full-table"):
+        _assert_full_table(corrupted, asm.rho_bar, A)
