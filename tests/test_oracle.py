@@ -186,9 +186,10 @@ def _homomorphic(rho_bar, A, gens, images):
     while frontier:
         e = frontier.pop(0)
         for s, im in zip(gens, images):
-            if group.mul(e, s) not in values:
-                values[group.mul(e, s)] = kernels.table_matmul(values[e], im, add, mul)
-                frontier.append(group.mul(e, s))
+            h = group.mul(e, s)
+            if h not in values:
+                values[h] = kernels.table_matmul(values[e], im, add, mul)
+                frontier.append(h)
     assert len(values) == group.order
     alive = np.arange(len(images[0]))
     for g, h in product(range(group.order), repeat=2):
