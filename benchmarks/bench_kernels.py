@@ -1,9 +1,10 @@
 """Benchmark the compiled kernels against the numpy fallback.
 
 Runs the two backends on the workloads that dominate the pipeline: mod-p
-elimination (Hom systems, cohomology ranks) and table-driven batched matrix
-products (oracle enumeration).  Also times one end-to-end oracle enumeration
-per backend.
+elimination (random matrices, plus the H^2 d2 matrix of SD_16 and the
+tallest H^1 cocycle system of the acceptance battery) and table-driven
+batched matrix products (oracle enumeration).  Also times one end-to-end
+oracle enumeration per backend.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -38,11 +39,40 @@ def bench_pair(name, make_args, call, repeat=3):
         t_sp = timeit(lambda: call(_speedups, *args), repeat)
         ratio = t_fb / t_sp if t_sp > 0 else float("inf")
         print(
-            f"{name:<42} fallback {t_fb * 1e3:9.2f} ms   compiled {t_sp * 1e3:9.2f} ms   x{ratio:5.1f}",
+            f"{name:<46} fallback {t_fb * 1e3:9.2f} ms   compiled {t_sp * 1e3:9.2f} ms   x{ratio:6.2f}",
             flush=True,
         )
     else:
-        print(f"{name:<42} fallback {t_fb * 1e3:9.2f} ms   compiled       n/a", flush=True)
+        print(f"{name:<46} fallback {t_fb * 1e3:9.2f} ms   compiled       n/a", flush=True)
+
+
+def program_rank_inputs():
+    """(label, matrix, p) of two matrices the program ranks: the d2 matrix of
+    direct H^2(SD_16, F_2) and the H^1 cocycle system of standard-d4p2, the
+    tallest one a certify of the acceptance battery builds."""
+    from defring import cohomology, kernels
+    from defring.certify import assemble, parse_instance_name
+    from defring.groups import twisted_frobenius_group
+    from defring.modrep import end_rep
+
+    sd16 = cohomology.trivial_module(twisted_frobenius_group(3), 2)
+    inputs = [("SD16 d2", cohomology.BarComplex(sd16).d2_matrix(), 2)]
+    asm = assemble(parse_instance_name("standard-d4p2"))
+    ranked = []
+    saved = kernels.rank_modp
+
+    def record(a, p):
+        ranked.append((a, p))
+        return saved(a, p)
+
+    kernels.rank_modp = record
+    try:
+        cohomology.h1_dim(end_rep(asm.rho_bar))
+    finally:
+        kernels.rank_modp = saved
+    system, p = max(ranked, key=lambda item: item[0].shape[0])
+    inputs.append(("standard-d4p2 H^1", system, p))
+    return inputs
 
 
 def main():
@@ -61,6 +91,15 @@ def main():
             lambda a=a, p=p: (a, p),
             lambda impl, a, p: impl.rank_modp(a, p),
             repeat=repeat,
+        )
+    # random matrices reach full rank within a few blocks; the matrices the
+    # program ranks do not
+    for label, a, p in program_rank_inputs():
+        rows, cols = a.shape
+        bench_pair(
+            f"rank_modp {label} {rows}x{cols} mod {p}",
+            lambda a=a, p=p: (a, p),
+            lambda impl, a, p: impl.rank_modp(a, p),
         )
 
     print("== table-driven batched matmul ==")

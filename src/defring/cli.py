@@ -23,12 +23,21 @@ from .certify import (
     verify_certificate,
 )
 from .cohomology import CohomologyError, h1_dim, h2_dim, wedge_cocycle
+from .exactalg import PrecisionError
 from .groups import GroupError
 from .localalg import AlgebraError, standard_rings
 from .modrep import RepresentationError, end_rep
 from .oracle import OracleError, functor_compare
 
-USER_ERRORS = (CertifyError, OracleError, AlgebraError, GroupError, RepresentationError, CohomologyError)
+USER_ERRORS = (
+    CertifyError,
+    OracleError,
+    AlgebraError,
+    GroupError,
+    RepresentationError,
+    CohomologyError,
+    PrecisionError,
+)
 
 ACCEPTANCE_TWISTED = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
 ACCEPTANCE_STANDARD = [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]

@@ -60,13 +60,11 @@ def h1_dim(M: Representation, gens: tuple[int, ...] | None = None) -> int:
         coeff[e] = coeff[par]
         coeff[e][:, gi * dm : (gi + 1) * dm] += M.mats[par]
         coeff[e] %= p
-    rows = []
-    for e in range(G.order):
-        for gi, s in enumerate(gens):
-            block = (coeff[G.mul(e, s)] - coeff[e]) % p
-            block[:, gi * dm : (gi + 1) * dm] -= M.mats[e]
-            rows.append(block % p)
-    system = np.vstack(rows)
+    # rows (e, s, c): f(e s) - f(e) - e.f(s), e major, generators minor
+    blocks = coeff[G.table[:, list(gens)]] - coeff[:, None]
+    for gi in range(ng):
+        blocks[:, gi, :, gi * dm : (gi + 1) * dm] -= M.mats
+    system = (blocks % p).reshape(-1, n_unk)
     z1 = n_unk - kernels.rank_modp(system, p)
     fixed = np.vstack([(M.mats[s] - np.eye(dm, dtype=np.int64)) % p for s in gens])
     b1 = kernels.rank_modp(fixed, p)
@@ -86,9 +84,6 @@ class BarComplex:
         self.p = self.M.p
         self.nontriv = self.n - 1  # elements 1..n-1
 
-    def _idx1(self, g: int, c: int) -> int:
-        return (g - 1) * self.dm + c
-
     def _idx2(self, g: int, h: int, c: int) -> int:
         return ((g - 1) * self.nontriv + (h - 1)) * self.dm + c
 
@@ -100,53 +95,46 @@ class BarComplex:
     def dim_c2(self) -> int:
         return self.nontriv * self.nontriv * self.dm
 
+    def _coboundary(self, deg: int) -> np.ndarray:
+        """Matrix of d: C^deg -> C^(deg+1) on normalized cochains.
+
+        (d f)(g_0..g_deg) = g_0.f(g_1..g_deg)
+            + sum_i (-1)^(i+1) f(.., g_i g_(i+1), ..) + (-1)^(deg+1) f(g_0..g_(deg-1)),
+
+        with rows indexed by (g_0..g_deg, c) and columns by (x_1..x_deg, c'),
+        nontrivial elements in lexicographic order.  Terms whose argument
+        contains the identity vanish.  Within one term every (row, column)
+        block is hit at most once, so fancy-index ``+=`` accumulates exactly.
+        """
+        m, dm = self.nontriv, self.dm
+        table = self.M.group.table
+        args = [a.ravel() for a in np.meshgrid(*[np.arange(1, self.n)] * (deg + 1), indexing="ij")]
+        row = np.arange(m ** (deg + 1))
+
+        def col(xs):
+            return np.ravel_multi_index([x - 1 for x in xs], (m,) * deg)
+
+        mat = np.zeros((row.size, dm, m**deg, dm), dtype=np.int64)
+        mat[row, :, col(args[1:]), :] += self.M.mats[args[0]]
+        diag = np.arange(dm)
+        for i in range(deg):
+            merged = args[:i] + [table[args[i], args[i + 1]]] + args[i + 2 :]
+            live = merged[i] != 0
+            cols = col([x[live] for x in merged])
+            mat[row[live, None], diag, cols[:, None], diag] += (-1) ** (i + 1)
+        mat[row[:, None], diag, col(args[:-1])[:, None], diag] += (-1) ** (deg + 1)
+        return mat.reshape(row.size * dm, -1) % self.p
+
     def d1_matrix(self) -> np.ndarray:
         """(d1 f)(g, h) = g.f(h) - f(gh) + f(g) on normalized cochains."""
-        G, p, dm = self.M.group, self.p, self.dm
-        rows = self.dim_c2
-        mat = np.zeros((rows, self.dim_c1), dtype=np.int64)
-        for g in range(1, self.n):
-            act = self.M.mats[g]
-            for h in range(1, self.n):
-                r0 = self._idx2(g, h, 0)
-                gh = G.mul(g, h)
-                mat[r0 : r0 + dm, self._idx1(h, 0) : self._idx1(h, 0) + dm] += act
-                if gh != 0:
-                    for c in range(dm):
-                        mat[r0 + c, self._idx1(gh, c)] -= 1
-                for c in range(dm):
-                    mat[r0 + c, self._idx1(g, c)] += 1
-        return mat % p
+        return self._coboundary(1)
 
     def d2_matrix(self) -> np.ndarray:
         """(d2 f)(g,h,k) = g.f(h,k) - f(gh,k) + f(g,hk) - f(g,h)."""
-        G, p, dm = self.M.group, self.p, self.dm
-        rows = self.nontriv**3 * dm
+        rows = self.nontriv**3 * self.dm
         if rows * self.dim_c2 > DENSE_ENTRY_LIMIT:
             raise CohomologyError("d2 too large to materialize densely")
-        mat = np.zeros((rows, self.dim_c2), dtype=np.int64)
-        r0 = 0
-        for g in range(1, self.n):
-            act = self.M.mats[g]
-            for h in range(1, self.n):
-                gh = G.mul(g, h)
-                for k in range(1, self.n):
-                    hk = G.mul(h, k)
-                    c0 = self._idx2(h, k, 0)
-                    mat[r0 : r0 + dm, c0 : c0 + dm] += act
-                    if gh != 0:
-                        c0 = self._idx2(gh, k, 0)
-                        for c in range(dm):
-                            mat[r0 + c, c0 + c] -= 1
-                    if hk != 0:
-                        c0 = self._idx2(g, hk, 0)
-                        for c in range(dm):
-                            mat[r0 + c, c0 + c] += 1
-                    c0 = self._idx2(g, h, 0)
-                    for c in range(dm):
-                        mat[r0 + c, c0 + c] -= 1
-                    r0 += dm
-        return mat % p
+        return self._coboundary(2)
 
     def h2_dim_direct(self) -> int:
         rank_d1 = kernels.rank_modp(self.d1_matrix(), self.p)

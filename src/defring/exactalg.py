@@ -19,6 +19,10 @@ import numpy as np
 MAX_MODULUS = 1 << 62
 
 
+class PrecisionError(ValueError):
+    """A requested precision whose arithmetic would not be exact."""
+
+
 def pval(x: int, p: int, cap: int) -> int:
     """p-adic valuation of x mod p^cap; returns cap for x == 0."""
     if x % p**cap == 0:
@@ -436,7 +440,10 @@ class GaloisRing:
         self.N = N
         self.modulus = p**N
         if self.modulus**2 > MAX_MODULUS:
-            raise ValueError("precision too large")
+            raise PrecisionError(
+                f"precision too large: GR({p}^{N}, 2) needs (p^N)^2 <= 2^62, "
+                f"but p^N = {self.modulus}"
+            )
         self.rewrite = tuple(c % self.modulus for c in _quadratic_modulus(p))
 
     def __eq__(self, other):

@@ -4,6 +4,14 @@ These are the reference implementations; the compiled extension in
 ``_speedups.pyx`` must produce bit-identical results.  All mod-p routines
 assume a prime modulus small enough that products fit in int64, which the
 callers guarantee (moduli used in anger are < 2**16).
+
+``rank_modp`` eliminates in float64 matrix products and reduces mod p once
+per block of rows, after Dumas, Giorgi and Pernet, "Dense linear algebra
+over word-size prime fields: the FFLAS and FFPACK packages" (ACM TOMS 2008).
+Each entry of such a product sums fewer than ``cols`` terms below (p-1)^2
+plus one residue, so every partial sum is an integer that float64 holds
+exactly while ``cols * (p-1)**2 < 2**53``; ``rank_modp`` raises
+``ValueError`` past that bound.
 """
 
 from __future__ import annotations
@@ -49,9 +57,45 @@ def rref_modp(a, p: int):
     return r, pivots
 
 
+RANK_BLOCK = 64  # rows reduced against the echelon basis per product
+
+
 def rank_modp(a, p: int) -> int:
-    """Rank of a matrix over F_p."""
-    return len(rref_modp(a, p)[1])
+    """Rank of a matrix over F_p, by blocked forward-only elimination.
+
+    Keeps a reduced echelon basis ``E`` of the rows seen so far, with pivot
+    columns ``P``.  As ``E[:, P]`` is the identity, only ``F = E[:, free]``
+    is stored, and reducing a block ``C`` of rows against ``E`` is one
+    product: ``C - C[:, P] @ E`` is zero on ``P`` and ``C[:, free] -
+    C[:, P] @ F`` on the free columns, mod p.  Rows that became zero are
+    dropped, the rest are put in reduced echelon form with ``rref_modp``,
+    and their pivots are cleared from ``F`` with one more product.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    nrows, ncols = a.shape
+    if ncols * (p - 1) ** 2 >= 2**53:
+        raise ValueError(f"cols * (p-1)^2 = {ncols * (p - 1) ** 2} is not exact in float64")
+    free = np.arange(ncols)
+    pivots = np.zeros(0, dtype=np.int64)
+    basis = np.zeros((0, ncols))  # E[:, free]
+    for start in range(0, nrows, RANK_BLOCK):
+        if not free.size:
+            break
+        block = np.mod(a[start : start + RANK_BLOCK], p).astype(np.float64)
+        rest = np.mod(block[:, free] - block[:, pivots] @ basis, p)
+        rest = rest[rest.any(axis=1)]
+        if not len(rest):
+            continue
+        r, new = rref_modp(rest, p)
+        keep = np.ones(free.size, dtype=bool)
+        keep[new] = False
+        r = r[: len(new), keep].astype(np.float64)
+        basis = np.vstack([np.mod(basis[:, keep] - basis[:, new] @ r, p), r])
+        pivots = np.concatenate([pivots, free[new]])
+        free = free[keep]
+    return int(pivots.size)
 
 
 def nullspace_modp(a, p: int) -> np.ndarray:

@@ -101,3 +101,11 @@ def test_oracle_deterministic_modulo_runtime(capsys):
     d1.pop("runtime_ms")
     d2.pop("runtime_ms")
     assert d1 == d2
+
+
+def test_galois_ring_precision_too_large_exits_2(capsys):
+    # GR(5^14, 2) needs (5^14)^2 > 2^62: refused with the modulus, no traceback
+    code, out, err = run_cli(capsys, "certify", "twisted-p5n1", "-N", "14")
+    assert code == 2
+    assert out == ""
+    assert "precision too large" in err and str(5**14) in err

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defring import kernels
 from defring.kernels import _fallback
@@ -91,3 +93,67 @@ def test_solve_modp_solves():
 
 def test_selected_backend_exposed():
     assert kernels.BACKEND in ("compiled", "fallback")
+
+
+# rows on both sides of the block size, tall, wide, zero and full-rank shapes
+SHAPES = [
+    (0, 5), (5, 0), (1, 1), (3, 40), (40, 3), (17, 17),
+    (_fallback.RANK_BLOCK - 1, 9), (_fallback.RANK_BLOCK, 9), (_fallback.RANK_BLOCK + 1, 9),
+    (3 * _fallback.RANK_BLOCK + 5, 24), (2 * _fallback.RANK_BLOCK, 70),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 65521]),
+    shape=st.sampled_from(SHAPES),
+    rank_cap=st.integers(0, 80),
+    gradual=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_rank_equals_rref_rank(p, shape, rank_cap, gradual, seed):
+    # a product of an (rows x k) and a (k x cols) factor has rank <= k; k at
+    # least min(shape) gives full rank with high probability.  A gradual
+    # left factor lets row i use only the first k*i/rows directions, so new
+    # pivots keep turning up in later blocks, among dependent rows.
+    rows, cols = shape
+    k = min(rank_cap, rows, cols)
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, p, (rows, k), dtype=np.int64)
+    if gradual:
+        left *= np.arange(k) * rows <= np.arange(rows)[:, None] * k
+    right = rng.integers(0, p, (k, cols), dtype=np.int64)
+    a = (left @ right) % p
+    if rng.integers(2):
+        a = a - p * rng.integers(-3, 3, shape)  # unreduced representatives
+    expected = len(_fallback.rref_modp(a, p)[1])
+    assert _fallback.rank_modp(a, p) == expected
+    assert expected <= k
+
+
+def test_blocked_rank_finds_pivots_in_later_blocks():
+    # row i lies in the span of the first 30*i/rows rows of `right`: each
+    # block brings new pivots, mixed with rows the earlier blocks span, and
+    # the rank stays below the 40 columns
+    rng = np.random.default_rng(11)
+    rows = 6 * _fallback.RANK_BLOCK + 7
+    for p in (2, 3, 5, 65521):
+        left = rng.integers(0, p, (rows, 30), dtype=np.int64)
+        left *= np.arange(30) * rows <= np.arange(rows)[:, None] * 30
+        a = (left @ rng.integers(0, p, (30, 40), dtype=np.int64)) % p
+        expected = len(_fallback.rref_modp(a, p)[1])
+        assert 25 <= expected <= 30
+        assert _fallback.rank_modp(a, p) == expected
+
+
+def test_blocked_rank_full_column_rank():
+    # the first block reaches rank = cols; the blocks after it are not read
+    p = 5
+    a = np.vstack([np.eye(6, dtype=np.int64), np.ones((3 * _fallback.RANK_BLOCK, 6), dtype=np.int64)])
+    assert _fallback.rank_modp(a, p) == 6
+
+
+def test_blocked_rank_refuses_inexact_float64():
+    # cols * (p-1)^2 >= 2^53: the float64 products would not be exact
+    with pytest.raises(ValueError, match="float64"):
+        _fallback.rank_modp(np.eye(2, dtype=np.int64), 2**31 - 1)
