@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cohomology import h1_dim
-from .exactalg import pval, solve_module
+from .exactalg import PrecisionError, pval, solve_module
 from .groups import FiniteGroup, PModule, SemidirectGroup, pgl2, semidirect_product, symmetric_group, twisted_frobenius_group
 from .localalg import AlgMatrix, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
 from .modrep import (
@@ -148,6 +148,15 @@ def integral_standard_lift(G: FiniteGroup, p: int, N: int) -> Representation:
 
 def assemble(spec: InstanceSpec) -> Assembly:
     p, n, N = spec.p, spec.n, spec.precision
+    # int64 products of d x d matrices over Z/p^N are exact while m^2 * d < 2^63
+    d = 2 if spec.family == "twisted" else spec.d
+    if d and (p**N) ** 2 * d >= 2**63:
+        raise PrecisionError(
+            f"precision too large: p = {p}, N = {N}, d = {d} gives "
+            f"(p^N)^2 * d = {(p**N) ** 2 * d}, but exact int64 products need "
+            f"(p^N)^2 * d < 2^63 (p^N = {p**N})"
+        )
+    ring = make_ring_R(p, n, N)  # first: it refuses N <= n before anything uses N
     if spec.family == "twisted":
         rho_w = galois_module_rep(p, N)
         G = rho_w.group
@@ -189,7 +198,6 @@ def assemble(spec: InstanceSpec) -> Assembly:
     rho_bar = rho_bar_g.inflate(gamma.quotient_hom())
     M = end_rep(rho_bar_g)
     MW_mod_pn = end_rep(rho_w).reduce_mod(n)
-    ring = make_ring_R(p, n, N)
     return Assembly(spec, G, K, gamma, rho_bar_g, rho_bar, rho_w, M, MW_mod_pn, ring)
 
 
@@ -627,12 +635,15 @@ def certify_assembly(asm: Assembly) -> Certificate:
 def verify_certificate(cert: dict) -> tuple[bool, list[str]]:
     """Re-validate an emitted certificate without re-deriving its data.
 
-    The embedded alpha is checked for equivariance, injectivity and its
-    witnesses; rho_R is rebuilt from the embedded alpha and compared against
-    the embedded generator matrices; the dimensions are recomputed.
+    The instance is rebuilt at the certificate's precision N.  The embedded
+    alpha is checked for equivariance, injectivity and its witnesses; rho_R
+    is rebuilt from the embedded alpha and compared against the embedded
+    generator matrices; the dimensions are recomputed.
     """
+    if type(cert.get("N")) is not int:
+        return (False, ["certificate has no integer precision N"])
     problems = []
-    spec = parse_instance_name(cert["instance"])
+    spec = replace(parse_instance_name(cert["instance"]), N=cert["N"])
     asm = assemble(spec)
     p, n = spec.p, spec.n
     cond_a = check_condition_a(asm)

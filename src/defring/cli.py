@@ -58,7 +58,7 @@ def _spec_from_args(args) -> InstanceSpec:
         args.instance = None
     if args.instance:
         spec = parse_instance_name(args.instance)
-        if getattr(args, "precision", None):
+        if getattr(args, "precision", None) is not None:
             spec = InstanceSpec(
                 spec.family, spec.p, spec.n, d=spec.d, N=args.precision, control=spec.control
             )

@@ -177,6 +177,17 @@ class FiniteGroup:
             k += 1
         return k
 
+    def element_orders(self) -> np.ndarray:
+        """Orders of all elements at once: every power e^k advances by one
+        table gather per step until each has returned to the identity."""
+        idx = np.arange(self.order)
+        acc, orders, k = idx, np.zeros(self.order, dtype=np.int64), 1
+        while True:
+            orders[(acc == 0) & (orders == 0)] = k
+            if orders.all():
+                return orders
+            acc, k = self.table[acc, idx], k + 1
+
     def exponent_of(self, e: int, k: int) -> int:
         acc = 0
         for _ in range(k):
@@ -218,7 +229,7 @@ class FiniteGroup:
         maximal-order element with candidates in index order."""
         if self.order == 1:
             return None
-        orders = [self.element_order(e) for e in range(self.order)]
+        orders = self.element_orders().tolist()
         a = max(range(1, self.order), key=lambda e: (orders[e], -e))
         checks = 0
         for b in range(1, self.order):

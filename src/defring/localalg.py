@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
+from .exactalg import howell_form
 
 TABLE_LIMIT = 20_000_000  # entries in a cached |A| x |A| op table
 
@@ -218,38 +219,34 @@ class ArtinLocalAlgebra:
                     raise AlgebraError("maximal ideal is not an ideal")
         self.nilpotency_index = self._nilpotency_index()
 
-    def _additive_span(self, gens) -> frozenset:
-        span = {self.zero}
-        frontier = [self.zero]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in gens:
-                    w = self.add(v, g)
-                    if w not in span:
-                        span.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return frozenset(span)
-
     def _nilpotency_index(self) -> int:
-        """Least k with m^k = 0; raises if m is not nilpotent."""
+        """Least k with m^k = 0; raises if m is not nilpotent.
+
+        Each power m^k is an additive span, held as the Howell basis over
+        Z/p^M (p^M = |A| kills A) of its coordinate vectors together with the
+        relations orders[i]*e_i - carries[i]; equal spans have equal bases, so
+        the cost does not depend on |A|.  m is spanned by p*1, e_1, ..., e_r,
+        and m^(k+1) by their products with the rows of m^k.
+        """
+        M = next(j for j in range(self.size.bit_length() + 1) if self.p**j == self.size)
+        relations = [
+            [self.orders[i] * (i == j) - self.carries[i][j] for j in range(self.nbasis)]
+            for i in range(self.nbasis)
+        ]
+
+        def span(vecs):
+            return howell_form(relations + [list(v) for v in vecs], self.p, M)
+
         gens = [self.from_int(self.p)] + [self._basis_elem(i) for i in range(1, self.nbasis)]
-        power_gens = list(gens)
-        k = 1
-        while True:
-            if all(g == self.zero for g in power_gens):
-                return k
-            nxt = {self.mul(a, b) for a in gens for b in power_gens}
-            nxt.discard(self.zero)
-            new_span = self._additive_span(sorted(nxt)) if nxt else frozenset({self.zero})
-            old_span = self._additive_span(sorted(power_gens))
-            if new_span == old_span and len(new_span) > 1:
+        zero, power, k = span([]), span(gens), 1
+        while power != zero:
+            nxt = span(self.mul(g, self.reduce(row)) for g in gens for row in power.rows)
+            if nxt == power:
                 raise AlgebraError("maximal ideal is not nilpotent; algebra is not local")
-            power_gens = sorted(nxt) if nxt else [self.zero]
-            k += 1
+            power, k = nxt, k + 1
             if k > 64:
                 raise AlgebraError("nilpotency search did not terminate")
+        return k
 
     # -- serialization -------------------------------------------------------
 

@@ -109,3 +109,52 @@ def test_galois_ring_precision_too_large_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "precision too large" in err and str(5**14) in err
+
+
+def test_verify_rebuilds_at_the_certificate_precision(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", "twisted-p2n1", "-N", "4", "--out", str(cert_path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", str(cert_path))
+    assert code == 0 and json.loads(out) == {"valid": True, "problems": []}
+    data = json.loads(cert_path.read_text())
+    for N in (3, 5):
+        cert_path.write_text(json.dumps(dict(data, N=N)))
+        code, out, _ = run_cli(capsys, "verify", str(cert_path))
+        assert code == 1 and json.loads(out)["valid"] is False
+    del data["N"]
+    cert_path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert json.loads(out)["problems"] == ["certificate has no integer precision N"]
+
+
+@pytest.mark.parametrize(
+    "instance, p, last_exact",
+    # twisted-p2n1 at N = 31 has (p^N)^2 = 2^62 < 2^63, so only the factor d refuses it
+    [("standard-d2p5", 5, 13), ("standard-d2p7", 7, 11), ("twisted-p2n1", 2, 30)],
+)
+def test_precision_bound_m2d_below_2_63(tmp_path, capsys, instance, p, last_exact):
+    # d = 2: (p^N)^2 * 2 < 2^63 holds at last_exact and fails at last_exact + 1
+    assert (p**last_exact) ** 2 * 2 < 2**63 <= (p ** (last_exact + 1)) ** 2 * 2
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run_cli(
+        capsys, "certify", instance, "-N", str(last_exact), "--out", str(cert_path)
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", str(cert_path))
+    assert code == 0 and json.loads(out)["valid"] is True
+    for N in (last_exact + 1, 40):
+        code, out, err = run_cli(capsys, "certify", instance, "-N", str(N))
+        assert code == 2
+        assert out == ""
+        assert "precision too large" in err and f"N = {N}," in err
+
+
+@pytest.mark.parametrize("argv", [("twisted-p2n1", "-N", "0"), ("twisted-p2n1", "-N", "-1"),
+                                  ("twisted-p2n2", "-N", "2"), ("standard-d2p5", "-N", "-2")])
+def test_precision_not_above_n_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "certify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "need 1 <= n < N" in err

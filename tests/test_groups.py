@@ -194,3 +194,21 @@ def test_sylow_subgroups():
 def test_table_hash_deterministic():
     assert symmetric_group(3).table_hash() == symmetric_group(3).table_hash()
     assert symmetric_group(3).table_hash() != symmetric_group(4).table_hash()
+
+
+def _orders_test_groups():
+    from defring.certify import assemble, parse_instance_name
+
+    a4 = FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
+    gamma = assemble(parse_instance_name("standard-d2p5")).gamma
+    return [symmetric_group(4), a4, twisted_frobenius_group(3), gamma]
+
+
+def test_element_orders_match_element_order():
+    for G in _orders_test_groups():
+        orders = G.element_orders()
+        assert orders.tolist() == [G.element_order(e) for e in range(G.order)], G.name
+        # the probe's maximal-order element is the one the per-element orders pick
+        pair = G.probe_generating_pair()
+        a = max(range(1, G.order), key=lambda e: (G.element_order(e), -e))
+        assert pair is None or pair[0] == a

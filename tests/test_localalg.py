@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defring.localalg import (
     AlgebraError,
@@ -201,7 +205,7 @@ def test_abelianness_of_one_plus_t_matrices():
 def test_not_local_rejected():
     # F_p x F_p (idempotent basis) is not local: e1^2 = e1 makes the
     # "maximal ideal" fail to be nilpotent.
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError, match="maximal ideal is not nilpotent"):
         from defring.localalg import ArtinLocalAlgebra, _basis_products
 
         ArtinLocalAlgebra(2, ("1", "e"), (2, 2), _basis_products(2, {(1, 1): (0, 1)}))
@@ -247,3 +251,77 @@ def test_one_plus_tA_inverse_random_matrices():
             R, [[R.sub(eye.entry(i, j), a[i][j]) for j in range(2)] for i in range(2)]
         )
         assert one_plus.inverse() == one_minus
+
+
+def _reference_nilpotency_index(A):
+    """The additive-span walk: each power m^k as the explicit set of its
+    elements, grown from its generators by repeated addition."""
+
+    def span(gens):
+        out, frontier = {A.zero}, [A.zero]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for g in gens:
+                    w = A.add(v, g)
+                    if w not in out:
+                        out.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        return out
+
+    gens = [A.from_int(A.p)] + [A._basis_elem(i) for i in range(1, A.nbasis)]
+    power_gens, power, k = gens, span(gens), 1
+    while power != {A.zero}:
+        power_gens = sorted({A.mul(a, b) for a in gens for b in power_gens})
+        nxt = span(power_gens)
+        if nxt == power:
+            raise AlgebraError("maximal ideal is not nilpotent; algebra is not local")
+        power, k = nxt, k + 1
+    return k
+
+
+def test_lattice_nilpotency_matches_additive_span_walk():
+    algebras = [make_ring_Rprime_2_1(a, N) for a in (0, 1) for N in (2, 3, 4)]
+    for p in (2, 3, 5):
+        algebras += list(standard_rings(p).values())
+        algebras += [truncated_polynomials(p, m) for m in (1, 2, 4)]
+        algebras += [cyclic_ring(p, m) for m in (1, 4)]
+    for A in algebras:
+        assert A.nilpotency_index == _reference_nilpotency_index(A), A.name
+
+
+def test_reference_walk_also_rejects_the_idempotent_algebra(monkeypatch):
+    # test_not_local_rejected runs the lattice index on the same algebra
+    from defring.localalg import ArtinLocalAlgebra, _basis_products
+
+    monkeypatch.setattr(ArtinLocalAlgebra, "_nilpotency_index", _reference_nilpotency_index)
+    with pytest.raises(AlgebraError, match="maximal ideal is not nilpotent"):
+        ArtinLocalAlgebra(2, ("1", "e"), (2, 2), _basis_products(2, {(1, 1): (0, 1)}))
+
+
+RING_PARAMS = [
+    (make, p, n, N)
+    for make, extra in ((make_ring_R, 0), (make_ring_Rprime, 1))
+    for p in (2, 3, 5, 7)
+    for n in range(1, 4)
+    for N in range(n + 1, 18)
+    if p ** (N + n + extra) <= 10**5
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RING_PARAMS))
+def test_lattice_nilpotency_matches_walk_on_R_and_Rprime(params):
+    make, p, n, N = params
+    A = make(p, n, N)
+    assert A.size <= 10**5
+    assert A.nilpotency_index == _reference_nilpotency_index(A)
+
+
+def test_ring_R_at_high_precision_builds_fast():
+    # |R| = 5^28; the old additive-span walk enumerated all of it
+    start = time.perf_counter()
+    R = make_ring_R(5, 1, 27)
+    assert time.perf_counter() - start < 0.5
+    assert R.nilpotency_index == 27
