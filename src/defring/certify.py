@@ -234,8 +234,12 @@ class AlphaMap:
     matrix: np.ndarray  # (d*d, rank) over Z/p^n, columns = images of basis
 
     def of_vec(self, kvec) -> np.ndarray:
-        v = (self.matrix @ (np.asarray(kvec) % self.p**self.n)) % self.p**self.n
-        return v.reshape(self.d, self.d)
+        return self.of_vecs(np.asarray(kvec)[None])[0]
+
+    def of_vecs(self, kvecs: np.ndarray) -> np.ndarray:
+        """alpha on a stack of vectors of K, one (d, d) matrix per row."""
+        m = self.p**self.n
+        return ((kvecs % m) @ self.matrix.T % m).reshape(-1, self.d, self.d)
 
     def kernel_trivial(self) -> bool:
         sol = solve_module(self.matrix.tolist(), [0] * (self.d * self.d), self.p, self.n)
@@ -374,8 +378,6 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     gamma, K, G = asm.gamma, asm.K, asm.G
     d = asm.rho_w.degree
     order = gamma.order
-    wpart = np.empty((order, d, d), dtype=np.int64)
-    tpart = np.empty((order, d, d), dtype=np.int64)
     # equivariance of alpha on the generators of G; K and rho_W are actions,
     # so it then holds on every group element
     for s in G.generators:
@@ -386,11 +388,13 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
             rhs = rho_s @ alpha.of_vec(kv) @ inv_s % mn
             if (lhs % mn != rhs % mn).any():
                 raise CertifyError(f"alpha fails equivariance at group generator {s}")
-    for e in range(order):
-        kvec, g = gamma.decode(e)
-        w = asm.rho_w.mats[g]
-        wpart[e] = w % mN
-        tpart[e] = (alpha.of_vec(kvec) @ w) % mn
+    # element e = (k, g) has index k |G| + g, so both parts are blocks over
+    # (k, g) pairs: w = rho_W(g) and alpha(k) w
+    w = asm.rho_w.mats
+    wpart = np.tile(w % mN, (K.size, 1, 1))
+    kvecs = K.vectors()
+    alpha_k = alpha.of_vecs(kvecs)
+    tpart = (alpha_k[:, None] @ w[None] % mn).reshape(order, d, d)
     # homomorphism in the two coordinates of R: the identity at element 0
     # and rho_R(e) rho_R(s) = rho_R(es) for every e and generator s of Gamma,
     # which covers all pairs (FiniteGroup.extend)
@@ -413,13 +417,11 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     # order identities on the kernel: (1 + t alpha(k))^m = 1 + m t alpha(k),
     # so the matrix order of rho_R(k, 1) equals the additive order of k
     orders_ok = True
-    for code in range(K.size):
-        kv = K.decode(code)
+    for kv, ak in zip(kvecs.tolist(), alpha_k):
         add_order = 1
-        for c, _ in zip(kv, range(K.rank)):
+        for c in kv:
             if c:
                 add_order = max(add_order, mn // (p ** min(pval(c, p, n), n)))
-        ak = alpha.of_vec(kv)
         mat_order = 1
         acc = ak % mn
         while (acc != 0).any():
@@ -550,6 +552,19 @@ def exp_lift_on_kernel(
 # ---------------------------------------------------------------------------
 
 
+def _certificate_header(spec: InstanceSpec) -> dict:
+    """The certificate fields fixed by the instance alone."""
+    return {
+        "instance": spec.name,
+        "family": spec.family,
+        "p": spec.p,
+        "n": spec.n,
+        "N": spec.precision,
+        "ring": f"Z{spec.p}[[t]]/({spec.p}^{spec.n}*t, t^2)",
+        "not_complete_intersection": True,
+    }
+
+
 @dataclass
 class Certificate:
     spec: InstanceSpec
@@ -563,13 +578,7 @@ class Certificate:
     def to_json_dict(self) -> dict:
         cb = self.condition_b
         out = {
-            "instance": self.spec.name,
-            "family": self.spec.family,
-            "p": self.spec.p,
-            "n": self.spec.n,
-            "N": self.spec.precision,
-            "ring": f"Z{self.spec.p}[[t]]/({self.spec.p}^{self.spec.n}*t, t^2)",
-            "not_complete_intersection": True,
+            **_certificate_header(self.spec),
             "condition_a": {"dim": self.condition_a.dim, "pass": self.condition_a.passed},
             "condition_b": {
                 "status": cb.status,
@@ -633,50 +642,118 @@ def certify_assembly(asm: Assembly) -> Certificate:
 
 
 def verify_certificate(cert: dict) -> tuple[bool, list[str]]:
-    """Re-validate an emitted certificate without re-deriving its data.
+    """Re-validate an emitted certificate against the instance rebuilt at
+    the certificate's precision N.
 
-    The instance is rebuilt at the certificate's precision N.  The embedded
-    alpha is checked for equivariance, injectivity and its witnesses; rho_R
-    is rebuilt from the embedded alpha and compared against the embedded
-    generator matrices; the dimensions are recomputed.
+    A "certified" certificate must match the instance's fixed fields and
+    carry every piece of evidence its verdict depends on, each checked
+    without searching again (`_certified_problems`).  A "refuted" one is
+    compared field by field with a fresh run of the pipeline; refuted
+    instances are the small negative controls.
     """
     if type(cert.get("N")) is not int:
         return (False, ["certificate has no integer precision N"])
-    problems = []
     spec = replace(parse_instance_name(cert["instance"]), N=cert["N"])
     asm = assemble(spec)
-    p, n = spec.p, spec.n
-    cond_a = check_condition_a(asm)
-    if cond_a.dim != cert["condition_a"]["dim"]:
-        problems.append("condition_a dimension mismatch")
-    cb = cert["condition_b"]
-    if cb["alpha"] is not None:
-        H = np.array(cb["alpha"]["matrix"], dtype=np.int64)
-        alpha = AlphaMap(p, n, asm.rho_w.degree, asm.K.rank, H)
-        if not alpha.kernel_trivial():
-            problems.append("embedded alpha is not injective")
-        if cb["witness"] is not None:
-            u, v = cb["witness"]
-            au, av = alpha.of_vec(u) % p, alpha.of_vec(v) % p
-            if ((au @ av) % p == (av @ au) % p).all():
-                problems.append("witness pair commutes")
-        try:
-            rho_r = build_rho_R(asm, alpha)
-        except CertifyError as exc:
-            problems.append(str(exc))
-            rho_r = None
-        if rho_r is not None and cert.get("rho_R"):
-            embedded = cert["rho_R"]["generators"]
-            rebuilt = [g.tolist() for g in rho_r.generator_matrices()]
-            if embedded != rebuilt:
-                problems.append("rho_R generator matrices differ")
-            if cert["rho_R"]["faithful"] != rho_r.faithful:
-                problems.append("faithfulness flag differs")
-    if cert.get("tangent_dim") is not None:
-        tangent = h1_dim(end_rep(asm.rho_bar))
-        if tangent != cert["tangent_dim"]:
-            problems.append("tangent dimension mismatch")
+    verdict = cert.get("verdict")
+    if verdict == "certified":
+        problems = [
+            f"{key} does not match the instance"
+            for key, value in _certificate_header(spec).items()
+            if cert.get(key) != value
+        ]
+        problems += _certified_problems(cert, asm)
+    elif verdict == "refuted":
+        fresh = json.loads(certify_assembly(asm).to_json())
+        problems = [
+            f"{key} differs from a fresh certification"
+            for key in sorted(fresh.keys() | cert.keys())
+            if cert.get(key) != fresh.get(key)
+        ]
+    else:
+        problems = [f"unknown verdict {verdict!r}"]
     return (not problems, problems)
+
+
+def _certified_problems(cert: dict, asm: Assembly) -> list[str]:
+    """Problems with a "certified" claim.  Condition (a) is recomputed; the
+    embedded alpha must be injective with a non-commuting witness or (p = 2,
+    n = 1) a valid no-scalar clause; rho_R is rebuilt from alpha and must
+    match the embedded generators and flags; the tangent dimension and the
+    group block are recomputed.  The verdict recomputed from these checks
+    must be "certified" with no failed stage."""
+    p, n = asm.p, asm.n
+    problems, failed = [], []  # failed: stages of certify_assembly that fail
+    dim = check_condition_a(asm).dim
+    if (cert.get("condition_a") or {}).get("dim") != dim:
+        problems.append("condition_a dimension mismatch")
+    if dim != 1:
+        failed.append("condition_a")
+    cb = cert.get("condition_b") or {}
+    if cb.get("alpha") is None:
+        return problems + ["certified verdict without alpha"]
+    H = np.array(cb["alpha"]["matrix"], dtype=np.int64)
+    alpha = AlphaMap(p, n, asm.rho_w.degree, asm.K.rank, H)
+    injective = alpha.kernel_trivial()
+    if not injective:
+        problems.append("embedded alpha is not injective")
+    noncommuting = False
+    if cb.get("witness") is not None:
+        u, v = cb["witness"]
+        au, av = alpha.of_vec(u) % p, alpha.of_vec(v) % p
+        noncommuting = bool(((au @ av) % p != (av @ au) % p).any())
+        if not noncommuting:
+            problems.append("witness pair commutes")
+    no_scalar = p == 2 and n == 1 and _no_scalar_clause_holds(cb.get("clause_p2n1"), alpha)
+    if not (injective and (noncommuting or no_scalar)):
+        failed.append("condition_b")
+    try:
+        rho_r = build_rho_R(asm, alpha)
+    except CertifyError as exc:
+        problems.append(str(exc))
+        rho_r = None
+    embedded = cert.get("rho_R")
+    if embedded is None:
+        problems.append("certified verdict without rho_R")
+    if rho_r is not None and embedded is not None:
+        if embedded.get("generators") != [g.tolist() for g in rho_r.generator_matrices()]:
+            problems.append("rho_R generator matrices differ")
+        if embedded.get("faithful") != rho_r.faithful:
+            problems.append("faithfulness flag differs")
+        if embedded.get("order_checks") != rho_r.order_checks_passed:
+            problems.append("order-check flag differs")
+        if not rho_r.faithful:
+            failed.append("rho_R_faithful")
+        elif not rho_r.order_checks_passed:
+            failed.append("rho_R_orders")
+    tangent = h1_dim(end_rep(asm.rho_bar))
+    if cert.get("tangent_dim") is None:
+        problems.append("certified verdict without tangent_dim")
+    elif cert["tangent_dim"] != tangent:
+        problems.append("tangent dimension mismatch")
+    if tangent != 1:
+        failed.append("tangent_dim")
+    if cert.get("group") != asm.gamma.to_json_dict():
+        problems.append("group block does not match the rebuilt Gamma")
+    if failed:
+        problems.append(f"verdict is certified, but stage {failed[0]} fails")
+    if cert.get("failed_stage") is not None:
+        problems.append("certified verdict with a failed stage")
+    return problems
+
+
+def _no_scalar_clause_holds(clause, alpha: AlphaMap) -> bool:
+    """The p = 2, n = 1 clause: for a = 0 and a = 1 a vector g of K with
+    alpha(g)^2 != a alpha(g) mod 2."""
+    if not clause or [entry.get("a") for entry in clause] != [0, 1]:
+        return False
+    for entry in clause:
+        if entry.get("violating_g") is None:
+            return False
+        ag = alpha.of_vec(entry["violating_g"]) % 2
+        if ((ag @ ag) % 2 == (entry["a"] * ag) % 2).all():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

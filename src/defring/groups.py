@@ -1,4 +1,5 @@
-"""Finite groups with full multiplication tables and BFS spanning trees.
+"""Finite groups with full multiplication tables, BFS spanning trees and
+presentations.
 
 All groups here are small enough (a few thousand elements) that the full
 table is the simplest correct representation.  A breadth-first spanning tree
@@ -6,6 +7,13 @@ of the Cayley graph on a generating set gives each element a word in the
 generators; `FiniteGroup.extend` carries generator data (matrices, images)
 along it to the whole group, and a homomorphism check on such data only has
 to compare e*s for every element e and generator s.
+
+`FiniteGroup.relators` gives a presentation on the distinguished generators:
+the Schreier relators of the spanning tree, or for K x| G the split-extension
+presentation built from G's relators and the action on K.  By von Dyck's
+theorem, generator values that satisfy every relator (`evaluate_words`
+evaluates them, one product per distinct word prefix) extend to a
+homomorphism.
 """
 
 from __future__ import annotations
@@ -95,11 +103,8 @@ class FiniteGroup:
                 raise GroupError("associativity fails")
 
     def _inverse_table(self):
-        inv = np.empty(self.order, dtype=np.int64)
-        for i in range(self.order):
-            js = np.nonzero(self.table[i] == 0)[0]
-            inv[i] = js[0]
-        return inv
+        # the latin square has one identity per row, found in row order
+        return np.nonzero(self.table == 0)[1]
 
     def spanning_tree(self, gens=None) -> tuple:
         """The BFS spanning tree of the Cayley graph on `gens` (default: the
@@ -150,6 +155,27 @@ class FiniteGroup:
             values[e] = mul(values[parent[e]], gen_values[genidx[e]])
         return values
 
+    def relators(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """A presentation on the distinguished generators, as pairs (u, v) of
+        words (tuples of generator indices, multiplied left to right) with
+        u = v in the group.
+
+        These are the Schreier relators of the spanning tree: word(e) t =
+        word(e t) for every element e and generator index t off the tree
+        (on tree edges the two words coincide).  Values v(e) of the words
+        satisfying them have v(e) v(t) = v(e t) for all e and t, so they are
+        multiplicative by the induction in `extend`.
+        """
+        order, parent, genidx = self.spanning_tree()
+        words = self.extend([(t,) for t in range(len(self.generators))], tuple.__add__, ())
+        rows = self.table[:, list(self.generators)].tolist()
+        return [
+            (words[e] + (t,), words[h])
+            for e in order
+            for t, h in enumerate(rows[e])
+            if not (parent[h] == e and genidx[h] == t)
+        ]
+
     # -- basic operations ------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
@@ -187,12 +213,6 @@ class FiniteGroup:
             if orders.all():
                 return orders
             acc, k = self.table[acc, idx], k + 1
-
-    def exponent_of(self, e: int, k: int) -> int:
-        acc = 0
-        for _ in range(k):
-            acc = self.mul(acc, e)
-        return acc
 
     def closure(self, seeds) -> list[int]:
         seen = {0}
@@ -530,6 +550,11 @@ class PModule:
             out.append(c)
         return tuple(out)
 
+    def vectors(self) -> np.ndarray:
+        """Every vector of the module, decoded: row c is decode(c)."""
+        radix = self.modulus ** np.arange(self.rank, dtype=np.int64)
+        return np.arange(self.size, dtype=np.int64)[:, None] // radix % self.modulus
+
     def reduce_mod(self, n2: int) -> "PModule":
         gen_mats = [self.mats[g] % self.p**n2 for g in self.group.generators]
         return PModule(self.group, self.p, n2, gen_mats)
@@ -563,12 +588,6 @@ class GroupHom:
     def is_injective(self) -> bool:
         return len(set(self.images.tolist())) == self.source.order
 
-    def is_isomorphism(self) -> bool:
-        return self.is_injective() and self.source.order == self.target.order
-
-    def kernel(self) -> list[int]:
-        return [e for e in range(self.source.order) if self.images[e] == 0]
-
 
 class SemidirectGroup(FiniteGroup):
     """K x| G on pairs (k, g): (k1,g1)(k2,g2) = (k1 + g1.k2, g1 g2).
@@ -587,7 +606,7 @@ class SemidirectGroup(FiniteGroup):
         if ksize * gsize > TABLE_GUARD:
             raise GroupError(f"semidirect order {ksize * gsize} exceeds guard")
         m = kmod.modulus
-        all_vecs = np.array([kmod.decode(c) for c in range(ksize)], dtype=np.int64)
+        all_vecs = kmod.vectors()
         act = np.empty((gsize, ksize), dtype=np.int64)
         radix = m ** np.arange(kmod.rank, dtype=np.int64)
         for g in range(gsize):
@@ -605,7 +624,6 @@ class SemidirectGroup(FiniteGroup):
         gens = [int(kmod.encode(v)) * gsize for v in kmod.basis_vectors()]
         gens += [int(s) for s in gq.generators]
         super().__init__(table, gens, name=f"{kmod.size}:{gq.name}")
-        self.ksize = ksize
 
     def encode(self, kvec, g: int) -> int:
         return self.kmod.encode(kvec) * self.gq.order + g
@@ -618,16 +636,59 @@ class SemidirectGroup(FiniteGroup):
         images = np.array([e % self.gq.order for e in range(self.order)], dtype=np.int64)
         return GroupHom(self, self.gq, images)
 
-    def section(self) -> np.ndarray:
-        """g -> (0, g), a homomorphic section of the quotient."""
-        return np.arange(self.gq.order, dtype=np.int64)
+    def relators(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The presentation of the split extension on x_i = (e_i, 1)
+        (generator index i < r = rank K) and y_s = (0, s) (index r + j for
+        the j-th generator s of G):
 
-    def kernel_indices(self) -> list[int]:
-        return [k * self.gq.order for k in range(self.ksize)]
+          G's Schreier relators in the y's;  x_i^m = 1 (m the modulus of K);
+          x_i x_j = x_j x_i;  y_s x_i = X(s.e_i) y_s, X(k) = x_1^k_1...x_r^k_r.
+
+        It presents Gamma: in the group P they define, the y's satisfy G's
+        presentation, so they generate a quotient of G, and each y_s^-1 is a
+        positive power of y_s.  Conjugation by y_s and y_s^-1 therefore keeps
+        the abelian subgroup of the x's, of order at most m^r = |K|, so
+        |P| <= |K| |G| = |Gamma|; Gamma satisfies the relators, so P maps
+        onto it and P = Gamma.  The relators come from K and G alone, not
+        from Gamma's table or spanning trees.
+        """
+        r, m = self.kmod.rank, self.kmod.modulus
+        rels = [
+            (tuple(r + t for t in u), tuple(r + t for t in v)) for u, v in self.gq.relators()
+        ]
+        rels += [((i,) * m, ()) for i in range(r)]
+        rels += [((i, j), (j, i)) for i, j in combinations(range(r), 2)]
+        basis = self.kmod.basis_vectors()
+        for j, s in enumerate(self.gq.generators):
+            for i, e in enumerate(basis):
+                x_word = tuple(x for x, c in enumerate(self.kmod.act(s, e)) for _ in range(c))
+                rels.append(((r + j, i), x_word + (r + j,)))
+        return rels
 
 
 def semidirect_product(kmod: PModule, gq: FiniteGroup) -> SemidirectGroup:
     return SemidirectGroup(kmod, gq)
+
+
+def evaluate_words(words, gen_values, mul, one) -> list:
+    """Values of words in the generators, gen_values[t] standing for
+    generator index t: each word is multiplied left to right from `one`.
+    The words share their prefixes, and every distinct prefix costs one
+    `mul`, so a batch of values (a stack of matrices, an array of element
+    indices) costs one batched product per prefix."""
+    node_of: dict[tuple[int, int], int] = {}  # (prefix node, t) -> prefix node
+    values = [one]
+    out = []
+    for word in words:
+        node = 0
+        for t in word:
+            child = node_of.get((node, t))
+            if child is None:
+                child = node_of[(node, t)] = len(values)
+                values.append(mul(values[node], gen_values[t]))
+            node = child
+        out.append(values[node])
+    return out
 
 
 # ---------------------------------------------------------------------------

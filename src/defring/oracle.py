@@ -7,9 +7,10 @@ identity), and compare the class count and the induced correspondence with
 the set of local W-algebra maps R -> A.  Each generator image ranges over its
 reduction coset, cut to the matrices X with X^o(s) = I for the order o(s) of
 the generator s; every lift satisfies this, since rho(s)^o(s) = rho(1) = I.
-The products of the survivors are filtered by the equations e*s and
-validated against the whole multiplication table.  This route is
-deliberately independent of the cohomology module so the two can
+The products of the survivors are filtered by the equations e*s, and every
+lift is then validated against the relators of Gamma's presentation, which
+come from K and G rather than from the enumeration's spanning tree.  This
+route is deliberately independent of the cohomology module so the two can
 cross-check each other.
 """
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import kernels
 from .certify import Assembly, RhoR
+from .groups import evaluate_words
 from .localalg import ArtinLocalAlgebra, count_homs_from_R, reduction_kernel_matrices
 from .modrep import Representation
 
@@ -157,9 +159,24 @@ def enumerate_lifts(
 
 
 def _assert_full_table(lifts, rho_bar, A):
-    """Definitive check: the extension of every lift satisfies all
-    |Gamma|^2 equations value(g) value(h) = value(gh), one batched product
-    per row g, and every generator image reduces to rho_bar's image."""
+    """Definitive check that every lift is a homomorphism Gamma -> GL_d(A)
+    reducing to rho_bar, in four steps:
+
+    1. extend the lift along the spanning tree of its generators to values
+       M on all of Gamma;
+    2. check every relator of Gamma's presentation (`FiniteGroup.relators`)
+       on the values M[t] at the distinguished generators t.  By von Dyck's
+       theorem there is then a homomorphism phi with phi(t) = M[t];
+    3. phi(e) is the product of the M[t] along word(e), that is, the
+       extension of those values along the distinguished spanning tree.
+       Check it equals M on all of Gamma, so M = phi is a homomorphism;
+    4. check that every generator image reduces to rho_bar's image.
+
+    For Gamma = K x| G the relators come from K and G, not from the tree
+    that the e*s filter in `enumerate_lifts` walks, so the check stays
+    independent of the enumeration.  It costs two tree extensions and one
+    product per relator-word prefix, each batched over the lifts, in place
+    of the |Gamma|^2 table equations."""
     if not lifts:
         return
     group, d = rho_bar.group, rho_bar.degree
@@ -175,11 +192,17 @@ def _assert_full_table(lifts, rho_bar, A):
     ]
     one = np.broadcast_to(_identity(A, d), (B, d, d)).copy()
     M = np.stack(group.extend(gen_blocks, matmul, one, gens))
-    rights = M.reshape(-1, d, d)
-    for g in range(group.order):
-        lefts = np.broadcast_to(M[g], M.shape).reshape(-1, d, d)
-        if not (matmul(lefts, rights) == M[group.table[g]].reshape(-1, d, d)).all():
-            raise OracleError("full-table verification failed (internal error)")
+    at_gens = [M[t] for t in group.generators]
+    rels = group.relators()
+    values = evaluate_words([w for rel in rels for w in rel], at_gens, matmul, one)
+    for (u, v), lhs, rhs in zip(rels, values[0::2], values[1::2]):
+        if (lhs != rhs).any():
+            raise OracleError(f"lift is not a homomorphism: relator {u} = {v} fails")
+    if (np.stack(group.extend(at_gens, matmul, one)) != M).any():
+        raise OracleError(
+            "lift is not a homomorphism: its extension differs from the one "
+            "along the distinguished generators"
+        )
     res = np.array([A.residue(A.decode(c)) for c in range(A.size)], dtype=np.int64)
     for gb, s in zip(gen_blocks, gens):
         if (res[gb] != rho_bar.mats[s] % rho_bar.p).any():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from defring.certify import (
+    Certificate,
     CertifyError,
     InstanceSpec,
     assemble,
     build_rho_R,
+    certify_assembly,
     certify_instance,
     check_condition_a,
     exp_lift_on_kernel,
@@ -16,7 +18,9 @@ from defring.certify import (
     parse_instance_name,
     verify_certificate,
 )
+from defring.cohomology import h1_dim
 from defring.groups import find_isomorphism, symmetric_group
+from defring.modrep import end_rep
 
 
 def test_parse_instance_names():
@@ -231,3 +235,66 @@ def test_refuted_certificates_verify_and_roundtrip():
         data = json.loads(cert.to_json())
         ok, problems = verify_certificate(data)
         assert ok, problems
+
+
+BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]] + [
+    f"standard-d{d}p{p}" for d, p in [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]
+]
+
+
+def test_fresh_battery_certificates_verify():
+    for name in BATTERY:
+        data = json.loads(certify_instance(parse_instance_name(name)).to_json())
+        ok, problems = verify_certificate(data)
+        assert ok, (name, problems)
+
+
+def _drop_alpha(data):
+    data["condition_b"]["alpha"] = None
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda data: data.update(rho_R=None),
+        lambda data: data.update(tangent_dim=None),
+        lambda data: data.update(group=None),
+        _drop_alpha,
+        lambda data: data.update(verdict="refuted"),
+    ],
+    ids=["no-rho_R", "no-tangent_dim", "no-group", "no-alpha", "relabelled-refuted"],
+)
+def test_verify_rejects_a_certificate_without_its_evidence(forge):
+    data = json.loads(certify_instance(InstanceSpec("twisted", 2, 1)).to_json())
+    forge(data)
+    ok, problems = verify_certificate(data)
+    assert not ok and problems
+
+
+@pytest.mark.parametrize(
+    "name", ["twisted-p2n1-scalar", "twisted-p2n2-commutative", "twisted-p3n1-commutative"]
+)
+def test_verify_rejects_a_control_relabelled_certified(name):
+    data = json.loads(certify_instance(parse_instance_name(name)).to_json())
+    assert data["verdict"] == "refuted" and verify_certificate(data) == (True, [])
+    data.update(verdict="certified", failed_stage=None)
+    ok, problems = verify_certificate(data)
+    assert not ok and problems
+
+
+@pytest.mark.parametrize(
+    "name,stage",
+    [("twisted-p2n1-scalar", "condition_b"), ("twisted-p2n2-commutative", "condition_a")],
+)
+def test_verify_recomputes_the_failed_stage_of_a_complete_forgery(name, stage):
+    # every piece of evidence is present and consistent with the instance;
+    # only the recomputed verdict shows that the control is not certified
+    asm = assemble(parse_instance_name(name))
+    cert = certify_assembly(asm)
+    rho_r = build_rho_R(asm, cert.condition_b.alpha)
+    tangent = h1_dim(end_rep(asm.rho_bar))
+    forged = Certificate(
+        asm.spec, cert.condition_a, cert.condition_b, rho_r, tangent, "certified", None
+    )
+    ok, problems = verify_certificate(json.loads(forged.to_json()))
+    assert not ok and problems == [f"verdict is certified, but stage {stage} fails"]

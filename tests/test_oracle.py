@@ -23,6 +23,7 @@ from defring.oracle import (
     LiftAssignment,
     OracleError,
     _assert_full_table,
+    _identity,
     _kernel_inverses,
     deformation_classes,
     enumerate_lifts,
@@ -273,5 +274,68 @@ def test_full_table_check_catches_a_relation_broken_inside_m_A(ring):
     stacks = [np.array(im).reshape(1, 2, 2) for im in bad.images]
     assert len(_homomorphic(asm.rho_bar, A, bad.generators, stacks)) == 0
     corrupted = lifts[: len(lifts) // 2] + [bad] + lifts[len(lifts) // 2 :]
-    with pytest.raises(OracleError, match="full-table"):
+    with pytest.raises(OracleError, match="not a homomorphism"):
         _assert_full_table(corrupted, asm.rho_bar, A)
+
+
+def _assignment_on(gens, lift, rho_bar, A):
+    """The images on `gens` of the homomorphism that `lift` extends to."""
+    add, mul, _, _ = A.tables()
+    d = rho_bar.degree
+    blocks = [np.array(im).reshape(1, d, d) for im in lift.images]
+    one = _identity(A, d).reshape(1, d, d)
+    M = rho_bar.group.extend(
+        blocks, lambda a, b: kernels.table_matmul(a, b, add, mul), one, lift.generators
+    )
+    return [M[g].reshape(-1).tolist() for g in gens]
+
+
+@pytest.mark.parametrize("ring", ["dual", "Z8"])
+def test_full_table_check_needs_both_the_relators_and_the_extension(ring):
+    asm = s4_assembly()
+    A = standard_rings(2)[ring]
+    gamma, rho_bar = asm.gamma, asm.rho_bar
+    lift = enumerate_lifts(rho_bar, A)[-1]
+    add = A.tables()[0]
+    m = A.encode(A.maximal_ideal()[1])
+
+    def corrupted(gens, si):
+        images = _assignment_on(gens, lift, rho_bar, A)
+        _assert_full_table([LiftAssignment(gens, tuple(map(tuple, images)))], rho_bar, A)
+        for pos in range(4):
+            bad = [list(im) for im in images]
+            bad[si][pos] = int(add[bad[si][pos], m])
+            stacks = [np.array(im).reshape(1, 2, 2) for im in bad]
+            if len(_homomorphic(rho_bar, A, gens, stacks)) == 0:
+                return LiftAssignment(gens, tuple(map(tuple, bad)))
+        raise AssertionError("every corruption is a lift")
+
+    # on the distinguished generators both extensions are the same, so
+    # only the relators can reject the corrupted lift
+    dist = tuple(gamma.generators)
+    with pytest.raises(OracleError, match="relator"):
+        _assert_full_table([corrupted(dist, 0)], rho_bar, A)
+    # a corrupted extra generator leaves the distinguished images (and so
+    # every relator) intact; comparing the two extensions rejects it
+    extra = next(e for e in range(1, gamma.order) if e not in dist)
+    with pytest.raises(OracleError, match="extension differs"):
+        _assert_full_table([corrupted(dist + (extra,), len(dist))], rho_bar, A)
+
+
+@pytest.mark.parametrize("ring", ["F3t3", "Z27"])
+def test_functor_compare_p3_rings_of_length_three(ring):
+    asm = assemble(InstanceSpec("twisted", 3, 1))
+    rho_r = build_rho_R(asm, find_alpha(asm).alpha)
+    report = functor_compare(asm, rho_r, standard_rings(3)[ring])
+    assert (report.lift_count, report.class_count, report.hom_count) == (2187, 3, 3)
+    assert report.bijective
+
+
+def test_full_table_check_rejects_a_homomorphism_of_another_reduction():
+    # the trivial representation is a homomorphism, but rho_bar is not trivial
+    asm = s4_assembly()
+    A = dual_numbers(2)
+    gens = tuple(asm.gamma.small_generating_set())
+    eye = tuple(_identity(A, 2).reshape(-1).tolist())
+    with pytest.raises(OracleError, match="does not reduce"):
+        _assert_full_table([LiftAssignment(gens, (eye,) * len(gens))], asm.rho_bar, A)
