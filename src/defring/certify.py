@@ -281,9 +281,52 @@ def _kernel_elements(K: PModule):
         yield K.decode(code)
 
 
+def _noncommuting(alpha: AlphaMap, u, v) -> bool:
+    """alpha(u) and alpha(v) fail to commute mod p."""
+    p = alpha.p
+    au, av = alpha.of_vec(u) % p, alpha.of_vec(v) % p
+    return bool(((au @ av) % p != (av @ au) % p).any())
+
+
+def _violates_scalar(alpha: AlphaMap, k, a: int) -> bool:
+    """alpha(k)^2 != a alpha(k) mod p."""
+    p = alpha.p
+    ak = alpha.of_vec(k) % p
+    return bool(((ak @ ak) % p != (a * ak) % p).any())
+
+
+def evaluate_condition_b(alpha: AlphaMap, witness, clause, invariant_factors=()) -> ConditionB:
+    """Condition (b) on given evidence: alpha, a candidate non-commuting
+    pair of vectors of K, and (p = 2, n = 1) the no-scalar clause, a
+    vector violating alpha(g)^2 = a alpha(g) for a = 0 and a = 1."""
+    noncommuting = witness is not None and _noncommuting(alpha, *witness)
+    no_scalar = (
+        alpha.p == 2
+        and alpha.n == 1
+        and clause is not None
+        and [entry["a"] for entry in clause] == [0, 1]
+        and all(
+            entry["violating_g"] is not None
+            and _violates_scalar(alpha, entry["violating_g"], entry["a"])
+            for entry in clause
+        )
+    )
+    return ConditionB(
+        "ok" if noncommuting or no_scalar else "commutative_image",
+        alpha,
+        alpha.kernel_trivial(),
+        alpha.residue_nonzero(),
+        witness,
+        noncommuting,
+        clause,
+        no_scalar,
+        list(invariant_factors),
+    )
+
+
 def find_alpha(asm: Assembly) -> ConditionB:
     """Pick the first injective Howell generator of Hom_G(K, End(V_W)/p^n)
-    and evaluate both disjuncts of condition (b) on it."""
+    and search for the evidence of both disjuncts of condition (b)."""
     p, n = asm.p, asm.n
     hs = hom_space(asm.K, asm.MW_mod_pn)
     alpha = None
@@ -308,39 +351,23 @@ def find_alpha(asm: Assembly) -> ConditionB:
         for v in _kernel_elements(asm.K)
         if (u, v) not in seen_pairs
     ]
-    witness = None
-    for u, v in all_pairs:
-        au, av = alpha.of_vec(u) % p, alpha.of_vec(v) % p
-        if ((au @ av) % p != (av @ au) % p).any():
-            witness = (list(u), list(v))
-            break
+    witness = next(
+        ((list(u), list(v)) for u, v in all_pairs if _noncommuting(alpha, u, v)), None
+    )
 
     clause = None
-    bullet_no_scalar = False
     if p == 2 and n == 1:
-        clause = []
-        for a in range(p):
-            violating = None
-            for k in _kernel_elements(asm.K):
-                ak = alpha.of_vec(k) % p
-                if ((ak @ ak) % p != (a * ak) % p).any():
-                    violating = list(k)
-                    break
-            clause.append({"a": a, "violating_g": violating})
-        bullet_no_scalar = all(entry["violating_g"] is not None for entry in clause)
-
-    status = "ok" if witness is not None or bullet_no_scalar else "commutative_image"
-    return ConditionB(
-        status,
-        alpha,
-        True,
-        alpha.residue_nonzero(),
-        witness,
-        witness is not None,
-        clause,
-        bullet_no_scalar,
-        hs.invariant_factors,
-    )
+        clause = [
+            {
+                "a": a,
+                "violating_g": next(
+                    (list(k) for k in _kernel_elements(asm.K) if _violates_scalar(alpha, k, a)),
+                    None,
+                ),
+            }
+            for a in range(p)
+        ]
+    return evaluate_condition_b(alpha, witness, clause, hs.invariant_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -615,33 +642,42 @@ def certify_instance(spec: InstanceSpec) -> Certificate:
     return certify_assembly(assemble(spec))
 
 
+def _failed_stage(
+    cond_a: ConditionA, cond_b: ConditionB, rho_r: RhoR | None = None, tangent: int | None = None
+) -> str | None:
+    """The first failing stage of the pipeline, in its order: condition (a),
+    condition (b), rho_R faithful, rho_R orders, tangent dimension.  A stage
+    not yet computed (None) counts as not failing."""
+    if not cond_a.passed:
+        return "condition_a"
+    if not cond_b.passed:
+        return "condition_b"
+    if rho_r is not None and not rho_r.faithful:
+        return "rho_R_faithful"
+    if rho_r is not None and not rho_r.order_checks_passed:
+        return "rho_R_orders"
+    if tangent is not None and tangent != 1:
+        return "tangent_dim"
+    return None
+
+
 def certify_assembly(asm: Assembly) -> Certificate:
-    """The certification pipeline on an instance already assembled."""
-    spec = asm.spec
+    """The certification pipeline on an instance already assembled; each
+    stage runs only while every earlier one passes."""
     cond_a = check_condition_a(asm)
     cond_b = find_alpha(asm)
     rho_r = None
     tangent = None
-    failed = None
-    if not cond_a.passed:
-        failed = "condition_a"
-    if not cond_b.passed and failed is None:
-        failed = "condition_b"
-    if failed is None:
+    if _failed_stage(cond_a, cond_b) is None:
         rho_r = build_rho_R(asm, cond_b.alpha)
-        if not rho_r.faithful:
-            failed = "rho_R_faithful"
-        elif not rho_r.order_checks_passed:
-            failed = "rho_R_orders"
-        else:
+        if _failed_stage(cond_a, cond_b, rho_r) is None:
             tangent = h1_dim(end_rep(asm.rho_bar))
-            if tangent != 1:
-                failed = "tangent_dim"
+    failed = _failed_stage(cond_a, cond_b, rho_r, tangent)
     verdict = "certified" if failed is None else "refuted"
-    return Certificate(spec, cond_a, cond_b, rho_r, tangent, verdict, failed)
+    return Certificate(asm.spec, cond_a, cond_b, rho_r, tangent, verdict, failed)
 
 
-def verify_certificate(cert: dict) -> tuple[bool, list[str]]:
+def verify_certificate(cert) -> tuple[bool, list[str]]:
     """Re-validate an emitted certificate against the instance rebuilt at
     the certificate's precision N.
 
@@ -649,8 +685,13 @@ def verify_certificate(cert: dict) -> tuple[bool, list[str]]:
     carry every piece of evidence its verdict depends on, each checked
     without searching again (`_certified_problems`).  A "refuted" one is
     compared field by field with a fresh run of the pipeline; refuted
-    instances are the small negative controls.
+    instances are the small negative controls.  Malformed input is
+    reported as a problem, never raised.
     """
+    if not isinstance(cert, dict):
+        return (False, ["certificate is not a JSON object"])
+    if type(cert.get("instance")) is not str:
+        return (False, ["certificate has no instance name"])
     if type(cert.get("N")) is not int:
         return (False, ["certificate has no integer precision N"])
     spec = replace(parse_instance_name(cert["instance"]), N=cert["N"])
@@ -675,85 +716,111 @@ def verify_certificate(cert: dict) -> tuple[bool, list[str]]:
     return (not problems, problems)
 
 
+def _is_residue_vector(value, length: int, modulus: int) -> bool:
+    """A JSON list of exactly `length` integers in [0, modulus); bools and
+    floats are excluded, since alpha would not be evaluated mod p on them."""
+    return (
+        isinstance(value, list)
+        and len(value) == length
+        and all(type(c) is int and 0 <= c < modulus for c in value)
+    )
+
+
+def _condition_b_shape_problems(cb: dict, asm: Assembly) -> list[str]:
+    """Shape of the embedded condition (b) evidence: alpha a (d*d) x rank
+    matrix over Z/p^n, the witness a pair of vectors of K, and each clause
+    entry an integer a with a vector of K or null, all in reduced integers."""
+    rank, d, mn, mk = asm.K.rank, asm.rho_w.degree, asm.p**asm.n, asm.K.modulus
+    alpha = cb.get("alpha")
+    if alpha is None:
+        return ["certified verdict without alpha"]
+    if not (
+        isinstance(alpha, dict)
+        and alpha.get("modulus") == mn
+        and isinstance(alpha.get("matrix"), list)
+        and len(alpha["matrix"]) == d * d
+        and all(_is_residue_vector(row, rank, mn) for row in alpha["matrix"])
+    ):
+        return [f"alpha is not a {d * d} x {rank} matrix of residues mod {mn}"]
+    problems = []
+    witness = cb.get("witness")
+    if witness is not None and not (
+        isinstance(witness, list)
+        and len(witness) == 2
+        and all(_is_residue_vector(u, rank, mk) for u in witness)
+    ):
+        problems.append(f"witness is not a pair of vectors of K (length {rank}, residues mod {mk})")
+    clause = cb.get("clause_p2n1")
+    if clause is not None and not (
+        isinstance(clause, list)
+        and all(
+            isinstance(entry, dict)
+            and type(entry.get("a")) is int
+            and "violating_g" in entry
+            and (entry["violating_g"] is None or _is_residue_vector(entry["violating_g"], rank, mk))
+            for entry in clause
+        )
+    ):
+        problems.append("clause_p2n1 is not a list of integers a, each with a vector of K or null")
+    return problems
+
+
+def _json_object(cert: dict, key: str) -> dict:
+    value = cert.get(key)
+    return value if isinstance(value, dict) else {}
+
+
 def _certified_problems(cert: dict, asm: Assembly) -> list[str]:
     """Problems with a "certified" claim.  Condition (a) is recomputed; the
     embedded alpha must be injective with a non-commuting witness or (p = 2,
     n = 1) a valid no-scalar clause; rho_R is rebuilt from alpha and must
     match the embedded generators and flags; the tangent dimension and the
-    group block are recomputed.  The verdict recomputed from these checks
-    must be "certified" with no failed stage."""
+    group block are recomputed.  The failed stage recomputed from these
+    checks must be none."""
     p, n = asm.p, asm.n
-    problems, failed = [], []  # failed: stages of certify_assembly that fail
-    dim = check_condition_a(asm).dim
-    if (cert.get("condition_a") or {}).get("dim") != dim:
+    problems = []
+    cond_a = check_condition_a(asm)
+    if _json_object(cert, "condition_a").get("dim") != cond_a.dim:
         problems.append("condition_a dimension mismatch")
-    if dim != 1:
-        failed.append("condition_a")
-    cb = cert.get("condition_b") or {}
-    if cb.get("alpha") is None:
-        return problems + ["certified verdict without alpha"]
+    cb = _json_object(cert, "condition_b")
+    malformed = _condition_b_shape_problems(cb, asm)
+    if malformed:
+        return problems + malformed
     H = np.array(cb["alpha"]["matrix"], dtype=np.int64)
     alpha = AlphaMap(p, n, asm.rho_w.degree, asm.K.rank, H)
-    injective = alpha.kernel_trivial()
-    if not injective:
+    cond_b = evaluate_condition_b(alpha, cb.get("witness"), cb.get("clause_p2n1"))
+    if not cond_b.injective:
         problems.append("embedded alpha is not injective")
-    noncommuting = False
-    if cb.get("witness") is not None:
-        u, v = cb["witness"]
-        au, av = alpha.of_vec(u) % p, alpha.of_vec(v) % p
-        noncommuting = bool(((au @ av) % p != (av @ au) % p).any())
-        if not noncommuting:
-            problems.append("witness pair commutes")
-    no_scalar = p == 2 and n == 1 and _no_scalar_clause_holds(cb.get("clause_p2n1"), alpha)
-    if not (injective and (noncommuting or no_scalar)):
-        failed.append("condition_b")
+    if cb.get("witness") is not None and not cond_b.bullet_noncommuting:
+        problems.append("witness pair commutes")
     try:
         rho_r = build_rho_R(asm, alpha)
     except CertifyError as exc:
         problems.append(str(exc))
         rho_r = None
     embedded = cert.get("rho_R")
-    if embedded is None:
+    if not isinstance(embedded, dict):
         problems.append("certified verdict without rho_R")
-    if rho_r is not None and embedded is not None:
+    elif rho_r is not None:
         if embedded.get("generators") != [g.tolist() for g in rho_r.generator_matrices()]:
             problems.append("rho_R generator matrices differ")
         if embedded.get("faithful") != rho_r.faithful:
             problems.append("faithfulness flag differs")
         if embedded.get("order_checks") != rho_r.order_checks_passed:
             problems.append("order-check flag differs")
-        if not rho_r.faithful:
-            failed.append("rho_R_faithful")
-        elif not rho_r.order_checks_passed:
-            failed.append("rho_R_orders")
     tangent = h1_dim(end_rep(asm.rho_bar))
     if cert.get("tangent_dim") is None:
         problems.append("certified verdict without tangent_dim")
     elif cert["tangent_dim"] != tangent:
         problems.append("tangent dimension mismatch")
-    if tangent != 1:
-        failed.append("tangent_dim")
     if cert.get("group") != asm.gamma.to_json_dict():
         problems.append("group block does not match the rebuilt Gamma")
-    if failed:
-        problems.append(f"verdict is certified, but stage {failed[0]} fails")
+    failed = _failed_stage(cond_a, cond_b, rho_r, tangent)
+    if failed is not None:
+        problems.append(f"verdict is certified, but stage {failed} fails")
     if cert.get("failed_stage") is not None:
         problems.append("certified verdict with a failed stage")
     return problems
-
-
-def _no_scalar_clause_holds(clause, alpha: AlphaMap) -> bool:
-    """The p = 2, n = 1 clause: for a = 0 and a = 1 a vector g of K with
-    alpha(g)^2 != a alpha(g) mod 2."""
-    if not clause or [entry.get("a") for entry in clause] != [0, 1]:
-        return False
-    for entry in clause:
-        if entry.get("violating_g") is None:
-            return False
-        ag = alpha.of_vec(entry["violating_g"]) % 2
-        if ((ag @ ag) % 2 == (entry["a"] * ag) % 2).all():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

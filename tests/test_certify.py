@@ -282,13 +282,9 @@ def test_verify_rejects_a_control_relabelled_certified(name):
     assert not ok and problems
 
 
-@pytest.mark.parametrize(
-    "name,stage",
-    [("twisted-p2n1-scalar", "condition_b"), ("twisted-p2n2-commutative", "condition_a")],
-)
-def test_verify_recomputes_the_failed_stage_of_a_complete_forgery(name, stage):
-    # every piece of evidence is present and consistent with the instance;
-    # only the recomputed verdict shows that the control is not certified
+def _complete_forgery(name):
+    """A control relabelled certified with every piece of evidence present
+    and consistent with the instance: honest alpha, rho_R, tangent and group."""
     asm = assemble(parse_instance_name(name))
     cert = certify_assembly(asm)
     rho_r = build_rho_R(asm, cert.condition_b.alpha)
@@ -296,5 +292,75 @@ def test_verify_recomputes_the_failed_stage_of_a_complete_forgery(name, stage):
     forged = Certificate(
         asm.spec, cert.condition_a, cert.condition_b, rho_r, tangent, "certified", None
     )
-    ok, problems = verify_certificate(json.loads(forged.to_json()))
+    return json.loads(forged.to_json())
+
+
+@pytest.mark.parametrize(
+    "name,stage",
+    [("twisted-p2n1-scalar", "condition_b"), ("twisted-p2n2-commutative", "condition_a")],
+)
+def test_verify_recomputes_the_failed_stage_of_a_complete_forgery(name, stage):
+    # only the recomputed verdict shows that the control is not certified
+    ok, problems = verify_certificate(_complete_forgery(name))
     assert not ok and problems == [f"verdict is certified, but stage {stage} fails"]
+
+
+def test_verify_rejects_fractional_evidence_in_a_complete_forgery():
+    # alpha(g0) = X is a nonzero idempotent on the scalar control, so the
+    # a = 1 entry has no violating vector; g0 / 2 would give alpha = X / 2,
+    # whose square X / 4 differs from X / 2 in floating point
+    data = _complete_forgery("twisted-p2n1-scalar")
+    clause = data["condition_b"]["clause_p2n1"]
+    assert clause[1]["violating_g"] is None
+    clause[1]["violating_g"] = [c / 2 for c in clause[0]["violating_g"]]
+    ok, problems = verify_certificate(data)
+    assert not ok and any("clause_p2n1" in p for p in problems)
+
+    data = _complete_forgery("twisted-p2n1-scalar")
+    g0 = data["condition_b"]["clause_p2n1"][0]["violating_g"]
+    data["condition_b"]["witness"] = [[c / 2 for c in g0], g0]
+    ok, problems = verify_certificate(data)
+    assert not ok and any("witness" in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("witness", [[1], [0, 1]]),
+        ("witness", [[0.5, 0], [0, 1]]),
+        ("witness", [[True, 0], [0, 1]]),
+        ("witness", [[2, 0], [0, 1]]),
+        ("alpha", {"modulus": 2, "matrix": [[0.5, 0]]}),
+        ("alpha", [1]),
+        ("clause_p2n1", [{"a": 0}, {"a": 1, "violating_g": None}]),
+        ("clause_p2n1", [1, 2]),
+    ],
+)
+def test_verify_reports_malformed_condition_b_evidence(key, value):
+    data = json.loads(certify_instance(InstanceSpec("twisted", 2, 1)).to_json())
+    assert len(data["condition_b"]["witness"][0]) == 2  # K has rank 2
+    data["condition_b"][key] = value
+    ok, problems = verify_certificate(data)
+    assert not ok and problems
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, 2, -1, True])
+def test_verify_requires_alpha_entries_reduced_integers(entry):
+    data = json.loads(certify_instance(InstanceSpec("twisted", 2, 1)).to_json())
+    data["condition_b"]["alpha"]["matrix"][0][0] = entry
+    ok, problems = verify_certificate(data)
+    assert not ok and any("alpha is not" in p for p in problems)
+
+
+@pytest.mark.parametrize("cert", [[1], {"instance": None, "N": 3}, {"instance": "twisted-p2n1"}])
+def test_verify_reports_a_malformed_certificate(cert):
+    ok, problems = verify_certificate(cert)
+    assert not ok and problems
+
+
+@pytest.mark.parametrize("value", [[1], "x"])
+def test_verify_reports_a_condition_b_that_is_not_an_object(value):
+    data = json.loads(certify_instance(InstanceSpec("twisted", 2, 1)).to_json())
+    data["condition_b"] = value
+    ok, problems = verify_certificate(data)
+    assert not ok and problems == ["certified verdict without alpha"]
