@@ -1,10 +1,9 @@
-"""Benchmark the compiled kernels against the numpy fallback.
+"""Time the numpy kernels on the workloads that dominate the pipeline.
 
-Runs the two backends on the workloads that dominate the pipeline: mod-p
-elimination (random matrices, plus the H^2 d2 matrix of SD_16 and the
+Mod-p elimination (random matrices, plus the H^2 d2 matrix of SD_16 and the
 tallest H^1 cocycle system of the acceptance battery) and table-driven
 batched matrix products (oracle enumeration).  Also times one end-to-end
-oracle enumeration per backend.
+oracle enumeration.  Each row is the best of a few repeats.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -15,12 +14,7 @@ import time
 
 import numpy as np
 
-from defring.kernels import _fallback
-
-try:
-    from defring.kernels import _speedups
-except ImportError:
-    _speedups = None
+from defring import kernels
 
 
 def timeit(fn, repeat=3):
@@ -32,25 +26,15 @@ def timeit(fn, repeat=3):
     return best
 
 
-def bench_pair(name, make_args, call, repeat=3):
-    args = make_args()
-    t_fb = timeit(lambda: call(_fallback, *args), repeat)
-    if _speedups is not None:
-        t_sp = timeit(lambda: call(_speedups, *args), repeat)
-        ratio = t_fb / t_sp if t_sp > 0 else float("inf")
-        print(
-            f"{name:<46} fallback {t_fb * 1e3:9.2f} ms   compiled {t_sp * 1e3:9.2f} ms   x{ratio:6.2f}",
-            flush=True,
-        )
-    else:
-        print(f"{name:<46} fallback {t_fb * 1e3:9.2f} ms   compiled       n/a", flush=True)
+def bench(name, fn, repeat=3):
+    print(f"{name:<46} {timeit(fn, repeat) * 1e3:9.2f} ms", flush=True)
 
 
 def program_rank_inputs():
     """(label, matrix, p) of two matrices the program ranks: the d2 matrix of
     direct H^2(SD_16, F_2) and the H^1 cocycle system of standard-d4p2, the
     tallest one a certify of the acceptance battery builds."""
-    from defring import cohomology, kernels
+    from defring import cohomology
     from defring.certify import assemble, parse_instance_name
     from defring.groups import twisted_frobenius_group
     from defring.modrep import end_rep
@@ -86,21 +70,12 @@ def main():
         (5000, 600, 3, 1),
     ]:
         a = rng.integers(0, p, (rows, cols), dtype=np.int64)
-        bench_pair(
-            f"rank_modp {rows}x{cols} mod {p}",
-            lambda a=a, p=p: (a, p),
-            lambda impl, a, p: impl.rank_modp(a, p),
-            repeat=repeat,
-        )
+        bench(f"rank_modp {rows}x{cols} mod {p}", lambda a=a, p=p: kernels.rank_modp(a, p), repeat)
     # random matrices reach full rank within a few blocks; the matrices the
     # program ranks do not
     for label, a, p in program_rank_inputs():
         rows, cols = a.shape
-        bench_pair(
-            f"rank_modp {label} {rows}x{cols} mod {p}",
-            lambda a=a, p=p: (a, p),
-            lambda impl, a, p: impl.rank_modp(a, p),
-        )
+        bench(f"rank_modp {label} {rows}x{cols} mod {p}", lambda a=a, p=p: kernels.rank_modp(a, p))
 
     print("== table-driven batched matmul ==")
     from defring.localalg import nilpotent_socle_ring, truncated_polynomials
@@ -109,30 +84,19 @@ def main():
         add, mul, _, _ = ring.tables()
         a = rng.integers(0, ring.size, (65536, 2, 2), dtype=np.int64)
         b = rng.integers(0, ring.size, (65536, 2, 2), dtype=np.int64)
-        bench_pair(
+        bench(
             f"table_matmul 65536x(2x2) over {ring.name}",
-            lambda a=a, b=b, add=add, mul=mul: (a, b, add, mul),
-            lambda impl, a, b, add, mul: impl.table_matmul(a, b, add, mul),
+            lambda a=a, b=b, add=add, mul=mul: kernels.table_matmul(a, b, add, mul),
         )
 
     print("== end-to-end oracle enumeration (S4, F2[t]/t^3) ==")
-    import defring.kernels as kernels
     from defring.certify import InstanceSpec, assemble
     from defring.localalg import standard_rings
     from defring.oracle import enumerate_lifts
 
     asm = assemble(InstanceSpec("twisted", 2, 1))
     ring = standard_rings(2)["F2t3"]
-    for impl, label in [(_fallback, "fallback"), (_speedups, "compiled")]:
-        if impl is None:
-            continue
-        saved = kernels.table_matmul
-        kernels.table_matmul = impl.table_matmul
-        try:
-            t = timeit(lambda: enumerate_lifts(asm.rho_bar, ring), repeat=2)
-        finally:
-            kernels.table_matmul = saved
-        print(f"enumerate_lifts[{label}]                      {t * 1e3:9.2f} ms")
+    bench("enumerate_lifts", lambda: enumerate_lifts(asm.rho_bar, ring), repeat=2)
 
 
 if __name__ == "__main__":

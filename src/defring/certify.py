@@ -22,6 +22,7 @@ extra lift that universality forbids.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -29,10 +30,11 @@ import numpy as np
 
 from .cohomology import h1_dim
 from .exactalg import PrecisionError, pval, solve_module
-from .groups import FiniteGroup, PModule, SemidirectGroup, pgl2, semidirect_product, symmetric_group, twisted_frobenius_group
-from .localalg import AlgMatrix, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
+from .groups import FiniteGroup, GroupError, PModule, SemidirectGroup, pgl2, semidirect_product, symmetric_group, twisted_frobenius_group
+from .localalg import AlgebraError, AlgMatrix, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
 from .modrep import (
     Representation,
+    RepresentationError,
     difference_basis_matrices,
     end_rep,
     galois_module_rep,
@@ -103,7 +105,7 @@ def commutative_control_module(p: int, n: int) -> PModule:
     G = twisted_frobenius_group(p)
     ring = GaloisRing(p, n)
     eye = np.eye(2, dtype=np.int64)
-    frob = np.array(ring.regular_matrix("frobenius").tolist())
+    frob = ring.regular_matrix("frobenius")
     return PModule(G, p, n, [eye, frob])
 
 
@@ -148,13 +150,26 @@ def integral_standard_lift(G: FiniteGroup, p: int, N: int) -> Representation:
 
 def assemble(spec: InstanceSpec) -> Assembly:
     p, n, N = spec.p, spec.n, spec.precision
-    # int64 products of d x d matrices over Z/p^N are exact while m^2 * d < 2^63
-    d = 2 if spec.family == "twisted" else spec.d
-    if d and (p**N) ** 2 * d >= 2**63:
+    # int64 products of d x d matrices over Z/p^N are exact while (p^N)^2 * d < 2^63.
+    # Every p >= 2^32 fails that for all N, d >= 1, whatever the spec gives for
+    # them; refusing it first keeps the trial division below 2^16 steps.
+    if p >= 2**32:
         raise PrecisionError(
-            f"precision too large: p = {p}, N = {N}, d = {d} gives "
-            f"(p^N)^2 * d = {(p**N) ** 2 * d}, but exact int64 products need "
-            f"(p^N)^2 * d < 2^63 (p^N = {p**N})"
+            f"p = {p} is too large: exact int64 products need (p^N)^2 * d < 2^63"
+        )
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise CertifyError(f"p = {p} is not a prime")
+    d = 2 if spec.family == "twisted" else spec.d
+    # p >= 2, so N >= 32 fails the bound without computing a large power p^N
+    if N >= 32 or (d and (p**N) ** 2 * d >= 2**63):
+        product = (
+            "p^N >= 2^32"
+            if N >= 32
+            else f"(p^N)^2 * d = {(p**N) ** 2 * d} (p^N = {p**N})"
+        )
+        raise PrecisionError(
+            f"precision too large: p = {p}, N = {N}, d = {d} gives {product}, "
+            f"but exact int64 products need (p^N)^2 * d < 2^63"
         )
     ring = make_ring_R(p, n, N)  # first: it refuses N <= n before anything uses N
     if spec.family == "twisted":
@@ -298,18 +313,13 @@ def _violates_scalar(alpha: AlphaMap, k, a: int) -> bool:
 def evaluate_condition_b(alpha: AlphaMap, witness, clause, invariant_factors=()) -> ConditionB:
     """Condition (b) on given evidence: alpha, a candidate non-commuting
     pair of vectors of K, and (p = 2, n = 1) the no-scalar clause, a
-    vector violating alpha(g)^2 = a alpha(g) for a = 0 and a = 1."""
+    vector violating alpha(g)^2 = a alpha(g) for a = 0 and a = 1.  The
+    callers give the clause in that shape (`_condition_b_shape_problems`)."""
     noncommuting = witness is not None and _noncommuting(alpha, *witness)
-    no_scalar = (
-        alpha.p == 2
-        and alpha.n == 1
-        and clause is not None
-        and [entry["a"] for entry in clause] == [0, 1]
-        and all(
-            entry["violating_g"] is not None
-            and _violates_scalar(alpha, entry["violating_g"], entry["a"])
-            for entry in clause
-        )
+    no_scalar = clause is not None and all(
+        entry["violating_g"] is not None
+        and _violates_scalar(alpha, entry["violating_g"], entry["a"])
+        for entry in clause
     )
     return ConditionB(
         "ok" if noncommuting or no_scalar else "commutative_image",
@@ -681,12 +691,12 @@ def verify_certificate(cert) -> tuple[bool, list[str]]:
     """Re-validate an emitted certificate against the instance rebuilt at
     the certificate's precision N.
 
-    A "certified" certificate must match the instance's fixed fields and
-    carry every piece of evidence its verdict depends on, each checked
-    without searching again (`_certified_problems`).  A "refuted" one is
-    compared field by field with a fresh run of the pipeline; refuted
-    instances are the small negative controls.  Malformed input is
-    reported as a problem, never raised.
+    A "certified" certificate is rebuilt from its own evidence, without
+    searching again (`_rebuild_certified`).  A "refuted" one is rebuilt by a
+    fresh run of the pipeline; refuted instances are the small negative
+    controls.  Every field must then equal the rebuilt one as JSON, so true
+    is not 1 and 1.0 is not 1.  Malformed input is reported as a problem,
+    never raised.
     """
     if not isinstance(cert, dict):
         return (False, ["certificate is not a JSON object"])
@@ -694,26 +704,30 @@ def verify_certificate(cert) -> tuple[bool, list[str]]:
         return (False, ["certificate has no instance name"])
     if type(cert.get("N")) is not int:
         return (False, ["certificate has no integer precision N"])
-    spec = replace(parse_instance_name(cert["instance"]), N=cert["N"])
-    asm = assemble(spec)
+    try:
+        asm = assemble(replace(parse_instance_name(cert["instance"]), N=cert["N"]))
+    except (CertifyError, PrecisionError, AlgebraError, GroupError, RepresentationError) as exc:
+        return (False, [f"instance cannot be rebuilt: {exc}"])
     verdict = cert.get("verdict")
     if verdict == "certified":
-        problems = [
-            f"{key} does not match the instance"
-            for key, value in _certificate_header(spec).items()
-            if cert.get(key) != value
-        ]
-        problems += _certified_problems(cert, asm)
+        expected, problems = _rebuild_certified(cert, asm)
+        source = "the certificate rebuilt from its evidence"
     elif verdict == "refuted":
-        fresh = json.loads(certify_assembly(asm).to_json())
-        problems = [
-            f"{key} differs from a fresh certification"
-            for key in sorted(fresh.keys() | cert.keys())
-            if cert.get(key) != fresh.get(key)
-        ]
+        expected, problems = certify_assembly(asm).to_json_dict(), []
+        source = "a fresh certification"
     else:
-        problems = [f"unknown verdict {verdict!r}"]
+        return (False, [f"unknown verdict {verdict!r}"])
+    if expected is not None:
+        problems = [
+            f"{key} differs from {source}"
+            for key in sorted(expected.keys() | cert.keys())
+            if key not in cert or key not in expected or _json(cert[key]) != _json(expected[key])
+        ] + problems
     return (not problems, problems)
+
+
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True)
 
 
 def _is_residue_vector(value, length: int, modulus: int) -> bool:
@@ -728,8 +742,9 @@ def _is_residue_vector(value, length: int, modulus: int) -> bool:
 
 def _condition_b_shape_problems(cb: dict, asm: Assembly) -> list[str]:
     """Shape of the embedded condition (b) evidence: alpha a (d*d) x rank
-    matrix over Z/p^n, the witness a pair of vectors of K, and each clause
-    entry an integer a with a vector of K or null, all in reduced integers."""
+    matrix over Z/p^n, the witness a pair of vectors of K, and (p = 2, n = 1
+    only) the clause entries a = 0, 1, each with a vector of K or null, all
+    in reduced integers."""
     rank, d, mn, mk = asm.K.rank, asm.rho_w.degree, asm.p**asm.n, asm.K.modulus
     alpha = cb.get("alpha")
     if alpha is None:
@@ -751,17 +766,22 @@ def _condition_b_shape_problems(cb: dict, asm: Assembly) -> list[str]:
     ):
         problems.append(f"witness is not a pair of vectors of K (length {rank}, residues mod {mk})")
     clause = cb.get("clause_p2n1")
-    if clause is not None and not (
+    if (asm.p, asm.n) != (2, 1):
+        if clause is not None:
+            problems.append("clause_p2n1 is given, but only p = 2, n = 1 has one")
+    elif not (
         isinstance(clause, list)
+        and len(clause) == 2
         and all(
             isinstance(entry, dict)
             and type(entry.get("a")) is int
+            and entry["a"] == a
             and "violating_g" in entry
             and (entry["violating_g"] is None or _is_residue_vector(entry["violating_g"], rank, mk))
-            for entry in clause
+            for a, entry in enumerate(clause)
         )
     ):
-        problems.append("clause_p2n1 is not a list of integers a, each with a vector of K or null")
+        problems.append("clause_p2n1 is not the entries a = 0, 1, each with a vector of K or null")
     return problems
 
 
@@ -770,57 +790,37 @@ def _json_object(cert: dict, key: str) -> dict:
     return value if isinstance(value, dict) else {}
 
 
-def _certified_problems(cert: dict, asm: Assembly) -> list[str]:
-    """Problems with a "certified" claim.  Condition (a) is recomputed; the
-    embedded alpha must be injective with a non-commuting witness or (p = 2,
-    n = 1) a valid no-scalar clause; rho_R is rebuilt from alpha and must
-    match the embedded generators and flags; the tangent dimension and the
-    group block are recomputed.  The failed stage recomputed from these
-    checks must be none."""
-    p, n = asm.p, asm.n
-    problems = []
-    cond_a = check_condition_a(asm)
-    if _json_object(cert, "condition_a").get("dim") != cond_a.dim:
-        problems.append("condition_a dimension mismatch")
+def _rebuild_certified(cert: dict, asm: Assembly) -> tuple[dict | None, list[str]]:
+    """The certificate a "certified" claim's own evidence gives, with its
+    problems; None if the evidence is malformed.  Condition (a), the Hom
+    module's invariant factors and the tangent dimension are recomputed;
+    condition (b) is evaluated on the embedded alpha, witness and no-scalar
+    clause; rho_R is rebuilt from alpha.  The failed stage recomputed from
+    these must be none."""
     cb = _json_object(cert, "condition_b")
     malformed = _condition_b_shape_problems(cb, asm)
     if malformed:
-        return problems + malformed
+        return None, malformed
     H = np.array(cb["alpha"]["matrix"], dtype=np.int64)
-    alpha = AlphaMap(p, n, asm.rho_w.degree, asm.K.rank, H)
-    cond_b = evaluate_condition_b(alpha, cb.get("witness"), cb.get("clause_p2n1"))
-    if not cond_b.injective:
-        problems.append("embedded alpha is not injective")
-    if cb.get("witness") is not None and not cond_b.bullet_noncommuting:
-        problems.append("witness pair commutes")
+    alpha = AlphaMap(asm.p, asm.n, asm.rho_w.degree, asm.K.rank, H)
+    clause = cb.get("clause_p2n1")
+    if clause is not None:
+        clause = [{"a": entry["a"], "violating_g": entry["violating_g"]} for entry in clause]
+    cond_a = check_condition_a(asm)
+    factors = hom_space(asm.K, asm.MW_mod_pn).invariant_factors
+    cond_b = evaluate_condition_b(alpha, cb.get("witness"), clause, factors)
+    problems = []
     try:
         rho_r = build_rho_R(asm, alpha)
     except CertifyError as exc:
         problems.append(str(exc))
         rho_r = None
-    embedded = cert.get("rho_R")
-    if not isinstance(embedded, dict):
-        problems.append("certified verdict without rho_R")
-    elif rho_r is not None:
-        if embedded.get("generators") != [g.tolist() for g in rho_r.generator_matrices()]:
-            problems.append("rho_R generator matrices differ")
-        if embedded.get("faithful") != rho_r.faithful:
-            problems.append("faithfulness flag differs")
-        if embedded.get("order_checks") != rho_r.order_checks_passed:
-            problems.append("order-check flag differs")
     tangent = h1_dim(end_rep(asm.rho_bar))
-    if cert.get("tangent_dim") is None:
-        problems.append("certified verdict without tangent_dim")
-    elif cert["tangent_dim"] != tangent:
-        problems.append("tangent dimension mismatch")
-    if cert.get("group") != asm.gamma.to_json_dict():
-        problems.append("group block does not match the rebuilt Gamma")
     failed = _failed_stage(cond_a, cond_b, rho_r, tangent)
     if failed is not None:
         problems.append(f"verdict is certified, but stage {failed} fails")
-    if cert.get("failed_stage") is not None:
-        problems.append("certified verdict with a failed stage")
-    return problems
+    rebuilt = Certificate(asm.spec, cond_a, cond_b, rho_r, tangent, "certified", None)
+    return rebuilt.to_json_dict(), problems
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,11 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificate) as fh:
-        cert = json.load(fh)
+    try:
+        with open(args.certificate) as fh:
+            cert = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing, a directory, not JSON
+        raise CertifyError(f"cannot read certificate {args.certificate}: {exc}") from exc
     ok, problems = verify_certificate(cert)
     _emit({"valid": ok, "problems": problems}, args)
     return 0 if ok else 1

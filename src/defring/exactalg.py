@@ -38,103 +38,6 @@ def inv_mod(x: int, m: int) -> int:
     return pow(int(x), -1, m)
 
 
-@dataclass(frozen=True)
-class ResidueInt:
-    """An element of Z/p^N in canonical form."""
-
-    p: int
-    N: int
-    value: int
-
-    def __post_init__(self):
-        m = self.p**self.N
-        if m > MAX_MODULUS:
-            raise ValueError(f"modulus {self.p}^{self.N} exceeds 2^62")
-        object.__setattr__(self, "value", self.value % m)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.N
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, ResidueInt):
-            if (other.p, other.N) != (self.p, self.N):
-                raise ValueError("mixed moduli")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return ResidueInt(self.p, self.N, self.value + self._coerce(other))
-
-    def __sub__(self, other):
-        return ResidueInt(self.p, self.N, self.value - self._coerce(other))
-
-    def __mul__(self, other):
-        return ResidueInt(self.p, self.N, self.value * self._coerce(other))
-
-    def __neg__(self):
-        return ResidueInt(self.p, self.N, -self.value)
-
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def inverse(self) -> "ResidueInt":
-        return ResidueInt(self.p, self.N, inv_mod(self.value, self.modulus))
-
-    def valuation(self) -> int:
-        return pval(self.value, self.p, self.N)
-
-
-class ResidueMatrix:
-    """A matrix over Z/p^N with exact integer entries."""
-
-    def __init__(self, p: int, N: int, entries):
-        self.p = p
-        self.N = N
-        self.modulus = p**N
-        a = np.asarray(entries, dtype=object)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        self.rows, self.cols = a.shape
-        self.a = np.vectorize(lambda x: int(x) % self.modulus, otypes=[object])(a)
-
-    @classmethod
-    def identity(cls, p: int, N: int, n: int) -> "ResidueMatrix":
-        return cls(p, N, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __matmul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        prod = self.a.dot(other.a)
-        return ResidueMatrix(self.p, self.N, prod)
-
-    def __add__(self, other):
-        return ResidueMatrix(self.p, self.N, self.a + other.a)
-
-    def __sub__(self, other):
-        return ResidueMatrix(self.p, self.N, self.a - other.a)
-
-    def scale(self, c: int) -> "ResidueMatrix":
-        return ResidueMatrix(self.p, self.N, self.a * int(c))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ResidueMatrix)
-            and (self.p, self.N) == (other.p, other.N)
-            and self.a.shape == other.a.shape
-            and bool((self.a == other.a).all())
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.N, tuple(map(tuple, self.a))))
-
-    def tolist(self):
-        return [[int(x) for x in row] for row in self.a]
-
-    def __repr__(self):
-        return f"ResidueMatrix(p={self.p}, N={self.N}, {self.tolist()})"
-
-
 class HowellBasis:
     """Canonical Howell basis of a row span over Z/p^N.
 
@@ -542,8 +445,8 @@ class GaloisRing:
             raise AssertionError("no generator found")
         return self._unit_gen
 
-    def regular_matrix(self, a) -> ResidueMatrix:
-        """2x2 matrix over Z/p^N of multiplication by a (or of Frobenius).
+    def regular_matrix(self, a) -> np.ndarray:
+        """2x2 int64 matrix over Z/p^N of multiplication by a (or of Frobenius).
 
         Columns are the coordinates of the images of the basis {1, x}, so the
         assignment is multiplicative and intertwines with the twisted
@@ -555,6 +458,4 @@ class GaloisRing:
         else:
             img1 = a
             imgx = a * self.x
-        return ResidueMatrix(
-            self.p, self.N, [[img1.a0, imgx.a0], [img1.a1, imgx.a1]]
-        )
+        return np.array([[img1.a0, imgx.a0], [img1.a1, imgx.a1]], dtype=np.int64)

@@ -1,39 +1,9 @@
-"""Hot numeric kernels with backend selection at import time.
+"""Hot numeric kernels: mod-p elimination and table-driven matrix products.
 
-The compiled Cython extension is preferred when present; otherwise the numpy
-fallback is used.  Set ``DEFRING_PURE_PYTHON=1`` to force the fallback (used
-by the benchmark to compare backends).
+The numpy implementations live in ``_numpy``; callers reach them through this
+namespace, so ``rank_modp`` calling ``rref_modp`` stays inside the submodule.
 """
 
-import os
+from ._numpy import nullspace_modp, rank_modp, rref_modp, solve_modp, table_matmul
 
-from . import _fallback
-
-if os.environ.get("DEFRING_PURE_PYTHON"):
-    _impl = _fallback
-    BACKEND = "fallback"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _fallback
-        BACKEND = "fallback"
-
-rref_modp = _impl.rref_modp
-rank_modp = _impl.rank_modp
-nullspace_modp = _impl.nullspace_modp
-solve_modp = _impl.solve_modp
-table_matmul = _impl.table_matmul
-table_matmul_single = _impl.table_matmul_single
-
-__all__ = [
-    "BACKEND",
-    "rref_modp",
-    "rank_modp",
-    "nullspace_modp",
-    "solve_modp",
-    "table_matmul",
-    "table_matmul_single",
-]
+__all__ = ["rref_modp", "rank_modp", "nullspace_modp", "solve_modp", "table_matmul"]

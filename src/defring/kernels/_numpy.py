@@ -1,9 +1,7 @@
 """Numpy implementations of the hot kernels.
 
-These are the reference implementations; the compiled extension in
-``_speedups.pyx`` must produce bit-identical results.  All mod-p routines
-assume a prime modulus small enough that products fit in int64, which the
-callers guarantee (moduli used in anger are < 2**16).
+All mod-p routines assume a prime modulus small enough that products fit in
+int64, which the callers guarantee (moduli used in anger are < 2**16).
 
 ``rank_modp`` eliminates in float64 matrix products and reduces mod p once
 per block of rows, after Dumas, Giorgi and Pernet, "Dense linear algebra
@@ -141,14 +139,3 @@ def table_matmul(a, b, add, mul):
         acc = add[acc, prod[..., i]]
     return acc
 
-
-def table_matmul_single(a, b, add, mul):
-    """Like :func:`table_matmul` with one shared right factor of shape (k, m)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    bt = b.T
-    prod = mul[a[:, :, None, :], bt[None, None, :, :]]
-    acc = prod[..., 0]
-    for i in range(1, prod.shape[-1]):
-        acc = add[acc, prod[..., i]]
-    return acc

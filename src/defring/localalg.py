@@ -124,16 +124,6 @@ class ArtinLocalAlgebra:
     def in_maximal_ideal(self, x) -> bool:
         return self.residue(x) == 0
 
-    def additive_order(self, x) -> int:
-        if x == self.zero:
-            return 1
-        k, acc = 1, x
-        while True:
-            acc = self.add(acc, x)
-            k += 1
-            if acc == self.zero:
-                return k
-
     def elements(self) -> Iterable[tuple[int, ...]]:
         """All elements, lexicographic in basis coordinates (first slowest)."""
         def rec(i, prefix):

@@ -133,13 +133,6 @@ def dual_rep(V: Representation) -> Representation:
     return Representation(V.group, mats, V.p, V.N, validate=False)
 
 
-def tensor_rep(X: Representation, Y: Representation) -> Representation:
-    mats = np.stack(
-        [np.kron(X.mats[g], Y.mats[g]) % X.modulus for g in range(X.group.order)]
-    )
-    return Representation(X.group, mats, X.p, X.N, validate=False)
-
-
 def end_rep(V: Representation) -> Representation:
     """End(V) with the conjugation action, in row-major matrix coordinates.
 
@@ -253,8 +246,8 @@ def galois_module_rep(p: int, N: int) -> Representation:
     """
     G = twisted_frobenius_group(p)
     ring = GaloisRing(p, N)
-    zeta_mat = np.array(ring.regular_matrix(ring.unit_generator).tolist())
-    frob_mat = np.array(ring.regular_matrix("frobenius").tolist())
+    zeta_mat = ring.regular_matrix(ring.unit_generator)
+    frob_mat = ring.regular_matrix("frobenius")
     rep = Representation.from_generator_images(G, [zeta_mat, frob_mat], p, N)
     rep.galois_ring = ring
     return rep
@@ -271,8 +264,8 @@ def twisted_kernel_module(p: int, n: int) -> PModule:
     G = twisted_frobenius_group(p)
     ring = GaloisRing(p, n)
     u = ring.unit_generator
-    zeta_mat = np.array(ring.regular_matrix(u ** (p * p - p)).tolist())
-    frob_mat = np.array(ring.regular_matrix("frobenius").tolist())
+    zeta_mat = ring.regular_matrix(u ** (p * p - p))
+    frob_mat = ring.regular_matrix("frobenius")
     return PModule(G, p, n, [zeta_mat, frob_mat])
 
 

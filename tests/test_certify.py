@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from defring.certify import (
     Certificate,
@@ -249,6 +252,68 @@ def test_fresh_battery_certificates_verify():
         assert ok, (name, problems)
 
 
+CONTROLS = ["twisted-p3n1-commutative", "twisted-p2n1-scalar", "twisted-p2n2-commutative"]
+
+
+@functools.cache
+def _battery_certificate(name):
+    return certify_instance(parse_instance_name(name)).to_json()
+
+
+def _field_paths(value, path=()):
+    """Key/index paths to every field below the root, at any depth."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(-3, 40),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "x"]), st.integers(0, 2), max_size=1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_single_field_mutation_or_deletion_is_rejected(data):
+    # One field at any depth of a battery certificate is deleted or replaced
+    # by a different JSON value.  An integer in [0, p^n) inside the witness
+    # or a violating_g vector is left out: that vector may again be
+    # evidence, which a verifier that does not search must accept.  So is N
+    # in a refuted certificate: nothing in it depends on N, so at another
+    # N > n it is that precision's honest certificate.  Certificates carry
+    # no runtime_ms, the one volatile field.
+    name = data.draw(st.sampled_from(BATTERY + CONTROLS))
+    cert = json.loads(_battery_certificate(name))
+    assert "runtime_ms" not in cert
+    paths = list(_field_paths(cert))
+    if cert["verdict"] == "refuted":
+        paths.remove(("N",))
+    path = data.draw(st.sampled_from(paths))
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], cert)
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        value = data.draw(JSON_VALUES)
+        assume(json.dumps(value) != json.dumps(parent[path[-1]]))
+        evidence = path[:2] == ("condition_b", "witness") or "violating_g" in path
+        assume(not (evidence and type(value) is int and 0 <= value < cert["p"] ** cert["n"]))
+        parent[path[-1]] = value
+    ok, problems = verify_certificate(cert)
+    assert not ok and problems, (name, path)
+
+
 def _drop_alpha(data):
     data["condition_b"]["alpha"] = None
 
@@ -271,9 +336,7 @@ def test_verify_rejects_a_certificate_without_its_evidence(forge):
     assert not ok and problems
 
 
-@pytest.mark.parametrize(
-    "name", ["twisted-p2n1-scalar", "twisted-p2n2-commutative", "twisted-p3n1-commutative"]
-)
+@pytest.mark.parametrize("name", CONTROLS)
 def test_verify_rejects_a_control_relabelled_certified(name):
     data = json.loads(certify_instance(parse_instance_name(name)).to_json())
     assert data["verdict"] == "refuted" and verify_certificate(data) == (True, [])

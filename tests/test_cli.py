@@ -158,3 +158,72 @@ def test_precision_not_above_n_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "need 1 <= n < N" in err
+
+
+@pytest.mark.parametrize(
+    "argv, p",
+    [
+        (("twisted", "--p", "4", "--n", "1"), 4),  # hung in GaloisRing.unit_generator
+        (("twisted", "--p", "1", "--n", "1"), 1),
+        (("twisted", "--p", "-2", "--n", "1"), -2),
+        (("standard", "--d", "2", "--p", "4"), 4),  # AssertionError in standard_perm_rep
+    ],
+    ids=["twisted-p4", "twisted-p1", "twisted-p-2", "standard-d2p4"],
+)
+def test_non_prime_p_exits_2(capsys, argv, p):
+    code, out, err = run_cli(capsys, "certify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"p = {p} is not a prime" in err
+
+
+BIG_P = 100000000000000000039  # far above 2^32
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("standard", "--d", "0", "--p", str(BIG_P)),  # d = 0 drops the degree factor
+        ("twisted", "--p", str(BIG_P), "--n", "1", "-N", "0"),  # N = 0 makes p^N = 1
+    ],
+    ids=["standard-d0", "twisted-N0"],
+)
+def test_p_above_int64_bound_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "certify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"p = {BIG_P} is too large" in err
+
+
+@pytest.mark.parametrize(
+    "instance, N, reason",
+    [
+        (f"standard-d0p{BIG_P}", 3, f"p = {BIG_P} is too large"),
+        ("twisted-p2n1", 10**12, "precision too large"),  # p^N is never computed
+    ],
+    ids=["p-above-bound", "N-above-bound"],
+)
+def test_verify_reports_a_crafted_instance_at_once(tmp_path, capsys, instance, N, reason):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({"instance": instance, "N": N, "verdict": "certified"}))
+    code, out, _ = run_cli(capsys, "verify", str(cert_path))
+    assert code == 1
+    data = json.loads(out)
+    assert data["valid"] is False
+    assert len(data["problems"]) == 1 and reason in data["problems"][0]
+
+
+def test_verify_non_json_file_exits_2(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text('{"instance": ')
+    code, out, err = run_cli(capsys, "verify", str(cert_path))
+    assert code == 2
+    assert out == ""
+    assert f"cannot read certificate {cert_path}" in err
+
+
+def test_verify_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert f"cannot read certificate {tmp_path}" in err and "Is a directory" in err

@@ -8,15 +8,7 @@ from defring.certify import AlphaMap, InstanceSpec, assemble, exp_lift_on_kernel
 from defring.cohomology import BarComplex, trivial_module
 from defring.groups import symmetric_group
 from defring.localalg import make_ring_Rprime_2_1
-from defring.modrep import galois_module_rep, tensor_rep
 from defring.oracle import OracleError, enumerate_lifts
-
-
-def test_tensor_rep_dimensions_and_validity():
-    V = galois_module_rep(2, 1)
-    T = tensor_rep(V, V)
-    assert T.degree == 4
-    T.validate()
 
 
 def test_bar_differentials_compose_to_zero():

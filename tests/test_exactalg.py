@@ -1,9 +1,11 @@
+import itertools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defring.exactalg import (
     GaloisRing,
-    ResidueInt,
-    ResidueMatrix,
     howell_form,
     solve_module,
 )
@@ -23,17 +25,6 @@ def brute_span(rows, m):
                     span.add(w)
                     changed = True
     return span
-
-
-def test_residue_int_basics():
-    a = ResidueInt(2, 3, 5)
-    b = ResidueInt(2, 3, 7)
-    assert (a + b).value == 4
-    assert (a * b).value == 3
-    assert (-a).value == 3
-    assert b.is_unit() and (b * b.inverse()).value == 1
-    assert ResidueInt(2, 3, 4).valuation() == 2
-    assert ResidueInt(2, 3, 0).valuation() == 3
 
 
 def test_howell_single_generator_z4():
@@ -186,15 +177,16 @@ def test_regular_matrix_f4():
 def test_regular_matrix_multiplicative_and_twisted_rule():
     for p, N in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         gr = GaloisRing(p, N)
-        elems = list(gr.elements()) if p**N <= 4 else [
-            gr.element(a0, a1) for a0 in range(min(p**N, 5)) for a1 in range(min(p**N, 5))
+        m = p**N
+        elems = list(gr.elements()) if m <= 4 else [
+            gr.element(a0, a1) for a0 in range(min(m, 5)) for a1 in range(min(m, 5))
         ]
         frob_m = gr.regular_matrix("frobenius")
         for a in elems:
             ma = gr.regular_matrix(a)
-            assert frob_m @ ma == gr.regular_matrix(gr.frobenius(a)) @ frob_m
+            assert (frob_m @ ma % m == gr.regular_matrix(gr.frobenius(a)) @ frob_m % m).all()
             for b in elems:
-                assert ma @ gr.regular_matrix(b) == gr.regular_matrix(a * b)
+                assert (ma @ gr.regular_matrix(b) % m == gr.regular_matrix(a * b)).all()
 
 
 def test_unit_generator_is_teichmuller_and_generates():
@@ -205,13 +197,6 @@ def test_unit_generator_is_teichmuller_and_generates():
     # canonical choices are stable
     assert GaloisRing(2, 2).unit_generator.coeffs == (0, 1)
     assert GaloisRing(3, 1).unit_generator.coeffs == (1, 1)
-
-
-def test_residue_matrix_identity_and_products():
-    eye = ResidueMatrix.identity(2, 3, 2)
-    m = ResidueMatrix(2, 3, [[1, 2], [3, 4]])
-    assert eye @ m == m
-    assert (m - m).tolist() == [[0, 0], [0, 0]]
 
 
 def test_solution_set_complete_against_brute_force():
@@ -233,3 +218,58 @@ def test_solution_set_complete_against_brute_force():
             )
         )
         assert sol.all_solutions() == brute
+
+
+# Z/p^N with p^N <= 9, so (Z/p^N)^3 is small enough to enumerate
+MODULI = st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+
+
+def matrices(m, nrows, ncols):
+    return st.lists(
+        st.lists(st.integers(0, m - 1), min_size=ncols, max_size=ncols),
+        min_size=nrows,
+        max_size=nrows,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), pN=MODULI, ncols=st.integers(1, 3), nrows=st.integers(1, 3))
+def test_howell_bases_are_equal_exactly_when_spans_are(data, pN, ncols, nrows):
+    # b is an invertible transform of a, plus a combination of its rows, so
+    # it spans the same module; c is drawn freely, so its span usually differs
+    p, N = pN
+    m = p**N
+    a = data.draw(matrices(m, nrows, ncols))
+    b = [list(r) for r in a]
+    for _ in range(data.draw(st.integers(0, 6))):
+        i, j = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, nrows - 1))
+        if i != j:
+            c = data.draw(st.integers(0, m - 1))
+            b[i] = [(x + c * y) % m for x, y in zip(b[i], b[j])]
+        else:
+            u = data.draw(st.integers(1, m - 1).filter(lambda u: u % p))
+            b[i] = [(u * x) % m for x in b[i]]
+    coeffs = data.draw(st.lists(st.integers(0, m - 1), min_size=nrows, max_size=nrows))
+    b.append([sum(c * r[j] for c, r in zip(coeffs, a)) % m for j in range(ncols)])
+    c = data.draw(matrices(m, data.draw(st.integers(1, 3)), ncols))
+    ha, hb, hc = (howell_form(rows, p, N) for rows in (a, b, c))
+    assert ha == hb
+    assert (ha == hc) == (brute_span(a, m) == brute_span(c, m))
+    assert set(ha.enumerate_span()) == brute_span(a, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), pN=MODULI, neq=st.integers(1, 3), nvar=st.integers(1, 3))
+def test_solve_module_matches_brute_force(data, pN, neq, nvar):
+    p, N = pN
+    m = p**N
+    a = data.draw(matrices(m, neq, nvar))
+    rhs = data.draw(st.lists(st.integers(0, m - 1), min_size=neq, max_size=neq))
+    brute = [
+        x
+        for x in itertools.product(range(m), repeat=nvar)
+        if all(sum(r * v for r, v in zip(row, x)) % m == b for row, b in zip(a, rhs))
+    ]
+    sol = solve_module(a, rhs, p, N)
+    assert sol.consistent == bool(brute)
+    assert sol.all_solutions() == brute
