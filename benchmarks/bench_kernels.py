@@ -1,9 +1,10 @@
 """Time the numpy kernels on the workloads that dominate the pipeline.
 
 Mod-p elimination (random matrices, plus the H^2 d2 matrix of SD_16 and the
-tallest H^1 cocycle system of the acceptance battery) and table-driven
-batched matrix products (oracle enumeration).  Also times one end-to-end
-oracle enumeration.  Each row is the best of a few repeats.
+tallest H^1 cocycle system of the acceptance battery), table-driven
+batched matrix products (oracle enumeration) and the construction of
+Gamma = K x| G for three of the largest battery instances.  Also times one
+end-to-end oracle enumeration.  Each row is the best of a few repeats.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -89,8 +90,18 @@ def main():
             lambda a=a, b=b, add=add, mul=mul: kernels.table_matmul(a, b, add, mul),
         )
 
+    print("== Gamma construction (semidirect_product) ==")
+    from defring.certify import InstanceSpec, assemble, parse_instance_name
+    from defring.groups import semidirect_product
+
+    for name in ("twisted-p3n2", "twisted-p5n1", "standard-d4p2"):
+        asm = assemble(parse_instance_name(name))
+        bench(
+            f"semidirect_product {name} (|Gamma| = {asm.gamma.order})",
+            lambda asm=asm: semidirect_product(asm.K, asm.G),
+        )
+
     print("== end-to-end oracle enumeration (S4, F2[t]/t^3) ==")
-    from defring.certify import InstanceSpec, assemble
     from defring.localalg import standard_rings
     from defring.oracle import enumerate_lifts
 

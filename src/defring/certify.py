@@ -25,6 +25,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -351,19 +352,18 @@ def find_alpha(asm: Assembly) -> ConditionB:
             hs.invariant_factors,
         )
 
-    # generator pairs first, then everything else in encoding order
+    # generator pairs first, then everything else in encoding order, lazily
     basis_vecs = asm.K.basis_vectors()
-    ordered_pairs = [(u, v) for u in basis_vecs for v in basis_vecs]
-    seen_pairs = set(ordered_pairs)
-    all_pairs = ordered_pairs + [
+    basis_pairs = [(u, v) for u in basis_vecs for v in basis_vecs]
+    seen_pairs = set(basis_pairs)
+    other_pairs = (
         (u, v)
         for u in _kernel_elements(asm.K)
         for v in _kernel_elements(asm.K)
         if (u, v) not in seen_pairs
-    ]
-    witness = next(
-        ((list(u), list(v)) for u, v in all_pairs if _noncommuting(alpha, u, v)), None
     )
+    pairs = chain(basis_pairs, other_pairs)
+    witness = next(((list(u), list(v)) for u, v in pairs if _noncommuting(alpha, u, v)), None)
 
     clause = None
     if p == 2 and n == 1:

@@ -2,11 +2,13 @@
 presentations.
 
 All groups here are small enough (a few thousand elements) that the full
-table is the simplest correct representation.  A breadth-first spanning tree
-of the Cayley graph on a generating set gives each element a word in the
-generators; `FiniteGroup.extend` carries generator data (matrices, images)
-along it to the whole group, and a homomorphism check on such data only has
-to compare e*s for every element e and generator s.
+table is the simplest correct representation.  A given table is checked
+exactly by Light's associativity test on the generators; K x| G is a group
+by construction, so only its factors G and K are checked.  A breadth-first
+spanning tree of the Cayley graph on a generating set gives each element a
+word in the generators; `FiniteGroup.extend` carries generator data
+(matrices, images) along it to the whole group, and a homomorphism check on
+such data only has to compare e*s for every element e and generator s.
 
 `FiniteGroup.relators` gives a presentation on the distinguished generators:
 the Schreier relators of the spanning tree, or for K x| G the split-extension
@@ -48,9 +50,9 @@ class FiniteGroup:
         self.generators = tuple(int(g) for g in generators)
         self.name = name
         self.action = None if action is None else np.asarray(action, dtype=np.int64)
+        self._trees: dict[tuple[int, ...], tuple] = {}
         self._validate_table()
         self.inverse = self._inverse_table()
-        self._trees: dict[tuple[int, ...], tuple] = {}
         self.spanning_tree()  # the distinguished generators must generate
 
     # -- construction helpers -------------------------------------------------
@@ -85,25 +87,36 @@ class FiniteGroup:
         return cls(table, [index[g] for g in gens], name=name, action=action)
 
     def _validate_table(self):
+        """Check exactly that the table is a group with identity 0, by Light's
+        associativity test on the distinguished generators.
+
+        The spanning tree writes every element as a product of generators.
+        The elements a with (x a) y = x (a y) for all x, y are closed under
+        the product: for a and b among them, (x (a b)) y = ((x a) b) y =
+        (x a)(b y) = x (a (b y)) = x ((a b) y).  They include 0, and the check
+        puts every generator among them, so the table is associative.  In an
+        associative table with identity whose every row holds the identity,
+        x y = 0 = y z gives x = (x y) z = z, so each element has an inverse.
+        The cost is |G|^2 lookups per generator.
+        """
         t = self.table
         n = self.order
+        ar = np.arange(n)
         if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
             raise GroupError("malformed table")
-        if not (t[0] == np.arange(n)).all() or not (t[:, 0] == np.arange(n)).all():
+        if not (t[0] == ar).all() or not (t[:, 0] == ar).all():
             raise GroupError("element 0 is not the identity")
-        ar = np.arange(n)
-        if (np.sort(t, axis=1) != ar).any() or (np.sort(t, axis=0) != ar[:, None]).any():
-            raise GroupError("table is not a latin square")
-        if n <= 200:
-            if not (t[t, :] == t[:, t]).all():
-                raise GroupError("associativity fails")
-        else:
-            i, j, k = np.random.default_rng(0).integers(0, n, (2000, 3)).T
-            if (t[t[i, j], k] != t[i, t[j, k]]).any():
-                raise GroupError("associativity fails")
+        self.spanning_tree()
+        rows = max(1, 2**22 // n)  # rows per block: bounds the temporaries
+        for s in self.generators:
+            for x in range(0, n, rows):
+                if (t[t[x : x + rows, s]] != t[x : x + rows][:, t[s]]).any():
+                    raise GroupError("associativity fails")
+        if not (t == 0).any(axis=1).all():
+            raise GroupError("an element has no inverse")
 
     def _inverse_table(self):
-        # the latin square has one identity per row, found in row order
+        # each row holds the identity exactly once, found in row order
         return np.nonzero(self.table == 0)[1]
 
     def spanning_tree(self, gens=None) -> tuple:
@@ -594,12 +607,11 @@ class SemidirectGroup(FiniteGroup):
 
     Element index is k_code * |G| + g_index.  The distinguished generators
     are the standard basis of K (paired with 1) followed by (0, s) for each
-    generator s of G.
+    generator s of G.  The table is a group by construction; only G and K
+    are checked (`_validate_table`).
     """
 
     def __init__(self, kmod: PModule, gq: FiniteGroup):
-        if kmod.group is not gq and kmod.group.table_hash() != gq.table_hash():
-            raise GroupError("module must be over the same group")
         self.kmod = kmod
         self.gq = gq
         ksize, gsize = kmod.size, gq.order
@@ -607,23 +619,37 @@ class SemidirectGroup(FiniteGroup):
             raise GroupError(f"semidirect order {ksize * gsize} exceeds guard")
         m = kmod.modulus
         all_vecs = kmod.vectors()
-        act = np.empty((gsize, ksize), dtype=np.int64)
         radix = m ** np.arange(kmod.rank, dtype=np.int64)
-        for g in range(gsize):
-            imgs = (all_vecs @ kmod.mats[g].T) % m
-            act[g] = imgs @ radix
+        # act[g, k] = g.k and kneg[k] = -k, as codes
+        self._act = (all_vecs @ kmod.mats.transpose(0, 2, 1) % m) @ radix
+        self._kneg = (-all_vecs % m) @ radix
         kadd = ((all_vecs[:, None, :] + all_vecs[None, :, :]) % m) @ radix
         n = ksize * gsize
         table = np.empty((n, n), dtype=np.int64)
-        for g1 in range(gsize):
-            moved = act[g1]  # k2 -> g1.k2
+        for g1, (moved, gprod) in enumerate(zip(self._act, gq.table)):
             ksum = kadd[:, moved]  # (k1, k2) -> k1 + g1.k2
-            gprod = gq.table[g1]
             block = ksum[:, :, None] * gsize + gprod[None, None, :]
             table[g1::gsize, :] = block.reshape(ksize, n)
         gens = [int(kmod.encode(v)) * gsize for v in kmod.basis_vectors()]
         gens += [int(s) for s in gq.generators]
         super().__init__(table, gens, name=f"{kmod.size}:{gq.name}")
+
+    def _validate_table(self):
+        """K x| G is a group when G is one and g -> (k -> g.k) is a
+        homomorphism G -> Aut(K) (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, 2005), and the table is that product.
+        G was validated when it was built; PModule checked invertible
+        generator matrices and g.(s.v) = (gs).v for every element g and
+        generator s, which makes the action a homomorphism
+        (FiniteGroup.extend).  Left to check: K is a module over this G."""
+        if self.kmod.group is not self.gq and self.kmod.group.table_hash() != self.gq.table_hash():
+            raise GroupError("module must be over the same group")
+
+    def _inverse_table(self):
+        """(k, g)^-1 = (-(g^-1.k), g^-1), in O(|Gamma|)."""
+        ginv = self.gq.inverse
+        kinv = self._act[ginv][:, self._kneg]  # [g, k] -> g^-1.(-k)
+        return (kinv * self.gq.order + ginv[:, None]).T.reshape(-1)
 
     def encode(self, kvec, g: int) -> int:
         return self.kmod.encode(kvec) * self.gq.order + g
@@ -633,8 +659,7 @@ class SemidirectGroup(FiniteGroup):
         return self.kmod.decode(kcode), g
 
     def quotient_hom(self) -> GroupHom:
-        images = np.array([e % self.gq.order for e in range(self.order)], dtype=np.int64)
-        return GroupHom(self, self.gq, images)
+        return GroupHom(self, self.gq, np.arange(self.order) % self.gq.order)
 
     def relators(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The presentation of the split extension on x_i = (e_i, 1)

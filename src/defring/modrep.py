@@ -126,13 +126,6 @@ class Representation:
         }
 
 
-def dual_rep(V: Representation) -> Representation:
-    """The contragredient rho(g)^{-T}.  V must be a homomorphism, as every
-    caller's is: rho(g)^-1 is read as rho(g^-1)."""
-    mats = V.mats[V.group.inverse].transpose(0, 2, 1)
-    return Representation(V.group, mats, V.p, V.N, validate=False)
-
-
 def end_rep(V: Representation) -> Representation:
     """End(V) with the conjugation action, in row-major matrix coordinates.
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defring.groups import (
+    TABLE_GUARD,
     FiniteGroup,
     GroupError,
     PModule,
@@ -218,3 +221,104 @@ def test_element_orders_match_element_order():
         pair = G.probe_generating_pair()
         a = max(range(1, G.order), key=lambda e: (G.element_order(e), -e))
         assert pair is None or pair[0] == a
+
+
+def test_intercalate_swapped_cyclic_table_rejected():
+    # Z/256 with the 2x2 subsquare on rows and columns 1, 129 swapped: still a
+    # latin square with identity 0, generated by 3, but not associative.  The
+    # swap breaks 4,032 of the 256^3 triples, which a sample of 2,000 likely misses.
+    n = 256
+    ar = np.arange(n)
+    cyclic = (ar[:, None] + ar[None, :]) % n
+    FiniteGroup(cyclic, [3])
+    t = cyclic.copy()
+    a, b = 1, 1 + n // 2
+    t[a, a], t[b, b], t[a, b], t[b, a] = t[a, b], t[a, b], t[a, a], t[a, a]
+    assert (np.sort(t, axis=1) == ar).all() and (np.sort(t, axis=0) == ar[:, None]).all()
+    with pytest.raises(GroupError, match="associativity"):
+        FiniteGroup(t, [3])
+
+
+def test_table_without_inverses_rejected():
+    # {0, 1} with 1 * 1 = 1 is an associative table with identity, generated
+    # by 1, in which 1 has no inverse
+    with pytest.raises(GroupError, match="inverse"):
+        FiniteGroup(np.array([[0, 1], [1, 1]]), [1])
+
+
+def _check_semidirect(gamma, pairs):
+    """Gamma against the group axioms, its inverses and quotient map, and the
+    product formula (k1, g1)(k2, g2) = (k1 + g1.k2, g1 g2) on the given
+    pairs of elements, all computed without the semidirect code."""
+    K, G = gamma.kmod, gamma.gq
+    FiniteGroup(gamma.table, gamma.generators)  # the generic validation
+    assert (gamma.inverse == np.nonzero(gamma.table == 0)[1]).all()
+    old_images = [e % G.order for e in range(gamma.order)]
+    assert gamma.quotient_hom().images.tolist() == old_images
+    for e1, e2 in pairs:
+        (k1, g1), (k2, g2) = gamma.decode(e1), gamma.decode(e2)
+        k = [(x + y) % K.modulus for x, y in zip(k1, K.act(g1, k2))]
+        assert gamma.mul(e1, e2) == gamma.encode(k, G.mul(g1, g2))
+
+
+# Every Gamma that `assemble` builds for the acceptance battery, its negative
+# controls and the precision rows (the oracle rows use battery instances at
+# the default N).  Gamma does not depend on N, but the rows keep their N.
+GAMMA_INSTANCES = (
+    [(f"twisted-p{p}n{n}", None) for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]]
+    + [(f"standard-d{d}p{p}", None) for d, p in [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]]
+    + [("twisted-p2n1-scalar", None), ("twisted-p2n2-commutative", None)]
+    + [("twisted-p3n1-commutative", None)]
+    + [("twisted-p3n1", 10), ("twisted-p5n1", 7), ("standard-d3p3", 7)]
+    + [("twisted-p2n2", 12), ("standard-d2p5", 8)]
+)
+
+
+@pytest.mark.parametrize("name,N", GAMMA_INSTANCES)
+def test_assembled_gamma_passes_generic_validation(name, N):
+    from dataclasses import replace
+
+    from defring.certify import assemble, parse_instance_name
+
+    gamma = assemble(replace(parse_instance_name(name), N=N)).gamma
+    gens = gamma.generators
+    _check_semidirect(gamma, [(e, s) for e in range(gamma.order) for s in gens])
+
+
+def _kernel_module(kind, group, p, n):
+    from defring.certify import commutative_control_module, scalar_control_module
+    from defring.modrep import standard_perm_rep, twisted_kernel_module
+
+    if kind == "twisted":
+        return twisted_kernel_module(p, n)
+    if kind == "commutative":
+        return commutative_control_module(p, n)
+    if kind == "scalar":
+        return scalar_control_module(group, p)
+    V = standard_perm_rep(group, p).standard
+    return PModule(group, p, 1, V.gen_mats)
+
+
+# (kind, group, p, n): the twisted and control modules over TF(p) and the
+# standard modules of S_3 and S_4 where p does not divide the number of
+# points, each with |Gamma| <= TABLE_GUARD.  Twisted-kind modules at p = 2,
+# n = 5 (|Gamma| = 6,144) are left out to keep the suite's memory small.
+MODULE_CASES = (
+    [(kind, "TF", 2, n) for kind in ("twisted", "commutative") for n in (1, 2, 3, 4)]
+    + [(kind, "TF", 3, n) for kind in ("twisted", "commutative") for n in (1, 2)]
+    + [(kind, "TF", 5, 1) for kind in ("twisted", "commutative")]
+    + [("scalar", g, p, 1) for g in ("TF", "S3", "S4") for p in (2, 3, 5)]
+    + [("standard", "S3", 2, 1), ("standard", "S3", 5, 1)]
+    + [("standard", "S4", 3, 1), ("standard", "S4", 5, 1)]
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(MODULE_CASES), data=st.data())
+def test_semidirect_product_is_the_split_extension(case, data):
+    kind, group, p, n = case
+    G = twisted_frobenius_group(p) if group == "TF" else symmetric_group(int(group[1]))
+    gamma = semidirect_product(_kernel_module(kind, G, p, n), G)
+    assert gamma.order <= TABLE_GUARD
+    element = st.integers(0, gamma.order - 1)
+    _check_semidirect(gamma, data.draw(st.lists(st.tuples(element, element), max_size=20)))

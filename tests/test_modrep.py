@@ -14,7 +14,6 @@ from defring.modrep import (
     RepresentationError,
     admissible_degree,
     d_basis,
-    dual_rep,
     end_rep,
     galois_module_rep,
     hensel_lift_rep,
@@ -268,7 +267,8 @@ def test_hensel_lift_identity_at_N1():
 def test_dual_of_standard_selfdual():
     G = symmetric_group(3)
     V = standard_perm_rep(G, 5).standard
-    Vd = dual_rep(V)
+    # the contragredient rho(g)^{-T}, with rho(g)^-1 read as rho(g^-1)
+    Vd = Representation(G, V.mats[G.inverse].transpose(0, 2, 1), V.p, V.N)
     assert hom_space(V, Vd).dimension == 1
 
 
