@@ -1,10 +1,12 @@
 """Time the numpy kernels on the workloads that dominate the pipeline.
 
 Mod-p elimination (random matrices, plus the H^2 d2 matrix of SD_16 and the
-tallest H^1 cocycle system of the acceptance battery), table-driven
-batched matrix products (oracle enumeration) and the construction of
-Gamma = K x| G for three of the largest battery instances.  Also times one
-end-to-end oracle enumeration.  Each row is the best of a few repeats.
+tallest H^1 system of the acceptance battery: the Fox-derivative rows of
+standard-d4p2's presentation), H^1 end to end on four of the largest
+battery instances, table-driven batched matrix products (oracle
+enumeration) and the construction of Gamma = K x| G for three of the largest
+battery instances.  Also times one end-to-end oracle enumeration.  Each row
+is the best of a few repeats.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -33,8 +35,9 @@ def bench(name, fn, repeat=3):
 
 def program_rank_inputs():
     """(label, matrix, p) of two matrices the program ranks: the d2 matrix of
-    direct H^2(SD_16, F_2) and the H^1 cocycle system of standard-d4p2, the
-    tallest one a certify of the acceptance battery builds."""
+    direct H^2(SD_16, F_2) and the H^1 Fox-derivative system of
+    standard-d4p2, the tallest one a certify of the acceptance battery
+    builds."""
     from defring import cohomology
     from defring.certify import assemble, parse_instance_name
     from defring.groups import twisted_frobenius_group
@@ -56,7 +59,7 @@ def program_rank_inputs():
     finally:
         kernels.rank_modp = saved
     system, p = max(ranked, key=lambda item: item[0].shape[0])
-    inputs.append(("standard-d4p2 H^1", system, p))
+    inputs.append(("standard-d4p2 H^1 Fox", system, p))
     return inputs
 
 
@@ -78,6 +81,15 @@ def main():
         rows, cols = a.shape
         bench(f"rank_modp {label} {rows}x{cols} mod {p}", lambda a=a, p=p: kernels.rank_modp(a, p))
 
+    print("== H^1(Gamma, End V) (cohomology.h1_dim) ==")
+    from defring.certify import assemble, parse_instance_name
+    from defring.cohomology import h1_dim
+    from defring.modrep import end_rep
+
+    for name in ("twisted-p3n2", "twisted-p5n1", "standard-d3p3", "standard-d4p2"):
+        M = end_rep(assemble(parse_instance_name(name)).rho_bar)
+        bench(f"h1_dim {name} (|Gamma| = {M.group.order})", lambda M=M: h1_dim(M))
+
     print("== table-driven batched matmul ==")
     from defring.localalg import nilpotent_socle_ring, truncated_polynomials
 
@@ -91,7 +103,7 @@ def main():
         )
 
     print("== Gamma construction (semidirect_product) ==")
-    from defring.certify import InstanceSpec, assemble, parse_instance_name
+    from defring.certify import InstanceSpec
     from defring.groups import semidirect_product
 
     for name in ("twisted-p3n2", "twisted-p5n1", "standard-d4p2"):

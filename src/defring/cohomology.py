@@ -1,9 +1,11 @@
-"""Group cohomology in low degrees via the normalized bar resolution.
+"""Group cohomology in low degrees: H^1 from a presentation, H^2 from the
+normalized bar resolution.
 
-H^1 is computed from crossed homomorphisms parametrized by their values on
-a generating set (the cocycle law on (element, generator) pairs propagates
-along the BFS spanning tree to all pairs, so the constraint system stays
-small).  H^2 uses the normalized bar complex directly when it is small, and
+H^1 is computed from the group's presentation (`FiniteGroup.relators`) by
+Fox calculus: a crossed homomorphism is free on the generators of the free
+group and descends to the group exactly when it vanishes on the relators, so
+Z^1 is the kernel of one block row per relator, not of a system over every
+element.  H^2 uses the normalized bar complex directly when it is small, and
 otherwise restricts to a Sylow p-subgroup: restriction is injective on
 cohomology with F_p-module coefficients, so vanishing upstairs follows
 exactly from vanishing on the Sylow subgroup.
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .groups import evaluate_words
 from .modrep import Representation
 
 DENSE_ENTRY_LIMIT = 25_000_000
@@ -32,39 +35,43 @@ def trivial_module(group, p: int) -> Representation:
     return Representation(group, mats, p, 1, validate=False)
 
 
-def h1_dim(M: Representation, gens: tuple[int, ...] | None = None) -> int:
+def h1_dim(M: Representation) -> int:
     """dim_k Z^1 - dim_k B^1 for crossed homs f(gh) = f(g) + g.f(h).
 
-    A crossed homomorphism is determined by its values on any generating
-    set; a 2-element one is probed for to keep the constraint system small.
+    Z^1 is the kernel of the Fox-derivative system of the presentation
+    `M.group.relators()`.  The unknowns are the values f(t) on the
+    distinguished generators t: a crossed hom on the free group on the t's
+    is any choice of them, and it descends to the group exactly when it
+    vanishes on the relators, as f(w r w^-1) = w.f(r) when r acts trivially
+    and so it then vanishes on their normal closure.  A word's value is its
+    element e and the block C with f(word) = C (f(t))_t; the word extended by
+    t has element e t and block C + M(e) in column block t.  A relator u = v
+    gives the rows C(u) - C(v) = f(u v^-1).  B^1 is the image of
+    m -> (t -> t.m - m), of rank rank [M(t) - I]_t.
     """
     if M.N != 1:
         raise CohomologyError("coefficients must be mod p")
     G, p, dm = M.group, M.p, M.degree
-    if gens is None:
-        if len(G.generators) > 2:
-            pair = G.probe_generating_pair()
-            gens = pair if pair is not None else G.generators
-        else:
-            gens = G.generators
-    ng = len(gens)
-    if ng == 0:
+    gens = G.generators
+    n_unk = len(gens) * dm
+    if n_unk == 0:
         return 0
-    order, parent, genidx = G.spanning_tree(gens)
-    n_unk = ng * dm
-    # coeff[e] expresses f(e) as a linear map of the generator values,
-    # through f(par s) = f(par) + par.f(s) along the spanning tree
-    coeff = np.zeros((G.order, dm, n_unk), dtype=np.int64)
-    for e in order[1:]:
-        par, gi = parent[e], genidx[e]
-        coeff[e] = coeff[par]
-        coeff[e][:, gi * dm : (gi + 1) * dm] += M.mats[par]
-        coeff[e] %= p
-    # rows (e, s, c): f(e s) - f(e) - e.f(s), e major, generators minor
-    blocks = coeff[G.table[:, list(gens)]] - coeff[:, None]
-    for gi in range(ng):
-        blocks[:, gi, :, gi * dm : (gi + 1) * dm] -= M.mats
-    system = (blocks % p).reshape(-1, n_unk)
+
+    def extend(value, t):
+        # entries stay below p times the word length; reduced once, below
+        e, block = value
+        block = block.copy()
+        block[:, t * dm : (t + 1) * dm] += M.mats[e]
+        return G.mul(e, gens[t]), block
+
+    rels = G.relators()
+    one = (0, np.zeros((dm, n_unk), dtype=np.int64))
+    values = evaluate_words([w for rel in rels for w in rel], range(len(gens)), extend, one)
+    lhs, lblocks = zip(*values[0::2])
+    rhs, rblocks = zip(*values[1::2])
+    if lhs != rhs:
+        raise CohomologyError("a relator does not hold in the group table")
+    system = (np.array(lblocks) - np.array(rblocks)).reshape(-1, n_unk) % p
     z1 = n_unk - kernels.rank_modp(system, p)
     fixed = np.vstack([(M.mats[s] - np.eye(dm, dtype=np.int64)) % p for s in gens])
     b1 = kernels.rank_modp(fixed, p)

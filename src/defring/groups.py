@@ -210,22 +210,14 @@ class FiniteGroup:
         return tuple(reversed(out))
 
     def element_order(self, e: int) -> int:
-        k, acc = 1, e
-        while acc != 0:
+        """The least k >= 1 with e^k = 1.  In a group it is at most the order;
+        a table whose powers of e never reach the identity raises."""
+        acc = e
+        for k in range(1, self.order + 1):
+            if acc == 0:
+                return k
             acc = self.mul(acc, e)
-            k += 1
-        return k
-
-    def element_orders(self) -> np.ndarray:
-        """Orders of all elements at once: every power e^k advances by one
-        table gather per step until each has returned to the identity."""
-        idx = np.arange(self.order)
-        acc, orders, k = idx, np.zeros(self.order, dtype=np.int64), 1
-        while True:
-            orders[(acc == 0) & (orders == 0)] = k
-            if orders.all():
-                return orders
-            acc, k = self.table[acc, idx], k + 1
+        raise GroupError(f"no power e^k with k <= {self.order} of element {e} is the identity")
 
     def closure(self, seeds) -> list[int]:
         seen = {0}
@@ -256,24 +248,6 @@ class FiniteGroup:
                 if self.generates(combo):
                     return combo
         return self.generators
-
-    def probe_generating_pair(self, max_checks: int = 300) -> tuple[int, int] | None:
-        """Cheap deterministic search for a 2-element generating set: pair a
-        maximal-order element with candidates in index order."""
-        if self.order == 1:
-            return None
-        orders = self.element_orders().tolist()
-        a = max(range(1, self.order), key=lambda e: (orders[e], -e))
-        checks = 0
-        for b in range(1, self.order):
-            if b == a:
-                continue
-            checks += 1
-            if checks > max_checks:
-                return None
-            if self.generates((a, b)):
-                return (a, b)
-        return None
 
     def subgroup(self, elements) -> tuple["FiniteGroup", list[int]]:
         """The subgroup on the given (closed) element set, re-indexed; also

@@ -1,6 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from defring import kernels
+from defring.certify import assemble, parse_instance_name
 from defring.cohomology import (
     BarComplex,
     CohomologyError,
@@ -12,6 +18,7 @@ from defring.cohomology import (
 )
 from defring.groups import (
     FiniteGroup,
+    PModule,
     pgl2,
     semidirect_product,
     symmetric_group,
@@ -242,3 +249,177 @@ def test_h2_s4_direct():
     S4 = symmetric_group(4)
     assert h2_dim(trivial_module(S4, 2), method="direct") == 2
     assert h2_dim(trivial_module(S4, 3), method="direct") == 0
+
+
+# -- H^1 from the presentation against references that do not use it --------
+
+BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]] + [
+    f"standard-d{d}p{p}" for d, p in [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]
+]
+CONTROLS = ["twisted-p2n1-scalar", "twisted-p2n2-commutative", "twisted-p3n1-commutative"]
+D1_ENTRY_LIMIT = 4_000_000  # keeps the dense d1 of a reference under 32 MB
+
+
+def _bar_h1(M):
+    """(dim C^1 - rank d1) - rank [M(g) - I]_g on the normalized bar complex."""
+    cx = BarComplex(M)
+    z1 = cx.dim_c1 - kernels.rank_modp(cx.d1_matrix(), M.p)
+    b1 = kernels.rank_modp((M.mats - np.eye(M.degree, dtype=np.int64)).reshape(-1, M.degree), M.p)
+    return z1 - b1
+
+
+@lru_cache(maxsize=None)
+def _permutation_group(name):
+    if name == "S3":
+        return symmetric_group(3)
+    if name == "S4":
+        return symmetric_group(4)
+    return alternating_4()
+
+
+@lru_cache(maxsize=None)
+def _gamma_pieces(piece):
+    """Gamma = K x| G from a twisted kernel module, a standard permutation
+    piece or a trivial action, with K mod p and End of the inflated
+    representations of G over F_p."""
+    kind, p, n = piece
+    if kind == "twisted":
+        K = twisted_kernel_module(p, n)
+        reps = [galois_module_rep(p, 1)]
+    elif kind == "standard":
+        V = standard_perm_rep(symmetric_group(3), p).standard
+        K = PModule(V.group, p, 1, V.gen_mats)
+        reps = [V]
+    else:  # no other relator family implies x_1 x_2 = x_2 x_1
+        K = PModule(symmetric_group(2), p, 1, [np.eye(2, dtype=np.int64)])
+        reps = []
+    gamma = semidirect_product(K, K.group)
+    quot = gamma.quotient_hom()
+    Kbar = Representation(K.group, K.mats % p, p, 1, validate=False)
+    return gamma, [Kbar.inflate(quot)] + [end_rep(V.inflate(quot)) for V in reps]
+
+
+def _regular_module(G, p):
+    """F_p[G] with G acting by left multiplication: a free module, on which
+    the normal subgroup K of K x| G acts nontrivially."""
+    n = G.order
+    g, h = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    mats = np.zeros((n, n, n), dtype=np.int64)
+    mats[g, G.table[g, h], h] = 1
+    return Representation(G, mats, p, 1)
+
+
+def _small_d1(order, degree):
+    """Whether the dense bar d1 has at most D1_ENTRY_LIMIT entries."""
+    return (order - 1) ** 3 * degree**2 <= D1_ENTRY_LIMIT
+
+
+def _regular_modules(G, p):
+    """[F_p[G]] if its bar d1 is small, else []."""
+    return [_regular_module(G, p)] if _small_d1(G.order, G.order) else []
+
+
+def _bar_sized(modules):
+    """The modules whose bar d1 is small."""
+    return [M for M in modules if _small_d1(M.group.order, M.degree)]
+
+
+PIECES = [
+    ("twisted", 2, 1), ("twisted", 2, 2), ("twisted", 3, 1),
+    ("standard", 2, 1), ("standard", 5, 1), ("trivial", 2, 1), ("trivial", 3, 1),
+]
+
+
+@st.composite
+def plain_group_modules(draw):
+    """A cyclic or permutation group on drawn distinguished generators (so
+    drawn Schreier relators) and an F_p-module over it."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["cyclic", "S3", "A4", "S4"]))
+    if kind == "cyclic":
+        n = draw(st.integers(2, 30))
+        gens = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3))
+        table = np.add.outer(np.arange(n), np.arange(n)) % n
+        base = FiniteGroup(table, [1])
+        G = FiniteGroup(table, gens if base.generates(gens) else gens + [1], name=f"C{n}")
+        return draw(st.sampled_from([trivial_module(G, p)] + _regular_modules(G, p)))
+    base = _permutation_group(kind)
+    picks = draw(st.lists(st.integers(1, base.order - 1), min_size=1, max_size=3))
+    if not base.generates(picks):
+        picks += list(base.generators)
+    G = FiniteGroup.from_permutations([tuple(base.action[e]) for e in picks], name=kind)
+    modules = [trivial_module(G, p)] + _regular_modules(G, p)
+    if G.action.shape[1] % p:
+        modules.append(end_rep(standard_perm_rep(G, p).standard))
+    return draw(st.sampled_from(_bar_sized(modules)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=plain_group_modules())
+def test_h1_matches_the_bar_complex_on_plain_groups(M):
+    assert h1_dim(M) == _bar_h1(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(piece=st.sampled_from(PIECES), p=st.sampled_from([2, 3, 5]), data=st.data())
+def test_h1_matches_the_bar_complex_on_semidirect_products(piece, p, data):
+    # K x| G through its split-extension presentation; coefficients trivial,
+    # regular, K mod p or End of an inflated representation
+    gamma, modules = _gamma_pieces(piece)
+    modules = [trivial_module(gamma, p)] + _regular_modules(gamma, p) + modules
+    M = data.draw(st.sampled_from(_bar_sized(modules)))
+    assert h1_dim(M) == _bar_h1(M)
+
+
+@pytest.mark.parametrize(
+    "piece",
+    [("twisted", 2, 1), ("standard", 2, 1), ("trivial", 2, 1), ("trivial", 3, 1)],
+    ids=lambda piece: "-".join(map(str, piece)),
+)
+def test_h1_of_the_regular_module_vanishes(piece):
+    # H^1(Gamma, F_p[Gamma]) = 0 by Shapiro's lemma, at every p
+    gamma, _ = _gamma_pieces(piece)
+    for p in (2, 3):
+        assert h1_dim(_regular_module(gamma, p)) == 0, p
+
+
+def _subgroup_from(G, elements, start=()):
+    """The subgroup generated by `start` and `elements`, adding a seed only
+    when it is not yet in the span."""
+    seeds = list(start)
+    span = set(G.closure(seeds))
+    for x in elements:
+        if x not in span:
+            seeds.append(x)
+            span = set(G.closure(seeds))
+    return seeds, span
+
+
+def _abelian_p_rank(G, p):
+    """dim Hom(G^ab, F_p) = log_p [G : [G, G] G^p], from the table alone."""
+    T, inv = G.table, G.inverse
+    aba = T[T, inv[:, None]]  # [a, b] -> a b a^-1
+    commutators = np.unique(T[aba, inv[None, :]])
+    seeds, _ = _subgroup_from(G, commutators.tolist())
+    powers = np.arange(G.order)
+    for _ in range(p - 1):
+        powers = T[powers, np.arange(G.order)]
+    _, below = _subgroup_from(G, np.unique(powers).tolist(), seeds)  # [G, G] G^p
+    assert G.order % len(below) == 0
+    index, rank = G.order // len(below), 0
+    while index % p == 0:
+        index, rank = index // p, rank + 1
+    assert index == 1
+    return rank
+
+
+@lru_cache(maxsize=None)
+def _instance_gamma(name):
+    return assemble(parse_instance_name(name)).gamma
+
+
+@pytest.mark.parametrize("name", BATTERY + CONTROLS)
+def test_h1_trivial_coefficients_is_hom_from_the_abelianization(name):
+    gamma = _instance_gamma(name)
+    for p in (2, 3, 5, 7):
+        assert h1_dim(trivial_module(gamma, p)) == _abelian_p_rank(gamma, p), p

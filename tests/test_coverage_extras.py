@@ -56,10 +56,3 @@ def test_guard_override_env(monkeypatch):
         enumerate_lifts(asm.rho_bar, A)
     monkeypatch.delenv("DEFRING_GUARD_OVERRIDE")
     assert len(enumerate_lifts(asm.rho_bar, A)) > 0
-
-
-def test_probe_generating_pair_s4():
-    G = symmetric_group(4)
-    pair = G.probe_generating_pair()
-    assert pair is not None
-    assert G.generates(pair)

@@ -215,12 +215,26 @@ def _orders_test_groups():
 
 def test_element_orders_match_element_order():
     for G in _orders_test_groups():
-        orders = G.element_orders()
-        assert orders.tolist() == [G.element_order(e) for e in range(G.order)], G.name
-        # the probe's maximal-order element is the one the per-element orders pick
-        pair = G.probe_generating_pair()
-        a = max(range(1, G.order), key=lambda e: (G.element_order(e), -e))
-        assert pair is None or pair[0] == a
+        for e in range(G.order):
+            k, acc = 1, e
+            while acc != 0:
+                acc, k = G.mul(acc, e), k + 1
+            assert G.element_order(e) == k, (G.name, e)
+
+
+class _TrustedTable(FiniteGroup):
+    """A table taken as given, without the group check."""
+
+    def _validate_table(self):
+        pass
+
+
+def test_element_order_raises_on_a_non_group_table():
+    # 0 is the identity and 1 generates, but the powers of 1 are 1, 2, 2, ...
+    table = np.array([[0, 1, 2], [1, 2, 0], [2, 2, 1]])
+    G = _TrustedTable(table, [1])
+    with pytest.raises(GroupError, match="identity"):
+        G.element_order(1)
 
 
 def test_intercalate_swapped_cyclic_table_rejected():
