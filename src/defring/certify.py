@@ -31,7 +31,7 @@ import numpy as np
 
 from .cohomology import h1_dim
 from .exactalg import PrecisionError, pval, solve_module
-from .groups import FiniteGroup, GroupError, PModule, SemidirectGroup, pgl2, semidirect_product, symmetric_group, twisted_frobenius_group
+from .groups import FiniteGroup, GroupError, PModule, SemidirectGroup, pgl2, semidirect_product, symmetric_group, twisted_frobenius_group, violated_relators
 from .localalg import AlgebraError, AlgMatrix, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
 from .modrep import (
     Representation,
@@ -391,66 +391,61 @@ class RhoR:
 
     asm: Assembly
     alpha: AlphaMap
-    wpart: np.ndarray  # (|Gamma|, d, d) mod p^N
-    tpart: np.ndarray  # (|Gamma|, d, d) mod p^n
     faithful: bool
     order_checks_passed: bool
 
+    def at(self, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """rho_R(e) for e = (k, g) as its two coordinates in R:
+        (rho_W(g) mod p^N, alpha(k) rho_W(g) mod p^n)."""
+        kvec, g = self.asm.gamma.decode(e)
+        w = self.asm.rho_w.mats[g]
+        return w, self.alpha.of_vec(kvec) @ w % self.asm.p**self.asm.n
+
     def generator_matrices(self) -> list[AlgMatrix]:
-        R = self.asm.ring
         out = []
         for g in self.asm.gamma.generators:
-            d = self.wpart.shape[1]
-            rows = [
-                [(int(self.wpart[g, i, j]), int(self.tpart[g, i, j])) for j in range(d)]
-                for i in range(d)
-            ]
-            out.append(AlgMatrix.from_rows(R, rows))
+            w, t = self.at(g)
+            rows = [[(int(a), int(b)) for a, b in zip(w_row, t_row)] for w_row, t_row in zip(w, t)]
+            out.append(AlgMatrix.from_rows(self.asm.ring, rows))
         return out
 
 
 def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
+    """Check rho_R(k, g) = (1 + t alpha(k)) rho_W(g) on Gamma's generators.
+
+    A value w + t u of rho_R is kept as the pair (w mod p^N, u mod p^n); as
+    t^2 = p^n t = 0, pairs multiply by (w1, u1)(w2, u2) = (w1 w2, w1 u2 + u1 w2).
+    The generators x_i = (e_i, 1) and y_s = (0, s) of Gamma's presentation
+    (`FiniteGroup.relators`) go to (1, alpha(e_i)) and (rho_W(s), 0).  If
+    every relator holds there, von Dyck's theorem gives a homomorphism, and
+    it is rho_R: (k, g) is X(k) times a word in the y's, and it goes to
+    (1, alpha(k)) (rho_W(g), 0), as alpha is additive and rho_W (validated
+    when it was built) multiplicative.  The relators y_s x_i = X(s.e_i) y_s
+    say rho_W(s) alpha(e_i) = alpha(s.e_i) rho_W(s), which is the
+    equivariance of alpha; G's relators check rho_W on the y's.
+
+    rho_R(k, g) = 1 exactly when rho_W(g) = 1 and alpha(k) rho_W(g) = 0, that
+    is alpha(k) = 0, so rho_R is faithful exactly when rho_W is faithful and
+    alpha injective; neither needs a listing of Gamma.
+    """
     p, n, N = asm.p, asm.n, asm.N
     mN, mn = p**N, p**n
-    gamma, K, G = asm.gamma, asm.K, asm.G
     d = asm.rho_w.degree
-    order = gamma.order
-    # equivariance of alpha on the generators of G; K and rho_W are actions,
-    # so it then holds on every group element
-    for s in G.generators:
-        rho_s = asm.rho_w.mats[s] % mn
-        inv_s = asm.rho_w.mats[G.inverse[s]] % mn
-        for kv in K.basis_vectors():
-            lhs = alpha.of_vec(K.act(s, kv))
-            rhs = rho_s @ alpha.of_vec(kv) @ inv_s % mn
-            if (lhs % mn != rhs % mn).any():
-                raise CertifyError(f"alpha fails equivariance at group generator {s}")
-    # element e = (k, g) has index k |G| + g, so both parts are blocks over
-    # (k, g) pairs: w = rho_W(g) and alpha(k) w
-    w = asm.rho_w.mats
-    wpart = np.tile(w % mN, (K.size, 1, 1))
-    kvecs = K.vectors()
-    alpha_k = alpha.of_vecs(kvecs)
-    tpart = (alpha_k[:, None] @ w[None] % mn).reshape(order, d, d)
-    # homomorphism in the two coordinates of R: the identity at element 0
-    # and rho_R(e) rho_R(s) = rho_R(es) for every e and generator s of Gamma,
-    # which covers all pairs (FiniteGroup.extend)
     eye = np.eye(d, dtype=np.int64)
-    if (wpart[0] != eye).any() or tpart[0].any():
-        raise CertifyError("rho_R does not map the identity to 1")
-    table = gamma.table
-    w_mn = wpart % mn
-    bad = np.zeros(order, dtype=bool)
-    for s in gamma.generators:
-        rows = table[:, s]
-        w_prod = wpart @ wpart[s] % mN
-        t_prod = (w_mn @ tpart[s] + tpart @ w_mn[s]) % mn
-        bad |= (w_prod != wpart[rows]).any(axis=(1, 2))
-        bad |= (t_prod != tpart[rows]).any(axis=(1, 2))
-    if bad.any():
-        raise CertifyError(f"rho_R fails multiplicativity at element {int(np.argmax(bad))}")
-    is_ident = (wpart == eye).all(axis=(1, 2)) & (tpart == 0).all(axis=(1, 2))
-    faithful = np.nonzero(is_ident)[0].tolist() == [0]
+    zero = np.zeros((d, d), dtype=np.int64)
+
+    def mul(a, b):
+        return a[0] @ b[0] % mN, (a[0] @ b[1] + a[1] @ b[0]) % mn
+
+    gen_values = [(eye, alpha.of_vec(e)) for e in asm.K.basis_vectors()]
+    gen_values += [(asm.rho_w.mats[s], zero) for s in asm.G.generators]
+    bad = violated_relators(asm.gamma, gen_values, mul, (eye, zero))
+    if bad:
+        u, v = bad[0]
+        raise CertifyError(f"rho_R fails the relator {u} = {v} of Gamma's presentation")
+    kvecs = asm.K.vectors()
+    alpha_k = alpha.of_vecs(kvecs)  # row 0 is alpha(0) = 0
+    faithful = asm.rho_w.is_faithful() and bool(alpha_k[1:].any(axis=(1, 2)).all())
     # order identities on the kernel: (1 + t alpha(k))^m = 1 + m t alpha(k),
     # so the matrix order of rho_R(k, 1) equals the additive order of k
     orders_ok = True
@@ -466,7 +461,7 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
             mat_order += 1
         if add_order != mat_order:
             orders_ok = False
-    return RhoR(asm, alpha, wpart, tpart, faithful, orders_ok)
+    return RhoR(asm, alpha, faithful, orders_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -493,91 +488,79 @@ def exp_lift_on_kernel(
     cyclic generators over the same ring; p = 2, n = 1: the same formula
     over W[[t]]/(2t^2, t^3, 2t + a t^2) where a satisfies
     alpha_bar(g)^2 = a alpha_bar(g) for all g.
+
+    The checks run on the basis e_1..e_r of K.  The commutator of alpha(u)
+    and alpha(v) is bilinear in (u, v), so basis pairs decide that the
+    reduced image commutes.  rho' is a homomorphism exactly when rho'(0) = 1
+    and rho'(k) rho'(e_i) = rho'(k + e_i) for every k and i, by the
+    induction in `FiniteGroup.extend`.
     """
     p, n, d = alpha.p, alpha.n, alpha.d
-    mn = p**n
-    mats = {k: alpha.of_vec(k) for k in _kernel_elements(K)}
-    for u, au in mats.items():
-        for v, av in mats.items():
-            if ((au @ av) % p != (av @ au) % p).any():
-                raise CertifyError("exp lift requires a commutative reduced image")
+    mn, m = p**n, K.modulus
+    basis = K.basis_vectors()
+    if any(_noncommuting(alpha, u, v) for u in basis for v in basis):
+        raise CertifyError("exp lift requires a commutative reduced image")
 
+    # each variant gives the coefficients (c1, c2) of rho' = 1 + c1 t + c2 t^2
+    # as functions of a = alpha(k)
+    cyclic = p == 2 and n >= 2
     if p != 2:
         ring = make_ring_Rprime(p, n, N)
         variant = "odd-exponential"
         inv2 = pow(2, -1, p)
 
-        def rho(k):
-            a = mats[k] % mn
-            abar = mats[k] % p
-            sq = (abar @ abar * inv2) % p
-            rows = [
-                [
-                    ((1 if i == j else 0), int(a[i, j]), int(sq[i, j]))
-                    for j in range(d)
-                ]
-                for i in range(d)
-            ]
-            return AlgMatrix.from_rows(ring, rows)
+        def coeffs(a):
+            return a % mn, (a % p) @ (a % p) * inv2 % p
 
-    elif n >= 2:
+    elif cyclic:
         ring = make_ring_Rprime(2, n, N)
         variant = "even-cyclic"
 
-        def rho(k):
-            a = mats[k] % mn
-            rows = [
-                [((1 if i == j else 0), int(a[i, j]), 0) for j in range(d)]
-                for i in range(d)
-            ]
-            return AlgMatrix.from_rows(ring, rows)
+        def coeffs(a):
+            return a % mn, 0 * a
 
     else:
         if a_hat is None:
             raise CertifyError("p = 2, n = 1 lift needs the scalar a with abar^2 = a*abar")
-        for k, ak in mats.items():
-            abar = ak % 2
-            if ((abar @ abar) % 2 != (a_hat * abar) % 2).any():
-                raise CertifyError("scalar clause fails for the supplied a")
+        if any(_violates_scalar(alpha, k, a_hat) for k in _kernel_elements(K)):
+            raise CertifyError("scalar clause fails for the supplied a")
         ring = make_ring_Rprime_2_1(a_hat, N)
         variant = "even-n1-clause"
 
-        def rho(k):
-            abar = mats[k] % 2
-            rows = [
-                [((1 if i == j else 0), int(abar[i, j]), 0) for j in range(d)]
-                for i in range(d)
-            ]
-            return AlgMatrix.from_rows(ring, rows)
+        def coeffs(a):
+            return a % 2, 0 * a
 
+    def lift(k):
+        c1, c2 = coeffs(alpha.of_vec(k))
+        rows = [[(int(i == j), int(c1[i, j]), int(c2[i, j])) for j in range(d)] for i in range(d)]
+        return AlgMatrix.from_rows(ring, rows)
+
+    def plus(u, v):
+        return tuple((a + b) % m for a, b in zip(u, v))
+
+    basis_images = [lift(e) for e in basis]
     images = {}
-    for k in _kernel_elements(K):
-        if p == 2 and n >= 2:
-            # defined on cyclic generators and extended multiplicatively
-            img = AlgMatrix.identity(ring, d)
-            for i, c in enumerate(k):
-                basis_img = rho(K.basis_vectors()[i])
-                for _ in range(c):
-                    img = img @ basis_img
-            images[k] = img
+    for k in _kernel_elements(K):  # encoding order: k - e_j comes before k
+        if cyclic and any(k):
+            # defined on cyclic generators, rho'(k) = prod_i rho'(e_i)^k_i:
+            # rho'(k - e_j) rho'(e_j) for the last j with k_j != 0
+            j = max(i for i, c in enumerate(k) if c)
+            images[k] = images[k[:j] + (k[j] - 1,) + k[j + 1 :]] @ basis_images[j]
         else:
-            images[k] = rho(k)
-    verified = True
-    Ka = K
-    madd = mn
-    for u in _kernel_elements(Ka):
-        for v in _kernel_elements(Ka):
-            s = tuple((a + b) % madd for a, b in zip(u, v))
-            if images[u] @ images[v] != images[s]:
-                verified = False
+            images[k] = lift(k)
+    verified = images[(0,) * K.rank] == AlgMatrix.identity(ring, d) and all(
+        images[k] @ image_e == images[plus(k, e)]
+        for k in images
+        for e, image_e in zip(basis, basis_images)
+    )
     orders = None
-    if p == 2 and n >= 2:
+    if cyclic:
         orders = True
-        for k in _kernel_elements(Ka):
+        for k in images:
             add_order = 1
             acc = k
             while any(acc):
-                acc = tuple((a + b) % madd for a, b in zip(acc, k))
+                acc = plus(acc, k)
                 add_order += 1
             if images[k].order() != add_order:
                 orders = False

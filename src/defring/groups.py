@@ -13,9 +13,9 @@ such data only has to compare e*s for every element e and generator s.
 `FiniteGroup.relators` gives a presentation on the distinguished generators:
 the Schreier relators of the spanning tree, or for K x| G the split-extension
 presentation built from G's relators and the action on K.  By von Dyck's
-theorem, generator values that satisfy every relator (`evaluate_words`
-evaluates them, one product per distinct word prefix) extend to a
-homomorphism.
+theorem, generator values that satisfy every relator extend to a
+homomorphism; `violated_relators` checks them, evaluating the words with
+`evaluate_words` at one product per distinct word prefix.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class FiniteGroup:
         self.name = name
         self.action = None if action is None else np.asarray(action, dtype=np.int64)
         self._trees: dict[tuple[int, ...], tuple] = {}
+        self._relators = None
         self._validate_table()
         self.inverse = self._inverse_table()
         self.spanning_tree()  # the distinguished generators must generate
@@ -168,12 +169,16 @@ class FiniteGroup:
             values[e] = mul(values[parent[e]], gen_values[genidx[e]])
         return values
 
-    def relators(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def relators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """A presentation on the distinguished generators, as pairs (u, v) of
         words (tuples of generator indices, multiplied left to right) with
-        u = v in the group.
+        u = v in the group; built once by `_presentation` and cached."""
+        if self._relators is None:
+            self._relators = tuple(self._presentation())
+        return self._relators
 
-        These are the Schreier relators of the spanning tree: word(e) t =
+    def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The Schreier relators of the spanning tree: word(e) t =
         word(e t) for every element e and generator index t off the tree
         (on tree edges the two words coincide).  Values v(e) of the words
         satisfying them have v(e) v(t) = v(e t) for all e and t, so they are
@@ -312,7 +317,7 @@ class FiniteGroup:
         return self.subgroup(current)
 
     def table_hash(self) -> str:
-        h = hashlib.sha256(self.table.astype("<i8").tobytes())
+        h = hashlib.sha256(np.ascontiguousarray(self.table, "<i8"))
         return h.hexdigest()[:16]
 
     def to_json_dict(self) -> dict:
@@ -616,7 +621,7 @@ class SemidirectGroup(FiniteGroup):
         generator matrices and g.(s.v) = (gs).v for every element g and
         generator s, which makes the action a homomorphism
         (FiniteGroup.extend).  Left to check: K is a module over this G."""
-        if self.kmod.group is not self.gq and self.kmod.group.table_hash() != self.gq.table_hash():
+        if self.kmod.group is not self.gq and not np.array_equal(self.kmod.group.table, self.gq.table):
             raise GroupError("module must be over the same group")
 
     def _inverse_table(self):
@@ -635,7 +640,7 @@ class SemidirectGroup(FiniteGroup):
     def quotient_hom(self) -> GroupHom:
         return GroupHom(self, self.gq, np.arange(self.order) % self.gq.order)
 
-    def relators(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The presentation of the split extension on x_i = (e_i, 1)
         (generator index i < r = rank K) and y_s = (0, s) (index r + j for
         the j-th generator s of G):
@@ -688,6 +693,18 @@ def evaluate_words(words, gen_values, mul, one) -> list:
             node = child
         out.append(values[node])
     return out
+
+
+def violated_relators(group: FiniteGroup, gen_values, mul, one) -> list:
+    """The relators (u, v) of `group.relators()` whose words take different
+    values on `gen_values` (gen_values[t] for generator index t, multiplied
+    by `mul` from `one`).  None are violated exactly when the generator
+    values extend to a homomorphism (von Dyck's theorem)."""
+    rels = group.relators()
+    values = evaluate_words([w for rel in rels for w in rel], gen_values, mul, one)
+    return [
+        rel for rel, lhs, rhs in zip(rels, values[0::2], values[1::2]) if not np.array_equal(lhs, rhs)
+    ]
 
 
 # ---------------------------------------------------------------------------

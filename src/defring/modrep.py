@@ -107,7 +107,7 @@ class Representation:
 
     def inflate(self, hom: GroupHom) -> "Representation":
         """Pull back along a surjection source ->> this group."""
-        if hom.target is not self.group and hom.target.table_hash() != self.group.table_hash():
+        if hom.target is not self.group and not np.array_equal(hom.target.table, self.group.table):
             raise RepresentationError("homomorphism target mismatch")
         return Representation(
             hom.source, self.mats[hom.images], self.p, self.N, validate=False

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .certify import Assembly, RhoR
-from .groups import evaluate_words
+from .groups import violated_relators
 from .localalg import ArtinLocalAlgebra, count_homs_from_R, reduction_kernel_matrices
 from .modrep import Representation
 
@@ -164,7 +164,7 @@ def _assert_full_table(lifts, rho_bar, A):
 
     1. extend the lift along the spanning tree of its generators to values
        M on all of Gamma;
-    2. check every relator of Gamma's presentation (`FiniteGroup.relators`)
+    2. check every relator of Gamma's presentation (`violated_relators`)
        on the values M[t] at the distinguished generators t.  By von Dyck's
        theorem there is then a homomorphism phi with phi(t) = M[t];
     3. phi(e) is the product of the M[t] along word(e), that is, the
@@ -193,11 +193,10 @@ def _assert_full_table(lifts, rho_bar, A):
     one = np.broadcast_to(_identity(A, d), (B, d, d)).copy()
     M = np.stack(group.extend(gen_blocks, matmul, one, gens))
     at_gens = [M[t] for t in group.generators]
-    rels = group.relators()
-    values = evaluate_words([w for rel in rels for w in rel], at_gens, matmul, one)
-    for (u, v), lhs, rhs in zip(rels, values[0::2], values[1::2]):
-        if (lhs != rhs).any():
-            raise OracleError(f"lift is not a homomorphism: relator {u} = {v} fails")
+    bad = violated_relators(group, at_gens, matmul, one)
+    if bad:
+        u, v = bad[0]
+        raise OracleError(f"lift is not a homomorphism: relator {u} = {v} fails")
     if (np.stack(group.extend(at_gens, matmul, one)) != M).any():
         raise OracleError(
             "lift is not a homomorphism: its extension differs from the one "
@@ -330,20 +329,14 @@ def functor_compare(
     lifts = enumerate_lifts(rho_bar, A, gens)
     classes = deformation_classes(rho_bar, A, lifts)
     homs = count_homs_from_R(n, A)
+    # rho_R at the generators, entrywise (w, t) for w + t x under t -> x
+    entries = [list(zip(w.ravel().tolist(), t.ravel().tolist())) for w, t in map(rho_r.at, gens)]
     hom_to_class = []
     for x in homs:
-        images = []
-        for s in gens:
-            d = rho_r.wpart.shape[1]
-            img = []
-            for i in range(d):
-                for j in range(d):
-                    a = int(rho_r.wpart[s, i, j])
-                    b = int(rho_r.tpart[s, i, j])
-                    val = A.add(A.from_int(a), A.smul(b, x))
-                    img.append(A.encode(val))
-            images.append(tuple(img))
-        key = tuple(images)
+        key = tuple(
+            tuple(A.encode(A.add(A.from_int(a), A.smul(b, x))) for a, b in gen_entries)
+            for gen_entries in entries
+        )
         if key not in classes.class_of:
             raise OracleError("pushed-forward lift is not among the enumerated lifts")
         hom_to_class.append(classes.class_of[key])

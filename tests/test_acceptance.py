@@ -155,7 +155,7 @@ def test_criterion_6_order_identities():
         for code in range(1, K.size):
             kv = K.decode(code)
             e = asm.gamma.encode(kv, 0)
-            t1 = rho_r.tpart[e]
+            _, t1 = rho_r.at(e)
             order4 = any(c % 2 for c in kv)
             sq = (2 * t1) % 4
             if order4:

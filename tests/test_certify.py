@@ -135,7 +135,7 @@ def test_build_rho_R_faithful_s4():
     # t -> 0 specialization recovers rho_W composed with the quotient
     for e in range(asm.gamma.order):
         _, g = asm.gamma.decode(e)
-        assert (rho.wpart[e] == asm.rho_w.mats[g]).all()
+        assert (rho.at(e)[0] == asm.rho_w.mats[g]).all()
 
 
 def test_rho_R_kernel_orders_p2n2():

@@ -1,20 +1,34 @@
-"""Homomorphism checks on (element, generator) pairs.
+"""Homomorphism checks on generators instead of all pairs.
 
-Representation.validate, PModule, GroupHom and build_rho_R compare e*s for
-every element e and generator s only; FiniteGroup.extend states why that
-covers all pairs.  These tests corrupt valid data away from the generators,
-where an all-pairs check would obviously notice, and compare the narrowed
-checks with the all-pairs predicate they replace.
+Representation.validate, PModule and GroupHom compare e*s for every element e
+and generator s only; FiniteGroup.extend states why that covers all pairs.
+build_rho_R checks the relators of Gamma's presentation on the images of
+Gamma's generators.  These tests corrupt valid data, away from the
+generators where an all-pairs check would obviously notice, and compare the
+narrowed checks with the all-pairs or full-table predicate they replace.
 """
+
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defring import kernels
-from defring.certify import AlphaMap, CertifyError, InstanceSpec, assemble, build_rho_R, find_alpha
-from defring.groups import GroupError, GroupHom, symmetric_group, twisted_frobenius_group
+from defring.certify import (
+    AlphaMap,
+    CertifyError,
+    InstanceSpec,
+    assemble,
+    build_rho_R,
+    exp_lift_on_kernel,
+    find_alpha,
+    parse_instance_name,
+)
+from defring.groups import GroupError, GroupHom, PModule, symmetric_group, twisted_frobenius_group
+from defring.localalg import AlgMatrix, make_ring_Rprime, make_ring_Rprime_2_1
 from defring.modrep import Representation, RepresentationError, galois_module_rep, standard_perm_rep
 
 
@@ -89,21 +103,87 @@ def test_build_rho_R_rejects_non_equivariant_alpha():
     alpha = find_alpha(asm).alpha
     H = alpha.matrix.copy()
     H[0, 0] = (H[0, 0] + 1) % 2
-    with pytest.raises(CertifyError, match="equivariance"):
+    with pytest.raises(CertifyError, match="relator"):
         build_rho_R(asm, AlphaMap(alpha.p, alpha.n, alpha.d, alpha.rank, H))
 
 
-def test_build_rho_R_rejects_a_deep_non_multiplicative_lift():
-    # rho_W corrupted away from the generators of G: alpha stays equivariant
-    # on the generators, so only the multiplicativity check can see it
+def test_build_rho_R_rejects_a_rho_W_generator_breaking_a_relator():
+    # one entry of one generator image of rho_W shifted: its extension over G
+    # is no homomorphism, so a relator of G fails on the y_s of Gamma.  A
+    # corruption of rho_W away from the generators is caught by rho_W's own
+    # validation (test_validate_catches_a_deep_corruption), which assemble runs.
     asm = assemble(InstanceSpec("standard", 5, 1, d=2))
     alpha = find_alpha(asm).alpha
-    e = _deepest(asm.G)
-    mats = asm.rho_w.mats.copy()
-    mats[e, 0, 1] = (mats[e, 0, 1] + 5) % asm.rho_w.modulus
-    asm.rho_w = Representation(asm.G, mats, asm.p, asm.N, validate=False)
-    with pytest.raises(CertifyError, match="multiplicativity"):
+    gen_mats = [asm.rho_w.mats[s].copy() for s in asm.G.generators]
+    gen_mats[0][0, 1] = (gen_mats[0][0, 1] + 5) % asm.rho_w.modulus
+    asm.rho_w = Representation.from_generator_images(asm.G, gen_mats, asm.p, asm.N, validate=False)
+    with pytest.raises(RepresentationError):
+        asm.rho_w.validate()
+    with pytest.raises(CertifyError, match="relator"):
         build_rho_R(asm, alpha)
+
+
+def _table_check(asm, alpha) -> tuple[bool, bool]:
+    """The full-table check build_rho_R replaced: rho_R(k, g) = (1 + t alpha(k))
+    rho_W(g) listed over all of Gamma as (w mod p^N, t mod p^n) pairs, the
+    identity at element 0 and rho_R(e) rho_R(s) = rho_R(es) for every element
+    e and generator s of Gamma.  Returns (passes, faithful), faithful read off
+    the listing."""
+    p, n, N = asm.p, asm.n, asm.N
+    mN, mn = p**N, p**n
+    gamma, K, d = asm.gamma, asm.K, asm.rho_w.degree
+    w = asm.rho_w.mats
+    wpart = np.tile(w % mN, (K.size, 1, 1))  # element (k, g) has index k |G| + g
+    tpart = (alpha.of_vecs(K.vectors())[:, None] @ w[None] % mn).reshape(gamma.order, d, d)
+    eye = np.eye(d, dtype=np.int64)
+    is_ident = (wpart == eye).all(axis=(1, 2)) & (tpart == 0).all(axis=(1, 2))
+    faithful = np.nonzero(is_ident)[0].tolist() == [0]
+    w_mn = wpart % mn
+    passes = bool(is_ident[0]) and all(
+        (wpart @ wpart[s] % mN == wpart[gamma.table[:, s]]).all()
+        and ((w_mn @ tpart[s] + tpart @ w_mn[s]) % mn == tpart[gamma.table[:, s]]).all()
+        for s in gamma.generators
+    )
+    return passes, faithful
+
+
+@lru_cache(maxsize=None)
+def _certified(name):
+    asm = assemble(parse_instance_name(name))
+    return asm, find_alpha(asm).alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["twisted-p2n1", "twisted-p3n1", "standard-d2p5"]),
+    target=st.sampled_from(["alpha", "scale", "rho_W"]),
+    where=st.integers(0, 10_000),
+    shift=st.integers(0, 10_000),
+)
+def test_build_rho_R_agrees_with_the_table_check(name, target, where, shift):
+    asm, alpha = _certified(name)
+    p, n, N, d = asm.p, asm.n, asm.N, asm.rho_w.degree
+    H = alpha.matrix.copy()
+    gen_mats = [asm.rho_w.mats[s].copy() for s in asm.G.generators]
+    if target == "alpha":  # one entry of alpha's matrix shifted (by 0: no corruption)
+        i, j = divmod(where % H.size, H.shape[1])
+        H[i, j] = (H[i, j] + shift) % p**n
+    elif target == "scale":  # c alpha stays equivariant, injective only for p not dividing c
+        H = H * shift % p**n
+    else:  # one entry of one generator image of rho_W shifted
+        g, entry = divmod(where % (len(gen_mats) * d * d), d * d)
+        i, j = divmod(entry, d)
+        gen_mats[g][i, j] = (gen_mats[g][i, j] + shift) % p**N
+    rho_w = Representation.from_generator_images(asm.G, gen_mats, p, N, validate=False)
+    corrupted = replace(asm, rho_w=rho_w)
+    bad_alpha = AlphaMap(p, n, d, alpha.rank, H)
+    passes, faithful = _table_check(corrupted, bad_alpha)
+    try:
+        rho_r = build_rho_R(corrupted, bad_alpha)
+    except CertifyError:
+        assert not passes
+    else:
+        assert passes and rho_r.faithful == faithful
 
 
 _REPS = {
@@ -145,3 +225,66 @@ def test_validate_agrees_with_all_pairs(name, element, entry, replace, value):
     except RepresentationError:
         raised = True
     assert raised == (not _all_pairs_valid(G, mats, V.p, m))
+
+
+def _exp_lift_all_pairs(K, alpha, N, a_hat):
+    """The |K|^2 checks exp_lift_on_kernel replaced, on the lift its
+    docstring defines: (the reduced alpha-image commutes, the scalar clause
+    holds, rho'(u) rho'(v) = rho'(u + v) for all u, v)."""
+    p, n, d = alpha.p, alpha.n, alpha.d
+    mn, m = p**n, K.modulus
+    elems = [K.decode(c) for c in range(K.size)]
+    bar = {k: alpha.of_vec(k) % p for k in elems}
+    commutes = all((bar[u] @ bar[v] % p == bar[v] @ bar[u] % p).all() for u in elems for v in elems)
+    clause = (p, n) != (2, 1) or all((bar[k] @ bar[k] % 2 == a_hat * bar[k] % 2).all() for k in elems)
+    if p != 2:
+        ring = make_ring_Rprime(p, n, N)
+        t2 = {k: bar[k] @ bar[k] * pow(2, -1, p) % p for k in elems}
+    else:
+        ring = make_ring_Rprime(2, n, N) if n >= 2 else make_ring_Rprime_2_1(a_hat, N)
+        t2 = {k: 0 * bar[k] for k in elems}
+    t1 = {k: alpha.of_vec(k) % mn if n >= 2 or p != 2 else bar[k] for k in elems}
+    images = {
+        k: AlgMatrix.from_rows(
+            ring, [[(int(i == j), int(t1[k][i, j]), int(t2[k][i, j])) for j in range(d)] for i in range(d)]
+        )
+        for k in elems
+    }
+    if p == 2 and n >= 2:  # on cyclic generators, multiplied in basis order
+        basis = K.basis_vectors()
+        for k in elems:
+            img = AlgMatrix.identity(ring, d)
+            for e, c in zip(basis, k):
+                for _ in range(c):
+                    img = img @ images[e]
+            images[k] = img
+    verified = all(
+        images[u] @ images[v] == images[tuple((a + b) % m for a, b in zip(u, v))]
+        for u in elems
+        for v in elems
+    )
+    return commutes, clause, verified
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pn=st.sampled_from([(2, 1), (2, 2), (3, 1)]),
+    entries=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+    a_hat=st.integers(0, 1),
+)
+# alpha(e_1) and alpha(e_2) = 1 both idempotent: the clause holds for a = 1,
+# the image commutes, and rho'(e_1) rho'(e_2) != rho'(e_1 + e_2)
+@example(pn=(2, 1), entries=[0, 1, 0, 0, 1, 0, 1, 1], a_hat=1)
+def test_exp_lift_agrees_with_all_pairs(pn, entries, a_hat):
+    # alpha on a rank-2 kernel (the action is not read) into 2 x 2 matrices
+    p, n = pn
+    G = symmetric_group(3)
+    K = PModule(G, p, n, [np.eye(2, dtype=np.int64)] * len(G.generators))
+    alpha = AlphaMap(p, n, 2, 2, np.array(entries, dtype=np.int64).reshape(4, 2) % p**n)
+    commutes, clause, verified = _exp_lift_all_pairs(K, alpha, n + 2, a_hat)
+    try:
+        report = exp_lift_on_kernel(K, alpha, n + 2, a_hat=a_hat)
+    except CertifyError:
+        assert not (commutes and clause)
+    else:
+        assert commutes and clause and report.verified == verified

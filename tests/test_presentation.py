@@ -12,6 +12,7 @@ from defring.groups import (
     semidirect_product,
     symmetric_group,
     twisted_frobenius_group,
+    violated_relators,
 )
 
 BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]] + [
@@ -20,17 +21,10 @@ BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 
 CONTROLS = ["twisted-p2n1-scalar", "twisted-p2n2-commutative", "twisted-p3n1-commutative"]
 
 
-def _violated(group, values, mul, one):
-    """Indices of the relators of `group` that fail on the generator values."""
-    rels = group.relators()
-    words = evaluate_words([w for rel in rels for w in rel], values, mul, one)
-    return [i for i in range(len(rels)) if np.any(words[2 * i] != words[2 * i + 1])]
-
-
 @pytest.mark.parametrize("name", BATTERY + CONTROLS)
 def test_relators_hold_in_the_table_backed_gamma(name):
     gamma = assemble(parse_instance_name(name)).gamma
-    assert _violated(gamma, gamma.generators, gamma.mul, 0) == []
+    assert violated_relators(gamma, gamma.generators, gamma.mul, 0) == []
 
 
 @pytest.mark.parametrize(
@@ -40,7 +34,19 @@ def test_schreier_relators_hold(group):
     rels = group.relators()
     # one relator per edge of the Cayley graph off the spanning tree
     assert len(rels) == group.order * len(group.generators) - (group.order - 1)
-    assert _violated(group, group.generators, group.mul, 0) == []
+    assert violated_relators(group, group.generators, group.mul, 0) == []
+
+
+def test_violated_relators_names_the_failing_relators():
+    G = symmetric_group(4)
+    rels = G.relators()
+    assert G.relators() is rels  # built once per group
+    transposition, cycle = G.generators
+    bad = violated_relators(G, [cycle, transposition], G.mul, 0)  # images swapped
+    assert bad and set(bad) <= set(rels)
+    for u, v in bad:
+        lhs, rhs = evaluate_words([u, v], [cycle, transposition], G.mul, 0)
+        assert lhs != rhs
 
 
 def test_evaluate_words_multiplies_left_to_right_sharing_prefixes():
