@@ -1,6 +1,7 @@
 """Certification that the universal deformation ring is W[[t]]/(p^n t, t^2).
 
-For an instance Gamma = K x| G with kernel module K and mod-p representation
+For an instance Gamma = K x| G with kernel module K (a `Representation` of G
+over Z/p^n; for the standard family K is V itself) and mod-p representation
 V inflated from G, the certificate records the finite checks that pin the
 deformation ring down:
 
@@ -25,13 +26,12 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
 from .cohomology import h1_dim
 from .exactalg import PrecisionError, pval, solve_module
-from .groups import FiniteGroup, GroupError, PModule, SemidirectGroup, pgl2, semidirect_product, symmetric_group, twisted_frobenius_group, violated_relators
+from .groups import FiniteGroup, GroupError, SemidirectGroup, pgl2, semidirect_product, symmetric_group, twisted_frobenius_group, violated_relators
 from .localalg import AlgebraError, AlgMatrix, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
 from .modrep import (
     Representation,
@@ -96,7 +96,7 @@ def parse_instance_name(text: str) -> InstanceSpec:
     raise CertifyError(f"unrecognized instance name: {text!r}")
 
 
-def commutative_control_module(p: int, n: int) -> PModule:
+def commutative_control_module(p: int, n: int) -> Representation:
     """Rank-2 module where the multiplicative generator acts trivially and
     the order-2 generator acts by Frobenius: the regular module of the
     order-2 quotient, whose alpha-images are multiplication operators and
@@ -107,20 +107,20 @@ def commutative_control_module(p: int, n: int) -> PModule:
     ring = GaloisRing(p, n)
     eye = np.eye(2, dtype=np.int64)
     frob = ring.regular_matrix("frobenius")
-    return PModule(G, p, n, [eye, frob])
+    return Representation.from_generator_images(G, [eye, frob], p, n)
 
 
-def scalar_control_module(group: FiniteGroup, p: int) -> PModule:
+def scalar_control_module(group: FiniteGroup, p: int) -> Representation:
     """Rank-1 trivial module; alpha lands in the scalar matrices."""
     eye = np.eye(1, dtype=np.int64)
-    return PModule(group, p, 1, [eye for _ in group.generators])
+    return Representation.from_generator_images(group, [eye for _ in group.generators], p, 1)
 
 
 @dataclass
 class Assembly:
     spec: InstanceSpec
     G: FiniteGroup
-    K: PModule
+    K: Representation  # the G-module K over Z/p^n
     gamma: SemidirectGroup
     rho_bar_g: Representation  # V as a G-representation over F_p
     rho_bar: Representation  # inflation to Gamma
@@ -201,7 +201,7 @@ def assemble(spec: InstanceSpec) -> Assembly:
         rho_bar_g = pieces.standard
         rho_w = integral_standard_lift(G, p, N)
         if spec.control is None:
-            K = PModule(G, p, 1, [m % p for m in rho_bar_g.gen_mats])
+            K = rho_bar_g
         elif spec.control == "scalar":
             K = scalar_control_module(G, p)
         else:
@@ -229,8 +229,7 @@ class ConditionA:
 
 
 def check_condition_a(asm: Assembly) -> ConditionA:
-    Kbar = asm.K.reduce_mod(1) if asm.n > 1 else asm.K
-    dim = hom_space(Kbar, asm.M).dimension
+    dim = hom_space(asm.K.reduce_mod(1), asm.M).dimension
     return ConditionA(dim, dim == 1)
 
 
@@ -292,9 +291,9 @@ class ConditionB:
         )
 
 
-def _kernel_elements(K: PModule):
-    for code in range(K.size):
-        yield K.decode(code)
+def _kernel_elements(K: Representation):
+    """Every vector of K as a tuple, in encoding order."""
+    return map(tuple, K.vectors().tolist())
 
 
 def _noncommuting(alpha: AlphaMap, u, v) -> bool:
@@ -337,12 +336,14 @@ def evaluate_condition_b(alpha: AlphaMap, witness, clause, invariant_factors=())
 
 def find_alpha(asm: Assembly) -> ConditionB:
     """Pick the first injective Howell generator of Hom_G(K, End(V_W)/p^n)
-    and search for the evidence of both disjuncts of condition (b)."""
+    and search for the evidence of both disjuncts of condition (b): a
+    non-commuting pair among the basis pairs of K, and (p = 2, n = 1) for
+    each scalar a the first vector of K violating alpha(g)^2 = a alpha(g)."""
     p, n = asm.p, asm.n
     hs = hom_space(asm.K, asm.MW_mod_pn)
     alpha = None
     for H in hs.basis:
-        cand = AlphaMap(p, n, asm.rho_w.degree, asm.K.rank, H)
+        cand = AlphaMap(p, n, asm.rho_w.degree, asm.K.degree, H)
         if cand.kernel_trivial() and cand.residue_nonzero():
             alpha = cand
             break
@@ -352,18 +353,13 @@ def find_alpha(asm: Assembly) -> ConditionB:
             hs.invariant_factors,
         )
 
-    # generator pairs first, then everything else in encoding order, lazily
+    # the commutator is bilinear, so a pair of K fails to commute mod p
+    # exactly when a pair of basis vectors does
     basis_vecs = asm.K.basis_vectors()
-    basis_pairs = [(u, v) for u in basis_vecs for v in basis_vecs]
-    seen_pairs = set(basis_pairs)
-    other_pairs = (
-        (u, v)
-        for u in _kernel_elements(asm.K)
-        for v in _kernel_elements(asm.K)
-        if (u, v) not in seen_pairs
+    witness = next(
+        ((list(u), list(v)) for u in basis_vecs for v in basis_vecs if _noncommuting(alpha, u, v)),
+        None,
     )
-    pairs = chain(basis_pairs, other_pairs)
-    witness = next(((list(u), list(v)) for u, v in pairs if _noncommuting(alpha, u, v)), None)
 
     clause = None
     if p == 2 and n == 1:
@@ -478,7 +474,7 @@ class ExpLiftReport:
 
 
 def exp_lift_on_kernel(
-    K: PModule, alpha: AlphaMap, N: int, a_hat: int | None = None
+    K: Representation, alpha: AlphaMap, N: int, a_hat: int | None = None
 ) -> ExpLiftReport:
     """Lift k -> 1 + t*alpha(k) (+ correction) from R to the matching small
     extension R', assuming the reduced alpha-image commutes.
@@ -548,7 +544,7 @@ def exp_lift_on_kernel(
             images[k] = images[k[:j] + (k[j] - 1,) + k[j + 1 :]] @ basis_images[j]
         else:
             images[k] = lift(k)
-    verified = images[(0,) * K.rank] == AlgMatrix.identity(ring, d) and all(
+    verified = images[(0,) * K.degree] == AlgMatrix.identity(ring, d) and all(
         images[k] @ image_e == images[plus(k, e)]
         for k in images
         for e, image_e in zip(basis, basis_images)
@@ -728,7 +724,7 @@ def _condition_b_shape_problems(cb: dict, asm: Assembly) -> list[str]:
     matrix over Z/p^n, the witness a pair of vectors of K, and (p = 2, n = 1
     only) the clause entries a = 0, 1, each with a vector of K or null, all
     in reduced integers."""
-    rank, d, mn, mk = asm.K.rank, asm.rho_w.degree, asm.p**asm.n, asm.K.modulus
+    rank, d, mn, mk = asm.K.degree, asm.rho_w.degree, asm.p**asm.n, asm.K.modulus
     alpha = cb.get("alpha")
     if alpha is None:
         return ["certified verdict without alpha"]
@@ -785,7 +781,7 @@ def _rebuild_certified(cert: dict, asm: Assembly) -> tuple[dict | None, list[str
     if malformed:
         return None, malformed
     H = np.array(cb["alpha"]["matrix"], dtype=np.int64)
-    alpha = AlphaMap(asm.p, asm.n, asm.rho_w.degree, asm.K.rank, H)
+    alpha = AlphaMap(asm.p, asm.n, asm.rho_w.degree, asm.K.degree, H)
     clause = cb.get("clause_p2n1")
     if clause is not None:
         clause = [{"a": entry["a"], "violating_g": entry["violating_g"]} for entry in clause]
@@ -845,7 +841,7 @@ def _injective_commutative_alpha(asm: Assembly) -> AlphaMap:
             c, r = divmod(c, mn)
             coeffs.append(r)
         H = sum(c * B for c, B in zip(coeffs, hs.basis)) % mn
-        cand = AlphaMap(p, n, asm.rho_w.degree, asm.K.rank, H)
+        cand = AlphaMap(p, n, asm.rho_w.degree, asm.K.degree, H)
         if cand.kernel_trivial():
             return cand
     raise CertifyError("no injective element in the Hom module")

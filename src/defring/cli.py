@@ -97,7 +97,7 @@ def cmd_example(args) -> int:
         "degree": asm.rho_w.degree,
         "G": asm.G.to_json_dict(),
         "K_size": asm.K.size,
-        "K_rank": asm.K.rank,
+        "K_rank": asm.K.degree,
         "gamma": asm.gamma.to_json_dict(),
         "coefficient_ring": asm.ring.to_json_dict(),
     }

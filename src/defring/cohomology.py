@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .groups import evaluate_words
-from .modrep import Representation
+from .groups import FiniteGroup, evaluate_words
+from .modrep import Representation, hom_space, twisted_kernel_module
 
 DENSE_ENTRY_LIMIT = 25_000_000
 ASSEMBLY_GUARD = 10_000_000  # |G|^3 * dim M
@@ -218,12 +218,9 @@ def h2_dim(M: Representation, method: str = "auto") -> int:
     )
 
 
-def hom_invariants_dim(K, M: Representation) -> int:
+def hom_invariants_dim(K: Representation, M: Representation) -> int:
     """dim_k Hom(K, M)^G via the equivariant Hom solver (K reduced mod p)."""
-    from .modrep import hom_space
-
-    Kbar = K.reduce_mod(1) if getattr(K, "n", 1) != 1 else K
-    return hom_space(Kbar, M).dimension
+    return hom_space(K.reduce_mod(1), M).dimension
 
 
 @dataclass
@@ -237,54 +234,33 @@ class WedgeReport:
 def wedge_cocycle(p: int, action_mats=None) -> WedgeReport:
     """The alternating form c(u, v) = u0*v1 - u1*v0 on K = (Z/p)^2.
 
-    It is a 2-cocycle by bilinearity; for p >= 3 antisymmetry forces it off
-    the coboundaries, which the linear solve confirms; for p = 2 the form is
-    symmetric and the coboundary question is reported as inconclusive.
-    Invariance is checked against the supplied determinant-1 action matrices
-    (by default the action of the multiplicative group on the twisted
-    kernel module mod p).
+    K is built as a group on the elements u0 + p*u1, and the cocycle and
+    coboundary questions are decided on its bar complex with trivial
+    coefficients F_p.  The form is a 2-cocycle by bilinearity; for p >= 3
+    antisymmetry forces it off the coboundaries, which the bar complex
+    confirms; for p = 2 the form is symmetric and the coboundary question is
+    reported as inconclusive.  Invariance is checked against the supplied
+    determinant-1 action matrices (by default the action of the
+    multiplicative group on the twisted kernel module mod p).
     """
+    vectors = [(a % p, a // p) for a in range(p * p)]  # element a is u0 + p*u1
+
     def c(u, v):
         return (u[0] * v[1] - u[1] * v[0]) % p
 
-    vectors = [(a, b) for a in range(p) for b in range(p)]
-    # cocycle identity (trivial coefficients): c(h,k) - c(g+h,k) + c(g,h+k) - c(g,h)
-    cocycle = True
-    for g in vectors:
-        for h in vectors:
-            gh = ((g[0] + h[0]) % p, (g[1] + h[1]) % p)
-            for k in vectors:
-                hk = ((h[0] + k[0]) % p, (h[1] + k[1]) % p)
-                if (c(h, k) - c(gh, k) + c(g, hk) - c(g, h)) % p:
-                    cocycle = False
-    # alternating: c(v, v) = 0
-    assert all(c(v, v) == 0 for v in vectors)
+    table = [[(u[0] + v[0]) % p + p * ((u[1] + v[1]) % p) for v in vectors] for u in vectors]
+    K = FiniteGroup(np.array(table), [1, p], name=f"{p}^2")
+    cx = BarComplex(trivial_module(K, p))
 
-    nonzero = [v for v in vectors if v != (0, 0)]
-    pos = {v: i for i, v in enumerate(nonzero)}
-    rows = []
-    rhs = []
-    for g in nonzero:
-        for h in nonzero:
-            row = np.zeros(len(nonzero), dtype=np.int64)
-            row[pos[g]] += 1
-            row[pos[h]] += 1
-            gh = ((g[0] + h[0]) % p, (g[1] + h[1]) % p)
-            if gh != (0, 0):
-                row[pos[gh]] -= 1
-            rows.append(row % p)
-            rhs.append(c(g, h))
-    sol = kernels.solve_modp(np.vstack(rows), np.array(rhs), p)
-    if p == 2:
-        coboundary = None
-    else:
-        coboundary = sol is not None
+    def cochain(g, h):
+        return [c(vectors[g], vectors[h])]
+
+    cocycle = cx.is_cocycle(cochain)
+    coboundary = None if p == 2 else cx.is_coboundary(cochain)
 
     if action_mats is None:
-        from .modrep import twisted_kernel_module
-
-        K = twisted_kernel_module(p, 1)
-        action_mats = [K.mats[K.group.generators[0]]]
+        Kmod = twisted_kernel_module(p, 1)
+        action_mats = [Kmod.mats[Kmod.group.generators[0]]]
     invariant = True
     for A in action_mats:
         det = (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) % p

@@ -477,84 +477,6 @@ def twisted_frobenius_group(p: int) -> FiniteGroup:
     return FiniteGroup(table, [enc(1, 0), enc(0, 1)], name=f"TF{p}")
 
 
-# ---------------------------------------------------------------------------
-# Modules with group action and semidirect products
-# ---------------------------------------------------------------------------
-
-
-class PModule:
-    """A free Z/p^n module of finite rank with an action of a FiniteGroup.
-
-    The action is given by an invertible matrix per distinguished generator
-    of the group and extended along the spanning tree; construction checks
-    g.(s.v) = (gs).v for every element g and generator s, which makes the
-    extension an action (see FiniteGroup.extend).
-    """
-
-    def __init__(self, group: FiniteGroup, p: int, n: int, gen_mats):
-        self.group = group
-        self.p = p
-        self.n = n
-        self.modulus = p**n
-        gen_mats = [np.asarray(m, dtype=np.int64) % self.modulus for m in gen_mats]
-        if len(gen_mats) != len(group.generators):
-            raise GroupError("need one action matrix per group generator")
-        self.rank = int(gen_mats[0].shape[0]) if gen_mats else 0
-        self.size = self.modulus**self.rank
-        m = self.modulus
-        self.mats = np.array(
-            group.extend(gen_mats, lambda a, b: a @ b % m, np.eye(self.rank, dtype=np.int64))
-        )
-        self._validate()
-
-    def _validate(self):
-        from . import kernels
-
-        table = self.group.table
-        for s in self.group.generators:
-            if kernels.rank_modp(self.mats[s], self.p) != self.rank:
-                raise GroupError("action matrix is not invertible")
-            prods = self.mats @ self.mats[s] % self.modulus
-            if (prods != self.mats[table[:, s]]).any():
-                raise GroupError("action does not respect the group table")
-
-    @property
-    def gen_mats(self) -> list[np.ndarray]:
-        return [self.mats[g] for g in self.group.generators]
-
-    @property
-    def dim(self) -> int:
-        return self.rank
-
-    def act(self, g: int, vec):
-        return tuple(int(x) for x in (self.mats[g] @ np.asarray(vec)) % self.modulus)
-
-    def encode(self, vec) -> int:
-        code = 0
-        for c in reversed(vec):
-            code = code * self.modulus + int(c) % self.modulus
-        return code
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.rank):
-            code, c = divmod(code, self.modulus)
-            out.append(c)
-        return tuple(out)
-
-    def vectors(self) -> np.ndarray:
-        """Every vector of the module, decoded: row c is decode(c)."""
-        radix = self.modulus ** np.arange(self.rank, dtype=np.int64)
-        return np.arange(self.size, dtype=np.int64)[:, None] // radix % self.modulus
-
-    def reduce_mod(self, n2: int) -> "PModule":
-        gen_mats = [self.mats[g] % self.p**n2 for g in self.group.generators]
-        return PModule(self.group, self.p, n2, gen_mats)
-
-    def basis_vectors(self):
-        return [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
-
-
 @dataclass
 class GroupHom:
     """A homomorphism given on all elements, verified multiplicative on
@@ -581,16 +503,22 @@ class GroupHom:
         return len(set(self.images.tolist())) == self.source.order
 
 
+# ---------------------------------------------------------------------------
+# Semidirect products
+# ---------------------------------------------------------------------------
+
+
 class SemidirectGroup(FiniteGroup):
     """K x| G on pairs (k, g): (k1,g1)(k2,g2) = (k1 + g1.k2, g1 g2).
 
-    Element index is k_code * |G| + g_index.  The distinguished generators
-    are the standard basis of K (paired with 1) followed by (0, s) for each
+    K is a G-module, a `modrep.Representation` of G over Z/p^n.  Element
+    index is k_code * |G| + g_index.  The distinguished generators are the
+    standard basis of K (paired with 1) followed by (0, s) for each
     generator s of G.  The table is a group by construction; only G and K
     are checked (`_validate_table`).
     """
 
-    def __init__(self, kmod: PModule, gq: FiniteGroup):
+    def __init__(self, kmod, gq: FiniteGroup):
         self.kmod = kmod
         self.gq = gq
         ksize, gsize = kmod.size, gq.order
@@ -598,7 +526,7 @@ class SemidirectGroup(FiniteGroup):
             raise GroupError(f"semidirect order {ksize * gsize} exceeds guard")
         m = kmod.modulus
         all_vecs = kmod.vectors()
-        radix = m ** np.arange(kmod.rank, dtype=np.int64)
+        radix = m ** np.arange(kmod.degree, dtype=np.int64)
         # act[g, k] = g.k and kneg[k] = -k, as codes
         self._act = (all_vecs @ kmod.mats.transpose(0, 2, 1) % m) @ radix
         self._kneg = (-all_vecs % m) @ radix
@@ -617,10 +545,11 @@ class SemidirectGroup(FiniteGroup):
         """K x| G is a group when G is one and g -> (k -> g.k) is a
         homomorphism G -> Aut(K) (Holt, Eick and O'Brien, Handbook of
         Computational Group Theory, 2005), and the table is that product.
-        G was validated when it was built; PModule checked invertible
-        generator matrices and g.(s.v) = (gs).v for every element g and
-        generator s, which makes the action a homomorphism
-        (FiniteGroup.extend).  Left to check: K is a module over this G."""
+        G was validated when it was built.  K is a Representation of G,
+        validated when it was built (invertible generator matrices and
+        g.(s.v) = (gs).v for every element g and generator s, which makes
+        the action a homomorphism, FiniteGroup.extend) or derived from a
+        validated one by `reduce_mod`.  Left to check: K is over this G."""
         if self.kmod.group is not self.gq and not np.array_equal(self.kmod.group.table, self.gq.table):
             raise GroupError("module must be over the same group")
 
@@ -656,7 +585,7 @@ class SemidirectGroup(FiniteGroup):
         onto it and P = Gamma.  The relators come from K and G alone, not
         from Gamma's table or spanning trees.
         """
-        r, m = self.kmod.rank, self.kmod.modulus
+        r, m = self.kmod.degree, self.kmod.modulus
         rels = [
             (tuple(r + t for t in u), tuple(r + t for t in v)) for u, v in self.gq.relators()
         ]
@@ -670,7 +599,7 @@ class SemidirectGroup(FiniteGroup):
         return rels
 
 
-def semidirect_product(kmod: PModule, gq: FiniteGroup) -> SemidirectGroup:
+def semidirect_product(kmod, gq: FiniteGroup) -> SemidirectGroup:
     return SemidirectGroup(kmod, gq)
 
 

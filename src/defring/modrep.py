@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .exactalg import GaloisRing, solve_module
-from .groups import FiniteGroup, GroupError, GroupHom, PModule, twisted_frobenius_group
+from .groups import FiniteGroup, GroupHom, twisted_frobenius_group
 
 
 class RepresentationError(ValueError):
@@ -43,7 +43,10 @@ def matrix_inv_mod(mat: np.ndarray, p: int, N: int) -> np.ndarray:
 
 
 class Representation:
-    """A degree-d representation over Z/p^N, stored per group element."""
+    """A group acting on the free module (Z/p^N)^d, one matrix per group
+    element: a representation, or a G-module such as the kernel K of
+    K x| G.  Vectors of the module are encoded as integers in base p^N,
+    first coordinate lowest."""
 
     def __init__(self, group: FiniteGroup, mats, p: int, N: int, validate: bool = True):
         self.group = group
@@ -59,6 +62,8 @@ class Representation:
 
     @classmethod
     def from_generator_images(cls, group, gen_mats, p, N, validate=True):
+        if len(gen_mats) != len(group.generators):
+            raise RepresentationError("need one matrix per group generator")
         m = p**N
         gen_mats = [np.asarray(g, dtype=np.int64) % m for g in gen_mats]
         d = gen_mats[0].shape[0] if gen_mats else 1
@@ -84,16 +89,37 @@ class Representation:
                     f"multiplicativity fails at element {bad[0]} times generator {s}"
                 )
 
-    def matrix(self, e: int) -> np.ndarray:
-        return self.mats[e]
-
     @property
     def gen_mats(self) -> list[np.ndarray]:
         return [self.mats[g] for g in self.group.generators]
 
     @property
-    def dim(self) -> int:
-        return self.degree
+    def size(self) -> int:
+        return self.modulus**self.degree
+
+    def act(self, g: int, vec):
+        return tuple(int(x) for x in (self.mats[g] @ np.asarray(vec)) % self.modulus)
+
+    def encode(self, vec) -> int:
+        code = 0
+        for c in reversed(vec):
+            code = code * self.modulus + int(c) % self.modulus
+        return code
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        out = []
+        for _ in range(self.degree):
+            code, c = divmod(code, self.modulus)
+            out.append(c)
+        return tuple(out)
+
+    def vectors(self) -> np.ndarray:
+        """Every vector of the module, decoded: row c is decode(c)."""
+        radix = self.modulus ** np.arange(self.degree, dtype=np.int64)
+        return np.arange(self.size, dtype=np.int64)[:, None] // radix % self.modulus
+
+    def basis_vectors(self):
+        return [tuple(1 if j == i else 0 for j in range(self.degree)) for i in range(self.degree)]
 
     def reduce_mod(self, N2: int) -> "Representation":
         if N2 > self.N:
@@ -116,14 +142,6 @@ class Representation:
     def restrict(self, subgroup: FiniteGroup, elements: list[int]) -> "Representation":
         """Restriction along an embedded subgroup (from FiniteGroup.subgroup)."""
         return Representation(subgroup, self.mats[elements], self.p, self.N, validate=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.group.to_json_dict(),
-            "degree": self.degree,
-            "coefficients": f"Z/{self.p}^{self.N}" if self.N > 1 else f"F{self.p}",
-            "generator_matrices": [self.mats[g].tolist() for g in self.group.generators],
-        }
 
 
 def end_rep(V: Representation) -> Representation:
@@ -246,7 +264,7 @@ def galois_module_rep(p: int, N: int) -> Representation:
     return rep
 
 
-def twisted_kernel_module(p: int, n: int) -> PModule:
+def twisted_kernel_module(p: int, n: int) -> Representation:
     """The rank-2 free Z/p^n module on which the twisted group acts through
     the sigma-part of its endomorphism ring.
 
@@ -259,7 +277,7 @@ def twisted_kernel_module(p: int, n: int) -> PModule:
     u = ring.unit_generator
     zeta_mat = ring.regular_matrix(u ** (p * p - p))
     frob_mat = ring.regular_matrix("frobenius")
-    return PModule(G, p, n, [zeta_mat, frob_mat])
+    return Representation.from_generator_images(G, [zeta_mat, frob_mat], p, n)
 
 
 def twisted_end_decomposition(p: int):
@@ -316,18 +334,22 @@ class EquivariantHomSpace:
         return len(self.basis)
 
 
-def hom_space(X, Y, verify: bool = True) -> EquivariantHomSpace:
-    """Solve Y_g H = H X_g over Z/p^N for modules over the same group.
+def hom_space(X: Representation, Y: Representation) -> EquivariantHomSpace:
+    """Solve Y_g H = H X_g over Z/p^N for representations of the same group.
 
-    X and Y expose .gen_mats / .mats / .dim / .p / a common modulus; the
-    system is assembled on the distinguished generators only and the basis
-    is verified against every group element afterwards.
+    The system is assembled on the distinguished generators only: X and Y
+    are homomorphisms, so Y_e H = H X_e for every element e once it holds
+    for the generators.
     """
-    p, N = X.p, getattr(X, "N", getattr(X, "n", None))
-    Ny = getattr(Y, "N", getattr(Y, "n", None))
-    if N != Ny or p != Y.p:
+    p, N = X.p, X.N
+    if N != Y.N or p != Y.p:
         raise RepresentationError("X and Y must share coefficients")
-    a, b = X.dim, Y.dim
+    if X.group is not Y.group and not (
+        X.group.generators == Y.group.generators
+        and np.array_equal(X.group.table, Y.group.table)
+    ):
+        raise RepresentationError("X and Y must be over the same group")
+    a, b = X.degree, Y.degree
     rows = []
     eye_a = np.eye(a, dtype=np.int64)
     eye_b = np.eye(b, dtype=np.int64)
@@ -337,14 +359,7 @@ def hom_space(X, Y, verify: bool = True) -> EquivariantHomSpace:
     system = np.vstack(rows) % p**N
     sol = solve_module(system.tolist(), [0] * system.shape[0], p, N)
     basis = [np.array(v, dtype=np.int64).reshape(b, a) for v in sol.kernel.generators]
-    space = EquivariantHomSpace(p, N, a, b, basis, sol.kernel.invariant_factors)
-    if verify:
-        m = p**N
-        for H in basis:
-            for e in range(X.group.order):
-                if not ((Y.mats[e] @ H) % m == (H @ X.mats[e]) % m).all():
-                    raise RepresentationError("hom basis fails equivariance off-generators")
-    return space
+    return EquivariantHomSpace(p, N, a, b, basis, sol.kernel.invariant_factors)
 
 
 def is_projective_higman(V: Representation):

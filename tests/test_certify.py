@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ def test_condition_a_twisted():
 def test_condition_a_standard():
     for d, p in [(2, 5), (3, 3)]:
         asm = assemble(InstanceSpec("standard", p, d=d))
+        assert asm.K is asm.rho_bar_g  # K = V for the standard family
         res = check_condition_a(asm)
         assert res.dim == 1 and res.passed
 
@@ -73,6 +75,24 @@ def test_find_alpha_twisted_p2n1():
     for code in range(1, asm.K.size):
         ak = cb.alpha.of_vec(asm.K.decode(code)) % 2
         assert ((ak @ ak) % 2 == np.eye(2, dtype=int)).all()
+
+
+def test_find_alpha_searches_basis_pairs_only(monkeypatch):
+    # the commutator is bilinear: when the basis pairs all commute, no pair
+    # of K fails to, so a commutative control costs rank(K)^2 checks
+    import defring.certify as certify_module
+
+    calls = []
+    noncommuting = certify_module._noncommuting
+
+    def counted(alpha, u, v):
+        calls.append((u, v))
+        return noncommuting(alpha, u, v)
+
+    monkeypatch.setattr(certify_module, "_noncommuting", counted)
+    cb = find_alpha(assemble(parse_instance_name("twisted-p2n2-commutative")))
+    assert cb.witness is None and cb.alpha is not None
+    assert len(calls) == 4
 
 
 def test_find_alpha_hom_module_structure():
@@ -284,6 +304,40 @@ JSON_VALUES = st.one_of(
 )
 
 
+def _alpha_of(cert, vec):
+    """alpha(vec) mod p from the certificate's own alpha matrix, by plain
+    numpy: column j of the matrix is the image of the j-th basis vector."""
+    alpha = cert["condition_b"]["alpha"]
+    matrix = np.array(alpha["matrix"], dtype=np.int64)
+    d = math.isqrt(len(matrix))
+    return (matrix @ np.array(vec, dtype=np.int64) % alpha["modulus"]).reshape(d, d) % cert["p"]
+
+
+def _is_evidence_true(cert, path):
+    """For a mutated witness vector or violating_g: does the evidence now
+    hold?  A witness holds when its two vectors' alpha-images fail to commute
+    mod p; a violating_g holds when alpha(g)^2 != a alpha(g) mod p."""
+    p = cert["p"]
+    cb = cert["condition_b"]
+    if path[:2] == ("condition_b", "witness"):
+        a, b = (_alpha_of(cert, u) for u in cb["witness"])
+        return bool(((a @ b - b @ a) % p).any())
+    entry = cb["clause_p2n1"][path[2]]
+    g = _alpha_of(cert, entry["violating_g"])
+    return bool(((g @ g - entry["a"] * g) % p).any())
+
+
+def _is_vector_of_K(cert, value):
+    """K.rank integers in [0, p^n), K.rank read off alpha's columns."""
+    alpha = cert["condition_b"]["alpha"]
+    return (
+        alpha is not None
+        and isinstance(value, list)
+        and len(value) == len(alpha["matrix"][0])
+        and all(type(c) is int and 0 <= c < cert["p"] ** cert["n"] for c in value)
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_every_single_field_mutation_or_deletion_is_rejected(data):
@@ -292,8 +346,11 @@ def test_every_single_field_mutation_or_deletion_is_rejected(data):
     # or a violating_g vector is left out: that vector may again be
     # evidence, which a verifier that does not search must accept.  So is N
     # in a refuted certificate: nothing in it depends on N, so at another
-    # N > n it is that precision's honest certificate.  Certificates carry
-    # no runtime_ms, the one volatile field.
+    # N > n it is that precision's honest certificate.  A whole witness
+    # vector or violating_g replaced by a vector of K is kept: a certified
+    # certificate must then be accepted exactly when the new evidence holds,
+    # recomputed from its alpha matrix.  Certificates carry no runtime_ms,
+    # the one volatile field.
     name = data.draw(st.sampled_from(BATTERY + CONTROLS))
     cert = json.loads(_battery_certificate(name))
     assert "runtime_ms" not in cert
@@ -302,6 +359,7 @@ def test_every_single_field_mutation_or_deletion_is_rejected(data):
         paths.remove(("N",))
     path = data.draw(st.sampled_from(paths))
     parent = functools.reduce(lambda node, key: node[key], path[:-1], cert)
+    expect_ok = False
     if data.draw(st.booleans()):
         del parent[path[-1]]
     else:
@@ -310,8 +368,24 @@ def test_every_single_field_mutation_or_deletion_is_rejected(data):
         evidence = path[:2] == ("condition_b", "witness") or "violating_g" in path
         assume(not (evidence and type(value) is int and 0 <= value < cert["p"] ** cert["n"]))
         parent[path[-1]] = value
+        whole_vector = path[-1] == "violating_g" or len(path) == 3 and path[1] == "witness"
+        if evidence and whole_vector and _is_vector_of_K(cert, value):
+            expect_ok = cert["verdict"] == "certified" and _is_evidence_true(cert, path)
     ok, problems = verify_certificate(cert)
-    assert not ok and problems, (name, path)
+    assert ok == expect_ok, (name, path, problems)
+
+
+def test_a_witness_vector_replaced_by_other_evidence_is_accepted():
+    # twisted-p2n2's witness is ([1, 0], [0, 1]); ([1, 1], [0, 1]) is again
+    # a pair whose alpha-images fail to commute mod 2, and ([2, 2], [0, 1])
+    # is not, as 2 = 0 mod 2
+    cert = json.loads(_battery_certificate("twisted-p2n2"))
+    assert cert["condition_b"]["witness"] == [[1, 0], [0, 1]]
+    cert["condition_b"]["witness"][0] = [1, 1]
+    assert verify_certificate(cert) == (True, [])
+    cert["condition_b"]["witness"][0] = [2, 2]
+    ok, problems = verify_certificate(cert)
+    assert not ok and problems
 
 
 def _drop_alpha(data):

@@ -18,7 +18,6 @@ from defring.cohomology import (
 )
 from defring.groups import (
     FiniteGroup,
-    PModule,
     pgl2,
     semidirect_product,
     symmetric_group,
@@ -288,14 +287,14 @@ def _gamma_pieces(piece):
         reps = [galois_module_rep(p, 1)]
     elif kind == "standard":
         V = standard_perm_rep(symmetric_group(3), p).standard
-        K = PModule(V.group, p, 1, V.gen_mats)
+        K = Representation.from_generator_images(V.group, V.gen_mats, p, 1)
         reps = [V]
     else:  # no other relator family implies x_1 x_2 = x_2 x_1
-        K = PModule(symmetric_group(2), p, 1, [np.eye(2, dtype=np.int64)])
+        K = Representation.from_generator_images(symmetric_group(2), [np.eye(2, dtype=np.int64)], p, 1)
         reps = []
     gamma = semidirect_product(K, K.group)
     quot = gamma.quotient_hom()
-    Kbar = Representation(K.group, K.mats % p, p, 1, validate=False)
+    Kbar = K.reduce_mod(1)
     return gamma, [Kbar.inflate(quot)] + [end_rep(V.inflate(quot)) for V in reps]
 
 

@@ -1,7 +1,8 @@
 """Homomorphism checks on generators instead of all pairs.
 
-Representation.validate, PModule and GroupHom compare e*s for every element e
-and generator s only; FiniteGroup.extend states why that covers all pairs.
+Representation.validate (which also checks every kernel module K) and
+GroupHom compare e*s for every element e and generator s only;
+FiniteGroup.extend states why that covers all pairs.
 build_rho_R checks the relators of Gamma's presentation on the images of
 Gamma's generators.  These tests corrupt valid data, away from the
 generators where an all-pairs check would obviously notice, and compare the
@@ -27,7 +28,7 @@ from defring.certify import (
     find_alpha,
     parse_instance_name,
 )
-from defring.groups import GroupError, GroupHom, PModule, symmetric_group, twisted_frobenius_group
+from defring.groups import GroupError, GroupHom, symmetric_group, twisted_frobenius_group
 from defring.localalg import AlgMatrix, make_ring_Rprime, make_ring_Rprime_2_1
 from defring.modrep import Representation, RepresentationError, galois_module_rep, standard_perm_rep
 
@@ -279,7 +280,7 @@ def test_exp_lift_agrees_with_all_pairs(pn, entries, a_hat):
     # alpha on a rank-2 kernel (the action is not read) into 2 x 2 matrices
     p, n = pn
     G = symmetric_group(3)
-    K = PModule(G, p, n, [np.eye(2, dtype=np.int64)] * len(G.generators))
+    K = Representation.from_generator_images(G, [np.eye(2, dtype=np.int64)] * len(G.generators), p, n)
     alpha = AlphaMap(p, n, 2, 2, np.array(entries, dtype=np.int64).reshape(4, 2) % p**n)
     commutes, clause, verified = _exp_lift_all_pairs(K, alpha, n + 2, a_hat)
     try:

@@ -7,7 +7,6 @@ from defring.groups import (
     TABLE_GUARD,
     FiniteGroup,
     GroupError,
-    PModule,
     find_isomorphism,
     orbit_count_triples,
     pgl2,
@@ -15,6 +14,7 @@ from defring.groups import (
     symmetric_group,
     twisted_frobenius_group,
 )
+from defring.modrep import Representation, RepresentationError
 
 
 def test_symmetric_group_orders():
@@ -127,7 +127,9 @@ def test_orbit_count_trivial_group():
 def _v4_module(G):
     """The rank-2 F_2 module where S3's generators act via GL_2(F_2)."""
     # transposition -> [[0,1],[1,0]], 3-cycle -> [[0,1],[1,1]]
-    return PModule(G, 2, 1, [np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 1]])])
+    return Representation.from_generator_images(
+        G, [np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 1]])], 2, 1
+    )
 
 
 def test_semidirect_s4():
@@ -163,7 +165,7 @@ def test_semidirect_exact_sequence():
 
 def test_semidirect_trivial_module_gives_direct_factor():
     G = symmetric_group(3)
-    K = PModule(G, 2, 1, [np.eye(1, dtype=int), np.eye(1, dtype=int)])
+    K = Representation.from_generator_images(G, [np.eye(1, dtype=int), np.eye(1, dtype=int)], 2, 1)
     gamma = semidirect_product(K, G)
     assert gamma.order == 12
     # (k, 1) commutes with everything
@@ -174,12 +176,16 @@ def test_semidirect_trivial_module_gives_direct_factor():
 
 def test_pmodule_rejects_bad_action():
     G = symmetric_group(3)
-    with pytest.raises(GroupError):
+    with pytest.raises(RepresentationError):
         # transposition mapped to an order-3 matrix
-        PModule(G, 2, 1, [np.array([[0, 1], [1, 1]]), np.array([[0, 1], [1, 1]])])
-    with pytest.raises(GroupError):
+        Representation.from_generator_images(
+            G, [np.array([[0, 1], [1, 1]]), np.array([[0, 1], [1, 1]])], 2, 1
+        )
+    with pytest.raises(RepresentationError):
         # singular matrix
-        PModule(G, 2, 1, [np.array([[0, 0], [0, 0]]), np.array([[0, 1], [1, 1]])])
+        Representation.from_generator_images(
+            G, [np.array([[0, 0], [0, 0]]), np.array([[0, 1], [1, 1]])], 2, 1
+        )
 
 
 def test_small_generating_set_s4():
@@ -310,7 +316,7 @@ def _kernel_module(kind, group, p, n):
     if kind == "scalar":
         return scalar_control_module(group, p)
     V = standard_perm_rep(group, p).standard
-    return PModule(group, p, 1, V.gen_mats)
+    return Representation.from_generator_images(group, V.gen_mats, p, 1)
 
 
 # (kind, group, p, n): the twisted and control modules over TF(p) and the

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from defring.groups import (
-    PModule,
     orbit_count_triples,
     pgl2,
     semidirect_product,
@@ -299,3 +298,38 @@ def test_hensel_lift_steinberg_pgl23():
     assert (lifted.reduce_mod(1).mats == V.mats).all()
     U = strictly_equivalent(lifted, reference)
     assert U is not None
+
+
+HOM_BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]] + [
+    f"standard-d{d}p{p}" for d, p in [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]
+]
+
+
+@pytest.mark.parametrize("name", HOM_BATTERY)
+def test_hom_space_basis_is_equivariant_at_every_element(name):
+    # hom_space solves on generators only; every basis H must satisfy
+    # Y(e) H = H X(e) at every element e of the group
+    from defring.certify import assemble, parse_instance_name
+
+    asm = assemble(parse_instance_name(name))
+    V = asm.rho_bar_g
+    pairs = [(asm.K, asm.MW_mod_pn), (asm.K.reduce_mod(1), asm.M), (V, V), (V, asm.M)]
+    for i, (X, Y) in enumerate(pairs):
+        hs = hom_space(X, Y)
+        assert hs.basis or i == 3  # K -> End and V -> V are never zero
+        m = X.modulus
+        for H in hs.basis:
+            assert ((Y.mats @ H) % m == (H @ X.mats) % m).all(), name
+
+
+def test_hom_space_refuses_representations_of_different_groups():
+    V = galois_module_rep(3, 1)  # over the twisted group of order 16
+    W = standard_perm_rep(symmetric_group(4), 3).standard
+    with pytest.raises(RepresentationError, match="same group"):
+        hom_space(V, W)
+
+
+def test_from_generator_images_needs_one_matrix_per_generator():
+    G = symmetric_group(3)
+    with pytest.raises(RepresentationError, match="one matrix per group generator"):
+        Representation.from_generator_images(G, [np.eye(2, dtype=np.int64)], 2, 1)

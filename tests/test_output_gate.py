@@ -1,10 +1,12 @@
-"""The output gate: certificates and negative controls match the digests the
-benchmark records in perfbench/digests.json.
+"""The output gate: every output the benchmark records a digest of in
+perfbench/digests.json matches it.
 
-Each certify and control operation of the battery and precision workloads
-runs through the benchmark's own runner (the CLI for certify, the library for
-controls), and the sha256 of its canonical JSON without runtime_ms must equal
-the recorded one.  The digest file is only read.
+Each certify, control, oracle and H^2 operation of the four workloads runs
+through the benchmark's own runner (the CLI for certify and oracle, the
+library for controls and direct H^2), one runner per workload, as the H^2
+rows need that workload's input groups.  The sha256 of its canonical JSON
+without runtime_ms must equal the recorded one.  The digest file is only
+read.
 """
 
 import importlib.util
@@ -21,22 +23,20 @@ _spec.loader.exec_module(workloads)
 
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 OPS = [
-    op
-    for workload in ("battery", "precision")
+    (workload, op)
+    for workload in workloads.WORKLOADS
     for op in workloads.all_ops(workload)
-    if op.kind in ("certify", "control")
+    if op.kind != "verify"  # verify outputs have no recorded digest
 ]
 
 
-def test_the_gate_covers_every_certify_and_control_digest():
-    recorded = {key for key in DIGESTS if key.split(":")[0] in ("certify", "control")}
-    assert {op.id for op in OPS} == recorded
-    assert len(OPS) == 18  # 10 battery and 5 raised-N certificates, 3 controls
+def test_the_gate_covers_every_recorded_digest():
+    assert sorted(op.id for _, op in OPS) == sorted(DIGESTS)
 
 
-@pytest.mark.parametrize("op", OPS, ids=[op.id for op in OPS])
-def test_output_matches_its_recorded_digest(op, tmp_path):
-    runner = workloads.Runner("battery", str(tmp_path), DIGESTS)
+@pytest.mark.parametrize("workload,op", OPS, ids=[op.id for _, op in OPS])
+def test_output_matches_its_recorded_digest(workload, op, tmp_path):
+    runner = workloads.Runner(workload, str(tmp_path), DIGESTS)
     code, out = runner.execute(op)
     assert out is not None, f"{op.id} wrote no output (exit {code})"
     assert workloads.digest(out) == DIGESTS[op.id]

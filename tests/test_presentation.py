@@ -7,13 +7,13 @@ import pytest
 
 from defring.certify import assemble, parse_instance_name
 from defring.groups import (
-    PModule,
     evaluate_words,
     semidirect_product,
     symmetric_group,
     twisted_frobenius_group,
     violated_relators,
 )
+from defring.modrep import Representation
 
 BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]] + [
     f"standard-d{d}p{p}" for d, p in [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]
@@ -73,7 +73,7 @@ def _gamma(which):
     # with a trivial action no other relator family implies x_1 x_2 = x_2 x_1
     if which == "F2^2 x S2":
         S2 = symmetric_group(2)
-        return semidirect_product(PModule(S2, 2, 1, [np.eye(2, dtype=np.int64)]), S2)
+        return semidirect_product(Representation.from_generator_images(S2, [np.eye(2, dtype=np.int64)], 2, 1), S2)
     return assemble(parse_instance_name(which)).gamma
 
 
