@@ -5,8 +5,9 @@ tallest H^1 system of the acceptance battery: the Fox-derivative rows of
 standard-d4p2's presentation), H^1 end to end on four of the largest
 battery instances, table-driven batched matrix products (oracle
 enumeration) and the construction of Gamma = K x| G for three of the largest
-battery instances.  Also times one end-to-end oracle enumeration.  Each row
-is the best of a few repeats.
+battery instances.  Also times one end-to-end oracle enumeration, and the
+enumeration and the class partition on three rows of the oracle benchmark.
+Each row is the best of a few repeats.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -115,11 +116,23 @@ def main():
 
     print("== end-to-end oracle enumeration (S4, F2[t]/t^3) ==")
     from defring.localalg import standard_rings
-    from defring.oracle import enumerate_lifts
+    from defring.oracle import deformation_classes, enumerate_lifts
 
     asm = assemble(InstanceSpec("twisted", 2, 1))
     ring = standard_rings(2)["F2t3"]
     bench("enumerate_lifts", lambda: enumerate_lifts(asm.rho_bar, ring), repeat=2)
+
+    print("== oracle rows: enumeration and strict-equivalence classes ==")
+    for name, ring_name in (("standard-d2p2", "Z4u"), ("twisted-p3n1", "Z9"), ("twisted-p2n2", "Z4")):
+        asm = assemble(parse_instance_name(name))
+        ring = standard_rings(asm.p)[ring_name]
+        lifts = enumerate_lifts(asm.rho_bar, ring)
+        bench(f"enumerate_lifts {name}/{ring_name}", lambda: enumerate_lifts(asm.rho_bar, ring), repeat=5)
+        bench(
+            f"deformation_classes {name}/{ring_name}",
+            lambda: deformation_classes(asm.rho_bar, ring, lifts),
+            repeat=5,
+        )
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .certify import (
 from .cohomology import CohomologyError, h1_dim, h2_dim, wedge_cocycle
 from .exactalg import PrecisionError
 from .groups import GroupError
-from .localalg import AlgebraError, standard_rings
+from .localalg import AlgebraError, standard_ring_builders, standard_rings
 from .modrep import RepresentationError, end_rep
 from .oracle import OracleError, functor_compare
 
@@ -120,10 +120,10 @@ def cmd_oracle(args) -> int:
     if cb.alpha is None:
         raise CertifyError("instance has no injective alpha; oracle needs the lift")
     rho_r = build_rho_R(asm, cb.alpha)
-    rings = standard_rings(spec.p)
+    rings = standard_ring_builders(spec.p)
     if args.ring not in rings:
         raise OracleError(f"unknown ring {args.ring!r}; choose from {sorted(rings)}")
-    report = functor_compare(asm, rho_r, rings[args.ring])
+    report = functor_compare(asm, rho_r, rings[args.ring]())
     _emit(report.to_json_dict(), args)
     print(
         f"{spec.name} over {args.ring}: classes={report.class_count} "

@@ -128,32 +128,47 @@ class FiniteGroup:
         discovery order from the identity, so every parent comes before its
         children, and e = parent[e] * gens[genidx[e]] for e != 0.
         """
+        return self._bfs(gens)[0]
+
+    def tree_levels(self, gens=None) -> list[np.ndarray]:
+        """The spanning tree's elements by depth, as index arrays in BFS
+        order: level k holds the elements at distance k from the identity,
+        level 0 is [0].  Cached with the tree."""
+        return self._bfs(gens)[1]
+
+    def _bfs(self, gens) -> tuple:
         gens = self.generators if gens is None else tuple(int(g) for g in gens)
-        tree = self._trees.get(gens)
-        if tree is not None:
-            return tree
+        cached = self._trees.get(gens)
+        if cached is not None:
+            return cached
         parent = [-1] * self.order
         genidx = [-1] * self.order
         parent[0] = 0
-        order = [0]
+        levels = [[0]]
         rows = self.table[:, list(gens)].tolist()
-        for e in order:  # grows while it is walked: breadth-first
-            for gi, h in enumerate(rows[e]):
-                if parent[h] < 0:
-                    parent[h] = e
-                    genidx[h] = gi
-                    order.append(h)
+        while levels[-1]:  # breadth-first, one level at a time
+            levels.append([])
+            for e in levels[-2]:
+                for gi, h in enumerate(rows[e]):
+                    if parent[h] < 0:
+                        parent[h] = e
+                        genidx[h] = gi
+                        levels[-1].append(h)
+        order = tuple(e for level in levels for e in level)
         if len(order) != self.order:
             raise GroupError(f"generators {gens} do not generate the group")
-        tree = (tuple(order), tuple(parent), tuple(genidx))
-        self._trees[gens] = tree
-        return tree
+        cached = (order, tuple(parent), tuple(genidx)), [np.array(lv) for lv in levels[:-1]]
+        self._trees[gens] = cached
+        return cached
 
-    def extend(self, gen_values, mul, one, gens=None) -> list:
+    def extend(self, gen_values, mul, one, gens=None) -> np.ndarray:
         """Values on every element from values on the generators `gens`
         (default: the distinguished ones), along the spanning tree:
         value(0) = one and value(e) = mul(value(parent[e]), gen_values[genidx[e]]).
-        Returns the list of values indexed by element.
+        The walk goes one tree level at a time: the values of all elements
+        at depth k come from one `mul` on the stacked values of their
+        parents (depth k - 1) and generators, so `mul` works on a leading
+        stack axis.  Returns the values stacked by element.
 
         Data extended this way is a homomorphism exactly when value(0) is
         the identity and value(e) value(s) = value(e s) for every element e
@@ -163,10 +178,12 @@ class FiniteGroup:
         multiplicative on all pairs.  The checks built on this compare
         |G| x #gens products instead of |G|^2.
         """
-        order, parent, genidx = self.spanning_tree(gens)
-        values = [one] * self.order
-        for e in order[1:]:
-            values[e] = mul(values[parent[e]], gen_values[genidx[e]])
+        parent, genidx = map(np.asarray, self.spanning_tree(gens)[1:])
+        gen_values, one = np.asarray(gen_values), np.asarray(one)
+        values = np.empty((self.order, *one.shape), dtype=one.dtype)
+        values[0] = one
+        for level in self.tree_levels(gens)[1:]:
+            values[level] = mul(values[parent[level]], gen_values[genidx[level]])
         return values
 
     def relators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -180,12 +197,13 @@ class FiniteGroup:
     def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The Schreier relators of the spanning tree: word(e) t =
         word(e t) for every element e and generator index t off the tree
-        (on tree edges the two words coincide).  Values v(e) of the words
-        satisfying them have v(e) v(t) = v(e t) for all e and t, so they are
-        multiplicative by the induction in `extend`.
+        (on tree edges the two words coincide), with the words read off the
+        tree by `word`.  Values v(e) of the words satisfying them have
+        v(e) v(t) = v(e t) for all e and t, so they are multiplicative by the
+        induction in `extend`.
         """
         order, parent, genidx = self.spanning_tree()
-        words = self.extend([(t,) for t in range(len(self.generators))], tuple.__add__, ())
+        words = [self.word(e) for e in range(self.order)]
         rows = self.table[:, list(self.generators)].tolist()
         return [
             (words[e] + (t,), words[h])
@@ -680,7 +698,7 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupHom | None:
         by_order.setdefault(H.element_order(h), []).append(h)
     candidates = [by_order.get(o, []) for o in gen_orders]
     for images in product(*candidates):
-        img = np.array(G.extend(images, H.mul, 0, gens), dtype=np.int64)
+        img = G.extend(images, lambda a, b: H.table[a, b], 0, gens)
         if len(set(img.tolist())) != G.order:
             continue
         try:

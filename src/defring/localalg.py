@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -385,15 +385,21 @@ def nilpotent_socle_ring(p: int) -> ArtinLocalAlgebra:
     )
 
 
+def standard_ring_builders(p: int) -> dict[str, Callable[[], ArtinLocalAlgebra]]:
+    """The battery of small test rings for the deformation-functor oracle,
+    by name, each built (and validated) only when called."""
+    return {
+        "dual": lambda: dual_numbers(p),
+        f"Z{p**2}": lambda: cyclic_ring(p, 2),
+        f"F{p}t3": lambda: truncated_polynomials(p, 3),
+        f"Z{p**3}": lambda: cyclic_ring(p, 3),
+        f"Z{p**2}u": lambda: nilpotent_socle_ring(p),
+    }
+
+
 def standard_rings(p: int) -> dict[str, ArtinLocalAlgebra]:
     """The battery of small test rings for the deformation-functor oracle."""
-    return {
-        "dual": dual_numbers(p),
-        f"Z{p**2}": cyclic_ring(p, 2),
-        f"F{p}t3": truncated_polynomials(p, 3),
-        f"Z{p**3}": cyclic_ring(p, 3),
-        f"Z{p**2}u": nilpotent_socle_ring(p),
-    }
+    return {name: build() for name, build in standard_ring_builders(p).items()}
 
 
 def count_homs_from_R(n: int, alg: ArtinLocalAlgebra) -> list[tuple[int, ...]]:
@@ -518,24 +524,3 @@ class AlgMatrix:
     def tolist(self):
         d = self.degree
         return [[list(self.entry(i, j)) for j in range(d)] for i in range(d)]
-
-
-def reduction_kernel_matrices(alg: ArtinLocalAlgebra, d: int) -> list[AlgMatrix]:
-    """The group 1 + M_d(m_A): all matrices reducing to the identity mod m_A."""
-    mA = alg.maximal_ideal()
-    count = len(mA) ** (d * d)
-    if count > 2_000_000:
-        raise AlgebraError(f"kernel of reduction has {count} elements; too many to list")
-    eye = AlgMatrix.identity(alg, d)
-    out = []
-
-    def rec(i, acc):
-        if i == d * d:
-            out.append(AlgMatrix(alg, d, tuple(acc)))
-            return
-        base = eye.entries[i]
-        for x in mA:
-            rec(i + 1, acc + [alg.add(base, x)])
-
-    rec(0, [])
-    return out

@@ -7,11 +7,13 @@ identity), and compare the class count and the induced correspondence with
 the set of local W-algebra maps R -> A.  Each generator image ranges over its
 reduction coset, cut to the matrices X with X^o(s) = I for the order o(s) of
 the generator s; every lift satisfies this, since rho(s)^o(s) = rho(1) = I.
-The products of the survivors are filtered by the equations e*s, and every
-lift is then validated against the relators of Gamma's presentation, which
-come from K and G rather than from the enumeration's spanning tree.  This
-route is deliberately independent of the cohomology module so the two can
-cross-check each other.
+The products of the survivors are extended down Gamma's BFS spanning tree
+and filtered by the equations e*s in one walk, one batched product per tree
+level and generator, and every lift is then validated against the relators
+of Gamma's presentation, which come from K and G rather than from the
+enumeration's spanning tree.  The classes come from one stacked
+conjugation per orbit.  This route is deliberately independent of the
+cohomology module so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import kernels
 from .certify import Assembly, RhoR
 from .groups import violated_relators
-from .localalg import ArtinLocalAlgebra, count_homs_from_R, reduction_kernel_matrices
+from .localalg import ArtinLocalAlgebra, count_homs_from_R
 from .modrep import Representation
 
 DEFAULT_GUARD = 100_000_000
@@ -96,6 +98,18 @@ def _candidates_for_generator(base_mat, maximal, add, d):
     return cands
 
 
+def _stack_matmul(add, mul, d):
+    """`kernels.table_matmul` on stacks of d x d matrices with any leading
+    shape; `b` is broadcast to the shape of `a`."""
+
+    def matmul(a, b):
+        b = np.broadcast_to(b, a.shape)
+        prod = kernels.table_matmul(a.reshape(-1, d, d), b.reshape(-1, d, d), add, mul)
+        return prod.reshape(a.shape)
+
+    return matmul
+
+
 def enumerate_lifts(
     rho_bar: Representation,
     A: ArtinLocalAlgebra,
@@ -108,9 +122,15 @@ def enumerate_lifts(
 
     Each generator's coset is first cut to the candidates X with
     X^o(s) = I, where o(s) is the order of s.  The cut loses no lift: a lift
-    has rho(s)^o(s) = rho(s^o(s)) = I.  The product of the survivors is
-    extended over Gamma and filtered by the equations e*s in spanning-tree
-    order."""
+    has rho(s)^o(s) = rho(s^o(s)) = I.  The product of the survivors is then
+    walked down the BFS spanning tree of `gens` one level at a time
+    (`FiniteGroup.tree_levels`), extension and e*s filter in one: each level
+    forms value(e) value(s) for every element e on it and generator s, one
+    product per generator; the tree edges among them give the values of the
+    next level (as in `FiniteGroup.extend`), and once all of them are
+    written every off-tree product is compared with the value it must equal.
+    The assignments failing an equation are dropped before the next level,
+    so the deep levels run on tiny stacks."""
     group = rho_bar.group
     if gens is None:
         gens = group.small_generating_set()
@@ -124,9 +144,7 @@ def enumerate_lifts(
             "set DEFRING_GUARD_OVERRIDE to raise"
         )
     eye = _identity(A, d)
-
-    def matmul(a, b):
-        return kernels.table_matmul(a, b, add, mul)
+    matmul = _stack_matmul(add, mul, d)
 
     cands = []
     for s in gens:
@@ -138,21 +156,25 @@ def enumerate_lifts(
             power = matmul(power, cand)
         cands.append(cand[(power == eye).all(axis=(1, 2))])
     grid = np.meshgrid(*(np.arange(len(c)) for c in cands), indexing="ij")
-    gen_blocks = [c[idx.reshape(-1)] for c, idx in zip(cands, grid)]
-    one = np.broadcast_to(eye, gen_blocks[0].shape).copy()
-    mats = group.extend(gen_blocks, matmul, one, gens)
-    # filter in BFS order with compaction: the shallow equations kill
-    # almost all assignments, so the deep ones run on tiny arrays
-    for e in group.spanning_tree(gens)[0]:
-        alive = np.ones(len(gen_blocks[0]), dtype=bool)
-        for gb, s in zip(gen_blocks, gens):
-            alive &= (matmul(mats[e], gb) == mats[group.mul(e, s)]).all(axis=(1, 2))
+    gen_blocks = np.stack([c[idx.reshape(-1)] for c, idx in zip(cands, grid)])
+    parent, genidx = map(np.asarray, group.spanning_tree(gens)[1:])
+    values = np.empty((group.order, *gen_blocks.shape[1:]), dtype=np.int64)
+    values[0] = eye
+    for level in group.tree_levels(gens):
+        children = group.table[level][:, list(gens)]
+        on_tree = (parent[children] == level[:, None]) & (genidx[children] == np.arange(len(gens)))
+        prods = [matmul(values[level], gb) for gb in gen_blocks]
+        for t, prod in enumerate(prods):
+            values[children[on_tree[:, t], t]] = prod[on_tree[:, t]]
+        alive = np.ones(gen_blocks.shape[1], dtype=bool)
+        for t, prod in enumerate(prods):
+            off = ~on_tree[:, t]
+            alive &= (prod[off] == values[children[off, t]]).all(axis=(0, 2, 3))
         if not alive.all():
-            gen_blocks = [gb[alive] for gb in gen_blocks]
-            mats = [v[alive] for v in mats]
+            gen_blocks, values = gen_blocks[:, alive], values[:, alive]
     lifts = [
         LiftAssignment(gens, tuple(tuple(gb[i].reshape(-1).tolist()) for gb in gen_blocks))
-        for i in range(len(gen_blocks[0]))
+        for i in range(gen_blocks.shape[1])
     ]
     _assert_full_table(lifts, rho_bar, A)
     return lifts
@@ -163,7 +185,7 @@ def _assert_full_table(lifts, rho_bar, A):
     reducing to rho_bar, in four steps:
 
     1. extend the lift along the spanning tree of its generators to values
-       M on all of Gamma;
+       M on all of Gamma (`FiniteGroup.extend`);
     2. check every relator of Gamma's presentation (`violated_relators`)
        on the values M[t] at the distinguished generators t.  By von Dyck's
        theorem there is then a homomorphism phi with phi(t) = M[t];
@@ -174,30 +196,25 @@ def _assert_full_table(lifts, rho_bar, A):
 
     For Gamma = K x| G the relators come from K and G, not from the tree
     that the e*s filter in `enumerate_lifts` walks, so the check stays
-    independent of the enumeration.  It costs two tree extensions and one
-    product per relator-word prefix, each batched over the lifts, in place
-    of the |Gamma|^2 table equations."""
+    independent of the enumeration.  It costs two tree extensions (one
+    product per tree level) and one product per relator-word prefix, each
+    batched over the lifts, in place of the |Gamma|^2 table equations."""
     if not lifts:
         return
     group, d = rho_bar.group, rho_bar.degree
     add, mul, _, _ = A.tables()
     gens, B = lifts[0].generators, len(lifts)
-
-    def matmul(a, b):
-        return kernels.table_matmul(a, b, add, mul)
-
-    gen_blocks = [
-        np.array([l.images[si] for l in lifts], dtype=np.int64).reshape(B, d, d)
-        for si in range(len(gens))
-    ]
-    one = np.broadcast_to(_identity(A, d), (B, d, d)).copy()
-    M = np.stack(group.extend(gen_blocks, matmul, one, gens))
-    at_gens = [M[t] for t in group.generators]
+    matmul = _stack_matmul(add, mul, d)
+    gen_blocks = np.array([l.images for l in lifts], dtype=np.int64)
+    gen_blocks = gen_blocks.reshape(B, len(gens), d, d).transpose(1, 0, 2, 3)
+    one = np.broadcast_to(_identity(A, d), (B, d, d))
+    M = group.extend(gen_blocks, matmul, one, gens)
+    at_gens = M[list(group.generators)]
     bad = violated_relators(group, at_gens, matmul, one)
     if bad:
         u, v = bad[0]
         raise OracleError(f"lift is not a homomorphism: relator {u} = {v} fails")
-    if (np.stack(group.extend(at_gens, matmul, one)) != M).any():
+    if (group.extend(at_gens, matmul, one) != M).any():
         raise OracleError(
             "lift is not a homomorphism: its extension differs from the one "
             "along the distinguished generators"
@@ -229,48 +246,40 @@ def deformation_classes(
     rho_bar: Representation, A: ArtinLocalAlgebra, lifts: list[LiftAssignment]
 ) -> DeformationClassSet:
     """Partition lifts into orbits of conjugation by 1 + M_d(m_A), with
-    lexicographically minimal representatives."""
-    add, mul, _, _, d = _ring_data(A, rho_bar)
-    U_all = np.array(
-        [u.encode() for u in reduction_kernel_matrices(A, d)], dtype=np.int64
-    ).reshape(-1, d, d)
-    Uinv_all = _kernel_inverses(A, U_all)
-    nC = len(U_all)
-    index_of = {l.key(): i for i, l in enumerate(lifts)}
-    class_of: dict = {}
-    reps = []
-    sizes = []
-    for l in lifts:
-        if l.key() in class_of:
+    lexicographically minimal representatives.
+
+    The conjugating group is listed as codes (the coset of the identity
+    matrix), and each orbit is one stacked pair of products over the group
+    and the generators; its rows are looked up among the lifts by their
+    bytes."""
+    if not lifts:
+        return DeformationClassSet([], [], 0, {})
+    add, mul, maximal, _, d = _ring_data(A, rho_bar)
+    U = _candidates_for_generator(_identity(A, d), maximal, add, d)
+    Uinv = _kernel_inverses(A, U)[:, None]
+    matmul = _stack_matmul(add, mul, d)
+    codes = np.array([l.images for l in lifts], dtype=np.int64)
+    ngen = codes.shape[1]
+    U = np.broadcast_to(U[:, None], (len(U), ngen, d, d))
+    index_of = {row.tobytes(): i for i, row in enumerate(codes.reshape(len(lifts), -1))}
+    class_idx = np.full(len(lifts), -1)
+    reps, sizes = [], []
+    for i, code in enumerate(codes):
+        if class_idx[i] >= 0:
             continue
-        ngen = len(l.images)
-        conj_imgs = []
-        for si in range(ngen):
-            g_img = np.array(l.images[si], dtype=np.int64).reshape(1, d, d)
-            tiled = np.broadcast_to(g_img, (nC, d, d))
-            conj = kernels.table_matmul(
-                kernels.table_matmul(U_all, tiled, add, mul), Uinv_all, add, mul
-            )
-            conj_imgs.append(conj)
-        orbit = set()
-        for ci in range(nC):
-            key = tuple(
-                tuple(int(x) for x in conj_imgs[si][ci].reshape(-1)) for si in range(ngen)
-            )
-            orbit.add(key)
-        rep = min(orbit)
-        cls = len(reps)
-        reps.append(rep)
+        conj = matmul(matmul(U, code.reshape(ngen, d, d)), Uinv)
+        orbit = np.unique(conj.reshape(len(U), -1), axis=0)  # sorted: row 0 is the minimum
+        members = [index_of.get(row.tobytes()) for row in orbit]
+        if None in members:
+            raise OracleError("conjugate of a lift is not a lift (internal error)")
+        class_idx[members] = len(reps)
+        reps.append(tuple(map(tuple, orbit[0].reshape(ngen, -1).tolist())))
         sizes.append(len(orbit))
-        for key in orbit:
-            if key not in index_of:
-                raise OracleError("conjugate of a lift is not a lift (internal error)")
-            class_of[key] = cls
     order = np.argsort([str(r) for r in reps], kind="stable")
-    remap = {int(old): new for new, old in enumerate(order)}
+    remap = np.argsort(order)
     reps = [reps[int(i)] for i in order]
     sizes = [sizes[int(i)] for i in order]
-    class_of = {k: remap[v] for k, v in class_of.items()}
+    class_of = {l.key(): int(remap[c]) for l, c in zip(lifts, class_idx)}
     return DeformationClassSet(reps, sizes, len(lifts), class_of)
 
 

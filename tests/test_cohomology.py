@@ -166,6 +166,64 @@ def test_bar_complex_cocycle_coboundary_roundtrip():
     assert not cx.is_coboundary(carry)
 
 
+def _is_cocycle_loop(cx, c) -> bool:
+    """The triple loop the vectorised BarComplex.is_cocycle replaced."""
+    G, p = cx.M.group, cx.p
+    for g in range(1, cx.n):
+        for h in range(1, cx.n):
+            gh = G.mul(g, h)
+            for k in range(1, cx.n):
+                hk = G.mul(h, k)
+                total = cx.M.mats[g] @ np.asarray(c(h, k), dtype=np.int64)
+                if gh != 0:
+                    total = total - np.asarray(c(gh, k))
+                if hk != 0:
+                    total = total + np.asarray(c(g, hk))
+                total = total - np.asarray(c(g, h))
+                if (total % p).any():
+                    return False
+    return True
+
+
+def _cocycle_modules():
+    S3 = symmetric_group(3)
+    yield trivial_module(cyclic_group(4), 2)
+    yield trivial_module(cyclic_group(9), 3)
+    yield trivial_module(S3, 3)
+    # the sign character of S_3 over F_3: generators (0 1) and (0 1 2)
+    yield Representation.from_generator_images(S3, [[[2]], [[1]]], 3, 1)
+    yield standard_perm_rep(S3, 5).standard
+    yield trivial_module(FiniteGroup(np.array([[a ^ b for b in range(4)] for a in range(4)]), [1, 2]), 2)
+
+
+def test_is_cocycle_matches_the_triple_loop():
+    rng = np.random.default_rng(5)
+    for M in _cocycle_modules():
+        cx = BarComplex(M)
+        m, dm, p = cx.nontriv, cx.dm, cx.p
+        d1 = cx.d1_matrix()
+        seen = set()
+        for trial in range(6):
+            f = rng.integers(0, p, cx.dim_c1)
+            values = (d1 @ f % p).reshape(m, m, dm)  # a coboundary
+            if trial % 2:  # values past p: both sides reduce mod p
+                values = values + p * rng.integers(0, 3, values.shape)
+            if trial >= 2:  # one value moved: almost never a cocycle
+                g, h = rng.integers(0, m, 2)
+                values[g, h, rng.integers(0, dm)] += rng.integers(1, p)
+            if trial == 5:
+                values = rng.integers(0, p, (m, m, dm))
+
+            def c(g, h, values=values):
+                return values[g - 1, h - 1]
+
+            want = _is_cocycle_loop(cx, c)
+            assert cx.is_cocycle(c) == want, (M.group.name, trial)
+            assert want or trial >= 2
+            seen.add(want)
+        assert seen == {True, False}, M.group.name
+
+
 def test_wedge_cocycle_p3():
     rep = wedge_cocycle(3)
     assert rep.is_cocycle

@@ -11,6 +11,7 @@ narrowed checks with the all-pairs or full-table predicate they replace.
 
 from dataclasses import replace
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -28,7 +29,15 @@ from defring.certify import (
     find_alpha,
     parse_instance_name,
 )
-from defring.groups import GroupError, GroupHom, symmetric_group, twisted_frobenius_group
+from defring.groups import (
+    FiniteGroup,
+    GroupError,
+    GroupHom,
+    find_isomorphism,
+    pgl2,
+    symmetric_group,
+    twisted_frobenius_group,
+)
 from defring.localalg import AlgMatrix, make_ring_Rprime, make_ring_Rprime_2_1
 from defring.modrep import Representation, RepresentationError, galois_module_rep, standard_perm_rep
 
@@ -78,6 +87,111 @@ def test_spanning_tree_order_and_cache():
     assert G.spanning_tree(G.generators) is G.spanning_tree()
     with pytest.raises(GroupError):
         G.spanning_tree([G.generators[0]])
+
+
+_BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]]
+_BATTERY += [f"standard-d{d}p{p}" for d, p in [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]]
+
+
+@lru_cache(maxsize=None)
+def _assembled(name):
+    return assemble(parse_instance_name(name))
+
+
+def _extend_per_element(G, gen_values, mul, one, gens=None) -> list:
+    """The extension before it went level by level: one product per
+    element, in BFS order."""
+    order, parent, genidx = G.spanning_tree(gens)
+    values = [one] * G.order
+    for e in order[1:]:
+        values[e] = mul(values[parent[e]], gen_values[genidx[e]])
+    return values
+
+
+def _schreier_relators(G) -> tuple:
+    """FiniteGroup's relators built from words extended by tuple.__add__."""
+    order, parent, genidx = G.spanning_tree()
+    words = _extend_per_element(G, [(t,) for t in range(len(G.generators))], tuple.__add__, ())
+    rows = G.table[:, list(G.generators)].tolist()
+    return tuple(
+        (words[e] + (t,), words[h])
+        for e in order
+        for t, h in enumerate(rows[e])
+        if not (parent[h] == e and genidx[h] == t)
+    )
+
+
+def _extend_groups():
+    yield symmetric_group(4)
+    yield pgl2(5)
+    for name in _BATTERY:
+        yield _assembled(name).gamma
+
+
+def test_level_extend_matches_the_per_element_extension():
+    rng = np.random.default_rng(11)
+    for G in _extend_groups():
+        for gens in (None, G.small_generating_set()):
+            k = len(G.generators if gens is None else gens)
+            mats = rng.integers(0, 7, (k, 3, 3))
+            eye = np.eye(3, dtype=np.int64)
+            got = G.extend(mats, lambda a, b: a @ b % 7, eye, gens)
+            want = _extend_per_element(G, mats, lambda a, b: a @ b % 7, eye, gens)
+            assert got.shape == (G.order, 3, 3) and (got == np.array(want)).all(), G.name
+            # integer element values: the group's own generators under its
+            # table give every element its own index
+            gen_elems = np.array(G.generators if gens is None else gens)
+            got = G.extend(gen_elems, lambda a, b: G.table[a, b], 0, gens)
+            want = _extend_per_element(G, gen_elems, G.mul, 0, gens)
+            assert got.tolist() == want == list(range(G.order)), G.name
+            shifts = rng.integers(0, 97, k)
+            got = G.extend(shifts, lambda a, b: (a + b) % 97, 0, gens)
+            assert got.tolist() == _extend_per_element(G, shifts, lambda a, b: (a + b) % 97, 0, gens)
+
+
+def test_relators_are_the_per_element_schreier_relators():
+    for G in _extend_groups():
+        base = G.gq if hasattr(G, "gq") else G
+        assert base.relators() == _schreier_relators(base), base.name
+        assert tuple(FiniteGroup._presentation(G)) == _schreier_relators(G), G.name
+
+
+def _find_isomorphism_per_element(G, H):
+    """find_isomorphism's search with the per-element extension."""
+    gens = G.small_generating_set()
+    by_order: dict[int, list[int]] = {}
+    for h in range(H.order):
+        by_order.setdefault(H.element_order(h), []).append(h)
+    for images in product(*(by_order.get(G.element_order(g), []) for g in gens)):
+        img = np.array(_extend_per_element(G, images, H.mul, 0, gens), dtype=np.int64)
+        if len(set(img.tolist())) != G.order:
+            continue
+        try:
+            return GroupHom(G, H, img)
+        except GroupError:
+            continue
+    return None
+
+
+def test_find_isomorphism_and_from_generator_images_are_unchanged():
+    s4_again = FiniteGroup.from_permutations([(1, 2, 3, 0), (1, 0, 2, 3)], name="S4b")
+    pairs = [
+        (symmetric_group(3), twisted_frobenius_group(2)),
+        (symmetric_group(4), s4_again),
+        (pgl2(3), symmetric_group(4)),
+    ]
+    for G, H in pairs:
+        got, want = find_isomorphism(G, H), _find_isomorphism_per_element(G, H)
+        assert (got is None) == (want is None)
+        assert got is None or got.images.tolist() == want.images.tolist()
+    for name in _BATTERY:
+        for rep in (_assembled(name).rho_bar, _assembled(name).K):
+            m = rep.modulus
+            gen_mats = rep.gen_mats
+            built = Representation.from_generator_images(rep.group, gen_mats, rep.p, rep.N)
+            eye = np.eye(rep.degree, dtype=np.int64)
+            want = _extend_per_element(rep.group, gen_mats, lambda a, b: a @ b % m, eye)
+            assert (built.mats == np.array(want)).all() and (built.mats == rep.mats).all()
 
 
 def test_validate_catches_a_deep_corruption():

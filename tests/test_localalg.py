@@ -14,7 +14,6 @@ from defring.localalg import (
     make_ring_Rprime,
     make_ring_Rprime_2_1,
     nilpotent_socle_ring,
-    reduction_kernel_matrices,
     standard_rings,
     truncated_polynomials,
 )
@@ -176,9 +175,14 @@ def test_order_identity_one_plus_tA():
 
 
 def test_reduction_kernel_size():
+    # 1 + M_2(m_A) as the oracle lists it: the coset of the identity, coded
+    from defring.oracle import _candidates_for_generator, _identity
+
     z4 = cyclic_ring(2, 2)
-    ker = reduction_kernel_matrices(z4, 2)
-    assert len(ker) == 2**4
+    maximal = [z4.encode(x) for x in z4.maximal_ideal()]
+    codes = _candidates_for_generator(_identity(z4, 2), maximal, z4.tables()[0], 2)
+    ker = [AlgMatrix(z4, 2, tuple(map(z4.decode, u.reshape(-1).tolist()))) for u in codes]
+    assert len(ker) == len(set(ker)) == 2**4
     eye = AlgMatrix.identity(z4, 2)
     for u in ker:
         assert (u.residue_matrix() == eye.residue_matrix()).all()

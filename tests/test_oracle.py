@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -13,9 +14,9 @@ from defring.certify import (
 )
 from defring.cohomology import h1_dim
 from defring.localalg import (
+    AlgMatrix,
     cyclic_ring,
     dual_numbers,
-    reduction_kernel_matrices,
     standard_rings,
 )
 from defring.modrep import end_rep
@@ -23,6 +24,7 @@ from defring.oracle import (
     LiftAssignment,
     OracleError,
     _assert_full_table,
+    _candidates_for_generator,
     _identity,
     _kernel_inverses,
     deformation_classes,
@@ -217,32 +219,45 @@ def _reference_lifts(rho_bar, A, gens):
 @pytest.mark.parametrize(
     "instance,ring,which",
     [("twisted-p2n1", r, w) for r in ("dual", "Z4", "Z8", "F2t3") for w in (0, 1)]
-    + [("twisted-p2n2", "dual", 0)],
+    + [("twisted-p2n2", "dual", 0)]
+    # three generators: here the deepest tree level carries equations that
+    # the shallower levels do not imply
+    + [("twisted-p2n1", r, (1, 3, 6)) for r in ("dual", "Z4")],
 )
 def test_pruned_enumeration_matches_unpruned_reference(instance, ring, which):
     asm = assemble(parse_instance_name(instance))
     A = standard_rings(2)[ring]
     group = asm.rho_bar.group
-    gens = group.small_generating_set() if which == 0 else _second_generating_set(group)
+    if isinstance(which, tuple):
+        gens = which
+    else:
+        gens = group.small_generating_set() if which == 0 else _second_generating_set(group)
     gens = tuple(int(g) for g in gens)
     expected = _reference_lifts(asm.rho_bar, A, gens)
     got = [l.images for l in enumerate_lifts(asm.rho_bar, A, gens)]
     assert expected and got == expected
 
 
+def _kernel_codes(A, d):
+    """1 + M_d(m_A) as the oracle lists it: the coded coset of the identity."""
+    maximal = [A.encode(x) for x in A.maximal_ideal()]
+    return _candidates_for_generator(_identity(A, d), maximal, A.tables()[0], d)
+
+
 @pytest.mark.parametrize(
     "A", list(standard_rings(2).values()) + [dual_numbers(3)], ids=lambda A: A.name
 )
 def test_batched_kernel_inverses_match_algmatrix_inverse(A):
-    kerm = reduction_kernel_matrices(A, 2)
-    U = np.array([u.encode() for u in kerm], dtype=np.int64).reshape(-1, 2, 2)
+    U = _kernel_codes(A, 2)
+    kerm = [AlgMatrix(A, 2, tuple(map(A.decode, u.reshape(-1).tolist()))) for u in U]
+    assert len(set(kerm)) == len(A.maximal_ideal()) ** 4
     expected = np.array([u.inverse().encode() for u in kerm]).reshape(-1, 2, 2)
     assert (_kernel_inverses(A, U) == expected).all()
 
 
 def test_kernel_inverses_raise_on_a_singular_matrix():
     A = dual_numbers(2)
-    U = np.array([u.encode() for u in reduction_kernel_matrices(A, 2)]).reshape(-1, 2, 2)
+    U = _kernel_codes(A, 2)
     one, zero = A.encode(A.one), A.encode(A.zero)
     singular = np.array([[[one, zero], [zero, zero]]])
     with pytest.raises(OracleError, match="did not converge"):
@@ -282,10 +297,9 @@ def _assignment_on(gens, lift, rho_bar, A):
     """The images on `gens` of the homomorphism that `lift` extends to."""
     add, mul, _, _ = A.tables()
     d = rho_bar.degree
-    blocks = [np.array(im).reshape(1, d, d) for im in lift.images]
-    one = _identity(A, d).reshape(1, d, d)
+    blocks = [np.array(im).reshape(d, d) for im in lift.images]
     M = rho_bar.group.extend(
-        blocks, lambda a, b: kernels.table_matmul(a, b, add, mul), one, lift.generators
+        blocks, lambda a, b: kernels.table_matmul(a, b, add, mul), _identity(A, d), lift.generators
     )
     return [M[g].reshape(-1).tolist() for g in gens]
 
@@ -339,3 +353,92 @@ def test_full_table_check_rejects_a_homomorphism_of_another_reduction():
     eye = tuple(_identity(A, 2).reshape(-1).tolist())
     with pytest.raises(OracleError, match="does not reduce"):
         _assert_full_table([LiftAssignment(gens, (eye,) * len(gens))], asm.rho_bar, A)
+
+
+# ---------------------------------------------------------------------------
+# The vectorised class partition against the per-lift orbit loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_classes(rho_bar, A, lifts):
+    """The per-lift orbit loop the vectorised `deformation_classes`
+    replaced: conjugate each unclassified lift by every matrix of
+    1 + M_d(m_A), listed entry by entry, one generator at a time, and
+    collect the orbit as a set of tuples."""
+    add, mul, _, _ = A.tables()
+    d = rho_bar.degree
+    eye = _identity(A, d).reshape(-1)
+    maximal = [A.encode(x) for x in A.maximal_ideal()]
+    U = np.array(
+        [[add[e, x] for e, x in zip(eye, deltas)] for deltas in product(maximal, repeat=d * d)],
+        dtype=np.int64,
+    ).reshape(-1, d, d)
+    Uinv = _kernel_inverses(A, U)
+    keys = {l.key() for l in lifts}
+    class_of, reps, sizes = {}, [], []
+    for l in lifts:
+        if l.key() in class_of:
+            continue
+        conj = [
+            kernels.table_matmul(
+                kernels.table_matmul(U, np.broadcast_to(np.reshape(im, (1, d, d)), U.shape), add, mul),
+                Uinv,
+                add,
+                mul,
+            )
+            for im in l.images
+        ]
+        orbit = {tuple(tuple(c[i].reshape(-1).tolist()) for c in conj) for i in range(len(U))}
+        if not orbit <= keys:
+            raise OracleError("conjugate of a lift is not a lift (internal error)")
+        for key in orbit:
+            class_of[key] = len(reps)
+        reps.append(min(orbit))
+        sizes.append(len(orbit))
+    order = np.argsort([str(r) for r in reps], kind="stable")
+    remap = {int(old): new for new, old in enumerate(order)}
+    return (
+        [reps[int(i)] for i in order],
+        [sizes[int(i)] for i in order],
+        {k: remap[v] for k, v in class_of.items()},
+    )
+
+
+_CLASS_ROWS = (
+    [(inst, ring) for inst in ("twisted-p2n1", "standard-d2p2") for ring in ("dual", "Z4", "Z8", "F2t3", "Z4u")]
+    + [("twisted-p3n1", r) for r in ("dual", "Z9", "F3t3", "Z27", "Z9u")]
+    + [("twisted-p2n2", "dual"), ("twisted-p2n2", "Z4")]
+)
+
+
+@lru_cache(maxsize=None)
+def _lifts_of(instance, ring):
+    asm = assemble(parse_instance_name(instance))
+    A = standard_rings(asm.p)[ring]
+    return asm.rho_bar, A, enumerate_lifts(asm.rho_bar, A)
+
+
+@pytest.mark.parametrize("instance,ring", _CLASS_ROWS)
+def test_deformation_classes_match_the_per_lift_orbit_loop(instance, ring):
+    rho_bar, A, lifts = _lifts_of(instance, ring)
+    got = deformation_classes(rho_bar, A, lifts)
+    reps, sizes, class_of = _reference_classes(rho_bar, A, lifts)
+    assert got.representatives == reps
+    assert got.sizes == sizes
+    assert got.class_of == class_of
+    assert got.lift_count == len(lifts) == sum(sizes)
+
+
+@pytest.mark.parametrize("instance,ring", [("twisted-p2n1", "Z4u"), ("twisted-p3n1", "Z9")])
+def test_deformation_classes_refuse_a_list_missing_a_lift(instance, ring):
+    rho_bar, A, lifts = _lifts_of(instance, ring)
+    classes = deformation_classes(rho_bar, A, lifts)
+    # drop a lift whose orbit has other members: one of them reaches it
+    drop = next(
+        i for i, l in enumerate(lifts) if classes.sizes[classes.class_of[l.key()]] > 1
+    )
+    partial = lifts[:drop] + lifts[drop + 1 :]
+    with pytest.raises(OracleError, match="conjugate of a lift is not a lift"):
+        deformation_classes(rho_bar, A, partial)
+    with pytest.raises(OracleError, match="conjugate of a lift is not a lift"):
+        _reference_classes(rho_bar, A, partial)
