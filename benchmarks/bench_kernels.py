@@ -6,7 +6,8 @@ standard-d4p2's presentation), H^1 end to end on four of the largest
 battery instances, table-driven batched matrix products (oracle
 enumeration) and the construction of Gamma = K x| G for three of the largest
 battery instances.  Also times one end-to-end oracle enumeration, and the
-enumeration and the class partition on three rows of the oracle benchmark.
+enumeration and the class partition on three rows of the oracle benchmark,
+and the constructions of GR(p^3, 2) (`galois_matrices`) and PGL_2(F_q).
 Each row is the best of a few repeats.
 
 Usage: python benchmarks/bench_kernels.py
@@ -133,6 +134,15 @@ def main():
             lambda: deformation_classes(asm.rho_bar, ring, lifts),
             repeat=5,
         )
+
+    print("== ring constructions: GR(p^3, 2) and PGL_2(F_q) ==")
+    from defring.exactalg import galois_matrices
+    from defring.groups import pgl2
+
+    for p in (2, 3, 5, 7):
+        bench(f"galois_matrices({p}, 3)", lambda p=p: galois_matrices(p, 3), repeat=5)
+    for q in (4, 8, 9):
+        bench(f"pgl2({q})", lambda q=q: pgl2(q), repeat=5)
 
 
 if __name__ == "__main__":

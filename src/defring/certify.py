@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cohomology import h1_dim
-from .exactalg import PrecisionError, pval, solve_module
+from .exactalg import PrecisionError, galois_matrices, solve_module
 from .groups import FiniteGroup, GroupError, SemidirectGroup, pgl2, semidirect_product, symmetric_group, twisted_frobenius_group, violated_relators
 from .localalg import AlgebraError, AlgMatrix, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
 from .modrep import (
@@ -101,13 +101,8 @@ def commutative_control_module(p: int, n: int) -> Representation:
     the order-2 generator acts by Frobenius: the regular module of the
     order-2 quotient, whose alpha-images are multiplication operators and
     therefore commute."""
-    from .exactalg import GaloisRing
-
-    G = twisted_frobenius_group(p)
-    ring = GaloisRing(p, n)
-    eye = np.eye(2, dtype=np.int64)
-    frob = ring.regular_matrix("frobenius")
-    return Representation.from_generator_images(G, [eye, frob], p, n)
+    gen_mats = [np.eye(2, dtype=np.int64), galois_matrices(p, n)[1]]
+    return Representation.from_generator_images(twisted_frobenius_group(p), gen_mats, p, n)
 
 
 def scalar_control_module(group: FiniteGroup, p: int) -> Representation:
@@ -442,22 +437,18 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     kvecs = asm.K.vectors()
     alpha_k = alpha.of_vecs(kvecs)  # row 0 is alpha(0) = 0
     faithful = asm.rho_w.is_faithful() and bool(alpha_k[1:].any(axis=(1, 2)).all())
-    # order identities on the kernel: (1 + t alpha(k))^m = 1 + m t alpha(k),
-    # so the matrix order of rho_R(k, 1) equals the additive order of k
-    orders_ok = True
-    for kv, ak in zip(kvecs.tolist(), alpha_k):
-        add_order = 1
-        for c in kv:
-            if c:
-                add_order = max(add_order, mn // (p ** min(pval(c, p, n), n)))
-        mat_order = 1
-        acc = ak % mn
-        while (acc != 0).any():
-            acc = (acc + ak) % mn
-            mat_order += 1
-        if add_order != mat_order:
-            orders_ok = False
-    return RhoR(asm, alpha, faithful, orders_ok)
+    return RhoR(asm, alpha, faithful, _order_identities_hold(kvecs, alpha_k, p, n))
+
+
+def _order_identities_hold(kvecs: np.ndarray, alpha_k: np.ndarray, p: int, n: int) -> bool:
+    """(1 + t alpha(k))^m = 1 + m t alpha(k), so rho_R(k, 1) has the additive
+    order of alpha(k), which must be that of k: p^(n - v) for v the least
+    valuation of an entry, capped at n, that is the number of j <= n with
+    p^j dividing every entry.  One comparison per j over all of K."""
+    powers = [p**j for j in range(1, n + 1)]
+    v_k = sum((kvecs % pj == 0).all(axis=1) for pj in powers)
+    v_alpha = sum((alpha_k % pj == 0).all(axis=(1, 2)) for pj in powers)
+    return bool((v_k == v_alpha).all())
 
 
 # ---------------------------------------------------------------------------

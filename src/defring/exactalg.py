@@ -1,4 +1,4 @@
-"""Exact arithmetic over Z/p^N and quadratic Galois rings GR(p^N, 2).
+"""Exact arithmetic over Z/p^N, and the rings (Z/p^N)[x]/(f) as matrices.
 
 Z/p^N is the truncation of the p-adic integers used as coefficient ring
 throughout; all arithmetic is done with Python ints, so moduli up to 2**62
@@ -7,6 +7,10 @@ basis of a row span over Z/p^N that supports exact membership testing and
 exposes the module structure of the span.  Over a chain ring like Z/p^N the
 computation reduces to valuation bookkeeping, which keeps this module free
 of general gcd machinery.
+
+The rings (Z/p^N)[x]/(f) the instances need, GR(p^N, 2) = W(F_{p^2}) / p^N
+and F_q for q <= 9, are handled through the regular matrices of their
+elements, polynomials in the companion matrix of f (`companion`).
 """
 
 from __future__ import annotations
@@ -232,230 +236,95 @@ def solve_module(entries, rhs: Sequence[int], p: int, N: int) -> ModuleSolution:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic Galois rings GR(p^N, 2)
+# Polynomial quotient rings (Z/m)[x]/(f) as matrices
 # ---------------------------------------------------------------------------
 
 
-def _quadratic_modulus(p: int) -> tuple[int, int]:
-    """Coefficients (c0, c1) of the rewrite x^2 = c1*x + c0.
-
-    The defining polynomial is x^2 + x + 1 for p = 2 and x^2 - c for odd p
-    with c the smallest quadratic non-residue; the integer coefficients are
-    reused verbatim at every precision, which is a valid Hensel lift because
-    the reduction mod p stays separable and irreducible.
-    """
-    if p == 2:
-        return (-1, -1)  # x^2 = -x - 1
+def defining_rule(p: int, f: int) -> tuple[int, ...]:
+    """(r_0, ..., r_{f-1}) with x^f = sum_i r_i x^i for the fixed monic f of
+    degree f: x, x^2 + x + 1 (p = 2), x^3 + x + 1 (F_8), or x^2 - c for odd p,
+    c the least quadratic non-residue.  It stays irreducible mod p, so the
+    integer coefficients serve at every precision."""
+    if f == 1 or p == 2:
+        return {1: (0,), 2: (-1, -1), 3: (1, 1, 0)}[f]
     residues = {(x * x) % p for x in range(1, p)}
-    c = next(c for c in range(2, p) if c not in residues)
-    return (c, 0)  # x^2 = c
+    return (next(c for c in range(2, p) if c not in residues), 0)
 
 
-@dataclass(frozen=True)
-class GaloisRingElem:
-    """Element a0 + a1*x of GR(p^N, 2) in the basis {1, x}."""
+def companion(rule: Sequence[int], m: int) -> np.ndarray:
+    """The matrix over Z/m of multiplication by x on (Z/m)[x]/(f), where
+    x^f = sum_i rule[i] x^i, on the basis 1, x, ..., x^(f-1): column j holds
+    the coordinates of x^(j+1).  The element a = sum_i a_i x^i acts by the
+    regular matrix sum_i a_i C^i, whose column 0 holds a's coordinates."""
+    C = np.eye(len(rule), k=-1, dtype=np.int64)
+    C[:, -1] = np.array(rule, dtype=np.int64) % m
+    return C
 
-    ring: "GaloisRing"
-    a0: int
-    a1: int
 
-    def __post_init__(self):
-        m = self.ring.modulus
-        object.__setattr__(self, "a0", self.a0 % m)
-        object.__setattr__(self, "a1", self.a1 % m)
+def matpow_mod(A: np.ndarray, k: int, m: int) -> np.ndarray:
+    """A^k mod m by repeated squaring, for a matrix or a stack of matrices
+    (exact while (m - 1)^2 times the matrix size stays below 2^63)."""
+    out = np.broadcast_to(np.eye(A.shape[-1], dtype=np.int64), A.shape)
+    while k:
+        if k & 1:
+            out = out @ A % m
+        A = A @ A % m
+        k >>= 1
+    return out
 
-    @property
-    def coeffs(self) -> tuple[int, int]:
-        return (self.a0, self.a1)
 
-    def __add__(self, other):
-        return GaloisRingElem(self.ring, self.a0 + other.a0, self.a1 + other.a1)
+def has_order(A: np.ndarray, order: int, m: int) -> np.ndarray:
+    """Which matrices of the stack A have multiplicative order exactly
+    `order` mod m: A^order = I and A^(order/r) != I for each prime r
+    dividing `order`."""
+    eye = np.eye(A.shape[-1], dtype=np.int64)
+    found = (matpow_mod(A, order, m) == eye).all(axis=(-2, -1))
+    rest = order
+    for r in range(2, order + 1):  # meets the primes dividing order, in turn
+        if rest % r == 0:
+            found &= (matpow_mod(A, order // r, m) != eye).any(axis=(-2, -1))
+            while rest % r == 0:
+                rest //= r
+        if rest == 1:
+            return found
+    return found
 
-    def __sub__(self, other):
-        return GaloisRingElem(self.ring, self.a0 - other.a0, self.a1 - other.a1)
 
-    def __neg__(self):
-        return GaloisRingElem(self.ring, -self.a0, -self.a1)
+def galois_matrices(p: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, F): the matrices over Z/p^N, on the basis 1, x of
+    GR(p^N, 2) = (Z/p^N)[x]/(f) (f from `defining_rule(p, 2)`), of
+    multiplication by the Teichmuller unit generator u and of the Frobenius.
 
-    def __mul__(self, other):
-        c0, c1 = self.ring.rewrite
-        hi = self.a1 * other.a1
-        return GaloisRingElem(
-            self.ring,
-            self.a0 * other.a0 + hi * c0,
-            self.a0 * other.a1 + self.a1 * other.a0 + hi * c1,
+    u lifts the first a0 + a1 x, in lexicographic order, of order q - 1 in
+    F_q^* (q = p^2): it is the limit of U <- U^q, reached within N steps as
+    each gains a p-adic digit.  The Frobenius sigma has sigma(u) = u^p on
+    Teichmuller units, so sigma(x) = (u^p - a0) a1^-1 for u = a0 + a1 x (a1
+    is a unit, as u mod p lies outside F_p).  Both searches are bounded; for
+    a non-prime p they raise ValueError.
+    """
+    m = p**N
+    if m**2 > MAX_MODULUS:
+        raise PrecisionError(
+            f"precision too large: GR({p}^{N}, 2) needs (p^N)^2 <= 2^62, but p^N = {m}"
         )
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def is_unit(self) -> bool:
-        # A unit iff nonzero in the residue field F_{p^2}.
-        p = self.ring.p
-        return self.a0 % p != 0 or self.a1 % p != 0
-
-    def inverse(self) -> "GaloisRingElem":
-        if not self.is_unit():
-            raise ZeroDivisionError("not a unit")
-        # Newton lift of the residue-field inverse.
-        q = self.ring.p**2
-        r = self.residue()
-        v = r ** (q - 2)
-        v = GaloisRingElem(self.ring, v.a0, v.a1)
-        for _ in range(self.ring.N.bit_length() + 1):
-            v = v * (self.ring.from_int(2) - self * v)
-        assert (self * v).coeffs == (1, 0)
-        return v
-
-    def residue(self) -> "GaloisRingElem":
-        """Image in the residue field GR(p, 2) = F_{p^2}."""
-        f = self.ring.residue_ring()
-        return GaloisRingElem(f, self.a0, self.a1)
-
-    def reduce_to(self, n: int) -> "GaloisRingElem":
-        """Image in GR(p^n, 2) for n <= N."""
-        return GaloisRingElem(GaloisRing(self.ring.p, n), self.a0, self.a1)
-
-    def multiplicative_order(self) -> int:
-        if not self.is_unit():
-            raise ZeroDivisionError("not a unit")
-        k, acc = 1, self
-        while acc.coeffs != (1, 0):
-            acc = acc * self
-            k += 1
-        return k
-
-
-class GaloisRing:
-    """GR(p^N, 2) = (Z/p^N)[x] / (fixed monic quadratic), residue field F_{p^2}."""
-
-    def __init__(self, p: int, N: int):
-        self.p = p
-        self.N = N
-        self.modulus = p**N
-        if self.modulus**2 > MAX_MODULUS:
-            raise PrecisionError(
-                f"precision too large: GR({p}^{N}, 2) needs (p^N)^2 <= 2^62, "
-                f"but p^N = {self.modulus}"
-            )
-        self.rewrite = tuple(c % self.modulus for c in _quadratic_modulus(p))
-
-    def __eq__(self, other):
-        return isinstance(other, GaloisRing) and (self.p, self.N) == (other.p, other.N)
-
-    def __hash__(self):
-        return hash(("GR", self.p, self.N))
-
-    def __repr__(self):
-        return f"GaloisRing(p={self.p}, N={self.N})"
-
-    def element(self, a0: int, a1: int) -> GaloisRingElem:
-        return GaloisRingElem(self, a0, a1)
-
-    def from_int(self, a: int) -> GaloisRingElem:
-        return GaloisRingElem(self, a, 0)
-
-    @property
-    def zero(self):
-        return GaloisRingElem(self, 0, 0)
-
-    @property
-    def one(self):
-        return GaloisRingElem(self, 1, 0)
-
-    @property
-    def x(self):
-        return GaloisRingElem(self, 0, 1)
-
-    def residue_ring(self) -> "GaloisRing":
-        return GaloisRing(self.p, 1)
-
-    def elements(self) -> Iterable[GaloisRingElem]:
-        m = self.modulus
-        for a0 in range(m):
-            for a1 in range(m):
-                yield GaloisRingElem(self, a0, a1)
-
-    def units(self) -> Iterable[GaloisRingElem]:
-        return (e for e in self.elements() if e.is_unit())
-
-    @property
-    def frobenius_root(self) -> GaloisRingElem:
-        """The unique root of the defining polynomial congruent to x^p mod p.
-
-        Computed by Hensel refinement of x^p; substituting it for x defines
-        the Frobenius automorphism.
-        """
-        if not hasattr(self, "_frob_root"):
-            c0, c1 = self.rewrite
-            r = self.x ** self.p
-            for _ in range(self.N.bit_length() + 1):
-                val = r * r - self.from_int(c1) * r - self.from_int(c0)
-                deriv = self.from_int(2) * r - self.from_int(c1)
-                r = r - val * deriv.inverse()
-            assert (r * r - self.from_int(c1) * r - self.from_int(c0)).coeffs == (0, 0)
-            self._frob_root = r
-        return self._frob_root
-
-    def frobenius(self, a: GaloisRingElem) -> GaloisRingElem:
-        """The ring automorphism of order 2 fixing Z/p^N, b -> b^p mod p."""
-        r = self.frobenius_root
-        return self.from_int(a.a0) + self.from_int(a.a1) * r
-
-    def teichmuller(self, u: GaloisRingElem) -> GaloisRingElem:
-        """The unique lift of u mod p with multiplicative order dividing p^2 - 1."""
-        if not u.is_unit():
-            raise ZeroDivisionError("not a unit")
-        q = self.p**2
-        v = u
-        for _ in range(self.N + 2):
-            w = v**q
-            if w.coeffs == v.coeffs:
-                return v
-            v = w
-        raise AssertionError("Teichmuller iteration failed to stabilize")
-
-    @property
-    def unit_generator(self) -> GaloisRingElem:
-        """Canonical generator of F_{p^2}^* lifted by Teichmuller.
-
-        The underlying residue generator is the first element in (a0, a1)
-        lexicographic order whose multiplicative order is p^2 - 1; fixing it
-        makes every downstream construction reproducible.
-        """
-        if not hasattr(self, "_unit_gen"):
-            f = self.residue_ring()
-            target = self.p**2 - 1
-            for a0 in range(self.p):
-                for a1 in range(self.p):
-                    cand = f.element(a0, a1)
-                    if cand.is_unit() and cand.multiplicative_order() == target:
-                        lift = self.element(a0, a1)
-                        self._unit_gen = self.teichmuller(lift)
-                        return self._unit_gen
-            raise AssertionError("no generator found")
-        return self._unit_gen
-
-    def regular_matrix(self, a) -> np.ndarray:
-        """2x2 int64 matrix over Z/p^N of multiplication by a (or of Frobenius).
-
-        Columns are the coordinates of the images of the basis {1, x}, so the
-        assignment is multiplicative and intertwines with the twisted
-        commutation rule sigma * b = frobenius(b) * sigma.
-        """
-        if a == "frobenius":
-            img1 = self.one
-            imgx = self.frobenius_root
-        else:
-            img1 = a
-            imgx = a * self.x
-        return np.array([[img1.a0, imgx.a0], [img1.a1, imgx.a1]], dtype=np.int64)
+    q = p * p
+    C = companion(defining_rule(p, 2), m)
+    eye = np.eye(2, dtype=np.int64)
+    for start in range(0, q, 4096):  # the residues a0 + a1 x by code a0 p + a1, in stacks
+        a0, a1 = np.divmod(np.arange(start, min(start + 4096, q))[:, None, None], p)
+        found = np.flatnonzero(has_order((a0 * eye + a1 * C) % p, q - 1, p))
+        if len(found):
+            a0, a1 = divmod(start + int(found[0]), p)
+            break
+    else:
+        raise ValueError(f"(Z/{p})[x]/(f) has no unit of order {q - 1}: p = {p} is not a prime")
+    U = (a0 * eye + a1 * C) % m
+    for _ in range(N + 1):
+        U, prev = matpow_mod(U, q, m), U
+        if (U == prev).all():
+            break
+    else:
+        raise ValueError(f"the Teichmuller iteration mod {p}^{N} does not settle: p = {p} is not a prime")
+    a0, a1 = U[:, 0].tolist()
+    sigma_x = (matpow_mod(U, p, m)[:, 0] - [a0, 0]) * pow(a1, -1, m) % m
+    return U, np.column_stack([[1, 0], sigma_x])

@@ -26,6 +26,8 @@ from itertools import combinations, product
 
 import numpy as np
 
+from .exactalg import companion, defining_rule, has_order, matpow_mod
+
 TABLE_GUARD = 10_000  # max order for full-table construction
 
 
@@ -161,7 +163,7 @@ class FiniteGroup:
         self._trees[gens] = cached
         return cached
 
-    def extend(self, gen_values, mul, one, gens=None) -> np.ndarray:
+    def extend(self, gen_values, mul, one, gens=None, at=None) -> np.ndarray:
         """Values on every element from values on the generators `gens`
         (default: the distinguished ones), along the spanning tree:
         value(0) = one and value(e) = mul(value(parent[e]), gen_values[genidx[e]]).
@@ -177,14 +179,25 @@ class FiniteGroup:
         = value(e s_1...s_k), and every element is such a word, so the map is
         multiplicative on all pairs.  The checks built on this compare
         |G| x #gens products instead of |G|^2.
+
+        With `at`, only the elements `at` and their tree ancestors (the
+        prefixes of their words) get values, at one `mul` per level, and
+        the values at `at` are returned, stacked in that order.
         """
         parent, genidx = map(np.asarray, self.spanning_tree(gens)[1:])
         gen_values, one = np.asarray(gen_values), np.asarray(one)
         values = np.empty((self.order, *one.shape), dtype=one.dtype)
         values[0] = one
+        needed = np.full(self.order, at is None)
+        if at is not None:
+            needed[list(at)] = True
+            for level in self.tree_levels(gens)[:0:-1]:  # and their tree ancestors
+                needed[parent[level[needed[level]]]] = True
         for level in self.tree_levels(gens)[1:]:
-            values[level] = mul(values[parent[level]], gen_values[genidx[level]])
-        return values
+            level = level[needed[level]]
+            if len(level):
+                values[level] = mul(values[parent[level]], gen_values[genidx[level]])
+        return values if at is None else values[list(at)]
 
     def relators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """A presentation on the distinguished generators, as pairs (u, v) of
@@ -367,73 +380,26 @@ def symmetric_group(m: int) -> FiniteGroup:
     return FiniteGroup.from_permutations(gens, name=f"S{m}")
 
 
-class _SmallField:
-    """F_q for q <= 9, elements encoded 0..q-1 as base-p digit strings."""
+# F_q for the prime powers q <= 9, as (p, f) with q = p^f
+_SMALL_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
-    # rewrite x^f into lower-degree terms: x^2 = 1 + x over F_2 (from
-    # x^2+x+1), x^3 = 1 + x over F_2 (from x^3+x+1), x^2 = 2 over F_3
-    # (from x^2+1)
-    _POLYS = {4: (1, 1), 8: (1, 1, 0), 9: (2, 0)}
 
-    def __init__(self, q: int):
-        ps = [2, 3, 5, 7]
-        p = next((p for p in ps if q % p == 0 and all(q % r for r in ps if r != p)), None)
-        f = 0
-        qq = q
-        while p and qq % p == 0:
-            qq //= p
-            f += 1
-        if p is None or qq != 1 or q > 9:
-            raise GroupError(f"{q} is not a prime power <= 9")
-        self.p, self.f, self.q = p, f, q
-        if f == 1:
-            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            rewrite = self._POLYS[q]
-            self.add = [[self._enc([(x + y) % p for x, y in zip(self._dec(a), self._dec(b))]) for b in range(q)] for a in range(q)]
-            self.mul = [[self._polymul(a, b, rewrite) for b in range(q)] for a in range(q)]
-        self.inv = [0] * q
-        for a in range(1, q):
-            self.inv[a] = next(b for b in range(1, q) if self.mul[a][b] == 1)
-
-    def _dec(self, a):
-        out = []
-        for _ in range(self.f):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return out
-
-    def _enc(self, digits):
-        a = 0
-        for d in reversed(digits):
-            a = a * self.p + d
-        return a
-
-    def _polymul(self, a, b, rewrite):
-        p, f = self.p, self.f
-        da, db = self._dec(a), self._dec(b)
-        prod = [0] * (2 * f - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] += x * y
-        for k in range(2 * f - 2, f - 1, -1):
-            c = prod[k] % p
-            if c:
-                for i, r in enumerate(rewrite):
-                    prod[k - f + i] += c * r
-            prod[k] = 0
-        return self._enc([c % p for c in prod[:f]])
-
-    def generator(self) -> int:
-        for a in range(2, self.q):
-            x, k = a, 1
-            while x != 1:
-                x = self.mul[x][a]
-                k += 1
-            if k == self.q - 1:
-                return a
-        raise GroupError("no field generator found")
+def _field_tables(q: int) -> tuple[list, list, int]:
+    """Add and mul tables of F_q = F_p[x]/(f), q = p^f <= 9, and its first
+    multiplicative generator.  Element a stands for sum_i a_i x^i, a_i its
+    base-p digits lowest first; a b is M_a b for the regular matrix
+    M_a = sum_i a_i C^i, C the companion matrix of `defining_rule(p, f)`."""
+    if q not in _SMALL_FIELDS:
+        raise GroupError(f"{q} is not a prime power <= 9")
+    p, f = _SMALL_FIELDS[q]
+    C = companion(defining_rule(p, f), p)
+    digits = np.array([[a // p**i % p for i in range(f)] for a in range(q)], dtype=np.int64)
+    regular = sum(digits[:, i, None, None] * matpow_mod(C, i, p) for i in range(f)) % p
+    radix = p ** np.arange(f)
+    mul = (np.einsum("ajk,bk->abj", regular, digits) % p) @ radix
+    add = ((digits[:, None, :] + digits[None, :, :]) % p) @ radix
+    g = 1 + int(np.flatnonzero(has_order(regular[1:], q - 1, p))[0])
+    return add.tolist(), mul.tolist(), g
 
 
 def pgl2(q: int) -> FiniteGroup:
@@ -443,7 +409,8 @@ def pgl2(q: int) -> FiniteGroup:
     generators are z -> z+1, z -> g*z (g the first multiplicative
     generator), and z -> 1/z.
     """
-    F = _SmallField(q)
+    add, mul, g = _field_tables(q)
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
     inf = q
 
     def apply_mat(a, b, c, d, pt):
@@ -451,16 +418,15 @@ def pgl2(q: int) -> FiniteGroup:
         if pt == inf:
             num, den = a, c
         else:
-            num = F.add[F.mul[a][pt]][b]
-            den = F.add[F.mul[c][pt]][d]
+            num = add[mul[a][pt]][b]
+            den = add[mul[c][pt]][d]
         if den == 0:
             return inf
-        return F.mul[num][F.inv[den]]
+        return mul[num][inv[den]]
 
     def perm_of(a, b, c, d):
         return tuple(apply_mat(a, b, c, d, pt) for pt in range(q + 1))
 
-    g = F.generator() if q > 2 else 1
     gens = [perm_of(1, 1, 0, 1), perm_of(g, 0, 0, 1), perm_of(0, 1, 1, 0)]
     gens = [p for i, p in enumerate(gens) if p != tuple(range(q + 1))]
     G = FiniteGroup.from_permutations(gens, name=f"PGL2({q})")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .exactalg import GaloisRing, solve_module
+from .exactalg import galois_matrices, matpow_mod, solve_module
 from .groups import FiniteGroup, GroupHom, twisted_frobenius_group
 
 
@@ -256,12 +256,7 @@ def galois_module_rep(p: int, N: int) -> Representation:
     natural action on F_{p^2} as a 2-dimensional F_p-space.
     """
     G = twisted_frobenius_group(p)
-    ring = GaloisRing(p, N)
-    zeta_mat = ring.regular_matrix(ring.unit_generator)
-    frob_mat = ring.regular_matrix("frobenius")
-    rep = Representation.from_generator_images(G, [zeta_mat, frob_mat], p, N)
-    rep.galois_ring = ring
-    return rep
+    return Representation.from_generator_images(G, list(galois_matrices(p, N)), p, N)
 
 
 def twisted_kernel_module(p: int, n: int) -> Representation:
@@ -273,11 +268,8 @@ def twisted_kernel_module(p: int, n: int) -> Representation:
     the simple 2-dimensional module carried by the sigma-part of End(F_{p^2}).
     """
     G = twisted_frobenius_group(p)
-    ring = GaloisRing(p, n)
-    u = ring.unit_generator
-    zeta_mat = ring.regular_matrix(u ** (p * p - p))
-    frob_mat = ring.regular_matrix("frobenius")
-    return Representation.from_generator_images(G, [zeta_mat, frob_mat], p, n)
+    U, F = galois_matrices(p, n)
+    return Representation.from_generator_images(G, [matpow_mod(U, p * p - p, p**n), F], p, n)
 
 
 def twisted_end_decomposition(p: int):
@@ -294,11 +286,10 @@ def twisted_end_decomposition(p: int):
     G = V.group
     zeta = G.generators[0]
     C = M.mats[zeta]
-    fld = GaloisRing(p, 1)
-    w = fld.unit_generator ** (p * p - p)  # zeta^{1-p} in F_{p^2}
-    wbar = fld.frobenius(w)
-    tr = (w + wbar).a0
-    nm = (w * wbar).a0
+    # zeta^{1-p} = w acts by W: trace w + sigma(w), determinant w sigma(w)
+    W = matpow_mod(V.mats[zeta], p * p - p, p)
+    tr = int(W[0, 0] + W[1, 1]) % p
+    nm = int(W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]) % p
     eye = np.eye(4, dtype=np.int64)
     poly = (C @ C - tr * C + nm * eye) % p
     sigma_part = kernels.nullspace_modp(poly, p)

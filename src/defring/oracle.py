@@ -160,10 +160,11 @@ def enumerate_lifts(
     parent, genidx = map(np.asarray, group.spanning_tree(gens)[1:])
     values = np.empty((group.order, *gen_blocks.shape[1:]), dtype=np.int64)
     values[0] = eye
-    for level in group.tree_levels(gens):
+    for depth, level in enumerate(group.tree_levels(gens)):
         children = group.table[level][:, list(gens)]
         on_tree = (parent[children] == level[:, None]) & (genidx[children] == np.arange(len(gens)))
-        prods = [matmul(values[level], gb) for gb in gen_blocks]
+        # at depth 0, value(1) value(s) is the generator block itself
+        prods = [matmul(values[level], gb) if depth else gb[None] for gb in gen_blocks]
         for t, prod in enumerate(prods):
             values[children[on_tree[:, t], t]] = prod[on_tree[:, t]]
         alive = np.ones(gen_blocks.shape[1], dtype=bool)
@@ -182,23 +183,26 @@ def enumerate_lifts(
 
 def _assert_full_table(lifts, rho_bar, A):
     """Definitive check that every lift is a homomorphism Gamma -> GL_d(A)
-    reducing to rho_bar, in four steps:
+    reducing to rho_bar, in four steps on the lift L, given on the
+    enumeration generators s:
 
-    1. extend the lift along the spanning tree of its generators to values
-       M on all of Gamma (`FiniteGroup.extend`);
+    1. evaluate L along the words of the distinguished generators t in the
+       spanning tree of the s (`FiniteGroup.extend` with `at`), giving
+       values M[t];
     2. check every relator of Gamma's presentation (`violated_relators`)
-       on the values M[t] at the distinguished generators t.  By von Dyck's
-       theorem there is then a homomorphism phi with phi(t) = M[t];
-    3. phi(e) is the product of the M[t] along word(e), that is, the
-       extension of those values along the distinguished spanning tree.
-       Check it equals M on all of Gamma, so M = phi is a homomorphism;
+       on the M[t].  By von Dyck's theorem there is then a homomorphism phi
+       with phi(t) = M[t];
+    3. evaluate phi at each s, as the product of the M[t] along the word of
+       s in the distinguished spanning tree, and check phi(s) = L(s).  Then
+       L is the restriction of phi to the s, which generate Gamma, so L
+       extends to the homomorphism phi;
     4. check that every generator image reduces to rho_bar's image.
 
-    For Gamma = K x| G the relators come from K and G, not from the tree
-    that the e*s filter in `enumerate_lifts` walks, so the check stays
-    independent of the enumeration.  It costs two tree extensions (one
-    product per tree level) and one product per relator-word prefix, each
-    batched over the lifts, in place of the |Gamma|^2 table equations."""
+    Step 3 is needed, as the relators only see the M[t]: an s that no word
+    of a t passes through is otherwise unchecked.  The relators of
+    Gamma = K x| G come from K and G, not from the enumeration's tree.
+    Products are batched over the lifts: one per tree level in steps 1
+    and 3, one per distinct relator-word prefix in step 2."""
     if not lifts:
         return
     group, d = rho_bar.group, rho_bar.degree
@@ -208,17 +212,13 @@ def _assert_full_table(lifts, rho_bar, A):
     gen_blocks = np.array([l.images for l in lifts], dtype=np.int64)
     gen_blocks = gen_blocks.reshape(B, len(gens), d, d).transpose(1, 0, 2, 3)
     one = np.broadcast_to(_identity(A, d), (B, d, d))
-    M = group.extend(gen_blocks, matmul, one, gens)
-    at_gens = M[list(group.generators)]
+    at_gens = group.extend(gen_blocks, matmul, one, gens, at=group.generators)
     bad = violated_relators(group, at_gens, matmul, one)
     if bad:
         u, v = bad[0]
         raise OracleError(f"lift is not a homomorphism: relator {u} = {v} fails")
-    if (group.extend(at_gens, matmul, one) != M).any():
-        raise OracleError(
-            "lift is not a homomorphism: its extension differs from the one "
-            "along the distinguished generators"
-        )
+    if (group.extend(at_gens, matmul, one, at=gens) != gen_blocks).any():
+        raise OracleError("lift is not a homomorphism: its extension differs from it at a generator")
     res = np.array([A.residue(A.decode(c)) for c in range(A.size)], dtype=np.int64)
     for gb, s in zip(gen_blocks, gens):
         if (res[gb] != rho_bar.mats[s] % rho_bar.p).any():

@@ -1,12 +1,18 @@
 import itertools
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defring.exactalg import (
-    GaloisRing,
+    PrecisionError,
+    companion,
+    defining_rule,
+    galois_matrices,
     howell_form,
+    matpow_mod,
     solve_module,
 )
 
@@ -119,84 +125,155 @@ def test_solutions_satisfy_system_exactly():
         assert tuple(x) in set(sol.all_solutions())
 
 
+def _regular(a0, a1, C, m):
+    """The regular matrix of a0 + a1 x, for C the companion matrix of x."""
+    return (a0 * np.eye(2, dtype=np.int64) + a1 * C) % m
+
+
+def _inverse(F, m):
+    """The inverse of the Frobenius matrix [[1, s0], [0, s1]] over Z/m."""
+    s1 = pow(int(F[1, 1]), -1, m)
+    return np.array([[1, -F[0, 1] * s1 % m], [0, s1]], dtype=np.int64)
+
+
 def test_galois_ring_frobenius_gr42():
-    gr = GaloisRing(2, 2)
-    # The second root of x^2 + x + 1 in GR(4, 2) is 3 + 3x (exhaustive check).
-    assert gr.frobenius(gr.x).coeffs == (3, 3)
+    # GR(4, 2): F^2 = I, F fixes the scalars, and its second column is the
+    # second root of x^2 + x + 1, which is 3 + 3x (exhaustive check)
+    m = 4
+    C = companion(defining_rule(2, 2), m)
+    _, F = galois_matrices(2, 2)
+    assert F.tolist() == [[1, 3], [0, 3]]
+    assert (F @ F % m == np.eye(2)).all()
     roots = [
-        e
-        for e in gr.elements()
-        if (e * e + e + gr.one).coeffs == (0, 0) and e.coeffs != gr.x.coeffs
+        (a0, a1)
+        for a0 in range(m)
+        for a1 in range(m)
+        if (a0, a1) != (0, 1)
+        and not (((M := _regular(a0, a1, C, m)) @ M + M + np.eye(2, dtype=np.int64)) % m).any()
     ]
-    assert len(roots) == 1 and roots[0].coeffs == (3, 3)
-    assert gr.frobenius(gr.one).coeffs == (1, 0)
-    for e in gr.elements():
-        assert gr.frobenius(gr.frobenius(e)).coeffs == e.coeffs
+    assert roots == [(3, 3)] == [tuple(F[:, 1])]
+    for c in range(m):
+        assert (F @ np.array([c, 0]) % m == [c, 0]).all()
 
 
 def test_frobenius_is_ring_homomorphism():
+    # F M_a F^-1 = M_{sigma(a)}: conjugation by F is the ring automorphism
+    # sigma on the regular matrices, an involution fixing the scalars
     for p, N in [(2, 2), (3, 2)]:
-        gr = GaloisRing(p, N)
-        elems = list(gr.elements())
-        for a in elems:
-            for b in elems:
-                assert gr.frobenius(a * b).coeffs == (gr.frobenius(a) * gr.frobenius(b)).coeffs
-                assert gr.frobenius(a + b).coeffs == (gr.frobenius(a) + gr.frobenius(b)).coeffs
-        # fixes the base ring pointwise
-        for c in range(gr.modulus):
-            assert gr.frobenius(gr.from_int(c)).coeffs == (c, 0)
+        m = p**N
+        C = companion(defining_rule(p, 2), m)
+        _, F = galois_matrices(p, N)
+        Finv = _inverse(F, m)
+        assert (F @ Finv % m == np.eye(2)).all() and (F @ F % m == np.eye(2)).all()
+        for a0, a1 in itertools.product(range(m), repeat=2):
+            Ma = _regular(a0, a1, C, m)
+            sigma_a = F @ np.array([a0, a1]) % m
+            assert (F @ Ma @ Finv % m == _regular(*sigma_a, C, m)).all()
+        for c in range(m):
+            assert (F @ np.array([c, 0]) % m == [c, 0]).all()
 
 
 def test_teichmuller_gr42():
-    gr = GaloisRing(2, 2)
-    assert gr.teichmuller(gr.x).coeffs == gr.x.coeffs
-    assert (gr.x ** 3).coeffs == (1, 0)
-    assert gr.teichmuller(gr.one).coeffs == (1, 0)
-    onepx = gr.one + gr.from_int(2) * gr.x
-    assert gr.teichmuller(onepx).coeffs == (1, 0)
+    # x is its own Teichmuller lift in GR(4, 2): U = C, x^3 = 1, and the
+    # iteration U <- U^4 sends 1 + 2x to 1
+    m = 4
+    C = companion(defining_rule(2, 2), m)
+    U, _ = galois_matrices(2, 2)
+    assert (U == C).all()
+    assert (matpow_mod(C, 3, m) == np.eye(2)).all()
+    v = _regular(1, 2, C, m)
+    for _ in range(2):
+        v = matpow_mod(v, 4, m)
+    assert (v == np.eye(2)).all()
 
 
 def test_teichmuller_order_divides_unit_group():
-    for p, N in [(2, 2), (2, 3)]:
-        gr = GaloisRing(p, N)
-        q = p**2
-        for u in gr.units():
-            t = gr.teichmuller(u)
-            assert (t ** (q - 1)).coeffs == (1, 0)
-            assert (t.a0 - u.a0) % p == 0 and (t.a1 - u.a1) % p == 0
+    # U^(q-1) = I, and U mod p has order exactly q - 1
+    for p, N in [(2, 2), (2, 3), (3, 2), (5, 2), (7, 3)]:
+        q, m = p * p, p**N
+        U, _ = galois_matrices(p, N)
+        assert (matpow_mod(U, q - 1, m) == np.eye(2)).all()
+        orders = [k for k in range(1, q) if (matpow_mod(U % p, k, p) == np.eye(2)).all()]
+        assert orders[0] == q - 1
 
 
 def test_regular_matrix_f4():
-    f4 = GaloisRing(2, 1)
-    omega = f4.x
-    assert f4.regular_matrix(omega).tolist() == [[0, 1], [1, 1]]
-    assert f4.regular_matrix("frobenius").tolist() == [[1, 1], [0, 1]]
-    assert f4.regular_matrix(f4.one).tolist() == [[1, 0], [0, 1]]
+    U, F = galois_matrices(2, 1)
+    assert U.tolist() == [[0, 1], [1, 1]]
+    assert F.tolist() == [[1, 1], [0, 1]]
+    assert companion(defining_rule(2, 2), 2).tolist() == [[0, 1], [1, 1]]
 
 
 def test_regular_matrix_multiplicative_and_twisted_rule():
-    for p, N in [(2, 1), (2, 2), (3, 1), (3, 2)]:
-        gr = GaloisRing(p, N)
+    # F C F^-1 is multiplication by sigma(x): a root of f, congruent to C^p
+    # mod p, and M_a M_b = M_{ab} for the regular matrices
+    for p, N in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 2), (7, 2)]:
         m = p**N
-        elems = list(gr.elements()) if m <= 4 else [
-            gr.element(a0, a1) for a0 in range(min(m, 5)) for a1 in range(min(m, 5))
-        ]
-        frob_m = gr.regular_matrix("frobenius")
-        for a in elems:
-            ma = gr.regular_matrix(a)
-            assert (frob_m @ ma % m == gr.regular_matrix(gr.frobenius(a)) @ frob_m % m).all()
-            for b in elems:
-                assert (ma @ gr.regular_matrix(b) % m == gr.regular_matrix(a * b)).all()
+        rule = defining_rule(p, 2)
+        C = companion(rule, m)
+        _, F = galois_matrices(p, N)
+        R = F @ C @ _inverse(F, m) % m
+        assert ((R @ R - rule[1] * R - rule[0] * np.eye(2, dtype=np.int64)) % m == 0).all()
+        assert (R % p == matpow_mod(C, p, p)).all()
+        assert not (R == C).all()
+        for (a0, a1), (b0, b1) in itertools.product(itertools.product(range(min(m, 5)), repeat=2), repeat=2):
+            ab = _regular(a0, a1, C, m) @ np.array([b0, b1]) % m
+            assert (_regular(a0, a1, C, m) @ _regular(b0, b1, C, m) % m == _regular(*ab, C, m)).all()
 
 
 def test_unit_generator_is_teichmuller_and_generates():
     for p in (2, 3, 5):
-        gr = GaloisRing(p, 2)
-        g = gr.unit_generator
-        assert g.multiplicative_order() == p**2 - 1
-    # canonical choices are stable
-    assert GaloisRing(2, 2).unit_generator.coeffs == (0, 1)
-    assert GaloisRing(3, 1).unit_generator.coeffs == (1, 1)
+        U, _ = galois_matrices(p, 2)
+        m, q = p * p, p * p
+        assert (matpow_mod(U, q, m) == U).all()
+        assert [k for k in range(1, q) if (matpow_mod(U, k, m) == np.eye(2)).all()] == [q - 1]
+    # canonical choices are stable: the residue of u is (a0, a1) = U[:, 0]
+    assert galois_matrices(2, 2)[0][:, 0].tolist() == [0, 1]
+    assert galois_matrices(3, 1)[0][:, 0].tolist() == [1, 1]
+
+
+# (U, F) of galois_matrices, recorded from the element-level construction
+# they replace
+GALOIS_MATRICES = {
+    (2, 1): ([[0, 1], [1, 1]], [[1, 1], [0, 1]]),
+    (2, 2): ([[0, 3], [1, 3]], [[1, 3], [0, 3]]),
+    (2, 3): ([[0, 7], [1, 7]], [[1, 7], [0, 7]]),
+    (2, 4): ([[0, 15], [1, 15]], [[1, 15], [0, 15]]),
+    (3, 1): ([[1, 2], [1, 1]], [[1, 0], [0, 2]]),
+    (3, 2): ([[7, 8], [4, 7]], [[1, 0], [0, 8]]),
+    (3, 3): ([[16, 26], [13, 16]], [[1, 0], [0, 26]]),
+    (3, 4): ([[70, 80], [40, 70]], [[1, 0], [0, 80]]),
+    (5, 1): ([[1, 4], [2, 1]], [[1, 0], [0, 4]]),
+    (5, 2): ([[1, 4], [2, 1]], [[1, 0], [0, 24]]),
+    (5, 3): ([[26, 29], [77, 26]], [[1, 0], [0, 124]]),
+    (5, 4): ([[401, 404], [202, 401]], [[1, 0], [0, 624]]),
+    (7, 1): ([[1, 3], [1, 1]], [[1, 0], [0, 6]]),
+    (7, 2): ([[29, 45], [15, 29]], [[1, 0], [0, 48]]),
+    (7, 3): ([[127, 45], [15, 127]], [[1, 0], [0, 342]]),
+    (7, 4): ([[1156, 1074], [358, 1156]], [[1, 0], [0, 2400]]),
+    (3, 10): ([[28177, 59048], [29524, 28177]], [[1, 0], [0, 59048]]),
+    (2, 12): ([[0, 4095], [1, 4095]], [[1, 4095], [0, 4095]]),
+}
+
+
+@pytest.mark.parametrize("p, N", sorted(GALOIS_MATRICES))
+def test_galois_matrices_match_recorded_values(p, N):
+    U, F = galois_matrices(p, N)
+    assert (U.tolist(), F.tolist()) == GALOIS_MATRICES[p, N]
+
+
+def test_galois_matrices_precision_guard():
+    # (5^14)^2 > 2^62
+    galois_matrices(5, 13)
+    with pytest.raises(PrecisionError, match=f"p\\^N = {5**14}"):
+        galois_matrices(5, 14)
+
+
+@pytest.mark.parametrize("p", [4, 6, 8, 9, 10])
+def test_galois_matrices_raise_on_non_prime_p(p):
+    # the unbounded order loop of the element-level construction hung here
+    with pytest.raises(ValueError, match=f"p = {p} is not a prime"):
+        galois_matrices(p, 2)
 
 
 def test_solution_set_complete_against_brute_force():

@@ -24,11 +24,13 @@ from defring.certify import (
     CertifyError,
     InstanceSpec,
     assemble,
+    _order_identities_hold,
     build_rho_R,
     exp_lift_on_kernel,
     find_alpha,
     parse_instance_name,
 )
+from defring.exactalg import pval
 from defring.groups import (
     FiniteGroup,
     GroupError,
@@ -403,3 +405,52 @@ def test_exp_lift_agrees_with_all_pairs(pn, entries, a_hat):
         assert not (commutes and clause)
     else:
         assert commutes and clause and report.verified == verified
+
+
+def _order_identities_loop(kvecs, alpha_k, p, n) -> bool:
+    """The per-k loop `_order_identities_hold` replaced: the additive order
+    of k from its entries' valuations, against the least m >= 1 with
+    m alpha(k) = 0, found by adding alpha(k) until the sum vanishes."""
+    mn = p**n
+    for kv, ak in zip(kvecs.tolist(), alpha_k):
+        add_order = 1
+        for c in kv:
+            if c:
+                add_order = max(add_order, mn // (p ** min(pval(c, p, n), n)))
+        mat_order = 1
+        acc = ak % mn
+        while (acc != 0).any():
+            acc = (acc + ak) % mn
+            mat_order += 1
+        if add_order != mat_order:
+            return False
+    return True
+
+
+BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]] + [
+    f"standard-d{d}p{p}" for d, p in [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]
+]
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_order_identities_match_the_per_k_loop(name):
+    asm, alpha = _certified(name)
+    p, n, mn = asm.p, asm.n, asm.p**asm.n
+    kvecs = asm.K.vectors()
+    alpha_k = alpha.of_vecs(kvecs)
+    rng = np.random.default_rng(len(name))
+    shifted = alpha_k.copy()  # corrupted: entries of some rows moved by p^j
+    rows = rng.choice(len(kvecs), size=max(1, len(kvecs) // 4), replace=False)
+    shifted[rows, 0, 0] = (shifted[rows, 0, 0] + p ** rng.integers(0, n, len(rows))) % mn
+    zero_row = alpha_k.copy()  # not injective: alpha(k) = 0 for one k != 0
+    zero_row[-1] = 0
+    cases = {
+        "battery": alpha_k,
+        "shifted": shifted,
+        "random": rng.integers(0, mn, alpha_k.shape),
+        "times p": p * alpha_k % mn,  # not injective
+        "zero row": zero_row,
+    }
+    got = {key: _order_identities_hold(kvecs, a, p, n) for key, a in cases.items()}
+    assert got == {key: _order_identities_loop(kvecs, a, p, n) for key, a in cases.items()}
+    assert got["battery"] and not got["random"] and not got["times p"] and not got["zero row"]

@@ -35,6 +35,28 @@ def test_words_evaluate_to_elements():
         assert acc == e
 
 
+def test_extend_at_some_elements_walks_only_their_paths():
+    G = symmetric_group(4)
+    calls = []
+
+    def mul(a, b):
+        calls.append(len(a))
+        return G.table[a, b]
+
+    for gens in (None, G.small_generating_set(), (3, 7, 11)):
+        tree_gens = list(G.generators if gens is None else gens)
+        full = G.extend(tree_gens, lambda a, b: G.table[a, b], 0, gens)
+        assert (full == np.arange(G.order)).all()
+        levels = G.tree_levels(gens)
+        for at in ([0], [levels[-1][0]], list(gens or G.generators), [5, 5, 17, 0, 2]):
+            calls.clear()
+            assert G.extend(tree_gens, mul, 0, gens, at=at).tolist() == at
+            # one mul per level down to the deepest element asked for, on
+            # the elements of the paths only
+            depth = max(k for k, level in enumerate(levels) if set(at) & set(level.tolist()))
+            assert len(calls) == depth and sum(calls) < G.order
+
+
 def test_inverse_and_orders():
     G = symmetric_group(4)
     for e in range(G.order):
@@ -77,6 +99,24 @@ def test_pgl2_sharp_transitivity():
             if G.action[g][0] == 0 and G.action[g][1] == 1 and G.action[g][inf] == inf
         ]
         assert stab == [0], q
+
+
+# table hashes recorded from the polynomial-arithmetic construction of F_q
+# that the companion matrices replace
+PGL2_TABLE_HASHES = {
+    2: "e58bacb600dcea57",
+    3: "69d03aff770c1654",
+    4: "4023378bad7e7a1f",
+    5: "ea61a0c25cd59124",
+    7: "576e10091e87e69e",
+    8: "20fbf0c7163c8ec0",
+    9: "43c125024570aa96",
+}
+
+
+@pytest.mark.parametrize("q", sorted(PGL2_TABLE_HASHES))
+def test_pgl2_table_matches_recorded_hash(q):
+    assert pgl2(q).table_hash() == PGL2_TABLE_HASHES[q]
 
 
 def test_pgl2_rejects_non_prime_power():
