@@ -1,13 +1,15 @@
 """Time the numpy kernels on the workloads that dominate the pipeline.
 
-Mod-p elimination (random matrices, plus the H^2 d2 matrix of SD_16 and the
-tallest H^1 system of the acceptance battery: the Fox-derivative rows of
-standard-d4p2's presentation), H^1 end to end on four of the largest
-battery instances, table-driven batched matrix products (oracle
+Mod-p elimination (random matrices, plus the Z^2 system E of direct
+H^2(SD_16, F_2) and the tallest H^1 system of the acceptance battery: the
+Fox-derivative rows of standard-d4p2's presentation), H^1 end to end on four
+of the largest battery instances, direct H^2 with trivial coefficients on
+A_4, SD_16 and S_4 over F_2 and F_3, table-driven batched matrix products (oracle
 enumeration) and the construction of Gamma = K x| G for three of the largest
 battery instances.  Also times one end-to-end oracle enumeration, and the
 enumeration and the class partition on three rows of the oracle benchmark,
-and the constructions of GR(p^3, 2) (`galois_matrices`) and PGL_2(F_q).
+and the constructions of GR(p^3, 2) (`galois_matrices`), PGL_2(F_q) and
+S_6 (the last two close permutations with `FiniteGroup.from_permutations`).
 Each row is the best of a few repeats.
 
 Usage: python benchmarks/bench_kernels.py
@@ -36,8 +38,8 @@ def bench(name, fn, repeat=3):
 
 
 def program_rank_inputs():
-    """(label, matrix, p) of two matrices the program ranks: the d2 matrix of
-    direct H^2(SD_16, F_2) and the H^1 Fox-derivative system of
+    """(label, matrix, p) of two matrices the program ranks: the Z^2 system
+    E (`BarComplex.d2_matrix`) of direct H^2(SD_16, F_2) and the H^1 Fox-derivative system of
     standard-d4p2, the tallest one a certify of the acceptance battery
     builds."""
     from defring import cohomology
@@ -92,6 +94,20 @@ def main():
         M = end_rep(assemble(parse_instance_name(name)).rho_bar)
         bench(f"h1_dim {name} (|Gamma| = {M.group.order})", lambda M=M: h1_dim(M))
 
+    print("== direct H^2 with trivial coefficients (cohomology.h2_dim) ==")
+    from defring.cohomology import h2_dim, trivial_module
+    from defring.groups import FiniteGroup, symmetric_group, twisted_frobenius_group
+
+    groups = {
+        "A4": FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4"),
+        "SD16": twisted_frobenius_group(3),
+        "S4": symmetric_group(4),
+    }
+    for label, G in groups.items():
+        for p in (2, 3):
+            M = trivial_module(G, p)
+            bench(f"h2_dim direct {label} over F_{p}", lambda M=M: h2_dim(M, method="direct"), repeat=5)
+
     print("== table-driven batched matmul ==")
     from defring.localalg import nilpotent_socle_ring, truncated_polynomials
 
@@ -143,6 +159,7 @@ def main():
         bench(f"galois_matrices({p}, 3)", lambda p=p: galois_matrices(p, 3), repeat=5)
     for q in (4, 8, 9):
         bench(f"pgl2({q})", lambda q=q: pgl2(q), repeat=5)
+    bench("symmetric_group(6)", lambda: symmetric_group(6), repeat=5)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,20 @@
-"""Group cohomology in low degrees: H^1 from a presentation, H^2 from the
-normalized bar resolution.
+"""Group cohomology in low degrees: H^1 from a presentation, H^2 from
+2-cocycles on generators.
 
 H^1 is computed from the group's presentation (`FiniteGroup.relators`) by
 Fox calculus: a crossed homomorphism is free on the generators of the free
 group and descends to the group exactly when it vanishes on the relators, so
 Z^1 is the kernel of one block row per relator, not of a system over every
-element.  H^2 uses the normalized bar complex directly when it is small, and
-otherwise restricts to a Sylow p-subgroup: restriction is injective on
-cohomology with F_p-module coefficients, so vanishing upstairs follows
-exactly from vanishing on the Sylow subgroup.
+element.  H^2 follows the same idea one degree up (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, ch. 7): a normalized 2-cochain
+is a cocycle once d2 f vanishes on the triples (g, h, s) with s a generator,
+and those conditions carry f down the spanning tree from its values f(g, s),
+so Z^2 is the kernel of one block row per edge off the tree
+(`BarComplex.d2_matrix`), in (|G| - 1) #gens dim M unknowns instead of
+dim C^2 = (|G| - 1)^2 dim M.  `h2_dim` first restricts to a Sylow
+p-subgroup: restriction is injective on cohomology with F_p-module
+coefficients, so vanishing upstairs follows exactly from vanishing on the
+Sylow subgroup.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from . import kernels
 from .groups import FiniteGroup, evaluate_words
 from .modrep import Representation, hom_space, twisted_kernel_module
 
-DENSE_ENTRY_LIMIT = 25_000_000
-ASSEMBLY_GUARD = 10_000_000  # |G|^3 * dim M
+DENSE_ENTRY_LIMIT = 25_000_000  # entries of E, the Z^2 system of direct H^2
+ASSEMBLY_GUARD = 10_000_000  # entries of its f tensor, (|G| - 1) |G| dim M #unknowns
 
 
 class CohomologyError(ValueError):
@@ -80,7 +86,12 @@ def h1_dim(M: Representation) -> int:
 
 @dataclass
 class BarComplex:
-    """Normalized bar cochain complex of a group in degrees 1..3."""
+    """The normalized bar cochain complex of a group in degrees 1 and 2.
+
+    Z^2 is solved for on the values of a 2-cochain at the distinguished
+    generators: the unknowns are u(x, t) = f(x, s_t) for x != 1 and s_t the
+    t-th generator, unknown (x, t, c) in column ((x - 1) #gens + t) dim M + c.
+    """
 
     M: Representation
 
@@ -90,6 +101,8 @@ class BarComplex:
         self.dm = self.M.degree
         self.p = self.M.p
         self.nontriv = self.n - 1  # elements 1..n-1
+        self.gens = np.array(G.generators, dtype=np.int64)
+        self.n_unknowns = self.nontriv * len(self.gens) * self.dm
 
     def _idx2(self, g: int, h: int, c: int) -> int:
         return ((g - 1) * self.nontriv + (h - 1)) * self.dm + c
@@ -102,51 +115,110 @@ class BarComplex:
     def dim_c2(self) -> int:
         return self.nontriv * self.nontriv * self.dm
 
-    def _coboundary(self, deg: int) -> np.ndarray:
-        """Matrix of d: C^deg -> C^(deg+1) on normalized cochains.
+    def d1_matrix(self, hs=None) -> np.ndarray:
+        """(d1 f)(g, h) = g.f(h) - f(gh) + f(g) on normalized cochains, with
+        rows (g, h, c) for g != 1 and h in `hs` (default: every h != 1) and
+        columns (x, c'), in lexicographic order.  Terms at the identity
+        vanish, so a row with h = 1 is zero.  Within one term every
+        (row, column) block is hit at most once, so fancy-index ``+=``
+        accumulates exactly."""
+        dm = self.dm
+        hs = np.arange(1, self.n) if hs is None else np.asarray(hs, dtype=np.int64)
+        g, h = (a.ravel() for a in np.meshgrid(np.arange(1, self.n), hs, indexing="ij"))
+        row, diag = np.arange(g.size), np.arange(dm)
+        mat = np.zeros((g.size, dm, self.nontriv, dm), dtype=np.int64)
+        live = h != 0
+        mat[row[live], :, h[live] - 1, :] += self.M.mats[g[live]]
+        gh = self.M.group.table[g, h]
+        live = gh != 0
+        mat[row[live, None], diag, gh[live, None] - 1, diag] -= 1
+        mat[row[:, None], diag, g[:, None] - 1, diag] += 1
+        return mat.reshape(g.size * dm, -1) % self.p
 
-        (d f)(g_0..g_deg) = g_0.f(g_1..g_deg)
-            + sum_i (-1)^(i+1) f(.., g_i g_(i+1), ..) + (-1)^(deg+1) f(g_0..g_(deg-1)),
+    def oversize(self) -> str | None:
+        """Why `d2_matrix` would exceed a guard, with the sizes; None if it
+        fits.  The spanning tree has |G| - 1 of the |G| #gens edges (h, t)."""
+        tensor = self.nontriv * self.n * self.dm * self.n_unknowns
+        if tensor > ASSEMBLY_GUARD:
+            return (
+                f"the f tensor of direct H^2 has (|G| - 1) |G| dim M #unknowns = {tensor} "
+                f"entries, past the guard {ASSEMBLY_GUARD}"
+            )
+        rows = (self.n * len(self.gens) - self.nontriv) * self.nontriv * self.dm
+        if rows * self.n_unknowns > DENSE_ENTRY_LIMIT:
+            return (
+                f"the Z^2 system of direct H^2 has {rows} x {self.n_unknowns} entries, "
+                f"past the dense limit {DENSE_ENTRY_LIMIT}"
+            )
+        return None
 
-        with rows indexed by (g_0..g_deg, c) and columns by (x_1..x_deg, c'),
-        nontrivial elements in lexicographic order.  Terms whose argument
-        contains the identity vanish.  Within one term every (row, column)
-        block is hit at most once, so fancy-index ``+=`` accumulates exactly.
-        """
-        m, dm = self.nontriv, self.dm
-        table = self.M.group.table
-        args = [a.ravel() for a in np.meshgrid(*[np.arange(1, self.n)] * (deg + 1), indexing="ij")]
-        row = np.arange(m ** (deg + 1))
+    def _col(self, x, t):
+        """The column of the unknown (x, t, 0)."""
+        return ((x - 1) * len(self.gens) + t) * self.dm
 
-        def col(xs):
-            return np.ravel_multi_index([x - 1 for x in xs], (m,) * deg)
-
-        mat = np.zeros((row.size, dm, m**deg, dm), dtype=np.int64)
-        mat[row, :, col(args[1:]), :] += self.M.mats[args[0]]
-        diag = np.arange(dm)
-        for i in range(deg):
-            merged = args[:i] + [table[args[i], args[i + 1]]] + args[i + 2 :]
-            live = merged[i] != 0
-            cols = col([x[live] for x in merged])
-            mat[row[live, None], diag, cols[:, None], diag] += (-1) ** (i + 1)
-        mat[row[:, None], diag, col(args[:-1])[:, None], diag] += (-1) ** (deg + 1)
-        return mat.reshape(row.size * dm, -1) % self.p
-
-    def d1_matrix(self) -> np.ndarray:
-        """(d1 f)(g, h) = g.f(h) - f(gh) + f(g) on normalized cochains."""
-        return self._coboundary(1)
+    def _add_step(self, block, hs, ts, sign: int):
+        """block[g - 1, i] += sign * S(g, hs[i], ts[i]) for every g != 1, with
+        S(g, h, t) = u(gh, t) - g.u(h, t) as coefficients on the unknowns and
+        u(1, t) = 0.  Each of the two terms hits an entry at most once, so
+        fancy-index ``+=`` accumulates exactly."""
+        diag = np.arange(self.dm)
+        gh = self.M.group.table[1:, hs]
+        gi, ki = np.nonzero(gh)
+        block[gi[:, None], ki[:, None], diag, self._col(gh[gi, ki], ts[ki])[:, None] + diag] += sign
+        live = np.flatnonzero(hs)
+        cols = self._col(hs[live], ts[live])[:, None] + diag
+        g = np.arange(self.nontriv)[:, None, None, None]
+        block[g, live[:, None, None], diag[:, None], cols[:, None, :]] -= sign * self.M.mats[1:, None]
 
     def d2_matrix(self) -> np.ndarray:
-        """(d2 f)(g,h,k) = g.f(h,k) - f(gh,k) + f(g,hk) - f(g,h)."""
-        rows = self.nontriv**3 * self.dm
-        if rows * self.dim_c2 > DENSE_ENTRY_LIMIT:
-            raise CohomologyError("d2 too large to materialize densely")
-        return self._coboundary(2)
+        """E, the cocycle condition d2 f = 0 in the unknowns u(x, t) = f(x, s_t).
+
+        1. Generators suffice.  For a normalized 2-cochain f, F = d2 f is a
+           normalized 3-cocycle, and (d3 F)(g, h, k, s) = 0 reads
+           g.F(h, k, s) - F(gh, k, s) + F(g, hk, s) - F(g, h, ks) + F(g, h, k) = 0.
+           If every F(., ., s) vanishes, F(g, h, ks) = F(g, h, k); every k is
+           a word in the generators and F(g, h, 1) = 0, so F = 0.  Hence f is
+           a cocycle iff F(g, h, s) = 0 for all g, h and every generator s.
+        2. Solve on the spanning tree.  F(g, h, s_t) = 0 reads
+           f(g, h s_t) = f(g, h) + S(g, h, t), S(g, h, t) = u(gh, t) - g.u(h, t).
+           On the tree edge from h to h s_t this defines f(g, h s_t), starting
+           from f(g, 1) = 0, one stacked update per tree level (as
+           `FiniteGroup.extend` walks); every other edge (h, t), including
+           (1, t) when s_t's tree edge is not (1, t), is a condition on u: a
+           block row for each g != 1.  The rows are ordered (g, h, t, c), the
+           non-tree edges (h, t) lexicographically.
+           A cocycle f gives u = (f(x, s_t)) in ker E, and f is the tree
+           recursion from it, so f -> u is injective.  For u in ker E the
+           recursion gives a normalized f with f(x, s_t) = u(x, t) (by the
+           edge (1, t): a tree edge gives it, a non-tree one is the row), so
+           F(g, h, s) = 0 at every edge for g != 1, and for g = 1 because
+           f(1, .) = 0; f is a cocycle by step 1.  So Z^2 = ker E.
+        """
+        reason = self.oversize()
+        if reason is not None:
+            raise CohomologyError(reason)
+        G = self.M.group
+        _, parent, genidx = map(np.asarray, G.spanning_tree())
+        f = np.zeros((self.nontriv, self.n, self.dm, self.n_unknowns), dtype=np.int64)
+        for level in G.tree_levels()[1:]:  # f[g - 1, h] holds f(g, h)
+            block = f[:, parent[level]]
+            self._add_step(block, parent[level], genidx[level], 1)
+            f[:, level] = block
+        succ = G.table[:, self.gens]
+        tree = (parent[succ] == np.arange(self.n)[:, None]) & (genidx[succ] == np.arange(len(self.gens)))
+        h, t = np.nonzero(~tree)
+        rows = f[:, succ[h, t]]
+        rows -= f[:, h]
+        self._add_step(rows, h, t, -1)
+        return rows.reshape(-1, self.n_unknowns) % self.p
 
     def h2_dim_direct(self) -> int:
-        rank_d1 = kernels.rank_modp(self.d1_matrix(), self.p)
-        rank_d2 = kernels.rank_modp(self.d2_matrix(), self.p)
-        return (self.dim_c2 - rank_d2) - rank_d1
+        """dim Z^2 - dim B^2 with Z^2 = ker E (`d2_matrix`) and B^2 the image
+        of d1, of rank that of d1's rows (g, s) for the generators s: their
+        kernel is Z^1 too, as f(gs) = g.f(s) + f(g) at every generator s makes
+        f a crossed hom (the induction of `FiniteGroup.extend`)."""
+        z2 = self.n_unknowns - kernels.rank_modp(self.d2_matrix(), self.p)
+        return z2 - kernels.rank_modp(self.d1_matrix(self.gens), self.p)
 
     # -- explicit 2-cochains --------------------------------------------------
 
@@ -160,16 +232,17 @@ class BarComplex:
         return vec
 
     def is_cocycle(self, c) -> bool:
-        """Whether (d2 c)(g, h, k) = g.c(h, k) - c(gh, k) + c(g, hk) - c(g, h)
-        vanishes, on all nontrivial triples at once: the values c(g, h) are
-        stacked with zeros where an argument is the identity, as normalized
-        cochains are, and indexed through the group table."""
+        """Whether (d2 c)(g, h, s) = g.c(h, s) - c(gh, s) + c(g, hs) - c(g, h)
+        vanishes for all g, h and every generator s, which makes c a cocycle
+        (step 1 of `d2_matrix`): |G|^2 #gens triples at once.  The values
+        c(g, h) are stacked with zeros where an argument is the identity, as
+        normalized cochains are, and indexed through the group table."""
         n, t = self.n, self.M.group.table
         C = np.zeros((n, n, self.dm), dtype=np.int64)
         C[1:, 1:] = self.cochain_vector(c).reshape(n - 1, n - 1, self.dm)
-        g, h, k = np.ix_(*[np.arange(1, n)] * 3)
-        act = (self.M.mats[g] @ C[h, k][..., None])[..., 0]
-        total = act - C[t[g, h], k] + C[g, t[h, k]] - C[g, h]
+        g, h, s = np.ix_(np.arange(1, n), np.arange(1, n), self.gens)
+        act = (self.M.mats[g] @ C[h, s][..., None])[..., 0]
+        total = act - C[t[g, h], s] + C[g, t[h, s]] - C[g, h]
         return not (total % self.p).any()
 
     def is_coboundary(self, c) -> bool:
@@ -181,36 +254,33 @@ class BarComplex:
 def h2_dim(M: Representation, method: str = "auto") -> int:
     """dim_k H^2(G, M) for an F_p module M.
 
-    method="direct" forces the bar computation (guarded); "auto" uses the
-    direct route when small and otherwise certifies vanishing through a
-    Sylow p-subgroup, falling back to direct within the assembly guard.
+    method="direct" solves for Z^2 on the values of 2-cochains at the
+    generators (`BarComplex.d2_matrix`) and raises past its guards, with the
+    sizes it computed.  "auto" first restricts to a Sylow p-subgroup, which
+    decides H^2 = 0 exactly, and otherwise goes direct within the guards.
     """
     if M.N != 1:
         raise CohomologyError("coefficients must be mod p")
-    G, p, dm = M.group, M.p, M.degree
-    if G.order**3 * dm > ASSEMBLY_GUARD:
-        raise CohomologyError(
-            f"|G|^3 * dim M = {G.order ** 3 * dm} exceeds guard {ASSEMBLY_GUARD}"
-        )
+    G, p = M.group, M.p
     if G.order == 1:
         return 0
     cx = BarComplex(M)
-    direct_cost = (G.order - 1) ** 3 * dm * cx.dim_c2
     if method == "direct":
         return cx.h2_dim_direct()
     # Sylow restriction first: it is exact whenever it vanishes, and the
-    # restricted complex is far smaller.
+    # restricted complex is far smaller.  A p-group is its own Sylow
+    # subgroup, so the restriction goes direct.
     syl, elems = G.sylow_subgroup(p)
     if syl.order < G.order:
-        restricted = M.restrict(syl, elems)
-        if h2_dim(restricted, method="auto") == 0:
-            return 0  # restriction to a Sylow subgroup is injective
-    if direct_cost <= DENSE_ENTRY_LIMIT:
+        try:
+            if h2_dim(M.restrict(syl, elems), method="direct") == 0:
+                return 0  # restriction to a Sylow subgroup is injective
+        except CohomologyError as exc:
+            raise CohomologyError(f"on the Sylow {p}-subgroup, of order {syl.order}: {exc}") from exc
+    reason = cx.oversize()
+    if reason is None:
         return cx.h2_dim_direct()
-    raise CohomologyError(
-        "H^2 does not vanish on the Sylow subgroup and the direct computation "
-        "exceeds the dense limit"
-    )
+    raise CohomologyError(f"restriction to a Sylow p-subgroup does not show H^2 = 0, and {reason}")
 
 
 def hom_invariants_dim(K: Representation, M: Representation) -> int:

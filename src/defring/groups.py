@@ -63,7 +63,15 @@ class FiniteGroup:
     @classmethod
     def from_permutations(cls, gens: list[tuple[int, ...]], name: str = "G"):
         """Close a set of permutations (tuples mapping i -> perm[i]) under
-        composition; element order is BFS discovery order from the identity."""
+        composition; element order is BFS discovery order from the identity.
+
+        The table is filled in blocks of rows with numpy.  An element is told
+        apart by its images of a few base points, chosen greedily; after each
+        base point the codes are renumbered densely, so code * npts + image
+        stays below |G| npts and one lookup array per base point maps it to
+        the next code.  Composing a block of rows with every element needs
+        only the images of the base points, and the last code gives the
+        element's index."""
         npts = len(gens[0])
         ident = tuple(range(npts))
         elems = [ident]
@@ -82,11 +90,29 @@ class FiniteGroup:
         n = len(elems)
         if n > TABLE_GUARD:
             raise GroupError(f"closure has {n} elements; exceeds guard")
-        table = np.empty((n, n), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                table[i, j] = index[tuple(a[b[k]] for k in range(npts))]
         action = np.array(elems, dtype=np.int64)
+        steps = []  # (base point, lookup array)
+        code = np.zeros(n, dtype=np.int64)
+        for b in range(npts):
+            distinct = int(code.max()) + 1
+            if distinct == n:
+                break
+            keys, code_b = np.unique(code * npts + action[:, b], return_inverse=True)
+            if len(keys) > distinct:
+                lookup = np.zeros(distinct * npts, dtype=np.int64)
+                lookup[keys] = np.arange(len(keys))
+                steps.append((b, lookup))
+                code = code_b.reshape(-1)
+        element_of = np.empty(n, dtype=np.int64)
+        element_of[code] = np.arange(n)
+        table = np.empty((n, n), dtype=np.int64)
+        rows = max(1, 2**22 // n)  # rows per block: bounds the temporaries
+        for x in range(0, n, rows):
+            block = action[x : x + rows]
+            code = np.zeros((len(block), n), dtype=np.int64)
+            for b, lookup in steps:
+                code = lookup[code * npts + block[:, action[:, b]]]  # (a b)[pt] = a[b[pt]]
+            table[x : x + rows] = element_of[code]
         return cls(table, [index[g] for g in gens], name=name, action=action)
 
     def _validate_table(self):
@@ -446,19 +472,10 @@ def twisted_frobenius_group(p: int) -> FiniteGroup:
     if p > 7:
         raise GroupError("twisted group guard: p <= 7")
     m = p * p - 1
-    n = 2 * m
-
-    def enc(i, e):
-        return 2 * i + e
-
-    table = np.empty((n, n), dtype=np.int64)
-    for i in range(m):
-        for e in range(2):
-            for j in range(m):
-                for f in range(2):
-                    k = (i + (p**e) * j) % m
-                    table[enc(i, e), enc(j, f)] = enc(k, (e + f) % 2)
-    return FiniteGroup(table, [enc(1, 0), enc(0, 1)], name=f"TF{p}")
+    i, e, j, f = np.ix_(range(m), range(2), range(m), range(2))
+    k = (i + p**e * j) % m
+    table = (2 * k + (e + f) % 2).reshape(2 * m, 2 * m)
+    return FiniteGroup(table, [2, 1], name=f"TF{p}")
 
 
 @dataclass

@@ -65,6 +65,19 @@ def test_cohomology_subcommand(capsys):
     assert json.loads(out)["h1_dim"] == 1
 
 
+def test_cohomology_degree_2(capsys):
+    # R = W[[t]]/(2t, t^2) needs two relations on its one tangent direction,
+    # and a presentation on h1 generators needs at most h2 relations, so
+    # h2 >= 2; the direct route gives exactly 2
+    code, out, _ = run_cli(capsys, "cohomology", "twisted-p2n1", "--degree", "2")
+    assert code == 0
+    assert json.loads(out)["h2_dim"] == 2
+    # past the guards on the Sylow 3-subgroup (order 81): exit 2 with the size
+    code, _, err = run_cli(capsys, "cohomology", "twisted-p3n2", "--degree", "2")
+    assert code == 2
+    assert "Sylow 3-subgroup, of order 81" in err and "16588800 entries" in err
+
+
 def test_example_output(capsys):
     code, out, _ = run_cli(capsys, "example", "twisted-p2n1")
     assert code == 0

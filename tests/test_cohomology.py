@@ -136,10 +136,22 @@ def test_h2_sylow_reduction_path():
 
 
 def test_h2_guard():
-    # forcing the direct route on S_5 exceeds the dense materialization limit
-    G = symmetric_group(5)
-    with pytest.raises(CohomologyError):
+    # forcing the direct route on S_6 exceeds the f tensor guard, and the
+    # error gives the size it computed: 719 * 720 * 1 * (719 * 2 * 1)
+    G = symmetric_group(6)
+    with pytest.raises(CohomologyError, match="744423840"):
         h2_dim(trivial_module(G, 2), method="direct")
+
+
+def test_h2_s5_direct():
+    # Schur multiplier Z/2 and abelianization Z/2: H^2(S_5, F_2) = 2.  For
+    # p = 3, 5 the Sylow subgroup C_p is abelian, so H^2(S_5, F_p) is the part
+    # of H^2(C_p, F_p) = F_p fixed by its normalizer (Swan), which acts on
+    # C_p, and so on it, nontrivially: H^2(S_5, F_p) = 0
+    S5 = symmetric_group(5)
+    assert h2_dim(trivial_module(S5, 2), method="direct") == 2
+    for p in (3, 5):
+        assert h2_dim(trivial_module(S5, p), method="direct") == 0, p
 
 
 def test_bar_complex_cocycle_coboundary_roundtrip():
@@ -186,14 +198,8 @@ def _is_cocycle_loop(cx, c) -> bool:
 
 
 def _cocycle_modules():
-    S3 = symmetric_group(3)
-    yield trivial_module(cyclic_group(4), 2)
-    yield trivial_module(cyclic_group(9), 3)
-    yield trivial_module(S3, 3)
-    # the sign character of S_3 over F_3: generators (0 1) and (0 1 2)
-    yield Representation.from_generator_images(S3, [[[2]], [[1]]], 3, 1)
-    yield standard_perm_rep(S3, 5).standard
-    yield trivial_module(FiniteGroup(np.array([[a ^ b for b in range(4)] for a in range(4)]), [1, 2]), 2)
+    for name in ("C4-F2", "C9-F3", "S3-F3", "S3-sign-F3", "S3-standard-F5", "V4-F2"):
+        yield BAR_MODULES[name]()
 
 
 def test_is_cocycle_matches_the_triple_loop():
@@ -278,26 +284,113 @@ def _loop_coboundaries(M):
     return d1 % p, d2 % p
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: trivial_module(symmetric_group(3), 2),
-        lambda: trivial_module(symmetric_group(3), 3),
-        lambda: trivial_module(alternating_4(), 2),
-        lambda: trivial_module(alternating_4(), 3),
-        lambda: end_rep(galois_module_rep(2, 1)),
-    ],
-    ids=["S3-F2", "S3-F3", "A4-F2", "A4-F3", "End-GR4"],
-)
-def test_vectorised_coboundaries_match_loop_reference(make):
-    M = make()
-    cx = BarComplex(M)
+def _loop_z2_system(M):
+    """E, the cocycle condition on the generator values u(x, t) = f(x, s_t),
+    one element and one edge at a time: f(g, h) carried down the spanning
+    tree in BFS order as a dm x #unknowns block, then the block row
+    f(g, h s_t) - f(g, h) - S(g, h, t) for each g != 1 and each edge (h, t)
+    off the tree, S(g, h, t) = u(gh, t) - g.u(h, t)."""
+    G, p, dm, gens = M.group, M.p, M.degree, M.group.generators
+    n_unk = (G.order - 1) * len(gens) * dm
+
+    def u(x, t):
+        block = np.zeros((dm, n_unk), dtype=np.int64)
+        if x:
+            i = ((x - 1) * len(gens) + t) * dm
+            block[:, i : i + dm] = np.eye(dm, dtype=np.int64)
+        return block
+
+    def step(g, h, t):
+        return u(G.mul(g, h), t) - M.mats[g] @ u(h, t)
+
+    order, parent, genidx = G.spanning_tree()
+    f = {}
+    for g in range(1, G.order):
+        f[g, 0] = np.zeros((dm, n_unk), dtype=np.int64)
+        for h in order[1:]:
+            f[g, h] = f[g, parent[h]] + step(g, parent[h], genidx[h])
+    rows = [np.zeros((0, n_unk), dtype=np.int64)]
+    for g in range(1, G.order):
+        for h in range(G.order):
+            for t, s in enumerate(gens):
+                e = G.mul(h, s)
+                if e == 0 or parent[e] != h or genidx[e] != t:
+                    rows.append(f[g, e] - f[g, h] - step(g, h, t))
+    return np.vstack(rows) % p
+
+
+def _bar_h2(M):
+    """dim C^2 - rank d2 - rank d1 on the all-triples loop reference."""
     d1, d2 = _loop_coboundaries(M)
+    return BarComplex(M).dim_c2 - kernels.rank_modp(d2, M.p) - kernels.rank_modp(d1, M.p)
+
+
+BAR_MODULES = {
+    "S3-F2": lambda: trivial_module(symmetric_group(3), 2),
+    "S3-F3": lambda: trivial_module(symmetric_group(3), 3),
+    "A4-F2": lambda: trivial_module(alternating_4(), 2),
+    "A4-F3": lambda: trivial_module(alternating_4(), 3),
+    "End-GR4": lambda: end_rep(galois_module_rep(2, 1)),
+    "C4-F2": lambda: trivial_module(cyclic_group(4), 2),
+    "C9-F3": lambda: trivial_module(cyclic_group(9), 3),
+    "V4-F2": lambda: trivial_module(FiniteGroup(np.array([[a ^ b for b in range(4)] for a in range(4)]), [1, 2]), 2),
+    # the sign character of S_3 over F_3: generators (0 1) and (0 1 2)
+    "S3-sign-F3": lambda: Representation.from_generator_images(symmetric_group(3), [[[2]], [[1]]], 3, 1),
+    "S3-standard-F5": lambda: standard_perm_rep(symmetric_group(3), 5).standard,
+    "TF2-F2": lambda: trivial_module(twisted_frobenius_group(2), 2),
+    "TF3-F2": lambda: trivial_module(twisted_frobenius_group(3), 2),
+    "TF3-F3": lambda: trivial_module(twisted_frobenius_group(3), 3),
+    "A4-standard-F3": lambda: standard_perm_rep(alternating_4(), 3).standard,
+}
+
+
+@pytest.mark.parametrize("name", ["A4-F2", "A4-F3", "End-GR4", "S3-F2", "S3-F3"])
+def test_vectorised_coboundaries_match_loop_reference(name):
+    M = BAR_MODULES[name]()
+    cx = BarComplex(M)
+    d1, _ = _loop_coboundaries(M)
     got1, got2 = cx.d1_matrix(), cx.d2_matrix()
     assert got1.dtype == got2.dtype == np.int64
-    assert np.array_equal(got1, d1) and np.array_equal(got2, d2)
-    # d2 d1 = 0 on normalized cochains
-    assert not ((got2 @ got1) % M.p).any()
+    assert np.array_equal(got1, d1) and np.array_equal(got2, _loop_z2_system(M))
+    # coboundaries are cocycles: E vanishes on d1's rows (g, s), which give
+    # d1 f in E's unknowns
+    assert not ((got2 @ cx.d1_matrix(cx.gens)) % M.p).any()
+
+
+@pytest.mark.parametrize("name", sorted(BAR_MODULES))
+def test_h2_direct_matches_the_all_triples_bar_complex(name):
+    M = BAR_MODULES[name]()
+    assert h2_dim(M, method="direct") == _bar_h2(M)
+
+
+@st.composite
+def redundant_generator_modules(draw):
+    """A small group on drawn generators, which may repeat and include the
+    identity (so edges (1, t) off the tree), and a trivial or regular
+    module over it."""
+    p = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["cyclic", "S3", "A4"]))
+    if kind == "cyclic":
+        n = draw(st.integers(2, 9))
+        table = np.add.outer(np.arange(n), np.arange(n)) % n
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        G = FiniteGroup(table, picks + [1] if np.gcd.reduce(picks + [n]) != 1 else picks, name=f"C{n}")
+    else:
+        base = _permutation_group(kind)
+        picks = draw(st.lists(st.integers(0, base.order - 1), min_size=1, max_size=4))
+        if not base.generates(picks):
+            picks += list(base.generators)
+        G = FiniteGroup.from_permutations([tuple(base.action[e]) for e in picks], name=kind)
+    modules = [trivial_module(G, p)] + ([_regular_module(G, p)] if G.order <= 6 else [])
+    return draw(st.sampled_from(modules))
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=redundant_generator_modules())
+def test_z2_system_on_redundant_generators(M):
+    cx = BarComplex(M)
+    assert np.array_equal(cx.d2_matrix(), _loop_z2_system(M))
+    assert cx.h2_dim_direct() == _bar_h2(M)
 
 
 def test_h2_s4_direct():

@@ -12,11 +12,13 @@ from defring.oracle import OracleError, enumerate_lifts
 
 
 def test_bar_differentials_compose_to_zero():
-    # d2 . d1 = 0 on the normalized complex
+    # d2 . d1 = 0 on the normalized complex, with d2 the cocycle condition E
+    # on the generator values u(g, t) = f(g, s_t), which d1's rows (g, s)
+    # give for f = d1 y
     G = symmetric_group(3)
     M = trivial_module(G, 2)
     cx = BarComplex(M)
-    d1 = cx.d1_matrix()
+    d1 = cx.d1_matrix(cx.gens)
     d2 = cx.d2_matrix()
     assert ((d2 @ d1) % 2 == 0).all()
 

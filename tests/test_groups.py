@@ -119,6 +119,41 @@ def test_pgl2_table_matches_recorded_hash(q):
     assert pgl2(q).table_hash() == PGL2_TABLE_HASHES[q]
 
 
+def _pairwise_table(G):
+    """The table of a permutation group from its action, one pair at a time:
+    the reference the blocked construction replaced."""
+    index = {tuple(a): i for i, a in enumerate(G.action.tolist())}
+    return np.array([[index[tuple(a[b])] for b in G.action] for a in G.action])
+
+
+@settings(max_examples=40, deadline=None)
+@given(npts=st.integers(1, 6), data=st.data())
+def test_from_permutations_matches_the_pairwise_table(npts, data):
+    # generators may repeat, be the identity or fix all but the last points,
+    # so the base points can be any points
+    perm = st.permutations(range(npts)).map(tuple)
+    shifted = st.integers(0, npts - 1).flatmap(
+        lambda k: st.permutations(range(k, npts)).map(lambda tail: tuple(range(k)) + tuple(tail))
+    )
+    gens = data.draw(st.lists(st.one_of(perm, shifted), min_size=1, max_size=3))
+    G = FiniteGroup.from_permutations(gens)
+    assert np.array_equal(G.table, _pairwise_table(G))
+
+
+def test_twisted_group_table_matches_the_loop():
+    # (i, e)(j, f) = (i + p^e j mod p^2 - 1, e + f mod 2), at index 2 i + e
+    for p in (2, 3, 5, 7):
+        m = p * p - 1
+        table = np.empty((2 * m, 2 * m), dtype=np.int64)
+        for i in range(m):
+            for e in range(2):
+                for j in range(m):
+                    for f in range(2):
+                        table[2 * i + e, 2 * j + f] = 2 * ((i + p**e * j) % m) + (e + f) % 2
+        G = twisted_frobenius_group(p)
+        assert np.array_equal(G.table, table) and G.generators == (2, 1), p
+
+
 def test_pgl2_rejects_non_prime_power():
     with pytest.raises(GroupError):
         pgl2(6)
