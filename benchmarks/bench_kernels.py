@@ -7,9 +7,11 @@ of the largest battery instances, direct H^2 with trivial coefficients on
 A_4, SD_16 and S_4 over F_2 and F_3, table-driven batched matrix products (oracle
 enumeration) and the construction of Gamma = K x| G for three of the largest
 battery instances.  Also times one end-to-end oracle enumeration, and the
-enumeration and the class partition on three rows of the oracle benchmark,
-and the constructions of GR(p^3, 2) (`galois_matrices`), PGL_2(F_q) and
-S_6 (the last two close permutations with `FiniteGroup.from_permutations`).
+enumeration and the class partition on three rows of the oracle benchmark
+(and the relator check of the lifts, `_assert_full_table`, on one), the
+check of rho_R on Gamma's relators (`build_rho_R`), and the constructions
+of GR(p^3, 2) (`galois_matrices`), PGL_2(F_q) and S_6 (the last two close
+permutations with `FiniteGroup.from_permutations`).
 Each row is the best of a few repeats.
 
 Usage: python benchmarks/bench_kernels.py
@@ -92,7 +94,15 @@ def main():
 
     for name in ("twisted-p3n2", "twisted-p5n1", "standard-d3p3", "standard-d4p2"):
         M = end_rep(assemble(parse_instance_name(name)).rho_bar)
-        bench(f"h1_dim {name} (|Gamma| = {M.group.order})", lambda M=M: h1_dim(M))
+        bench(f"h1_dim {name} (|Gamma| = {M.group.order})", lambda M=M: h1_dim(M), repeat=5)
+
+    print("== rho_R on Gamma's relators (certify.build_rho_R) ==")
+    from defring.certify import build_rho_R, find_alpha
+
+    for name in ("twisted-p5n1", "standard-d4p2"):
+        asm = assemble(parse_instance_name(name))
+        alpha = find_alpha(asm).alpha
+        bench(f"build_rho_R {name}", lambda asm=asm, alpha=alpha: build_rho_R(asm, alpha), repeat=5)
 
     print("== direct H^2 with trivial coefficients (cohomology.h2_dim) ==")
     from defring.cohomology import h2_dim, trivial_module
@@ -133,7 +143,7 @@ def main():
 
     print("== end-to-end oracle enumeration (S4, F2[t]/t^3) ==")
     from defring.localalg import standard_rings
-    from defring.oracle import deformation_classes, enumerate_lifts
+    from defring.oracle import _assert_full_table, deformation_classes, enumerate_lifts
 
     asm = assemble(InstanceSpec("twisted", 2, 1))
     ring = standard_rings(2)["F2t3"]
@@ -150,6 +160,12 @@ def main():
             lambda: deformation_classes(asm.rho_bar, ring, lifts),
             repeat=5,
         )
+        if name == "twisted-p3n1":
+            bench(
+                f"_assert_full_table {name}/{ring_name} ({len(lifts)} lifts)",
+                lambda: _assert_full_table(lifts, asm.rho_bar, ring),
+                repeat=5,
+            )
 
     print("== ring constructions: GR(p^3, 2) and PGL_2(F_q) ==")
     from defring.exactalg import galois_matrices

@@ -404,8 +404,9 @@ class RhoR:
 def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     """Check rho_R(k, g) = (1 + t alpha(k)) rho_W(g) on Gamma's generators.
 
-    A value w + t u of rho_R is kept as the pair (w mod p^N, u mod p^n); as
-    t^2 = p^n t = 0, pairs multiply by (w1, u1)(w2, u2) = (w1 w2, w1 u2 + u1 w2).
+    A value w + t u of rho_R is kept as the pair (w mod p^N, u mod p^n),
+    stacked as one (2, d, d) array; as t^2 = p^n t = 0, pairs multiply by
+    (w1, u1)(w2, u2) = (w1 w2, w1 u2 + u1 w2).
     The generators x_i = (e_i, 1) and y_s = (0, s) of Gamma's presentation
     (`FiniteGroup.relators`) go to (1, alpha(e_i)) and (rho_W(s), 0).  If
     every relator holds there, von Dyck's theorem gives a homomorphism, and
@@ -423,14 +424,17 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     mN, mn = p**N, p**n
     d = asm.rho_w.degree
     eye = np.eye(d, dtype=np.int64)
-    zero = np.zeros((d, d), dtype=np.int64)
 
     def mul(a, b):
-        return a[0] @ b[0] % mN, (a[0] @ b[1] + a[1] @ b[0]) % mn
+        w = a[:, 0] @ b[:, 0] % mN
+        u = (a[:, 0] @ b[:, 1] + a[:, 1] @ b[:, 0]) % mn
+        return np.stack([w, u], axis=1)
 
-    gen_values = [(eye, alpha.of_vec(e)) for e in asm.K.basis_vectors()]
-    gen_values += [(asm.rho_w.mats[s], zero) for s in asm.G.generators]
-    bad = violated_relators(asm.gamma, gen_values, mul, (eye, zero))
+    xs = alpha.of_vecs(np.eye(asm.K.degree, dtype=np.int64))  # x_i -> (1, alpha(e_i))
+    ys = asm.rho_w.mats[list(asm.G.generators)]  # y_s -> (rho_W(s), 0)
+    ws = np.concatenate([np.broadcast_to(eye, xs.shape), ys])
+    gen_values = np.stack([ws, np.concatenate([xs, 0 * ys])], axis=1)
+    bad = violated_relators(asm.gamma, gen_values, mul, np.stack([eye, 0 * eye]))
     if bad:
         u, v = bad[0]
         raise CertifyError(f"rho_R fails the relator {u} = {v} of Gamma's presentation")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .groups import FiniteGroup, evaluate_words
+from .groups import FiniteGroup
 from .modrep import Representation, hom_space, twisted_kernel_module
 
 DENSE_ENTRY_LIMIT = 25_000_000  # entries of E, the Z^2 system of direct H^2
@@ -49,11 +49,12 @@ def h1_dim(M: Representation) -> int:
     distinguished generators t: a crossed hom on the free group on the t's
     is any choice of them, and it descends to the group exactly when it
     vanishes on the relators, as f(w r w^-1) = w.f(r) when r acts trivially
-    and so it then vanishes on their normal closure.  A word's value is its
-    element e and the block C with f(word) = C (f(t))_t; the word extended by
-    t has element e t and block C + M(e) in column block t.  A relator u = v
-    gives the rows C(u) - C(v) = f(u v^-1).  B^1 is the image of
-    m -> (t -> t.m - m), of rank rank [M(t) - I]_t.
+    and so it then vanishes on their normal closure.  A word w has the
+    value [M(w) | C], C the block with f(w) = C (f(t))_t, and as
+    f(uv) = f(u) + u.f(v), [M(u) | C(u)] [M(v) | C(v)] = [M(u) M(v) | C(u) +
+    M(u) C(v)]; generator t has C = I in column block t.  A relator u = v
+    (M(u) = M(v), checked) gives the rows C(u) - C(v) = f(u v^-1).  B^1 is
+    the image of m -> (t -> t.m - m), of rank rank [M(t) - I]_t.
     """
     if M.N != 1:
         raise CohomologyError("coefficients must be mod p")
@@ -63,21 +64,19 @@ def h1_dim(M: Representation) -> int:
     if n_unk == 0:
         return 0
 
-    def extend(value, t):
-        # entries stay below p times the word length; reduced once, below
-        e, block = value
-        block = block.copy()
-        block[:, t * dm : (t + 1) * dm] += M.mats[e]
-        return G.mul(e, gens[t]), block
+    def mul(a, b):  # in float64 (BLAS), exact: M(u) is reduced and C(u) < p len(u)
+        out = a[..., :dm] @ b
+        out[..., dm:] += a[..., dm:]
+        np.fmod(out[..., :dm], p, out=out[..., :dm])
+        return out
 
-    rels = G.relators()
-    one = (0, np.zeros((dm, n_unk), dtype=np.int64))
-    values = evaluate_words([w for rel in rels for w in rel], range(len(gens)), extend, one)
-    lhs, lblocks = zip(*values[0::2])
-    rhs, rblocks = zip(*values[1::2])
-    if lhs != rhs:
-        raise CohomologyError("a relator does not hold in the group table")
-    system = (np.array(lblocks) - np.array(rblocks)).reshape(-1, n_unk) % p
+    unknowns = np.eye(n_unk).reshape(len(gens), dm, n_unk)
+    gen_values = np.concatenate([M.mats[list(gens)], unknowns], axis=2)
+    lhs, rhs = G.relator_values(gen_values, mul, np.eye(dm, dm + n_unk))
+    diff = (lhs - rhs).astype(np.int64) % p
+    if diff[..., :dm].any():
+        raise CohomologyError("a relator does not hold in the module")
+    system = diff[..., dm:].reshape(-1, n_unk)
     z1 = n_unk - kernels.rank_modp(system, p)
     fixed = np.vstack([(M.mats[s] - np.eye(dm, dtype=np.int64)) % p for s in gens])
     b1 = kernels.rank_modp(fixed, p)
@@ -133,7 +132,7 @@ class BarComplex:
         live = gh != 0
         mat[row[live, None], diag, gh[live, None] - 1, diag] -= 1
         mat[row[:, None], diag, g[:, None] - 1, diag] += 1
-        return mat.reshape(g.size * dm, -1) % self.p
+        return mat.reshape(g.size * dm, self.dim_c1) % self.p
 
     def oversize(self) -> str | None:
         """Why `d2_matrix` would exceed a guard, with the sizes; None if it
@@ -204,13 +203,11 @@ class BarComplex:
             block = f[:, parent[level]]
             self._add_step(block, parent[level], genidx[level], 1)
             f[:, level] = block
-        succ = G.table[:, self.gens]
-        tree = (parent[succ] == np.arange(self.n)[:, None]) & (genidx[succ] == np.arange(len(self.gens)))
-        h, t = np.nonzero(~tree)
-        rows = f[:, succ[h, t]]
+        h, t = np.nonzero(G.off_tree_edges())
+        rows = f[:, G.table[h, self.gens[t]]]
         rows -= f[:, h]
         self._add_step(rows, h, t, -1)
-        return rows.reshape(-1, self.n_unknowns) % self.p
+        return rows.reshape(self.nontriv * len(h) * self.dm, self.n_unknowns) % self.p
 
     def h2_dim_direct(self) -> int:
         """dim Z^2 - dim B^2 with Z^2 = ker E (`d2_matrix`) and B^2 the image
@@ -262,8 +259,6 @@ def h2_dim(M: Representation, method: str = "auto") -> int:
     if M.N != 1:
         raise CohomologyError("coefficients must be mod p")
     G, p = M.group, M.p
-    if G.order == 1:
-        return 0
     cx = BarComplex(M)
     if method == "direct":
         return cx.h2_dim_direct()

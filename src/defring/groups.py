@@ -14,8 +14,10 @@ such data only has to compare e*s for every element e and generator s.
 the Schreier relators of the spanning tree, or for K x| G the split-extension
 presentation built from G's relators and the action on K.  By von Dyck's
 theorem, generator values that satisfy every relator extend to a
-homomorphism; `violated_relators` checks them, evaluating the words with
-`evaluate_words` at one product per distinct word prefix.
+homomorphism; `violated_relators` checks them.  Words are evaluated by one
+routine, `_walk`, on a tree of words one depth at a time: the spanning tree
+for `extend`, and for the relators the trie of their prefixes
+(`FiniteGroup.relator_values`), one stacked `mul` per depth either way.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class FiniteGroup:
         self.action = None if action is None else np.asarray(action, dtype=np.int64)
         self._trees: dict[tuple[int, ...], tuple] = {}
         self._relators = None
+        self._trie = None
         self._validate_table()
         self.inverse = self._inverse_table()
         self.spanning_tree()  # the distinguished generators must generate
@@ -173,6 +176,7 @@ class FiniteGroup:
         genidx = [-1] * self.order
         parent[0] = 0
         levels = [[0]]
+        off_tree = np.ones((self.order, len(gens)), dtype=bool)
         rows = self.table[:, list(gens)].tolist()
         while levels[-1]:  # breadth-first, one level at a time
             levels.append([])
@@ -181,22 +185,31 @@ class FiniteGroup:
                     if parent[h] < 0:
                         parent[h] = e
                         genidx[h] = gi
+                        off_tree[e, gi] = False
                         levels[-1].append(h)
         order = tuple(e for level in levels for e in level)
         if len(order) != self.order:
             raise GroupError(f"generators {gens} do not generate the group")
-        cached = (order, tuple(parent), tuple(genidx)), [np.array(lv) for lv in levels[:-1]]
+        cached = (order, tuple(parent), tuple(genidx)), [np.array(lv) for lv in levels[:-1]], off_tree
         self._trees[gens] = cached
         return cached
+
+    def off_tree_edges(self, gens=None) -> np.ndarray:
+        """The Cayley-graph edges off the spanning tree of `gens` (default:
+        the distinguished generators), as an (order, #gens) boolean array:
+        True at (e, t) unless the tree reached e gens[t] from e through t
+        (parent[e gens[t]] == e and genidx[e gens[t]] == t).  Cached with
+        the tree."""
+        return self._bfs(gens)[2]
 
     def extend(self, gen_values, mul, one, gens=None, at=None) -> np.ndarray:
         """Values on every element from values on the generators `gens`
         (default: the distinguished ones), along the spanning tree:
         value(0) = one and value(e) = mul(value(parent[e]), gen_values[genidx[e]]).
-        The walk goes one tree level at a time: the values of all elements
-        at depth k come from one `mul` on the stacked values of their
-        parents (depth k - 1) and generators, so `mul` works on a leading
-        stack axis.  Returns the values stacked by element.
+        The walk (`_walk`) goes one tree level at a time: the values of all
+        elements at depth k come from one `mul` on the stacked values of
+        their parents (depth k - 1) and generators, so `mul` works on a
+        leading stack axis.  Returns the values stacked by element.
 
         Data extended this way is a homomorphism exactly when value(0) is
         the identity and value(e) value(s) = value(e s) for every element e
@@ -211,18 +224,14 @@ class FiniteGroup:
         the values at `at` are returned, stacked in that order.
         """
         parent, genidx = map(np.asarray, self.spanning_tree(gens)[1:])
-        gen_values, one = np.asarray(gen_values), np.asarray(one)
-        values = np.empty((self.order, *one.shape), dtype=one.dtype)
-        values[0] = one
-        needed = np.full(self.order, at is None)
+        levels = self.tree_levels(gens)
         if at is not None:
+            needed = np.zeros(self.order, dtype=bool)
             needed[list(at)] = True
-            for level in self.tree_levels(gens)[:0:-1]:  # and their tree ancestors
+            for level in levels[:0:-1]:  # and their tree ancestors
                 needed[parent[level[needed[level]]]] = True
-        for level in self.tree_levels(gens)[1:]:
-            level = level[needed[level]]
-            if len(level):
-                values[level] = mul(values[parent[level]], gen_values[genidx[level]])
+            levels = [level[needed[level]] for level in levels]
+        values = _walk(levels, parent, genidx, gen_values, mul, one)
         return values if at is None else values[list(at)]
 
     def relators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -233,23 +242,37 @@ class FiniteGroup:
             self._relators = tuple(self._presentation())
         return self._relators
 
+    def relator_values(self, gen_values, mul, one) -> tuple[np.ndarray, np.ndarray]:
+        """The values of the sides u and v of the relators, stacked in the
+        order of `relators()`, from gen_values[t] for generator index t, as
+        in `extend`.  The words are walked as the trie of their prefixes,
+        built once per group: one `mul` per letter of the longest word."""
+        if self._trie is None:
+            words = [w for rel in self.relators() for w in rel]
+            prefixes = sorted({w[:k] for w in [(), *words] for k in range(len(w) + 1)}, key=len)
+            node = {w: x for x, w in enumerate(prefixes)}  # node 0 is the empty word
+            depth = np.array([len(w) for w in prefixes])
+            levels = [np.flatnonzero(depth == k) for k in range(depth[-1] + 1)]
+            parent = np.array([node[w[:-1]] if w else 0 for w in prefixes])
+            genidx = np.array([w[-1] if w else 0 for w in prefixes])
+            self._trie = levels, parent, genidx, np.array([node[w] for w in words], dtype=np.int64)
+        levels, parent, genidx, ends = self._trie
+        values = _walk(levels, parent, genidx, gen_values, mul, one)
+        return values[ends[0::2]], values[ends[1::2]]
+
     def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The Schreier relators of the spanning tree: word(e) t =
-        word(e t) for every element e and generator index t off the tree
-        (on tree edges the two words coincide), with the words read off the
-        tree by `word`.  Values v(e) of the words satisfying them have
-        v(e) v(t) = v(e t) for all e and t, so they are multiplicative by the
-        induction in `extend`.
+        """The Schreier relators of the spanning tree: word(e) t = word(e t)
+        for every edge (e, t) off the tree (`off_tree_edges`; on tree edges
+        the words coincide), in BFS order of e.  Values v(e) of the words
+        satisfying them have v(e) v(t) = v(e t) for all e and t, so they are
+        multiplicative by the induction in `extend`.
         """
         order, parent, genidx = self.spanning_tree()
-        words = [self.word(e) for e in range(self.order)]
-        rows = self.table[:, list(self.generators)].tolist()
-        return [
-            (words[e] + (t,), words[h])
-            for e in order
-            for t, h in enumerate(rows[e])
-            if not (parent[h] == e and genidx[h] == t)
-        ]
+        words = {0: ()}
+        for e in order[1:]:
+            words[e] = words[parent[e]] + (genidx[e],)
+        rows, off = self.table[:, list(self.generators)].tolist(), self.off_tree_edges().tolist()
+        return [(words[e] + (t,), words[h]) for e in order for t, h in enumerate(rows[e]) if off[e][t]]
 
     # -- basic operations ------------------------------------------------------
 
@@ -317,18 +340,13 @@ class FiniteGroup:
         elems = sorted(set(elements))
         if 0 not in elems:
             raise GroupError("subgroup must contain the identity")
-        pos = {e: i for i, e in enumerate(elems)}
-        n = len(elems)
-        table = np.empty((n, n), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                c = self.mul(a, b)
-                if c not in pos:
-                    raise GroupError("element set is not closed")
-                table[i, j] = pos[c]
+        pos = np.full(self.order, -1)
+        pos[elems] = np.arange(len(elems))
+        table = pos[self.table[np.ix_(elems, elems)]]
+        if (table < 0).any():
+            raise GroupError("element set is not closed")
         gens = self._subgroup_generators(elems, pos)
-        sub = FiniteGroup(table, gens, name=f"{self.name}-sub{n}")
-        return sub, elems
+        return FiniteGroup(table, gens, name=f"{self.name}-sub{len(elems)}"), elems
 
     def _subgroup_generators(self, elems, pos):
         chosen = []
@@ -337,10 +355,10 @@ class FiniteGroup:
             if e in span or e == 0:
                 continue
             chosen.append(e)
-            span = set(self.closure([x for x in chosen]))
+            span = set(self.closure(chosen))
             if len(span) == len(elems):
                 break
-        return [pos[e] for e in chosen] if chosen else []
+        return [int(pos[e]) for e in chosen]
 
     def sylow_subgroup(self, p: int) -> tuple["FiniteGroup", list[int]]:
         """A Sylow p-subgroup, grown through normalizers."""
@@ -604,37 +622,27 @@ def semidirect_product(kmod, gq: FiniteGroup) -> SemidirectGroup:
     return SemidirectGroup(kmod, gq)
 
 
-def evaluate_words(words, gen_values, mul, one) -> list:
-    """Values of words in the generators, gen_values[t] standing for
-    generator index t: each word is multiplied left to right from `one`.
-    The words share their prefixes, and every distinct prefix costs one
-    `mul`, so a batch of values (a stack of matrices, an array of element
-    indices) costs one batched product per prefix."""
-    node_of: dict[tuple[int, int], int] = {}  # (prefix node, t) -> prefix node
-    values = [one]
-    out = []
-    for word in words:
-        node = 0
-        for t in word:
-            child = node_of.get((node, t))
-            if child is None:
-                child = node_of[(node, t)] = len(values)
-                values.append(mul(values[node], gen_values[t]))
-            node = child
-        out.append(values[node])
-    return out
+def _walk(levels, parent, genidx, gen_values, mul, one) -> np.ndarray:
+    """Values of the nodes of a tree of words, stacked by node: node 0 gets
+    `one`, node x gets mul(value(parent[x]), gen_values[genidx[x]]).  Only
+    the nodes on `levels` (lists of nodes by depth) are set, each level by
+    one `mul` on a leading stack axis."""
+    gen_values, one = np.asarray(gen_values), np.asarray(one)
+    values = np.empty((len(parent), *one.shape), dtype=one.dtype)
+    values[0] = one
+    for level in levels[1:]:
+        if len(level):
+            values[level] = mul(values[parent[level]], gen_values[genidx[level]])
+    return values
 
 
 def violated_relators(group: FiniteGroup, gen_values, mul, one) -> list:
     """The relators (u, v) of `group.relators()` whose words take different
-    values on `gen_values` (gen_values[t] for generator index t, multiplied
-    by `mul` from `one`).  None are violated exactly when the generator
-    values extend to a homomorphism (von Dyck's theorem)."""
-    rels = group.relators()
-    values = evaluate_words([w for rel in rels for w in rel], gen_values, mul, one)
-    return [
-        rel for rel, lhs, rhs in zip(rels, values[0::2], values[1::2]) if not np.array_equal(lhs, rhs)
-    ]
+    values (`FiniteGroup.relator_values`).  None are violated exactly when
+    the generator values extend to a homomorphism (von Dyck's theorem)."""
+    lhs, rhs = group.relator_values(gen_values, mul, one)
+    differs = (lhs != rhs).any(axis=tuple(range(1, lhs.ndim)))
+    return [rel for rel, bad in zip(group.relators(), differs) if bad]
 
 
 # ---------------------------------------------------------------------------

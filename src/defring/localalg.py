@@ -297,34 +297,26 @@ def make_ring_R(p: int, n: int, N: int) -> ArtinLocalAlgebra:
     """W[[t]]/(p^n t, t^2) truncated at W-precision p^N: basis {1, t}, t^2 = 0."""
     if not 1 <= n < N:
         raise AlgebraError("need 1 <= n < N so the t-line is coarser than the W-part")
-    alg = ArtinLocalAlgebra(
+    return ArtinLocalAlgebra(
         p,
         ("1", "t"),
         (p**N, p**n),
         _basis_products(2, {(1, 1): (0, 0)}),
         name=f"R(p={p},n={n},N={N})",
     )
-    alg.kind = "R"
-    alg.n = n
-    alg.N = N
-    return alg
 
 
 def make_ring_Rprime(p: int, n: int, N: int) -> ArtinLocalAlgebra:
     """W[[t]]/(p^n t, p t^2, t^3): basis {1, t, t^2}, killing t^2 recovers R."""
     if not 1 <= n < N:
         raise AlgebraError("need 1 <= n < N")
-    alg = ArtinLocalAlgebra(
+    return ArtinLocalAlgebra(
         p,
         ("1", "t", "t2"),
         (p**N, p**n, p),
         _basis_products(3, {(1, 1): (0, 0, 1), (1, 2): (0, 0, 0), (2, 2): (0, 0, 0)}),
         name=f"R'(p={p},n={n},N={N})",
     )
-    alg.kind = "Rprime"
-    alg.n = n
-    alg.N = N
-    return alg
 
 
 def make_ring_Rprime_2_1(a_hat: int, N: int = 3) -> ArtinLocalAlgebra:
@@ -334,7 +326,7 @@ def make_ring_Rprime_2_1(a_hat: int, N: int = 3) -> ArtinLocalAlgebra:
     ideal spanned by t^2 is killed by (2, t) and the quotient is R(2,1,N).
     """
     a = a_hat % 2  # only the residue matters since 2t^2 = 0
-    alg = ArtinLocalAlgebra(
+    return ArtinLocalAlgebra(
         2,
         ("1", "t", "t2"),
         (2**N, 2, 2),
@@ -342,11 +334,6 @@ def make_ring_Rprime_2_1(a_hat: int, N: int = 3) -> ArtinLocalAlgebra:
         carries=((0, 0, 0), (0, 0, (-a) % 2), (0, 0, 0)),
         name=f"R'(p=2,n=1,a={a},N={N})",
     )
-    alg.kind = "Rprime21"
-    alg.n = 1
-    alg.N = N
-    alg.a_hat = a
-    return alg
 
 
 def dual_numbers(p: int) -> ArtinLocalAlgebra:
@@ -472,10 +459,6 @@ class AlgMatrix:
         return AlgMatrix(
             A, self.degree, tuple(A.sub(a, b) for a, b in zip(self.entries, other.entries))
         )
-
-    def scale(self, x) -> "AlgMatrix":
-        A = self.algebra
-        return AlgMatrix(A, self.degree, tuple(A.mul(x, e) for e in self.entries))
 
     def residue_matrix(self) -> np.ndarray:
         d = self.degree

@@ -11,9 +11,10 @@ The products of the survivors are extended down Gamma's BFS spanning tree
 and filtered by the equations e*s in one walk, one batched product per tree
 level and generator, and every lift is then validated against the relators
 of Gamma's presentation, which come from K and G rather than from the
-enumeration's spanning tree.  The classes come from one stacked
-conjugation per orbit.  This route is deliberately independent of the
-cohomology module so the two can cross-check each other.
+enumeration's spanning tree, at one batched product per relator-word
+depth.  The classes come from one stacked conjugation per orbit.  This
+route is deliberately independent of the cohomology module so the two can
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -38,8 +39,14 @@ class OracleError(ValueError):
 
 
 def enumeration_guard() -> int:
+    """The largest search space `enumerate_lifts` takes on: DEFAULT_GUARD,
+    or the positive integer in DEFRING_GUARD_OVERRIDE."""
     override = os.environ.get("DEFRING_GUARD_OVERRIDE")
-    return int(override) if override else DEFAULT_GUARD
+    if not override:
+        return DEFAULT_GUARD
+    if not override.isdecimal() or int(override) < 1:
+        raise OracleError(f"DEFRING_GUARD_OVERRIDE={override!r} is not a positive integer")
+    return int(override)
 
 
 @dataclass(frozen=True)
@@ -127,8 +134,9 @@ def enumerate_lifts(
     (`FiniteGroup.tree_levels`), extension and e*s filter in one: each level
     forms value(e) value(s) for every element e on it and generator s, one
     product per generator; the tree edges among them give the values of the
-    next level (as in `FiniteGroup.extend`), and once all of them are
-    written every off-tree product is compared with the value it must equal.
+    next level (as in `FiniteGroup.extend`), and then every product on an
+    edge off the tree (`FiniteGroup.off_tree_edges`) is compared with the
+    value it must equal.
     The assignments failing an equation are dropped before the next level,
     so the deep levels run on tiny stacks."""
     group = rho_bar.group
@@ -157,20 +165,18 @@ def enumerate_lifts(
         cands.append(cand[(power == eye).all(axis=(1, 2))])
     grid = np.meshgrid(*(np.arange(len(c)) for c in cands), indexing="ij")
     gen_blocks = np.stack([c[idx.reshape(-1)] for c, idx in zip(cands, grid)])
-    parent, genidx = map(np.asarray, group.spanning_tree(gens)[1:])
+    off_tree = group.off_tree_edges(gens)
     values = np.empty((group.order, *gen_blocks.shape[1:]), dtype=np.int64)
     values[0] = eye
     for depth, level in enumerate(group.tree_levels(gens)):
-        children = group.table[level][:, list(gens)]
-        on_tree = (parent[children] == level[:, None]) & (genidx[children] == np.arange(len(gens)))
+        children, off = group.table[level][:, list(gens)], off_tree[level]
         # at depth 0, value(1) value(s) is the generator block itself
         prods = [matmul(values[level], gb) if depth else gb[None] for gb in gen_blocks]
         for t, prod in enumerate(prods):
-            values[children[on_tree[:, t], t]] = prod[on_tree[:, t]]
+            values[children[~off[:, t], t]] = prod[~off[:, t]]
         alive = np.ones(gen_blocks.shape[1], dtype=bool)
         for t, prod in enumerate(prods):
-            off = ~on_tree[:, t]
-            alive &= (prod[off] == values[children[off, t]]).all(axis=(0, 2, 3))
+            alive &= (prod[off[:, t]] == values[children[off[:, t], t]]).all(axis=(0, 2, 3))
         if not alive.all():
             gen_blocks, values = gen_blocks[:, alive], values[:, alive]
     lifts = [
@@ -201,8 +207,9 @@ def _assert_full_table(lifts, rho_bar, A):
     Step 3 is needed, as the relators only see the M[t]: an s that no word
     of a t passes through is otherwise unchecked.  The relators of
     Gamma = K x| G come from K and G, not from the enumeration's tree.
-    Products are batched over the lifts: one per tree level in steps 1
-    and 3, one per distinct relator-word prefix in step 2."""
+    Products are batched over the lifts and the words: one per tree level
+    in steps 1 and 3, one per word depth of the relator trie in step 2
+    (`FiniteGroup.relator_values`)."""
     if not lifts:
         return
     group, d = rho_bar.group, rho_bar.degree

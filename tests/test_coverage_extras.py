@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from defring.certify import AlphaMap, InstanceSpec, assemble, exp_lift_on_kernel, scalar_control_module
-from defring.cohomology import BarComplex, trivial_module
-from defring.groups import symmetric_group
+from defring.cli import main
+from defring.cohomology import BarComplex, h2_dim, trivial_module
+from defring.groups import FiniteGroup, symmetric_group
 from defring.localalg import make_ring_Rprime_2_1
 from defring.oracle import OracleError, enumerate_lifts
 
@@ -54,7 +55,24 @@ def test_guard_override_env(monkeypatch):
 
     A = standard_rings(2)["dual"]
     monkeypatch.setenv("DEFRING_GUARD_OVERRIDE", "10")
-    with pytest.raises(OracleError):
+    with pytest.raises(OracleError, match="exceeds guard 10"):
         enumerate_lifts(asm.rho_bar, A)
+    # anything but a positive integer is refused, naming the value
+    for bad in ("abc", "-5", "0", "1.5"):
+        monkeypatch.setenv("DEFRING_GUARD_OVERRIDE", bad)
+        with pytest.raises(OracleError, match=f"DEFRING_GUARD_OVERRIDE='{bad}' is not a positive integer"):
+            enumerate_lifts(asm.rho_bar, A)
+    monkeypatch.setenv("DEFRING_GUARD_OVERRIDE", "abc")
+    assert main(["oracle", "twisted-p2n1", "--ring", "dual"]) == 2
     monkeypatch.delenv("DEFRING_GUARD_OVERRIDE")
     assert len(enumerate_lifts(asm.rho_bar, A)) > 0
+
+
+def test_h2_direct_on_the_trivial_group():
+    # no generators and no unknowns: d1 and E are empty, and so is H^2
+    G = FiniteGroup(np.zeros((1, 1)), [])
+    for p in (2, 3):
+        cx = BarComplex(trivial_module(G, p))
+        assert cx.d1_matrix().shape == cx.d2_matrix().shape == (0, 0)
+        assert cx.h2_dim_direct() == 0
+        assert h2_dim(trivial_module(G, p)) == 0

@@ -4,10 +4,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from defring.certify import assemble, parse_instance_name
 from defring.groups import (
-    evaluate_words,
     semidirect_product,
     symmetric_group,
     twisted_frobenius_group,
@@ -24,7 +26,7 @@ CONTROLS = ["twisted-p2n1-scalar", "twisted-p2n2-commutative", "twisted-p3n1-com
 @pytest.mark.parametrize("name", BATTERY + CONTROLS)
 def test_relators_hold_in_the_table_backed_gamma(name):
     gamma = assemble(parse_instance_name(name)).gamma
-    assert violated_relators(gamma, gamma.generators, gamma.mul, 0) == []
+    assert violated_relators(gamma, gamma.generators, lambda a, b: gamma.table[a, b], 0) == []
 
 
 @pytest.mark.parametrize(
@@ -34,7 +36,15 @@ def test_schreier_relators_hold(group):
     rels = group.relators()
     # one relator per edge of the Cayley graph off the spanning tree
     assert len(rels) == group.order * len(group.generators) - (group.order - 1)
-    assert violated_relators(group, group.generators, group.mul, 0) == []
+    assert violated_relators(group, group.generators, lambda a, b: group.table[a, b], 0) == []
+
+
+def _fold(word, gen_values, mul, one):
+    """The value of a word, multiplied left to right from `one`."""
+    acc = one
+    for t in word:
+        acc = mul(acc, gen_values[t])
+    return acc
 
 
 def test_violated_relators_names_the_failing_relators():
@@ -42,34 +52,61 @@ def test_violated_relators_names_the_failing_relators():
     rels = G.relators()
     assert G.relators() is rels  # built once per group
     transposition, cycle = G.generators
-    bad = violated_relators(G, [cycle, transposition], G.mul, 0)  # images swapped
+    bad = violated_relators(G, [cycle, transposition], lambda a, b: G.table[a, b], 0)  # images swapped
     assert bad and set(bad) <= set(rels)
     for u, v in bad:
-        lhs, rhs = evaluate_words([u, v], [cycle, transposition], G.mul, 0)
-        assert lhs != rhs
+        assert _fold(u, [cycle, transposition], G.mul, 0) != _fold(v, [cycle, transposition], G.mul, 0)
 
 
-def test_evaluate_words_multiplies_left_to_right_sharing_prefixes():
-    G = symmetric_group(4)
-    calls = []
+def test_relator_values_call_mul_once_per_word_depth():
+    # the relator words are walked as a prefix trie, one depth at a time:
+    # one stacked product per depth, each distinct prefix evaluated once
+    for name, depth in [("twisted-p2n1", 3), ("standard-d4p2", 8)]:
+        gamma = _gamma(name)
+        words = [w for rel in gamma.relators() for w in rel]
+        calls = []
+
+        def mul(a, b):
+            calls.append(len(a))
+            return gamma.table[a, b]
+
+        lhs, rhs = gamma.relator_values(gamma.generators, mul, 0)
+        assert (lhs == rhs).all()
+        assert len(calls) == max(map(len, words)) == depth, name
+        assert sum(calls) == len({w[:k] for w in words for k in range(1, len(w) + 1)})
+
+
+@st.composite
+def _group_and_values(draw):
+    """A group with relators of every kind (Schreier, and the split-extension
+    families of K x| G) and arbitrary 3 x 3 matrices mod 7 on its generators."""
+    group = _gamma(draw(st.sampled_from(["S4", "SD16", "F2^2 x S2", "twisted-p2n1"])))
+    values = draw(arrays(np.int64, (len(group.generators), 3, 3), elements=st.integers(0, 6)))
+    return group, values
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_group_and_values())
+def test_relator_sides_are_left_to_right_folds(case):
+    group, values = case
+    eye = np.eye(3, dtype=np.int64)
 
     def mul(a, b):
-        calls.append((a, b))
-        return G.mul(a, b)
+        return a @ b % 7
 
-    words = [(0, 1, 1), (0, 1), (), (1, 0), (0, 1, 0)]
-    got = evaluate_words(words, G.generators, mul, 0)
-    for word, value in zip(words, got):
-        acc = 0
-        for t in word:
-            acc = G.mul(acc, G.generators[t])
-        assert value == acc
-    # prefixes (0), (0,1), (0,1,1), (1), (1,0), (0,1,0): one product each
-    assert len(calls) == 6
+    lhs, rhs = group.relator_values(values, mul, eye)
+    assert lhs.shape == rhs.shape == (len(group.relators()), 3, 3)
+    for (u, v), got_u, got_v in zip(group.relators(), lhs, rhs):
+        assert np.array_equal(got_u, _fold(u, values, mul, eye))
+        assert np.array_equal(got_v, _fold(v, values, mul, eye))
 
 
 @lru_cache(maxsize=None)
 def _gamma(which):
+    if which == "S4":
+        return symmetric_group(4)
+    if which == "SD16":
+        return twisted_frobenius_group(3)
     # with a trivial action no other relator family implies x_1 x_2 = x_2 x_1
     if which == "F2^2 x S2":
         S2 = symmetric_group(2)
@@ -109,13 +146,8 @@ def test_relators_accept_exactly_the_homomorphisms_into_s4(which, assignments):
     images = [codes // S4.order**i % S4.order for i in range(k)]
     assert len(codes) == assignments
     T = S4.table
-    rels = gamma.relators()
-    words = evaluate_words(
-        [w for rel in rels for w in rel], images, lambda a, b: T[a, b], codes * 0
-    )
-    accepted = np.ones(len(codes), dtype=bool)
-    for lhs, rhs in zip(words[0::2], words[1::2]):
-        accepted &= lhs == rhs
+    lhs, rhs = gamma.relator_values(np.array(images), lambda a, b: T[a, b], codes * 0)
+    accepted = (lhs == rhs).all(axis=0)
     expected = _homomorphic_mask(gamma, S4, images)
     assert expected.any() and not expected.all()
     assert (accepted == expected).all()
