@@ -122,7 +122,7 @@ def main():
     from defring.localalg import nilpotent_socle_ring, truncated_polynomials
 
     for ring in (nilpotent_socle_ring(2), truncated_polynomials(2, 3)):
-        add, mul, _, _ = ring.tables()
+        add, mul, _ = ring.tables()
         a = rng.integers(0, ring.size, (65536, 2, 2), dtype=np.int64)
         b = rng.integers(0, ring.size, (65536, 2, 2), dtype=np.int64)
         bench(

@@ -36,11 +36,11 @@ from .localalg import AlgebraError, AlgMatrix, ArtinLocalAlgebra, make_ring_R, m
 from .modrep import (
     Representation,
     RepresentationError,
-    difference_basis_matrices,
+    admissible_degree,
     end_rep,
     galois_module_rep,
     hom_space,
-    standard_perm_rep,
+    standard_rep,
     twisted_kernel_module,
 )
 
@@ -137,13 +137,6 @@ class Assembly:
         return self.spec.precision
 
 
-def integral_standard_lift(G: FiniteGroup, p: int, N: int) -> Representation:
-    """The standard piece of the permutation lattice over Z/p^N: the
-    generator matrices in the difference basis have integer entries, so the
-    mod-p^N reduction is a homomorphic lift of the mod-p representation."""
-    return Representation.from_generator_images(G, difference_basis_matrices(G), p, N)
-
-
 def assemble(spec: InstanceSpec) -> Assembly:
     p, n, N = spec.p, spec.n, spec.precision
     # int64 products of d x d matrices over Z/p^N are exact while (p^N)^2 * d < 2^63.
@@ -185,16 +178,13 @@ def assemble(spec: InstanceSpec) -> Assembly:
             raise CertifyError("standard instance needs a degree d")
         if n != 1:
             raise CertifyError("standard instances are n = 1")
-        from .modrep import admissible_degree
-
         if not admissible_degree(spec.d, p):
             raise CertifyError(
                 f"(d, p) = ({spec.d}, {p}) inadmissible: need d < p-1 or d = p^f"
             )
         G = symmetric_group(spec.d + 1) if spec.d < p - 1 else pgl2(spec.d)
-        pieces = standard_perm_rep(G, p)
-        rho_bar_g = pieces.standard
-        rho_w = integral_standard_lift(G, p, N)
+        rho_w = standard_rep(G, p, N)
+        rho_bar_g = rho_w.reduce_mod(1)
         if spec.control is None:
             K = rho_bar_g
         elif spec.control == "scalar":
@@ -203,8 +193,6 @@ def assemble(spec: InstanceSpec) -> Assembly:
             raise CertifyError("standard family supports only the scalar control")
     else:
         raise CertifyError(f"unknown family {spec.family!r}")
-    if (rho_w.reduce_mod(1).mats != rho_bar_g.mats).any():
-        raise CertifyError("lift does not reduce to the mod-p representation")
     gamma = semidirect_product(K, G)
     rho_bar = rho_bar_g.inflate(gamma.quotient_hom())
     M = end_rep(rho_bar_g)
@@ -391,14 +379,6 @@ class RhoR:
         kvec, g = self.asm.gamma.decode(e)
         w = self.asm.rho_w.mats[g]
         return w, self.alpha.of_vec(kvec) @ w % self.asm.p**self.asm.n
-
-    def generator_matrices(self) -> list[AlgMatrix]:
-        out = []
-        for g in self.asm.gamma.generators:
-            w, t = self.at(g)
-            rows = [[(int(a), int(b)) for a, b in zip(w_row, t_row)] for w_row, t_row in zip(w, t)]
-            out.append(AlgMatrix.from_rows(self.asm.ring, rows))
-        return out
 
 
 def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
@@ -610,16 +590,15 @@ class Certificate:
             "group": None,
         }
         if self.rho_r is not None:
+            gens = self.rho_r.asm.gamma.generators
             out["rho_R"] = {
-                "generators": [g.tolist() for g in self.rho_r.generator_matrices()],
+                # each entry w + t u of R as its coordinates [w, u]
+                "generators": [np.stack(self.rho_r.at(g), axis=-1).tolist() for g in gens],
                 "faithful": self.rho_r.faithful,
                 "order_checks": self.rho_r.order_checks_passed,
             }
             out["group"] = self.rho_r.asm.gamma.to_json_dict()
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def certify_instance(spec: InstanceSpec) -> Certificate:

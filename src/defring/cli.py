@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .certify import (
     CertifyError,
@@ -53,21 +54,28 @@ def _emit(data, args) -> None:
 
 
 def _spec_from_args(args) -> InstanceSpec:
-    if args.instance in ("twisted", "standard"):
-        args.family = args.instance
-        args.instance = None
-    if args.instance:
-        spec = parse_instance_name(args.instance)
-        if getattr(args, "precision", None) is not None:
-            spec = InstanceSpec(
-                spec.family, spec.p, spec.n, d=spec.d, N=args.precision, control=spec.control
-            )
-        return spec
-    if args.family == "twisted":
+    """The instance a command names: an instance name, with at most -N, or a
+    family (positional or --family) with its parameters.  An option the
+    instance does not take is refused, not ignored."""
+    family, name = args.family, args.instance
+    if name in ("twisted", "standard"):
+        if family not in (None, name):
+            raise CertifyError(f"--family {family} contradicts the family {name}")
+        family, name = name, None
+    if name:
+        given = [f"--{opt}" for opt in ("family", "p", "n", "d") if getattr(args, opt) is not None]
+        if given:
+            raise CertifyError(f"{', '.join(given)} cannot be given with the instance name {name}")
+        return replace(parse_instance_name(name), N=args.precision)
+    if family == "twisted":
+        if args.d is not None:
+            raise CertifyError("--d does not apply to the twisted family, of degree 2")
         if args.p is None or args.n is None:
             raise CertifyError("twisted instances need --p and --n")
         return InstanceSpec("twisted", args.p, args.n, N=args.precision)
-    if args.family == "standard":
+    if family == "standard":
+        if args.n is not None:
+            raise CertifyError("--n does not apply to the standard family, where n = 1")
         if args.p is None or args.d is None:
             raise CertifyError("standard instances need --d and --p")
         return InstanceSpec("standard", args.p, 1, d=args.d, N=args.precision)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .groups import FiniteGroup
-from .modrep import Representation, hom_space, twisted_kernel_module
+from .modrep import Representation, twisted_kernel_module
 
 DENSE_ENTRY_LIMIT = 25_000_000  # entries of E, the Z^2 system of direct H^2
 ASSEMBLY_GUARD = 10_000_000  # entries of its f tensor, (|G| - 1) |G| dim M #unknowns
@@ -276,11 +276,6 @@ def h2_dim(M: Representation, method: str = "auto") -> int:
     if reason is None:
         return cx.h2_dim_direct()
     raise CohomologyError(f"restriction to a Sylow p-subgroup does not show H^2 = 0, and {reason}")
-
-
-def hom_invariants_dim(K: Representation, M: Representation) -> int:
-    """dim_k Hom(K, M)^G via the equivariant Hom solver (K reduced mod p)."""
-    return hom_space(K.reduce_mod(1), M).dimension
 
 
 @dataclass

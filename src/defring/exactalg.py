@@ -16,7 +16,7 @@ elements, polynomials in the companion matrix of f (`companion`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,12 +70,6 @@ class HowellBasis:
         """Additive orders p^(N-e) of the generators (pivot-column order)."""
         return [self.p ** (self.N - e) for _, e in self.pivots]
 
-    def span_size(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
-
     def reduce(self, vec: Sequence[int]) -> list[int]:
         """Canonical representative of vec modulo the span."""
         m, p = self.modulus, self.p
@@ -91,21 +85,6 @@ class HowellBasis:
                 for j in range(col, self.ncols):
                     v[j] = (v[j] - q * row[j]) % m
         return v
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
-    def enumerate_span(self) -> Iterable[tuple[int, ...]]:
-        """All span elements (for oracle tests; keep spans small)."""
-        m = self.modulus
-        out = {tuple([0] * self.ncols)}
-        for row, order in zip(self.rows, self.invariant_factors):
-            new = set()
-            for base in out:
-                for c in range(order):
-                    new.add(tuple((b + c * r) % m for b, r in zip(base, row)))
-            out = new
-        return sorted(out)
 
     def __eq__(self, other):
         return (
@@ -184,21 +163,8 @@ def howell_form(entries, p: int, N: int) -> HowellBasis:
 class ModuleSolution:
     """Solution set of a linear system over Z/p^N: particular + kernel."""
 
-    particular: list[int] | None
+    particular: list[int] | None  # None: the system is inconsistent
     kernel: HowellBasis
-
-    @property
-    def consistent(self) -> bool:
-        return self.particular is not None
-
-    def all_solutions(self) -> list[tuple[int, ...]]:
-        if self.particular is None:
-            return []
-        m = self.kernel.modulus
-        return sorted(
-            tuple((p0 + k) % m for p0, k in zip(self.particular, kv))
-            for kv in self.kernel.enumerate_span()
-        )
 
 
 def solve_module(entries, rhs: Sequence[int], p: int, N: int) -> ModuleSolution:
@@ -206,7 +172,9 @@ def solve_module(entries, rhs: Sequence[int], p: int, N: int) -> ModuleSolution:
 
     Works on the augmented rows [A^T | I]: Howell rows with pivot in the
     right block generate the kernel, and reducing (rhs, 0) against the
-    left-pivot rows yields a particular solution (or detects inconsistency).
+    augmented basis (`HowellBasis.reduce`) clears the left block exactly
+    when the system is consistent, leaving minus a particular solution in
+    the right block.
     """
     m = p**N
     a = [list(map(int, r)) for r in entries]
@@ -223,12 +191,7 @@ def solve_module(entries, rhs: Sequence[int], p: int, N: int) -> ModuleSolution:
     kern_pivots = [(c - neq, e) for (c, e) in pivots if c >= neq]
     kernel = HowellBasis(p, N, nvar, kern_rows, kern_pivots)
 
-    v = [int(x) % m for x in rhs] + [0] * nvar
-    for (col, e), row in zip(pivots, rows):
-        x = v[col]
-        if x and pval(x, p, N) >= e:
-            q = x // p**e
-            v = [(y - q * z) % m for y, z in zip(v, row)]
+    v = HowellBasis(p, N, neq + nvar, rows, pivots).reduce(list(rhs) + [0] * nvar)
     if any(v[:neq]):
         return ModuleSolution(None, kernel)
     particular = [(-x) % m for x in v[neq:]]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -40,9 +40,9 @@ class GroupError(ValueError):
 class FiniteGroup:
     """A finite group as an order x order multiplication table.
 
-    Element 0 is the identity.  `word(e)` is a tuple of generator indices
-    multiplying (left to right) to element e, read off the BFS spanning tree,
-    so word length is minimal for the distinguished generator set.
+    Element 0 is the identity.  The BFS spanning tree of the Cayley graph
+    (`spanning_tree`) writes each element as a word of minimal length in the
+    distinguished generators.
     """
 
     def __init__(self, table: np.ndarray, generators, name: str = "G", action=None):
@@ -279,20 +279,9 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def conj(self, g: int, h: int) -> int:
         """g h g^-1."""
-        return self.mul(self.mul(g, h), self.inv(g))
-
-    def word(self, e: int) -> tuple[int, ...]:
-        _, parent, genidx = self.spanning_tree()
-        out = []
-        while e != 0:
-            out.append(genidx[e])
-            e = parent[e]
-        return tuple(reversed(out))
+        return self.mul(self.mul(g, h), int(self.inverse[g]))
 
     def element_order(self, e: int) -> int:
         """The least k >= 1 with e^k = 1.  In a group it is at most the order;
@@ -518,9 +507,6 @@ class GroupHom:
     def __call__(self, e: int) -> int:
         return int(self.images[e])
 
-    def is_injective(self) -> bool:
-        return len(set(self.images.tolist())) == self.source.order
-
 
 # ---------------------------------------------------------------------------
 # Semidirect products
@@ -577,9 +563,6 @@ class SemidirectGroup(FiniteGroup):
         ginv = self.gq.inverse
         kinv = self._act[ginv][:, self._kneg]  # [g, k] -> g^-1.(-k)
         return (kinv * self.gq.order + ginv[:, None]).T.reshape(-1)
-
-    def encode(self, kvec, g: int) -> int:
-        return self.kmod.encode(kvec) * self.gq.order + g
 
     def decode(self, e: int) -> tuple[tuple[int, ...], int]:
         kcode, g = divmod(e, self.gq.order)
@@ -643,57 +626,3 @@ def violated_relators(group: FiniteGroup, gen_values, mul, one) -> list:
     lhs, rhs = group.relator_values(gen_values, mul, one)
     differs = (lhs != rhs).any(axis=tuple(range(1, lhs.ndim)))
     return [rel for rel, bad in zip(group.relators(), differs) if bad]
-
-
-# ---------------------------------------------------------------------------
-# Orbits and isomorphism testing
-# ---------------------------------------------------------------------------
-
-
-def orbit_count_triples(G: FiniteGroup) -> int:
-    """Number of orbits of the diagonal action on ordered triples of points."""
-    if G.action is None:
-        raise GroupError("group has no permutation action")
-    npts = G.action.shape[1]
-    gen_perms = [G.action[g] for g in G.generators]
-    seen = np.zeros((npts, npts, npts), dtype=bool)
-    count = 0
-    for a in range(npts):
-        for b in range(npts):
-            for c in range(npts):
-                if seen[a, b, c]:
-                    continue
-                count += 1
-                stack = [(a, b, c)]
-                seen[a, b, c] = True
-                while stack:
-                    x, y, z = stack.pop()
-                    for perm in gen_perms:
-                        t = (int(perm[x]), int(perm[y]), int(perm[z]))
-                        if not seen[t]:
-                            seen[t] = True
-                            stack.append(t)
-    return count
-
-
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupHom | None:
-    """Backtracking search for an isomorphism (small orders only)."""
-    if G.order != H.order:
-        return None
-    if G.order > 48:
-        raise GroupError("isomorphism search guard: order <= 48")
-    gens = G.small_generating_set()
-    gen_orders = [G.element_order(g) for g in gens]
-    by_order: dict[int, list[int]] = {}
-    for h in range(H.order):
-        by_order.setdefault(H.element_order(h), []).append(h)
-    candidates = [by_order.get(o, []) for o in gen_orders]
-    for images in product(*candidates):
-        img = G.extend(images, lambda a, b: H.table[a, b], 0, gens)
-        if len(set(img.tolist())) != G.order:
-            continue
-        try:
-            return GroupHom(G, H, img)
-        except GroupError:
-            continue
-    return None

@@ -96,19 +96,6 @@ def rank_modp(a, p: int) -> int:
     return int(pivots.size)
 
 
-def nullspace_modp(a, p: int) -> np.ndarray:
-    """Basis of the right kernel over F_p, one vector per row (canonical)."""
-    r, pivots = rref_modp(a, p)
-    ncols = r.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(r[i, fc])) % p
-    return basis
-
-
 def solve_modp(a, b, p: int):
     """One solution of ``a @ x = b`` over F_p, or None if inconsistent."""
     a = _as_modp(a, p)

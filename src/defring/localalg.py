@@ -15,13 +15,11 @@ local with residue field F_p).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
 from .exactalg import howell_form
 
 TABLE_LIMIT = 20_000_000  # entries in a cached |A| x |A| op table
@@ -93,9 +91,6 @@ class ArtinLocalAlgebra:
     def neg(self, x) -> tuple[int, ...]:
         return self.reduce([-a for a in x])
 
-    def sub(self, x, y) -> tuple[int, ...]:
-        return self.reduce([a - b for a, b in zip(x, y)])
-
     def smul(self, c: int, x) -> tuple[int, ...]:
         return self.reduce([c * a for a in x])
 
@@ -152,7 +147,7 @@ class ArtinLocalAlgebra:
         return tuple(reversed(out))
 
     def tables(self):
-        """(add, mul, neg, encoded elements) op tables for the batched kernels."""
+        """(add, mul, neg) op tables on element codes, for the batched kernels."""
         if self._tables is None:
             if self.size * self.size > TABLE_LIMIT:
                 raise AlgebraError(f"op tables for |A| = {self.size} exceed limit")
@@ -165,7 +160,7 @@ class ArtinLocalAlgebra:
                 for j, y in enumerate(elems):
                     add[i, j] = self.encode(self.add(x, y))
                     mul[i, j] = self.encode(self.mul(x, y))
-            self._tables = (add, mul, neg, elems)
+            self._tables = (add, mul, neg)
         return self._tables
 
     # -- validation ----------------------------------------------------------
@@ -249,9 +244,6 @@ class ArtinLocalAlgebra:
             "carries": [list(c) for c in self.carries],
             "multable": [[list(x) for x in row] for row in self.mul_basis],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def __eq__(self, other):
         return (
@@ -448,48 +440,6 @@ class AlgMatrix:
                 out.append(acc)
         return AlgMatrix(A, d, tuple(out))
 
-    def __add__(self, other):
-        A = self.algebra
-        return AlgMatrix(
-            A, self.degree, tuple(A.add(a, b) for a, b in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other):
-        A = self.algebra
-        return AlgMatrix(
-            A, self.degree, tuple(A.sub(a, b) for a, b in zip(self.entries, other.entries))
-        )
-
-    def residue_matrix(self) -> np.ndarray:
-        d = self.degree
-        return np.array(
-            [[self.algebra.residue(self.entry(i, j)) for j in range(d)] for i in range(d)],
-            dtype=np.int64,
-        )
-
-    def is_unit(self) -> bool:
-        return kernels.rank_modp(self.residue_matrix(), self.algebra.p) == self.degree
-
-    def inverse(self) -> "AlgMatrix":
-        """Newton lift of the residue inverse through the nilpotent filtration."""
-        A, d, p = self.algebra, self.degree, self.algebra.p
-        res = self.residue_matrix()
-        aug = np.hstack([res, np.eye(d, dtype=np.int64)])
-        r, pivots = kernels.rref_modp(aug, p)
-        if pivots[:d] != list(range(d)):
-            raise AlgebraError("not a unit: residue matrix is singular mod p")
-        inv_res = r[:, d:]
-        B = AlgMatrix.from_rows(
-            A, [[A.from_int(int(inv_res[i, j])) for j in range(d)] for i in range(d)]
-        )
-        eye = AlgMatrix.identity(A, d)
-        two = eye + eye
-        for _ in range(64):
-            if self @ B == eye:
-                return B
-            B = B @ (two - self @ B)
-        raise AlgebraError("Newton inversion did not converge")
-
     def order(self, cap: int = 100_000) -> int:
         eye = AlgMatrix.identity(self.algebra, self.degree)
         k, acc = 1, self
@@ -499,11 +449,3 @@ class AlgMatrix:
             if k > cap:
                 raise AlgebraError("matrix order exceeds cap")
         return k
-
-    def encode(self) -> tuple[int, ...]:
-        enc = self.algebra.encode
-        return tuple(enc(x) for x in self.entries)
-
-    def tolist(self):
-        d = self.degree
-        return [[list(self.entry(i, j)) for j in range(d)] for i in range(d)]

@@ -75,7 +75,7 @@ class DeformationClassSet:
 
 
 def _ring_data(A: ArtinLocalAlgebra, rho_bar: Representation):
-    add, mul, neg, elems = A.tables()
+    add, mul, _ = A.tables()
     d = rho_bar.degree
     maximal = [A.encode(x) for x in A.maximal_ideal()]
     lift_of = np.array(
@@ -213,7 +213,7 @@ def _assert_full_table(lifts, rho_bar, A):
     if not lifts:
         return
     group, d = rho_bar.group, rho_bar.degree
-    add, mul, _, _ = A.tables()
+    add, mul, _ = A.tables()
     gens, B = lifts[0].generators, len(lifts)
     matmul = _stack_matmul(add, mul, d)
     gen_blocks = np.array([l.images for l in lifts], dtype=np.int64)
@@ -237,7 +237,7 @@ def _kernel_inverses(A: ArtinLocalAlgebra, U: np.ndarray) -> np.ndarray:
     iteration X <- X(2I - UX) from X = I.  The error I - UX squares at each
     step, so after k steps its entries lie in m_A^(2^k).  As m_A^L = 0 for
     some L <= log2 |A|, the whole stack converges within L steps."""
-    add, mul, neg, _ = A.tables()
+    add, mul, neg = A.tables()
     eye = _identity(A, U.shape[-1])
     two = add[eye, eye]
     X = np.broadcast_to(eye, U.shape)

@@ -1,0 +1,478 @@
+"""Independent references the tests check `defring` against.
+
+Nothing the package runs calls these.  They decide the paper's hypotheses
+and the program's answers by other routes: Higman's projectivity criterion,
+the orbit counts on triples of points, the non-commuting matrices x_1..x_d
+of the standard family, level-by-level lifting through the vanishing of the
+obstructions, a backtracking isomorphism search, brute-force listings of
+spans and solution sets over Z/p^N, and Newton inversion over a local
+algebra.  A method of a package class appears here as a function taking the
+object as its first argument.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
+
+from defring import kernels
+from defring.exactalg import HowellBasis, ModuleSolution, matpow_mod
+from defring.groups import FiniteGroup, GroupError, GroupHom
+from defring.localalg import AlgebraError, AlgMatrix
+from defring.modrep import (
+    Representation,
+    RepresentationError,
+    admissible_degree,
+    end_rep,
+    galois_module_rep,
+    standard_rep,
+)
+
+# ---------------------------------------------------------------------------
+# Groups
+# ---------------------------------------------------------------------------
+
+
+def word(G: FiniteGroup, e: int) -> tuple[int, ...]:
+    """The generator indices multiplying (left to right) to e, read off the
+    BFS spanning tree, so of minimal length."""
+    _, parent, genidx = G.spanning_tree()
+    out = []
+    while e != 0:
+        out.append(genidx[e])
+        e = parent[e]
+    return tuple(reversed(out))
+
+
+def orbit_count_triples(G: FiniteGroup) -> int:
+    """Number of orbits of the diagonal action on ordered triples of points."""
+    if G.action is None:
+        raise GroupError("group has no permutation action")
+    npts = G.action.shape[1]
+    gen_perms = [G.action[g] for g in G.generators]
+    seen = np.zeros((npts, npts, npts), dtype=bool)
+    count = 0
+    for a in range(npts):
+        for b in range(npts):
+            for c in range(npts):
+                if seen[a, b, c]:
+                    continue
+                count += 1
+                stack = [(a, b, c)]
+                seen[a, b, c] = True
+                while stack:
+                    x, y, z = stack.pop()
+                    for perm in gen_perms:
+                        t = (int(perm[x]), int(perm[y]), int(perm[z]))
+                        if not seen[t]:
+                            seen[t] = True
+                            stack.append(t)
+    return count
+
+
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupHom | None:
+    """Backtracking search for an isomorphism (small orders only)."""
+    if G.order != H.order:
+        return None
+    if G.order > 48:
+        raise GroupError("isomorphism search guard: order <= 48")
+    gens = G.small_generating_set()
+    gen_orders = [G.element_order(g) for g in gens]
+    by_order: dict[int, list[int]] = {}
+    for h in range(H.order):
+        by_order.setdefault(H.element_order(h), []).append(h)
+    candidates = [by_order.get(o, []) for o in gen_orders]
+    for images in product(*candidates):
+        img = G.extend(images, lambda a, b: H.table[a, b], 0, gens)
+        if len(set(img.tolist())) != G.order:
+            continue
+        try:
+            return GroupHom(G, H, img)
+        except GroupError:
+            continue
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Linear algebra over F_p and Z/p^N
+# ---------------------------------------------------------------------------
+
+
+def nullspace_modp(a, p: int) -> np.ndarray:
+    """Basis of the right kernel over F_p, one vector per row (canonical)."""
+    r, pivots = kernels.rref_modp(a, p)
+    ncols = r.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-int(r[i, fc])) % p
+    return basis
+
+
+def matrix_inv_mod(mat: np.ndarray, p: int, N: int) -> np.ndarray:
+    """Exact inverse over Z/p^N by Newton-lifting the residue inverse."""
+    m = p**N
+    mat = np.asarray(mat, dtype=np.int64) % m
+    d = mat.shape[0]
+    aug = np.hstack([mat % p, np.eye(d, dtype=np.int64)])
+    r, pivots = kernels.rref_modp(aug, p)
+    if pivots[:d] != list(range(d)):
+        raise RepresentationError("matrix is singular mod p")
+    inv = r[:, d:] % m
+    eye = np.eye(d, dtype=np.int64)
+    for _ in range(N.bit_length() + 2):
+        err = (mat @ inv) % m
+        if (err == eye).all():
+            return inv
+        inv = inv @ (2 * eye - err) % m
+    raise RepresentationError("inverse iteration failed")
+
+
+def enumerate_span(h: HowellBasis) -> list[tuple[int, ...]]:
+    """All elements of a Howell basis's span (keep spans small)."""
+    m = h.modulus
+    out = {tuple([0] * h.ncols)}
+    for row, order in zip(h.rows, h.invariant_factors):
+        new = set()
+        for base in out:
+            for c in range(order):
+                new.add(tuple((b + c * r) % m for b, r in zip(base, row)))
+        out = new
+    return sorted(out)
+
+
+def all_solutions(sol: ModuleSolution) -> list[tuple[int, ...]]:
+    """Every solution: the particular one plus each kernel element."""
+    if sol.particular is None:
+        return []
+    m = sol.kernel.modulus
+    return sorted(
+        tuple((p0 + k) % m for p0, k in zip(sol.particular, kv))
+        for kv in enumerate_span(sol.kernel)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Matrices over a local algebra
+# ---------------------------------------------------------------------------
+
+
+def matrix_add(X: AlgMatrix, Y: AlgMatrix) -> AlgMatrix:
+    A = X.algebra
+    return AlgMatrix(A, X.degree, tuple(A.add(a, b) for a, b in zip(X.entries, Y.entries)))
+
+
+def matrix_sub(X: AlgMatrix, Y: AlgMatrix) -> AlgMatrix:
+    A = X.algebra
+    return AlgMatrix(
+        A, X.degree, tuple(A.add(a, A.neg(b)) for a, b in zip(X.entries, Y.entries))
+    )
+
+
+def residue_matrix(X: AlgMatrix) -> np.ndarray:
+    d = X.degree
+    return np.array(
+        [[X.algebra.residue(X.entry(i, j)) for j in range(d)] for i in range(d)],
+        dtype=np.int64,
+    )
+
+
+def inverse(X: AlgMatrix) -> AlgMatrix:
+    """Newton lift of the residue inverse through the nilpotent filtration."""
+    A, d, p = X.algebra, X.degree, X.algebra.p
+    res = residue_matrix(X)
+    aug = np.hstack([res, np.eye(d, dtype=np.int64)])
+    r, pivots = kernels.rref_modp(aug, p)
+    if pivots[:d] != list(range(d)):
+        raise AlgebraError("not a unit: residue matrix is singular mod p")
+    inv_res = r[:, d:]
+    B = AlgMatrix.from_rows(
+        A, [[A.from_int(int(inv_res[i, j])) for j in range(d)] for i in range(d)]
+    )
+    eye = AlgMatrix.identity(A, d)
+    two = matrix_add(eye, eye)
+    for _ in range(64):
+        if X @ B == eye:
+            return B
+        B = B @ matrix_sub(two, X @ B)
+    raise AlgebraError("Newton inversion did not converge")
+
+
+# ---------------------------------------------------------------------------
+# Permutation pieces: natural, trivial, standard
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class PermutationPieces:
+    """N = T (+) V for a permutation group on d+1 points, p not dividing d+1."""
+
+    natural: Representation
+    trivial: Representation
+    standard: Representation
+    e_trivial: np.ndarray  # idempotent projecting N onto T
+    e_standard: np.ndarray
+    basis: np.ndarray  # (d+1) x d; columns are b_j - b_{j+1}
+    left_inverse: np.ndarray  # d x (d+1); recovers V-coordinates on the V-span
+
+    def to_standard_coords(self, mat: np.ndarray) -> np.ndarray:
+        """Compress an endomorphism of the natural module that preserves the
+        V-span to its d x d matrix in the difference basis."""
+        p = self.standard.p
+        return self.left_inverse @ (np.asarray(mat) % p) @ self.basis % p
+
+
+def permutation_pieces(G: FiniteGroup, p: int) -> PermutationPieces:
+    """Split the natural permutation module over F_p into trivial and
+    standard pieces; requires p not to divide the number of points."""
+    standard = standard_rep(G, p, 1)
+    npts = G.action.shape[1]
+    d = npts - 1
+    perm_mats = np.zeros((G.order, npts, npts), dtype=np.int64)
+    for e in range(G.order):
+        for i in range(npts):
+            perm_mats[e, G.action[e][i], i] = 1
+    natural = Representation(G, perm_mats, p, 1, validate=False)
+    trivial = Representation(G, np.ones((G.order, 1, 1), dtype=np.int64), p, 1, validate=False)
+
+    inv_n = pow(npts, -1, p)
+    e_t = np.full((npts, npts), inv_n, dtype=np.int64) % p
+    e_v = (np.eye(npts, dtype=np.int64) - e_t) % p
+    for e in (e_t, e_v):
+        assert ((e @ e) % p == e).all()
+    for g in range(G.order):
+        assert ((perm_mats[g] @ e_t) % p == (e_t @ perm_mats[g]) % p).all()
+    assert kernels.rank_modp(e_t, p) == 1 and kernels.rank_modp(e_v, p) == d
+
+    basis = np.zeros((npts, d), dtype=np.int64)
+    for j in range(d):
+        basis[j, j] = 1
+        basis[j + 1, j] = (-1) % p
+    gram = basis.T @ basis % p
+    left = matrix_inv_mod(gram, p, 1) @ basis.T % p
+    return PermutationPieces(natural, trivial, standard, e_t, e_v, basis, left)
+
+
+# ---------------------------------------------------------------------------
+# The rank-2 module F_{p^2}: the pieces of its endomorphism ring
+# ---------------------------------------------------------------------------
+
+
+def twisted_end_decomposition(p: int):
+    """Split End(F_{p^2}) = (sigma-part) (+) (multiplication operators).
+
+    The sigma-part is cut out as the kernel of the minimal polynomial of
+    zeta^{1-p} evaluated at the conjugation action of zeta; the complement
+    is the generalized 1-eigenspace, i.e. the commutant F_{p^2} itself.
+    Returns (V, M, sigma_part_basis, mult_part_basis) with basis rows in
+    row-major End coordinates.
+    """
+    V = galois_module_rep(p, 1)
+    M = end_rep(V)
+    G = V.group
+    zeta = G.generators[0]
+    C = M.mats[zeta]
+    # zeta^{1-p} = w acts by W: trace w + sigma(w), determinant w sigma(w)
+    W = matpow_mod(V.mats[zeta], p * p - p, p)
+    tr = int(W[0, 0] + W[1, 1]) % p
+    nm = int(W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]) % p
+    eye = np.eye(4, dtype=np.int64)
+    poly = (C @ C - tr * C + nm * eye) % p
+    sigma_part = nullspace_modp(poly, p)
+    one_part = nullspace_modp((C - eye) @ (C - eye) % p, p)
+    if len(sigma_part) != 2 or len(one_part) != 2:
+        raise RepresentationError("eigenspace extraction failed")
+    if kernels.rank_modp(np.vstack([sigma_part, one_part]), p) != 4:
+        raise RepresentationError("pieces do not span End(V)")
+    return V, M, sigma_part, one_part
+
+
+# ---------------------------------------------------------------------------
+# Projectivity and lifting
+# ---------------------------------------------------------------------------
+
+
+def is_projective_higman(V: Representation):
+    """Higman's criterion over F_p: V is projective over F_p[G] iff the
+    identity is a relative trace sum_g g.f.g^-1; returns (flag, witness)."""
+    if V.N != 1:
+        raise RepresentationError("projectivity test works mod p")
+    p, d = V.p, V.degree
+    M = end_rep(V)
+    S = M.mats.sum(axis=0) % p
+    target = np.eye(d, dtype=np.int64).reshape(-1)
+    x = kernels.solve_modp(S, target, p)
+    if x is None:
+        return False, None
+    F = x.reshape(d, d)
+    acc = np.zeros((d, d), dtype=np.int64)
+    for g in range(V.group.order):
+        acc += V.mats[g] @ F @ V.mats[V.group.inverse[g]]
+    assert (acc % p == np.eye(d, dtype=np.int64)).all()
+    return True, F
+
+
+def hensel_lift_rep(Vbar: Representation, N: int) -> Representation:
+    """Lift a representation over F_p to Z/p^N level by level.
+
+    At each level the multiplicativity defect of the entrywise lift is a
+    2-cocycle valued in End(V) mod p; a correcting 1-cochain is obtained by
+    solving the coboundary system on (element, generator) pairs, which
+    suffices by the induction in FiniteGroup.extend.
+    Solvability at every level is guaranteed when V is projective over
+    F_p[G], and failure raises with a diagnostic.
+    """
+    if Vbar.N != 1:
+        raise RepresentationError("input must be a mod-p representation")
+    if N == 1:
+        return Vbar
+    G, p, d = Vbar.group, Vbar.p, Vbar.degree
+    gens = G.generators
+    conj = end_rep(Vbar).mats
+    inv_bar = Vbar.mats[G.inverse]
+    current = Vbar.mats.copy()
+    for level in range(1, N):
+        m_next = p ** (level + 1)
+        lift = current % m_next
+        n_unk = (G.order - 1) * d * d
+        rows_list = []
+        rhs_list = []
+        eye_dd = np.eye(d * d, dtype=np.int64)
+
+        def block_slot(e):
+            return (e - 1) * d * d
+
+        for g in range(1, G.order):
+            for s in gens:
+                gs = G.mul(g, s)
+                defect = (lift[g] @ lift[s] - lift[gs]) % m_next
+                if (defect % p**level != 0).any():
+                    raise RepresentationError("defect is not divisible by p^level")
+                # normalize to the 2-cocycle (rho(g)rho(s)rho(gs)^-1 - 1)/p^level
+                z = (defect // p**level) @ inv_bar[gs] % p
+                row = np.zeros((d * d, n_unk), dtype=np.int64)
+                row[:, block_slot(s) : block_slot(s) + d * d] += conj[g]
+                if gs != 0:
+                    row[:, block_slot(gs) : block_slot(gs) + d * d] -= eye_dd
+                row[:, block_slot(g) : block_slot(g) + d * d] += eye_dd
+                rows_list.append(row % p)
+                rhs_list.append((-z.reshape(-1)) % p)
+        system = np.vstack(rows_list)
+        rhs = np.concatenate(rhs_list)
+        y = kernels.solve_modp(system, rhs, p)
+        if y is None:
+            raise RepresentationError(
+                "coboundary system inconsistent: V is not projective (or a bug)"
+            )
+        eye = np.eye(d, dtype=np.int64)
+        new = np.empty_like(lift)
+        new[0] = eye
+        for e in range(1, G.order):
+            ye = y[block_slot(e) : block_slot(e) + d * d].reshape(d, d)
+            new[e] = (eye + p**level * ye) @ lift[e] % m_next
+        Representation(G, new, p, level + 1)  # validates
+        current = new
+    return Representation(G, current, p, N)
+
+
+def strictly_equivalent(rep1: Representation, rep2: Representation) -> np.ndarray | None:
+    """Search the kernel of reduction for a conjugator carrying rep1 to rep2.
+
+    Returns a matrix U = 1 + p*A with U rep1 U^-1 = rep2, or None.  The
+    search space is (p^(N-1))^(d^2), so keep N and d small.
+    """
+    p, N, d = rep1.p, rep1.N, rep1.degree
+    m = p**N
+    count = (p ** (N - 1)) ** (d * d)
+    if count > 500_000:
+        raise RepresentationError("kernel of reduction too large to scan")
+    gens = rep1.group.generators
+    eye = np.eye(d, dtype=np.int64)
+    for code in range(count):
+        c = code
+        entries = []
+        for _ in range(d * d):
+            c, r = divmod(c, p ** (N - 1))
+            entries.append(r)
+        U = (eye + p * np.array(entries, dtype=np.int64).reshape(d, d)) % m
+        Uinv = matrix_inv_mod(U, p, N)
+        if all(
+            ((U @ rep1.mats[g] @ Uinv) % m == rep2.mats[g]).all() for g in gens
+        ):
+            return U
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The explicit generators x_1, ..., x_d of the standard piece inside End
+# ---------------------------------------------------------------------------
+
+
+def d_basis(d: int) -> list[list[np.ndarray]]:
+    """The (d x d) array of matrices D[i][j] spanning End(V) inside the
+    (d+1) x (d+1) matrix ring: D_ij = E_ij - E_i,j+1 - E_i+1,j + E_i+1,j+1."""
+    n = d + 1
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            mat = np.zeros((n, n), dtype=np.int64)
+            mat[i, j] += 1
+            mat[i, j + 1] -= 1
+            mat[i + 1, j] -= 1
+            mat[i + 1, j + 1] += 1
+            row.append(mat)
+        out.append(row)
+    return out
+
+
+@dataclass
+class StandardGenerators:
+    """The matrices x_j = rho^{j-1}.x_1 and their span data."""
+
+    d: int
+    p: int
+    xs: list[np.ndarray]  # inside Mat_{d+1}(F_p)
+    d_combination_checked: bool
+
+    def noncommuting_pair(self):
+        p = self.p
+        for i in range(len(self.xs)):
+            for j in range(i + 1, len(self.xs)):
+                a, b = self.xs[i], self.xs[j]
+                if ((a @ b) % p != (b @ a) % p).any():
+                    return i, j
+        return None
+
+
+def x_matrices(d: int, p: int) -> StandardGenerators:
+    """Build x_1 explicitly and the translates x_j by the (d+1)-cycle."""
+    if not admissible_degree(d, p):
+        raise RepresentationError(f"(d, p) = ({d}, {p}) inadmissible: need d < p-1 or d = p^f")
+    n = d + 1
+    x1 = np.zeros((n, n), dtype=np.int64)
+    x1[0, 0] = d - 1
+    x1[1, 1] = -(d - 1)
+    if n > 2:
+        x1[0, 2:] = -1
+        x1[1, 2:] = 1
+        x1[2:, 0] = -1
+        x1[2:, 1] = 1
+    D = d_basis(d)
+    combo = (d - 1) * D[0][0]
+    for ell in range(2, d + 1):
+        combo = combo + (d + 1 - ell) * (D[0][ell - 1] + D[ell - 1][0])
+    if ((x1 - combo) % p != 0).any():
+        raise RepresentationError("x_1 disagrees with its D-basis expansion")
+    cyc = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        cyc[(i + 1) % n, i] = 1
+    cyc_inv = cyc.T
+    xs = [x1 % p]
+    for _ in range(1, d):
+        xs.append((cyc @ xs[-1] @ cyc_inv) % p)
+    return StandardGenerators(d, p, xs, True)

@@ -23,8 +23,15 @@ from defring.certify import (
     verify_certificate,
 )
 from defring.cohomology import h1_dim
-from defring.groups import find_isomorphism, symmetric_group
+from defring.groups import symmetric_group
 from defring.modrep import end_rep
+
+from reference import find_isomorphism, permutation_pieces, x_matrices
+
+
+def as_json(cert):
+    """The certificate as a reader of its JSON file gets it."""
+    return json.loads(json.dumps(cert.to_json_dict()))
 
 
 def test_parse_instance_names():
@@ -124,16 +131,11 @@ def test_alpha_scale_invariance():
 def test_standard_alpha_matches_x_matrices():
     # on standard instances the first Howell generator is a scalar multiple
     # of the map sending the j-th difference vector to x_j
-    from defring.modrep import x_matrices
-
     for d, p in [(2, 5), (2, 2)]:
         asm = assemble(InstanceSpec("standard", p, d=d))
         cb = find_alpha(asm)
         assert cb.passed and cb.bullet_noncommuting
-        pieces_left, pieces_basis = None, None
-        from defring.modrep import standard_perm_rep
-
-        pieces = standard_perm_rep(asm.G, p)
+        pieces = permutation_pieces(asm.G, p)
         xs = x_matrices(d, p).xs
         x_end = [pieces.to_standard_coords(x) for x in xs]
         expected = np.stack([x.reshape(-1) for x in x_end], axis=1) % p
@@ -194,8 +196,7 @@ def test_certify_standard_d2p5():
 
 def test_certificate_json_roundtrip_and_verify():
     cert = certify_instance(InstanceSpec("twisted", 2, 1))
-    blob = cert.to_json()
-    data = json.loads(blob)
+    data = as_json(cert)
     assert data["verdict"] == "certified"
     assert data["ring"] == "Z2[[t]]/(2^1*t, t^2)"
     ok, problems = verify_certificate(data)
@@ -204,7 +205,7 @@ def test_certificate_json_roundtrip_and_verify():
 
 def test_verify_rejects_tampering():
     cert = certify_instance(InstanceSpec("twisted", 2, 1))
-    data = json.loads(cert.to_json())
+    data = as_json(cert)
     data["condition_a"]["dim"] = 2
     ok, problems = verify_certificate(data)
     assert not ok and any("condition_a" in p for p in problems)
@@ -255,7 +256,7 @@ def test_refuted_certificates_verify_and_roundtrip():
     for name in ("twisted-p3n1-commutative", "twisted-p2n1-scalar"):
         cert = certify_instance(parse_instance_name(name))
         assert cert.verdict == "refuted"
-        data = json.loads(cert.to_json())
+        data = as_json(cert)
         ok, problems = verify_certificate(data)
         assert ok, problems
 
@@ -267,7 +268,7 @@ BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 
 
 def test_fresh_battery_certificates_verify():
     for name in BATTERY:
-        data = json.loads(certify_instance(parse_instance_name(name)).to_json())
+        data = as_json(certify_instance(parse_instance_name(name)))
         ok, problems = verify_certificate(data)
         assert ok, (name, problems)
 
@@ -277,7 +278,7 @@ CONTROLS = ["twisted-p3n1-commutative", "twisted-p2n1-scalar", "twisted-p2n2-com
 
 @functools.cache
 def _battery_certificate(name):
-    return certify_instance(parse_instance_name(name)).to_json()
+    return json.dumps(certify_instance(parse_instance_name(name)).to_json_dict())
 
 
 def _field_paths(value, path=()):
@@ -404,7 +405,7 @@ def _drop_alpha(data):
     ids=["no-rho_R", "no-tangent_dim", "no-group", "no-alpha", "relabelled-refuted"],
 )
 def test_verify_rejects_a_certificate_without_its_evidence(forge):
-    data = json.loads(certify_instance(InstanceSpec("twisted", 2, 1)).to_json())
+    data = as_json(certify_instance(InstanceSpec("twisted", 2, 1)))
     forge(data)
     ok, problems = verify_certificate(data)
     assert not ok and problems
@@ -412,7 +413,7 @@ def test_verify_rejects_a_certificate_without_its_evidence(forge):
 
 @pytest.mark.parametrize("name", CONTROLS)
 def test_verify_rejects_a_control_relabelled_certified(name):
-    data = json.loads(certify_instance(parse_instance_name(name)).to_json())
+    data = as_json(certify_instance(parse_instance_name(name)))
     assert data["verdict"] == "refuted" and verify_certificate(data) == (True, [])
     data.update(verdict="certified", failed_stage=None)
     ok, problems = verify_certificate(data)
@@ -429,7 +430,7 @@ def _complete_forgery(name):
     forged = Certificate(
         asm.spec, cert.condition_a, cert.condition_b, rho_r, tangent, "certified", None
     )
-    return json.loads(forged.to_json())
+    return as_json(forged)
 
 
 @pytest.mark.parametrize(
@@ -474,7 +475,7 @@ def test_verify_rejects_fractional_evidence_in_a_complete_forgery():
     ],
 )
 def test_verify_reports_malformed_condition_b_evidence(key, value):
-    data = json.loads(certify_instance(InstanceSpec("twisted", 2, 1)).to_json())
+    data = as_json(certify_instance(InstanceSpec("twisted", 2, 1)))
     assert len(data["condition_b"]["witness"][0]) == 2  # K has rank 2
     data["condition_b"][key] = value
     ok, problems = verify_certificate(data)
@@ -483,7 +484,7 @@ def test_verify_reports_malformed_condition_b_evidence(key, value):
 
 @pytest.mark.parametrize("entry", [0.5, 1.0, 2, -1, True])
 def test_verify_requires_alpha_entries_reduced_integers(entry):
-    data = json.loads(certify_instance(InstanceSpec("twisted", 2, 1)).to_json())
+    data = as_json(certify_instance(InstanceSpec("twisted", 2, 1)))
     data["condition_b"]["alpha"]["matrix"][0][0] = entry
     ok, problems = verify_certificate(data)
     assert not ok and any("alpha is not" in p for p in problems)
@@ -497,7 +498,7 @@ def test_verify_reports_a_malformed_certificate(cert):
 
 @pytest.mark.parametrize("value", [[1], "x"])
 def test_verify_reports_a_condition_b_that_is_not_an_object(value):
-    data = json.loads(certify_instance(InstanceSpec("twisted", 2, 1)).to_json())
+    data = as_json(certify_instance(InstanceSpec("twisted", 2, 1)))
     data["condition_b"] = value
     ok, problems = verify_certificate(data)
     assert not ok and problems == ["certified verdict without alpha"]

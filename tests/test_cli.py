@@ -179,7 +179,7 @@ def test_precision_not_above_n_exits_2(capsys, argv):
         (("twisted", "--p", "4", "--n", "1"), 4),  # hung in GaloisRing.unit_generator
         (("twisted", "--p", "1", "--n", "1"), 1),
         (("twisted", "--p", "-2", "--n", "1"), -2),
-        (("standard", "--d", "2", "--p", "4"), 4),  # AssertionError in standard_perm_rep
+        (("standard", "--d", "2", "--p", "4"), 4),  # once an AssertionError in the permutation splitting
     ],
     ids=["twisted-p4", "twisted-p1", "twisted-p-2", "standard-d2p4"],
 )
@@ -240,3 +240,38 @@ def test_verify_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert f"cannot read certificate {tmp_path}" in err and "Is a directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("twisted-p2n1", "--p", "3", "--n", "2"), "--p, --n"),
+        (("twisted-p2n1", "--d", "3"), "--d"),
+        (("standard-d2p5", "--family", "standard"), "--family"),
+        (("standard-d2p5", "--n", "1", "-N", "4"), "--n"),
+        (("standard", "--d", "2", "--p", "2", "--n", "3"), "--n"),
+        (("standard", "--family", "standard", "--d", "2", "--p", "2", "--n", "1"), "--n"),
+        (("twisted", "--p", "2", "--n", "1", "--d", "5"), "--d"),
+        (("twisted", "--family", "standard", "--p", "2", "--n", "1"), "--family"),
+        (("standard", "--family", "twisted", "--d", "2", "--p", "5"), "--family"),
+    ],
+    ids=[
+        "name-with-p-n", "name-with-d", "name-with-family", "name-with-n-and-N",
+        "standard-n", "standard-family-n", "twisted-d", "twisted-family-standard",
+        "standard-family-twisted",
+    ],
+)
+def test_ignored_parameters_exit_2(capsys, argv, option):
+    # an option the instance does not take is named and refused, not dropped
+    code, out, err = run_cli(capsys, "certify", *argv)
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+def test_name_with_precision_and_family_with_matching_option(capsys):
+    # -N stays allowed with a name, and --family may repeat the positional family
+    code, out, _ = run_cli(capsys, "certify", "twisted-p2n1", "-N", "4")
+    assert code == 0 and json.loads(out)["N"] == 4
+    code, out, _ = run_cli(capsys, "certify", "twisted", "--family", "twisted", "--p", "2", "--n", "1")
+    assert code == 0 and json.loads(out)["instance"] == "twisted-p2n1"

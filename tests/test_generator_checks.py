@@ -35,19 +35,20 @@ from defring.groups import (
     FiniteGroup,
     GroupError,
     GroupHom,
-    find_isomorphism,
     pgl2,
     symmetric_group,
     twisted_frobenius_group,
 )
 from defring.localalg import AlgMatrix, make_ring_Rprime, make_ring_Rprime_2_1
-from defring.modrep import Representation, RepresentationError, galois_module_rep, standard_perm_rep
+from defring.modrep import Representation, RepresentationError, galois_module_rep, standard_rep
+
+from reference import find_isomorphism, word
 
 
 def _deepest(G):
     """The last element of the spanning tree: a word of maximal length."""
     e = G.spanning_tree()[0][-1]
-    assert e not in G.generators and len(G.word(e)) > 1
+    assert e not in G.generators and len(word(G, e)) > 1
     return e
 
 
@@ -73,7 +74,7 @@ def test_extend_is_the_product_along_words():
         values = G.extend(gen_vals, lambda a, b: a @ b % 7, one)
         for e in range(G.order):
             acc = one
-            for gi in G.word(e):
+            for gi in word(G, e):
                 acc = acc @ gen_vals[gi] % 7
             assert (values[e] == acc).all()
 
@@ -197,7 +198,7 @@ def test_find_isomorphism_and_from_generator_images_are_unchanged():
 
 
 def test_validate_catches_a_deep_corruption():
-    V = standard_perm_rep(symmetric_group(4), 5).standard
+    V = standard_rep(symmetric_group(4), 5, 1)
     e = _deepest(V.group)
     mats = V.mats.copy()
     mats[e, 0, 0] = (mats[e, 0, 0] + 1) % 5
@@ -304,8 +305,8 @@ def test_build_rho_R_agrees_with_the_table_check(name, target, where, shift):
 
 
 _REPS = {
-    "S3": lambda: standard_perm_rep(symmetric_group(3), 5).standard,
-    "S4": lambda: standard_perm_rep(symmetric_group(4), 5).standard,
+    "S3": lambda: standard_rep(symmetric_group(3), 5, 1),
+    "S4": lambda: standard_rep(symmetric_group(4), 5, 1),
     "TF2": lambda: galois_module_rep(2, 2),
     "TF3": lambda: galois_module_rep(3, 1),
 }

