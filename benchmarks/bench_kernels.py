@@ -11,7 +11,11 @@ enumeration and the class partition on three rows of the oracle benchmark
 (and the relator check of the lifts, `_assert_full_table`, on one), the
 check of rho_R on Gamma's relators (`build_rho_R`), and the constructions
 of GR(p^3, 2) (`galois_matrices`), PGL_2(F_q) and S_6 (the last two close
-permutations with `FiniteGroup.from_permutations`).
+permutations with `FiniteGroup.from_permutations`).  The Howell-form rows
+time `solve_module` on the Hom systems that certifying standard-d4p2
+solves, `howell_form` on the spans of the powers of the maximal ideal of
+R(2, 1, 3), and the construction of R(5, 1, 27), whose spans over
+Z/5^28 are past int64.
 Each row is the best of a few repeats.
 
 Usage: python benchmarks/bench_kernels.py
@@ -69,8 +73,50 @@ def program_rank_inputs():
     return inputs
 
 
+def recorded_calls(module, name, run):
+    """The arguments of every call `run()` makes to module.name."""
+    calls = []
+    saved = getattr(module, name)
+
+    def record(*args):
+        calls.append(args)
+        return saved(*args)
+
+    setattr(module, name, record)
+    try:
+        run()
+    finally:
+        setattr(module, name, saved)
+    return calls
+
+
+def howell_rows():
+    from defring import localalg, modrep
+    from defring.certify import assemble, certify_assembly, parse_instance_name
+    from defring.exactalg import howell_form, solve_module
+
+    print("== Howell forms over Z/p^N (exactalg) ==", flush=True)
+    asm = assemble(parse_instance_name("standard-d4p2"))
+    systems = recorded_calls(modrep, "solve_module", lambda: certify_assembly(asm))
+    for i, (entries, rhs, p, N) in enumerate(systems, 1):
+        rows, cols = np.shape(entries)
+        bench(
+            f"solve_module standard-d4p2 Hom #{i} {rows}x{cols} mod {p}^{N}",
+            lambda: solve_module(entries, rhs, p, N),
+            repeat=5,
+        )
+    spans = recorded_calls(localalg, "howell_form", lambda: localalg.make_ring_R(2, 1, 3))
+    bench(
+        f"howell_form spans of R(2, 1, 3) ({len(spans)} calls)",
+        lambda: [howell_form(*args) for args in spans],
+        repeat=5,
+    )
+    bench("make_ring_R(5, 1, 27)", lambda: localalg.make_ring_R(5, 1, 27), repeat=5)
+
+
 def main():
     rng = np.random.default_rng(0)
+    howell_rows()
 
     print("== mod-p elimination ==", flush=True)
     for rows, cols, p, repeat in [

@@ -26,6 +26,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -239,9 +240,11 @@ class AlphaMap:
         m = self.p**self.n
         return ((kvecs % m) @ self.matrix.T % m).reshape(-1, self.d, self.d)
 
-    def kernel_trivial(self) -> bool:
-        sol = solve_module(self.matrix.tolist(), [0] * (self.d * self.d), self.p, self.n)
-        return not sol.kernel.generators
+    @cached_property
+    def injective(self) -> bool:
+        """alpha has trivial kernel; solved once per map."""
+        zero = np.zeros(self.d * self.d, dtype=np.int64)
+        return not len(solve_module(self.matrix, zero, self.p, self.n).kernel.rows)
 
     def residue_nonzero(self) -> bool:
         return bool((self.matrix % self.p != 0).any())
@@ -307,7 +310,7 @@ def evaluate_condition_b(alpha: AlphaMap, witness, clause, invariant_factors=())
     return ConditionB(
         "ok" if noncommuting or no_scalar else "commutative_image",
         alpha,
-        alpha.kernel_trivial(),
+        alpha.injective,
         alpha.residue_nonzero(),
         witness,
         noncommuting,
@@ -327,7 +330,7 @@ def find_alpha(asm: Assembly) -> ConditionB:
     alpha = None
     for H in hs.basis:
         cand = AlphaMap(p, n, asm.rho_w.degree, asm.K.degree, H)
-        if cand.kernel_trivial() and cand.residue_nonzero():
+        if cand.injective and cand.residue_nonzero():
             alpha = cand
             break
     if alpha is None:
@@ -816,7 +819,7 @@ def _injective_commutative_alpha(asm: Assembly) -> AlphaMap:
             coeffs.append(r)
         H = sum(c * B for c, B in zip(coeffs, hs.basis)) % mn
         cand = AlphaMap(p, n, asm.rho_w.degree, asm.K.degree, H)
-        if cand.kernel_trivial():
+        if cand.injective:
             return cand
     raise CertifyError("no injective element in the Hom module")
 

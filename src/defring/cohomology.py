@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .exactalg import solve_module
 from .groups import FiniteGroup
 from .modrep import Representation, twisted_kernel_module
 
@@ -72,11 +73,12 @@ def h1_dim(M: Representation) -> int:
 
     unknowns = np.eye(n_unk).reshape(len(gens), dm, n_unk)
     gen_values = np.concatenate([M.mats[list(gens)], unknowns], axis=2)
-    lhs, rhs = G.relator_values(gen_values, mul, np.eye(dm, dm + n_unk))
-    diff = (lhs - rhs).astype(np.int64) % p
-    if diff[..., :dm].any():
+    diff, rhs = G.relator_values(gen_values, mul, np.eye(dm, dm + n_unk))
+    diff -= rhs  # in place; the right sides go before the system is copied out
+    del rhs
+    if np.fmod(diff[..., :dm], p, out=diff[..., :dm]).any():
         raise CohomologyError("a relator does not hold in the module")
-    system = diff[..., dm:].reshape(-1, n_unk)
+    system = diff[..., dm:].astype(np.int64).reshape(-1, n_unk)
     z1 = n_unk - kernels.rank_modp(system, p)
     fixed = np.vstack([(M.mats[s] - np.eye(dm, dtype=np.int64)) % p for s in gens])
     b1 = kernels.rank_modp(fixed, p)
@@ -244,8 +246,7 @@ class BarComplex:
 
     def is_coboundary(self, c) -> bool:
         vec = self.cochain_vector(c)
-        sol = kernels.solve_modp(self.d1_matrix(), vec, self.p)
-        return sol is not None
+        return solve_module(self.d1_matrix(), vec, self.p, 1).particular is not None
 
 
 def h2_dim(M: Representation, method: str = "auto") -> int:

@@ -1,12 +1,13 @@
 """Exact arithmetic over Z/p^N, and the rings (Z/p^N)[x]/(f) as matrices.
 
 Z/p^N is the truncation of the p-adic integers used as coefficient ring
-throughout; all arithmetic is done with Python ints, so moduli up to 2**62
-are exact.  The canonical-form workhorse is the Howell form: an echelon
+throughout.  The canonical-form workhorse is the Howell form: an echelon
 basis of a row span over Z/p^N that supports exact membership testing and
-exposes the module structure of the span.  Over a chain ring like Z/p^N the
-computation reduces to valuation bookkeeping, which keeps this module free
-of general gcd machinery.
+exposes the module structure of the span.  It is computed on arrays by
+`kernels.rref_modp`, in int64 while products of residues fit and in Python
+ints otherwise, so every modulus is exact.  Over a chain ring like Z/p^N
+every entry is a unit times a power p^e, so the elimination needs only
+valuations and unit inverses.
 
 The rings (Z/p^N)[x]/(f) the instances need, GR(p^N, 2) = W(F_{p^2}) / p^N
 and F_q for q <= 9, are handled through the regular matrices of their
@@ -20,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernels
+
 MAX_MODULUS = 1 << 62
 
 
@@ -27,175 +30,76 @@ class PrecisionError(ValueError):
     """A requested precision whose arithmetic would not be exact."""
 
 
-def pval(x: int, p: int, cap: int) -> int:
-    """p-adic valuation of x mod p^cap; returns cap for x == 0."""
-    if x % p**cap == 0:
-        return cap
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def inv_mod(x: int, m: int) -> int:
-    return pow(int(x), -1, m)
-
-
 class HowellBasis:
-    """Canonical Howell basis of a row span over Z/p^N.
+    """Canonical Howell basis of a row span over Z/p^N (`kernels.rref_modp`).
 
-    Rows are sorted by pivot column; each pivot entry is the power p^e of
-    minimal valuation achievable in its column, entries in other rows at a
-    pivot column are reduced mod that pivot, and the span is closed under
-    "annihilator shadows" (p^{N-e} times a row re-enters the span).  These
-    properties make the basis unique for the span, so equality of spans is
-    equality of bases, and reduction against the basis decides membership.
+    Row i is zero before its pivot column pivots[i], where it holds the power
+    p^e of minimal valuation achievable in that column; entries in other rows
+    at a pivot column are reduced mod that pivot, and the span is closed under
+    "annihilator shadows" (p^{N-e} times a row lies in the span of the rows
+    after it).  These properties make the basis unique for the span, so
+    equality of spans is equality of bases.
     """
 
-    def __init__(self, p: int, N: int, ncols: int, rows: list[list[int]], pivots: list[tuple[int, int]]):
+    def __init__(self, p: int, N: int, rows: np.ndarray, pivots: list[int]):
         self.p = p
         self.N = N
         self.modulus = p**N
-        self.ncols = ncols
-        self.rows = rows
-        self.pivots = pivots  # (column, valuation) per row
-
-    @property
-    def generators(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
+        self.rows = rows  # (len(pivots), ncols)
+        self.pivots = pivots
 
     @property
     def invariant_factors(self) -> list[int]:
-        """Additive orders p^(N-e) of the generators (pivot-column order)."""
-        return [self.p ** (self.N - e) for _, e in self.pivots]
-
-    def reduce(self, vec: Sequence[int]) -> list[int]:
-        """Canonical representative of vec modulo the span."""
-        m, p = self.modulus, self.p
-        v = [int(x) % m for x in vec]
-        if len(v) != self.ncols:
-            raise ValueError("length mismatch")
-        for (col, e), row in zip(self.pivots, self.rows):
-            x = v[col]
-            if x == 0:
-                continue
-            if pval(x, p, self.N) >= e:
-                q = x // p**e
-                for j in range(col, self.ncols):
-                    v[j] = (v[j] - q * row[j]) % m
-        return v
+        """Additive orders p^(N-e) of the rows (pivot-column order)."""
+        return [self.modulus // int(self.rows[i, c]) for i, c in enumerate(self.pivots)]
 
     def __eq__(self, other):
         return (
             isinstance(other, HowellBasis)
-            and (self.p, self.N, self.ncols) == (other.p, other.N, other.ncols)
-            and self.rows == other.rows
+            and (self.p, self.N) == (other.p, other.N)
+            and np.array_equal(self.rows, other.rows)
         )
 
     def __repr__(self):
-        return f"HowellBasis(p={self.p}, N={self.N}, rows={self.rows})"
-
-
-def _howell_rows(raw_rows: list[list[int]], ncols: int, p: int, N: int):
-    """Core Howell computation; returns (rows, pivots) sorted by pivot col."""
-    m = p**N
-    basis: dict[int, list[int]] = {}
-    basis_val: dict[int, int] = {}
-    queue = [[int(x) % m for x in r] for r in raw_rows]
-    while queue:
-        v = queue.pop()
-        while True:
-            lead = next((j for j in range(ncols) if v[j] != 0), None)
-            if lead is None:
-                break
-            e = pval(v[lead], p, N)
-            if lead not in basis:
-                u_inv = inv_mod(v[lead] // p**e, m)
-                v = [(x * u_inv) % m for x in v]
-                basis[lead] = v
-                basis_val[lead] = e
-                if e > 0:
-                    shadow = [(x * p ** (N - e)) % m for x in v]
-                    queue.append(shadow)
-                break
-            eb = basis_val[lead]
-            if e >= eb:
-                q = v[lead] // p**eb
-                b = basis[lead]
-                v = [(x - q * y) % m for x, y in zip(v, b)]
-            else:
-                u_inv = inv_mod(v[lead] // p**e, m)
-                v = [(x * u_inv) % m for x in v]
-                old = basis[lead]
-                basis[lead] = v
-                basis_val[lead] = e
-                if e > 0:
-                    queue.append([(x * p ** (N - e)) % m for x in v])
-                queue.append(old)
-                break
-    cols = sorted(basis)
-    # Reduce entries above each pivot to canonical representatives.
-    for col in cols:
-        e = basis_val[col]
-        pe = p**e
-        for c2 in cols:
-            if c2 == col:
-                continue
-            row = basis[c2]
-            q = row[col] // pe
-            if q:
-                basis[c2] = [(x - q * y) % m for x, y in zip(row, basis[col])]
-    rows = [basis[c] for c in cols]
-    pivots = [(c, basis_val[c]) for c in cols]
-    return rows, pivots
+        return f"HowellBasis(p={self.p}, N={self.N}, rows={self.rows.tolist()})"
 
 
 def howell_form(entries, p: int, N: int) -> HowellBasis:
     """Howell basis of the row span of a matrix over Z/p^N."""
-    raw = [list(map(int, r)) for r in entries]
-    ncols = len(raw[0]) if raw else 0
-    rows, pivots = _howell_rows(raw, ncols, p, N)
-    return HowellBasis(p, N, ncols, rows, pivots)
+    r, pivots = kernels.rref_modp(entries, p, N)
+    return HowellBasis(p, N, r[: len(pivots)], pivots)
 
 
 @dataclass
 class ModuleSolution:
     """Solution set of a linear system over Z/p^N: particular + kernel."""
 
-    particular: list[int] | None  # None: the system is inconsistent
+    particular: np.ndarray | None  # None: the system is inconsistent
     kernel: HowellBasis
 
 
 def solve_module(entries, rhs: Sequence[int], p: int, N: int) -> ModuleSolution:
     """Solve A x = rhs over Z/p^N.
 
-    Works on the augmented rows [A^T | I]: Howell rows with pivot in the
-    right block generate the kernel, and reducing (rhs, 0) against the
-    augmented basis (`HowellBasis.reduce`) clears the left block exactly
-    when the system is consistent, leaving minus a particular solution in
-    the right block.
+    Works on the Howell form of the rows [1 | rhs^T | 0] and [0 | A^T | I].
+    The rows after the first are the Howell form of [A^T | I]: those with
+    their pivot in the last block generate the kernel.  The first row is
+    [1 | rhs^T | 0] reduced by them; it ends in [1 | 0 | -x^T] for a solution
+    x exactly when the system is consistent, as the span holds such a row
+    exactly then, and the reduced first row is the only span element that
+    starts with 1 and is reduced at the later pivots.
     """
     m = p**N
-    a = [list(map(int, r)) for r in entries]
-    neq = len(a)
-    nvar = len(a[0]) if a else 0
-    aug = []
-    for j in range(nvar):
-        row = [a[i][j] for i in range(neq)] + [0] * nvar
-        row[neq + j] = 1
-        aug.append(row)
-    rows, pivots = _howell_rows(aug, neq + nvar, p, N)
-
-    kern_rows = [r[neq:] for r, (c, _) in zip(rows, pivots) if c >= neq]
-    kern_pivots = [(c - neq, e) for (c, e) in pivots if c >= neq]
-    kernel = HowellBasis(p, N, nvar, kern_rows, kern_pivots)
-
-    v = HowellBasis(p, N, neq + nvar, rows, pivots).reduce(list(rhs) + [0] * nvar)
-    if any(v[:neq]):
+    a = kernels.residues(entries, m)
+    neq, nvar = a.shape
+    top = np.concatenate([[1], kernels.residues(rhs, m), np.zeros(nvar, dtype=np.int64)])
+    bottom = np.hstack([np.zeros((nvar, 1), dtype=np.int64), a.T, np.eye(nvar, dtype=np.int64)])
+    r, pivots = kernels.rref_modp(np.vstack([top, bottom]), p, N)
+    k = int(np.searchsorted(pivots, 1 + neq))
+    kernel = HowellBasis(p, N, r[k : len(pivots), 1 + neq :], [c - 1 - neq for c in pivots[k:]])
+    if r[0, 1 : 1 + neq].any():
         return ModuleSolution(None, kernel)
-    particular = [(-x) % m for x in v[neq:]]
-    return ModuleSolution(particular, kernel)
+    return ModuleSolution(-r[0, 1 + neq :] % m, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Numpy implementations of the hot kernels.
 
-All mod-p routines assume a prime modulus small enough that products fit in
-int64, which the callers guarantee (moduli used in anger are < 2**16).
+``rref_modp`` is the one row reduction: the Howell form over Z/p^N, which at
+N = 1 is the reduced row echelon form over F_p.  It works on int64 arrays
+while m^2 < 2^63 (m = p^N), which bounds every product of two residues and
+every difference of such a product and a residue, and otherwise runs the
+same loop on arrays of Python ints (`residues`), so every modulus is exact.
 
 ``rank_modp`` eliminates in float64 matrix products and reduces mod p once
 per block of rows, after Dumas, Giorgi and Pernet, "Dense linear algebra
@@ -17,39 +20,67 @@ from __future__ import annotations
 import numpy as np
 
 
-def _as_modp(a, p: int) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    return a % p
+def residues(a, m: int) -> np.ndarray:
+    """a mod m as an array of exact integers: int64 while m^2 < 2^63, and
+    Python ints otherwise.  Input other than a numeric array is read as
+    Python ints, as numpy reads a list holding an integer past 2^63 as
+    float64."""
+    if not isinstance(a, np.ndarray) or a.dtype == object:
+        a = np.array(a, dtype=object) % m
+    return a.astype(np.int64 if m * m < 2**63 else object, copy=False) % m
 
 
-def rref_modp(a, p: int):
-    """Reduced row echelon form over F_p.
+def rref_modp(a, p: int, N: int = 1):
+    """Howell form of the row span of ``a`` over Z/p^N (Storjohann and
+    Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998); at
+    N = 1, the reduced row echelon form over F_p.
 
-    Returns ``(r, pivots)`` where ``r`` is the RREF matrix (int64) and
-    ``pivots`` the list of pivot column indices, one per nonzero row.
+    Column by column, a remaining row of least valuation becomes the pivot
+    row (``np.gcd`` with p^N gives p^e, and p^N at a zero entry).  It is
+    scaled by a unit so that its pivot is p^e, and every other row loses
+    the multiple of it that clears the column below the pivot and reduces
+    it mod p^e above.  When e > 0, the shadow row p^(N-e) times the pivot
+    row, zero up to the pivot column, joins the remaining rows, so the
+    span's elements that vanish before a column are spanned by the rows
+    from its pivot on.  That and the reduction make the form unique for
+    the span.
+
+    Returns ``(r, pivots)``: row i of ``r`` is the Howell row whose pivot
+    p^e stands in column ``pivots[i]``, and the rows after the last pivot
+    are zero.  ``r`` has the dtype `residues` chose.
     """
-    r = _as_modp(a, p)
+    m = p**N
+    r = residues(a, m)
+    if r.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
     nrows, ncols = r.shape
+    if N > 1:  # room for one shadow row per pivot
+        r = np.concatenate([r, np.zeros((ncols, ncols), dtype=r.dtype)])
     pivots = []
-    row = 0
+    row, end = 0, nrows
     for col in range(ncols):
-        if row == nrows:
+        if row == end:
             break
-        sub = r[row:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
+        val = np.gcd(r[row:end, col], m)
+        k = val.argmin()
+        pe = int(val[k])
+        if pe == m:
             continue
-        piv = row + int(nz[0])
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        inv = pow(int(r[row, col]), p - 2, p)
-        r[row] = (r[row] * inv) % p
-        column = r[:, col].copy()
-        column[row] = 0
-        r -= np.outer(column, r[row])
-        r %= p
+        if k:
+            r[row], r[row + k] = r[row + k], r[row].copy()
+        prow = r[row, col:]
+        unit = int(prow[0]) // pe
+        if unit != 1:
+            prow *= pow(unit, -1, m)
+            prow %= m
+        q = r[:end, col] // pe
+        q[row] = 0
+        hit = q.nonzero()[0]
+        if hit.size:
+            r[hit, col:] = (r[hit, col:] - q[hit][:, None] * prow) % m
+        if pe > 1:
+            r[end] = r[row] * (m // pe) % m
+            end += 1
         pivots.append(col)
         row += 1
     return r, pivots
@@ -94,21 +125,6 @@ def rank_modp(a, p: int) -> int:
         pivots = np.concatenate([pivots, free[new]])
         free = free[keep]
     return int(pivots.size)
-
-
-def solve_modp(a, b, p: int):
-    """One solution of ``a @ x = b`` over F_p, or None if inconsistent."""
-    a = _as_modp(a, p)
-    b = np.asarray(b, dtype=np.int64).reshape(-1) % p
-    aug = np.hstack([a, b[:, None]])
-    r, pivots = rref_modp(aug, p)
-    ncols = a.shape[1]
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, ncols]
-    return x
 
 
 def table_matmul(a, b, add, mul):

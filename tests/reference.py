@@ -5,8 +5,8 @@ and the program's answers by other routes: Higman's projectivity criterion,
 the orbit counts on triples of points, the non-commuting matrices x_1..x_d
 of the standard family, level-by-level lifting through the vanishing of the
 obstructions, a backtracking isomorphism search, brute-force listings of
-spans and solution sets over Z/p^N, and Newton inversion over a local
-algebra.  A method of a package class appears here as a function taking the
+spans and solution sets over Z/p^N, Howell forms by elimination on lists
+of Python ints, and Newton inversion over a local algebra.  A method of a package class appears here as a function taking the
 object as its first argument.
 """
 
@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from defring import kernels
-from defring.exactalg import HowellBasis, ModuleSolution, matpow_mod
+from defring.exactalg import HowellBasis, ModuleSolution, matpow_mod, solve_module
 from defring.groups import FiniteGroup, GroupError, GroupHom
 from defring.localalg import AlgebraError, AlgMatrix
 from defring.modrep import (
@@ -135,7 +135,7 @@ def matrix_inv_mod(mat: np.ndarray, p: int, N: int) -> np.ndarray:
 def enumerate_span(h: HowellBasis) -> list[tuple[int, ...]]:
     """All elements of a Howell basis's span (keep spans small)."""
     m = h.modulus
-    out = {tuple([0] * h.ncols)}
+    out = {tuple([0] * h.rows.shape[1])}
     for row, order in zip(h.rows, h.invariant_factors):
         new = set()
         for base in out:
@@ -154,6 +154,117 @@ def all_solutions(sol: ModuleSolution) -> list[tuple[int, ...]]:
         tuple((p0 + k) % m for p0, k in zip(sol.particular, kv))
         for kv in enumerate_span(sol.kernel)
     )
+
+
+# ---------------------------------------------------------------------------
+# Howell forms by list elimination
+# ---------------------------------------------------------------------------
+
+
+def pval(x: int, p: int, cap: int) -> int:
+    """p-adic valuation of x mod p^cap; returns cap for x == 0."""
+    if x % p**cap == 0:
+        return cap
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def inv_mod(x: int, m: int) -> int:
+    return pow(int(x), -1, m)
+
+
+def _howell_rows(raw_rows: list[list[int]], ncols: int, p: int, N: int):
+    """Core Howell computation; returns (rows, pivots) sorted by pivot col."""
+    m = p**N
+    basis: dict[int, list[int]] = {}
+    basis_val: dict[int, int] = {}
+    queue = [[int(x) % m for x in r] for r in raw_rows]
+    while queue:
+        v = queue.pop()
+        while True:
+            lead = next((j for j in range(ncols) if v[j] != 0), None)
+            if lead is None:
+                break
+            e = pval(v[lead], p, N)
+            if lead not in basis:
+                u_inv = inv_mod(v[lead] // p**e, m)
+                v = [(x * u_inv) % m for x in v]
+                basis[lead] = v
+                basis_val[lead] = e
+                if e > 0:
+                    shadow = [(x * p ** (N - e)) % m for x in v]
+                    queue.append(shadow)
+                break
+            eb = basis_val[lead]
+            if e >= eb:
+                q = v[lead] // p**eb
+                b = basis[lead]
+                v = [(x - q * y) % m for x, y in zip(v, b)]
+            else:
+                u_inv = inv_mod(v[lead] // p**e, m)
+                v = [(x * u_inv) % m for x in v]
+                old = basis[lead]
+                basis[lead] = v
+                basis_val[lead] = e
+                if e > 0:
+                    queue.append([(x * p ** (N - e)) % m for x in v])
+                queue.append(old)
+                break
+    cols = sorted(basis)
+    # Reduce entries above each pivot to canonical representatives.
+    for col in cols:
+        e = basis_val[col]
+        pe = p**e
+        for c2 in cols:
+            if c2 == col:
+                continue
+            row = basis[c2]
+            q = row[col] // pe
+            if q:
+                basis[c2] = [(x - q * y) % m for x, y in zip(row, basis[col])]
+    rows = [basis[c] for c in cols]
+    pivots = [(c, basis_val[c]) for c in cols]
+    return rows, pivots
+
+
+def howell_reduce(h: HowellBasis, vec) -> list[int]:
+    """Canonical representative of vec modulo the span of h: zero exactly
+    when vec lies in the span."""
+    m, p = h.modulus, h.p
+    v = [int(x) % m for x in vec]
+    if len(v) != h.rows.shape[1]:
+        raise ValueError("length mismatch")
+    for col, row in zip(h.pivots, h.rows.tolist()):
+        e = pval(row[col], p, h.N)
+        x = v[col]
+        if x == 0:
+            continue
+        if pval(x, p, h.N) >= e:
+            q = x // p**e
+            for j in range(col, h.rows.shape[1]):
+                v[j] = (v[j] - q * row[j]) % m
+    return v
+
+
+def solve_rows(entries, rhs, p: int, N: int):
+    """(particular or None, kernel rows, kernel pivots) of A x = rhs over
+    Z/p^N, read off the list-eliminated Howell rows of [A^T | I]: the rows
+    with their pivot in the right block span the kernel, and reducing
+    (rhs, 0) against all of them clears the left block exactly when the
+    system is consistent, leaving minus a particular solution."""
+    m = p**N
+    a = [list(map(int, r)) for r in entries]
+    neq, nvar = len(a), len(a[0])
+    aug = [[a[i][j] for i in range(neq)] + [int(k == j) for k in range(nvar)] for j in range(nvar)]
+    rows, pivots = _howell_rows(aug, neq + nvar, p, N)
+    kernel = [(r[neq:], c - neq) for r, (c, _) in zip(rows, pivots) if c >= neq]
+    basis = HowellBasis(p, N, np.array(rows, dtype=object).reshape(-1, neq + nvar), [c for c, _ in pivots])
+    v = howell_reduce(basis, list(map(int, rhs)) + [0] * nvar)
+    particular = None if any(v[:neq]) else [(-x) % m for x in v[neq:]]
+    return particular, [r for r, _ in kernel], [c for _, c in kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +416,7 @@ def is_projective_higman(V: Representation):
     M = end_rep(V)
     S = M.mats.sum(axis=0) % p
     target = np.eye(d, dtype=np.int64).reshape(-1)
-    x = kernels.solve_modp(S, target, p)
+    x = solve_module(S, target, p, 1).particular
     if x is None:
         return False, None
     F = x.reshape(d, d)
@@ -363,7 +474,7 @@ def hensel_lift_rep(Vbar: Representation, N: int) -> Representation:
                 rhs_list.append((-z.reshape(-1)) % p)
         system = np.vstack(rows_list)
         rhs = np.concatenate(rhs_list)
-        y = kernels.solve_modp(system, rhs, p)
+        y = solve_module(system, rhs, p, 1).particular
         if y is None:
             raise RepresentationError(
                 "coboundary system inconsistent: V is not projective (or a bug)"

@@ -111,6 +111,25 @@ def test_find_alpha_hom_module_structure():
         assert cb.passed
 
 
+def test_find_alpha_solves_the_chosen_kernel_once(monkeypatch):
+    # the candidate loop's injectivity test is kept on the map, so
+    # condition (b) does not solve the chosen alpha's kernel again
+    import defring.certify
+
+    solved = []
+    solve = defring.certify.solve_module
+
+    def counting(entries, rhs, p, N):
+        solved.append(np.array(entries, dtype=np.int64))
+        return solve(entries, rhs, p, N)
+
+    monkeypatch.setattr(defring.certify, "solve_module", counting)
+    cert = certify_instance(parse_instance_name("standard-d4p2"))
+    assert cert.verdict == "certified"
+    alpha = cert.condition_b.alpha.matrix
+    assert sum(np.array_equal(entries, alpha) for entries in solved) == 1
+
+
 def test_alpha_scale_invariance():
     # multiplying alpha by any unit changes no bullet outcome
     from defring.certify import AlphaMap
@@ -123,7 +142,7 @@ def test_alpha_scale_invariance():
             if u % p == 0:
                 continue
             scaled = AlphaMap(p, n, cb.alpha.d, cb.alpha.rank, (u * cb.alpha.matrix) % mn)
-            assert scaled.kernel_trivial() == cb.injective
+            assert scaled.injective == cb.injective
             au, av = scaled.of_vec(cb.witness[0]) % p, scaled.of_vec(cb.witness[1]) % p
             assert ((au @ av) % p != (av @ au) % p).any()
 

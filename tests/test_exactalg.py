@@ -17,7 +17,7 @@ from defring.exactalg import (
     solve_module,
 )
 
-from reference import all_solutions, enumerate_span
+from reference import _howell_rows, all_solutions, enumerate_span, howell_reduce, solve_rows
 
 
 def brute_span(rows, m):
@@ -38,14 +38,14 @@ def brute_span(rows, m):
 
 def test_howell_single_generator_z4():
     h = howell_form([[2]], 2, 2)
-    assert h.generators == [[2]]
+    assert h.rows.tolist() == [[2]]
     assert h.invariant_factors == [2]
     assert set(enumerate_span(h)) == {(0,), (2,)}
 
 
 def test_howell_identity_z9():
     h = howell_form([[1, 0], [0, 1]], 3, 2)
-    assert h.generators == [[1, 0], [0, 1]]
+    assert h.rows.tolist() == [[1, 0], [0, 1]]
     assert h.invariant_factors == [9, 9]
 
 
@@ -53,7 +53,7 @@ def test_howell_derived_example_z4():
     # Span of {(2,0),(0,1)} in (Z/4)^2 has 8 elements; basis read off by
     # brute enumeration.
     h = howell_form([[2, 0], [0, 1]], 2, 2)
-    assert sorted(map(tuple, h.generators)) == [(0, 1), (2, 0)]
+    assert sorted(map(tuple, h.rows.tolist())) == [(0, 1), (2, 0)]
     assert sorted(h.invariant_factors) == [2, 4]
     assert set(enumerate_span(h)) == brute_span([[2, 0], [0, 1]], 4)
 
@@ -88,7 +88,7 @@ def test_howell_membership_matches_enumeration():
     span = brute_span(rows, 9)
     for a in range(9):
         for b in range(9):
-            assert (not any(h.reduce([a, b]))) == ((a, b) in span)
+            assert (not any(howell_reduce(h, [a, b]))) == ((a, b) in span)
 
 
 def test_solve_2x_eq_0_over_z4():
@@ -108,7 +108,7 @@ def test_solve_two_equations_over_z4():
     assert sol.particular is not None
     assert all_solutions(sol) == [(1, 3), (3, 1)]
     assert math.prod(sol.kernel.invariant_factors) == 2
-    assert not any(sol.kernel.reduce([2, 2]))
+    assert not any(howell_reduce(sol.kernel, [2, 2]))
 
 
 def test_solutions_satisfy_system_exactly():
@@ -353,3 +353,52 @@ def test_solve_module_matches_brute_force(data, pN, neq, nvar):
     sol = solve_module(a, rhs, p, N)
     assert (sol.particular is not None) == bool(brute)
     assert all_solutions(sol) == brute
+
+
+# both sides of the int64 / Python-int switch of `kernels.rref_modp` (m^2 < 2^63)
+LARGE_MODULI = st.sampled_from([(3, 19), (3, 20), (2, 31), (2, 32)])
+
+
+def valued_matrices(p, N, nrows, ncols):
+    """Entries u p^k for a random u and k in 0..N (k = N gives 0), so that
+    the pivots have every valuation and the shadow rows matter."""
+    entry = st.tuples(st.integers(0, p**N - 1), st.integers(0, N)).map(
+        lambda uk: uk[0] * p ** uk[1] % p**N
+    )
+    return st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), pN=LARGE_MODULI, nrows=st.integers(1, 5), ncols=st.integers(1, 5))
+def test_howell_form_matches_list_elimination_at_large_moduli(data, pN, nrows, ncols):
+    p, N = pN
+    rows = data.draw(valued_matrices(p, N, nrows, ncols))
+    h = howell_form(rows, p, N)
+    want, pivots = _howell_rows(rows, ncols, p, N)
+    assert h.rows.dtype == (np.int64 if p ** (2 * N) < 2**63 else object)
+    assert h.rows.tolist() == want
+    assert h.pivots == [c for c, _ in pivots]
+    assert h.invariant_factors == [p ** (N - e) for _, e in pivots]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), pN=LARGE_MODULI, neq=st.integers(1, 4), nvar=st.integers(1, 4))
+def test_solve_module_matches_list_elimination_at_large_moduli(data, pN, neq, nvar):
+    # half the right sides are images A x, so both outcomes are drawn
+    p, N = pN
+    m = p**N
+    a = data.draw(valued_matrices(p, N, neq, nvar))
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(st.integers(0, m - 1), min_size=nvar, max_size=nvar))
+        rhs = [sum(r * v for r, v in zip(row, x)) % m for row in a]
+    else:
+        rhs = data.draw(st.lists(st.integers(0, m - 1), min_size=neq, max_size=neq))
+    sol = solve_module(a, rhs, p, N)
+    particular, kernel_rows, kernel_pivots = solve_rows(a, rhs, p, N)
+    assert sol.kernel.rows.tolist() == kernel_rows
+    assert sol.kernel.pivots == kernel_pivots
+    assert (sol.particular is None) == (particular is None)
+    if particular is not None:
+        x = sol.particular.tolist()
+        assert all(sum(r * v for r, v in zip(row, x)) % m == b for row, b in zip(a, rhs))
+        assert not any(howell_reduce(sol.kernel, [u - v for u, v in zip(x, particular)]))

@@ -30,7 +30,6 @@ from defring.certify import (
     find_alpha,
     parse_instance_name,
 )
-from defring.exactalg import pval
 from defring.groups import (
     FiniteGroup,
     GroupError,
@@ -408,6 +407,15 @@ def test_exp_lift_agrees_with_all_pairs(pn, entries, a_hat):
         assert commutes and clause and report.verified == verified
 
 
+def _valuation(c: int, p: int) -> int:
+    """The exponent of p in the nonzero integer c."""
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
 def _order_identities_loop(kvecs, alpha_k, p, n) -> bool:
     """The per-k loop `_order_identities_hold` replaced: the additive order
     of k from its entries' valuations, against the least m >= 1 with
@@ -417,7 +425,7 @@ def _order_identities_loop(kvecs, alpha_k, p, n) -> bool:
         add_order = 1
         for c in kv:
             if c:
-                add_order = max(add_order, mn // (p ** min(pval(c, p, n), n)))
+                add_order = max(add_order, mn // p ** _valuation(c, p))
         mat_order = 1
         acc = ak % mn
         while (acc != 0).any():

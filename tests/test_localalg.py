@@ -335,3 +335,11 @@ def test_ring_R_at_high_precision_builds_fast():
     R = make_ring_R(5, 1, 27)
     assert time.perf_counter() - start < 0.5
     assert R.nilpotency_index == 27
+
+
+@pytest.mark.parametrize("p, n, N", [(2, 1, 63), (3, 2, 40)])
+def test_ring_R_with_orders_past_int64(p, n, N):
+    # the order p^N of 1 exceeds 2^63 - 1, so the relations must stay Python
+    # ints on their way into the Howell form (numpy reads such a list as
+    # uint64 or float64)
+    assert make_ring_R(p, n, N).nilpotency_index == N

@@ -9,6 +9,7 @@ import numpy as np
 
 from defring import kernels
 from defring.certify import InstanceSpec, assemble
+from defring.exactalg import solve_module
 from defring.groups import FiniteGroup
 from defring.modrep import Representation, hom_space
 
@@ -35,7 +36,7 @@ def test_index_two_subgroup_is_a4_for_p2():
 
 
 def _coords_in(basis_rows, vec, p):
-    sol = kernels.solve_modp(basis_rows.T, vec, p)
+    sol = solve_module(basis_rows.T, vec, p, 1).particular
     assert sol is not None
     return sol
 
