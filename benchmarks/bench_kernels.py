@@ -43,36 +43,6 @@ def bench(name, fn, repeat=3):
     print(f"{name:<46} {timeit(fn, repeat) * 1e3:9.2f} ms", flush=True)
 
 
-def program_rank_inputs():
-    """(label, matrix, p) of two matrices the program ranks: the Z^2 system
-    E (`BarComplex.d2_matrix`) of direct H^2(SD_16, F_2) and the H^1 Fox-derivative system of
-    standard-d4p2, the tallest one a certify of the acceptance battery
-    builds."""
-    from defring import cohomology
-    from defring.certify import assemble, parse_instance_name
-    from defring.groups import twisted_frobenius_group
-    from defring.modrep import end_rep
-
-    sd16 = cohomology.trivial_module(twisted_frobenius_group(3), 2)
-    inputs = [("SD16 d2", cohomology.BarComplex(sd16).d2_matrix(), 2)]
-    asm = assemble(parse_instance_name("standard-d4p2"))
-    ranked = []
-    saved = kernels.rank_modp
-
-    def record(a, p):
-        ranked.append((a, p))
-        return saved(a, p)
-
-    kernels.rank_modp = record
-    try:
-        cohomology.h1_dim(end_rep(asm.rho_bar))
-    finally:
-        kernels.rank_modp = saved
-    system, p = max(ranked, key=lambda item: item[0].shape[0])
-    inputs.append(("standard-d4p2 H^1 Fox", system, p))
-    return inputs
-
-
 def recorded_calls(module, name, run):
     """The arguments of every call `run()` makes to module.name."""
     calls = []
@@ -88,6 +58,25 @@ def recorded_calls(module, name, run):
     finally:
         setattr(module, name, saved)
     return calls
+
+
+def program_rank_inputs():
+    """(label, matrix, p) of two matrices the program ranks: the Z^2 system
+    E (`BarComplex.d2_matrix`) of direct H^2(SD_16, F_2) and the H^1 Fox-derivative system of
+    standard-d4p2, the tallest one a certify of the acceptance battery
+    builds."""
+    from defring import cohomology
+    from defring.certify import assemble, parse_instance_name
+    from defring.groups import twisted_frobenius_group
+    from defring.modrep import end_rep
+
+    sd16 = cohomology.trivial_module(twisted_frobenius_group(3), 2)
+    inputs = [("SD16 d2", cohomology.BarComplex(sd16).d2_matrix(), 2)]
+    asm = assemble(parse_instance_name("standard-d4p2"))
+    ranked = recorded_calls(kernels, "rank_modp", lambda: cohomology.h1_dim(end_rep(asm.rho_bar)))
+    system, p = max(ranked, key=lambda item: item[0].shape[0])
+    inputs.append(("standard-d4p2 H^1 Fox", system, p))
+    return inputs
 
 
 def howell_rows():
