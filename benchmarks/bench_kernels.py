@@ -13,9 +13,10 @@ check of rho_R on Gamma's relators (`build_rho_R`), and the constructions
 of GR(p^3, 2) (`galois_matrices`), PGL_2(F_q) and S_6 (the last two close
 permutations with `FiniteGroup.from_permutations`).  The Howell-form rows
 time `solve_module` on the Hom systems that certifying standard-d4p2
-solves, `howell_form` on the spans of the powers of the maximal ideal of
-R(2, 1, 3), and the construction of R(5, 1, 27), whose spans over
-Z/5^28 are past int64.
+solves.  The local-algebra rows time the construction of R(5, 1, 27), whose
+products are past int64, the op tables of R'(3, 1, 3) (a fresh ring each
+time, as the tables are cached), and one stacked product of 2 x 2 matrices
+over R(2, 1, 3) (`ArtinLocalAlgebra.matmul`).
 Each row is the best of a few repeats.
 
 Usage: python benchmarks/bench_kernels.py
@@ -80,9 +81,9 @@ def program_rank_inputs():
 
 
 def howell_rows():
-    from defring import localalg, modrep
+    from defring import modrep
     from defring.certify import assemble, certify_assembly, parse_instance_name
-    from defring.exactalg import howell_form, solve_module
+    from defring.exactalg import solve_module
 
     print("== Howell forms over Z/p^N (exactalg) ==", flush=True)
     asm = assemble(parse_instance_name("standard-d4p2"))
@@ -94,18 +95,27 @@ def howell_rows():
             lambda: solve_module(entries, rhs, p, N),
             repeat=5,
         )
-    spans = recorded_calls(localalg, "howell_form", lambda: localalg.make_ring_R(2, 1, 3))
+
+
+def local_algebra_rows(rng):
+    from defring import localalg
+
+    print("== local algebras (localalg) ==", flush=True)
+    bench("make_ring_R(5, 1, 27)", lambda: localalg.make_ring_R(5, 1, 27), repeat=5)
     bench(
-        f"howell_form spans of R(2, 1, 3) ({len(spans)} calls)",
-        lambda: [howell_form(*args) for args in spans],
+        "make_ring_Rprime(3, 1, 3).tables() (|A| = 243)",
+        lambda: localalg.make_ring_Rprime(3, 1, 3).tables(),
         repeat=5,
     )
-    bench("make_ring_R(5, 1, 27)", lambda: localalg.make_ring_R(5, 1, 27), repeat=5)
+    ring = localalg.make_ring_R(2, 1, 3)
+    x, y = (ring.reduce(rng.integers(0, 8, (65536, 2, 2, 2))) for _ in range(2))
+    bench("R(2, 1, 3) matmul 65536x(2x2)", lambda: ring.matmul(x, y), repeat=5)
 
 
 def main():
     rng = np.random.default_rng(0)
     howell_rows()
+    local_algebra_rows(rng)
 
     print("== mod-p elimination ==", flush=True)
     for rows, cols, p, repeat in [

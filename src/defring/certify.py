@@ -33,7 +33,7 @@ import numpy as np
 from .cohomology import h1_dim
 from .exactalg import PrecisionError, galois_matrices, solve_module
 from .groups import FiniteGroup, GroupError, SemidirectGroup, pgl2, semidirect_product, symmetric_group, twisted_frobenius_group, violated_relators
-from .localalg import AlgebraError, AlgMatrix, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
+from .localalg import AlgebraError, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
 from .modrep import (
     Representation,
     RepresentationError,
@@ -277,11 +277,6 @@ class ConditionB:
         )
 
 
-def _kernel_elements(K: Representation):
-    """Every vector of K as a tuple, in encoding order."""
-    return map(tuple, K.vectors().tolist())
-
-
 def _noncommuting(alpha: AlphaMap, u, v) -> bool:
     """alpha(u) and alpha(v) fail to commute mod p."""
     p = alpha.p
@@ -289,11 +284,12 @@ def _noncommuting(alpha: AlphaMap, u, v) -> bool:
     return bool(((au @ av) % p != (av @ au) % p).any())
 
 
-def _violates_scalar(alpha: AlphaMap, k, a: int) -> bool:
-    """alpha(k)^2 != a alpha(k) mod p."""
-    p = alpha.p
-    ak = alpha.of_vec(k) % p
-    return bool(((ak @ ak) % p != (a * ak) % p).any())
+def _scalar_violations(alpha_k: np.ndarray, scalars, p: int) -> np.ndarray:
+    """Whether alpha(k)^2 != a alpha(k) mod p, for each scalar a (rows) and
+    each matrix alpha(k) of the stack alpha_k (columns)."""
+    ak = alpha_k % p
+    a = np.asarray(scalars)[:, None, None, None]
+    return ((ak @ ak - a * ak) % p).any(axis=(2, 3))
 
 
 def evaluate_condition_b(alpha: AlphaMap, witness, clause, invariant_factors=()) -> ConditionB:
@@ -304,7 +300,7 @@ def evaluate_condition_b(alpha: AlphaMap, witness, clause, invariant_factors=())
     noncommuting = witness is not None and _noncommuting(alpha, *witness)
     no_scalar = clause is not None and all(
         entry["violating_g"] is not None
-        and _violates_scalar(alpha, entry["violating_g"], entry["a"])
+        and _scalar_violations(alpha.of_vec(entry["violating_g"])[None], [entry["a"]], alpha.p)[0, 0]
         for entry in clause
     )
     return ConditionB(
@@ -348,16 +344,12 @@ def find_alpha(asm: Assembly) -> ConditionB:
     )
 
     clause = None
-    if p == 2 and n == 1:
+    if p == 2 and n == 1:  # the first violating vector in encoding order
+        kvecs = asm.K.vectors()
+        violations = _scalar_violations(alpha.of_vecs(kvecs), range(p), p)
         clause = [
-            {
-                "a": a,
-                "violating_g": next(
-                    (list(k) for k in _kernel_elements(asm.K) if _violates_scalar(alpha, k, a)),
-                    None,
-                ),
-            }
-            for a in range(p)
+            {"a": a, "violating_g": kvecs[row.argmax()].tolist() if row.any() else None}
+            for a, row in enumerate(violations)
         ]
     return evaluate_condition_b(alpha, witness, clause, hs.invariant_factors)
 
@@ -376,20 +368,25 @@ class RhoR:
     faithful: bool
     order_checks_passed: bool
 
-    def at(self, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """rho_R(e) for e = (k, g) as its two coordinates in R:
-        (rho_W(g) mod p^N, alpha(k) rho_W(g) mod p^n)."""
+    def at(self, e: int) -> np.ndarray:
+        """rho_R(e) for e = (k, g) over R, the product (1 + t alpha(k)) rho_W(g)."""
         kvec, g = self.asm.gamma.decode(e)
-        w = self.asm.rho_w.mats[g]
-        return w, self.alpha.of_vec(kvec) @ w % self.asm.p**self.asm.n
+        eye = np.eye(self.alpha.d, dtype=np.int64)
+        x, y = _over_R(eye, self.alpha.of_vec(kvec)), _over_R(self.asm.rho_w.mats[g], 0)
+        return self.asm.ring.matmul(x, y)
+
+
+def _over_R(w, u) -> np.ndarray:
+    """The matrices w + t u over R, broadcast against each other, with the
+    coordinates [w, u] of each entry last."""
+    return np.stack(np.broadcast_arrays(w, u), axis=-1)
 
 
 def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     """Check rho_R(k, g) = (1 + t alpha(k)) rho_W(g) on Gamma's generators.
 
-    A value w + t u of rho_R is kept as the pair (w mod p^N, u mod p^n),
-    stacked as one (2, d, d) array; as t^2 = p^n t = 0, pairs multiply by
-    (w1, u1)(w2, u2) = (w1 w2, w1 u2 + u1 w2).
+    A value w + t u of rho_R is a (d, d, 2) array over R (`_over_R`), and
+    the relator words are multiplied by the product of `asm.ring`.
     The generators x_i = (e_i, 1) and y_s = (0, s) of Gamma's presentation
     (`FiniteGroup.relators`) go to (1, alpha(e_i)) and (rho_W(s), 0).  If
     every relator holds there, von Dyck's theorem gives a homomorphism, and
@@ -403,21 +400,11 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     is alpha(k) = 0, so rho_R is faithful exactly when rho_W is faithful and
     alpha injective; neither needs a listing of Gamma.
     """
-    p, n, N = asm.p, asm.n, asm.N
-    mN, mn = p**N, p**n
-    d = asm.rho_w.degree
-    eye = np.eye(d, dtype=np.int64)
-
-    def mul(a, b):
-        w = a[:, 0] @ b[:, 0] % mN
-        u = (a[:, 0] @ b[:, 1] + a[:, 1] @ b[:, 0]) % mn
-        return np.stack([w, u], axis=1)
-
-    xs = alpha.of_vecs(np.eye(asm.K.degree, dtype=np.int64))  # x_i -> (1, alpha(e_i))
-    ys = asm.rho_w.mats[list(asm.G.generators)]  # y_s -> (rho_W(s), 0)
-    ws = np.concatenate([np.broadcast_to(eye, xs.shape), ys])
-    gen_values = np.stack([ws, np.concatenate([xs, 0 * ys])], axis=1)
-    bad = violated_relators(asm.gamma, gen_values, mul, np.stack([eye, 0 * eye]))
+    p, n, d = asm.p, asm.n, asm.rho_w.degree
+    xs = _over_R(np.eye(d, dtype=np.int64), alpha.of_vecs(np.eye(asm.K.degree, dtype=np.int64)))
+    ys = _over_R(asm.rho_w.mats[list(asm.G.generators)], 0)  # y_s -> rho_W(s)
+    gen_values = np.concatenate([xs, ys])  # x_i -> 1 + t alpha(e_i)
+    bad = violated_relators(asm.gamma, gen_values, asm.ring.matmul, asm.ring.identity(d))
     if bad:
         u, v = bad[0]
         raise CertifyError(f"rho_R fails the relator {u} = {v} of Gamma's presentation")
@@ -463,11 +450,15 @@ def exp_lift_on_kernel(
     over W[[t]]/(2t^2, t^3, 2t + a t^2) where a satisfies
     alpha_bar(g)^2 = a alpha_bar(g) for all g.
 
-    The checks run on the basis e_1..e_r of K.  The commutator of alpha(u)
-    and alpha(v) is bilinear in (u, v), so basis pairs decide that the
-    reduced image commutes.  rho' is a homomorphism exactly when rho'(0) = 1
-    and rho'(k) rho'(e_i) = rho'(k + e_i) for every k and i, by the
-    induction in `FiniteGroup.extend`.
+    The commutator of alpha(u) and alpha(v) is bilinear in (u, v), so basis
+    pairs decide that the reduced image commutes.  The lifts of all k are
+    one stack over R', in the encoding order of K, and rho' is a
+    homomorphism exactly when rho'(0) = 1 and rho'(k) rho'(e_i) =
+    rho'(k + e_i) for every k and i, by the induction in
+    `FiniteGroup.extend`: one product per basis vector e_i.  On cyclic
+    generators, rho'(k) = rho'(e_1)^k_1 ... rho'(e_r)^k_r, read off the
+    stacked powers of the rho'(e_i), and rho'(k) has the additive order 2^a
+    of k exactly when rho'(k)^(2^a) = 1 and, for a > 0, rho'(k)^(2^(a-1)) != 1.
     """
     p, n, d = alpha.p, alpha.n, alpha.d
     mn, m = p**n, K.modulus
@@ -476,68 +467,54 @@ def exp_lift_on_kernel(
         raise CertifyError("exp lift requires a commutative reduced image")
 
     # each variant gives the coefficients (c1, c2) of rho' = 1 + c1 t + c2 t^2
-    # as functions of a = alpha(k)
+    # on the stack a = alpha(k) over all k
+    kvecs = K.vectors()
+    a = alpha.of_vecs(kvecs)
     cyclic = p == 2 and n >= 2
     if p != 2:
         ring = make_ring_Rprime(p, n, N)
         variant = "odd-exponential"
-        inv2 = pow(2, -1, p)
-
-        def coeffs(a):
-            return a % mn, (a % p) @ (a % p) * inv2 % p
-
+        coeffs = a % mn, (a % p) @ (a % p) * pow(2, -1, p) % p
     elif cyclic:
         ring = make_ring_Rprime(2, n, N)
         variant = "even-cyclic"
-
-        def coeffs(a):
-            return a % mn, 0 * a
-
+        coeffs = a % mn, 0 * a
     else:
         if a_hat is None:
             raise CertifyError("p = 2, n = 1 lift needs the scalar a with abar^2 = a*abar")
-        if any(_violates_scalar(alpha, k, a_hat) for k in _kernel_elements(K)):
+        if _scalar_violations(a, [a_hat], p).any():
             raise CertifyError("scalar clause fails for the supplied a")
         ring = make_ring_Rprime_2_1(a_hat, N)
         variant = "even-n1-clause"
+        coeffs = a % 2, 0 * a
 
-        def coeffs(a):
-            return a % 2, 0 * a
-
-    def lift(k):
-        c1, c2 = coeffs(alpha.of_vec(k))
-        rows = [[(int(i == j), int(c1[i, j]), int(c2[i, j])) for j in range(d)] for i in range(d)]
-        return AlgMatrix.from_rows(ring, rows)
-
-    def plus(u, v):
-        return tuple((a + b) % m for a, b in zip(u, v))
-
-    basis_images = [lift(e) for e in basis]
-    images = {}
-    for k in _kernel_elements(K):  # encoding order: k - e_j comes before k
-        if cyclic and any(k):
-            # defined on cyclic generators, rho'(k) = prod_i rho'(e_i)^k_i:
-            # rho'(k - e_j) rho'(e_j) for the last j with k_j != 0
-            j = max(i for i, c in enumerate(k) if c)
-            images[k] = images[k[:j] + (k[j] - 1,) + k[j + 1 :]] @ basis_images[j]
-        else:
-            images[k] = lift(k)
-    verified = images[(0,) * K.degree] == AlgMatrix.identity(ring, d) and all(
-        images[k] @ image_e == images[plus(k, e)]
-        for k in images
-        for e, image_e in zip(basis, basis_images)
+    one = ring.identity(d)
+    images = np.stack([np.broadcast_to(one[..., 0], a.shape), *coeffs], axis=-1)
+    radix = m ** np.arange(K.degree)  # row m^i of the stack is e_i
+    units = images[radix]
+    if cyclic:
+        # powers[i, c] = rho'(e_i)^c, doubling the exponents with each product
+        powers, x = np.broadcast_to(one, (K.degree, 1, *one.shape)), units[:, None]
+        while powers.shape[1] < m:
+            powers = np.concatenate([powers, ring.matmul(powers, x)], axis=1)
+            x = ring.matmul(x, x)
+        images = powers[0, kvecs[:, 0]]
+        for i in range(1, K.degree):
+            images = ring.matmul(images, powers[i, kvecs[:, i]])
+    verified = bool((images[0] == one).all()) and all(
+        (ring.matmul(images, unit) == images[(kvecs + e) % m @ radix]).all()
+        for e, unit in zip(np.eye(K.degree, dtype=np.int64), units)
     )
     orders = None
     if cyclic:
-        orders = True
-        for k in images:
-            add_order = 1
-            acc = k
-            while any(acc):
-                acc = plus(acc, k)
-                add_order += 1
-            if images[k].order() != add_order:
-                orders = False
+        order_exp = sum(((2**j * kvecs) % m).any(axis=1) for j in range(K.N))  # a
+        is_one, power = [], images  # is_one[j]: rho'(k)^(2^j) = 1
+        for _ in range(K.N + 1):
+            is_one.append((power == one).all(axis=(1, 2, 3)))
+            power = ring.matmul(power, power)
+        is_one, rows = np.array(is_one), np.arange(len(kvecs))
+        below = (order_exp == 0) | ~is_one[order_exp - 1, rows]
+        orders = bool((is_one[order_exp, rows] & below).all())
     return ExpLiftReport(variant, ring.name, verified, orders)
 
 
@@ -596,7 +573,7 @@ class Certificate:
             gens = self.rho_r.asm.gamma.generators
             out["rho_R"] = {
                 # each entry w + t u of R as its coordinates [w, u]
-                "generators": [np.stack(self.rho_r.at(g), axis=-1).tolist() for g in gens],
+                "generators": [self.rho_r.at(g).tolist() for g in gens],
                 "faithful": self.rho_r.faithful,
                 "order_checks": self.rho_r.order_checks_passed,
             }

@@ -116,15 +116,14 @@ class BarComplex:
     def dim_c2(self) -> int:
         return self.nontriv * self.nontriv * self.dm
 
-    def d1_matrix(self, hs=None) -> np.ndarray:
+    def d1_matrix(self, hs) -> np.ndarray:
         """(d1 f)(g, h) = g.f(h) - f(gh) + f(g) on normalized cochains, with
-        rows (g, h, c) for g != 1 and h in `hs` (default: every h != 1) and
-        columns (x, c'), in lexicographic order.  Terms at the identity
-        vanish, so a row with h = 1 is zero.  Within one term every
-        (row, column) block is hit at most once, so fancy-index ``+=``
-        accumulates exactly."""
+        rows (g, h, c) for g != 1 and h in `hs` and columns (x, c'), in
+        lexicographic order.  Terms at the identity vanish, so a row with
+        h = 1 is zero.  Within one term every (row, column) block is hit at
+        most once, so fancy-index ``+=`` accumulates exactly."""
         dm = self.dm
-        hs = np.arange(1, self.n) if hs is None else np.asarray(hs, dtype=np.int64)
+        hs = np.asarray(hs, dtype=np.int64)
         g, h = (a.ravel() for a in np.meshgrid(np.arange(1, self.n), hs, indexing="ij"))
         row, diag = np.arange(g.size), np.arange(dm)
         mat = np.zeros((g.size, dm, self.nontriv, dm), dtype=np.int64)
@@ -230,23 +229,33 @@ class BarComplex:
                 vec[self._idx2(g, h, 0) : self._idx2(g, h, 0) + self.dm] = val
         return vec
 
+    def _values(self, c) -> np.ndarray:
+        """The values c(g, h) stacked at [g, h], with zeros where an argument
+        is the identity, as normalized cochains are."""
+        C = np.zeros((self.n, self.n, self.dm), dtype=np.int64)
+        C[1:, 1:] = self.cochain_vector(c).reshape(self.nontriv, self.nontriv, self.dm)
+        return C
+
     def is_cocycle(self, c) -> bool:
         """Whether (d2 c)(g, h, s) = g.c(h, s) - c(gh, s) + c(g, hs) - c(g, h)
         vanishes for all g, h and every generator s, which makes c a cocycle
-        (step 1 of `d2_matrix`): |G|^2 #gens triples at once.  The values
-        c(g, h) are stacked with zeros where an argument is the identity, as
-        normalized cochains are, and indexed through the group table."""
-        n, t = self.n, self.M.group.table
-        C = np.zeros((n, n, self.dm), dtype=np.int64)
-        C[1:, 1:] = self.cochain_vector(c).reshape(n - 1, n - 1, self.dm)
+        (step 1 of `d2_matrix`): |G|^2 #gens triples at once, indexed through
+        the group table."""
+        n, t, C = self.n, self.M.group.table, self._values(c)
         g, h, s = np.ix_(np.arange(1, n), np.arange(1, n), self.gens)
         act = (self.M.mats[g] @ C[h, s][..., None])[..., 0]
         total = act - C[t[g, h], s] + C[g, t[h, s]] - C[g, h]
         return not (total % self.p).any()
 
     def is_coboundary(self, c) -> bool:
-        vec = self.cochain_vector(c)
-        return solve_module(self.d1_matrix(), vec, self.p, 1).particular is not None
+        """c is a coboundary iff it is a cocycle whose values c(x, s) at the
+        generators are those of some d1 f, the rows (g, s) of d1 coming in
+        the order of the unknowns u(x, t): then c - d1 f is a cocycle with
+        u = 0, and u is injective on Z^2 (`d2_matrix`)."""
+        if not self.is_cocycle(c):
+            return False
+        u = self._values(c)[1:, self.gens].reshape(-1)
+        return solve_module(self.d1_matrix(self.gens), u, self.p, 1).particular is not None
 
 
 def h2_dim(M: Representation, method: str = "auto") -> int:

@@ -64,12 +64,6 @@ class HowellBasis:
         return f"HowellBasis(p={self.p}, N={self.N}, rows={self.rows.tolist()})"
 
 
-def howell_form(entries, p: int, N: int) -> HowellBasis:
-    """Howell basis of the row span of a matrix over Z/p^N."""
-    r, pivots = kernels.rref_modp(entries, p, N)
-    return HowellBasis(p, N, r[: len(pivots)], pivots)
-
-
 @dataclass
 class ModuleSolution:
     """Solution set of a linear system over Z/p^N: particular + kernel."""

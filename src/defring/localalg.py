@@ -1,28 +1,36 @@
 """Finite Artinian local commutative algebras with residue field F_p.
 
 An algebra is presented by a monomial basis e_0 = 1, e_1, ..., e_r, a
-canonical coordinate range p^{N_i} per basis element, a multiplication table,
-and (optionally) additive carry rules: p^{N_i} * e_i may rewrite into a
-combination of later basis elements instead of vanishing.  The carry rules
-are what allow small extensions like W[[t]]/(2t^2, t^3, 2t + a*t^2), where
-2t = -a*t^2 mixes additive torsion into a higher basis element.
+canonical coordinate range p^{N_i} per basis element, a structure tensor S
+with e_i e_j = sum_l S[i, j, l] e_l, and (optionally) additive carry rules:
+p^{N_i} * e_i may rewrite into a combination of later basis elements instead
+of vanishing.  The carry rules are what allow small extensions like
+W[[t]]/(2t^2, t^3, 2t + a*t^2), where 2t = -a*t^2 mixes additive torsion
+into a higher basis element.
 
-Everything is validated at construction: identity, commutativity and
-associativity on the basis, compatibility of the table with the additive
-presentation, and nilpotency of the maximal ideal (which makes the algebra
-local with residue field F_p).
+Elements are integer arrays with the coordinates on the last axis, and a
+matrix over A is an array (..., d, m, r + 1).  Two routines do all the
+arithmetic: `reduce` brings integer coordinates to canonical ones,
+propagating the carries, over any leading axes, and `matmul` multiplies
+stacked matrices over A with one integer matmul per pair of basis elements
+whose product is nonzero; an element is the 1 x 1 case (`mul`).  Both are
+exact: they compute in int64 while every raw coordinate of a product fits,
+and on Python ints past that, as `kernels.residues` does.
+
+Everything is validated at construction, as identities of arrays built from
+S: identity, commutativity and associativity, compatibility of S with the
+additive presentation, m = (p, e_1, ..., e_r) being an ideal, and m being
+nilpotent, which makes the algebra local with residue field F_p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactalg import howell_form
-
 TABLE_LIMIT = 20_000_000  # entries in a cached |A| x |A| op table
+TABLE_BLOCK = 1 << 18  # pairs of elements per product while filling the tables
 
 
 class AlgebraError(ValueError):
@@ -44,194 +52,160 @@ class ArtinLocalAlgebra:
         self.p = p
         self.labels = tuple(labels)
         self.orders = tuple(int(o) for o in orders)
-        self.nbasis = len(self.labels)
+        self.nbasis = nb = len(self.labels)
         if carries is None:
-            carries = [tuple([0] * self.nbasis) for _ in range(self.nbasis)]
+            carries = [tuple([0] * nb) for _ in range(nb)]
         self.carries = tuple(tuple(int(c) for c in cv) for cv in carries)
         self.name = name or "A"
+        self.size, self.length = 1, 0  # |A| = p^length
         for o in self.orders:
+            self.size *= o
             n = o
             while n % p == 0:
                 n //= p
+                self.length += 1
             if n != 1:
                 raise AlgebraError(f"coordinate range {o} is not a power of {p}")
         for i, cv in enumerate(self.carries):
-            if any(cv[j] and j <= i for j in range(self.nbasis)):
+            if any(cv[j] and j <= i for j in range(nb)):
                 raise AlgebraError("carry rules must rewrite into later basis elements")
-        self.mul_basis = tuple(
-            tuple(self.reduce(mul_basis[i][j]) for j in range(self.nbasis))
-            for i in range(self.nbasis)
-        )
-        self.size = 1
-        for o in self.orders:
-            self.size *= o
-        self.zero = tuple([0] * self.nbasis)
-        self.one = self.reduce([1] + [0] * (self.nbasis - 1))
+        self._carry_rules = [
+            (i, [(j, c) for j, c in enumerate(cv) if c]) for i, cv in enumerate(self.carries) if any(cv)
+        ]
+        S = self._carry(np.array(mul_basis, dtype=object).reshape(nb, nb, nb))
+        self.mul_basis = tuple(tuple(map(tuple, row)) for row in S.tolist())
+        self._constants = [(i, j, l, c) for (i, j, l), c in np.ndenumerate(S) if c]
+        # A raw coordinate l of a 1 x 1 product of canonical elements is at
+        # most sum_ij S[i, j, l] (o_i - 1)(o_j - 1), k times that for an inner
+        # dimension k.  Carrying coordinate i adds at most |x_i| sum_j |c_ij|
+        # to the later ones, so the carries multiply the largest magnitude by
+        # at most the product of the 1 + sum_j |c_ij|.
+        span = np.array([o - 1 for o in self.orders], dtype=object)
+        self._bound = max(np.einsum("ijl,i,j->l", S, span, span).tolist())
+        for cv in self.carries:
+            self._bound *= 1 + sum(map(abs, cv))
+        self.dtype = np.int64 if self._bound < 2**63 else object
+        self.one = self.reduce(np.eye(nb, dtype=np.int64)[0])
         self._tables = None
-        self._validate()
+        self._validate(S)
 
-    # -- element arithmetic (elements are canonical coordinate tuples) ------
+    # -- arithmetic on coordinate arrays ---------------------------------------
 
-    def reduce(self, raw) -> tuple[int, ...]:
-        """Canonicalize integer coordinates, propagating additive carries."""
-        out = list(int(x) for x in raw)
-        for i in range(self.nbasis):
-            q, r = divmod(out[i], self.orders[i])
-            out[i] = r
-            if q:
-                cv = self.carries[i]
-                for j in range(i + 1, self.nbasis):
-                    if cv[j]:
-                        out[j] += q * cv[j]
-        return tuple(out)
+    def _carry(self, a: np.ndarray) -> np.ndarray:
+        """Reduce `a` in place: each coordinate i with a carry rule, in order,
+        adds its quotient by p^{N_i} times the rule to the later coordinates,
+        and then every coordinate i is taken mod p^{N_i}."""
+        for i, rules in self._carry_rules:
+            q = a[..., i] // self.orders[i]
+            for j, c in rules:
+                a[..., j] += c * q
+        a %= np.array(self.orders, dtype=a.dtype)
+        return a
 
-    def add(self, x, y) -> tuple[int, ...]:
-        return self.reduce([a + b for a, b in zip(x, y)])
+    def reduce(self, raw) -> np.ndarray:
+        """Canonical coordinates of integer coordinates on the last axis, with
+        the carries propagated, over any leading axes; carried on Python ints,
+        so any input is exact."""
+        return self._carry(np.array(raw, dtype=object)).astype(self.dtype)
 
-    def neg(self, x) -> tuple[int, ...]:
-        return self.reduce([-a for a in x])
+    def matmul(self, X, Y) -> np.ndarray:
+        """Product of stacked matrices over A: canonical X (..., d, k, r + 1)
+        and Y (..., k, m, r + 1), leading axes broadcast, give (..., d, m, r + 1).
 
-    def smul(self, c: int, x) -> tuple[int, ...]:
-        return self.reduce([c * a for a in x])
+        For each nonzero structure constant S[i, j, l], the integer product
+        X_i Y_j of the coordinate matrices is added S[i, j, l] times to
+        coordinate l, and the sum is reduced once.  Each raw coordinate is
+        then below k times the bound of a 1 x 1 product with the carries
+        (`__init__`); the products run in int64 while that is below 2^63, and
+        on Python ints otherwise."""
+        X, Y = np.asarray(X), np.asarray(Y)
+        dtype = np.int64 if X.shape[-2] * self._bound < 2**63 else object
+        X, Y = X.astype(dtype, copy=False), Y.astype(dtype, copy=False)
+        lead = np.broadcast_shapes(X.shape[:-3], Y.shape[:-3])
+        out = np.zeros((*lead, X.shape[-3], Y.shape[-2], self.nbasis), dtype=dtype)
+        for i, j, l, c in self._constants:
+            prod = X[..., i] @ Y[..., j]
+            out[..., l] += prod if c == 1 else c * prod
+        return self._carry(out).astype(self.dtype, copy=False)
 
-    def mul(self, x, y) -> tuple[int, ...]:
-        raw = [0] * self.nbasis
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                basis_prod = self.mul_basis[i][j]
-                c = xi * yj
-                for k in range(self.nbasis):
-                    if basis_prod[k]:
-                        raw[k] += c * basis_prod[k]
-        return self.reduce(raw)
+    def mul(self, x, y) -> np.ndarray:
+        """Product of stacked elements: `matmul` on 1 x 1 matrices."""
+        x, y = np.asarray(x), np.asarray(y)
+        return self.matmul(x[..., None, None, :], y[..., None, None, :])[..., 0, 0, :]
 
-    def from_int(self, c: int) -> tuple[int, ...]:
-        return self.smul(c, self.one)
+    def identity(self, d: int) -> np.ndarray:
+        """The d x d identity matrix over A."""
+        return np.eye(d, dtype=self.dtype)[..., None] * self.one
 
-    def residue(self, x) -> int:
-        """Image in the residue field F_p (the e_0-coordinate mod p)."""
-        return x[0] % self.p
+    def elements(self) -> np.ndarray:
+        """All elements, lexicographic in basis coordinates (first slowest):
+        row c is the element with code c."""
+        return np.indices(self.orders).reshape(self.nbasis, -1).T.astype(self.dtype)
 
-    def in_maximal_ideal(self, x) -> bool:
-        return self.residue(x) == 0
-
-    def elements(self) -> Iterable[tuple[int, ...]]:
-        """All elements, lexicographic in basis coordinates (first slowest)."""
-        def rec(i, prefix):
-            if i == self.nbasis:
-                yield tuple(prefix)
-                return
-            for c in range(self.orders[i]):
-                yield from rec(i + 1, prefix + [c])
-
-        return rec(0, [])
-
-    def maximal_ideal(self) -> list[tuple[int, ...]]:
-        return [x for x in self.elements() if self.in_maximal_ideal(x)]
-
-    def encode(self, x) -> int:
-        code = 0
-        for c, o in zip(x, self.orders):
-            code = code * o + c
-        return code
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for o in reversed(self.orders):
-            code, c = divmod(code, o)
-            out.append(c)
-        return tuple(reversed(out))
+    def encode(self, x) -> np.ndarray:
+        """Codes of stacked elements, mixed radix in the coordinates (first
+        slowest), as `elements()` lists them."""
+        return np.ravel_multi_index(np.moveaxis(np.asarray(x), -1, 0), self.orders)
 
     def tables(self):
-        """(add, mul, neg) op tables on element codes, for the batched kernels."""
+        """(add, mul, neg) op tables on element codes, for the batched
+        kernels: sums and products of all pairs of `elements()`, the rows in
+        blocks of TABLE_BLOCK pairs."""
         if self._tables is None:
             if self.size * self.size > TABLE_LIMIT:
                 raise AlgebraError(f"op tables for |A| = {self.size} exceed limit")
-            elems = [self.decode(i) for i in range(self.size)]
-            add = np.empty((self.size, self.size), dtype=np.int64)
-            mul = np.empty((self.size, self.size), dtype=np.int64)
-            neg = np.empty(self.size, dtype=np.int64)
-            for i, x in enumerate(elems):
-                neg[i] = self.encode(self.neg(x))
-                for j, y in enumerate(elems):
-                    add[i, j] = self.encode(self.add(x, y))
-                    mul[i, j] = self.encode(self.mul(x, y))
-            self._tables = (add, mul, neg)
+            x = self.elements()
+            rows = max(1, TABLE_BLOCK // self.size)
+            blocks = [x[start : start + rows, None] for start in range(0, self.size, rows)]
+            add = np.concatenate([self.encode(self.reduce(b + x)) for b in blocks])
+            mul = np.concatenate([self.encode(self.mul(b, x)) for b in blocks])
+            self._tables = (add, mul, self.encode(self.reduce(-x)))
         return self._tables
 
     # -- validation ----------------------------------------------------------
 
-    def _basis_elem(self, i):
-        v = [0] * self.nbasis
-        v[i] = 1
-        return tuple(v)
+    def _validate(self, S: np.ndarray):
+        """The axioms on the basis, each one array identity on S (Python
+        ints), and then locality.
 
-    def _validate(self):
-        basis = [self._basis_elem(i) for i in range(self.nbasis)]
-        if self.one != basis[0]:
+        m is nilpotent exactly when each generator e_1..e_r of it is:
+        p^M = |A| (M = `length`) kills A, so p is nilpotent, and in a
+        commutative ring an ideal generated by nilpotents is nilpotent.  A
+        nilpotent e has e^M = 0, as the ideals (e^k) decrease strictly until
+        they vanish, each step by a factor of at least p, and (e) != A.  So
+        all e_i are squared at once, j times with 2^j >= M, and must
+        vanish."""
+        eye = np.eye(self.nbasis, dtype=object)
+        if (self.one != eye[0]).any():
             raise AlgebraError("e_0 must be the identity in canonical coordinates")
-        for j in range(self.nbasis):
-            if self.mul_basis[0][j] != basis[j] or self.mul_basis[j][0] != basis[j]:
-                raise AlgebraError("e_0 is not a two-sided identity")
-        for i in range(self.nbasis):
-            for j in range(self.nbasis):
-                if self.mul_basis[i][j] != self.mul_basis[j][i]:
-                    raise AlgebraError("multiplication table is not commutative")
-        for i in range(self.nbasis):
-            for j in range(self.nbasis):
-                for k in range(self.nbasis):
-                    lhs = self.mul(self.mul_basis[i][j], basis[k])
-                    rhs = self.mul(basis[i], self.mul_basis[j][k])
-                    if lhs != rhs:
-                        raise AlgebraError(f"associativity fails on basis triple {i},{j},{k}")
+        if (S[0] != eye).any() or (S[:, 0] != eye).any():
+            raise AlgebraError("e_0 is not a two-sided identity")
+        if (S != S.transpose(1, 0, 2)).any():
+            raise AlgebraError("multiplication table is not commutative")
+        # (e_i e_j) e_k and e_i (e_j e_k), at [i, j, k]
+        lhs = self._carry(np.tensordot(S, S, axes=(2, 0)))
+        rhs = self._carry(np.tensordot(S, S, axes=(1, 2)).transpose(0, 2, 3, 1))
+        bad = np.argwhere((lhs != rhs).any(axis=-1))
+        if len(bad):
+            raise AlgebraError("associativity fails on basis triple {},{},{}".format(*bad[0]))
         # The table must respect the additive presentation: multiplying the
         # relation p^{N_i} e_i = carry_i by e_j must be consistent.
-        for i in range(self.nbasis):
-            for j in range(self.nbasis):
-                via_carry = self.mul(self.carries[i], basis[j])
-                via_table = self.reduce([self.orders[i] * c for c in self.mul_basis[i][j]])
-                if via_carry != via_table:
-                    raise AlgebraError(f"orders/carries incompatible with table at {i},{j}")
+        carries = np.array(self.carries, dtype=object)
+        orders = np.array(self.orders, dtype=object)
+        via_carry = self._carry(np.tensordot(carries, S, axes=(1, 0)))
+        via_table = self._carry(orders[:, None, None] * S)
+        bad = np.argwhere((via_carry != via_table).any(axis=-1))
+        if len(bad):
+            raise AlgebraError("orders/carries incompatible with table at {},{}".format(*bad[0]))
         # Products of non-identity basis elements must stay in the maximal
         # ideal, so that A/m = F_p.
-        for i in range(1, self.nbasis):
-            for j in range(self.nbasis):
-                if self.mul_basis[i][j][0] % self.p != 0:
-                    raise AlgebraError("maximal ideal is not an ideal")
-        self.nilpotency_index = self._nilpotency_index()
-
-    def _nilpotency_index(self) -> int:
-        """Least k with m^k = 0; raises if m is not nilpotent.
-
-        Each power m^k is an additive span, held as the Howell basis over
-        Z/p^M (p^M = |A| kills A) of its coordinate vectors together with the
-        relations orders[i]*e_i - carries[i]; equal spans have equal bases, so
-        the cost does not depend on |A|.  m is spanned by p*1, e_1, ..., e_r,
-        and m^(k+1) by their products with the rows of m^k.
-        """
-        M = next(j for j in range(self.size.bit_length() + 1) if self.p**j == self.size)
-        relations = [
-            [self.orders[i] * (i == j) - self.carries[i][j] for j in range(self.nbasis)]
-            for i in range(self.nbasis)
-        ]
-
-        def span(vecs):
-            return howell_form(relations + [list(v) for v in vecs], self.p, M)
-
-        gens = [self.from_int(self.p)] + [self._basis_elem(i) for i in range(1, self.nbasis)]
-        zero, power, k = span([]), span(gens), 1
-        while power != zero:
-            nxt = span(self.mul(g, self.reduce(row)) for g in gens for row in power.rows)
-            if nxt == power:
-                raise AlgebraError("maximal ideal is not nilpotent; algebra is not local")
-            power, k = nxt, k + 1
-            if k > 64:
-                raise AlgebraError("nilpotency search did not terminate")
-        return k
+        if (S[1:, :, 0] % self.p != 0).any():
+            raise AlgebraError("maximal ideal is not an ideal")
+        power = eye[1:].astype(self.dtype)
+        for _ in range((self.length - 1).bit_length()):
+            power = self.mul(power, power)
+        if power.any():
+            raise AlgebraError("maximal ideal is not nilpotent; algebra is not local")
 
     # -- serialization -------------------------------------------------------
 
@@ -381,71 +355,15 @@ def standard_rings(p: int) -> dict[str, ArtinLocalAlgebra]:
     return {name: build() for name, build in standard_ring_builders(p).items()}
 
 
-def count_homs_from_R(n: int, alg: ArtinLocalAlgebra) -> list[tuple[int, ...]]:
-    """Images of t under local W-algebra maps W[[t]]/(p^n t, t^2) -> A.
+def count_homs_from_R(n: int, alg: ArtinLocalAlgebra) -> np.ndarray:
+    """Images of t under local W-algebra maps W[[t]]/(p^n t, t^2) -> A, as
+    rows of coordinates in the order of `elements()`.
 
     A map is determined by x = image of t, and exists precisely when x lies
     in the maximal ideal with x^2 = 0 and p^n x = 0.
     """
-    p = alg.p
-    out = []
-    for x in alg.elements():
-        if not alg.in_maximal_ideal(x):
-            continue
-        if alg.mul(x, x) != alg.zero:
-            continue
-        if alg.smul(p**n, x) != alg.zero:
-            continue
-        out.append(x)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Matrices over an algebra
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlgMatrix:
-    """Square matrix over an ArtinLocalAlgebra (entries row-major)."""
-
-    algebra: ArtinLocalAlgebra
-    degree: int
-    entries: tuple  # of coordinate tuples
-
-    @classmethod
-    def from_rows(cls, algebra, rows):
-        d = len(rows)
-        ents = tuple(algebra.reduce(x) for row in rows for x in row)
-        return cls(algebra, d, ents)
-
-    @classmethod
-    def identity(cls, algebra, d):
-        ents = tuple(
-            algebra.one if i == j else algebra.zero for i in range(d) for j in range(d)
-        )
-        return cls(algebra, d, ents)
-
-    def entry(self, i, j):
-        return self.entries[i * self.degree + j]
-
-    def __matmul__(self, other: "AlgMatrix") -> "AlgMatrix":
-        A, d = self.algebra, self.degree
-        out = []
-        for i in range(d):
-            for j in range(d):
-                acc = A.zero
-                for k in range(d):
-                    acc = A.add(acc, A.mul(self.entry(i, k), other.entry(k, j)))
-                out.append(acc)
-        return AlgMatrix(A, d, tuple(out))
-
-    def order(self, cap: int = 100_000) -> int:
-        eye = AlgMatrix.identity(self.algebra, self.degree)
-        k, acc = 1, self
-        while acc != eye:
-            acc = acc @ self
-            k += 1
-            if k > cap:
-                raise AlgebraError("matrix order exceeds cap")
-        return k
+    x = alg.elements()
+    x = x[x[:, 0] % alg.p == 0]
+    square_zero = ~alg.mul(x, x).any(axis=-1)
+    killed = ~alg.reduce(x.astype(object) * alg.p**n).any(axis=-1)
+    return x[square_zero & killed]

@@ -75,20 +75,16 @@ class DeformationClassSet:
 
 
 def _ring_data(A: ArtinLocalAlgebra, rho_bar: Representation):
+    """A's op tables, the codes of its maximal ideal, and the codes of
+    0, 1, ..., p - 1 in A."""
     add, mul, _ = A.tables()
-    d = rho_bar.degree
-    maximal = [A.encode(x) for x in A.maximal_ideal()]
-    lift_of = np.array(
-        [A.encode(A.from_int(v)) for v in range(rho_bar.p)], dtype=np.int64
-    )
-    return add, mul, maximal, lift_of, d
+    maximal = np.flatnonzero(A.elements()[:, 0] % A.p == 0)  # element c has code c
+    lift_of = A.encode(A.reduce(np.arange(rho_bar.p)[:, None] * A.one))
+    return add, mul, maximal, lift_of, rho_bar.degree
 
 
 def _identity(A: ArtinLocalAlgebra, d: int) -> np.ndarray:
-    return np.array(
-        [[A.encode(A.one if i == j else A.zero) for j in range(d)] for i in range(d)],
-        dtype=np.int64,
-    )
+    return A.encode(A.identity(d))
 
 
 def _candidates_for_generator(base_mat, maximal, add, d):
@@ -226,7 +222,7 @@ def _assert_full_table(lifts, rho_bar, A):
         raise OracleError(f"lift is not a homomorphism: relator {u} = {v} fails")
     if (group.extend(at_gens, matmul, one, at=gens) != gen_blocks).any():
         raise OracleError("lift is not a homomorphism: its extension differs from it at a generator")
-    res = np.array([A.residue(A.decode(c)) for c in range(A.size)], dtype=np.int64)
+    res = A.elements()[:, 0] % A.p
     for gb, s in zip(gen_blocks, gens):
         if (res[gb] != rho_bar.mats[s] % rho_bar.p).any():
             raise OracleError("lift does not reduce to the base representation")
@@ -334,7 +330,7 @@ def functor_compare(
     p, n, N = asm.p, asm.n, asm.N
     if A.p != p:
         raise OracleError("test ring has the wrong residue characteristic")
-    if A.smul(p**N, A.one) != A.zero:
+    if A.reduce(A.one.astype(object) * p**N).any():
         raise OracleError(
             f"precision insufficient: 1 has additive order > p^{N} in {A.name}; raise N"
         )
@@ -345,14 +341,13 @@ def functor_compare(
     lifts = enumerate_lifts(rho_bar, A, gens)
     classes = deformation_classes(rho_bar, A, lifts)
     homs = count_homs_from_R(n, A)
-    # rho_R at the generators, entrywise (w, t) for w + t x under t -> x
-    entries = [list(zip(w.ravel().tolist(), t.ravel().tolist())) for w, t in map(rho_r.at, gens)]
+    # rho_R at the generators over R; t -> x sends w + t u to w 1 + u x in A
+    at_gens = np.stack([rho_r.at(g) for g in gens]).astype(object)[None]
+    pushed = at_gens[..., :1] * A.one + at_gens[..., 1:] * homs[:, None, None, None]
+    codes = A.encode(A.reduce(pushed)).reshape(len(homs), len(gens), rho_bar.degree**2)
     hom_to_class = []
-    for x in homs:
-        key = tuple(
-            tuple(A.encode(A.add(A.from_int(a), A.smul(b, x))) for a, b in gen_entries)
-            for gen_entries in entries
-        )
+    for key in codes.tolist():
+        key = tuple(map(tuple, key))
         if key not in classes.class_of:
             raise OracleError("pushed-forward lift is not among the enumerated lifts")
         hom_to_class.append(classes.class_of[key])

@@ -6,21 +6,24 @@ the orbit counts on triples of points, the non-commuting matrices x_1..x_d
 of the standard family, level-by-level lifting through the vanishing of the
 obstructions, a backtracking isomorphism search, brute-force listings of
 spans and solution sets over Z/p^N, Howell forms by elimination on lists
-of Python ints, and Newton inversion over a local algebra.  A method of a package class appears here as a function taking the
-object as its first argument.
+of Python ints, the element arithmetic of local algebras on tuples of
+Python ints with matrices over them (`ScalarAlgebra`, `AlgMatrix`), and
+Newton inversion over a local algebra.  A method of a package class appears
+here as a function taking the object as its first argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterable
 
 import numpy as np
 
 from defring import kernels
 from defring.exactalg import HowellBasis, ModuleSolution, matpow_mod, solve_module
 from defring.groups import FiniteGroup, GroupError, GroupHom
-from defring.localalg import AlgebraError, AlgMatrix
+from defring.localalg import AlgebraError
 from defring.modrep import (
     Representation,
     RepresentationError,
@@ -130,6 +133,12 @@ def matrix_inv_mod(mat: np.ndarray, p: int, N: int) -> np.ndarray:
             return inv
         inv = inv @ (2 * eye - err) % m
     raise RepresentationError("inverse iteration failed")
+
+
+def howell_form(entries, p: int, N: int) -> HowellBasis:
+    """Howell basis of the row span of a matrix over Z/p^N."""
+    r, pivots = kernels.rref_modp(entries, p, N)
+    return HowellBasis(p, N, r[: len(pivots)], pivots)
 
 
 def enumerate_span(h: HowellBasis) -> list[tuple[int, ...]]:
@@ -265,6 +274,166 @@ def solve_rows(entries, rhs, p: int, N: int):
     v = howell_reduce(basis, list(map(int, rhs)) + [0] * nvar)
     particular = None if any(v[:neq]) else [(-x) % m for x in v[neq:]]
     return particular, [r for r, _ in kernel], [c for _, c in kernel]
+
+
+# ---------------------------------------------------------------------------
+# Local algebras on tuples of Python ints
+# ---------------------------------------------------------------------------
+
+
+class ScalarAlgebra:
+    """The element arithmetic `ArtinLocalAlgebra` had on coordinate tuples,
+    one element at a time: the scalar reference for its arrays.  It is
+    built from a presentation without validating it, so it also runs on
+    presentations that `ArtinLocalAlgebra` rejects."""
+
+    def __init__(self, p, orders, mul_basis, carries=None, name="A"):
+        self.p = p
+        self.orders = tuple(int(o) for o in orders)
+        self.nbasis = len(self.orders)
+        if carries is None:
+            carries = [tuple([0] * self.nbasis) for _ in range(self.nbasis)]
+        self.carries = tuple(tuple(int(c) for c in cv) for cv in carries)
+        self.name = name
+        self.mul_basis = tuple(
+            tuple(self.reduce(mul_basis[i][j]) for j in range(self.nbasis))
+            for i in range(self.nbasis)
+        )
+        self.size = 1
+        for o in self.orders:
+            self.size *= o
+        self.zero = tuple([0] * self.nbasis)
+        self.one = self.reduce([1] + [0] * (self.nbasis - 1))
+
+    @classmethod
+    def of(cls, A):
+        """The scalar arithmetic of an `ArtinLocalAlgebra`."""
+        return cls(A.p, A.orders, A.mul_basis, A.carries, A.name)
+
+    def reduce(self, raw) -> tuple[int, ...]:
+        """Canonicalize integer coordinates, propagating additive carries."""
+        out = list(int(x) for x in raw)
+        for i in range(self.nbasis):
+            q, r = divmod(out[i], self.orders[i])
+            out[i] = r
+            if q:
+                cv = self.carries[i]
+                for j in range(i + 1, self.nbasis):
+                    if cv[j]:
+                        out[j] += q * cv[j]
+        return tuple(out)
+
+    def add(self, x, y) -> tuple[int, ...]:
+        return self.reduce([a + b for a, b in zip(x, y)])
+
+    def neg(self, x) -> tuple[int, ...]:
+        return self.reduce([-a for a in x])
+
+    def smul(self, c: int, x) -> tuple[int, ...]:
+        return self.reduce([c * a for a in x])
+
+    def mul(self, x, y) -> tuple[int, ...]:
+        raw = [0] * self.nbasis
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            for j, yj in enumerate(y):
+                if not yj:
+                    continue
+                basis_prod = self.mul_basis[i][j]
+                c = xi * yj
+                for k in range(self.nbasis):
+                    if basis_prod[k]:
+                        raw[k] += c * basis_prod[k]
+        return self.reduce(raw)
+
+    def from_int(self, c: int) -> tuple[int, ...]:
+        return self.smul(c, self.one)
+
+    def residue(self, x) -> int:
+        """Image in the residue field F_p (the e_0-coordinate mod p)."""
+        return x[0] % self.p
+
+    def in_maximal_ideal(self, x) -> bool:
+        return self.residue(x) == 0
+
+    def elements(self) -> Iterable[tuple[int, ...]]:
+        """All elements, lexicographic in basis coordinates (first slowest)."""
+        def rec(i, prefix):
+            if i == self.nbasis:
+                yield tuple(prefix)
+                return
+            for c in range(self.orders[i]):
+                yield from rec(i + 1, prefix + [c])
+
+        return rec(0, [])
+
+    def maximal_ideal(self) -> list[tuple[int, ...]]:
+        return [x for x in self.elements() if self.in_maximal_ideal(x)]
+
+    def encode(self, x) -> int:
+        code = 0
+        for c, o in zip(x, self.orders):
+            code = code * o + c
+        return code
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        out = []
+        for o in reversed(self.orders):
+            code, c = divmod(code, o)
+            out.append(c)
+        return tuple(reversed(out))
+
+    def _basis_elem(self, i):
+        v = [0] * self.nbasis
+        v[i] = 1
+        return tuple(v)
+
+
+@dataclass(frozen=True)
+class AlgMatrix:
+    """Square matrix over a ScalarAlgebra (entries row-major)."""
+
+    algebra: ScalarAlgebra
+    degree: int
+    entries: tuple  # of coordinate tuples
+
+    @classmethod
+    def from_rows(cls, algebra, rows):
+        d = len(rows)
+        ents = tuple(algebra.reduce(x) for row in rows for x in row)
+        return cls(algebra, d, ents)
+
+    @classmethod
+    def identity(cls, algebra, d):
+        ents = tuple(
+            algebra.one if i == j else algebra.zero for i in range(d) for j in range(d)
+        )
+        return cls(algebra, d, ents)
+
+    def entry(self, i, j):
+        return self.entries[i * self.degree + j]
+
+    def __matmul__(self, other: "AlgMatrix") -> "AlgMatrix":
+        A, d = self.algebra, self.degree
+        out = []
+        for i in range(d):
+            for j in range(d):
+                acc = A.zero
+                for k in range(d):
+                    acc = A.add(acc, A.mul(self.entry(i, k), other.entry(k, j)))
+                out.append(acc)
+        return AlgMatrix(A, d, tuple(out))
+
+    def order(self, cap: int = 100_000) -> int:
+        eye = AlgMatrix.identity(self.algebra, self.degree)
+        k, acc = 1, self
+        while acc != eye:
+            acc = acc @ self
+            k += 1
+            if k > cap:
+                raise AlgebraError("matrix order exceeds cap")
+        return k
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_criterion_6_order_identities():
         for code in range(1, K.size):
             kv = K.decode(code)
             e = K.encode(kv) * asm.G.order  # the element (kv, 1)
-            _, t1 = rho_r.at(e)
+            t1 = rho_r.at(e)[..., 1]
             order4 = any(c % 2 for c in kv)
             sq = (2 * t1) % 4
             if order4:

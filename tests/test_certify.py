@@ -176,7 +176,7 @@ def test_build_rho_R_faithful_s4():
     # t -> 0 specialization recovers rho_W composed with the quotient
     for e in range(asm.gamma.order):
         _, g = asm.gamma.decode(e)
-        assert (rho.at(e)[0] == asm.rho_w.mats[g]).all()
+        assert (rho.at(e)[..., 0] == asm.rho_w.mats[g]).all()
 
 
 def test_rho_R_kernel_orders_p2n2():
@@ -252,6 +252,21 @@ def test_negative_control_p2_n2():
     assert report.exp_lift.variant == "even-cyclic"
     assert report.exp_lift.verified
     assert report.exp_lift.orders_preserved
+
+
+def test_exp_lift_orders_not_preserved_by_a_non_injective_alpha():
+    # twice an injective alpha on the commutative control kills 2K: the
+    # lift of an element k of additive order 4 has rho'(k)^2 = 1
+    from defring.certify import AlphaMap, _injective_commutative_alpha
+
+    asm = assemble(parse_instance_name("twisted-p2n2-commutative"))
+    alpha = _injective_commutative_alpha(asm)
+    doubled = AlphaMap(2, 2, alpha.d, alpha.rank, 2 * alpha.matrix % 4)
+    assert not doubled.injective
+    report = exp_lift_on_kernel(asm.K, doubled, asm.N)
+    assert report.variant == "even-cyclic" and report.verified
+    assert report.orders_preserved is False
+    assert exp_lift_on_kernel(asm.K, alpha, asm.N).orders_preserved
 
 
 def test_exp_lift_refuses_noncommutative_image():

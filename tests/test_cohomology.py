@@ -208,7 +208,7 @@ def test_is_cocycle_matches_the_triple_loop():
     for M in _cocycle_modules():
         cx = BarComplex(M)
         m, dm, p = cx.nontriv, cx.dm, cx.p
-        d1 = cx.d1_matrix()
+        d1 = cx.d1_matrix(np.arange(1, cx.n))
         seen = set()
         for trial in range(6):
             f = rng.integers(0, p, cx.dim_c1)
@@ -350,7 +350,7 @@ def test_vectorised_coboundaries_match_loop_reference(name):
     M = BAR_MODULES[name]()
     cx = BarComplex(M)
     d1, _ = _loop_coboundaries(M)
-    got1, got2 = cx.d1_matrix(), cx.d2_matrix()
+    got1, got2 = cx.d1_matrix(np.arange(1, cx.n)), cx.d2_matrix()
     assert got1.dtype == got2.dtype == np.int64
     assert np.array_equal(got1, d1) and np.array_equal(got2, _loop_z2_system(M))
     # coboundaries are cocycles: E vanishes on d1's rows (g, s), which give
@@ -414,7 +414,7 @@ D1_ENTRY_LIMIT = 4_000_000  # keeps the dense d1 of a reference under 32 MB
 def _bar_h1(M):
     """(dim C^1 - rank d1) - rank [M(g) - I]_g on the normalized bar complex."""
     cx = BarComplex(M)
-    z1 = cx.dim_c1 - kernels.rank_modp(cx.d1_matrix(), M.p)
+    z1 = cx.dim_c1 - kernels.rank_modp(cx.d1_matrix(np.arange(1, cx.n)), M.p)
     b1 = kernels.rank_modp((M.mats - np.eye(M.degree, dtype=np.int64)).reshape(-1, M.degree), M.p)
     return z1 - b1
 

@@ -12,12 +12,11 @@ from defring.exactalg import (
     companion,
     defining_rule,
     galois_matrices,
-    howell_form,
     matpow_mod,
     solve_module,
 )
 
-from reference import _howell_rows, all_solutions, enumerate_span, howell_reduce, solve_rows
+from reference import _howell_rows, all_solutions, enumerate_span, howell_form, howell_reduce, solve_rows
 
 
 def brute_span(rows, m):

@@ -38,10 +38,10 @@ from defring.groups import (
     symmetric_group,
     twisted_frobenius_group,
 )
-from defring.localalg import AlgMatrix, make_ring_Rprime, make_ring_Rprime_2_1
+from defring.localalg import make_ring_Rprime, make_ring_Rprime_2_1
 from defring.modrep import Representation, RepresentationError, galois_module_rep, standard_rep
 
-from reference import find_isomorphism, word
+from reference import AlgMatrix, ScalarAlgebra, find_isomorphism, word
 
 
 def _deepest(G):
@@ -355,10 +355,10 @@ def _exp_lift_all_pairs(K, alpha, N, a_hat):
     commutes = all((bar[u] @ bar[v] % p == bar[v] @ bar[u] % p).all() for u in elems for v in elems)
     clause = (p, n) != (2, 1) or all((bar[k] @ bar[k] % 2 == a_hat * bar[k] % 2).all() for k in elems)
     if p != 2:
-        ring = make_ring_Rprime(p, n, N)
+        ring = ScalarAlgebra.of(make_ring_Rprime(p, n, N))
         t2 = {k: bar[k] @ bar[k] * pow(2, -1, p) % p for k in elems}
     else:
-        ring = make_ring_Rprime(2, n, N) if n >= 2 else make_ring_Rprime_2_1(a_hat, N)
+        ring = ScalarAlgebra.of(make_ring_Rprime(2, n, N) if n >= 2 else make_ring_Rprime_2_1(a_hat, N))
         t2 = {k: 0 * bar[k] for k in elems}
     t1 = {k: alpha.of_vec(k) % mn if n >= 2 or p != 2 else bar[k] for k in elems}
     images = {
