@@ -5,8 +5,8 @@ H^2(SD_16, F_2) and the tallest H^1 system of the acceptance battery: the
 Fox-derivative rows of standard-d4p2's presentation), H^1 end to end on four
 of the largest battery instances, direct H^2 with trivial coefficients on
 A_4, SD_16 and S_4 over F_2 and F_3, table-driven batched matrix products (oracle
-enumeration) and the construction of Gamma = K x| G for three of the largest
-battery instances.  Also times one end-to-end oracle enumeration, and the
+enumeration), and the construction of Gamma = K x| G and the whole assembly of
+an instance (`assemble`) for three of the largest battery instances.  Also times one end-to-end oracle enumeration, and the
 enumeration and the class partition on three rows of the oracle benchmark
 (and the relator check of the lifts, `_assert_full_table`, on one), the
 check of rho_R on Gamma's relators (`build_rho_R`), and the constructions
@@ -69,12 +69,11 @@ def program_rank_inputs():
     from defring import cohomology
     from defring.certify import assemble, parse_instance_name
     from defring.groups import twisted_frobenius_group
-    from defring.modrep import end_rep
 
     sd16 = cohomology.trivial_module(twisted_frobenius_group(3), 2)
     inputs = [("SD16 d2", cohomology.BarComplex(sd16).d2_matrix(), 2)]
     asm = assemble(parse_instance_name("standard-d4p2"))
-    ranked = recorded_calls(kernels, "rank_modp", lambda: cohomology.h1_dim(end_rep(asm.rho_bar)))
+    ranked = recorded_calls(kernels, "rank_modp", lambda: cohomology.h1_dim(asm.M.inflate(asm.gamma)))
     system, p = max(ranked, key=lambda item: item[0].shape[0])
     inputs.append(("standard-d4p2 H^1 Fox", system, p))
     return inputs
@@ -135,10 +134,10 @@ def main():
     print("== H^1(Gamma, End V) (cohomology.h1_dim) ==")
     from defring.certify import assemble, parse_instance_name
     from defring.cohomology import h1_dim
-    from defring.modrep import end_rep
 
     for name in ("twisted-p3n2", "twisted-p5n1", "standard-d3p3", "standard-d4p2"):
-        M = end_rep(assemble(parse_instance_name(name)).rho_bar)
+        asm = assemble(parse_instance_name(name))
+        M = asm.M.inflate(asm.gamma)  # End(V) inflated to Gamma
         bench(f"h1_dim {name} (|Gamma| = {M.group.order})", lambda M=M: h1_dim(M), repeat=5)
 
     print("== rho_R on Gamma's relators (certify.build_rho_R) ==")
@@ -185,6 +184,9 @@ def main():
             f"semidirect_product {name} (|Gamma| = {asm.gamma.order})",
             lambda asm=asm: semidirect_product(asm.K, asm.G),
         )
+    for name in ("twisted-p3n2", "twisted-p5n1", "standard-d4p2"):
+        spec = parse_instance_name(name)
+        bench(f"assemble {name}", lambda spec=spec: assemble(spec), repeat=5)
 
     print("== end-to-end oracle enumeration (S4, F2[t]/t^3) ==")
     from defring.localalg import standard_rings

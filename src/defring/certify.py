@@ -103,13 +103,13 @@ def commutative_control_module(p: int, n: int) -> Representation:
     order-2 quotient, whose alpha-images are multiplication operators and
     therefore commute."""
     gen_mats = [np.eye(2, dtype=np.int64), galois_matrices(p, n)[1]]
-    return Representation.from_generator_images(twisted_frobenius_group(p), gen_mats, p, n)
+    return Representation(twisted_frobenius_group(p), gen_mats, p, n)
 
 
 def scalar_control_module(group: FiniteGroup, p: int) -> Representation:
     """Rank-1 trivial module; alpha lands in the scalar matrices."""
     eye = np.eye(1, dtype=np.int64)
-    return Representation.from_generator_images(group, [eye for _ in group.generators], p, 1)
+    return Representation(group, [eye for _ in group.generators], p, 1)
 
 
 @dataclass
@@ -195,7 +195,7 @@ def assemble(spec: InstanceSpec) -> Assembly:
     else:
         raise CertifyError(f"unknown family {spec.family!r}")
     gamma = semidirect_product(K, G)
-    rho_bar = rho_bar_g.inflate(gamma.quotient_hom())
+    rho_bar = rho_bar_g.inflate(gamma)
     M = end_rep(rho_bar_g)
     MW_mod_pn = end_rep(rho_w).reduce_mod(n)
     return Assembly(spec, G, K, gamma, rho_bar_g, rho_bar, rho_w, M, MW_mod_pn, ring)
@@ -402,7 +402,7 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     """
     p, n, d = asm.p, asm.n, asm.rho_w.degree
     xs = _over_R(np.eye(d, dtype=np.int64), alpha.of_vecs(np.eye(asm.K.degree, dtype=np.int64)))
-    ys = _over_R(asm.rho_w.mats[list(asm.G.generators)], 0)  # y_s -> rho_W(s)
+    ys = _over_R(asm.rho_w.gen_mats, 0)  # y_s -> rho_W(s)
     gen_values = np.concatenate([xs, ys])  # x_i -> 1 + t alpha(e_i)
     bad = violated_relators(asm.gamma, gen_values, asm.ring.matmul, asm.ring.identity(d))
     if bad:
@@ -614,7 +614,7 @@ def certify_assembly(asm: Assembly) -> Certificate:
     if _failed_stage(cond_a, cond_b) is None:
         rho_r = build_rho_R(asm, cond_b.alpha)
         if _failed_stage(cond_a, cond_b, rho_r) is None:
-            tangent = h1_dim(end_rep(asm.rho_bar))
+            tangent = h1_dim(asm.M.inflate(asm.gamma))
     failed = _failed_stage(cond_a, cond_b, rho_r, tangent)
     verdict = "certified" if failed is None else "refuted"
     return Certificate(asm.spec, cond_a, cond_b, rho_r, tangent, verdict, failed)
@@ -748,7 +748,7 @@ def _rebuild_certified(cert: dict, asm: Assembly) -> tuple[dict | None, list[str
     except CertifyError as exc:
         problems.append(str(exc))
         rho_r = None
-    tangent = h1_dim(end_rep(asm.rho_bar))
+    tangent = h1_dim(asm.M.inflate(asm.gamma))
     failed = _failed_stage(cond_a, cond_b, rho_r, tangent)
     if failed is not None:
         problems.append(f"verdict is certified, but stage {failed} fails")

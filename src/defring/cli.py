@@ -27,7 +27,7 @@ from .cohomology import CohomologyError, h1_dim, h2_dim, wedge_cocycle
 from .exactalg import PrecisionError
 from .groups import GroupError
 from .localalg import AlgebraError, standard_ring_builders, standard_rings
-from .modrep import RepresentationError, end_rep
+from .modrep import RepresentationError
 from .oracle import OracleError, functor_compare
 
 USER_ERRORS = (
@@ -144,7 +144,7 @@ def cmd_oracle(args) -> int:
 def cmd_cohomology(args) -> int:
     spec = _spec_from_args(args)
     asm = assemble(spec)
-    M = end_rep(asm.rho_bar)
+    M = asm.M.inflate(asm.gamma)  # End(V) inflated: End commutes with inflation
     data = {"instance": spec.name, "coefficients": "End(V)"}
     if args.degree == 1:
         data["h1_dim"] = h1_dim(M)

@@ -38,8 +38,7 @@ class CohomologyError(ValueError):
 
 def trivial_module(group, p: int) -> Representation:
     """F_p with trivial action."""
-    mats = np.ones((group.order, 1, 1), dtype=np.int64)
-    return Representation(group, mats, p, 1, validate=False)
+    return Representation._homomorphism(group, np.ones((len(group.generators), 1, 1)), p, 1)
 
 
 def h1_dim(M: Representation) -> int:
@@ -72,7 +71,7 @@ def h1_dim(M: Representation) -> int:
         return out
 
     unknowns = np.eye(n_unk).reshape(len(gens), dm, n_unk)
-    gen_values = np.concatenate([M.mats[list(gens)], unknowns], axis=2)
+    gen_values = np.concatenate([M.gen_mats, unknowns], axis=2)
     diff, rhs = G.relator_values(gen_values, mul, np.eye(dm, dm + n_unk))
     diff -= rhs  # in place; the right sides go before the system is copied out
     del rhs
@@ -80,7 +79,7 @@ def h1_dim(M: Representation) -> int:
         raise CohomologyError("a relator does not hold in the module")
     system = diff[..., dm:].astype(np.int64).reshape(-1, n_unk)
     z1 = n_unk - kernels.rank_modp(system, p)
-    fixed = np.vstack([(M.mats[s] - np.eye(dm, dtype=np.int64)) % p for s in gens])
+    fixed = ((M.gen_mats - np.eye(dm, dtype=np.int64)) % p).reshape(-1, dm)
     b1 = kernels.rank_modp(fixed, p)
     return z1 - b1
 
@@ -325,7 +324,7 @@ def wedge_cocycle(p: int, action_mats=None) -> WedgeReport:
 
     if action_mats is None:
         Kmod = twisted_kernel_module(p, 1)
-        action_mats = [Kmod.mats[Kmod.group.generators[0]]]
+        action_mats = [Kmod.gen_mats[0]]
     invariant = True
     for A in action_mats:
         det = (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) % p

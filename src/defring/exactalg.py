@@ -53,13 +53,6 @@ class HowellBasis:
         """Additive orders p^(N-e) of the rows (pivot-column order)."""
         return [self.modulus // int(self.rows[i, c]) for i, c in enumerate(self.pivots)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HowellBasis)
-            and (self.p, self.N) == (other.p, other.N)
-            and np.array_equal(self.rows, other.rows)
-        )
-
     def __repr__(self):
         return f"HowellBasis(p={self.p}, N={self.N}, rows={self.rows.tolist()})"
 

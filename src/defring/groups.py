@@ -4,11 +4,11 @@ presentations.
 All groups here are small enough (a few thousand elements) that the full
 table is the simplest correct representation.  A given table is checked
 exactly by Light's associativity test on the generators; K x| G is a group
-by construction, so only its factors G and K are checked.  A breadth-first
-spanning tree of the Cayley graph on a generating set gives each element a
-word in the generators; `FiniteGroup.extend` carries generator data
-(matrices, images) along it to the whole group, and a homomorphism check on
-such data only has to compare e*s for every element e and generator s.
+by construction, so only its factors G and K are checked, and its spanning
+tree and inverses are built only when something asks for them.  A
+breadth-first spanning tree of the Cayley graph on a generating set gives
+each element a word in the generators; `FiniteGroup.extend` carries
+generator data (matrices, images) along it to the whole group.
 
 `FiniteGroup.relators` gives a presentation on the distinguished generators:
 the Schreier relators of the spanning tree, or for K x| G the split-extension
@@ -23,7 +23,7 @@ for `extend`, and for the relators the trie of their prefixes
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -58,8 +58,6 @@ class FiniteGroup:
         self._relators = None
         self._trie = None
         self._validate_table()
-        self.inverse = self._inverse_table()
-        self.spanning_tree()  # the distinguished generators must generate
 
     # -- construction helpers -------------------------------------------------
 
@@ -147,8 +145,10 @@ class FiniteGroup:
         if not (t == 0).any(axis=1).all():
             raise GroupError("an element has no inverse")
 
-    def _inverse_table(self):
-        # each row holds the identity exactly once, found in row order
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """inverse[e] = e^-1: each row holds the identity exactly once, found
+        in row order."""
         return np.nonzero(self.table == 0)[1]
 
     def spanning_tree(self, gens=None) -> tuple:
@@ -485,29 +485,6 @@ def twisted_frobenius_group(p: int) -> FiniteGroup:
     return FiniteGroup(table, [2, 1], name=f"TF{p}")
 
 
-@dataclass
-class GroupHom:
-    """A homomorphism given on all elements, verified multiplicative on
-    (element, generator) pairs, which covers all pairs (FiniteGroup.extend)."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    images: np.ndarray  # element index -> element index
-
-    def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.int64)
-        t_s, t_t = self.source.table, self.target.table
-        img = self.images
-        if img[0] != 0:
-            raise GroupError("homomorphism must fix the identity")
-        for s in self.source.generators:
-            if (img[t_s[:, s]] != t_t[img, img[s]]).any():
-                raise GroupError(f"not multiplicative at generator {s}")
-
-    def __call__(self, e: int) -> int:
-        return int(self.images[e])
-
-
 # ---------------------------------------------------------------------------
 # Semidirect products
 # ---------------------------------------------------------------------------
@@ -520,7 +497,8 @@ class SemidirectGroup(FiniteGroup):
     index is k_code * |G| + g_index.  The distinguished generators are the
     standard basis of K (paired with 1) followed by (0, s) for each
     generator s of G.  The table is a group by construction; only G and K
-    are checked (`_validate_table`).
+    are checked (`_validate_table`), and the distinguished generators
+    generate it, so no spanning tree is built until one is asked for.
     """
 
     def __init__(self, kmod, gq: FiniteGroup):
@@ -529,20 +507,17 @@ class SemidirectGroup(FiniteGroup):
         ksize, gsize = kmod.size, gq.order
         if ksize * gsize > TABLE_GUARD:
             raise GroupError(f"semidirect order {ksize * gsize} exceeds guard")
-        m = kmod.modulus
+        m, radix = kmod.modulus, kmod.radix
         all_vecs = kmod.vectors()
-        radix = m ** np.arange(kmod.degree, dtype=np.int64)
-        # act[g, k] = g.k and kneg[k] = -k, as codes
-        self._act = (all_vecs @ kmod.mats.transpose(0, 2, 1) % m) @ radix
-        self._kneg = (-all_vecs % m) @ radix
+        act = (all_vecs @ kmod.mats.transpose(0, 2, 1) % m) @ radix  # act[g, k] = g.k, as codes
         kadd = ((all_vecs[:, None, :] + all_vecs[None, :, :]) % m) @ radix
         n = ksize * gsize
         table = np.empty((n, n), dtype=np.int64)
-        for g1, (moved, gprod) in enumerate(zip(self._act, gq.table)):
+        for g1, (moved, gprod) in enumerate(zip(act, gq.table)):
             ksum = kadd[:, moved]  # (k1, k2) -> k1 + g1.k2
             block = ksum[:, :, None] * gsize + gprod[None, None, :]
             table[g1::gsize, :] = block.reshape(ksize, n)
-        gens = [int(kmod.encode(v)) * gsize for v in kmod.basis_vectors()]
+        gens = [kmod.encode(v) * gsize for v in kmod.basis_vectors()]
         gens += [int(s) for s in gq.generators]
         super().__init__(table, gens, name=f"{kmod.size}:{gq.name}")
 
@@ -550,26 +525,16 @@ class SemidirectGroup(FiniteGroup):
         """K x| G is a group when G is one and g -> (k -> g.k) is a
         homomorphism G -> Aut(K) (Holt, Eick and O'Brien, Handbook of
         Computational Group Theory, 2005), and the table is that product.
-        G was validated when it was built.  K is a Representation of G,
-        validated when it was built (invertible generator matrices and
-        g.(s.v) = (gs).v for every element g and generator s, which makes
-        the action a homomorphism, FiniteGroup.extend) or derived from a
-        validated one by `reduce_mod`.  Left to check: K is over this G."""
+        G was validated when it was built.  K is a Representation of G, whose
+        generator images were checked on G's relators when it was built (so
+        the action is a homomorphism, by von Dyck's theorem) or derived from
+        checked ones by `reduce_mod`.  Left to check: K is over this G."""
         if self.kmod.group is not self.gq and not np.array_equal(self.kmod.group.table, self.gq.table):
             raise GroupError("module must be over the same group")
-
-    def _inverse_table(self):
-        """(k, g)^-1 = (-(g^-1.k), g^-1), in O(|Gamma|)."""
-        ginv = self.gq.inverse
-        kinv = self._act[ginv][:, self._kneg]  # [g, k] -> g^-1.(-k)
-        return (kinv * self.gq.order + ginv[:, None]).T.reshape(-1)
 
     def decode(self, e: int) -> tuple[tuple[int, ...], int]:
         kcode, g = divmod(e, self.gq.order)
         return self.kmod.decode(kcode), g
-
-    def quotient_hom(self) -> GroupHom:
-        return GroupHom(self, self.gq, np.arange(self.order) % self.gq.order)
 
     def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The presentation of the split extension on x_i = (e_i, 1)

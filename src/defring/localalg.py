@@ -219,18 +219,6 @@ class ArtinLocalAlgebra:
             "multable": [[list(x) for x in row] for row in self.mul_basis],
         }
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ArtinLocalAlgebra)
-            and self.p == other.p
-            and self.orders == other.orders
-            and self.carries == other.carries
-            and self.mul_basis == other.mul_basis
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.orders, self.carries, self.mul_basis))
-
     def __repr__(self):
         return f"ArtinLocalAlgebra({self.name}, p={self.p}, size={self.size})"
 

@@ -1,5 +1,14 @@
 """Matrix representations of finite groups over F_p and Z/p^N.
 
+A representation is the images of the group's distinguished generators.  The
+constructor checks them on the group's relators (`FiniteGroup.relators`,
+`groups.violated_relators`): by von Dyck's theorem they then extend to a
+homomorphism, and the matrix of every element (`Representation.mats`) is
+computed on first use, along the spanning tree (`FiniteGroup.extend`).
+Representations that are homomorphisms by construction (reductions,
+restrictions, inflations to K x| G, End with the conjugation action, the
+trivial module) are not checked again.
+
 Covers the modules of the certification pipeline: the standard piece of a
 permutation lattice, the rank-2 module F_{p^2} with its multiplicative and
 Frobenius action and the kernel module of the twisted family, endomorphism
@@ -9,11 +18,12 @@ modules with the conjugation action, and equivariant Hom spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .exactalg import galois_matrices, matpow_mod, solve_module
-from .groups import FiniteGroup, GroupHom, twisted_frobenius_group
+from .groups import FiniteGroup, SemidirectGroup, twisted_frobenius_group, violated_relators
 
 
 class RepresentationError(ValueError):
@@ -21,79 +31,69 @@ class RepresentationError(ValueError):
 
 
 class Representation:
-    """A group acting on the free module (Z/p^N)^d, one matrix per group
-    element: a representation, or a G-module such as the kernel K of
-    K x| G.  Vectors of the module are encoded as integers in base p^N,
-    first coordinate lowest."""
+    """A group acting on the free module (Z/p^N)^d, given by one matrix per
+    distinguished generator: a representation, or a G-module such as the
+    kernel K of K x| G.  Vectors of the module are encoded as integers in
+    base p^N, first coordinate lowest (`radix`)."""
 
-    def __init__(self, group: FiniteGroup, mats, p: int, N: int, validate: bool = True):
+    def __init__(self, group: FiniteGroup, gen_mats, p: int, N: int):
+        """The representation with these generator images, checked on the
+        relators of `group`; the first relator that fails is named."""
+        self._set(group, gen_mats, p, N)
+        gens = self.gen_mats
+        if gens.ndim != 3 or len(gens) != len(group.generators) or gens.shape[1] != gens.shape[2]:
+            raise RepresentationError("need one matrix per group generator, all square of one size")
+        m, eye = self.modulus, np.eye(self.degree, dtype=np.int64)
+        bad = violated_relators(group, gens, lambda a, b: a @ b % m, eye)
+        if bad:
+            u, v = bad[0]
+            raise RepresentationError(f"the generator images fail the relator {u} = {v}")
+
+    @classmethod
+    def _homomorphism(cls, group: FiniteGroup, gen_mats, p: int, N: int) -> "Representation":
+        """Generator images of a homomorphism by construction, unchecked."""
+        rep = cls.__new__(cls)
+        rep._set(group, gen_mats, p, N)
+        return rep
+
+    def _set(self, group, gen_mats, p, N):
         self.group = group
         self.p = p
         self.N = N
         self.modulus = p**N
-        self.mats = np.asarray(mats, dtype=np.int64) % self.modulus
-        self.degree = int(self.mats.shape[1])
-        if self.mats.shape != (group.order, self.degree, self.degree):
-            raise RepresentationError("matrix stack has wrong shape")
-        if validate:
-            self.validate()
+        self.gen_mats = np.asarray(gen_mats, dtype=np.int64) % self.modulus
+        self.degree = int(self.gen_mats.shape[-1])
 
-    @classmethod
-    def from_generator_images(cls, group, gen_mats, p, N, validate=True):
-        if len(gen_mats) != len(group.generators):
-            raise RepresentationError("need one matrix per group generator")
-        m = p**N
-        gen_mats = [np.asarray(g, dtype=np.int64) % m for g in gen_mats]
-        d = gen_mats[0].shape[0] if gen_mats else 1
-        mats = group.extend(gen_mats, lambda a, b: a @ b % m, np.eye(d, dtype=np.int64))
-        return cls(group, np.array(mats), p, N, validate=validate)
-
-    def validate(self):
-        """Identity at element 0, and rho(e) rho(s) = rho(es) for every
-        element e and generator s; by the argument in FiniteGroup.extend
-        that is a homomorphism.  The generator images are then invertible:
-        at e = s^-1 the check compares rho(s^-1) rho(s) with rho(1) = I."""
+    @cached_property
+    def mats(self) -> np.ndarray:
+        """The matrix of every group element, stacked by element."""
         m = self.modulus
-        eye = np.eye(self.degree, dtype=np.int64)
-        if not (self.mats[0] == eye).all():
-            raise RepresentationError("identity does not map to the identity matrix")
-        table = self.group.table
-        for s in self.group.generators:
-            prods = self.mats @ self.mats[s] % m
-            bad = np.nonzero((prods != self.mats[table[:, s]]).any(axis=(1, 2)))[0]
-            if bad.size:
-                raise RepresentationError(
-                    f"multiplicativity fails at element {bad[0]} times generator {s}"
-                )
-
-    @property
-    def gen_mats(self) -> list[np.ndarray]:
-        return [self.mats[g] for g in self.group.generators]
+        return self.group.extend(self.gen_mats, lambda a, b: a @ b % m, np.eye(self.degree, dtype=np.int64))
 
     @property
     def size(self) -> int:
         return self.modulus**self.degree
 
+    @property
+    def radix(self) -> np.ndarray:
+        """The place values of the coordinates in a vector's code, in int64:
+        only a module of fewer than 2^63 vectors has codes."""
+        if self.size >= 2**63:
+            raise RepresentationError(f"a module of {self.size} vectors has no int64 vector codes")
+        return self.modulus ** np.arange(self.degree, dtype=np.int64)
+
     def act(self, g: int, vec):
         return tuple(int(x) for x in (self.mats[g] @ np.asarray(vec)) % self.modulus)
 
     def encode(self, vec) -> int:
-        code = 0
-        for c in reversed(vec):
-            code = code * self.modulus + int(c) % self.modulus
-        return code
+        return int(np.asarray(vec, dtype=np.int64) % self.modulus @ self.radix)
 
     def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.degree):
-            code, c = divmod(code, self.modulus)
-            out.append(c)
-        return tuple(out)
+        return tuple((code // self.radix % self.modulus).tolist())
 
     def vectors(self) -> np.ndarray:
         """Every vector of the module, decoded: row c is decode(c)."""
-        radix = self.modulus ** np.arange(self.degree, dtype=np.int64)
-        return np.arange(self.size, dtype=np.int64)[:, None] // radix % self.modulus
+        return np.arange(self.size, dtype=np.int64)[:, None] // self.radix % self.modulus
 
     def basis_vectors(self):
         return [tuple(1 if j == i else 0 for j in range(self.degree)) for i in range(self.degree)]
@@ -101,37 +101,44 @@ class Representation:
     def reduce_mod(self, N2: int) -> "Representation":
         if N2 > self.N:
             raise RepresentationError("cannot increase precision by reduction")
-        return Representation(self.group, self.mats % self.p**N2, self.p, N2, validate=False)
+        return Representation._homomorphism(self.group, self.gen_mats, self.p, N2)
 
     def is_faithful(self) -> bool:
         eye = np.eye(self.degree, dtype=np.int64)
         hits = np.nonzero((self.mats == eye).all(axis=(1, 2)))[0]
         return hits.tolist() == [0]
 
-    def inflate(self, hom: GroupHom) -> "Representation":
-        """Pull back along a surjection source ->> this group."""
-        if hom.target is not self.group and not np.array_equal(hom.target.table, self.group.table):
-            raise RepresentationError("homomorphism target mismatch")
-        return Representation(
-            hom.source, self.mats[hom.images], self.p, self.N, validate=False
-        )
+    def inflate(self, gamma: SemidirectGroup) -> "Representation":
+        """Pull back along Gamma = K x| G ->> G (this group): the generators
+        x_i = (e_i, 1) go to 1 and y_s = (0, s) to rho(s)."""
+        if not _same_group(gamma.gq, self.group):
+            raise RepresentationError("Gamma is not an extension of this group")
+        eye = np.broadcast_to(np.eye(self.degree, dtype=np.int64), (gamma.kmod.degree, self.degree, self.degree))
+        return Representation._homomorphism(gamma, np.concatenate([eye, self.gen_mats]), self.p, self.N)
 
     def restrict(self, subgroup: FiniteGroup, elements: list[int]) -> "Representation":
         """Restriction along an embedded subgroup (from FiniteGroup.subgroup)."""
-        return Representation(subgroup, self.mats[elements], self.p, self.N, validate=False)
+        ambient = np.asarray(elements, dtype=np.int64)[list(subgroup.generators)]
+        return Representation._homomorphism(subgroup, self.mats[ambient], self.p, self.N)
+
+
+def _same_group(G: FiniteGroup, H: FiniteGroup) -> bool:
+    """The same group with the same distinguished generators."""
+    return G is H or (G.generators == H.generators and np.array_equal(G.table, H.table))
 
 
 def end_rep(V: Representation) -> Representation:
     """End(V) with the conjugation action, in row-major matrix coordinates.
 
     The matrix of g acting by f -> rho(g) f rho(g)^-1 on vec(f) is
-    rho(g) (x) rho(g)^{-T}.  V must be a homomorphism, as every caller's is:
-    rho(g)^-1 is read as rho(g^-1).
+    rho(g) (x) rho(g)^{-T}, given at the generators s.  V is a homomorphism,
+    so rho(s)^-1 = rho(s)^(o - 1) for o the order of s.
     """
-    n, d = V.mats.shape[:2]
-    inv_t = V.mats[V.group.inverse].transpose(0, 2, 1)
-    mats = np.einsum("gij,gkl->gikjl", V.mats, inv_t).reshape(n, d * d, d * d)
-    return Representation(V.group, mats % V.modulus, V.p, V.N, validate=False)
+    d, m = V.degree, V.modulus
+    inv = [matpow_mod(a, V.group.element_order(s) - 1, m) for a, s in zip(V.gen_mats, V.group.generators)]
+    inv_t = np.array(inv, dtype=np.int64).reshape(-1, d, d).transpose(0, 2, 1)
+    mats = np.einsum("gij,gkl->gikjl", V.gen_mats, inv_t).reshape(-1, d * d, d * d)
+    return Representation._homomorphism(V.group, mats % m, V.p, V.N)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +183,7 @@ def standard_rep(G: FiniteGroup, p: int, N: int) -> Representation:
         np.stack([diff_coords(int(perm[j]), int(perm[j + 1])) for j in range(d)], axis=1)
         for perm in G.action[list(G.generators)]
     ]
-    return Representation.from_generator_images(G, gen_mats, p, N)
+    return Representation(G, gen_mats, p, N)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +200,7 @@ def galois_module_rep(p: int, N: int) -> Representation:
     natural action on F_{p^2} as a 2-dimensional F_p-space.
     """
     G = twisted_frobenius_group(p)
-    return Representation.from_generator_images(G, list(galois_matrices(p, N)), p, N)
+    return Representation(G, list(galois_matrices(p, N)), p, N)
 
 
 def twisted_kernel_module(p: int, n: int) -> Representation:
@@ -206,7 +213,7 @@ def twisted_kernel_module(p: int, n: int) -> Representation:
     """
     G = twisted_frobenius_group(p)
     U, F = galois_matrices(p, n)
-    return Representation.from_generator_images(G, [matpow_mod(U, p * p - p, p**n), F], p, n)
+    return Representation(G, [matpow_mod(U, p * p - p, p**n), F], p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +250,7 @@ def hom_space(X: Representation, Y: Representation) -> EquivariantHomSpace:
     p, N = X.p, X.N
     if N != Y.N or p != Y.p:
         raise RepresentationError("X and Y must share coefficients")
-    if X.group is not Y.group and not (
-        X.group.generators == Y.group.generators
-        and np.array_equal(X.group.table, Y.group.table)
-    ):
+    if not _same_group(X.group, Y.group):
         raise RepresentationError("X and Y must be over the same group")
     a, b = X.degree, Y.degree
     rows = []

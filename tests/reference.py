@@ -22,7 +22,7 @@ import numpy as np
 
 from defring import kernels
 from defring.exactalg import HowellBasis, ModuleSolution, matpow_mod, solve_module
-from defring.groups import FiniteGroup, GroupError, GroupHom
+from defring.groups import FiniteGroup, GroupError
 from defring.localalg import AlgebraError
 from defring.modrep import (
     Representation,
@@ -75,8 +75,11 @@ def orbit_count_triples(G: FiniteGroup) -> int:
     return count
 
 
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupHom | None:
-    """Backtracking search for an isomorphism (small orders only)."""
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> np.ndarray | None:
+    """Backtracking search for an isomorphism (small orders only), as the
+    array of images by element.  A candidate, extended from images of a
+    generating set, is a homomorphism when img(e s) = img(e) img(s) for every
+    element e and generator s (the induction in `FiniteGroup.extend`)."""
     if G.order != H.order:
         return None
     if G.order > 48:
@@ -91,11 +94,24 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupHom | None:
         img = G.extend(images, lambda a, b: H.table[a, b], 0, gens)
         if len(set(img.tolist())) != G.order:
             continue
-        try:
-            return GroupHom(G, H, img)
-        except GroupError:
-            continue
+        if all((img[G.table[:, s]] == H.table[img, img[s]]).all() for s in G.generators):
+            return img
     return None
+
+
+def multiplicative_on_all_pairs(group: FiniteGroup, mats: np.ndarray, p: int, m: int) -> bool:
+    """Whether a stack of matrices over Z/p^N (m = p^N), one per element, is
+    a homomorphism, by brute force: identity at 0, every image invertible,
+    and rho(g) rho(h) = rho(gh) for all |G|^2 pairs."""
+    d = mats.shape[1]
+    if (mats[0] != np.eye(d, dtype=np.int64)).any():
+        return False
+    for g in range(group.order):
+        if kernels.rank_modp(mats[g], p) != d:
+            return False
+        if ((mats[g] @ mats % m) != mats[group.table[g]]).any():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +532,9 @@ def permutation_pieces(G: FiniteGroup, p: int) -> PermutationPieces:
     for e in range(G.order):
         for i in range(npts):
             perm_mats[e, G.action[e][i], i] = 1
-    natural = Representation(G, perm_mats, p, 1, validate=False)
-    trivial = Representation(G, np.ones((G.order, 1, 1), dtype=np.int64), p, 1, validate=False)
+    gens = list(G.generators)
+    natural = Representation(G, perm_mats[gens], p, 1)
+    trivial = Representation(G, np.ones((len(gens), 1, 1), dtype=np.int64), p, 1)
 
     inv_n = pow(npts, -1, p)
     e_t = np.full((npts, npts), inv_n, dtype=np.int64) % p
@@ -654,9 +671,10 @@ def hensel_lift_rep(Vbar: Representation, N: int) -> Representation:
         for e in range(1, G.order):
             ye = y[block_slot(e) : block_slot(e) + d * d].reshape(d, d)
             new[e] = (eye + p**level * ye) @ lift[e] % m_next
-        Representation(G, new, p, level + 1)  # validates
+        checked = Representation(G, new[list(gens)], p, level + 1)  # on G's relators
+        assert (checked.mats == new).all()
         current = new
-    return Representation(G, current, p, N)
+    return Representation(G, current[list(gens)], p, N)
 
 
 def strictly_equivalent(rep1: Representation, rep2: Representation) -> np.ndarray | None:

@@ -169,7 +169,7 @@ def test_criterion_7_projectivity_suite():
             assert ok and witness is not None, V.group.name
         # the trivial module over the order-6 twisted group (= S_3) fails
         G = galois_module_rep(2, 1).group
-        triv = Representation(G, np.ones((G.order, 1, 1), dtype=int), 2, 1, validate=False)
+        triv = Representation(G, np.ones((len(G.generators), 1, 1), dtype=int), 2, 1)
         ok, witness = is_projective_higman(triv)
         assert not ok and witness is None
         # projective coefficient modules over image groups of order <= 48

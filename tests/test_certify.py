@@ -23,7 +23,7 @@ from defring.certify import (
     verify_certificate,
 )
 from defring.cohomology import h1_dim
-from defring.groups import symmetric_group
+from defring.groups import FiniteGroup, SemidirectGroup, symmetric_group
 from defring.modrep import end_rep
 
 from reference import find_isomorphism, permutation_pieces, x_matrices
@@ -305,6 +305,26 @@ def test_fresh_battery_certificates_verify():
         data = as_json(certify_instance(parse_instance_name(name)))
         ok, problems = verify_certificate(data)
         assert ok, (name, problems)
+
+
+def _refuse(*args):
+    raise AssertionError("built a spanning tree of Gamma or an inverse table")
+
+
+def test_certify_and_verify_build_no_tree_inverses_or_stack_of_gamma(monkeypatch):
+    # Gamma's table stays (for the certificate's hash), but every check reads
+    # generators and relators: no spanning tree of Gamma, which any matrix
+    # stack over Gamma (Representation.mats) would need, and no inverse table
+    # of any group
+    monkeypatch.setattr(SemidirectGroup, "_bfs", _refuse)
+    monkeypatch.setattr(FiniteGroup, "inverse", property(_refuse))
+    for name in BATTERY:
+        data = as_json(certify_instance(parse_instance_name(name)))
+        assert data["verdict"] == "certified"
+        assert verify_certificate(data) == (True, []), name
+    for p, n in [(2, 1), (2, 2), (3, 1)]:
+        report = negative_control(p, n)
+        assert report.verdict == "refuted" and report.exp_lift.verified
 
 
 CONTROLS = ["twisted-p3n1-commutative", "twisted-p2n1-scalar", "twisted-p2n2-commutative"]

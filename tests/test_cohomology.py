@@ -62,7 +62,7 @@ def test_h1_s4_end_module():
     # the tangent-space count for the order-24 semidirect instance
     K = twisted_kernel_module(2, 1)
     gamma = semidirect_product(K, K.group)
-    V = galois_module_rep(2, 1).inflate(gamma.quotient_hom())
+    V = galois_module_rep(2, 1).inflate(gamma)
     M = end_rep(V)
     assert h1_dim(M) == 1
 
@@ -71,7 +71,7 @@ def test_h1_matches_hom_invariants_on_twisted_instances():
     for p, n in [(2, 1), (2, 2), (3, 1)]:
         K = twisted_kernel_module(p, n)
         gamma = semidirect_product(K, K.group)
-        V = galois_module_rep(p, 1).inflate(gamma.quotient_hom())
+        V = galois_module_rep(p, 1).inflate(gamma)
         M = end_rep(V)
         MG = end_rep(galois_module_rep(p, 1))
         assert h1_dim(M) == hom_space(K.reduce_mod(1), MG).dimension == 1
@@ -336,7 +336,7 @@ BAR_MODULES = {
     "C9-F3": lambda: trivial_module(cyclic_group(9), 3),
     "V4-F2": lambda: trivial_module(FiniteGroup(np.array([[a ^ b for b in range(4)] for a in range(4)]), [1, 2]), 2),
     # the sign character of S_3 over F_3: generators (0 1) and (0 1 2)
-    "S3-sign-F3": lambda: Representation.from_generator_images(symmetric_group(3), [[[2]], [[1]]], 3, 1),
+    "S3-sign-F3": lambda: Representation(symmetric_group(3), [[[2]], [[1]]], 3, 1),
     "S3-standard-F5": lambda: standard_rep(symmetric_group(3), 5, 1),
     "TF2-F2": lambda: trivial_module(twisted_frobenius_group(2), 2),
     "TF3-F2": lambda: trivial_module(twisted_frobenius_group(3), 2),
@@ -439,15 +439,14 @@ def _gamma_pieces(piece):
         reps = [galois_module_rep(p, 1)]
     elif kind == "standard":
         V = standard_rep(symmetric_group(3), p, 1)
-        K = Representation.from_generator_images(V.group, V.gen_mats, p, 1)
+        K = Representation(V.group, V.gen_mats, p, 1)
         reps = [V]
     else:  # no other relator family implies x_1 x_2 = x_2 x_1
-        K = Representation.from_generator_images(symmetric_group(2), [np.eye(2, dtype=np.int64)], p, 1)
+        K = Representation(symmetric_group(2), [np.eye(2, dtype=np.int64)], p, 1)
         reps = []
     gamma = semidirect_product(K, K.group)
-    quot = gamma.quotient_hom()
     Kbar = K.reduce_mod(1)
-    return gamma, [Kbar.inflate(quot)] + [end_rep(V.inflate(quot)) for V in reps]
+    return gamma, [Kbar.inflate(gamma)] + [end_rep(V.inflate(gamma)) for V in reps]
 
 
 def _regular_module(G, p):
@@ -457,7 +456,7 @@ def _regular_module(G, p):
     g, h = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     mats = np.zeros((n, n, n), dtype=np.int64)
     mats[g, G.table[g, h], h] = 1
-    return Representation(G, mats, p, 1)
+    return Representation(G, mats[list(G.generators)], p, 1)
 
 
 def _small_d1(order, degree):

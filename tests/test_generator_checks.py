@@ -1,12 +1,10 @@
 """Homomorphism checks on generators instead of all pairs.
 
-Representation.validate (which also checks every kernel module K) and
-GroupHom compare e*s for every element e and generator s only;
-FiniteGroup.extend states why that covers all pairs.
-build_rho_R checks the relators of Gamma's presentation on the images of
-Gamma's generators.  These tests corrupt valid data, away from the
-generators where an all-pairs check would obviously notice, and compare the
-narrowed checks with the all-pairs or full-table predicate they replace.
+The Representation constructor (which also checks every kernel module K)
+and build_rho_R check the relators of the group's presentation on the
+generator images; by von Dyck's theorem that covers all pairs.  These tests
+corrupt valid data or draw random images, and compare the narrowed checks
+with the all-pairs or full-table predicate they replace.
 """
 
 from dataclasses import replace
@@ -18,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from defring import kernels
 from defring.certify import (
     AlphaMap,
     CertifyError,
@@ -33,7 +30,6 @@ from defring.certify import (
 from defring.groups import (
     FiniteGroup,
     GroupError,
-    GroupHom,
     pgl2,
     symmetric_group,
     twisted_frobenius_group,
@@ -41,28 +37,7 @@ from defring.groups import (
 from defring.localalg import make_ring_Rprime, make_ring_Rprime_2_1
 from defring.modrep import Representation, RepresentationError, galois_module_rep, standard_rep
 
-from reference import AlgMatrix, ScalarAlgebra, find_isomorphism, word
-
-
-def _deepest(G):
-    """The last element of the spanning tree: a word of maximal length."""
-    e = G.spanning_tree()[0][-1]
-    assert e not in G.generators and len(word(G, e)) > 1
-    return e
-
-
-def _all_pairs_valid(group, mats, p, m) -> bool:
-    """The check the generator-level validate replaces: identity at 0, every
-    image invertible, and rho(g) rho(h) = rho(gh) for all |G|^2 pairs."""
-    d = mats.shape[1]
-    if (mats[0] != np.eye(d, dtype=np.int64)).any():
-        return False
-    for g in range(group.order):
-        if kernels.rank_modp(mats[g], p) != d:
-            return False
-        if ((mats[g] @ mats % m) != mats[group.table[g]]).any():
-            return False
-    return True
+from reference import AlgMatrix, ScalarAlgebra, find_isomorphism, multiplicative_on_all_pairs, word
 
 
 def test_extend_is_the_product_along_words():
@@ -168,10 +143,8 @@ def _find_isomorphism_per_element(G, H):
         img = np.array(_extend_per_element(G, images, H.mul, 0, gens), dtype=np.int64)
         if len(set(img.tolist())) != G.order:
             continue
-        try:
-            return GroupHom(G, H, img)
-        except GroupError:
-            continue
+        if all(img[G.mul(e, s)] == H.mul(img[e], img[s]) for e in range(G.order) for s in G.generators):
+            return img
     return None
 
 
@@ -185,34 +158,15 @@ def test_find_isomorphism_and_from_generator_images_are_unchanged():
     for G, H in pairs:
         got, want = find_isomorphism(G, H), _find_isomorphism_per_element(G, H)
         assert (got is None) == (want is None)
-        assert got is None or got.images.tolist() == want.images.tolist()
+        assert got is None or got.tolist() == want.tolist()
     for name in _BATTERY:
         for rep in (_assembled(name).rho_bar, _assembled(name).K):
             m = rep.modulus
             gen_mats = rep.gen_mats
-            built = Representation.from_generator_images(rep.group, gen_mats, rep.p, rep.N)
+            built = Representation(rep.group, gen_mats, rep.p, rep.N)
             eye = np.eye(rep.degree, dtype=np.int64)
             want = _extend_per_element(rep.group, gen_mats, lambda a, b: a @ b % m, eye)
             assert (built.mats == np.array(want)).all() and (built.mats == rep.mats).all()
-
-
-def test_validate_catches_a_deep_corruption():
-    V = standard_rep(symmetric_group(4), 5, 1)
-    e = _deepest(V.group)
-    mats = V.mats.copy()
-    mats[e, 0, 0] = (mats[e, 0, 0] + 1) % 5
-    with pytest.raises(RepresentationError):
-        Representation(V.group, mats, 5, 1)
-
-
-def test_grouphom_catches_a_wrong_non_generator_image():
-    G = symmetric_group(4)
-    images = np.arange(G.order)
-    GroupHom(G, G, images)
-    e = _deepest(G)
-    images[e] = G.mul(e, G.generators[0])
-    with pytest.raises(GroupError):
-        GroupHom(G, G, images)
 
 
 def test_build_rho_R_rejects_non_equivariant_alpha():
@@ -226,16 +180,15 @@ def test_build_rho_R_rejects_non_equivariant_alpha():
 
 def test_build_rho_R_rejects_a_rho_W_generator_breaking_a_relator():
     # one entry of one generator image of rho_W shifted: its extension over G
-    # is no homomorphism, so a relator of G fails on the y_s of Gamma.  A
-    # corruption of rho_W away from the generators is caught by rho_W's own
-    # validation (test_validate_catches_a_deep_corruption), which assemble runs.
+    # is no homomorphism, so a relator of G fails on the y_s of Gamma.  The
+    # constructor refuses such images; they are put in unchecked here.
     asm = assemble(InstanceSpec("standard", 5, 1, d=2))
     alpha = find_alpha(asm).alpha
-    gen_mats = [asm.rho_w.mats[s].copy() for s in asm.G.generators]
+    gen_mats = asm.rho_w.gen_mats.copy()
     gen_mats[0][0, 1] = (gen_mats[0][0, 1] + 5) % asm.rho_w.modulus
-    asm.rho_w = Representation.from_generator_images(asm.G, gen_mats, asm.p, asm.N, validate=False)
-    with pytest.raises(RepresentationError):
-        asm.rho_w.validate()
+    with pytest.raises(RepresentationError, match="relator"):
+        Representation(asm.G, gen_mats, asm.p, asm.N)
+    asm.rho_w = Representation._homomorphism(asm.G, gen_mats, asm.p, asm.N)
     with pytest.raises(CertifyError, match="relator"):
         build_rho_R(asm, alpha)
 
@@ -281,7 +234,7 @@ def test_build_rho_R_agrees_with_the_table_check(name, target, where, shift):
     asm, alpha = _certified(name)
     p, n, N, d = asm.p, asm.n, asm.N, asm.rho_w.degree
     H = alpha.matrix.copy()
-    gen_mats = [asm.rho_w.mats[s].copy() for s in asm.G.generators]
+    gen_mats = asm.rho_w.gen_mats.copy()
     if target == "alpha":  # one entry of alpha's matrix shifted (by 0: no corruption)
         i, j = divmod(where % H.size, H.shape[1])
         H[i, j] = (H[i, j] + shift) % p**n
@@ -291,7 +244,7 @@ def test_build_rho_R_agrees_with_the_table_check(name, target, where, shift):
         g, entry = divmod(where % (len(gen_mats) * d * d), d * d)
         i, j = divmod(entry, d)
         gen_mats[g][i, j] = (gen_mats[g][i, j] + shift) % p**N
-    rho_w = Representation.from_generator_images(asm.G, gen_mats, p, N, validate=False)
+    rho_w = Representation._homomorphism(asm.G, gen_mats, p, N)  # unchecked
     corrupted = replace(asm, rho_w=rho_w)
     bad_alpha = AlphaMap(p, n, d, alpha.rank, H)
     passes, faithful = _table_check(corrupted, bad_alpha)
@@ -318,30 +271,71 @@ def _rep(name):
     return _BUILT[name]
 
 
+def _accepts(G, gen_mats, p, N) -> bool:
+    try:
+        Representation(G, gen_mats, p, N)
+    except RepresentationError:
+        return False
+    return True
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(_REPS)),
-    element=st.integers(0, 10_000),
+    gen=st.integers(0, 10_000),
     entry=st.integers(0, 100),
     replace=st.booleans(),
     value=st.integers(0, 10_000),
 )
-def test_validate_agrees_with_all_pairs(name, element, entry, replace, value):
+def test_validate_agrees_with_all_pairs(name, gen, entry, replace, value):
+    # one generator image of a representation corrupted: the constructor's
+    # relator check refuses it exactly when its extension over the group
+    # fails the all-pairs check
     V = _rep(name)
     G, d, m = V.group, V.degree, V.modulus
-    e = element % G.order
-    mats = V.mats.copy()
-    if replace:  # the image of another element (itself: no corruption)
-        mats[e] = V.mats[value % G.order]
+    t = gen % len(G.generators)
+    gen_mats = V.gen_mats.copy()
+    if replace:  # the image of another element (of the generator itself: no corruption)
+        gen_mats[t] = V.mats[value % G.order]
     else:  # one entry shifted (by 0: no corruption)
         i, j = divmod(entry % (d * d), d)
-        mats[e, i, j] = (mats[e, i, j] + value % m) % m
-    try:
-        Representation(G, mats, V.p, V.N)
-        raised = False
-    except RepresentationError:
-        raised = True
-    assert raised == (not _all_pairs_valid(G, mats, V.p, m))
+        gen_mats[t, i, j] = (gen_mats[t, i, j] + value % m) % m
+    mats = G.extend(gen_mats, lambda a, b: a @ b % m, np.eye(d, dtype=np.int64))
+    assert _accepts(G, gen_mats, V.p, V.N) == multiplicative_on_all_pairs(G, mats, V.p, m)
+
+
+_IMAGE_GROUPS = {
+    "S3": lambda: symmetric_group(3),
+    "TF2": lambda: twisted_frobenius_group(2),
+    "A4": lambda: FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4"),
+}
+
+
+@lru_cache(maxsize=None)
+def _image_group(name):
+    return _IMAGE_GROUPS[name]()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_IMAGE_GROUPS)),
+    p=st.sampled_from([2, 3]),
+    N=st.integers(1, 2),
+    d=st.integers(1, 2),
+    entries=st.lists(st.integers(0, 8), min_size=8, max_size=8),
+)
+# the sign of S_3 over Z/9, and an image of order 3 for a transposition
+@example(name="S3", p=3, N=2, d=1, entries=[8, 1, 0, 0, 0, 0, 0, 0])
+@example(name="S3", p=3, N=2, d=1, entries=[4, 1, 0, 0, 0, 0, 0, 0])
+def test_constructor_accepts_exactly_the_homomorphisms(name, p, N, d, entries):
+    # random generator images over Z/p^N (each of the two generators of these
+    # groups gets d x d entries): the constructor accepts exactly when the
+    # stack extended over the group is multiplicative on all pairs
+    G, m = _image_group(name), p**N
+    shape = (len(G.generators), d, d)
+    gen_mats = np.array(entries[: np.prod(shape)], dtype=np.int64).reshape(shape) % m
+    mats = G.extend(gen_mats, lambda a, b: a @ b % m, np.eye(d, dtype=np.int64))
+    assert _accepts(G, gen_mats, p, N) == multiplicative_on_all_pairs(G, mats, p, m)
 
 
 def _exp_lift_all_pairs(K, alpha, N, a_hat):
@@ -396,7 +390,7 @@ def test_exp_lift_agrees_with_all_pairs(pn, entries, a_hat):
     # alpha on a rank-2 kernel (the action is not read) into 2 x 2 matrices
     p, n = pn
     G = symmetric_group(3)
-    K = Representation.from_generator_images(G, [np.eye(2, dtype=np.int64)] * len(G.generators), p, n)
+    K = Representation(G, [np.eye(2, dtype=np.int64)] * len(G.generators), p, n)
     alpha = AlphaMap(p, n, 2, 2, np.array(entries, dtype=np.int64).reshape(4, 2) % p**n)
     commutes, clause, verified = _exp_lift_all_pairs(K, alpha, n + 2, a_hat)
     try:

@@ -90,7 +90,11 @@ def test_end_rep_dimension_and_action():
     V = galois_module_rep(2, 1)
     M = end_rep(V)
     assert M.degree == 4
-    M.validate()
+    Representation(V.group, M.gen_mats, 2, 1)  # passes the relator check
+    # at every element g, the conjugation action rho(g) (x) rho(g^-1)^T
+    inv = V.group.inverse
+    for g in range(V.group.order):
+        assert (M.mats[g] == np.kron(V.mats[g], V.mats[inv[g]].T) % 2).all()
 
 
 def test_multiplicity_identity_on_standard_instances():
@@ -221,7 +225,7 @@ def test_higman_projectivity():
     assert proj and f is not None
 
     G = twisted_frobenius_group(2)
-    triv = Representation(G, np.ones((G.order, 1, 1), dtype=int), 2, 1, validate=False)
+    triv = Representation(G, np.ones((len(G.generators), 1, 1), dtype=int), 2, 1)
     proj, f = is_projective_higman(triv)
     assert not proj and f is None
     # cross-check: the trivial module restricted to a Sylow 2-subgroup is
@@ -246,7 +250,7 @@ def test_hensel_lift_standard_s3_p5():
     V = standard_rep(G, 5, 1)
     W = hensel_lift_rep(V, 2)
     assert (W.reduce_mod(1).mats == V.mats).all()
-    W.validate()
+    Representation(G, W.gen_mats, 5, 2)  # passes the relator check
 
 
 def test_hensel_lift_matches_galois_lift_up_to_strict_equivalence():
@@ -266,7 +270,7 @@ def test_dual_of_standard_selfdual():
     G = symmetric_group(3)
     V = standard_rep(G, 5, 1)
     # the contragredient rho(g)^{-T}, with rho(g)^-1 read as rho(g^-1)
-    Vd = Representation(G, V.mats[G.inverse].transpose(0, 2, 1), V.p, V.N)
+    Vd = Representation(G, V.mats[G.inverse[list(G.generators)]].transpose(0, 2, 1), V.p, V.N)
     assert hom_space(V, Vd).dimension == 1
 
 
@@ -275,9 +279,11 @@ def test_inflation_through_semidirect():
     G = K.group
     gamma = semidirect_product(K, G)
     V = galois_module_rep(2, 1)
-    Vgamma = V.inflate(gamma.quotient_hom())
-    Vgamma.validate()
+    Vgamma = V.inflate(gamma)
+    Representation(gamma, Vgamma.gen_mats, 2, 1)  # passes Gamma's relators
     assert Vgamma.group is gamma
+    # every element (k, g) acts as g does
+    assert (Vgamma.mats == V.mats[np.arange(gamma.order) % G.order]).all()
     assert not Vgamma.is_faithful()  # kernel K acts trivially
     assert V.is_faithful()
 
@@ -326,7 +332,17 @@ def test_hom_space_refuses_representations_of_different_groups():
         hom_space(V, W)
 
 
+def test_vector_codes_refuse_a_module_past_int64():
+    V = standard_rep(symmetric_group(5), 3, 16)  # 3^64 vectors
+    assert V.size >= 2**63
+    with pytest.raises(RepresentationError, match="int64"):
+        V.encode((1, 0, 0, 0))
+    K = twisted_kernel_module(3, 2)
+    assert [K.decode(K.encode(v)) for v in K.vectors().tolist()] == [tuple(v) for v in K.vectors().tolist()]
+    assert [K.encode(v) for v in K.vectors()] == list(range(K.size))
+
+
 def test_from_generator_images_needs_one_matrix_per_generator():
     G = symmetric_group(3)
     with pytest.raises(RepresentationError, match="one matrix per group generator"):
-        Representation.from_generator_images(G, [np.eye(2, dtype=np.int64)], 2, 1)
+        Representation(G, [np.eye(2, dtype=np.int64)], 2, 1)

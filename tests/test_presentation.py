@@ -110,7 +110,7 @@ def _gamma(which):
     # with a trivial action no other relator family implies x_1 x_2 = x_2 x_1
     if which == "F2^2 x S2":
         S2 = symmetric_group(2)
-        return semidirect_product(Representation.from_generator_images(S2, [np.eye(2, dtype=np.int64)], 2, 1), S2)
+        return semidirect_product(Representation(S2, [np.eye(2, dtype=np.int64)], 2, 1), S2)
     return assemble(parse_instance_name(which)).gamma
 
 
