@@ -5,8 +5,10 @@ H^2(SD_16, F_2) and the tallest H^1 system of the acceptance battery: the
 Fox-derivative rows of standard-d4p2's presentation), H^1 end to end on four
 of the largest battery instances, direct H^2 with trivial coefficients on
 A_4, SD_16 and S_4 over F_2 and F_3, table-driven batched matrix products (oracle
-enumeration), and the construction of Gamma = K x| G and the whole assembly of
-an instance (`assemble`) for three of the largest battery instances.  Also times one end-to-end oracle enumeration, and the
+enumeration), and the construction of Gamma = K x| G, the hash of its table
+(`table_hash`, streamed from K and G, against building the table and hashing
+it) and the whole assembly of an instance (`assemble`) for three of the
+largest battery instances.  Also times one end-to-end oracle enumeration, and the
 enumeration and the class partition on three rows of the oracle benchmark
 (and the relator check of the lifts, `_assert_full_table`, on one), the
 check of rho_R on Gamma's relators (`build_rho_R`), and the constructions
@@ -24,6 +26,7 @@ Usage: python benchmarks/bench_kernels.py
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -183,6 +186,18 @@ def main():
         bench(
             f"semidirect_product {name} (|Gamma| = {asm.gamma.order})",
             lambda asm=asm: semidirect_product(asm.K, asm.G),
+        )
+    for name in ("twisted-p3n2", "twisted-p5n1", "standard-d4p2"):
+        asm = assemble(parse_instance_name(name))
+        bench(
+            f"table_hash streamed {name}",
+            lambda asm=asm: semidirect_product(asm.K, asm.G).table_hash(),
+            repeat=5,
+        )
+        bench(
+            f"table built, then sha256 {name}",
+            lambda asm=asm: hashlib.sha256(semidirect_product(asm.K, asm.G).table).hexdigest(),
+            repeat=5,
         )
     for name in ("twisted-p3n2", "twisted-p5n1", "standard-d4p2"):
         spec = parse_instance_name(name)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cohomology import h1_dim
 from .exactalg import PrecisionError, galois_matrices, solve_module
-from .groups import FiniteGroup, GroupError, SemidirectGroup, pgl2, semidirect_product, symmetric_group, twisted_frobenius_group, violated_relators
+from .groups import FiniteGroup, GroupError, SemidirectGroup, pgl2, semidirect_product, symmetric_group, violated_relators
 from .localalg import AlgebraError, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
 from .modrep import (
     Representation,
@@ -97,13 +97,13 @@ def parse_instance_name(text: str) -> InstanceSpec:
     raise CertifyError(f"unrecognized instance name: {text!r}")
 
 
-def commutative_control_module(p: int, n: int) -> Representation:
-    """Rank-2 module where the multiplicative generator acts trivially and
-    the order-2 generator acts by Frobenius: the regular module of the
-    order-2 quotient, whose alpha-images are multiplication operators and
-    therefore commute."""
+def commutative_control_module(group: FiniteGroup, p: int, n: int) -> Representation:
+    """Rank-2 module over the twisted group `twisted_frobenius_group(p)`
+    where the multiplicative generator acts trivially and the order-2
+    generator acts by Frobenius: the regular module of the order-2 quotient,
+    whose alpha-images are multiplication operators and therefore commute."""
     gen_mats = [np.eye(2, dtype=np.int64), galois_matrices(p, n)[1]]
-    return Representation(twisted_frobenius_group(p), gen_mats, p, n)
+    return Representation(group, gen_mats, p, n)
 
 
 def scalar_control_module(group: FiniteGroup, p: int) -> Representation:
@@ -167,9 +167,9 @@ def assemble(spec: InstanceSpec) -> Assembly:
         G = rho_w.group
         rho_bar_g = rho_w.reduce_mod(1)
         if spec.control is None:
-            K = twisted_kernel_module(p, n)
+            K = twisted_kernel_module(G, p, n)
         elif spec.control == "commutative":
-            K = commutative_control_module(p, n)
+            K = commutative_control_module(G, p, n)
         elif spec.control == "scalar":
             K = scalar_control_module(G, p)
         else:

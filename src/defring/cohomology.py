@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .exactalg import solve_module
-from .groups import FiniteGroup
+from .groups import FiniteGroup, twisted_frobenius_group
 from .modrep import Representation, twisted_kernel_module
 
 DENSE_ENTRY_LIMIT = 25_000_000  # entries of E, the Z^2 system of direct H^2
@@ -323,7 +323,7 @@ def wedge_cocycle(p: int, action_mats=None) -> WedgeReport:
     coboundary = None if p == 2 else cx.is_coboundary(cochain)
 
     if action_mats is None:
-        Kmod = twisted_kernel_module(p, 1)
+        Kmod = twisted_kernel_module(twisted_frobenius_group(p), p, 1)
         action_mats = [Kmod.gen_mats[0]]
     invariant = True
     for A in action_mats:

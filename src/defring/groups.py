@@ -1,14 +1,16 @@
-"""Finite groups with full multiplication tables, BFS spanning trees and
+"""Finite groups with multiplication tables, BFS spanning trees and
 presentations.
 
-All groups here are small enough (a few thousand elements) that the full
+The groups G here are small enough (a few thousand elements) that the full
 table is the simplest correct representation.  A given table is checked
-exactly by Light's associativity test on the generators; K x| G is a group
-by construction, so only its factors G and K are checked, and its spanning
-tree and inverses are built only when something asks for them.  A
-breadth-first spanning tree of the Cayley graph on a generating set gives
-each element a word in the generators; `FiniteGroup.extend` carries
-generator data (matrices, images) along it to the whole group.
+exactly by Light's associativity test on the generators.  Gamma = K x| G is
+kept as its factors instead: it is a group by construction, so only G and K
+are checked, its table's rows come from K and G on demand
+(`SemidirectGroup.table_hash` streams them), and its table, spanning tree and
+inverses are built only when something asks for them.  A breadth-first
+spanning tree of the Cayley graph on a generating set gives each element a
+word in the generators; `FiniteGroup.extend` carries generator data
+(matrices, images) along it to the whole group.
 
 `FiniteGroup.relators` gives a presentation on the distinguished generators:
 the Schreier relators of the spanning tree, or for K x| G the split-extension
@@ -31,6 +33,7 @@ import numpy as np
 from .exactalg import companion, defining_rule, has_order, matpow_mod
 
 TABLE_GUARD = 10_000  # max order for full-table construction
+TABLE_BLOCK = 2**18  # entries per block of a streamed K x| G table
 
 
 class GroupError(ValueError):
@@ -47,10 +50,13 @@ class FiniteGroup:
 
     def __init__(self, table: np.ndarray, generators, name: str = "G", action=None):
         table = np.asarray(table, dtype=np.int64)
-        self.order = table.shape[0]
-        if self.order > TABLE_GUARD:
-            raise GroupError(f"order {self.order} exceeds full-table guard {TABLE_GUARD}")
+        if table.shape[0] > TABLE_GUARD:
+            raise GroupError(f"order {table.shape[0]} exceeds full-table guard {TABLE_GUARD}")
         self.table = table
+        self._setup(table.shape[0], generators, name, action)
+
+    def _setup(self, order: int, generators, name: str, action=None):
+        self.order = order
         self.generators = tuple(int(g) for g in generators)
         self.name = name
         self.action = None if action is None else np.asarray(action, dtype=np.int64)
@@ -230,8 +236,17 @@ class FiniteGroup:
             needed[list(at)] = True
             for level in levels[:0:-1]:  # and their tree ancestors
                 needed[parent[level[needed[level]]]] = True
-            levels = [level[needed[level]] for level in levels]
-        values = _walk(levels, parent, genidx, gen_values, mul, one)
+            # the needed elements are closed under parents, so the empty
+            # levels are the deepest ones
+            levels = [level[needed[level]] for level in levels if needed[level].any()]
+        pos = np.empty(self.order, dtype=np.int64)  # position within its level
+        for level in levels:
+            pos[level] = np.arange(len(level))
+        steps = [(pos[parent[level]], genidx[level]) for level in levels[1:]]
+        one = np.asarray(one)
+        values = np.empty((self.order, *one.shape), dtype=one.dtype)
+        for level, live in zip(levels, _walk(steps, gen_values, mul, one)):
+            values[level] = live
         return values if at is None else values[list(at)]
 
     def relators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -246,19 +261,33 @@ class FiniteGroup:
         """The values of the sides u and v of the relators, stacked in the
         order of `relators()`, from gen_values[t] for generator index t, as
         in `extend`.  The words are walked as the trie of their prefixes,
-        built once per group: one `mul` per letter of the longest word."""
+        built once per group: one `mul` per letter of the longest word.  Only
+        the live depth of the trie is held; a node that ends a word is
+        written to that word's side as the walk passes it."""
+        rels = self.relators()
         if self._trie is None:
-            words = [w for rel in self.relators() for w in rel]
-            prefixes = sorted({w[:k] for w in [(), *words] for k in range(len(w) + 1)}, key=len)
-            node = {w: x for x, w in enumerate(prefixes)}  # node 0 is the empty word
-            depth = np.array([len(w) for w in prefixes])
-            levels = [np.flatnonzero(depth == k) for k in range(depth[-1] + 1)]
-            parent = np.array([node[w[:-1]] if w else 0 for w in prefixes])
-            genidx = np.array([w[-1] if w else 0 for w in prefixes])
-            self._trie = levels, parent, genidx, np.array([node[w] for w in words], dtype=np.int64)
-        levels, parent, genidx, ends = self._trie
-        values = _walk(levels, parent, genidx, gen_values, mul, one)
-        return values[ends[0::2]], values[ends[1::2]]
+            words = [w for rel in rels for w in rel]
+            depth = max(map(len, words), default=0)
+            levels = [[()]] + [sorted({w[:k] for w in words if len(w) >= k}) for k in range(1, depth + 1)]
+            pos = {w: x for level in levels for x, w in enumerate(level)}  # position within its level
+            steps = [
+                (np.array([pos[w[:-1]] for w in level]), np.array([w[-1] for w in level]))
+                for level in levels[1:]
+            ]
+            lengths = np.array([[len(w) for w in rel] for rel in rels], dtype=np.int64).reshape(-1, 2)
+            nodes = np.array([[pos[w] for w in rel] for rel in rels], dtype=np.int64).reshape(-1, 2)
+            ends = []  # by depth, for each side: (relators, node of their word)
+            for k in range(depth + 1):
+                slots = [np.flatnonzero(lengths[:, side] == k) for side in (0, 1)]
+                ends.append([(sl, nodes[sl, side]) for side, sl in enumerate(slots)])
+            self._trie = steps, ends
+        steps, ends = self._trie
+        one = np.asarray(one)
+        sides = tuple(np.empty((len(rels), *one.shape), dtype=one.dtype) for _ in range(2))
+        for live, level_ends in zip(_walk(steps, gen_values, mul, one), ends):
+            for out, (slots, at) in zip(sides, level_ends):
+                out[slots] = live[at]
+        return sides
 
     def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The Schreier relators of the spanning tree: word(e) t = word(e t)
@@ -380,8 +409,16 @@ class FiniteGroup:
                 raise GroupError("Sylow growth failed")
         return self.subgroup(current)
 
+    def _table_blocks(self):
+        """The table's entries in row-major order, in contiguous blocks."""
+        yield self.table
+
     def table_hash(self) -> str:
-        h = hashlib.sha256(np.ascontiguousarray(self.table, "<i8"))
+        """The first 16 hex digits of the sha256 of the table's entries, row
+        by row, as little-endian int64."""
+        h = hashlib.sha256()
+        for block in self._table_blocks():
+            h.update(np.ascontiguousarray(block, "<i8"))
         return h.hexdigest()[:16]
 
     def to_json_dict(self) -> dict:
@@ -496,30 +533,56 @@ class SemidirectGroup(FiniteGroup):
     K is a G-module, a `modrep.Representation` of G over Z/p^n.  Element
     index is k_code * |G| + g_index.  The distinguished generators are the
     standard basis of K (paired with 1) followed by (0, s) for each
-    generator s of G.  The table is a group by construction; only G and K
-    are checked (`_validate_table`), and the distinguished generators
-    generate it, so no spanning tree is built until one is asked for.
+    generator s of G.  Gamma is kept as K and G: its |Gamma| x |Gamma| table
+    is not the simplest representation here, as certification needs only
+    its hash, which `table_hash` streams from K and G block by block.  The
+    table itself is built on first use.  Gamma is a group by construction;
+    only G and K are checked (`_validate_table`), and the distinguished
+    generators generate it, so no spanning tree is built until one is asked
+    for.
     """
 
     def __init__(self, kmod, gq: FiniteGroup):
         self.kmod = kmod
         self.gq = gq
-        ksize, gsize = kmod.size, gq.order
-        if ksize * gsize > TABLE_GUARD:
-            raise GroupError(f"semidirect order {ksize * gsize} exceeds guard")
-        m, radix = kmod.modulus, kmod.radix
-        all_vecs = kmod.vectors()
-        act = (all_vecs @ kmod.mats.transpose(0, 2, 1) % m) @ radix  # act[g, k] = g.k, as codes
-        kadd = ((all_vecs[:, None, :] + all_vecs[None, :, :]) % m) @ radix
-        n = ksize * gsize
-        table = np.empty((n, n), dtype=np.int64)
-        for g1, (moved, gprod) in enumerate(zip(act, gq.table)):
-            ksum = kadd[:, moved]  # (k1, k2) -> k1 + g1.k2
-            block = ksum[:, :, None] * gsize + gprod[None, None, :]
-            table[g1::gsize, :] = block.reshape(ksize, n)
-        gens = [kmod.encode(v) * gsize for v in kmod.basis_vectors()]
+        order = kmod.size * gq.order
+        if order > TABLE_GUARD:
+            raise GroupError(f"semidirect order {order} exceeds guard")
+        gens = [kmod.encode(v) * gq.order for v in kmod.basis_vectors()]
         gens += [int(s) for s in gq.generators]
-        super().__init__(table, gens, name=f"{kmod.size}:{gq.name}")
+        self._setup(order, gens, f"{kmod.size}:{gq.name}")
+
+    def _table_blocks(self):
+        """The table's rows in order, from K and G alone, in contiguous
+        blocks of at most TABLE_BLOCK entries: row (k1, g1) at column
+        (k2, g2) is kadd[k1, act[g1, k2]] |G| + g1 g2, for kadd the addition
+        table of K and act[g, k] = g.k, as codes.  The blocks share one
+        buffer, so each is to be used before the next is asked for."""
+        K, G = self.kmod, self.gq
+        m, radix, vecs = K.modulus, K.radix, K.vectors()
+        act = (vecs @ K.mats.transpose(0, 2, 1) % m) @ radix
+        kadd = (vecs[:, None, :] + vecs[None, :, :]) % m @ radix * G.order
+        rows = min(self.order, max(1, TABLE_BLOCK // self.order))
+        buf = np.empty(rows * self.order, dtype=np.int64)
+        for start in range(0, self.order, rows):
+            k1, g1 = np.divmod(np.arange(start, min(start + rows, self.order)), G.order)
+            block = buf[: len(k1) * self.order]
+            ksum = kadd[k1[:, None], act[g1]]  # (k1 + g1.k2) |G|, by k2
+            np.add(ksum[:, :, None], G.table[g1, None, :], out=block.reshape(len(k1), K.size, G.order))
+            for x in range(0, block.size, TABLE_BLOCK):
+                yield block[x : x + TABLE_BLOCK]
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The full multiplication table, assembled from `_table_blocks` on
+        first use.  Certification never reads it; the oracle, direct H^2
+        and subgroups do."""
+        flat = np.empty(self.order**2, dtype=np.int64)
+        pos = 0
+        for block in self._table_blocks():
+            flat[pos : pos + block.size] = block
+            pos += block.size
+        return flat.reshape(self.order, self.order)
 
     def _validate_table(self):
         """K x| G is a group when G is one and g -> (k -> g.k) is a
@@ -570,18 +633,18 @@ def semidirect_product(kmod, gq: FiniteGroup) -> SemidirectGroup:
     return SemidirectGroup(kmod, gq)
 
 
-def _walk(levels, parent, genidx, gen_values, mul, one) -> np.ndarray:
-    """Values of the nodes of a tree of words, stacked by node: node 0 gets
-    `one`, node x gets mul(value(parent[x]), gen_values[genidx[x]]).  Only
-    the nodes on `levels` (lists of nodes by depth) are set, each level by
-    one `mul` on a leading stack axis."""
+def _walk(steps, gen_values, mul, one):
+    """The values of a tree of words, one depth at a time: yields the stack
+    [one] of the empty word, then for each step (parent, genidx) the next
+    depth's stack, whose node x gets mul(value of node parent[x] of the depth
+    before, gen_values[genidx[x]]), by one `mul` on a leading stack axis.
+    Only the depth being extended is held."""
     gen_values, one = np.asarray(gen_values), np.asarray(one)
-    values = np.empty((len(parent), *one.shape), dtype=one.dtype)
-    values[0] = one
-    for level in levels[1:]:
-        if len(level):
-            values[level] = mul(values[parent[level]], gen_values[genidx[level]])
-    return values
+    live = one[None]
+    yield live
+    for parent, genidx in steps:
+        live = np.asarray(mul(live[parent], gen_values[genidx]), dtype=one.dtype)
+        yield live
 
 
 def violated_relators(group: FiniteGroup, gen_values, mul, one) -> list:

@@ -123,8 +123,15 @@ class Representation:
 
 
 def _same_group(G: FiniteGroup, H: FiniteGroup) -> bool:
-    """The same group with the same distinguished generators."""
-    return G is H or (G.generators == H.generators and np.array_equal(G.table, H.table))
+    """The same group with the same distinguished generators.  Two K x| G
+    are compared by their factors, which determine the table, so neither
+    table is built."""
+    if G is H:
+        return True
+    if isinstance(G, SemidirectGroup) and isinstance(H, SemidirectGroup):
+        K, L = G.kmod, H.kmod
+        return _same_group(G.gq, H.gq) and K.modulus == L.modulus and np.array_equal(K.gen_mats, L.gen_mats)
+    return G.generators == H.generators and np.array_equal(G.table, H.table)
 
 
 def end_rep(V: Representation) -> Representation:
@@ -203,15 +210,15 @@ def galois_module_rep(p: int, N: int) -> Representation:
     return Representation(G, list(galois_matrices(p, N)), p, N)
 
 
-def twisted_kernel_module(p: int, n: int) -> Representation:
-    """The rank-2 free Z/p^n module on which the twisted group acts through
-    the sigma-part of its endomorphism ring.
+def twisted_kernel_module(G: FiniteGroup, p: int, n: int) -> Representation:
+    """The rank-2 free Z/p^n module on which the twisted group G =
+    `twisted_frobenius_group(p)` acts through the sigma-part of its
+    endomorphism ring.
 
     The multiplicative generator acts as multiplication by u^{1-p} (u its
     Teichmuller lift) and the order-2 generator as Frobenius; mod p this is
     the simple 2-dimensional module carried by the sigma-part of End(F_{p^2}).
     """
-    G = twisted_frobenius_group(p)
     U, F = galois_matrices(p, n)
     return Representation(G, [matpow_mod(U, p * p - p, p**n), F], p, n)
 

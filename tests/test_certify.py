@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,14 +309,15 @@ def test_fresh_battery_certificates_verify():
 
 
 def _refuse(*args):
-    raise AssertionError("built a spanning tree of Gamma or an inverse table")
+    raise AssertionError("built Gamma's table or spanning tree, or an inverse table")
 
 
 def test_certify_and_verify_build_no_tree_inverses_or_stack_of_gamma(monkeypatch):
-    # Gamma's table stays (for the certificate's hash), but every check reads
-    # generators and relators: no spanning tree of Gamma, which any matrix
-    # stack over Gamma (Representation.mats) would need, and no inverse table
-    # of any group
+    # every check reads generators and relators, and the certificate's hash
+    # of Gamma's table is streamed from K and G: no table of Gamma, no
+    # spanning tree of Gamma, which any matrix stack over Gamma
+    # (Representation.mats) would need, and no inverse table of any group
+    monkeypatch.setattr(SemidirectGroup, "table", property(_refuse))
     monkeypatch.setattr(SemidirectGroup, "_bfs", _refuse)
     monkeypatch.setattr(FiniteGroup, "inverse", property(_refuse))
     for name in BATTERY:
@@ -325,6 +327,19 @@ def test_certify_and_verify_build_no_tree_inverses_or_stack_of_gamma(monkeypatch
     for p, n in [(2, 1), (2, 2), (3, 1)]:
         report = negative_control(p, n)
         assert report.verdict == "refuted" and report.exp_lift.verified
+
+
+def test_certify_memory_peak_stays_below_a_gamma_table():
+    # Gamma of twisted-p3n2 has order 1,296, so a resident table of it would
+    # take 13.4 MB; certifying it and writing the certificate's JSON fields
+    # (with the table's hash) must peak well below that
+    tracemalloc.start()
+    try:
+        certify_instance(parse_instance_name("twisted-p3n2")).to_json_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, f"peak {peak / 1e6:.1f} MB"
 
 
 CONTROLS = ["twisted-p3n1-commutative", "twisted-p2n1-scalar", "twisted-p2n2-commutative"]

@@ -60,7 +60,7 @@ def test_h1_cyclic_p_trivial_coeffs():
 
 def test_h1_s4_end_module():
     # the tangent-space count for the order-24 semidirect instance
-    K = twisted_kernel_module(2, 1)
+    K = twisted_kernel_module(twisted_frobenius_group(2), 2, 1)
     gamma = semidirect_product(K, K.group)
     V = galois_module_rep(2, 1).inflate(gamma)
     M = end_rep(V)
@@ -69,7 +69,7 @@ def test_h1_s4_end_module():
 
 def test_h1_matches_hom_invariants_on_twisted_instances():
     for p, n in [(2, 1), (2, 2), (3, 1)]:
-        K = twisted_kernel_module(p, n)
+        K = twisted_kernel_module(twisted_frobenius_group(p), p, n)
         gamma = semidirect_product(K, K.group)
         V = galois_module_rep(p, 1).inflate(gamma)
         M = end_rep(V)
@@ -435,7 +435,7 @@ def _gamma_pieces(piece):
     representations of G over F_p."""
     kind, p, n = piece
     if kind == "twisted":
-        K = twisted_kernel_module(p, n)
+        K = twisted_kernel_module(twisted_frobenius_group(p), p, n)
         reps = [galois_module_rep(p, 1)]
     elif kind == "standard":
         V = standard_rep(symmetric_group(3), p, 1)

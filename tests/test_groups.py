@@ -1,8 +1,12 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defring import groups
 from defring.groups import (
     TABLE_GUARD,
     FiniteGroup,
@@ -383,9 +387,9 @@ def _kernel_module(kind, group, p, n):
     from defring.modrep import standard_rep, twisted_kernel_module
 
     if kind == "twisted":
-        return twisted_kernel_module(p, n)
+        return twisted_kernel_module(group, p, n)
     if kind == "commutative":
-        return commutative_control_module(p, n)
+        return commutative_control_module(group, p, n)
     if kind == "scalar":
         return scalar_control_module(group, p)
     V = standard_rep(group, p, 1)
@@ -415,3 +419,60 @@ def test_semidirect_product_is_the_split_extension(case, data):
     assert gamma.order <= TABLE_GUARD
     element = st.integers(0, gamma.order - 1)
     _check_semidirect(gamma, data.draw(st.lists(st.tuples(element, element), max_size=20)))
+
+
+def _characters(group):
+    """Rank-1 modules over Z/p^n, as the images of the distinguished
+    generators: the trivial one, and -1 on the transpositions of S_m or on
+    the Frobenius generator of TF(p)."""
+    if group.startswith("TF"):
+        return [(1, 1), (1, -1)]
+    return [(1, 1), (-1, 1) if group == "S3" else (-1, -1)]
+
+
+@st.composite
+def _small_semidirect(draw):
+    """K x| G for G among TF_2, TF_3, S_3 and S_4 and K of rank at most 2
+    over Z/p^n, p^n <= 9: a sum of characters, or for TF(p) at its own p
+    the twisted, commutative-control or Galois module of rank 2."""
+    from defring.certify import commutative_control_module
+    from defring.exactalg import galois_matrices
+    from defring.modrep import twisted_kernel_module
+
+    name = draw(st.sampled_from(["TF2", "TF3", "S3", "S4"]))
+    G = twisted_frobenius_group(int(name[2])) if name.startswith("TF") else symmetric_group(int(name[1]))
+    p, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]))
+    if name.startswith("TF") and int(name[2]) == p and draw(st.booleans()):
+        kind = draw(st.sampled_from(["twisted", "commutative", "galois"]))
+        if kind == "twisted":
+            return semidirect_product(twisted_kernel_module(G, p, n), G)
+        if kind == "commutative":
+            return semidirect_product(commutative_control_module(G, p, n), G)
+        return semidirect_product(Representation(G, list(galois_matrices(p, n)), p, n), G)
+    chars = draw(st.lists(st.sampled_from(_characters(name)), min_size=1, max_size=2))
+    mats = [np.diag([c[t] for c in chars]) for t in range(len(G.generators))]
+    return semidirect_product(Representation(G, mats, p, n), G)
+
+
+def _split_extension_table(gamma):
+    """Gamma's table from (k1, g1)(k2, g2) = (k1 + g1.k2, g1 g2), a row at a
+    time, by another route than the blocks of the semidirect code."""
+    K, G = gamma.kmod, gamma.gq
+    vecs, m = K.vectors(), K.modulus
+    rows = []
+    for e in range(gamma.order):
+        k1, g1 = divmod(e, G.order)
+        ksum = (vecs[k1] + vecs @ K.mats[g1].T) % m
+        rows.append(np.repeat(ksum @ K.radix * G.order, G.order) + np.tile(G.table[g1], K.size))
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma=_small_semidirect(), data=st.data())
+def test_streamed_table_hash_is_the_hash_of_the_table(gamma, data):
+    # blocks shorter than a row split it; longer ones end inside a row
+    block = data.draw(st.integers(max(1, gamma.order // 16), 3 * gamma.order))
+    expected = _split_extension_table(gamma)
+    with mock.patch.object(groups, "TABLE_BLOCK", block):
+        assert gamma.table_hash() == hashlib.sha256(np.ascontiguousarray(expected, "<i8")).hexdigest()[:16]
+        assert np.array_equal(gamma.table, expected)

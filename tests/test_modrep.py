@@ -189,7 +189,7 @@ def test_twisted_end_decomposition():
 def test_kernel_module_reduces_to_sigma_part():
     # K/pK is isomorphic to the sigma-part of End(V) as a module
     for p, n in [(2, 1), (2, 2), (3, 2)]:
-        K = twisted_kernel_module(p, n)
+        K = twisted_kernel_module(twisted_frobenius_group(p), p, n)
         Kbar = K.reduce_mod(1)
         V, M, sigma_part, _ = twisted_end_decomposition(p)
 
@@ -212,7 +212,7 @@ def test_kernel_module_reduces_to_sigma_part():
 def test_hom_space_invariant_factors_twisted():
     # Hom(K, End(V_W)/p^n) is free of rank one over Z/p^n
     for p, n in [(2, 2), (3, 2)]:
-        K = twisted_kernel_module(p, n)
+        K = twisted_kernel_module(twisted_frobenius_group(p), p, n)
         rho_w = galois_module_rep(p, n + 2)
         Mn = end_rep(rho_w).reduce_mod(n)
         hs = hom_space(K, Mn)
@@ -275,7 +275,7 @@ def test_dual_of_standard_selfdual():
 
 
 def test_inflation_through_semidirect():
-    K = twisted_kernel_module(2, 1)
+    K = twisted_kernel_module(twisted_frobenius_group(2), 2, 1)
     G = K.group
     gamma = semidirect_product(K, G)
     V = galois_module_rep(2, 1)
@@ -337,7 +337,7 @@ def test_vector_codes_refuse_a_module_past_int64():
     assert V.size >= 2**63
     with pytest.raises(RepresentationError, match="int64"):
         V.encode((1, 0, 0, 0))
-    K = twisted_kernel_module(3, 2)
+    K = twisted_kernel_module(twisted_frobenius_group(3), 3, 2)
     assert [K.decode(K.encode(v)) for v in K.vectors().tolist()] == [tuple(v) for v in K.vectors().tolist()]
     assert [K.encode(v) for v in K.vectors()] == list(range(K.size))
 
