@@ -11,8 +11,12 @@ deformation ring down:
       scalar a with alpha(g)^2 = a*alpha(g) for all g;
 
 together with the explicit lift rho_R(k, g) = (1 + t*alpha(k)) rho_W(g) over
-R = W[[t]]/(p^n t, t^2), verified to be a faithful homomorphism, and the
-tangent-space cross-check dim H^1(Gamma, End V) = 1.
+R = W[[t]]/(p^n t, t^2), verified to be a homomorphism on the relators of
+Gamma's presentation, and the tangent-space cross-check
+dim H^1(Gamma, End V) = 1.  rho_R's faithfulness and order checks are read
+off alpha's injectivity (`build_rho_R`), which one Howell kernel decides
+(`AlphaMap.injective`); no step lists Gamma, and only the p = 2, n = 1
+no-scalar clause lists K.
 
 Negative controls replace K by a module with commutative alpha-image; the
 verdict flips to refuted and the small-extension exponential lift over the
@@ -320,13 +324,15 @@ def find_alpha(asm: Assembly) -> ConditionB:
     """Pick the first injective Howell generator of Hom_G(K, End(V_W)/p^n)
     and search for the evidence of both disjuncts of condition (b): a
     non-commuting pair among the basis pairs of K, and (p = 2, n = 1) for
-    each scalar a the first vector of K violating alpha(g)^2 = a alpha(g)."""
+    each scalar a the first vector of K violating alpha(g)^2 = a alpha(g).
+    An injective alpha is nonzero mod p, since p beta sends p^(n-1) e_1 != 0
+    to 0, so `residue_nonzero` needs no test of its own."""
     p, n = asm.p, asm.n
     hs = hom_space(asm.K, asm.MW_mod_pn)
     alpha = None
     for H in hs.basis:
         cand = AlphaMap(p, n, asm.rho_w.degree, asm.K.degree, H)
-        if cand.injective and cand.residue_nonzero():
+        if cand.injective:
             alpha = cand
             break
     if alpha is None:
@@ -398,9 +404,16 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
 
     rho_R(k, g) = 1 exactly when rho_W(g) = 1 and alpha(k) rho_W(g) = 0, that
     is alpha(k) = 0, so rho_R is faithful exactly when rho_W is faithful and
-    alpha injective; neither needs a listing of Gamma.
+    alpha injective.  The order checks ask that rho_R(k, 1) have the additive
+    order of k.  As (1 + t A)^m = 1 + m t A, rho_R(k, 1) has the additive
+    order of alpha(k).  K has modulus p^n here, the modulus of alpha's
+    values, as `hom_space` refused alpha's module otherwise.  If alpha is
+    injective, p^j alpha(k) = alpha(p^j k) vanishes exactly when p^j k does,
+    so the orders agree; if not, alpha sends some k != 0 to 0, and both
+    checks fail.  So both are `alpha.injective`, decided by one Howell form
+    and not by a listing of K or of Gamma.
     """
-    p, n, d = asm.p, asm.n, asm.rho_w.degree
+    d = asm.rho_w.degree
     xs = _over_R(np.eye(d, dtype=np.int64), alpha.of_vecs(np.eye(asm.K.degree, dtype=np.int64)))
     ys = _over_R(asm.rho_w.gen_mats, 0)  # y_s -> rho_W(s)
     gen_values = np.concatenate([xs, ys])  # x_i -> 1 + t alpha(e_i)
@@ -408,21 +421,7 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     if bad:
         u, v = bad[0]
         raise CertifyError(f"rho_R fails the relator {u} = {v} of Gamma's presentation")
-    kvecs = asm.K.vectors()
-    alpha_k = alpha.of_vecs(kvecs)  # row 0 is alpha(0) = 0
-    faithful = asm.rho_w.is_faithful() and bool(alpha_k[1:].any(axis=(1, 2)).all())
-    return RhoR(asm, alpha, faithful, _order_identities_hold(kvecs, alpha_k, p, n))
-
-
-def _order_identities_hold(kvecs: np.ndarray, alpha_k: np.ndarray, p: int, n: int) -> bool:
-    """(1 + t alpha(k))^m = 1 + m t alpha(k), so rho_R(k, 1) has the additive
-    order of alpha(k), which must be that of k: p^(n - v) for v the least
-    valuation of an entry, capped at n, that is the number of j <= n with
-    p^j dividing every entry.  One comparison per j over all of K."""
-    powers = [p**j for j in range(1, n + 1)]
-    v_k = sum((kvecs % pj == 0).all(axis=1) for pj in powers)
-    v_alpha = sum((alpha_k % pj == 0).all(axis=(1, 2)) for pj in powers)
-    return bool((v_k == v_alpha).all())
+    return RhoR(asm, alpha, asm.rho_w.is_faithful() and alpha.injective, alpha.injective)
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +588,16 @@ def _failed_stage(
     cond_a: ConditionA, cond_b: ConditionB, rho_r: RhoR | None = None, tangent: int | None = None
 ) -> str | None:
     """The first failing stage of the pipeline, in its order: condition (a),
-    condition (b), rho_R faithful, rho_R orders, tangent dimension.  A stage
-    not yet computed (None) counts as not failing."""
+    condition (b), rho_R faithful, tangent dimension.  A stage not yet
+    computed (None) counts as not failing.  rho_R's order checks need no
+    stage: they equal alpha.injective (`build_rho_R`), which condition (b)
+    requires."""
     if not cond_a.passed:
         return "condition_a"
     if not cond_b.passed:
         return "condition_b"
     if rho_r is not None and not rho_r.faithful:
         return "rho_R_faithful"
-    if rho_r is not None and not rho_r.order_checks_passed:
-        return "rho_R_orders"
     if tangent is not None and tangent != 1:
         return "tangent_dim"
     return None

@@ -72,9 +72,7 @@ def h1_dim(M: Representation) -> int:
 
     unknowns = np.eye(n_unk).reshape(len(gens), dm, n_unk)
     gen_values = np.concatenate([M.gen_mats, unknowns], axis=2)
-    diff, rhs = G.relator_values(gen_values, mul, np.eye(dm, dm + n_unk))
-    diff -= rhs  # in place; the right sides go before the system is copied out
-    del rhs
+    diff = G.relator_values(gen_values, mul, np.eye(dm, dm + n_unk))
     if np.fmod(diff[..., :dm], p, out=diff[..., :dm]).any():
         raise CohomologyError("a relator does not hold in the module")
     system = diff[..., dm:].astype(np.int64).reshape(-1, n_unk)
@@ -104,16 +102,9 @@ class BarComplex:
         self.gens = np.array(G.generators, dtype=np.int64)
         self.n_unknowns = self.nontriv * len(self.gens) * self.dm
 
-    def _idx2(self, g: int, h: int, c: int) -> int:
-        return ((g - 1) * self.nontriv + (h - 1)) * self.dm + c
-
     @property
     def dim_c1(self) -> int:
         return self.nontriv * self.dm
-
-    @property
-    def dim_c2(self) -> int:
-        return self.nontriv * self.nontriv * self.dm
 
     def d1_matrix(self, hs) -> np.ndarray:
         """(d1 f)(g, h) = g.f(h) - f(gh) + f(g) on normalized cochains, with
@@ -219,20 +210,14 @@ class BarComplex:
 
     # -- explicit 2-cochains --------------------------------------------------
 
-    def cochain_vector(self, c) -> np.ndarray:
-        """Flatten a callable c(g, h) -> length-dm vector into C^2 coordinates."""
-        vec = np.zeros(self.dim_c2, dtype=np.int64)
+    def _values(self, c) -> np.ndarray:
+        """The values c(g, h) mod p of a callable c(g, h) -> length-dm vector,
+        stacked at [g, h], with zeros where an argument is the identity, as
+        normalized cochains are."""
+        C = np.zeros((self.n, self.n, self.dm), dtype=np.int64)
         for g in range(1, self.n):
             for h in range(1, self.n):
-                val = np.asarray(c(g, h), dtype=np.int64) % self.p
-                vec[self._idx2(g, h, 0) : self._idx2(g, h, 0) + self.dm] = val
-        return vec
-
-    def _values(self, c) -> np.ndarray:
-        """The values c(g, h) stacked at [g, h], with zeros where an argument
-        is the identity, as normalized cochains are."""
-        C = np.zeros((self.n, self.n, self.dm), dtype=np.int64)
-        C[1:, 1:] = self.cochain_vector(c).reshape(self.nontriv, self.nontriv, self.dm)
+                C[g, h] = np.asarray(c(g, h), dtype=np.int64) % self.p
         return C
 
     def is_cocycle(self, c) -> bool:
@@ -295,7 +280,7 @@ class WedgeReport:
     invariant: bool
 
 
-def wedge_cocycle(p: int, action_mats=None) -> WedgeReport:
+def wedge_cocycle(p: int) -> WedgeReport:
     """The alternating form c(u, v) = u0*v1 - u1*v0 on K = (Z/p)^2.
 
     K is built as a group on the elements u0 + p*u1, and the cocycle and
@@ -303,9 +288,10 @@ def wedge_cocycle(p: int, action_mats=None) -> WedgeReport:
     coefficients F_p.  The form is a 2-cocycle by bilinearity; for p >= 3
     antisymmetry forces it off the coboundaries, which the bar complex
     confirms; for p = 2 the form is symmetric and the coboundary question is
-    reported as inconclusive.  Invariance is checked against the supplied
-    determinant-1 action matrices (by default the action of the
-    multiplicative group on the twisted kernel module mod p).
+    reported as inconclusive.  Invariance is under the action A of the
+    multiplicative generator on the twisted kernel module mod p.  For 2 x 2
+    A, c(Au, Av) = det(A) c(u, v), and c(e_0, e_1) = 1, so c is invariant
+    exactly when det(A) = 1 mod p.
     """
     vectors = [(a % p, a // p) for a in range(p * p)]  # element a is u0 + p*u1
 
@@ -321,19 +307,6 @@ def wedge_cocycle(p: int, action_mats=None) -> WedgeReport:
 
     cocycle = cx.is_cocycle(cochain)
     coboundary = None if p == 2 else cx.is_coboundary(cochain)
-
-    if action_mats is None:
-        Kmod = twisted_kernel_module(twisted_frobenius_group(p), p, 1)
-        action_mats = [Kmod.gen_mats[0]]
-    invariant = True
-    for A in action_mats:
-        det = (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) % p
-        if det != 1:
-            raise CohomologyError("invariance check needs a determinant-1 action")
-        for u in vectors:
-            for v in vectors:
-                au = tuple(int(x) for x in (A @ np.array(u)) % p)
-                av = tuple(int(x) for x in (A @ np.array(v)) % p)
-                if c(au, av) != c(u, v):
-                    invariant = False
+    A = twisted_kernel_module(twisted_frobenius_group(p), p, 1).gen_mats[0]
+    invariant = bool((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) % p == 1)
     return WedgeReport(p, cocycle, coboundary, invariant)

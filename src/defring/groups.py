@@ -257,13 +257,16 @@ class FiniteGroup:
             self._relators = tuple(self._presentation())
         return self._relators
 
-    def relator_values(self, gen_values, mul, one) -> tuple[np.ndarray, np.ndarray]:
-        """The values of the sides u and v of the relators, stacked in the
-        order of `relators()`, from gen_values[t] for generator index t, as
-        in `extend`.  The words are walked as the trie of their prefixes,
-        built once per group: one `mul` per letter of the longest word.  Only
-        the live depth of the trie is held; a node that ends a word is
-        written to that word's side as the walk passes it."""
+    def relator_values(self, gen_values, mul, one) -> np.ndarray:
+        """value(u) - value(v) for the relators (u, v), stacked in the order
+        of `relators()`, from gen_values[t] for generator index t, as in
+        `extend`.  Callers give canonical values (residues, codes, ring
+        coordinates), so a zero difference means the sides are equal.  The
+        words are walked as the trie of their prefixes, built once per group:
+        one `mul` per letter of the longest word.  Only the live depth of the
+        trie and the one difference array are held; a node that ends a word
+        is added to (u) or subtracted from (v) its relator's difference as
+        the walk passes it."""
         rels = self.relators()
         if self._trie is None:
             words = [w for rel in rels for w in rel]
@@ -283,11 +286,11 @@ class FiniteGroup:
             self._trie = steps, ends
         steps, ends = self._trie
         one = np.asarray(one)
-        sides = tuple(np.empty((len(rels), *one.shape), dtype=one.dtype) for _ in range(2))
-        for live, level_ends in zip(_walk(steps, gen_values, mul, one), ends):
-            for out, (slots, at) in zip(sides, level_ends):
-                out[slots] = live[at]
-        return sides
+        diff = np.zeros((len(rels), *one.shape), dtype=one.dtype)
+        for live, ((lhs, at_l), (rhs, at_r)) in zip(_walk(steps, gen_values, mul, one), ends):
+            diff[lhs] += live[at_l]
+            diff[rhs] -= live[at_r]
+        return diff
 
     def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The Schreier relators of the spanning tree: word(e) t = word(e t)
@@ -340,13 +343,14 @@ class FiniteGroup:
     def generates(self, seeds) -> bool:
         return len(self.closure(seeds)) == self.order
 
-    def small_generating_set(self, limit: int = 3) -> tuple[int, ...]:
-        """First generating tuple of minimal size, scanning element indices."""
+    def small_generating_set(self) -> tuple[int, ...]:
+        """First generating tuple of minimal size, at most 3, scanning element
+        indices; the distinguished generators if none is found."""
         if self.order > 1000:
             return self.generators
         if self.order == 1:
             return ()
-        for size in range(1, limit + 1):
+        for size in range(1, 4):
             for combo in combinations(range(1, self.order), size):
                 if self.generates(combo):
                     return combo
@@ -651,6 +655,6 @@ def violated_relators(group: FiniteGroup, gen_values, mul, one) -> list:
     """The relators (u, v) of `group.relators()` whose words take different
     values (`FiniteGroup.relator_values`).  None are violated exactly when
     the generator values extend to a homomorphism (von Dyck's theorem)."""
-    lhs, rhs = group.relator_values(gen_values, mul, one)
-    differs = (lhs != rhs).any(axis=tuple(range(1, lhs.ndim)))
+    diff = group.relator_values(gen_values, mul, one)
+    differs = diff.any(axis=tuple(range(1, diff.ndim)))
     return [rel for rel, bad in zip(group.relators(), differs) if bad]

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from defring.certify import (
+    AlphaMap,
     Certificate,
     CertifyError,
     InstanceSpec,
@@ -327,6 +328,26 @@ def test_certify_and_verify_build_no_tree_inverses_or_stack_of_gamma(monkeypatch
     for p, n in [(2, 1), (2, 2), (3, 1)]:
         report = negative_control(p, n)
         assert report.verdict == "refuted" and report.exp_lift.verified
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in BATTERY if (spec := parse_instance_name(name)).p % 2 or spec.n >= 2]
+)
+def test_certify_and_verify_evaluate_alpha_on_no_listing_of_K(name, monkeypatch):
+    # faithfulness and the order checks are read off alpha.injective, so
+    # alpha is evaluated on at most a basis of K at a time; only the
+    # p = 2, n = 1 no-scalar clause lists K
+    asm = assemble(parse_instance_name(name))
+    of_vecs = AlphaMap.of_vecs
+
+    def bounded(self, kvecs):
+        assert len(kvecs) <= asm.K.degree, f"alpha on {len(kvecs)} vectors of K"
+        return of_vecs(self, kvecs)
+
+    monkeypatch.setattr(AlphaMap, "of_vecs", bounded)
+    data = as_json(certify_assembly(asm))
+    assert data["verdict"] == "certified"
+    assert verify_certificate(data) == (True, [])
 
 
 def test_certify_memory_peak_stays_below_a_gamma_table():

@@ -21,7 +21,6 @@ from defring.certify import (
     CertifyError,
     InstanceSpec,
     assemble,
-    _order_identities_hold,
     build_rho_R,
     exp_lift_on_kernel,
     find_alpha,
@@ -254,6 +253,8 @@ def test_build_rho_R_agrees_with_the_table_check(name, target, where, shift):
         assert not passes
     else:
         assert passes and rho_r.faithful == faithful
+        kvecs = asm.K.vectors()
+        assert rho_r.order_checks_passed == _order_identities_loop(kvecs, bad_alpha.of_vecs(kvecs), p, n)
 
 
 _REPS = {
@@ -411,8 +412,8 @@ def _valuation(c: int, p: int) -> int:
 
 
 def _order_identities_loop(kvecs, alpha_k, p, n) -> bool:
-    """The per-k loop `_order_identities_hold` replaced: the additive order
-    of k from its entries' valuations, against the least m >= 1 with
+    """The per-k order check that `AlphaMap.injective` replaced: the additive
+    order of k from its entries' valuations, against the least m >= 1 with
     m alpha(k) = 0, found by adding alpha(k) until the sum vanishes."""
     mn = p**n
     for kv, ak in zip(kvecs.tolist(), alpha_k):
@@ -437,23 +438,19 @@ BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 
 
 @pytest.mark.parametrize("name", BATTERY)
 def test_order_identities_match_the_per_k_loop(name):
+    # build_rho_R reads faithfulness and the order checks off alpha.injective:
+    # it must equal the per-k order loop and the listing alpha(k) != 0 for
+    # every k != 0, on alpha, on p alpha and on random matrices
     asm, alpha = _certified(name)
     p, n, mn = asm.p, asm.n, asm.p**asm.n
-    kvecs = asm.K.vectors()
-    alpha_k = alpha.of_vecs(kvecs)
+    kvecs = asm.K.vectors()  # row 0 is k = 0
     rng = np.random.default_rng(len(name))
-    shifted = alpha_k.copy()  # corrupted: entries of some rows moved by p^j
-    rows = rng.choice(len(kvecs), size=max(1, len(kvecs) // 4), replace=False)
-    shifted[rows, 0, 0] = (shifted[rows, 0, 0] + p ** rng.integers(0, n, len(rows))) % mn
-    zero_row = alpha_k.copy()  # not injective: alpha(k) = 0 for one k != 0
-    zero_row[-1] = 0
-    cases = {
-        "battery": alpha_k,
-        "shifted": shifted,
-        "random": rng.integers(0, mn, alpha_k.shape),
-        "times p": p * alpha_k % mn,  # not injective
-        "zero row": zero_row,
-    }
-    got = {key: _order_identities_hold(kvecs, a, p, n) for key, a in cases.items()}
-    assert got == {key: _order_identities_loop(kvecs, a, p, n) for key, a in cases.items()}
-    assert got["battery"] and not got["random"] and not got["times p"] and not got["zero row"]
+    matrices = [alpha.matrix, p * alpha.matrix % mn]
+    matrices += [rng.integers(0, mn, alpha.matrix.shape) for _ in range(20)]
+    listed = []
+    for H in matrices:
+        cand = AlphaMap(p, n, alpha.d, alpha.rank, H)
+        alpha_k = cand.of_vecs(kvecs)
+        listed.append(bool(alpha_k[1:].any(axis=(1, 2)).all()))
+        assert cand.injective == _order_identities_loop(kvecs, alpha_k, p, n) == listed[-1]
+    assert listed[0] and not listed[1]
