@@ -5,11 +5,14 @@ H^1 is computed from the group's presentation (`FiniteGroup.relators`) by
 Fox calculus: a crossed homomorphism is free on the generators of the free
 group and descends to the group exactly when it vanishes on the relators, so
 Z^1 is the kernel of one block row per relator, not of a system over every
-element.  H^2 follows the same idea one degree up (Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, 2005, ch. 7): a normalized 2-cochain
-is a cocycle once d2 f vanishes on the triples (g, h, s) with s a generator,
-and those conditions carry f down the spanning tree from its values f(g, s),
-so Z^2 is the kernel of one block row per edge off the tree
+element.  On K x| G with G from a family (S_m, PGL_2(q), TF_p), G's part of
+the presentation is its few proved relators, not its |G| (#gens - 1) + 1
+Schreier relators: standard-d4p2's Gamma has 29 relators instead of 143.
+H^2 follows the same idea one degree up (Holt, Eick and O'Brien, Handbook
+of Computational Group Theory, 2005, ch. 7): a normalized 2-cochain is a
+cocycle once d2 f vanishes on the triples (g, h, s) with s a generator, and
+those conditions carry f down the spanning tree from its values f(g, s), so
+Z^2 is the kernel of one block row per edge off the tree
 (`BarComplex.d2_matrix`), in (|G| - 1) #gens dim M unknowns instead of
 dim C^2 = (|G| - 1)^2 dim M.  `h2_dim` first restricts to a Sylow
 p-subgroup: restriction is injective on cohomology with F_p-module

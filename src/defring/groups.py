@@ -12,11 +12,14 @@ spanning tree of the Cayley graph on a generating set gives each element a
 word in the generators; `FiniteGroup.extend` carries generator data
 (matrices, images) along it to the whole group.
 
-`FiniteGroup.relators` gives a presentation on the distinguished generators:
-the Schreier relators of the spanning tree, or for K x| G the split-extension
-presentation built from G's relators and the action on K.  By von Dyck's
-theorem, generator values that satisfy every relator extend to a
-homomorphism; `violated_relators` checks them.  Words are evaluated by one
+`FiniteGroup.relators` gives a presentation on the distinguished generators.
+S_m, PGL_2(q) and TF_p are built with a few relators of their own, used once
+proved (they hold in the table, and coset enumeration, `coset_count`, closes
+at |G| cosets); other groups, or a failed proof, get the Schreier relators of
+the spanning tree, and K x| G the split-extension presentation built from
+G's relators and the action on K.  By von Dyck's theorem, generator values
+that satisfy every relator extend to a homomorphism; `violated_relators`
+checks them.  Words are evaluated by one
 routine, `_walk`, on a tree of words one depth at a time: the spanning tree
 for `extend`, and for the relators the trie of their prefixes
 (`FiniteGroup.relator_values`), one stacked `mul` per depth either way.
@@ -25,7 +28,7 @@ for `extend`, and for the relators the trie of their prefixes
 from __future__ import annotations
 
 import hashlib
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +37,7 @@ from .exactalg import companion, defining_rule, has_order, matpow_mod
 
 TABLE_GUARD = 10_000  # max order for full-table construction
 TABLE_BLOCK = 2**18  # entries per block of a streamed K x| G table
+COSET_LIMIT = 2**15  # cosets a coset enumeration defines before it gives up
 
 
 class GroupError(ValueError):
@@ -45,21 +49,24 @@ class FiniteGroup:
 
     Element 0 is the identity.  The BFS spanning tree of the Cayley graph
     (`spanning_tree`) writes each element as a word of minimal length in the
-    distinguished generators.
+    distinguished generators.  `candidates` are relators (u, v) of positive
+    words that a family constructor proposes, each generator invertible in
+    the monoid they present; `relators` uses them once proved.
     """
 
-    def __init__(self, table: np.ndarray, generators, name: str = "G", action=None):
+    def __init__(self, table: np.ndarray, generators, name: str = "G", action=None, candidates=()):
         table = np.asarray(table, dtype=np.int64)
         if table.shape[0] > TABLE_GUARD:
             raise GroupError(f"order {table.shape[0]} exceeds full-table guard {TABLE_GUARD}")
         self.table = table
-        self._setup(table.shape[0], generators, name, action)
+        self._setup(table.shape[0], generators, name, action, candidates)
 
-    def _setup(self, order: int, generators, name: str, action=None):
+    def _setup(self, order: int, generators, name: str, action=None, candidates=()):
         self.order = order
         self.generators = tuple(int(g) for g in generators)
         self.name = name
         self.action = None if action is None else np.asarray(action, dtype=np.int64)
+        self._candidates = tuple((tuple(u), tuple(v)) for u, v in candidates)
         self._trees: dict[tuple[int, ...], tuple] = {}
         self._relators = None
         self._trie = None
@@ -68,7 +75,7 @@ class FiniteGroup:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_permutations(cls, gens: list[tuple[int, ...]], name: str = "G"):
+    def from_permutations(cls, gens: list[tuple[int, ...]], name: str = "G", candidates=()):
         """Close a set of permutations (tuples mapping i -> perm[i]) under
         composition; element order is BFS discovery order from the identity.
 
@@ -120,7 +127,7 @@ class FiniteGroup:
             for b, lookup in steps:
                 code = lookup[code * npts + block[:, action[:, b]]]  # (a b)[pt] = a[b[pt]]
             table[x : x + rows] = element_of[code]
-        return cls(table, [index[g] for g in gens], name=name, action=action)
+        return cls(table, [index[g] for g in gens], name=name, action=action, candidates=candidates)
 
     def _validate_table(self):
         """Check exactly that the table is a group with identity 0, by Light's
@@ -251,8 +258,13 @@ class FiniteGroup:
 
     def relators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """A presentation on the distinguished generators, as pairs (u, v) of
-        words (tuples of generator indices, multiplied left to right) with
-        u = v in the group; built once by `_presentation` and cached."""
+        positive words (tuples of generator indices, multiplied left to
+        right) with u = v in the group, built once by `_presentation` and
+        cached.  They present the group as a monoid too (the Schreier
+        relators by the induction in `extend`; a family's own relators as
+        each generator is invertible in their monoid, by an x^n = 1 among
+        them or as for TF_p), so values in any monoid, such as matrices,
+        that satisfy them extend to a homomorphism."""
         if self._relators is None:
             self._relators = tuple(self._presentation())
         return self._relators
@@ -293,11 +305,28 @@ class FiniteGroup:
         return diff
 
     def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The candidate relators the group was built with (`candidates`),
+        once proved to present it, else `_schreier_relators`.  The proof:
+        every candidate holds in the table, so the group P they present maps
+        onto this one, and coset enumeration over the trivial subgroup
+        (`coset_count`) closes at exactly |G| cosets, so |P| = |G| and the
+        map is an isomorphism."""
+        rels, gens = self._candidates, self.generators
+
+        def value(word):
+            return reduce(lambda e, t: self.table[e, gens[t]], word, 0)
+
+        if rels and all(value(u) == value(v) for u, v in rels) and coset_count(len(gens), rels) == self.order:
+            return list(rels)
+        return self._schreier_relators()
+
+    def _schreier_relators(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The Schreier relators of the spanning tree: word(e) t = word(e t)
         for every edge (e, t) off the tree (`off_tree_edges`; on tree edges
-        the words coincide), in BFS order of e.  Values v(e) of the words
-        satisfying them have v(e) v(t) = v(e t) for all e and t, so they are
-        multiplicative by the induction in `extend`.
+        the words coincide), in BFS order of e, |G| (#gens - 1) + 1 of them.
+        Values v(e) of the words satisfying them have v(e) v(t) = v(e t) for
+        all e and t, so they are multiplicative by the induction in
+        `extend`.
         """
         order, parent, genidx = self.spanning_tree()
         words = {0: ()}
@@ -451,7 +480,23 @@ def symmetric_group(m: int) -> FiniteGroup:
     transposition = tuple([1, 0] + list(range(2, m)))
     cycle = tuple(list(range(1, m)) + [0])
     gens = [transposition, cycle] if m > 2 else [transposition]
-    return FiniteGroup.from_permutations(gens, name=f"S{m}")
+    return FiniteGroup.from_permutations(gens, name=f"S{m}", candidates=_symmetric_relators(m))
+
+
+def _symmetric_relators(m: int) -> list:
+    """Relators of S_m on t = (0 1) and c = (0 1 ... m-1) (Coxeter and
+    Moser, Generators and Relations for Discrete Groups, 6.2): t^2, c^m,
+    (t c)^(m-1), (t c^-1 t c)^3 and (t c^-j t c^j)^2 for 2 <= j <= m/2,
+    with c^-1 = c^(m-1) and x^k = 1 written x^(k-1) = x^-1; t^2 alone for
+    m = 2."""
+    t, c = (0,), (1,)
+    if m == 2:
+        return [(t * 2, ())]
+    rels = [(t * 2, ()), (c * m, ()), ((t + c) * (m - 2), c * (m - 1) + t)]
+    if m >= 4:
+        rels.append(((t + c * (m - 1) + t + c) * 2, c * (m - 1) + t + c + t))
+    rels += [(t + c * (m - j) + t + c * j, c * (m - j) + t + c * j + t) for j in range(2, m // 2 + 1)]
+    return rels
 
 
 # F_q for the prime powers q <= 9, as (p, f) with q = p^f
@@ -503,11 +548,43 @@ def pgl2(q: int) -> FiniteGroup:
 
     gens = [perm_of(1, 1, 0, 1), perm_of(g, 0, 0, 1), perm_of(0, 1, 1, 0)]
     gens = [p for i, p in enumerate(gens) if p != tuple(range(q + 1))]
-    G = FiniteGroup.from_permutations(gens, name=f"PGL2({q})")
+    G = FiniteGroup.from_permutations(gens, name=f"PGL2({q})", candidates=_pgl2_relators(q, mul, add, g))
     expected = q * (q - 1) * (q + 1)
     if G.order != expected:
         raise GroupError(f"PGL2({q}) closure has order {G.order}, expected {expected}")
     return G
+
+
+def _pgl2_relators(q: int, mul, add, g: int) -> list:
+    """Relators of PGL_2(q) on u: z -> z+1, h: z -> g z and w: z -> 1/z
+    (u and w alone for q = 2, where h = 1), with h^-1 = h^(q-2): the
+    orders of u, h, w and w h; u commutes with the translations h^i u h^-i
+    (0 < i < f, for q = p^f), and h^f u h^-f is the product of the
+    (h^i u h^-i)^c_i for g^f = sum_i c_i g^i, written h^f u = u^c_0 h u^c_1
+    h ... u^c_(f-1) h; and w u w = u h^((q-1)/2) w u for odd q, (u w)^3 = 1
+    as u w u = w u w for even q."""
+    p, f = _SMALL_FIELDS[q]
+    if q == 2:
+        return [((0, 0), ()), ((1, 1), ()), ((0, 1, 0), (1, 0, 1))]
+    u, h, w = (0,), (1,), (2,)
+    rels = [(u * p, ()), (h * (q - 1), ()), (w * 2, ()), ((w + h) * 2, ())]
+    rels += [(u + h * i + u + h * (q - 1 - i), h * i + u + h * (q - 1 - i) + u) for i in range(1, f)]
+    powers = [1]
+    for _ in range(f):
+        powers.append(mul[powers[-1]][g])
+    for a in range(q):  # the c_i: F_q = F_p(g) has the basis 1, g, ..., g^(f-1)
+        digits = [a // p**i % p for i in range(f)]
+        total = 0
+        for c, gi in zip(digits, powers):
+            total = add[total][mul[c][gi]]
+        if total == powers[f]:
+            break
+    rels.append((h * f + u, sum((u * c + h for c in digits), ())))
+    if p == 2:
+        rels.append((u + w + u, w + u + w))
+    else:
+        rels.append((w + u + w, u + h * ((q - 1) // 2) + w + u))
+    return rels
 
 
 def twisted_frobenius_group(p: int) -> FiniteGroup:
@@ -523,7 +600,13 @@ def twisted_frobenius_group(p: int) -> FiniteGroup:
     i, e, j, f = np.ix_(range(m), range(2), range(m), range(2))
     k = (i + p**e * j) % m
     table = (2 * k + (e + f) % 2).reshape(2 * m, 2 * m)
-    return FiniteGroup(table, [2, 1], name=f"TF{p}")
+    # sigma^2 = 1 and sigma zeta = zeta^p sigma present TF_p as a group
+    # (zeta^(p^2-1) = 1 follows); zeta^(p-1) sigma zeta^(p-1) = sigma, which
+    # follows too, gives zeta an inverse on either side in a monoid:
+    # sigma zeta^(p-1) sigma zeta^(p-1) = 1 = zeta^(p-1) sigma zeta^(p-1) sigma
+    z, s = (0,), (1,)
+    rels = [(s * 2, ()), (s + z, z * p + s), (z * (p - 1) + s + z * (p - 1), s)]
+    return FiniteGroup(table, [2, 1], name=f"TF{p}", candidates=rels)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +691,7 @@ class SemidirectGroup(FiniteGroup):
         (generator index i < r = rank K) and y_s = (0, s) (index r + j for
         the j-th generator s of G):
 
-          G's Schreier relators in the y's;  x_i^m = 1 (m the modulus of K);
+          G's relators in the y's;  x_i^m = 1 (m the modulus of K);
           x_i x_j = x_j x_i;  y_s x_i = X(s.e_i) y_s, X(k) = x_1^k_1...x_r^k_r.
 
         It presents Gamma: in the group P they define, the y's satisfy G's
@@ -649,6 +732,88 @@ def _walk(steps, gen_values, mul, one):
     for parent, genidx in steps:
         live = np.asarray(mul(live[parent], gen_values[genidx]), dtype=one.dtype)
         yield live
+
+
+def coset_count(ngens: int, relators) -> int | None:
+    """The order of the group with generators 0..ngens-1 and relations
+    u = v for (u, v) in `relators`, by HLT coset enumeration over the trivial
+    subgroup (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005, ch. 5), or None once it has defined more than COSET_LIMIT
+    cosets.
+
+    Letter 2t is generator t and 2t + 1 its inverse, and a relation is the
+    relator u v^-1.  Each live coset in turn is scanned under every relator,
+    with a coset defined wherever a scan stops short, and its row is then
+    filled.  A scan that closes on two different cosets proves them equal:
+    the larger joins the smaller, and so do the cosets their rows then
+    force together.  When every live coset has been scanned, the table is
+    complete and the live cosets are the group's elements."""
+    words = [[2 * t for t in u] + [2 * t + 1 for t in reversed(v)] for u, v in relators]
+    width = 2 * ngens
+    table = [[-1] * width]
+    rep = [0]  # rep[c] == c for a live coset; else a smaller coset it equals
+
+    def find(c):
+        while rep[c] != c:
+            rep[c] = c = rep[rep[c]]
+        return c
+
+    def define(c, x):
+        d = len(table)
+        table.append([-1] * width)
+        rep.append(d)
+        table[c][x], table[d][x ^ 1] = d, c
+
+    def coincidence(a, b):
+        dead = []
+
+        def merge(a, b):
+            a, b = sorted((find(a), find(b)))
+            if a != b:
+                rep[b] = a
+                dead.append(b)
+
+        merge(a, b)
+        for c in dead:  # grows while it is read
+            for x in range(width):
+                d = table[c][x]
+                if d < 0:
+                    continue
+                table[d][x ^ 1] = -1
+                mu, nu = find(c), find(d)
+                if table[mu][x] >= 0:
+                    merge(nu, table[mu][x])
+                elif table[nu][x ^ 1] >= 0:
+                    merge(mu, table[nu][x ^ 1])
+                else:
+                    table[mu][x], table[nu][x ^ 1] = nu, mu
+
+    def scan_and_fill(c, w):
+        f, i, b, j = c, 0, c, len(w) - 1
+        while True:
+            while i <= j and table[f][w[i]] >= 0:
+                f, i = table[f][w[i]], i + 1
+            while j >= i and table[b][w[j] ^ 1] >= 0:
+                b, j = table[b][w[j] ^ 1], j - 1
+            if j < i:  # the scans met: f and b are the same coset
+                if f != b:
+                    coincidence(f, b)
+                return
+            if i == j:  # a deduction
+                table[f][w[i]], table[b][w[i] ^ 1] = b, f
+                return
+            define(f, w[i])
+
+    c = 0
+    while c < len(table) <= COSET_LIMIT:
+        for w in words:
+            if rep[c] == c:
+                scan_and_fill(c, w)
+        for x in range(width):
+            if rep[c] == c and table[c][x] < 0:
+                define(c, x)
+        c += 1
+    return sum(c == r for c, r in enumerate(rep)) if c == len(table) else None
 
 
 def violated_relators(group: FiniteGroup, gen_values, mul, one) -> list:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import defring
 from defring import kernels
 from defring.exactalg import solve_module
-from defring.kernels._numpy import RANK_BLOCK
+from defring.kernels._numpy import RANK_BLOCK, _fmod
 
 from reference import nullspace_modp
 
@@ -104,6 +104,24 @@ def test_blocked_rank_full_column_rank():
     p = 5
     a = np.vstack([np.eye(6, dtype=np.int64), np.ones((3 * RANK_BLOCK, 6), dtype=np.int64)])
     assert kernels.rank_modp(a, p) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 65521, 2**31 - 1]) | st.integers(2, 2**40),
+    quotients=st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=20),
+    offsets=st.lists(st.integers(-2, 2), min_size=1, max_size=20),
+    extremes=st.booleans(),
+)
+def test_fmod_matches_np_mod(p, quotients, offsets, extremes):
+    # floats x = q p + o near multiples of p, where a rounded quotient x / p
+    # would land on the next integer if it erred by 1/p, up to |x| = 2^53 - p
+    bound = 2**53 - p
+    xs = [max(-bound, min(bound, q // p * p + o)) for q, o in zip(quotients, offsets)]
+    if extremes:
+        xs += [bound, -bound, 0, p - 1, -1, 1 - p]
+    x = np.array(xs, dtype=np.float64)
+    assert np.array_equal(_fmod(x, p), np.mod(x, p))
 
 
 def test_blocked_rank_refuses_inexact_float64():

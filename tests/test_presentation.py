@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from defring.certify import assemble, parse_instance_name
 from defring.groups import (
+    FiniteGroup,
     semidirect_product,
     symmetric_group,
     twisted_frobenius_group,
@@ -33,10 +34,13 @@ def test_relators_hold_in_the_table_backed_gamma(name):
     "group", [symmetric_group(4), twisted_frobenius_group(3)], ids=["S4", "SD16"]
 )
 def test_schreier_relators_hold(group):
-    rels = group.relators()
-    # one relator per edge of the Cayley graph off the spanning tree
+    # one Schreier relator per edge of the Cayley graph off the spanning tree
+    rels = group._schreier_relators()
     assert len(rels) == group.order * len(group.generators) - (group.order - 1)
-    assert violated_relators(group, group.generators, lambda a, b: group.table[a, b], 0) == []
+    plain = FiniteGroup(group.table, group.generators)  # no candidates: Schreier relators
+    assert plain.relators() == tuple(rels)
+    for G in (group, plain):
+        assert violated_relators(G, G.generators, lambda a, b: G.table[a, b], 0) == []
 
 
 def _fold(word, gen_values, mul, one):
@@ -61,7 +65,7 @@ def test_violated_relators_names_the_failing_relators():
 def test_relator_values_call_mul_once_per_word_depth():
     # the relator words are walked as a prefix trie, one depth at a time:
     # one stacked product per depth, each distinct prefix evaluated once
-    for name, depth in [("twisted-p2n1", 3), ("standard-d4p2", 8)]:
+    for name, depth in [("twisted-p2n1", 3), ("standard-d4p2", 5)]:
         gamma = _gamma(name)
         words = [w for rel in gamma.relators() for w in rel]
         calls = []
@@ -78,9 +82,10 @@ def test_relator_values_call_mul_once_per_word_depth():
 
 @st.composite
 def _group_and_values(draw):
-    """A group with relators of every kind (Schreier, and the split-extension
-    families of K x| G) and arbitrary 3 x 3 matrices mod 7 on its generators."""
-    group = _gamma(draw(st.sampled_from(["S4", "SD16", "F2^2 x S2", "twisted-p2n1"])))
+    """A group with relators of every kind (Schreier, a family's own, and the
+    split-extension families of K x| G) and arbitrary 3 x 3 matrices mod 7
+    on its generators."""
+    group = _gamma(draw(st.sampled_from(["A4", "S4", "SD16", "F2^2 x S2", "twisted-p2n1"])))
     values = draw(arrays(np.int64, (len(group.generators), 3, 3), elements=st.integers(0, 6)))
     return group, values
 
@@ -102,6 +107,8 @@ def test_relator_sides_are_left_to_right_folds(case):
 
 @lru_cache(maxsize=None)
 def _gamma(which):
+    if which == "A4":  # built with no candidates: Schreier relators
+        return FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
     if which == "S4":
         return symmetric_group(4)
     if which == "SD16":
