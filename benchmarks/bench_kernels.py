@@ -16,9 +16,10 @@ of GR(p^3, 2) (`galois_matrices`), PGL_2(F_q) and S_6 (the last two close
 permutations with `FiniteGroup.from_permutations`).  The Howell-form rows
 time `solve_module` on the Hom systems that certifying standard-d4p2
 solves.  The presentation rows time `FiniteGroup._presentation` on the
-groups G of the battery: the proof of a family's own relators (their check
-in the table and a coset enumeration), which every group construction pays
-once, or the Schreier relators where there is no proof.  The local-algebra
+groups G of the battery and on S_3 to S_6: the proof of a family's own
+relators (their check in the table and a coset enumeration), which every
+group construction pays once, or the Schreier relators where there is no
+proof; for S_7 they time the coset enumeration alone.  The local-algebra
 rows time the construction of R(5, 1, 27), whose products are past int64,
 the op tables of R'(3, 1, 3) (a fresh ring each time, as the tables are
 cached), and one stacked product of 2 x 2 matrices over R(2, 1, 3)
@@ -139,10 +140,14 @@ def main():
         bench(f"rank_modp {label} {rows}x{cols} mod {p}", lambda a=a, p=p: kernels.rank_modp(a, p))
 
     print("== presentations of the battery's G (FiniteGroup._presentation, once per group) ==")
-    from defring.groups import pgl2, symmetric_group, twisted_frobenius_group
+    from defring.groups import _symmetric_relators, coset_count, pgl2, symmetric_group, twisted_frobenius_group
 
-    for G in [twisted_frobenius_group(p) for p in (2, 3, 5)] + [symmetric_group(3)] + [pgl2(q) for q in (2, 3, 4)]:
+    families = [twisted_frobenius_group(p) for p in (2, 3, 5)] + [symmetric_group(m) for m in range(3, 7)]
+    for G in families + [pgl2(q) for q in (2, 3, 4)]:
         bench(f"relators {G.name} ({len(G.relators())} relators)", G._presentation, repeat=20)
+    # S_7's proof without its 200 MB table: the enumeration alone
+    rels = _symmetric_relators(7)
+    bench(f"coset_count S7 ({len(rels)} relators)", lambda: coset_count(2, rels), repeat=5)
 
     print("== H^1(Gamma, End V) (cohomology.h1_dim) ==")
     from defring.certify import assemble, parse_instance_name

@@ -36,7 +36,16 @@ import numpy as np
 
 from .cohomology import h1_dim
 from .exactalg import PrecisionError, galois_matrices, solve_module
-from .groups import FiniteGroup, GroupError, SemidirectGroup, pgl2, semidirect_product, symmetric_group, violated_relators
+from .groups import (
+    FiniteGroup,
+    GroupError,
+    SemidirectGroup,
+    check_extension_order,
+    pgl2,
+    semidirect_product,
+    symmetric_group,
+    violated_relators,
+)
 from .localalg import AlgebraError, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
 from .modrep import (
     Representation,
@@ -167,17 +176,9 @@ def assemble(spec: InstanceSpec) -> Assembly:
         )
     ring = make_ring_R(p, n, N)  # first: it refuses N <= n before anything uses N
     if spec.family == "twisted":
-        rho_w = galois_module_rep(p, N)
-        G = rho_w.group
-        rho_bar_g = rho_w.reduce_mod(1)
-        if spec.control is None:
-            K = twisted_kernel_module(G, p, n)
-        elif spec.control == "commutative":
-            K = commutative_control_module(G, p, n)
-        elif spec.control == "scalar":
-            K = scalar_control_module(G, p)
-        else:
+        if spec.control not in (None, "commutative", "scalar"):
             raise CertifyError(f"unknown control {spec.control!r}")
+        g_order, modulus, rank = 2 * (p * p - 1), p**n, 2  # TF_p; K of rank 2 over Z/p^n
     elif spec.family == "standard":
         if spec.d is None:
             raise CertifyError("standard instance needs a degree d")
@@ -187,17 +188,32 @@ def assemble(spec: InstanceSpec) -> Assembly:
             raise CertifyError(
                 f"(d, p) = ({spec.d}, {p}) inadmissible: need d < p-1 or d = p^f"
             )
-        G = symmetric_group(spec.d + 1) if spec.d < p - 1 else pgl2(spec.d)
-        rho_w = standard_rep(G, p, N)
-        rho_bar_g = rho_w.reduce_mod(1)
-        if spec.control is None:
-            K = rho_bar_g
-        elif spec.control == "scalar":
-            K = scalar_control_module(G, p)
-        else:
+        if spec.control not in (None, "scalar"):
             raise CertifyError("standard family supports only the scalar control")
+        # S_{d+1} or PGL_2(d); K = V mod p.  d < p - 1 and the bound above give d^5 < 2^63
+        symmetric = spec.d < p - 1
+        g_order = math.factorial(spec.d + 1) if symmetric else spec.d * (spec.d**2 - 1)
+        modulus, rank = p, spec.d
     else:
         raise CertifyError(f"unknown family {spec.family!r}")
+    if spec.control == "scalar":
+        modulus, rank = p, 1
+    # |Gamma| = |K| |G| is refused before G or K is built; a rank past 64
+    # puts |K| >= 2^64 past the guard, so the power stops there
+    check_extension_order(modulus ** min(rank, 64), g_order)
+    if spec.family == "twisted":
+        rho_w = galois_module_rep(p, N)
+        G = rho_w.group
+    else:
+        G = symmetric_group(spec.d + 1) if symmetric else pgl2(spec.d)
+        rho_w = standard_rep(G, p, N)
+    rho_bar_g = rho_w.reduce_mod(1)
+    if spec.control == "scalar":
+        K = scalar_control_module(G, p)
+    elif spec.control == "commutative":
+        K = commutative_control_module(G, p, n)
+    else:
+        K = twisted_kernel_module(G, p, n) if spec.family == "twisted" else rho_bar_g
     gamma = semidirect_product(K, G)
     rho_bar = rho_bar_g.inflate(gamma)
     M = end_rep(rho_bar_g)

@@ -14,10 +14,9 @@ cocycle once d2 f vanishes on the triples (g, h, s) with s a generator, and
 those conditions carry f down the spanning tree from its values f(g, s), so
 Z^2 is the kernel of one block row per edge off the tree
 (`BarComplex.d2_matrix`), in (|G| - 1) #gens dim M unknowns instead of
-dim C^2 = (|G| - 1)^2 dim M.  `h2_dim` first restricts to a Sylow
-p-subgroup: restriction is injective on cohomology with F_p-module
-coefficients, so vanishing upstairs follows exactly from vanishing on the
-Sylow subgroup.
+dim C^2 = (|G| - 1)^2 dim M.  `h2_dim` answers 0 without assembling
+anything when p does not divide |G|: |G| kills H^2(G, M) and is a unit on the
+F_p-module M.
 """
 
 from __future__ import annotations
@@ -250,29 +249,14 @@ def h2_dim(M: Representation, method: str = "auto") -> int:
 
     method="direct" solves for Z^2 on the values of 2-cochains at the
     generators (`BarComplex.d2_matrix`) and raises past its guards, with the
-    sizes it computed.  "auto" first restricts to a Sylow p-subgroup, which
-    decides H^2 = 0 exactly, and otherwise goes direct within the guards.
+    sizes it computed.  "auto" returns 0 when p does not divide |G|, as |G|
+    kills H^2(G, M) and is a unit on M, and otherwise goes direct.
     """
     if M.N != 1:
         raise CohomologyError("coefficients must be mod p")
-    G, p = M.group, M.p
-    cx = BarComplex(M)
-    if method == "direct":
-        return cx.h2_dim_direct()
-    # Sylow restriction first: it is exact whenever it vanishes, and the
-    # restricted complex is far smaller.  A p-group is its own Sylow
-    # subgroup, so the restriction goes direct.
-    syl, elems = G.sylow_subgroup(p)
-    if syl.order < G.order:
-        try:
-            if h2_dim(M.restrict(syl, elems), method="direct") == 0:
-                return 0  # restriction to a Sylow subgroup is injective
-        except CohomologyError as exc:
-            raise CohomologyError(f"on the Sylow {p}-subgroup, of order {syl.order}: {exc}") from exc
-    reason = cx.oversize()
-    if reason is None:
-        return cx.h2_dim_direct()
-    raise CohomologyError(f"restriction to a Sylow p-subgroup does not show H^2 = 0, and {reason}")
+    if method == "auto" and M.group.order % M.p:
+        return 0
+    return BarComplex(M).h2_dim_direct()
 
 
 @dataclass

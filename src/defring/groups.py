@@ -6,8 +6,8 @@ table is the simplest correct representation.  A given table is checked
 exactly by Light's associativity test on the generators.  Gamma = K x| G is
 kept as its factors instead: it is a group by construction, so only G and K
 are checked, its table's rows come from K and G on demand
-(`SemidirectGroup.table_hash` streams them), and its table, spanning tree and
-inverses are built only when something asks for them.  A breadth-first
+(`SemidirectGroup.table_hash` streams them), and its table and spanning
+tree are built only when something asks for them.  A breadth-first
 spanning tree of the Cayley graph on a generating set gives each element a
 word in the generators; `FiniteGroup.extend` carries generator data
 (matrices, images) along it to the whole group.
@@ -28,6 +28,7 @@ for `extend`, and for the relators the trie of their prefixes
 from __future__ import annotations
 
 import hashlib
+import math
 from functools import cached_property, reduce
 from itertools import combinations
 
@@ -157,12 +158,6 @@ class FiniteGroup:
                     raise GroupError("associativity fails")
         if not (t == 0).any(axis=1).all():
             raise GroupError("an element has no inverse")
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """inverse[e] = e^-1: each row holds the identity exactly once, found
-        in row order."""
-        return np.nonzero(self.table == 0)[1]
 
     def spanning_tree(self, gens=None) -> tuple:
         """The BFS spanning tree of the Cayley graph on `gens` (default: the
@@ -340,10 +335,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def conj(self, g: int, h: int) -> int:
-        """g h g^-1."""
-        return self.mul(self.mul(g, h), int(self.inverse[g]))
-
     def element_order(self, e: int) -> int:
         """The least k >= 1 with e^k = 1.  In a group it is at most the order;
         a table whose powers of e never reach the identity raises."""
@@ -385,63 +376,6 @@ class FiniteGroup:
                     return combo
         return self.generators
 
-    def subgroup(self, elements) -> tuple["FiniteGroup", list[int]]:
-        """The subgroup on the given (closed) element set, re-indexed; also
-        returns the list mapping new indices to ambient ones."""
-        elems = sorted(set(elements))
-        if 0 not in elems:
-            raise GroupError("subgroup must contain the identity")
-        pos = np.full(self.order, -1)
-        pos[elems] = np.arange(len(elems))
-        table = pos[self.table[np.ix_(elems, elems)]]
-        if (table < 0).any():
-            raise GroupError("element set is not closed")
-        gens = self._subgroup_generators(elems, pos)
-        return FiniteGroup(table, gens, name=f"{self.name}-sub{len(elems)}"), elems
-
-    def _subgroup_generators(self, elems, pos):
-        chosen = []
-        span = {0}
-        for e in elems:
-            if e in span or e == 0:
-                continue
-            chosen.append(e)
-            span = set(self.closure(chosen))
-            if len(span) == len(elems):
-                break
-        return [int(pos[e]) for e in chosen]
-
-    def sylow_subgroup(self, p: int) -> tuple["FiniteGroup", list[int]]:
-        """A Sylow p-subgroup, grown through normalizers."""
-        target = 1
-        n = self.order
-        while n % p == 0:
-            target *= p
-            n //= p
-        current = [0]
-        while len(current) < target:
-            cur_set = set(current)
-            normalizer = [
-                g
-                for g in range(self.order)
-                if all(self.conj(g, h) in cur_set for h in current)
-            ]
-            grown = False
-            for x in normalizer:
-                if x in cur_set:
-                    continue
-                trial = self.closure(current + [x])
-                lt = len(trial)
-                while lt % p == 0:
-                    lt //= p
-                if lt == 1 and len(trial) > len(current):
-                    current = trial
-                    grown = True
-                    break
-            if not grown:
-                raise GroupError("Sylow growth failed")
-        return self.subgroup(current)
-
     def _table_blocks(self):
         """The table's entries in row-major order, in contiguous blocks."""
         yield self.table
@@ -473,10 +407,10 @@ class FiniteGroup:
 
 def symmetric_group(m: int) -> FiniteGroup:
     """S_m as permutations of {0..m-1}, generated by (0 1) and (0 1 ... m-1)."""
-    if m > 8:
-        raise GroupError("symmetric_group guard: m <= 8")
     if m < 2:
         raise GroupError("need m >= 2")
+    if math.factorial(m) > TABLE_GUARD:
+        raise GroupError(f"symmetric_group guard: m! <= {TABLE_GUARD}")
     transposition = tuple([1, 0] + list(range(2, m)))
     cycle = tuple(list(range(1, m)) + [0])
     gens = [transposition, cycle] if m > 2 else [transposition]
@@ -486,15 +420,14 @@ def symmetric_group(m: int) -> FiniteGroup:
 def _symmetric_relators(m: int) -> list:
     """Relators of S_m on t = (0 1) and c = (0 1 ... m-1) (Coxeter and
     Moser, Generators and Relations for Discrete Groups, 6.2): t^2, c^m,
-    (t c)^(m-1), (t c^-1 t c)^3 and (t c^-j t c^j)^2 for 2 <= j <= m/2,
-    with c^-1 = c^(m-1) and x^k = 1 written x^(k-1) = x^-1; t^2 alone for
-    m = 2."""
+    (t c)^(m-1) and (t c^-j t c^j)^2 for 2 <= j <= m/2, with c^-1 = c^(m-1)
+    and x^k = 1 written x^(k-1) = x^-1; t^2 alone for m = 2.  Coxeter and
+    Moser's (t c^-1 t c)^3 is left out: the others close at m! cosets for
+    every m <= 7 without it, and `_presentation` proves the list each time."""
     t, c = (0,), (1,)
     if m == 2:
         return [(t * 2, ())]
     rels = [(t * 2, ()), (c * m, ()), ((t + c) * (m - 2), c * (m - 1) + t)]
-    if m >= 4:
-        rels.append(((t + c * (m - 1) + t + c) * 2, c * (m - 1) + t + c + t))
     rels += [(t + c * (m - j) + t + c * j, c * (m - j) + t + c * j + t) for j in range(2, m // 2 + 1)]
     return rels
 
@@ -632,9 +565,8 @@ class SemidirectGroup(FiniteGroup):
     def __init__(self, kmod, gq: FiniteGroup):
         self.kmod = kmod
         self.gq = gq
+        check_extension_order(kmod.size, gq.order)
         order = kmod.size * gq.order
-        if order > TABLE_GUARD:
-            raise GroupError(f"semidirect order {order} exceeds guard")
         gens = [kmod.encode(v) * gq.order for v in kmod.basis_vectors()]
         gens += [int(s) for s in gq.generators]
         self._setup(order, gens, f"{kmod.size}:{gq.name}")
@@ -662,8 +594,8 @@ class SemidirectGroup(FiniteGroup):
     @cached_property
     def table(self) -> np.ndarray:
         """The full multiplication table, assembled from `_table_blocks` on
-        first use.  Certification never reads it; the oracle, direct H^2
-        and subgroups do."""
+        first use.  Certification never reads it; the oracle and direct H^2
+        do."""
         flat = np.empty(self.order**2, dtype=np.int64)
         pos = 0
         for block in self._table_blocks():
@@ -718,6 +650,15 @@ class SemidirectGroup(FiniteGroup):
 
 def semidirect_product(kmod, gq: FiniteGroup) -> SemidirectGroup:
     return SemidirectGroup(kmod, gq)
+
+
+def check_extension_order(k_order: int, g_order: int) -> None:
+    """Refuse K x| G past TABLE_GUARD from |K| and |G| alone, so that a
+    caller can refuse it before building K or G.  A factor of 2^64 or more
+    is named by a power of 2 below it, as its digits may not print."""
+    if k_order * g_order > TABLE_GUARD:
+        k, g = (str(n) if n < 2**64 else f"at least 2^{n.bit_length() - 1}" for n in (k_order, g_order))
+        raise GroupError(f"|Gamma| = |K| |G| with |K| = {k} and |G| = {g} exceeds the guard {TABLE_GUARD}")
 
 
 def _walk(steps, gen_values, mul, one):

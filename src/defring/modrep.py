@@ -6,8 +6,8 @@ constructor checks them on the group's relators (`FiniteGroup.relators`,
 homomorphism, and the matrix of every element (`Representation.mats`) is
 computed on first use, along the spanning tree (`FiniteGroup.extend`).
 Representations that are homomorphisms by construction (reductions,
-restrictions, inflations to K x| G, End with the conjugation action, the
-trivial module) are not checked again.
+inflations to K x| G, End with the conjugation action, the trivial module)
+are not checked again.
 
 Covers the modules of the certification pipeline: the standard piece of a
 permutation lattice, the rank-2 module F_{p^2} with its multiplicative and
@@ -115,11 +115,6 @@ class Representation:
             raise RepresentationError("Gamma is not an extension of this group")
         eye = np.broadcast_to(np.eye(self.degree, dtype=np.int64), (gamma.kmod.degree, self.degree, self.degree))
         return Representation._homomorphism(gamma, np.concatenate([eye, self.gen_mats]), self.p, self.N)
-
-    def restrict(self, subgroup: FiniteGroup, elements: list[int]) -> "Representation":
-        """Restriction along an embedded subgroup (from FiniteGroup.subgroup)."""
-        ambient = np.asarray(elements, dtype=np.int64)[list(subgroup.generators)]
-        return Representation._homomorphism(subgroup, self.mats[ambient], self.p, self.N)
 
 
 def _same_group(G: FiniteGroup, H: FiniteGroup) -> bool:

@@ -49,6 +49,28 @@ def word(G: FiniteGroup, e: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def inverses(G: FiniteGroup) -> np.ndarray:
+    """inverses[e] = e^-1: each row of the table holds the identity once."""
+    return np.nonzero(G.table == 0)[1]
+
+
+def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, list[int]]:
+    """The subgroup on a closed set of elements of G, re-indexed in
+    increasing order, on generators added greedily until they span it; also
+    the list of its elements in G."""
+    elems = sorted(set(elements))
+    pos = np.full(G.order, -1)
+    pos[elems] = np.arange(len(elems))
+    table = pos[G.table[np.ix_(elems, elems)]]
+    assert elems[0] == 0 and (table >= 0).all(), "not a closed set of elements"
+    gens, span = [], {0}
+    for e in elems:
+        if e not in span:
+            gens.append(e)
+            span = set(G.closure(gens))
+    return FiniteGroup(table, pos[gens], name=f"{G.name}-sub{len(elems)}"), elems
+
+
 def orbit_count_triples(G: FiniteGroup) -> int:
     """Number of orbits of the diagonal action on ordered triples of points."""
     if G.action is None:
@@ -607,8 +629,8 @@ def is_projective_higman(V: Representation):
         return False, None
     F = x.reshape(d, d)
     acc = np.zeros((d, d), dtype=np.int64)
-    for g in range(V.group.order):
-        acc += V.mats[g] @ F @ V.mats[V.group.inverse[g]]
+    for g, g_inv in enumerate(inverses(V.group)):
+        acc += V.mats[g] @ F @ V.mats[g_inv]
     assert (acc % p == np.eye(d, dtype=np.int64)).all()
     return True, F
 
@@ -630,7 +652,7 @@ def hensel_lift_rep(Vbar: Representation, N: int) -> Representation:
     G, p, d = Vbar.group, Vbar.p, Vbar.degree
     gens = G.generators
     conj = end_rep(Vbar).mats
-    inv_bar = Vbar.mats[G.inverse]
+    inv_bar = Vbar.mats[inverses(G)]
     current = Vbar.mats.copy()
     for level in range(1, N):
         m_next = p ** (level + 1)

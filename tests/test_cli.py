@@ -2,7 +2,13 @@ import json
 
 import pytest
 
+from defring import certify, cli
 from defring.cli import main
+from defring.groups import SemidirectGroup
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
 
 
 def run_cli(capsys, *argv):
@@ -72,10 +78,46 @@ def test_cohomology_degree_2(capsys):
     code, out, _ = run_cli(capsys, "cohomology", "twisted-p2n1", "--degree", "2")
     assert code == 0
     assert json.loads(out)["h2_dim"] == 2
-    # past the guards on the Sylow 3-subgroup (order 81): exit 2 with the size
+    # past the guards on Gamma itself: exit 2 with the size of Gamma's own
+    # direct route, (|Gamma| - 1) |Gamma| dim M #unknowns f-tensor entries
     code, _, err = run_cli(capsys, "cohomology", "twisted-p3n2", "--degree", "2")
     assert code == 2
-    assert "Sylow 3-subgroup, of order 81" in err and "16588800 entries" in err
+    assert "139099161600 entries" in err
+
+
+def test_cohomology_degree_3_is_refused_before_assembly(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "assemble", _refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "twisted-p2n1", "--degree", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_cohomology_degree_2_refusal_builds_no_table_of_gamma(capsys, monkeypatch):
+    # |Gamma| = 4704: the direct route's size is refused from |Gamma| alone
+    monkeypatch.setattr(SemidirectGroup, "table", property(_refuse))
+    code, _, err = run_cli(capsys, "cohomology", "twisted-p7n1", "--degree", "2")
+    assert code == 2
+    assert "past the guard" in err
+
+
+@pytest.mark.parametrize(
+    "args, k_order, g_order",
+    [
+        (["standard-d6p11"], 11**6, 5040),
+        (["standard-d7p11"], 11**7, 40320),
+        (["twisted-p11n1"], 121, 240),
+        # PGL_2(2^56): 2^(2^56) is not formed, and neither factor's digits printed
+        (["standard", "--d", str(2**56), "--p", "2", "-N", "2"], "at least 2^64", "at least 2^167"),
+    ],
+)
+def test_gamma_order_is_refused_before_g_is_built(args, k_order, g_order, capsys, monkeypatch):
+    # assemble builds G by these: S_m, PGL_2(q), and TF_p with F_{p^2}
+    for family in ("symmetric_group", "pgl2", "galois_module_rep"):
+        monkeypatch.setattr(certify, family, _refuse)
+    code, _, err = run_cli(capsys, "certify", *args)
+    assert code == 2
+    assert f"|K| = {k_order} and |G| = {g_order}" in err
 
 
 def test_example_output(capsys):

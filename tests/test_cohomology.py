@@ -32,7 +32,7 @@ from defring.modrep import (
     twisted_kernel_module,
 )
 
-from reference import is_projective_higman
+from reference import inverses, is_projective_higman
 
 
 def cyclic_group(n):
@@ -145,13 +145,33 @@ def test_h1_h2_vanish_for_projective_modules_battery():
         assert h2_dim(M) == 0, (M.group.name, p)
 
 
-def test_h2_sylow_reduction_path():
-    # the twisted group at p = 5 has order 48 coprime to 5: the Sylow
-    # subgroup is trivial and forces vanishing without dense assembly
+def test_h2_coprime_order_vanishes_without_assembly(monkeypatch):
+    # the twisted group at p = 5 has order 48 coprime to 5, so |G| is a unit
+    # on M and kills H^2: "auto" answers 0 without assembling anything
+    def refuse(self):
+        raise AssertionError("assembled the Z^2 system")
+
+    monkeypatch.setattr(BarComplex, "d2_matrix", refuse)
     M = end_rep(galois_module_rep(5, 1))
-    direct_cost = (M.group.order - 1) ** 3 * M.degree
-    assert direct_cost * (M.group.order - 1) ** 2 * M.degree > 25_000_000
     assert h2_dim(M) == 0
+    with pytest.raises(AssertionError, match="assembled"):
+        h2_dim(M, method="direct")
+
+
+@st.composite
+def _permutation_groups(draw):
+    npts = draw(st.integers(2, 5))
+    perms = st.permutations(range(npts)).map(tuple)
+    gens = draw(st.lists(perms, min_size=1, max_size=2))
+    return FiniteGroup.from_permutations(gens, name="P")
+
+
+@settings(max_examples=120, deadline=None)
+@given(_permutation_groups(), st.sampled_from([2, 3, 5]))
+def test_h2_auto_equals_direct(G, p):
+    # coprime vanishing against the direct route, trivial coefficients
+    M = trivial_module(G, p)
+    assert h2_dim(M) == h2_dim(M, method="direct")
 
 
 def test_h2_guard():
@@ -575,7 +595,7 @@ def _subgroup_from(G, elements, start=()):
 
 def _abelian_p_rank(G, p):
     """dim Hom(G^ab, F_p) = log_p [G : [G, G] G^p], from the table alone."""
-    T, inv = G.table, G.inverse
+    T, inv = G.table, inverses(G)
     aba = T[T, inv[:, None]]  # [a, b] -> a b a^-1
     commutators = np.unique(T[aba, inv[None, :]])
     seeds, _ = _subgroup_from(G, commutators.tolist())

@@ -90,6 +90,12 @@ def test_every_family_group_uses_its_own_relators():
         assert len(G.relators()) < len(G._schreier_relators()) or G.order <= 2, G.name
 
 
+def test_s4_relators_are_at_most_6_letters_a_side():
+    # Coxeter and Moser's (t c^-1 t c)^3, 12 letters on one side, is left
+    # out: the others already close at 24 cosets
+    assert max(len(w) for rel in symmetric_group(4).relators() for w in rel) <= 6
+
+
 def test_s7_relators_hold_and_enumerate_to_5040():
     # S_7's 5040 x 5040 table (200 MB) is left out: its candidates are
     # checked on the permutations and by enumeration, the two steps of the

@@ -135,8 +135,9 @@ def test_relators_are_the_per_element_schreier_relators():
         assert base.relators() == base._candidates != (), base.name
         plain = FiniteGroup(base.table, base.generators)
         assert plain.relators() == _schreier_relators(plain), base.name
-    sylow, _ = symmetric_group(4).sylow_subgroup(2)
-    assert sylow.relators() == _schreier_relators(sylow)
+    # D_8, the symmetries of a square, built with no candidates
+    d8 = FiniteGroup.from_permutations([(1, 2, 3, 0), (3, 2, 1, 0)], name="D8")
+    assert d8.order == 8 and d8.relators() == _schreier_relators(d8)
 
 
 def _find_isomorphism_per_element(G, H):

@@ -16,11 +16,13 @@ from defring.modrep import (
 from reference import (
     d_basis,
     hensel_lift_rep,
+    inverses,
     is_projective_higman,
     matrix_inv_mod,
     orbit_count_triples,
     permutation_pieces,
     strictly_equivalent,
+    subgroup,
     twisted_end_decomposition,
     x_matrices,
 )
@@ -92,7 +94,7 @@ def test_end_rep_dimension_and_action():
     assert M.degree == 4
     Representation(V.group, M.gen_mats, 2, 1)  # passes the relator check
     # at every element g, the conjugation action rho(g) (x) rho(g^-1)^T
-    inv = V.group.inverse
+    inv = inverses(V.group)
     for g in range(V.group.order):
         assert (M.mats[g] == np.kron(V.mats[g], V.mats[inv[g]].T) % 2).all()
 
@@ -228,10 +230,12 @@ def test_higman_projectivity():
     triv = Representation(G, np.ones((len(G.generators), 1, 1), dtype=int), 2, 1)
     proj, f = is_projective_higman(triv)
     assert not proj and f is None
-    # cross-check: the trivial module restricted to a Sylow 2-subgroup is
-    # not free, so not projective there either
-    syl, elems = G.sylow_subgroup(2)
-    proj_syl, _ = is_projective_higman(triv.restrict(syl, elems))
+    # cross-check: the trivial module restricted to a Sylow 2-subgroup, the
+    # order-2 subgroup of sigma, is not free, so not projective there either
+    syl, elems = subgroup(G, G.closure([G.generators[1]]))
+    assert syl.order == 2
+    restricted = Representation(syl, triv.mats[np.asarray(elems)[list(syl.generators)]], 2, 1)
+    proj_syl, _ = is_projective_higman(restricted)
     assert not proj_syl
 
 
@@ -270,7 +274,7 @@ def test_dual_of_standard_selfdual():
     G = symmetric_group(3)
     V = standard_rep(G, 5, 1)
     # the contragredient rho(g)^{-T}, with rho(g)^-1 read as rho(g^-1)
-    Vd = Representation(G, V.mats[G.inverse[list(G.generators)]].transpose(0, 2, 1), V.p, V.N)
+    Vd = Representation(G, V.mats[inverses(G)[list(G.generators)]].transpose(0, 2, 1), V.p, V.N)
     assert hom_space(V, Vd).dimension == 1
 
 
