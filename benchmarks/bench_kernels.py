@@ -11,8 +11,11 @@ it) and the whole assembly of an instance (`assemble`) for three of the
 largest battery instances.  Also times one end-to-end oracle enumeration, and the
 enumeration and the class partition on three rows of the oracle benchmark
 (and the relator check of the lifts, `_assert_full_table`, on one), the
-check of rho_R on Gamma's relators (`build_rho_R`), and the constructions
-of GR(p^3, 2) (`galois_matrices`), PGL_2(F_q) and S_6 (the last two close
+whole functor comparison (`functor_compare`: the choice of the generators
+walked, the walk, the re-expression at the report generators and the
+classes) on standard-d2p2 over (Z/4)[u]/(u^2, 2u) and twisted-p3n2 over
+F_3[eps], the check of rho_R on Gamma's relators (`build_rho_R`), and the
+constructions of GR(p^3, 2) (`galois_matrices`), PGL_2(F_q) and S_6 (the last two close
 permutations with `FiniteGroup.from_permutations`).  The Howell-form rows
 time `solve_module` on the Hom systems that certifying standard-d4p2
 solves.  The presentation rows time `FiniteGroup._presentation` on the
@@ -243,6 +246,19 @@ def main():
                 lambda: _assert_full_table(lifts, asm.rho_bar, ring),
                 repeat=5,
             )
+
+    print("== oracle rows end to end (functor_compare) ==")
+    from defring.oracle import functor_compare
+
+    for name, ring_name in (("standard-d2p2", "Z4u"), ("twisted-p3n2", "dual")):
+        asm = assemble(parse_instance_name(name))
+        rho_r = build_rho_R(asm, find_alpha(asm).alpha)
+        ring = standard_rings(asm.p)[ring_name]
+        bench(
+            f"functor_compare {name}/{ring_name}",
+            lambda asm=asm, rho_r=rho_r, ring=ring: functor_compare(asm, rho_r, ring),
+            repeat=5,
+        )
 
     print("== ring constructions: GR(p^3, 2) and PGL_2(F_q) ==")
     from defring.exactalg import galois_matrices

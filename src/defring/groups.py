@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -363,6 +363,15 @@ class FiniteGroup:
     def generates(self, seeds) -> bool:
         return len(self.closure(seeds)) == self.order
 
+    def first_generating_tuple(self, pool, max_size: int, budget: int | None = None):
+        """The first tuple of at most `max_size` elements of `pool` that
+        generates the group, by size and then in the order of `pool`
+        (`itertools.combinations`); None if there is none, or if the first
+        `budget` tuples tried (all of them when `budget` is None) hold
+        none.  Each tuple tried is one `generates` call."""
+        tuples = chain.from_iterable(combinations(pool, k) for k in range(1, max_size + 1))
+        return next((c for c in islice(tuples, budget) if self.generates(c)), None)
+
     def small_generating_set(self) -> tuple[int, ...]:
         """First generating tuple of minimal size, at most 3, scanning element
         indices; the distinguished generators if none is found."""
@@ -370,11 +379,7 @@ class FiniteGroup:
             return self.generators
         if self.order == 1:
             return ()
-        for size in range(1, 4):
-            for combo in combinations(range(1, self.order), size):
-                if self.generates(combo):
-                    return combo
-        return self.generators
+        return self.first_generating_tuple(range(1, self.order), 3) or self.generators
 
     def _table_blocks(self):
         """The table's entries in row-major order, in contiguous blocks."""
@@ -527,9 +532,9 @@ def twisted_frobenius_group(p: int) -> FiniteGroup:
     sigma zeta sigma^-1 = zeta^p; encoded as index 2*i + e so that the
     identity (0, 0) is element 0.  Generators: zeta = (1,0), sigma = (0,1).
     """
-    if p > 7:
-        raise GroupError("twisted group guard: p <= 7")
     m = p * p - 1
+    if 2 * m > TABLE_GUARD:  # before the table is built
+        raise GroupError(f"order {2 * m} exceeds full-table guard {TABLE_GUARD}")
     i, e, j, f = np.ix_(range(m), range(2), range(m), range(2))
     k = (i + p**e * j) % m
     table = (2 * k + (e + f) % 2).reshape(2 * m, 2 * m)

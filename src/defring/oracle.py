@@ -7,6 +7,18 @@ identity), and compare the class count and the induced correspondence with
 the set of local W-algebra maps R -> A.  Each generator image ranges over its
 reduction coset, cut to the matrices X with X^o(s) = I for the order o(s) of
 the generator s; every lift satisfies this, since rho(s)^o(s) = rho(1) = I.
+Where rho_bar is injective on the cyclic group of s, o(s) = o(rho_bar(s)),
+X^o(s) = I is a full condition on X: the lift must keep the order of
+rho_bar(s).  Elsewhere X^o(rho_bar(s)) already lies in 1 + M_d(m_A), whose
+elements the remaining factor o(s) / o(rho_bar(s)) mostly sends to I, and
+the cut keeps almost the whole coset.  So `functor_compare` walks on
+generators of the first kind when the report generators are not
+(`enumeration_generators`), and gives each lift by its values at the report
+generators, read off the walked ones along their spanning tree
+(`FiniteGroup.extend`), the step that also starts the check of the lifts on
+Gamma's relators.  Before the walk, the post-cut product B of assignments is
+refused when its value stack, |Gamma| B d^2 int64s, is past WALK_BUDGET
+bytes.
 The products of the survivors are extended down Gamma's BFS spanning tree
 and filtered by the equations e*s in one walk, one batched product per tree
 level and generator, and every lift is then validated against the relators
@@ -19,6 +31,7 @@ cross-check each other.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -32,6 +45,8 @@ from .localalg import ArtinLocalAlgebra, count_homs_from_R
 from .modrep import Representation
 
 DEFAULT_GUARD = 100_000_000
+WALK_BUDGET = 2**30  # bytes of the level walk's value stack, |Gamma| x assignments x d^2 x 8
+GENERATES_BUDGET = 2_000  # generating tuples `enumeration_generators` tries
 
 
 class OracleError(ValueError):
@@ -113,6 +128,47 @@ def _stack_matmul(add, mul, d):
     return matmul
 
 
+def faithful_cyclic_mask(rho_bar: Representation) -> np.ndarray:
+    """The mask of the elements e of Gamma with o(e) = o(rho_bar(e)), those
+    on whose cyclic group rho_bar is injective: no power e^k != 1 lies in
+    rho_bar's kernel, as rho_bar(e)^k = rho_bar(e^k).  One walk
+    e -> e^2 -> e^3 ... over Gamma's table, every element at once, until
+    each has met 1."""
+    group, p, d = rho_bar.group, rho_bar.p, rho_bar.degree
+    kernel = (rho_bar.mats % p == np.eye(d, dtype=np.int64)).all(axis=(1, 2))
+    elements = np.arange(group.order)
+    power = elements
+    faithful = np.ones(group.order, dtype=bool)
+    met_one = power == 0
+    while not met_one.all():
+        power = group.table[power, elements]
+        faithful &= (power == 0) | ~kernel[power]
+        met_one |= power == 0
+    return faithful
+
+
+def enumeration_generators(rho_bar: Representation, gens: tuple[int, ...]) -> tuple[int, ...]:
+    """The generating tuple `functor_compare` enumerates on, for lifts
+    reported at `gens`: `gens` if rho_bar is injective on the cyclic group
+    of each of its elements (`faithful_cyclic_mask`); otherwise the first
+    generating tuple of at most min(3, #gens) such elements, by size and
+    then in index order (`FiniteGroup.first_generating_tuple`, at most
+    GENERATES_BUDGET tuples tried); otherwise `gens`.
+
+    On such an e the order cut of `enumerate_lifts`, X^o(e) = I, asks the
+    lift to keep the order of rho_bar(e); on another e, X^o(rho_bar(e))
+    already lies in 1 + M_d(m_A) and the cut keeps almost every candidate
+    (see the module docstring)."""
+    faithful = faithful_cyclic_mask(rho_bar)
+    if faithful[list(gens)].all():
+        return gens
+    pool = np.flatnonzero(faithful[1:]) + 1
+    found = rho_bar.group.first_generating_tuple(
+        pool.tolist(), min(3, len(gens)), GENERATES_BUDGET
+    )
+    return gens if found is None else found
+
+
 def enumerate_lifts(
     rho_bar: Representation,
     A: ArtinLocalAlgebra,
@@ -134,7 +190,12 @@ def enumerate_lifts(
     edge off the tree (`FiniteGroup.off_tree_edges`) is compared with the
     value it must equal.
     The assignments failing an equation are dropped before the next level,
-    so the deep levels run on tiny stacks."""
+    so the deep levels run on tiny stacks.
+
+    Two refusals, each an OracleError: the unpruned product
+    |m_A|^(d^2 #gens) past `enumeration_guard()`, before the cut, and the
+    walk's value stack, |Gamma| x (post-cut product) x d^2 int64s, past
+    WALK_BUDGET bytes, before it is allocated."""
     group = rho_bar.group
     if gens is None:
         gens = group.small_generating_set()
@@ -159,6 +220,14 @@ def enumerate_lifts(
         for _ in range(group.element_order(s) - 1):
             power = matmul(power, cand)
         cands.append(cand[(power == eye).all(axis=(1, 2))])
+    assignments = math.prod(len(c) for c in cands)
+    walk_bytes = group.order * assignments * d * d * 8
+    if walk_bytes > WALK_BUDGET:
+        raise OracleError(
+            f"{assignments} assignments after the order cut on |Gamma| = {group.order} "
+            f"elements, d = {d}, need {walk_bytes} bytes of values, past the budget "
+            f"{WALK_BUDGET}"
+        )
     grid = np.meshgrid(*(np.arange(len(c)) for c in cands), indexing="ij")
     gen_blocks = np.stack([c[idx.reshape(-1)] for c, idx in zip(cands, grid)])
     off_tree = group.off_tree_edges(gens)
@@ -175,12 +244,35 @@ def enumerate_lifts(
             alive &= (prod[off[:, t]] == values[children[off[:, t], t]]).all(axis=(0, 2, 3))
         if not alive.all():
             gen_blocks, values = gen_blocks[:, alive], values[:, alive]
-    lifts = [
+    lifts = _assignments(gens, gen_blocks)
+    _assert_full_table(lifts, rho_bar, A)
+    return lifts
+
+
+def _assignments(gens, gen_blocks) -> list[LiftAssignment]:
+    """The lifts whose images at `gens` are the (#gens, B, d, d) stack
+    `gen_blocks`, in stack order."""
+    return [
         LiftAssignment(gens, tuple(tuple(gb[i].reshape(-1).tolist()) for gb in gen_blocks))
         for i in range(gen_blocks.shape[1])
     ]
-    _assert_full_table(lifts, rho_bar, A)
-    return lifts
+
+
+def _gen_blocks(lifts, d) -> np.ndarray:
+    """The images of the lifts as a (#gens, #lifts, d, d) stack."""
+    gen_blocks = np.array([l.images for l in lifts], dtype=np.int64)
+    return gen_blocks.reshape(len(lifts), -1, d, d).transpose(1, 0, 2, 3)
+
+
+def _values_at(group, A, gen_blocks, gens, at) -> np.ndarray:
+    """The values at the elements `at` of the homomorphisms with images
+    `gen_blocks` at `gens`, stacked like `gen_blocks`: each is the product
+    of the images along the word of its element in the spanning tree of
+    `gens` (`FiniteGroup.extend` with `at`)."""
+    add, mul, _ = A.tables()
+    d = gen_blocks.shape[-1]
+    one = np.broadcast_to(_identity(A, d), gen_blocks.shape[1:])
+    return group.extend(gen_blocks, _stack_matmul(add, mul, d), one, gens, at=at)
 
 
 def _assert_full_table(lifts, rho_bar, A):
@@ -189,8 +281,9 @@ def _assert_full_table(lifts, rho_bar, A):
     enumeration generators s:
 
     1. evaluate L along the words of the distinguished generators t in the
-       spanning tree of the s (`FiniteGroup.extend` with `at`), giving
-       values M[t];
+       spanning tree of the s (`_values_at`, which `functor_compare` also
+       uses to give walked lifts at the report generators), giving values
+       M[t];
     2. check every relator of Gamma's presentation (`violated_relators`)
        on the M[t].  By von Dyck's theorem there is then a homomorphism phi
        with phi(t) = M[t];
@@ -210,17 +303,15 @@ def _assert_full_table(lifts, rho_bar, A):
         return
     group, d = rho_bar.group, rho_bar.degree
     add, mul, _ = A.tables()
-    gens, B = lifts[0].generators, len(lifts)
-    matmul = _stack_matmul(add, mul, d)
-    gen_blocks = np.array([l.images for l in lifts], dtype=np.int64)
-    gen_blocks = gen_blocks.reshape(B, len(gens), d, d).transpose(1, 0, 2, 3)
-    one = np.broadcast_to(_identity(A, d), (B, d, d))
-    at_gens = group.extend(gen_blocks, matmul, one, gens, at=group.generators)
-    bad = violated_relators(group, at_gens, matmul, one)
+    gens = lifts[0].generators
+    gen_blocks = _gen_blocks(lifts, d)
+    at_gens = _values_at(group, A, gen_blocks, gens, group.generators)
+    one = np.broadcast_to(_identity(A, d), (len(lifts), d, d))
+    bad = violated_relators(group, at_gens, _stack_matmul(add, mul, d), one)
     if bad:
         u, v = bad[0]
         raise OracleError(f"lift is not a homomorphism: relator {u} = {v} fails")
-    if (group.extend(at_gens, matmul, one, at=gens) != gen_blocks).any():
+    if (_values_at(group, A, at_gens, group.generators, gens) != gen_blocks).any():
         raise OracleError("lift is not a homomorphism: its extension differs from it at a generator")
     res = A.elements()[:, 0] % A.p
     for gb, s in zip(gen_blocks, gens):
@@ -325,7 +416,11 @@ def functor_compare(
 ) -> FunctorReport:
     """Desk-scale universality: map each local W-algebra hom R -> A to the
     class of the pushed-forward lift and check the correspondence is a
-    bijection onto the deformation classes."""
+    bijection onto the deformation classes.
+
+    The lifts are enumerated on `enumeration_generators(rho_bar, gens)` and
+    then given by their values at `gens` (default: `small_generating_set`),
+    on which the classes and the report are keyed."""
     t0 = time.monotonic()
     p, n, N = asm.p, asm.n, asm.N
     if A.p != p:
@@ -338,7 +433,11 @@ def functor_compare(
     if gens is None:
         gens = rho_bar.group.small_generating_set()
     gens = tuple(int(g) for g in gens)
-    lifts = enumerate_lifts(rho_bar, A, gens)
+    walked = enumeration_generators(rho_bar, gens)
+    lifts = enumerate_lifts(rho_bar, A, walked)
+    if walked != gens and lifts:
+        blocks = _gen_blocks(lifts, rho_bar.degree)
+        lifts = _assignments(gens, _values_at(rho_bar.group, A, blocks, walked, gens))
     classes = deformation_classes(rho_bar, A, lifts)
     homs = count_homs_from_R(n, A)
     # rho_R at the generators over R; t -> x sends w + t u to w 1 + u x in A

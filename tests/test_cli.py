@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from defring import certify, cli
+from defring import certify, cli, oracle
 from defring.cli import main
 from defring.groups import SemidirectGroup
 
@@ -59,6 +59,34 @@ def test_oracle_subcommand(capsys):
     assert data["class_count"] == 2
 
 
+@pytest.mark.parametrize("ring", ["dual", "Z9"])
+def test_oracle_twisted_p3n2(capsys, ring):
+    # the 4 distinguished generators asked for a (1296, 531441, 2, 2) stack;
+    # the walk on elements of orders (2, 8) that rho_bar keeps faithful has 81
+    code, out, _ = run_cli(capsys, "oracle", "twisted-p3n2", "--ring", ring)
+    assert code == 0
+    data = json.loads(out)
+    assert data["bijective"] is True
+    assert (data["lift_count"], data["class_count"]) == (81, 3)
+
+
+def test_oracle_walk_past_the_budget_exits_2_before_allocating(capsys, monkeypatch):
+    monkeypatch.setenv("DEFRING_GUARD_OVERRIDE", str(10**12))
+    monkeypatch.setattr(oracle.np, "meshgrid", _refuse)
+    code, _, err = run_cli(capsys, "oracle", "standard-d3p3", "--ring", "dual")
+    assert code == 2
+    # |Gamma| x B x d^2 x 8 = 648 x 531441 x 9 x 8
+    assert "531441 assignments" in err and "|Gamma| = 648" in err and "d = 3" in err
+    assert "24794911296 bytes" in err
+
+
+@pytest.mark.parametrize("instance", ["twisted-p11n1-scalar", "twisted-p13n1-scalar"])
+def test_twisted_group_past_p7_is_built(capsys, instance):
+    code, out, _ = run_cli(capsys, "certify", instance)
+    assert code == 1
+    assert json.loads(out)["verdict"] == "refuted"
+
+
 def test_oracle_unknown_ring(capsys):
     code, _, err = run_cli(capsys, "oracle", "twisted-p2n1", "--ring", "nope")
     assert code == 2
@@ -109,6 +137,7 @@ def test_cohomology_degree_2_refusal_builds_no_table_of_gamma(capsys, monkeypatc
         (["twisted-p11n1"], 121, 240),
         # PGL_2(2^56): 2^(2^56) is not formed, and neither factor's digits printed
         (["standard", "--d", str(2**56), "--p", "2", "-N", "2"], "at least 2^64", "at least 2^167"),
+        (["twisted-p71n1-scalar"], 71, 10080),
     ],
 )
 def test_gamma_order_is_refused_before_g_is_built(args, k_order, g_order, capsys, monkeypatch):

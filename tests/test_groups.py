@@ -174,6 +174,11 @@ def test_twisted_group_orders():
     assert twisted_frobenius_group(2).order == 6
     assert twisted_frobenius_group(3).order == 16
     assert twisted_frobenius_group(5).order == 48
+    # no cap on p itself: the order 2 (p^2 - 1) is refused before the table
+    assert twisted_frobenius_group(11).order == 240
+    with mock.patch.object(np, "ix_", side_effect=AssertionError):
+        with pytest.raises(GroupError, match="order 10080 exceeds"):
+            twisted_frobenius_group(71)
 
 
 def test_twisted_group_relations():

@@ -1,10 +1,13 @@
 from functools import lru_cache
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defring import kernels
+from defring import kernels, oracle
 from defring.certify import (
     InstanceSpec,
     assemble,
@@ -23,11 +26,16 @@ from defring.oracle import (
     LiftAssignment,
     OracleError,
     _assert_full_table,
+    _assignments,
     _candidates_for_generator,
+    _gen_blocks,
     _identity,
     _kernel_inverses,
+    _values_at,
     deformation_classes,
     enumerate_lifts,
+    enumeration_generators,
+    faithful_cyclic_mask,
     functor_compare,
 )
 
@@ -451,3 +459,93 @@ def test_deformation_classes_refuse_a_list_missing_a_lift(instance, ring):
         deformation_classes(rho_bar, A, partial)
     with pytest.raises(OracleError, match="conjugate of a lift is not a lift"):
         _reference_classes(rho_bar, A, partial)
+
+
+# ---------------------------------------------------------------------------
+# Walking on generators that rho_bar keeps faithful, reporting on the old ones
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _oracle_inputs(instance):
+    asm = assemble(parse_instance_name(instance))
+    return asm, build_rho_R(asm, find_alpha(asm).alpha)
+
+
+@lru_cache(maxsize=None)
+def _generating_pairs(instance):
+    group = _oracle_inputs(instance)[0].gamma
+    return [c for c in combinations(range(1, group.order), 2) if group.generates(c)]
+
+
+def _report(asm, rho_r, A, walked=None):
+    """`functor_compare`'s JSON without runtime_ms, walking on `walked`
+    (default: by `enumeration_generators`)."""
+    if walked is None:
+        report = functor_compare(asm, rho_r, A)
+    else:
+        with mock.patch.object(oracle, "enumeration_generators", lambda rho_bar, gens: walked):
+            report = functor_compare(asm, rho_r, A)
+    out = report.to_json_dict()
+    out.pop("runtime_ms")
+    return out
+
+
+@pytest.mark.parametrize("instance", ["twisted-p2n1", "twisted-p2n2", "standard-d2p2", "twisted-p3n1"])
+def test_faithful_cyclic_mask_matches_the_orders_of_the_images(instance):
+    rho_bar = _oracle_inputs(instance)[0].rho_bar
+    group, p, d = rho_bar.group, rho_bar.p, rho_bar.degree
+    eye = np.eye(d, dtype=np.int64)
+    expected = []
+    for e in range(group.order):
+        image = rho_bar.mats[e] % p
+        power, k = image, 1
+        while not (power == eye).all():
+            power, k = power @ image % p, k + 1
+        expected.append(k == group.element_order(e))
+    assert faithful_cyclic_mask(rho_bar).tolist() == expected
+
+
+def test_enumeration_generators_keep_faithful_generators_and_replace_the_others():
+    twisted = _oracle_inputs("twisted-p2n1")[0].rho_bar
+    assert enumeration_generators(twisted, (1, 8)) == (1, 8)
+    faithful = faithful_cyclic_mask(twisted)
+    last = next(c for c in reversed(_generating_pairs("twisted-p2n1")) if faithful[list(c)].all())
+    assert last != (1, 8) and enumeration_generators(twisted, last) == last
+    standard = _oracle_inputs("standard-d2p2")[0].rho_bar
+    gens = standard.group.small_generating_set()
+    assert gens == (1, 8) and not faithful_cyclic_mask(standard)[8]
+    walked = enumeration_generators(standard, gens)
+    assert walked == (1, 9)
+    # the post-cut product over Z4u, read off the walk's budget refusal
+    A = standard_rings(2)["Z4u"]
+    with mock.patch.object(oracle, "WALK_BUDGET", 0):
+        for tup, product_after_cut in ((gens, 4096), (walked, 256)):
+            with pytest.raises(OracleError, match=f"^{product_after_cut} assignments after the order cut"):
+                enumerate_lifts(standard, A, tup)
+    # no generating tuple of faithful elements within the budget: keep gens
+    with mock.patch.object(oracle, "GENERATES_BUDGET", 0):
+        assert enumeration_generators(standard, gens) == gens
+
+
+@pytest.mark.parametrize("instance", ["twisted-p2n1", "standard-d2p2"])
+@pytest.mark.parametrize("ring", ["dual", "Z4", "Z8"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_lifts_walked_on_any_generating_pair_are_the_lifts_at_the_report_generators(instance, ring, data):
+    asm, rho_r = _oracle_inputs(instance)
+    rho_bar, A = asm.rho_bar, standard_rings(2)[ring]
+    gens = asm.gamma.small_generating_set()
+    walked = data.draw(st.sampled_from(_generating_pairs(instance)))
+    direct = [l.images for l in enumerate_lifts(rho_bar, A, gens)]
+    blocks = _gen_blocks(enumerate_lifts(rho_bar, A, walked), rho_bar.degree)
+    moved = [l.images for l in _assignments(gens, _values_at(asm.gamma, A, blocks, walked, gens))]
+    assert len(moved) == len(direct) and set(moved) == set(direct)
+    assert _report(asm, rho_r, A, walked) == _report(asm, rho_r, A, gens)
+
+
+@pytest.mark.parametrize("ring", ["dual", "Z4", "Z8", "F2t3", "Z4u"])
+def test_functor_compare_report_is_the_report_walked_on_gens(ring):
+    asm, rho_r = _oracle_inputs("standard-d2p2")
+    A = standard_rings(2)[ring]
+    assert _report(asm, rho_r, A) == _report(asm, rho_r, A, asm.gamma.small_generating_set())
