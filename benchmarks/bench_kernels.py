@@ -5,7 +5,9 @@ H^2(SD_16, F_2) and the tallest H^1 system of the acceptance battery: the
 Fox-derivative rows of standard-d4p2's presentation), H^1 end to end on four
 of the largest battery instances, direct H^2 with trivial coefficients on
 A_4, SD_16 and S_4 over F_2 and F_3, table-driven batched matrix products (oracle
-enumeration), and the construction of Gamma = K x| G, the hash of its table
+enumeration), one level product of the oracle's walk folded into a single
+kernel call (`oracle._stack_matmul` on (L, 1, B, 2, 2) values by (2, B, 2,
+2) generator images), and the construction of Gamma = K x| G, the hash of its table
 (`table_hash`, streamed from K and G, against building the table and hashing
 it) and the whole assembly of an instance (`assemble`) for three of the
 largest battery instances.  Also times one end-to-end oracle enumeration, and the
@@ -13,8 +15,8 @@ enumeration and the class partition on three rows of the oracle benchmark
 (and the relator check of the lifts, `_assert_full_table`, on one), the
 whole functor comparison (`functor_compare`: the choice of the generators
 walked, the walk, the re-expression at the report generators and the
-classes) on standard-d2p2 over (Z/4)[u]/(u^2, 2u) and twisted-p3n2 over
-F_3[eps], the check of rho_R on Gamma's relators (`build_rho_R`), and the
+classes) on standard-d2p2 over (Z/4)[u]/(u^2, 2u), twisted-p3n2 over
+F_3[eps] and standard-d2p7 over F_7[eps], the check of rho_R on Gamma's relators (`build_rho_R`), and the
 constructions of GR(p^3, 2) (`galois_matrices`), PGL_2(F_q) and S_6 (the last two close
 permutations with `FiniteGroup.from_permutations`).  The Howell-form rows
 time `solve_module` on the Hom systems that certifying standard-d4p2
@@ -194,6 +196,16 @@ def main():
             f"table_matmul 65536x(2x2) over {ring.name}",
             lambda a=a, b=b, add=add, mul=mul: kernels.table_matmul(a, b, add, mul),
         )
+    from defring.oracle import _stack_matmul
+
+    ring = truncated_polynomials(2, 3)
+    add, mul, _ = ring.tables()
+    values = rng.integers(0, ring.size, (16, 1, 4096, 2, 2), dtype=np.int64)
+    images = rng.integers(0, ring.size, (2, 4096, 2, 2), dtype=np.int64)
+    bench(
+        f"folded level product 4096x(16 x 2) over {ring.name}",
+        lambda: _stack_matmul(add, mul, 2)(values, images),
+    )
 
     print("== Gamma construction (semidirect_product) ==")
     from defring.certify import InstanceSpec
@@ -250,7 +262,7 @@ def main():
     print("== oracle rows end to end (functor_compare) ==")
     from defring.oracle import functor_compare
 
-    for name, ring_name in (("standard-d2p2", "Z4u"), ("twisted-p3n2", "dual")):
+    for name, ring_name in (("standard-d2p2", "Z4u"), ("twisted-p3n2", "dual"), ("standard-d2p7", "dual")):
         asm = assemble(parse_instance_name(name))
         rho_r = build_rho_R(asm, find_alpha(asm).alpha)
         ring = standard_rings(asm.p)[ring_name]

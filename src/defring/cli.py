@@ -123,14 +123,14 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = _spec_from_args(args)
+    rings = standard_ring_builders(spec.p)
+    if args.ring not in rings:
+        raise OracleError(f"unknown ring {args.ring!r}; choose from {sorted(rings)}")
     asm = assemble(spec)
     cb = find_alpha(asm)
     if cb.alpha is None:
         raise CertifyError("instance has no injective alpha; oracle needs the lift")
     rho_r = build_rho_R(asm, cb.alpha)
-    rings = standard_ring_builders(spec.p)
-    if args.ring not in rings:
-        raise OracleError(f"unknown ring {args.ring!r}; choose from {sorted(rings)}")
     report = functor_compare(asm, rho_r, rings[args.ring]())
     _emit(report.to_json_dict(), args)
     print(

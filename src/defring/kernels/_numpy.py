@@ -144,13 +144,21 @@ def table_matmul(a, b, add, mul):
 
     ``a`` has shape (n, d, k) and ``b`` (n, k, m); entries are element codes
     indexing the ``add``/``mul`` tables.  Returns the (n, d, m) products.
+
+    The tables are read flat, code x * |A| + y for the pair (x, y), and the
+    sum runs one inner index i at a time: acc <- add[acc, a[..., i] b[i, ...]]
+    is two `take` gathers on (n, d, m) index arrays.  So each step holds
+    three (n, d, m) arrays, the accumulator, the flat index and the gathered
+    products, and the (n, d, m, k) tensor of all products is never formed.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    bt = b.transpose(0, 2, 1)
-    prod = mul[a[:, :, None, :], bt[:, None, :, :]]
-    acc = prod[..., 0]
-    for i in range(1, prod.shape[-1]):
-        acc = add[acc, prod[..., i]]
+    size = add.shape[1]
+    add, mul = add.reshape(-1), mul.reshape(-1)
+    acc = mul.take(a[:, :, 0, None] * size + b[:, None, 0])
+    for i in range(1, a.shape[2]):
+        acc *= size
+        acc += mul.take(a[:, :, i, None] * size + b[:, None, i])
+        acc = add.take(acc)
     return acc
 

@@ -21,9 +21,9 @@ refused when its value stack, |Gamma| B d^2 int64s, is past WALK_BUDGET
 bytes.
 The products of the survivors are extended down Gamma's BFS spanning tree
 and filtered by the equations e*s in one walk, one batched product per tree
-level and generator, and every lift is then validated against the relators
-of Gamma's presentation, which come from K and G rather than from the
-enumeration's spanning tree, at one batched product per relator-word
+level for all the generators, and every lift is then validated against the
+relators of Gamma's presentation, which come from K and G rather than from
+the enumeration's spanning tree, at one batched product per relator-word
 depth.  The classes come from one stacked conjugation per orbit.  This
 route is deliberately independent of the cohomology module so the two can
 cross-check each other.
@@ -117,13 +117,37 @@ def _candidates_for_generator(base_mat, maximal, add, d):
 
 
 def _stack_matmul(add, mul, d):
-    """`kernels.table_matmul` on stacks of d x d matrices with any leading
-    shape; `b` is broadcast to the shape of `a`."""
+    """`kernels.table_matmul` on stacks of d x d matrices whose leading
+    shapes broadcast together, in one kernel call and with no operand copied
+    out to the broadcast shape.  A leading axis along which only `a` varies
+    is folded into a's rows, and one along which only `b` varies into b's
+    columns; the rest are the kernel's batch.  So (L, B, d, d) times
+    (B, d, d) is one (B, L d, d) @ (B, d, d) product, and (L, 1, B, d, d)
+    times (g, B, d, d) is one (B, L d, d) @ (B, d, g d) product.  The
+    product is returned in the broadcast shape, laid out in it."""
 
     def matmul(a, b):
-        b = np.broadcast_to(b, a.shape)
-        prod = kernels.table_matmul(a.reshape(-1, d, d), b.reshape(-1, d, d), add, mul)
-        return prod.reshape(a.shape)
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape == b.shape:  # nothing to fold
+            prod = kernels.table_matmul(a.reshape(-1, d, d), b.reshape(-1, d, d), add, mul)
+            return prod.reshape(a.shape)
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        lead = len(shape)
+        a = a.reshape((1,) * (lead + 2 - a.ndim) + a.shape)
+        b = b.reshape((1,) * (lead + 2 - b.ndim) + b.shape)
+        batch = [x for x in range(lead) if a.shape[x] == b.shape[x]]
+        rows = [x for x in range(lead) if b.shape[x] == 1 != a.shape[x]]
+        cols = [x for x in range(lead) if a.shape[x] == 1 != b.shape[x]]
+        nb, nr, nc = (math.prod(shape[x] for x in axes) for axes in (batch, rows, cols))
+        a = a.transpose(*batch, *rows, *cols, lead, lead + 1).reshape(nb, nr * d, d)
+        b = b.transpose(*batch, *rows, lead, *cols, lead + 1).reshape(nb, d, nc * d)
+        prod = kernels.table_matmul(a, b, add, mul)
+        # axes (batch, rows, d, cols, d) back to the order of `shape`
+        folded = batch + rows
+        prod = prod.reshape(*(shape[x] for x in folded), d, *(shape[x] for x in cols), d)
+        at = dict(zip(folded + cols, [*range(len(folded)), *range(len(folded) + 1, lead + 1)]))
+        prod = prod.transpose(*(at[x] for x in range(lead)), len(folded), lead + 1)
+        return np.ascontiguousarray(prod)
 
     return matmul
 
@@ -184,10 +208,10 @@ def enumerate_lifts(
     has rho(s)^o(s) = rho(s^o(s)) = I.  The product of the survivors is then
     walked down the BFS spanning tree of `gens` one level at a time
     (`FiniteGroup.tree_levels`), extension and e*s filter in one: each level
-    forms value(e) value(s) for every element e on it and generator s, one
-    product per generator; the tree edges among them give the values of the
-    next level (as in `FiniteGroup.extend`), and then every product on an
-    edge off the tree (`FiniteGroup.off_tree_edges`) is compared with the
+    forms value(e) value(s) for every element e on it and generator s, in
+    one product (`_walk_tree`); the tree edges among them give the values of
+    the next level (as in `FiniteGroup.extend`), and then every product on
+    an edge off the tree (`FiniteGroup.off_tree_edges`) is compared with the
     value it must equal.
     The assignments failing an equation are dropped before the next level,
     so the deep levels run on tiny stacks.
@@ -230,23 +254,31 @@ def enumerate_lifts(
         )
     grid = np.meshgrid(*(np.arange(len(c)) for c in cands), indexing="ij")
     gen_blocks = np.stack([c[idx.reshape(-1)] for c, idx in zip(cands, grid)])
+    lifts = _assignments(gens, _walk_tree(group, gens, gen_blocks, matmul, eye))
+    _assert_full_table(lifts, rho_bar, A)
+    return lifts
+
+
+def _walk_tree(group, gens, gen_blocks, matmul, eye) -> np.ndarray:
+    """The assignments of the (#gens, B, d, d) stack `gen_blocks` that pass
+    the level walk of `enumerate_lifts`, as such a stack.  Each level is one
+    `matmul` of its values, (level, 1, B, d, d), by the generator images,
+    (#gens, B, d, d), which folds into one kernel product of (B, level d, d)
+    by (B, d, #gens d).  The value stack is let go on return, before the
+    lifts are checked on Gamma's relators."""
     off_tree = group.off_tree_edges(gens)
     values = np.empty((group.order, *gen_blocks.shape[1:]), dtype=np.int64)
     values[0] = eye
     for depth, level in enumerate(group.tree_levels(gens)):
         children, off = group.table[level][:, list(gens)], off_tree[level]
-        # at depth 0, value(1) value(s) is the generator block itself
-        prods = [matmul(values[level], gb) if depth else gb[None] for gb in gen_blocks]
-        for t, prod in enumerate(prods):
-            values[children[~off[:, t], t]] = prod[~off[:, t]]
-        alive = np.ones(gen_blocks.shape[1], dtype=bool)
-        for t, prod in enumerate(prods):
-            alive &= (prod[off[:, t]] == values[children[off[:, t], t]]).all(axis=(0, 2, 3))
+        # (level, #gens, B, d, d); at depth 0, value(1) value(s) is the generator image itself
+        prods = matmul(values[level][:, None], gen_blocks) if depth else gen_blocks[None]
+        values[children[~off]] = prods[~off]
+        alive = (prods[off] == values[children[off]]).all(axis=(0, 2, 3))
+        del prods  # not held through the next level's product
         if not alive.all():
             gen_blocks, values = gen_blocks[:, alive], values[:, alive]
-    lifts = _assignments(gens, gen_blocks)
-    _assert_full_table(lifts, rho_bar, A)
-    return lifts
+    return gen_blocks
 
 
 def _assignments(gens, gen_blocks) -> list[LiftAssignment]:
@@ -354,7 +386,7 @@ def deformation_classes(
     matmul = _stack_matmul(add, mul, d)
     codes = np.array([l.images for l in lifts], dtype=np.int64)
     ngen = codes.shape[1]
-    U = np.broadcast_to(U[:, None], (len(U), ngen, d, d))
+    U = U[:, None]
     index_of = {row.tobytes(): i for i, row in enumerate(codes.reshape(len(lifts), -1))}
     class_idx = np.full(len(lifts), -1)
     reps, sizes = [], []

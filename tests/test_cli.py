@@ -93,6 +93,14 @@ def test_oracle_unknown_ring(capsys):
     assert "unknown ring" in err
 
 
+def test_oracle_unknown_ring_is_refused_before_assembly(capsys, monkeypatch):
+    # the ring names come from p alone, so Gamma is never built for a bad one
+    monkeypatch.setattr(cli, "assemble", _refuse)
+    code, _, err = run_cli(capsys, "oracle", "twisted-p2n1", "--ring", "Z16")
+    assert code == 2
+    assert "unknown ring 'Z16'" in err
+
+
 def test_cohomology_subcommand(capsys):
     code, out, _ = run_cli(capsys, "cohomology", "twisted-p2n1", "--degree", "1")
     assert code == 0

@@ -9,6 +9,7 @@ import defring
 from defring import kernels
 from defring.exactalg import solve_module
 from defring.kernels._numpy import RANK_BLOCK, _fmod
+from defring.localalg import standard_ring_builders
 
 from reference import nullspace_modp
 
@@ -130,17 +131,29 @@ def test_blocked_rank_refuses_inexact_float64():
         kernels.rank_modp(np.eye(2, dtype=np.int64), 2**31 - 1)
 
 
-def test_table_matmul_matches_entrywise_sums():
-    from defring.localalg import nilpotent_socle_ring
+RINGS = [(p, name) for p in (2, 3) for name in standard_ring_builders(p)]
 
-    A = nilpotent_socle_ring(2)
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ring=st.sampled_from(RINGS),
+    dims=st.tuples(*[st.integers(1, 3)] * 3),
+    batch=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_matmul_matches_entrywise_sums(ring, dims, batch, seed):
+    # every test ring of the oracle, with batch 0 and k = 1 among the shapes
+    p, name = ring
+    A = standard_ring_builders(p)[name]()
     add, mul, _ = A.tables()
-    rng = np.random.default_rng(5)
-    a = rng.integers(0, A.size, (40, 2, 3), dtype=np.int64)
-    b = rng.integers(0, A.size, (40, 3, 2), dtype=np.int64)
+    d, k, m = dims
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, A.size, (batch, d, k), dtype=np.int64)
+    b = rng.integers(0, A.size, (batch, k, m), dtype=np.int64)
     c = kernels.table_matmul(a, b, add, mul)
+    assert c.shape == (batch, d, m)
     for n, i, j in np.ndindex(c.shape):
         acc = mul[a[n, i, 0], b[n, 0, j]]
-        for k in range(1, 3):
-            acc = add[acc, mul[a[n, i, k], b[n, k, j]]]
+        for t in range(1, k):
+            acc = add[acc, mul[a[n, i, t], b[n, t, j]]]
         assert c[n, i, j] == acc

@@ -31,6 +31,7 @@ from defring.oracle import (
     _gen_blocks,
     _identity,
     _kernel_inverses,
+    _stack_matmul,
     _values_at,
     deformation_classes,
     enumerate_lifts,
@@ -549,3 +550,59 @@ def test_functor_compare_report_is_the_report_walked_on_gens(ring):
     asm, rho_r = _oracle_inputs("standard-d2p2")
     A = standard_rings(2)[ring]
     assert _report(asm, rho_r, A) == _report(asm, rho_r, A, asm.gamma.small_generating_set())
+
+
+# (a's leading shape, b's leading shape) of the products the oracle folds,
+# from drawn sizes (L, B, g)
+FOLDED = {
+    "values of a level by one image": lambda L, B, g: ((L, B), (B,)),
+    "values of a level by every image": lambda L, B, g: ((L, 1, B), (g, B)),
+    "1 + M_d(m_A) by a lift's images": lambda L, B, g: ((L, 1), (g,)),
+    "a conjugate stack by a lift's images": lambda L, B, g: ((L, g), (g,)),
+    "a conjugate stack by the inverses": lambda L, B, g: ((L, g), (L, 1)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    fold=st.sampled_from(sorted(FOLDED)),
+    sizes=st.tuples(*[st.integers(0, 4)] * 3),
+    d=st.integers(1, 3),
+    ring=st.sampled_from([(2, "Z4u"), (2, "F2t3"), (3, "dual"), (3, "Z27")]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_matmul_folds_match_the_product_on_broadcast_copies(fold, sizes, d, ring, seed):
+    p, name = ring
+    A = standard_rings(p)[name]
+    add, mul, _ = A.tables()
+    lead_a, lead_b = FOLDED[fold](*sizes)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, A.size, (*lead_a, d, d), dtype=np.int64)
+    b = rng.integers(0, A.size, (*lead_b, d, d), dtype=np.int64)
+    shape = (*np.broadcast_shapes(lead_a, lead_b), d, d)
+    expected = kernels.table_matmul(
+        np.broadcast_to(a, shape).reshape(-1, d, d), np.broadcast_to(b, shape).reshape(-1, d, d), add, mul
+    ).reshape(shape)
+    got = _stack_matmul(add, mul, d)(a, b)
+    assert got.shape == shape
+    assert (got == expected).all()
+
+
+@pytest.mark.parametrize("instance,ring", [("twisted-p2n1", "Z4u"), ("twisted-p3n1", "dual")])
+def test_functor_compare_calls_the_kernel_on_stacks_of_matrices(instance, ring, monkeypatch):
+    # perfbench wraps `kernels.table_matmul` and counts its lookups as
+    # batch x d x m x k from 3-d operands
+    calls = []
+    saved = kernels.table_matmul
+
+    def record(a, b, add, mul):
+        calls.append((np.shape(a), np.shape(b)))
+        return saved(a, b, add, mul)
+
+    monkeypatch.setattr(kernels, "table_matmul", record)
+    asm, rho_r = _oracle_inputs(instance)
+    assert functor_compare(asm, rho_r, standard_rings(asm.p)[ring]).bijective
+    assert calls
+    for shape_a, shape_b in calls:
+        assert len(shape_a) == len(shape_b) == 3
+        assert shape_a[0] == shape_b[0] and shape_a[2] == shape_b[1]
