@@ -121,16 +121,14 @@ def _stack_matmul(add, mul, d):
     shapes broadcast together, in one kernel call and with no operand copied
     out to the broadcast shape.  A leading axis along which only `a` varies
     is folded into a's rows, and one along which only `b` varies into b's
-    columns; the rest are the kernel's batch.  So (L, B, d, d) times
-    (B, d, d) is one (B, L d, d) @ (B, d, d) product, and (L, 1, B, d, d)
-    times (g, B, d, d) is one (B, L d, d) @ (B, d, g d) product.  The
-    product is returned in the broadcast shape, laid out in it."""
+    columns; the rest are the kernel's batch.  So (L, 1, B, d, d) times
+    (g, B, d, d) is one (B, L d, d) @ (B, d, g d) product, and equal shapes
+    are all batch.  The product is returned in the broadcast shape as a
+    view of the kernel's result, which need not be contiguous: the callers
+    index, compare and reshape it, and a reshape copies only if it must."""
 
     def matmul(a, b):
         a, b = np.asarray(a), np.asarray(b)
-        if a.shape == b.shape:  # nothing to fold
-            prod = kernels.table_matmul(a.reshape(-1, d, d), b.reshape(-1, d, d), add, mul)
-            return prod.reshape(a.shape)
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         lead = len(shape)
         a = a.reshape((1,) * (lead + 2 - a.ndim) + a.shape)
@@ -146,8 +144,7 @@ def _stack_matmul(add, mul, d):
         folded = batch + rows
         prod = prod.reshape(*(shape[x] for x in folded), d, *(shape[x] for x in cols), d)
         at = dict(zip(folded + cols, [*range(len(folded)), *range(len(folded) + 1, lead + 1)]))
-        prod = prod.transpose(*(at[x] for x in range(lead)), len(folded), lead + 1)
-        return np.ascontiguousarray(prod)
+        return prod.transpose(*(at[x] for x in range(lead)), len(folded), lead + 1)
 
     return matmul
 

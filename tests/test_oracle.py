@@ -552,14 +552,13 @@ def test_functor_compare_report_is_the_report_walked_on_gens(ring):
     assert _report(asm, rho_r, A) == _report(asm, rho_r, A, asm.gamma.small_generating_set())
 
 
-# (a's leading shape, b's leading shape) of the products the oracle folds,
+# (a's leading shape, b's leading shape) of the products the oracle makes,
 # from drawn sizes (L, B, g)
 FOLDED = {
-    "values of a level by one image": lambda L, B, g: ((L, B), (B,)),
     "values of a level by every image": lambda L, B, g: ((L, 1, B), (g, B)),
     "1 + M_d(m_A) by a lift's images": lambda L, B, g: ((L, 1), (g,)),
-    "a conjugate stack by a lift's images": lambda L, B, g: ((L, g), (g,)),
     "a conjugate stack by the inverses": lambda L, B, g: ((L, g), (L, 1)),
+    "equal shapes, in the walks and the order cut": lambda L, B, g: ((L, B), (L, B)),
 }
 
 
