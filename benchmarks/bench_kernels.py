@@ -16,19 +16,21 @@ enumeration and the class partition on three rows of the oracle benchmark
 whole functor comparison (`functor_compare`: the choice of the generators
 walked, the walk, the re-expression at the report generators and the
 classes) on standard-d2p2 over (Z/4)[u]/(u^2, 2u), twisted-p3n2 over
-F_3[eps] and standard-d2p7 over F_7[eps], the check of rho_R on Gamma's relators (`build_rho_R`), and the
-constructions of GR(p^3, 2) (`galois_matrices`), PGL_2(F_q) and S_6 (the last two close
-permutations with `FiniteGroup.from_permutations`).  The Howell-form rows
-time `solve_module` on the Hom systems that certifying standard-d4p2
-solves.  The presentation rows time `FiniteGroup._presentation` on the
-groups G of the battery and on S_3 to S_6: the proof of a family's own
-relators (their check in the table and a coset enumeration), which every
-group construction pays once, or the Schreier relators where there is no
-proof; for S_7 they time the coset enumeration alone.  The local-algebra
-rows time the construction of R(5, 1, 27), whose products are past int64,
-the op tables of R'(3, 1, 3) (a fresh ring each time, as the tables are
-cached), and one stacked product of 2 x 2 matrices over R(2, 1, 3)
-(`ArtinLocalAlgebra.matmul`).
+F_3[eps] and standard-d2p7 over F_7[eps], one oracle command through the
+command-line entry point (`cli.main` on twisted-p2n1 over F_2[eps], with the
+parser built by an earlier call), the check of rho_R on Gamma's relators
+(`build_rho_R`), and the constructions of GR(p^3, 2) (`galois_matrices`),
+PGL_2(F_q) and S_6 (the last two close permutations with
+`FiniteGroup.from_permutations`).  The Howell-form rows time `solve_module`
+on the Hom systems that certifying standard-d4p2 solves.  The presentation
+rows time `FiniteGroup._presentation` on the groups G of the battery and on
+S_3 to S_6: the proof of a family's own relators (their check in the table
+and a coset enumeration), which every group construction pays once, or the
+Schreier relators where there is no proof; for S_7 they time the coset
+enumeration alone.  The local-algebra rows time the construction of
+R(5, 1, 27), whose products are past int64, the op tables of R'(3, 1, 3) (a
+fresh ring each time, as the tables are cached), and one stacked product of
+2 x 2 matrices over R(2, 1, 3) (`ArtinLocalAlgebra.matmul`).
 Each row is the best of a few repeats.
 
 Usage: python benchmarks/bench_kernels.py
@@ -36,7 +38,11 @@ Usage: python benchmarks/bench_kernels.py
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -271,6 +277,12 @@ def main():
             lambda asm=asm, rho_r=rho_r, ring=ring: functor_compare(asm, rho_r, ring),
             repeat=5,
         )
+
+    from defring import cli
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        argv = ["oracle", "twisted-p2n1", "--ring", "dual", "--out", os.path.join(tmp, "oracle.json")]
+        bench(f"cli.main {' '.join(argv[:4])} --out FILE", lambda: cli.main(argv), repeat=5)
 
     print("== ring constructions: GR(p^3, 2) and PGL_2(F_q) ==")
     from defring.exactalg import galois_matrices

@@ -3,11 +3,16 @@
 Exit codes: 0 = success / certified; 1 = refuted certification; 2 = invalid
 parameters or guard violation.  All output is deterministic for a fixed
 command line except the runtime_ms field of oracle reports.
+
+The argument parser is built once per process, on the first `main` call, and
+reused by every later call; `main` picks the command's function by its name
+when it runs, so the parser holds no reference to it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -198,6 +203,7 @@ def cmd_report(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defring",
@@ -206,43 +212,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("example", help="construct an instance and print its shape")
-    _add_instance_args(sub)
-    sub.set_defaults(func=cmd_example)
+    _add_instance_args(subs.add_parser("example", help="construct an instance and print its shape"))
 
-    sub = subs.add_parser("certify", help="run the certification pipeline")
-    _add_instance_args(sub)
-    sub.set_defaults(func=cmd_certify)
+    _add_instance_args(subs.add_parser("certify", help="run the certification pipeline"))
 
     sub = subs.add_parser("oracle", help="brute-force functor comparison on a test ring")
     _add_instance_args(sub)
     sub.add_argument("--ring", required=True, help="test ring name, e.g. Z4")
-    sub.set_defaults(func=cmd_oracle)
 
     sub = subs.add_parser("cohomology", help="cohomology dimensions for an instance")
     _add_instance_args(sub)
     sub.add_argument("--degree", type=int, choices=(1, 2), default=1)
-    sub.set_defaults(func=cmd_cohomology)
 
     sub = subs.add_parser("verify", help="re-validate an emitted certificate")
     sub.add_argument("certificate", help="path to a certificate JSON file")
     sub.add_argument("--json", action="store_true")
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("report", help="run the full battery and emit one JSON report")
     sub.add_argument("--all", action="store_true", help="accepted for symmetry; the battery is always full")
     sub.add_argument("--json", action="store_true")
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {
+        "example": cmd_example,
+        "certify": cmd_certify,
+        "oracle": cmd_oracle,
+        "cohomology": cmd_cohomology,
+        "verify": cmd_verify,
+        "report": cmd_report,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

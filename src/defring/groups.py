@@ -22,7 +22,8 @@ that satisfy every relator extend to a homomorphism; `violated_relators`
 checks them.  Words are evaluated by one
 routine, `_walk`, on a tree of words one depth at a time: the spanning tree
 for `extend`, and for the relators the trie of their prefixes
-(`FiniteGroup.relator_values`), one stacked `mul` per depth either way.
+(`FiniteGroup.relator_values`), one stacked `mul` per depth past the first
+either way: the depth-1 values are the generator values themselves.
 """
 
 from __future__ import annotations
@@ -215,9 +216,11 @@ class FiniteGroup:
         (default: the distinguished ones), along the spanning tree:
         value(0) = one and value(e) = mul(value(parent[e]), gen_values[genidx[e]]).
         The walk (`_walk`) goes one tree level at a time: the values of all
-        elements at depth k come from one `mul` on the stacked values of
-        their parents (depth k - 1) and generators, so `mul` works on a
-        leading stack axis.  Returns the values stacked by element.
+        elements at depth k >= 2 come from one `mul` on the stacked values
+        of their parents (depth k - 1) and generators, so `mul` works on a
+        leading stack axis; those at depth 1 are the generator values, as
+        `one` must be an identity for `mul` on them.  Returns the values
+        stacked by element.
 
         Data extended this way is a homomorphism exactly when value(0) is
         the identity and value(e) value(s) = value(e s) for every element e
@@ -228,8 +231,8 @@ class FiniteGroup:
         |G| x #gens products instead of |G|^2.
 
         With `at`, only the elements `at` and their tree ancestors (the
-        prefixes of their words) get values, at one `mul` per level, and
-        the values at `at` are returned, stacked in that order.
+        prefixes of their words) get values, at one `mul` per level past the
+        first, and the values at `at` are returned, stacked in that order.
         """
         parent, genidx = map(np.asarray, self.spanning_tree(gens)[1:])
         levels = self.tree_levels(gens)
@@ -270,10 +273,11 @@ class FiniteGroup:
         `extend`.  Callers give canonical values (residues, codes, ring
         coordinates), so a zero difference means the sides are equal.  The
         words are walked as the trie of their prefixes, built once per group:
-        one `mul` per letter of the longest word.  Only the live depth of the
-        trie and the one difference array are held; a node that ends a word
-        is added to (u) or subtracted from (v) its relator's difference as
-        the walk passes it."""
+        one `mul` per letter of the longest word after its first, as the
+        one-letter prefixes are the generator values.  Only the live depth
+        of the trie and the one difference array are held; a node that ends
+        a word is added to (u) or subtracted from (v) its relator's
+        difference as the walk passes it."""
         rels = self.relators()
         if self._trie is None:
             words = [w for rel in rels for w in rel]
@@ -671,12 +675,23 @@ def _walk(steps, gen_values, mul, one):
     [one] of the empty word, then for each step (parent, genidx) the next
     depth's stack, whose node x gets mul(value of node parent[x] of the depth
     before, gen_values[genidx[x]]), by one `mul` on a leading stack axis.
-    Only the depth being extended is held."""
+    Only the depth being extended is held, and the caller only reads it.
+
+    Precondition: mul(one, x) == x for the canonical values x the callers
+    give (residues, codes, ring coordinates).  Every node of depth 1 is a
+    child of the empty word, so its value is its generator's value, taken
+    as it is, in the dtype and broadcast shape `mul` would give, with no
+    `mul`: a walk to depth k makes k - 1 products."""
     gen_values, one = np.asarray(gen_values), np.asarray(one)
     live = one[None]
     yield live
-    for parent, genidx in steps:
-        live = np.asarray(mul(live[parent], gen_values[genidx]), dtype=one.dtype)
+    for depth, (parent, genidx) in enumerate(steps, 1):
+        values = gen_values[genidx]
+        if depth == 1:  # mul(one, values) == values
+            live = np.broadcast_to(values, np.broadcast_shapes(live.shape, values.shape))
+        else:
+            live = mul(live[parent], values)
+        live = np.asarray(live, dtype=one.dtype)
         yield live
 
 

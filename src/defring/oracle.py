@@ -24,9 +24,9 @@ and filtered by the equations e*s in one walk, one batched product per tree
 level for all the generators, and every lift is then validated against the
 relators of Gamma's presentation, which come from K and G rather than from
 the enumeration's spanning tree, at one batched product per relator-word
-depth.  The classes come from one stacked conjugation per orbit.  This
-route is deliberately independent of the cohomology module so the two can
-cross-check each other.
+depth past the first.  The classes come from one stacked conjugation per
+orbit.  This route is deliberately independent of the cohomology module so
+the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -280,11 +280,10 @@ def _walk_tree(group, gens, gen_blocks, matmul, eye) -> np.ndarray:
 
 def _assignments(gens, gen_blocks) -> list[LiftAssignment]:
     """The lifts whose images at `gens` are the (#gens, B, d, d) stack
-    `gen_blocks`, in stack order."""
-    return [
-        LiftAssignment(gens, tuple(tuple(gb[i].reshape(-1).tolist()) for gb in gen_blocks))
-        for i in range(gen_blocks.shape[1])
-    ]
+    `gen_blocks`, in stack order, read out by one `tolist` of the stack."""
+    ngen, count, d = len(gens), gen_blocks.shape[1], gen_blocks.shape[-1]
+    rows = gen_blocks.reshape(ngen, count, d * d).transpose(1, 0, 2).tolist()
+    return [LiftAssignment(gens, tuple(map(tuple, images))) for images in rows]
 
 
 def _gen_blocks(lifts, d) -> np.ndarray:
@@ -327,7 +326,8 @@ def _assert_full_table(lifts, rho_bar, A):
     Gamma = K x| G come from K and G, not from the enumeration's tree.
     Products are batched over the lifts and the words: one per tree level
     in steps 1 and 3, one per word depth of the relator trie in step 2
-    (`FiniteGroup.relator_values`)."""
+    (`FiniteGroup.relator_values`), none at depth 1, whose values are the
+    generator values."""
     if not lifts:
         return
     group, d = rho_bar.group, rho_bar.degree

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -354,3 +358,50 @@ def test_name_with_precision_and_family_with_matching_option(capsys):
     assert code == 0 and json.loads(out)["N"] == 4
     code, out, _ = run_cli(capsys, "certify", "twisted", "--family", "twisted", "--p", "2", "--n", "1")
     assert code == 0 and json.loads(out)["instance"] == "twisted-p2n1"
+
+
+def _fresh_run(argv):
+    """(exit code, stdout, stderr) of `defring argv` in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys; from defring.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process_run(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _without_runtime(out):
+    if not out:
+        return out
+    data = json.loads(out)
+    data.pop("runtime_ms", None)
+    return data
+
+
+def test_the_cached_parser_is_reused_with_no_option_leaking_between_calls(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    # a refused command line first, then commands that drop the options of
+    # the one before: no --out after --out, no --ring after --ring
+    runs = [
+        lambda cert: ["certify", "twisted-p2n1", "--out", cert, "-N", "x"],
+        lambda cert: ["certify", "twisted-p2n1", "--out", cert],
+        lambda cert: ["certify", "twisted-p2n1"],
+        lambda cert: ["verify", cert],
+        lambda cert: ["oracle", "twisted-p2n1", "--ring", "dual"],
+    ]
+    fresh_cert, same_cert = tmp_path / "fresh.json", tmp_path / "same.json"
+    fresh = [_fresh_run(run(str(fresh_cert))) for run in runs]
+    same = [_in_process_run(capsys, run(str(same_cert))) for run in runs]
+    assert [code for code, _, _ in same] == [2, 0, 0, 0, 0]
+    assert same[1][1] == "" and json.loads(same[2][1])["verdict"] == "certified"
+    for (code, out, err), (code_f, out_f, err_f) in zip(same, fresh):
+        assert (code, _without_runtime(out), err) == (code_f, _without_runtime(out_f), err_f)
+    assert same_cert.read_text() == fresh_cert.read_text()

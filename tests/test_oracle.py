@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defring import kernels, oracle
@@ -605,3 +605,28 @@ def test_functor_compare_calls_the_kernel_on_stacks_of_matrices(instance, ring, 
     for shape_a, shape_b in calls:
         assert len(shape_a) == len(shape_b) == 3
         assert shape_a[0] == shape_b[0] and shape_a[2] == shape_b[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ngen=st.integers(1, 3),
+    count=st.integers(0, 6),
+    d=st.integers(1, 3),
+    strided=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(ngen=3, count=0, d=3, strided=False, seed=0)  # no lift: an empty stack
+def test_assignments_match_the_per_lift_construction(ngen, count, d, strided, seed):
+    # the walk hands `_assignments` a fresh stack, `_values_at` a gathered one;
+    # a strided view stands for any non-contiguous stack
+    blocks = np.random.default_rng(seed).integers(0, 64, (ngen, 2 * count if strided else count, d, d))
+    if strided:
+        blocks = blocks[:, ::2]
+    gens = tuple(range(5, 5 + ngen))
+    expected = [
+        LiftAssignment(gens, tuple(tuple(int(x) for x in gb[i].reshape(-1)) for gb in blocks))
+        for i in range(count)
+    ]
+    got = _assignments(gens, blocks)
+    assert got == expected
+    assert all(type(x) is int for lift in got for image in lift.images for x in image)

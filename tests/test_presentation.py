@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from defring.certify import assemble, parse_instance_name
+from defring import groups
+from defring.certify import assemble, build_rho_R, find_alpha, parse_instance_name
+from defring.cohomology import h1_dim
 from defring.groups import (
     FiniteGroup,
     semidirect_product,
@@ -16,7 +18,9 @@ from defring.groups import (
     twisted_frobenius_group,
     violated_relators,
 )
+from defring.localalg import dual_numbers
 from defring.modrep import Representation
+from defring.oracle import enumerate_lifts
 
 BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]] + [
     f"standard-d{d}p{p}" for d, p in [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]
@@ -64,7 +68,8 @@ def test_violated_relators_names_the_failing_relators():
 
 def test_relator_values_call_mul_once_per_word_depth():
     # the relator words are walked as a prefix trie, one depth at a time:
-    # one stacked product per depth, each distinct prefix evaluated once
+    # one stacked product per depth past the first, whose prefixes are the
+    # generators themselves; each longer distinct prefix evaluated once
     for name, depth in [("twisted-p2n1", 3), ("standard-d4p2", 5)]:
         gamma = _gamma(name)
         words = [w for rel in gamma.relators() for w in rel]
@@ -76,8 +81,8 @@ def test_relator_values_call_mul_once_per_word_depth():
 
         diff = gamma.relator_values(gamma.generators, mul, 0)
         assert not diff.any()
-        assert len(calls) == max(map(len, words)) == depth, name
-        assert sum(calls) == len({w[:k] for w in words for k in range(1, len(w) + 1)})
+        assert len(calls) == max(map(len, words)) - 1 == depth - 1, name
+        assert sum(calls) == len({w[:k] for w in words for k in range(2, len(w) + 1)})
 
 
 @st.composite
@@ -157,3 +162,47 @@ def test_relators_accept_exactly_the_homomorphisms_into_s4(which, assignments):
     expected = _homomorphic_mask(gamma, S4, images)
     assert expected.any() and not expected.all()
     assert (accepted == expected).all()
+
+
+def _walk_inputs_checked(monkeypatch):
+    """Wrap `groups._walk` to check its precondition, mul(one, x) == x in
+    one's dtype and broadcast shape, on the generator values of every walk;
+    returns the list of the walks seen."""
+    walk, seen = groups._walk, []
+
+    def checked(steps, gen_values, mul, one):
+        gen_values, one = np.asarray(gen_values), np.asarray(one)
+        got = np.asarray(mul(one[None], gen_values), dtype=one.dtype)
+        assert got.shape == np.broadcast_shapes(one[None].shape, gen_values.shape)
+        assert np.array_equal(got, np.broadcast_to(gen_values, got.shape))
+        seen.append(len(gen_values))
+        return walk(steps, gen_values, mul, one)
+
+    monkeypatch.setattr(groups, "_walk", checked)
+    return seen
+
+
+def _rho_w_args(asm):
+    rho = asm.rho_w
+    return rho.group, rho.gen_mats, rho.p, rho.N
+
+
+# the five callers of `_walk`, each reached on an instance's assembly
+WALK_CALLERS = {
+    "extend": lambda asm: Representation._homomorphism(*_rho_w_args(asm)).mats,
+    "Representation.__init__": lambda asm: Representation(*_rho_w_args(asm)),
+    "h1_dim": lambda asm: h1_dim(asm.M.inflate(asm.gamma)),
+    "build_rho_R": lambda asm: build_rho_R(asm, find_alpha(asm).alpha),
+    # the lifts' relator check, `_assert_full_table`, on its own walks
+    "_assert_full_table": lambda asm: enumerate_lifts(asm.rho_bar, dual_numbers(asm.p)),
+}
+
+
+@pytest.mark.parametrize("instance", ["twisted-p2n1", "twisted-p3n1", "standard-d2p2"])
+@pytest.mark.parametrize("caller", sorted(WALK_CALLERS))
+def test_walk_callers_give_values_the_identity_fixes(caller, instance, monkeypatch):
+    # `_walk` takes the depth-1 values as the generator values, unmultiplied
+    asm = assemble(parse_instance_name(instance))
+    seen = _walk_inputs_checked(monkeypatch)
+    WALK_CALLERS[caller](asm)
+    assert seen
