@@ -228,49 +228,29 @@ class ArtinLocalAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _basis_products(n, rules):
-    """Build an n x n table from a dict {(i, j): coords}; defaults handle e_0."""
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == 0:
-                v = [0] * n
-                v[j] = 1
-            elif j == 0:
-                v = [0] * n
-                v[i] = 1
-            else:
-                v = list(rules.get((i, j), rules.get((j, i), [0] * n)))
-            row.append(tuple(v))
-        table.append(tuple(row))
-    return tuple(table)
+def _monogenic(p, orders, name, label="t", carries=None) -> ArtinLocalAlgebra:
+    """The algebra with basis 1, t, ..., t^r (r + 1 = len(orders)) and
+    t^i t^j = t^(i + j), zero past t^r, under the additive orders and carries
+    given; the basis is labelled 1, t, t2, ..., with `label` for t."""
+    m = len(orders)
+    powers = np.add.outer(np.arange(m), np.arange(m))
+    mul_basis = np.eye(2 * m - 1, m, dtype=np.int64)[powers]  # row i + j is t^(i + j)
+    labels = ["1"] + [f"{label}{'' if k == 1 else k}" for k in range(1, m)]
+    return ArtinLocalAlgebra(p, labels, orders, mul_basis, carries, name=name)
 
 
 def make_ring_R(p: int, n: int, N: int) -> ArtinLocalAlgebra:
     """W[[t]]/(p^n t, t^2) truncated at W-precision p^N: basis {1, t}, t^2 = 0."""
     if not 1 <= n < N:
         raise AlgebraError("need 1 <= n < N so the t-line is coarser than the W-part")
-    return ArtinLocalAlgebra(
-        p,
-        ("1", "t"),
-        (p**N, p**n),
-        _basis_products(2, {(1, 1): (0, 0)}),
-        name=f"R(p={p},n={n},N={N})",
-    )
+    return _monogenic(p, (p**N, p**n), f"R(p={p},n={n},N={N})")
 
 
 def make_ring_Rprime(p: int, n: int, N: int) -> ArtinLocalAlgebra:
     """W[[t]]/(p^n t, p t^2, t^3): basis {1, t, t^2}, killing t^2 recovers R."""
     if not 1 <= n < N:
         raise AlgebraError("need 1 <= n < N")
-    return ArtinLocalAlgebra(
-        p,
-        ("1", "t", "t2"),
-        (p**N, p**n, p),
-        _basis_products(3, {(1, 1): (0, 0, 1), (1, 2): (0, 0, 0), (2, 2): (0, 0, 0)}),
-        name=f"R'(p={p},n={n},N={N})",
-    )
+    return _monogenic(p, (p**N, p**n, p), f"R'(p={p},n={n},N={N})")
 
 
 def make_ring_Rprime_2_1(a_hat: int, N: int = 3) -> ArtinLocalAlgebra:
@@ -280,50 +260,28 @@ def make_ring_Rprime_2_1(a_hat: int, N: int = 3) -> ArtinLocalAlgebra:
     ideal spanned by t^2 is killed by (2, t) and the quotient is R(2,1,N).
     """
     a = a_hat % 2  # only the residue matters since 2t^2 = 0
-    return ArtinLocalAlgebra(
-        2,
-        ("1", "t", "t2"),
-        (2**N, 2, 2),
-        _basis_products(3, {(1, 1): (0, 0, 1), (1, 2): (0, 0, 0), (2, 2): (0, 0, 0)}),
-        carries=((0, 0, 0), (0, 0, (-a) % 2), (0, 0, 0)),
-        name=f"R'(p=2,n=1,a={a},N={N})",
-    )
+    carries = ((0, 0, 0), (0, 0, (-a) % 2), (0, 0, 0))
+    return _monogenic(2, (2**N, 2, 2), f"R'(p=2,n=1,a={a},N={N})", carries=carries)
 
 
 def dual_numbers(p: int) -> ArtinLocalAlgebra:
     """k[eps] with eps^2 = 0."""
-    return ArtinLocalAlgebra(
-        p, ("1", "eps"), (p, p), _basis_products(2, {(1, 1): (0, 0)}), name=f"F{p}[eps]"
-    )
+    return _monogenic(p, (p, p), f"F{p}[eps]", "eps")
 
 
 def truncated_polynomials(p: int, m: int) -> ArtinLocalAlgebra:
     """F_p[t]/(t^m)."""
-    rules = {}
-    for i in range(1, m):
-        for j in range(i, m):
-            v = [0] * m
-            if i + j < m:
-                v[i + j] = 1
-            rules[(i, j)] = tuple(v)
-    labels = ["1"] + [f"t{'' if k == 1 else k}" for k in range(1, m)]
-    return ArtinLocalAlgebra(p, labels, (p,) * m, _basis_products(m, rules), name=f"F{p}[t]/t^{m}")
+    return _monogenic(p, (p,) * m, f"F{p}[t]/t^{m}")
 
 
 def cyclic_ring(p: int, m: int) -> ArtinLocalAlgebra:
     """Z/p^m."""
-    return ArtinLocalAlgebra(p, ("1",), (p**m,), _basis_products(1, {}), name=f"Z{p**m}")
+    return _monogenic(p, (p**m,), f"Z{p**m}")
 
 
 def nilpotent_socle_ring(p: int) -> ArtinLocalAlgebra:
     """(Z/p^2)[u]/(u^2, p*u)."""
-    return ArtinLocalAlgebra(
-        p,
-        ("1", "u"),
-        (p**2, p),
-        _basis_products(2, {(1, 1): (0, 0)}),
-        name=f"Z{p**2}[u]",
-    )
+    return _monogenic(p, (p**2, p), f"Z{p**2}[u]", "u")
 
 
 def standard_ring_builders(p: int) -> dict[str, Callable[[], ArtinLocalAlgebra]]:

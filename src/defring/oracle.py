@@ -27,6 +27,12 @@ the enumeration's spanning tree, at one batched product per relator-word
 depth past the first.  The classes come from one stacked conjugation per
 orbit.  This route is deliberately independent of the cohomology module so
 the two can cross-check each other.
+
+The lifts stay in one format from the enumeration to the report: an int64
+(lifts, #gens, d, d) stack of the codes of their images at the generators.
+The walk and the extensions along the spanning tree work on its
+generator-major view (#gens, lifts, d, d), and a lift is looked up among the
+others by the bytes of its row.
 """
 
 from __future__ import annotations
@@ -64,24 +70,15 @@ def enumeration_guard() -> int:
     return int(override)
 
 
-@dataclass(frozen=True)
-class LiftAssignment:
-    """Generator images of one lift, as encoded matrices over the test ring."""
-
-    generators: tuple[int, ...]  # element indices in Gamma
-    images: tuple[tuple[int, ...], ...]  # per generator, d*d codes row-major
-
-    def key(self) -> tuple:
-        return self.images
-
-
 @dataclass
 class DeformationClassSet:
-    """Strict-equivalence classes: orbit data of conjugation by 1 + M_d(m_A)."""
+    """Strict-equivalence classes: orbit data of conjugation by 1 + M_d(m_A).
+    Each representative is the lexicographically minimal lift of its class,
+    as one tuple of d*d codes per generator; `class_of` maps the bytes of
+    each lift's int64 codes to its class."""
 
     representatives: list[tuple]
     sizes: list[int]
-    lift_count: int
     class_of: dict
 
     @property
@@ -194,11 +191,12 @@ def enumerate_lifts(
     rho_bar: Representation,
     A: ArtinLocalAlgebra,
     gens: tuple[int, ...] | None = None,
-) -> list[LiftAssignment]:
-    """All lifts of rho_bar over A, as generator assignments in the
-    reduction cosets whose extension over Gamma satisfies every
-    multiplication-table equation, in lexicographic order of the coset
-    candidates (first generator most significant).
+) -> np.ndarray:
+    """All lifts of rho_bar over A, as an int64 (lifts, #gens, d, d) stack
+    of the codes of their images at `gens`: the assignments in the reduction
+    cosets whose extension over Gamma satisfies every multiplication-table
+    equation, in lexicographic order of the coset candidates (first
+    generator most significant).
 
     Each generator's coset is first cut to the candidates X with
     X^o(s) = I, where o(s) is the order of s.  The cut loses no lift: a lift
@@ -251,8 +249,8 @@ def enumerate_lifts(
         )
     grid = np.meshgrid(*(np.arange(len(c)) for c in cands), indexing="ij")
     gen_blocks = np.stack([c[idx.reshape(-1)] for c, idx in zip(cands, grid)])
-    lifts = _assignments(gens, _walk_tree(group, gens, gen_blocks, matmul, eye))
-    _assert_full_table(lifts, rho_bar, A)
+    lifts = _walk_tree(group, gens, gen_blocks, matmul, eye).transpose(1, 0, 2, 3)
+    _assert_full_table(lifts, gens, rho_bar, A)
     return lifts
 
 
@@ -278,20 +276,6 @@ def _walk_tree(group, gens, gen_blocks, matmul, eye) -> np.ndarray:
     return gen_blocks
 
 
-def _assignments(gens, gen_blocks) -> list[LiftAssignment]:
-    """The lifts whose images at `gens` are the (#gens, B, d, d) stack
-    `gen_blocks`, in stack order, read out by one `tolist` of the stack."""
-    ngen, count, d = len(gens), gen_blocks.shape[1], gen_blocks.shape[-1]
-    rows = gen_blocks.reshape(ngen, count, d * d).transpose(1, 0, 2).tolist()
-    return [LiftAssignment(gens, tuple(map(tuple, images))) for images in rows]
-
-
-def _gen_blocks(lifts, d) -> np.ndarray:
-    """The images of the lifts as a (#gens, #lifts, d, d) stack."""
-    gen_blocks = np.array([l.images for l in lifts], dtype=np.int64)
-    return gen_blocks.reshape(len(lifts), -1, d, d).transpose(1, 0, 2, 3)
-
-
 def _values_at(group, A, gen_blocks, gens, at) -> np.ndarray:
     """The values at the elements `at` of the homomorphisms with images
     `gen_blocks` at `gens`, stacked like `gen_blocks`: each is the product
@@ -303,10 +287,10 @@ def _values_at(group, A, gen_blocks, gens, at) -> np.ndarray:
     return group.extend(gen_blocks, _stack_matmul(add, mul, d), one, gens, at=at)
 
 
-def _assert_full_table(lifts, rho_bar, A):
-    """Definitive check that every lift is a homomorphism Gamma -> GL_d(A)
-    reducing to rho_bar, in four steps on the lift L, given on the
-    enumeration generators s:
+def _assert_full_table(lifts, gens, rho_bar, A):
+    """Definitive check that every lift of the (lifts, #gens, d, d) stack
+    `lifts` is a homomorphism Gamma -> GL_d(A) reducing to rho_bar, in four
+    steps on the lift L, given on the enumeration generators s = `gens`:
 
     1. evaluate L along the words of the distinguished generators t in the
        spanning tree of the s (`_values_at`, which `functor_compare` also
@@ -328,12 +312,11 @@ def _assert_full_table(lifts, rho_bar, A):
     in steps 1 and 3, one per word depth of the relator trie in step 2
     (`FiniteGroup.relator_values`), none at depth 1, whose values are the
     generator values."""
-    if not lifts:
+    if not len(lifts):
         return
     group, d = rho_bar.group, rho_bar.degree
     add, mul, _ = A.tables()
-    gens = lifts[0].generators
-    gen_blocks = _gen_blocks(lifts, d)
+    gen_blocks = lifts.transpose(1, 0, 2, 3)
     at_gens = _values_at(group, A, gen_blocks, gens, group.generators)
     one = np.broadcast_to(_identity(A, d), (len(lifts), d, d))
     bad = violated_relators(group, at_gens, _stack_matmul(add, mul, d), one)
@@ -366,31 +349,32 @@ def _kernel_inverses(A: ArtinLocalAlgebra, U: np.ndarray) -> np.ndarray:
 
 
 def deformation_classes(
-    rho_bar: Representation, A: ArtinLocalAlgebra, lifts: list[LiftAssignment]
+    rho_bar: Representation, A: ArtinLocalAlgebra, lifts: np.ndarray
 ) -> DeformationClassSet:
-    """Partition lifts into orbits of conjugation by 1 + M_d(m_A), with
-    lexicographically minimal representatives.
+    """Partition the (lifts, #gens, d, d) stack `lifts` into orbits of
+    conjugation by 1 + M_d(m_A), with lexicographically minimal
+    representatives.
 
     The conjugating group is listed as codes (the coset of the identity
     matrix), and each orbit is one stacked pair of products over the group
     and the generators; its rows are looked up among the lifts by their
     bytes."""
-    if not lifts:
-        return DeformationClassSet([], [], 0, {})
+    if not len(lifts):
+        return DeformationClassSet([], [], {})
     add, mul, maximal, _, d = _ring_data(A, rho_bar)
     U = _candidates_for_generator(_identity(A, d), maximal, add, d)
     Uinv = _kernel_inverses(A, U)[:, None]
     matmul = _stack_matmul(add, mul, d)
-    codes = np.array([l.images for l in lifts], dtype=np.int64)
-    ngen = codes.shape[1]
+    ngen = lifts.shape[1]
     U = U[:, None]
-    index_of = {row.tobytes(): i for i, row in enumerate(codes.reshape(len(lifts), -1))}
+    keys = [row.tobytes() for row in lifts.reshape(len(lifts), -1).astype(np.int64)]
+    index_of = {key: i for i, key in enumerate(keys)}
     class_idx = np.full(len(lifts), -1)
     reps, sizes = [], []
-    for i, code in enumerate(codes):
+    for i, lift in enumerate(lifts):
         if class_idx[i] >= 0:
             continue
-        conj = matmul(matmul(U, code.reshape(ngen, d, d)), Uinv)
+        conj = matmul(matmul(U, lift), Uinv)
         orbit = np.unique(conj.reshape(len(U), -1), axis=0)  # sorted: row 0 is the minimum
         members = [index_of.get(row.tobytes()) for row in orbit]
         if None in members:
@@ -402,8 +386,8 @@ def deformation_classes(
     remap = np.argsort(order)
     reps = [reps[int(i)] for i in order]
     sizes = [sizes[int(i)] for i in order]
-    class_of = {l.key(): int(remap[c]) for l, c in zip(lifts, class_idx)}
-    return DeformationClassSet(reps, sizes, len(lifts), class_of)
+    class_of = {key: int(remap[c]) for key, c in zip(keys, class_idx)}
+    return DeformationClassSet(reps, sizes, class_of)
 
 
 @dataclass
@@ -449,7 +433,9 @@ def functor_compare(
 
     The lifts are enumerated on `enumeration_generators(rho_bar, gens)` and
     then given by their values at `gens` (default: `small_generating_set`),
-    on which the classes and the report are keyed."""
+    on which the classes and the report are keyed; each pushed-forward
+    lift is found by the bytes of its int64 codes, as `deformation_classes`
+    keys them."""
     t0 = time.monotonic()
     p, n, N = asm.p, asm.n, asm.N
     if A.p != p:
@@ -464,18 +450,18 @@ def functor_compare(
     gens = tuple(int(g) for g in gens)
     walked = enumeration_generators(rho_bar, gens)
     lifts = enumerate_lifts(rho_bar, A, walked)
-    if walked != gens and lifts:
-        blocks = _gen_blocks(lifts, rho_bar.degree)
-        lifts = _assignments(gens, _values_at(rho_bar.group, A, blocks, walked, gens))
+    if walked != gens:
+        by_gen = _values_at(rho_bar.group, A, lifts.transpose(1, 0, 2, 3), walked, gens)
+        lifts = by_gen.transpose(1, 0, 2, 3)
     classes = deformation_classes(rho_bar, A, lifts)
     homs = count_homs_from_R(n, A)
     # rho_R at the generators over R; t -> x sends w + t u to w 1 + u x in A
     at_gens = np.stack([rho_r.at(g) for g in gens]).astype(object)[None]
     pushed = at_gens[..., :1] * A.one + at_gens[..., 1:] * homs[:, None, None, None]
-    codes = A.encode(A.reduce(pushed)).reshape(len(homs), len(gens), rho_bar.degree**2)
+    codes = A.encode(A.reduce(pushed)).reshape(len(homs), -1).astype(np.int64)
     hom_to_class = []
-    for key in codes.tolist():
-        key = tuple(map(tuple, key))
+    for row in codes:
+        key = row.tobytes()
         if key not in classes.class_of:
             raise OracleError("pushed-forward lift is not among the enumerated lifts")
         hom_to_class.append(classes.class_of[key])
@@ -485,7 +471,7 @@ def functor_compare(
     return FunctorReport(
         asm.spec.name,
         A.name,
-        classes.lift_count,
+        len(lifts),
         classes.class_count,
         len(homs),
         injective,

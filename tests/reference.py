@@ -7,8 +7,9 @@ of the standard family, level-by-level lifting through the vanishing of the
 obstructions, a backtracking isomorphism search, brute-force listings of
 spans and solution sets over Z/p^N, Howell forms by elimination on lists
 of Python ints, the element arithmetic of local algebras on tuples of
-Python ints with matrices over them (`ScalarAlgebra`, `AlgMatrix`), and
-Newton inversion over a local algebra.  A method of a package class appears
+Python ints with matrices over them (`ScalarAlgebra`, `AlgMatrix`) and
+structure tables written out pair by pair (`basis_products`), and Newton
+inversion over a local algebra.  A method of a package class appears
 here as a function taking the object as its first argument.
 """
 
@@ -317,6 +318,27 @@ def solve_rows(entries, rhs, p: int, N: int):
 # ---------------------------------------------------------------------------
 # Local algebras on tuples of Python ints
 # ---------------------------------------------------------------------------
+
+
+def basis_products(n, rules):
+    """An n x n structure table of tuples from a dict {(i, j): coords} of
+    the products of e_1, ..., e_{n-1} (either order; absent pairs are 0),
+    with e_0 the identity."""
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == 0:
+                v = [0] * n
+                v[j] = 1
+            elif j == 0:
+                v = [0] * n
+                v[i] = 1
+            else:
+                v = list(rules.get((i, j), rules.get((j, i), [0] * n)))
+            row.append(tuple(v))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 class ScalarAlgebra:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import time
 
 import numpy as np
@@ -11,7 +12,6 @@ from defring import kernels
 from defring.localalg import (
     AlgebraError,
     ArtinLocalAlgebra,
-    _basis_products,
     count_homs_from_R,
     cyclic_ring,
     dual_numbers,
@@ -24,7 +24,7 @@ from defring.localalg import (
     truncated_polynomials,
 )
 
-from reference import AlgMatrix, ScalarAlgebra, inverse
+from reference import AlgMatrix, ScalarAlgebra, basis_products, inverse
 
 
 def _maximal_ideal(A):
@@ -213,7 +213,7 @@ def test_not_local_rejected():
     # F_p x F_p (idempotent basis) is not local: e1^2 = e1 makes the
     # "maximal ideal" fail to be nilpotent.
     with pytest.raises(AlgebraError, match="maximal ideal is not nilpotent"):
-        ArtinLocalAlgebra(2, ("1", "e"), (2, 2), _basis_products(2, {(1, 1): (0, 1)}))
+        ArtinLocalAlgebra(2, ("1", "e"), (2, 2), basis_products(2, {(1, 1): (0, 1)}))
 
 
 def test_algebra_json_roundtrip():
@@ -221,6 +221,26 @@ def test_algebra_json_roundtrip():
     d = R.to_json_dict()
     assert d["orders"] == [8, 2, 2]
     assert d["carries"][1] == [0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "ring,labels,products",
+    [
+        (make_ring_R(3, 2, 5), ["1", "t"], {}),
+        (make_ring_Rprime(3, 1, 3), ["1", "t", "t2"], {(1, 1): (0, 0, 1)}),
+        (make_ring_Rprime_2_1(1, N=4), ["1", "t", "t2"], {(1, 1): (0, 0, 1)}),
+        (dual_numbers(3), ["1", "eps"], {}),
+        (truncated_polynomials(2, 4), ["1", "t", "t2", "t3"], {(1, 1): (0, 0, 1, 0), (1, 2): (0, 0, 0, 1)}),
+        (cyclic_ring(5, 2), ["1"], {}),
+        (nilpotent_socle_ring(3), ["1", "u"], {}),
+    ],
+    ids=["R", "Rprime", "Rprime_2_1", "dual", "F2t4", "Z25", "Z9u"],
+)
+def test_named_rings_have_the_tables_written_out_pair_by_pair(ring, labels, products):
+    # every named ring is monogenic: t^i t^j = t^(i + j), zero past the last power
+    data = json.loads(json.dumps(ring.to_json_dict()))
+    assert data["basis"] == labels
+    assert data["multable"] == [[list(x) for x in row] for row in basis_products(len(labels), products)]
 
 
 def test_tables_consistent_with_ops():
@@ -294,7 +314,7 @@ def _reference_nilpotency_index(A):
 def _accepted(p, orders, rules, carries=None):
     """(whether ArtinLocalAlgebra accepts the presentation, whether the
     reference walk finds a nilpotency index of its m)."""
-    table = _basis_products(len(orders), rules)
+    table = basis_products(len(orders), rules)
     try:
         ArtinLocalAlgebra(p, [f"e{i}" for i in range(len(orders))], orders, table, carries)
         accepted = True
@@ -338,7 +358,7 @@ def test_lattice_nilpotency_matches_additive_span_walk():
 
 def test_reference_walk_also_rejects_the_idempotent_algebra():
     # test_not_local_rejected decides the same presentation on generators
-    table = _basis_products(2, {(1, 1): (0, 1)})
+    table = basis_products(2, {(1, 1): (0, 1)})
     with pytest.raises(AlgebraError, match="maximal ideal is not nilpotent"):
         _reference_nilpotency_index(ScalarAlgebra(2, (2, 2), table))
 

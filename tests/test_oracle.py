@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defring import kernels, oracle
@@ -23,12 +23,9 @@ from defring.localalg import (
 )
 from defring.modrep import end_rep
 from defring.oracle import (
-    LiftAssignment,
     OracleError,
     _assert_full_table,
-    _assignments,
     _candidates_for_generator,
-    _gen_blocks,
     _identity,
     _kernel_inverses,
     _stack_matmul,
@@ -216,6 +213,12 @@ def _homomorphic(rho_bar, A, gens, images):
     return alive
 
 
+def _tuples(lifts):
+    """The lifts of a (lifts, #gens, d, d) stack as tuples of d*d codes per
+    generator."""
+    return [tuple(map(tuple, lift.reshape(len(lift), -1).tolist())) for lift in lifts]
+
+
 def _reference_lifts(rho_bar, A, gens):
     """The unpruned product of the reduction cosets, in lexicographic order,
     filtered by the all-pairs predicate."""
@@ -246,7 +249,7 @@ def test_pruned_enumeration_matches_unpruned_reference(instance, ring, which):
         gens = group.small_generating_set() if which == 0 else _second_generating_set(group)
     gens = tuple(int(g) for g in gens)
     expected = _reference_lifts(asm.rho_bar, A, gens)
-    got = [l.images for l in enumerate_lifts(asm.rho_bar, A, gens)]
+    got = _tuples(enumerate_lifts(asm.rho_bar, A, gens))
     assert expected and got == expected
 
 
@@ -283,41 +286,41 @@ def test_kernel_inverses_raise_on_a_singular_matrix():
 def test_full_table_check_catches_a_relation_broken_inside_m_A(ring):
     asm = s4_assembly()
     A = standard_rings(2)[ring]
-    lifts = enumerate_lifts(asm.rho_bar, A)
-    _assert_full_table(lifts, asm.rho_bar, A)
-    valid = {l.images for l in lifts}
+    gens = asm.gamma.small_generating_set()
+    lifts = enumerate_lifts(asm.rho_bar, A, gens)
+    _assert_full_table(lifts, gens, asm.rho_bar, A)
+    valid = {lift.tobytes() for lift in lifts}
     add = A.tables()[0]
     S = ScalarAlgebra.of(A)
     m = S.encode(S.maximal_ideal()[1])  # a nonzero element of m_A
     bad = None
-    for l in lifts:
-        for si, pos in product(range(len(l.images)), range(4)):
-            images = [list(im) for im in l.images]
-            images[si][pos] = int(add[images[si][pos], m])
-            images = tuple(tuple(im) for im in images)
-            if images not in valid:
-                bad = LiftAssignment(l.generators, images)
+    for lift in lifts:
+        for si, i, j in product(range(len(gens)), range(2), range(2)):
+            images = lift.copy()
+            images[si, i, j] = add[images[si, i, j], m]
+            if images.tobytes() not in valid:
+                bad = images
                 break
         if bad is not None:
             break
     # same reduction, but not a lift: some relation of Gamma fails
     assert bad is not None
-    stacks = [np.array(im).reshape(1, 2, 2) for im in bad.images]
-    assert len(_homomorphic(asm.rho_bar, A, bad.generators, stacks)) == 0
-    corrupted = lifts[: len(lifts) // 2] + [bad] + lifts[len(lifts) // 2 :]
+    assert len(_homomorphic(asm.rho_bar, A, gens, list(bad[:, None]))) == 0
+    half = len(lifts) // 2
+    corrupted = np.concatenate([lifts[:half], bad[None], lifts[half:]])
     with pytest.raises(OracleError, match="not a homomorphism"):
-        _assert_full_table(corrupted, asm.rho_bar, A)
+        _assert_full_table(corrupted, gens, asm.rho_bar, A)
 
 
-def _assignment_on(gens, lift, rho_bar, A):
-    """The images on `gens` of the homomorphism that `lift` extends to."""
+def _assignment_on(gens, lift, lift_gens, rho_bar, A):
+    """The (#gens, d, d) images on `gens` of the homomorphism that `lift`,
+    its images at `lift_gens`, extends to."""
     add, mul, _ = A.tables()
     d = rho_bar.degree
-    blocks = [np.array(im).reshape(d, d) for im in lift.images]
     M = rho_bar.group.extend(
-        blocks, lambda a, b: kernels.table_matmul(a, b, add, mul), _identity(A, d), lift.generators
+        list(lift), lambda a, b: kernels.table_matmul(a, b, add, mul), _identity(A, d), lift_gens
     )
-    return [M[g].reshape(-1).tolist() for g in gens]
+    return np.array([M[g] for g in gens])
 
 
 @pytest.mark.parametrize("ring", ["dual", "Z8"])
@@ -325,32 +328,35 @@ def test_full_table_check_needs_both_the_relators_and_the_extension(ring):
     asm = s4_assembly()
     A = standard_rings(2)[ring]
     gamma, rho_bar = asm.gamma, asm.rho_bar
-    lift = enumerate_lifts(rho_bar, A)[-1]
+    walked = gamma.small_generating_set()
+    lift = enumerate_lifts(rho_bar, A, walked)[-1]
     add = A.tables()[0]
     S = ScalarAlgebra.of(A)
     m = S.encode(S.maximal_ideal()[1])
 
     def corrupted(gens, si):
-        images = _assignment_on(gens, lift, rho_bar, A)
-        _assert_full_table([LiftAssignment(gens, tuple(map(tuple, images)))], rho_bar, A)
-        for pos in range(4):
-            bad = [list(im) for im in images]
-            bad[si][pos] = int(add[bad[si][pos], m])
-            stacks = [np.array(im).reshape(1, 2, 2) for im in bad]
-            if len(_homomorphic(rho_bar, A, gens, stacks)) == 0:
-                return LiftAssignment(gens, tuple(map(tuple, bad)))
+        """A one-lift stack at `gens`: the lift with one entry of its
+        image at gens[si] moved by m, which is then no lift."""
+        images = _assignment_on(gens, lift, walked, rho_bar, A)
+        _assert_full_table(images[None], gens, rho_bar, A)
+        for i, j in product(range(2), repeat=2):
+            bad = images.copy()
+            bad[si, i, j] = add[bad[si, i, j], m]
+            if len(_homomorphic(rho_bar, A, gens, list(bad[:, None]))) == 0:
+                return bad[None]
         raise AssertionError("every corruption is a lift")
 
     # on the distinguished generators both extensions are the same, so
     # only the relators can reject the corrupted lift
     dist = tuple(gamma.generators)
     with pytest.raises(OracleError, match="relator"):
-        _assert_full_table([corrupted(dist, 0)], rho_bar, A)
+        _assert_full_table(corrupted(dist, 0), dist, rho_bar, A)
     # a corrupted extra generator leaves the distinguished images (and so
     # every relator) intact; comparing the two extensions rejects it
     extra = next(e for e in range(1, gamma.order) if e not in dist)
+    gens = dist + (extra,)
     with pytest.raises(OracleError, match="extension differs"):
-        _assert_full_table([corrupted(dist + (extra,), len(dist))], rho_bar, A)
+        _assert_full_table(corrupted(gens, len(dist)), gens, rho_bar, A)
 
 
 @pytest.mark.parametrize("ring", ["F3t3", "Z27"])
@@ -367,9 +373,9 @@ def test_full_table_check_rejects_a_homomorphism_of_another_reduction():
     asm = s4_assembly()
     A = dual_numbers(2)
     gens = tuple(asm.gamma.small_generating_set())
-    eye = tuple(_identity(A, 2).reshape(-1).tolist())
+    trivial = np.broadcast_to(_identity(A, 2), (1, len(gens), 2, 2))
     with pytest.raises(OracleError, match="does not reduce"):
-        _assert_full_table([LiftAssignment(gens, (eye,) * len(gens))], asm.rho_bar, A)
+        _assert_full_table(trivial, gens, asm.rho_bar, A)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +387,8 @@ def _reference_classes(rho_bar, A, lifts):
     """The per-lift orbit loop the vectorised `deformation_classes`
     replaced: conjugate each unclassified lift by every matrix of
     1 + M_d(m_A), listed entry by entry, one generator at a time, and
-    collect the orbit as a set of tuples."""
+    collect the orbit as a set of tuples.  The classes map the int64 bytes
+    of each lift to its class, as `deformation_classes` keys them."""
     add, mul, _ = A.tables()
     d = rho_bar.degree
     eye = _identity(A, d).reshape(-1)
@@ -392,10 +399,10 @@ def _reference_classes(rho_bar, A, lifts):
         dtype=np.int64,
     ).reshape(-1, d, d)
     Uinv = _kernel_inverses(A, U)
-    keys = {l.key() for l in lifts}
+    keys = set(_tuples(lifts))
     class_of, reps, sizes = {}, [], []
-    for l in lifts:
-        if l.key() in class_of:
+    for key, l in zip(_tuples(lifts), lifts):
+        if key in class_of:
             continue
         conj = [
             kernels.table_matmul(
@@ -404,7 +411,7 @@ def _reference_classes(rho_bar, A, lifts):
                 add,
                 mul,
             )
-            for im in l.images
+            for im in l
         ]
         orbit = {tuple(tuple(c[i].reshape(-1).tolist()) for c in conj) for i in range(len(U))}
         if not orbit <= keys:
@@ -418,7 +425,7 @@ def _reference_classes(rho_bar, A, lifts):
     return (
         [reps[int(i)] for i in order],
         [sizes[int(i)] for i in order],
-        {k: remap[v] for k, v in class_of.items()},
+        {np.array(k, dtype=np.int64).tobytes(): remap[v] for k, v in class_of.items()},
     )
 
 
@@ -444,7 +451,7 @@ def test_deformation_classes_match_the_per_lift_orbit_loop(instance, ring):
     assert got.representatives == reps
     assert got.sizes == sizes
     assert got.class_of == class_of
-    assert got.lift_count == len(lifts) == sum(sizes)
+    assert len(lifts) == sum(sizes)
 
 
 @pytest.mark.parametrize("instance,ring", [("twisted-p2n1", "Z4u"), ("twisted-p3n1", "Z9")])
@@ -453,9 +460,9 @@ def test_deformation_classes_refuse_a_list_missing_a_lift(instance, ring):
     classes = deformation_classes(rho_bar, A, lifts)
     # drop a lift whose orbit has other members: one of them reaches it
     drop = next(
-        i for i, l in enumerate(lifts) if classes.sizes[classes.class_of[l.key()]] > 1
+        i for i, lift in enumerate(lifts) if classes.sizes[classes.class_of[lift.tobytes()]] > 1
     )
-    partial = lifts[:drop] + lifts[drop + 1 :]
+    partial = np.delete(lifts, drop, axis=0)
     with pytest.raises(OracleError, match="conjugate of a lift is not a lift"):
         deformation_classes(rho_bar, A, partial)
     with pytest.raises(OracleError, match="conjugate of a lift is not a lift"):
@@ -538,10 +545,12 @@ def test_lifts_walked_on_any_generating_pair_are_the_lifts_at_the_report_generat
     rho_bar, A = asm.rho_bar, standard_rings(2)[ring]
     gens = asm.gamma.small_generating_set()
     walked = data.draw(st.sampled_from(_generating_pairs(instance)))
-    direct = [l.images for l in enumerate_lifts(rho_bar, A, gens)]
-    blocks = _gen_blocks(enumerate_lifts(rho_bar, A, walked), rho_bar.degree)
-    moved = [l.images for l in _assignments(gens, _values_at(asm.gamma, A, blocks, walked, gens))]
-    assert len(moved) == len(direct) and set(moved) == set(direct)
+    direct = enumerate_lifts(rho_bar, A, gens)
+    blocks = enumerate_lifts(rho_bar, A, walked).transpose(1, 0, 2, 3)
+    moved = _values_at(asm.gamma, A, blocks, walked, gens).transpose(1, 0, 2, 3)
+    assert moved.dtype == direct.dtype == np.int64
+    assert len(moved) == len(direct)
+    assert {lift.tobytes() for lift in moved} == {lift.tobytes() for lift in direct}
     assert _report(asm, rho_r, A, walked) == _report(asm, rho_r, A, gens)
 
 
@@ -607,26 +616,41 @@ def test_functor_compare_calls_the_kernel_on_stacks_of_matrices(instance, ring, 
         assert shape_a[0] == shape_b[0] and shape_a[2] == shape_b[1]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    ngen=st.integers(1, 3),
-    count=st.integers(0, 6),
-    d=st.integers(1, 3),
-    strided=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(ngen=3, count=0, d=3, strided=False, seed=0)  # no lift: an empty stack
-def test_assignments_match_the_per_lift_construction(ngen, count, d, strided, seed):
-    # the walk hands `_assignments` a fresh stack, `_values_at` a gathered one;
-    # a strided view stands for any non-contiguous stack
-    blocks = np.random.default_rng(seed).integers(0, 64, (ngen, 2 * count if strided else count, d, d))
-    if strided:
-        blocks = blocks[:, ::2]
-    gens = tuple(range(5, 5 + ngen))
-    expected = [
-        LiftAssignment(gens, tuple(tuple(int(x) for x in gb[i].reshape(-1)) for gb in blocks))
-        for i in range(count)
-    ]
-    got = _assignments(gens, blocks)
-    assert got == expected
-    assert all(type(x) is int for lift in got for image in lift.images for x in image)
+@pytest.mark.parametrize("instance,ring", [("twisted-p2n1", "Z4u"), ("standard-d2p2", "Z8"), ("twisted-p3n1", "dual")])
+def test_enumerate_lifts_returns_an_int64_lift_major_stack(instance, ring):
+    asm, rho_r = _oracle_inputs(instance)
+    rho_bar, A = asm.rho_bar, standard_rings(asm.p)[ring]
+    gens = asm.gamma.small_generating_set()
+    d = rho_bar.degree
+    lifts = enumerate_lifts(rho_bar, A, gens)
+    assert lifts.dtype == np.int64
+    assert lifts.shape == (len(lifts), len(gens), d, d) and len(lifts) > 0
+    walked = enumerate_lifts(rho_bar, A, enumeration_generators(rho_bar, gens))
+    assert functor_compare(asm, rho_r, A).lift_count == len(walked) == len(lifts)
+
+
+@pytest.mark.parametrize("ngen", [1, 2, 3])
+def test_an_empty_stack_of_lifts_is_checked_and_partitioned(ngen):
+    asm = s4_assembly()
+    rho_bar, A = asm.rho_bar, dual_numbers(2)
+    gens = tuple(asm.gamma.generators)[:ngen]
+    empty = np.empty((0, ngen, 2, 2), dtype=np.int64)
+    _assert_full_table(empty, gens, rho_bar, A)
+    classes = deformation_classes(rho_bar, A, empty)
+    assert (classes.representatives, classes.sizes, classes.class_of) == ([], [], {})
+
+
+def test_functor_compare_refuses_a_pushed_forward_lift_missing_from_the_lifts(monkeypatch):
+    asm, rho_r = _oracle_inputs("twisted-p2n1")
+    rho_bar, A = asm.rho_bar, standard_rings(2)["Z4"]
+    gens = asm.gamma.small_generating_set()
+    assert enumeration_generators(rho_bar, gens) == gens
+    lifts = enumerate_lifts(rho_bar, A, gens)
+    classes = deformation_classes(rho_bar, A, lifts)
+    # drop the whole class of the hom t -> 0, so the rest still partitions
+    zero_class = functor_compare(asm, rho_r, A).hom_to_class[0]
+    kept = lifts[[classes.class_of[lift.tobytes()] != zero_class for lift in lifts]]
+    assert 0 < len(kept) < len(lifts)
+    monkeypatch.setattr(oracle, "enumerate_lifts", lambda rho_bar, A, gens: kept)
+    with pytest.raises(OracleError, match="pushed-forward lift is not among the enumerated lifts"):
+        functor_compare(asm, rho_r, A)
