@@ -22,7 +22,10 @@ parser built by an earlier call), the check of rho_R on Gamma's relators
 (`build_rho_R`), and the constructions of GR(p^3, 2) (`galois_matrices`),
 PGL_2(F_q) and S_6 (the last two close permutations with
 `FiniteGroup.from_permutations`).  The Howell-form rows time `solve_module`
-on the Hom systems that certifying standard-d4p2 solves.  The presentation
+on the Hom systems that certifying standard-d4p2 solves, and the
+certify-and-verify rows run `certify_instance` and then `verify_certificate`
+on its JSON for standard-d4p2, twisted-p3n1 (both n = 1, where one Hom solve
+serves conditions (a) and (b)) and twisted-p3n2 (n = 2).  The presentation
 rows time `FiniteGroup._presentation` on the groups G of the battery and on
 S_3 to S_6: the proof of a family's own relators (their check in the table
 and a coset enumeration), which every group construction pays once, or the
@@ -41,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
 import time
@@ -115,6 +119,22 @@ def howell_rows():
         )
 
 
+def certify_verify_rows():
+    from defring.certify import certify_instance, parse_instance_name, verify_certificate
+
+    print("== certify, then verify its certificate (certify) ==", flush=True)
+
+    def certify_and_verify(spec):
+        cert = json.loads(json.dumps(certify_instance(spec).to_json_dict()))
+        ok, problems = verify_certificate(cert)
+        if not ok:
+            raise RuntimeError(f"{spec.name}: {problems}")
+
+    for name in ("standard-d4p2", "twisted-p3n1", "twisted-p3n2"):
+        spec = parse_instance_name(name)
+        bench(f"certify + verify {name}", lambda spec=spec: certify_and_verify(spec), repeat=5)
+
+
 def local_algebra_rows(rng):
     from defring import localalg
 
@@ -133,6 +153,7 @@ def local_algebra_rows(rng):
 def main():
     rng = np.random.default_rng(0)
     howell_rows()
+    certify_verify_rows()
     local_algebra_rows(rng)
 
     print("== mod-p elimination ==", flush=True)

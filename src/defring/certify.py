@@ -48,6 +48,7 @@ from .groups import (
 )
 from .localalg import AlgebraError, ArtinLocalAlgebra, make_ring_R, make_ring_Rprime, make_ring_Rprime_2_1
 from .modrep import (
+    EquivariantHomSpace,
     Representation,
     RepresentationError,
     admissible_degree,
@@ -150,6 +151,18 @@ class Assembly:
     def N(self) -> int:
         return self.spec.precision
 
+    @cached_property
+    def hom_b(self) -> EquivariantHomSpace:
+        """Hom_G(K, End(V_W)/p^n), where condition (b) takes alpha."""
+        return hom_space(self.K, self.MW_mod_pn)
+
+    @cached_property
+    def hom_a(self) -> EquivariantHomSpace:
+        """Hom_G(K/pK, End V) of condition (a).  At n = 1 it is `hom_b`:
+        p kills K, so K/pK and K hold the same generator matrices mod p, and
+        End(V_W)/p is End V."""
+        return self.hom_b if self.n == 1 else hom_space(self.K.reduce_mod(1), self.M)
+
 
 def assemble(spec: InstanceSpec) -> Assembly:
     p, n, N = spec.p, spec.n, spec.precision
@@ -233,7 +246,7 @@ class ConditionA:
 
 
 def check_condition_a(asm: Assembly) -> ConditionA:
-    dim = hom_space(asm.K.reduce_mod(1), asm.M).dimension
+    dim = asm.hom_a.dimension
     return ConditionA(dim, dim == 1)
 
 
@@ -344,7 +357,7 @@ def find_alpha(asm: Assembly) -> ConditionB:
     An injective alpha is nonzero mod p, since p beta sends p^(n-1) e_1 != 0
     to 0, so `residue_nonzero` needs no test of its own."""
     p, n = asm.p, asm.n
-    hs = hom_space(asm.K, asm.MW_mod_pn)
+    hs = asm.hom_b
     alpha = None
     for H in hs.basis:
         cand = AlphaMap(p, n, asm.rho_w.degree, asm.K.degree, H)
@@ -755,8 +768,7 @@ def _rebuild_certified(cert: dict, asm: Assembly) -> tuple[dict | None, list[str
     if clause is not None:
         clause = [{"a": entry["a"], "violating_g": entry["violating_g"]} for entry in clause]
     cond_a = check_condition_a(asm)
-    factors = hom_space(asm.K, asm.MW_mod_pn).invariant_factors
-    cond_b = evaluate_condition_b(alpha, cb.get("witness"), clause, factors)
+    cond_b = evaluate_condition_b(alpha, cb.get("witness"), clause, asm.hom_b.invariant_factors)
     problems = []
     try:
         rho_r = build_rho_R(asm, alpha)
@@ -800,7 +812,7 @@ class NegativeControlReport:
 def _injective_commutative_alpha(asm: Assembly) -> AlphaMap:
     """First injective combination of the Hom basis (controls only)."""
     p, n = asm.p, asm.n
-    hs = hom_space(asm.K, asm.MW_mod_pn)
+    hs = asm.hom_b
     mn = p**n
     k = len(hs.basis)
     for code in range(1, mn**k):

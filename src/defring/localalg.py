@@ -12,8 +12,8 @@ Elements are integer arrays with the coordinates on the last axis, and a
 matrix over A is an array (..., d, m, r + 1).  Two routines do all the
 arithmetic: `reduce` brings integer coordinates to canonical ones,
 propagating the carries, over any leading axes, and `matmul` multiplies
-stacked matrices over A with one integer matmul per pair of basis elements
-whose product is nonzero; an element is the 1 x 1 case (`mul`).  Both are
+stacked matrices over A with one integer matmul against the structure
+constants; an element is the 1 x 1 case (`mul`).  Both are
 exact: they compute in int64 while every raw coordinate of a product fits,
 and on Python ints past that, as `kernels.residues` does.
 
@@ -74,7 +74,6 @@ class ArtinLocalAlgebra:
         ]
         S = self._carry(np.array(mul_basis, dtype=object).reshape(nb, nb, nb))
         self.mul_basis = tuple(tuple(map(tuple, row)) for row in S.tolist())
-        self._constants = [(i, j, l, c) for (i, j, l), c in np.ndenumerate(S) if c]
         # A raw coordinate l of a 1 x 1 product of canonical elements is at
         # most sum_ij S[i, j, l] (o_i - 1)(o_j - 1), k times that for an inner
         # dimension k.  Carrying coordinate i adds at most |x_i| sum_j |c_ij|
@@ -85,6 +84,9 @@ class ArtinLocalAlgebra:
         for cv in self.carries:
             self._bound *= 1 + sum(map(abs, cv))
         self.dtype = np.int64 if self._bound < 2**63 else object
+        # S as rows j and columns (i, l), for `matmul`; in int64 when the bound
+        # is, as S[i, j, l] < o_l and e_0 e_l = e_l puts o_l - 1 under it
+        self._weights = S.transpose(1, 0, 2).reshape(nb, nb * nb).astype(self.dtype)
         self.one = self.reduce(np.eye(nb, dtype=np.int64)[0])
         self._tables = None
         self._validate(S)
@@ -112,21 +114,19 @@ class ArtinLocalAlgebra:
         """Product of stacked matrices over A: canonical X (..., d, k, r + 1)
         and Y (..., k, m, r + 1), leading axes broadcast, give (..., d, m, r + 1).
 
-        For each nonzero structure constant S[i, j, l], the integer product
-        X_i Y_j of the coordinate matrices is added S[i, j, l] times to
-        coordinate l, and the sum is reduced once.  Each raw coordinate is
-        then below k times the bound of a 1 x 1 product with the carries
-        (`__init__`); the products run in int64 while that is below 2^63, and
-        on Python ints otherwise."""
+        Y's coordinate blocks weighted by the structure constants, W[(k, i),
+        (m, l)] = sum_j Y_j[k, m] S[i, j, l], make one integer matrix, and
+        the product is X as a (d, k (r + 1)) matrix times W, reduced once.
+        Each raw coordinate is then below k times the bound of a 1 x 1
+        product with the carries (`__init__`); the products run in int64
+        while that is below 2^63, and on Python ints otherwise."""
         X, Y = np.asarray(X), np.asarray(Y)
         dtype = np.int64 if X.shape[-2] * self._bound < 2**63 else object
-        X, Y = X.astype(dtype, copy=False), Y.astype(dtype, copy=False)
-        lead = np.broadcast_shapes(X.shape[:-3], Y.shape[:-3])
-        out = np.zeros((*lead, X.shape[-3], Y.shape[-2], self.nbasis), dtype=dtype)
-        for i, j, l, c in self._constants:
-            prod = X[..., i] @ Y[..., j]
-            out[..., l] += prod if c == 1 else c * prod
-        return self._carry(out).astype(self.dtype, copy=False)
+        *_, k, m, nb = Y.shape
+        W = Y.astype(dtype, copy=False) @ self._weights.astype(dtype, copy=False)
+        W = W.reshape(*Y.shape[:-1], nb, nb).swapaxes(-3, -2).reshape(*Y.shape[:-3], k * nb, m * nb)
+        out = X.astype(dtype, copy=False).reshape(*X.shape[:-2], k * nb) @ W
+        return self._carry(out.reshape(*out.shape[:-1], m, nb)).astype(self.dtype, copy=False)
 
     def mul(self, x, y) -> np.ndarray:
         """Product of stacked elements: `matmul` on 1 x 1 matrices."""

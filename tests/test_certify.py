@@ -24,9 +24,10 @@ from defring.certify import (
     parse_instance_name,
     verify_certificate,
 )
+from defring.cli import ACCEPTANCE_STANDARD, ACCEPTANCE_TWISTED
 from defring.cohomology import h1_dim
 from defring.groups import FiniteGroup, SemidirectGroup, symmetric_group
-from defring.modrep import end_rep
+from defring.modrep import end_rep, hom_space
 
 from reference import find_isomorphism, permutation_pieces, x_matrices
 
@@ -130,6 +131,67 @@ def test_find_alpha_solves_the_chosen_kernel_once(monkeypatch):
     assert cert.verdict == "certified"
     alpha = cert.condition_b.alpha.matrix
     assert sum(np.array_equal(entries, alpha) for entries in solved) == 1
+
+
+BATTERY = [f"twisted-p{p}n{n}" for p, n in ACCEPTANCE_TWISTED] + [
+    f"standard-d{d}p{p}" for d, p in ACCEPTANCE_STANDARD
+]
+CONTROLS = ["twisted-p2n1-scalar", "twisted-p2n2-commutative", "twisted-p3n1-commutative", "standard-d3p5-scalar"]
+
+
+@pytest.mark.parametrize("name", BATTERY + CONTROLS)
+def test_condition_a_module_equals_a_fresh_solve(name):
+    # at n = 1 condition (a) reads condition (b)'s Hom module; it must be
+    # Hom_G(K/pK, End V) solved on its own
+    asm = assemble(parse_instance_name(name))
+    fresh = hom_space(asm.K.reduce_mod(1), asm.M)
+    assert check_condition_a(asm).dim == asm.hom_a.dimension == fresh.dimension
+    assert len(asm.hom_a.basis) == len(fresh.basis)
+    assert all(np.array_equal(a, b) for a, b in zip(asm.hom_a.basis, fresh.basis))
+    assert (asm.hom_a is asm.hom_b) == (asm.n == 1)
+
+
+def _record_solves(monkeypatch, modules):
+    """Patch solve_module where `modules` look it up; returns the list of
+    (entries, rhs, p, N) keys of every call."""
+    import defring.exactalg
+
+    keys = []
+    solve = defring.exactalg.solve_module
+
+    def recording(entries, rhs, p, N):
+        a, b = np.asarray(entries, dtype=np.int64), np.asarray(rhs, dtype=np.int64)
+        keys.append((a.shape, a.tobytes(), b.tobytes(), p, N))
+        return solve(entries, rhs, p, N)
+
+    for module in modules:
+        monkeypatch.setattr(module, "solve_module", recording)
+    return keys
+
+
+@pytest.mark.parametrize("name", BATTERY + ["twisted-p3n1-commutative"])
+def test_certify_and_verify_solve_no_system_twice(monkeypatch, name):
+    import defring.certify
+    import defring.cohomology
+    import defring.modrep
+
+    keys = _record_solves(monkeypatch, [defring.certify, defring.cohomology, defring.modrep])
+    cert = certify_instance(parse_instance_name(name))
+    certify_keys = list(keys)
+    keys.clear()
+    ok, problems = verify_certificate(as_json(cert))
+    assert ok, problems
+    for solved in (certify_keys, keys):
+        assert solved and len(set(solved)) == len(solved)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])
+def test_negative_control_solves_each_hom_system_once(monkeypatch, p, n):
+    import defring.modrep
+
+    keys = _record_solves(monkeypatch, [defring.modrep])  # hom_space's solves
+    assert negative_control(p, n).verdict == "refuted"
+    assert len(keys) == len(set(keys)) == (1 if n == 1 else 2)
 
 
 def test_alpha_scale_invariance():

@@ -442,8 +442,12 @@ def test_array_arithmetic_matches_scalar_reference(build, data):
     assert tuple(A.reduce(np.array(small, dtype=np.int64)).tolist()) == S.reduce(small)
     x, y = element(), element()
     assert tuple(A.mul(A.reduce(x), A.reduce(y)).tolist()) == S.mul(x, y)
-    X = [[element() for _ in range(2)] for _ in range(2)]
-    Y = [[element() for _ in range(2)] for _ in range(2)]
-    got = A.matmul(A.reduce(X), A.reduce(Y)).tolist()
-    expected = AlgMatrix.from_rows(S, X) @ AlgMatrix.from_rows(S, Y)
-    assert [tuple(e) for row in got for e in row] == list(expected.entries)
+    # stacks of d x d matrices whose leading axes broadcast, (a, 1) against
+    # (b,): each product is the reference AlgMatrix product, in dtype and bytes
+    d, a, b = (data.draw(st.integers(1, 3)) for _ in range(3))
+    Xs, Ys = ([[[element() for _ in range(d)] for _ in range(d)] for _ in range(c)] for c in (a, b))
+    got = A.matmul(A.reduce(Xs)[:, None], A.reduce(Ys))
+    products = [(AlgMatrix.from_rows(S, X) @ AlgMatrix.from_rows(S, Y)).entries for X in Xs for Y in Ys]
+    want = np.array(products, dtype=A.dtype).reshape(a, b, d, d, A.nbasis)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist() if A.dtype is object else got.tobytes() == want.tobytes()
