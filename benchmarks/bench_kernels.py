@@ -13,9 +13,11 @@ it) and the whole assembly of an instance (`assemble`) for three of the
 largest battery instances.  Also times one end-to-end oracle enumeration, and the
 enumeration and the class partition on three rows of the oracle benchmark
 (and the relator check of the lifts, `_assert_full_table`, on one), the
-whole functor comparison (`functor_compare`: the choice of the generators
-walked, the walk, the re-expression at the report generators and the
-classes) on standard-d2p2 over (Z/4)[u]/(u^2, 2u), twisted-p3n2 over
+class partition of the lifts `functor_compare` classifies on standard-d2p2
+over (Z/4)[u]/(u^2, 2u) (int64 keys) and twisted-p5n1 over F_5[eps] (Python
+int keys), the whole functor comparison (`functor_compare`: the choice of
+the generators walked, the walk with its values at the report generators,
+and the classes) on standard-d2p2 over (Z/4)[u]/(u^2, 2u), twisted-p3n2 over
 F_3[eps] and standard-d2p7 over F_7[eps], one oracle command through the
 command-line entry point (`cli.main` on twisted-p2n1 over F_2[eps], with the
 parser built by an earlier call), the check of rho_R on Gamma's relators
@@ -262,7 +264,15 @@ def main():
 
     print("== end-to-end oracle enumeration (S4, F2[t]/t^3) ==")
     from defring.localalg import standard_rings
-    from defring.oracle import _assert_full_table, deformation_classes, enumerate_lifts
+    from defring.oracle import (
+        _assert_full_table,
+        _identity,
+        _lift_keys,
+        _stack_matmul,
+        deformation_classes,
+        enumerate_lifts,
+        enumeration_generators,
+    )
 
     asm = assemble(InstanceSpec("twisted", 2, 1))
     ring = standard_rings(2)["F2t3"]
@@ -281,11 +291,29 @@ def main():
         )
         if name == "twisted-p3n1":
             gens = asm.gamma.small_generating_set()
+            group = asm.gamma
+            add, mul, _ = ring.tables()
+            one = np.broadcast_to(_identity(ring, 2), (len(lifts), 2, 2))
+            matmul = _stack_matmul(add, mul, 2)
+            at_dist = group.extend(lifts.transpose(1, 0, 2, 3), matmul, one, gens, at=group.generators)
             bench(
                 f"_assert_full_table {name}/{ring_name} ({len(lifts)} lifts)",
-                lambda: _assert_full_table(lifts, gens, asm.rho_bar, ring),
+                lambda: _assert_full_table(lifts, gens, asm.rho_bar, ring, at_dist),
                 repeat=5,
             )
+
+    print("== classes of the lifts functor_compare classifies: int64 and Python-int keys ==")
+    for name, ring_name in (("standard-d2p2", "Z4u"), ("twisted-p5n1", "dual")):
+        asm = assemble(parse_instance_name(name))
+        ring = standard_rings(asm.p)[ring_name]
+        gens = asm.gamma.small_generating_set()
+        lifts = enumerate_lifts(asm.rho_bar, ring, enumeration_generators(asm.rho_bar, gens), at=gens)
+        dtype = _lift_keys(lifts, ring.size).dtype
+        bench(
+            f"deformation_classes {name}/{ring_name} at {gens} ({len(lifts)} lifts, {dtype} keys)",
+            lambda: deformation_classes(asm.rho_bar, ring, lifts),
+            repeat=5,
+        )
 
     print("== oracle rows end to end (functor_compare) ==")
     from defring.oracle import functor_compare

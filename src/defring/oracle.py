@@ -14,9 +14,9 @@ elements the remaining factor o(s) / o(rho_bar(s)) mostly sends to I, and
 the cut keeps almost the whole coset.  So `functor_compare` walks on
 generators of the first kind when the report generators are not
 (`enumeration_generators`), and gives each lift by its values at the report
-generators, read off the walked ones along their spanning tree
-(`FiniteGroup.extend`), the step that also starts the check of the lifts on
-Gamma's relators.  Before the walk, the post-cut product B of assignments is
+generators, the values the walk gave them, as it also gives the values at
+Gamma's distinguished generators where the check of the lifts on Gamma's
+relators starts.  Before the walk, the post-cut product B of assignments is
 refused when its value stack, |Gamma| B d^2 int64s, is past WALK_BUDGET
 bytes.
 The products of the survivors are extended down Gamma's BFS spanning tree
@@ -32,7 +32,7 @@ The lifts stay in one format from the enumeration to the report: an int64
 (lifts, #gens, d, d) stack of the codes of their images at the generators.
 The walk and the extensions along the spanning tree work on its
 generator-major view (#gens, lifts, d, d), and a lift is looked up among the
-others by the bytes of its row.
+others by one integer key, its row's codes read as base-|A| digits.
 """
 
 from __future__ import annotations
@@ -70,20 +70,42 @@ def enumeration_guard() -> int:
     return int(override)
 
 
+def _lift_keys(lifts: np.ndarray, size: int) -> np.ndarray:
+    """One integer per lift of the (lifts, #gens, d, d) stack of codes in A
+    (|A| = `size`): its codes as base-|A| digits, the first most
+    significant, so key order is the rows' lexicographic order.  int64 while
+    |A|^(#gens d^2) < 2^63, Python ints past that, as in `kernels.residues`."""
+    rows = lifts.reshape(len(lifts), math.prod(lifts.shape[1:]))
+    dtype = np.int64 if size ** rows.shape[1] < 2**63 else object
+    weights = np.array([size**k for k in range(rows.shape[1])[::-1]], dtype=dtype)
+    return rows.astype(dtype, copy=False) @ weights
+
+
 @dataclass
 class DeformationClassSet:
     """Strict-equivalence classes: orbit data of conjugation by 1 + M_d(m_A).
     Each representative is the lexicographically minimal lift of its class,
-    as one tuple of d*d codes per generator; `class_of` maps the bytes of
-    each lift's int64 codes to its class."""
+    as one tuple of d*d codes per generator.  The classified lifts are kept
+    as their sorted keys (`_lift_keys` over a ring of `ring_size` elements)
+    and the class of each, for `class_of`."""
 
     representatives: list[tuple]
     sizes: list[int]
-    class_of: dict
+    keys: np.ndarray
+    key_class: np.ndarray
+    ring_size: int
 
     @property
     def class_count(self) -> int:
         return len(self.representatives)
+
+    def class_of(self, lifts: np.ndarray) -> np.ndarray:
+        """The class of each lift of the (lifts, #gens, d, d) stack `lifts`,
+        -1 for one not among the classified lifts, whose key's left and
+        right `searchsorted` positions in `keys` are then equal."""
+        keys = _lift_keys(lifts, self.ring_size)
+        left, right = (np.searchsorted(self.keys, keys, side) for side in ("left", "right"))
+        return np.where(right > left, np.append(self.key_class, -1)[left], -1)
 
 
 def _ring_data(A: ArtinLocalAlgebra, rho_bar: Representation):
@@ -191,12 +213,13 @@ def enumerate_lifts(
     rho_bar: Representation,
     A: ArtinLocalAlgebra,
     gens: tuple[int, ...] | None = None,
+    at: tuple[int, ...] | None = None,
 ) -> np.ndarray:
-    """All lifts of rho_bar over A, as an int64 (lifts, #gens, d, d) stack
-    of the codes of their images at `gens`: the assignments in the reduction
-    cosets whose extension over Gamma satisfies every multiplication-table
-    equation, in lexicographic order of the coset candidates (first
-    generator most significant).
+    """All lifts of rho_bar over A, as an int64 (lifts, #at, d, d) stack
+    of the codes of their images at the elements `at` (default: `gens`):
+    the assignments at `gens` in the reduction cosets whose extension over
+    Gamma satisfies every multiplication-table equation, in lexicographic
+    order of the coset candidates (first generator most significant).
 
     Each generator's coset is first cut to the candidates X with
     X^o(s) = I, where o(s) is the order of s.  The cut loses no lift: a lift
@@ -209,7 +232,8 @@ def enumerate_lifts(
     an edge off the tree (`FiniteGroup.off_tree_edges`) is compared with the
     value it must equal.
     The assignments failing an equation are dropped before the next level,
-    so the deep levels run on tiny stacks.
+    so the deep levels run on tiny stacks.  The walk's values at `at`, and
+    at Gamma's distinguished generators for `_assert_full_table`, are kept.
 
     Two refusals, each an OracleError: the unpruned product
     |m_A|^(d^2 #gens) past `enumeration_guard()`, before the cut, and the
@@ -219,6 +243,7 @@ def enumerate_lifts(
     if gens is None:
         gens = group.small_generating_set()
     gens = tuple(int(g) for g in gens)
+    at = gens if at is None else tuple(int(e) for e in at)
     add, mul, maximal, lift_of, d = _ring_data(A, rho_bar)
     search = len(maximal) ** (d * d * len(gens))
     guard = enumeration_guard()
@@ -249,18 +274,20 @@ def enumerate_lifts(
         )
     grid = np.meshgrid(*(np.arange(len(c)) for c in cands), indexing="ij")
     gen_blocks = np.stack([c[idx.reshape(-1)] for c, idx in zip(cands, grid)])
-    lifts = _walk_tree(group, gens, gen_blocks, matmul, eye).transpose(1, 0, 2, 3)
-    _assert_full_table(lifts, gens, rho_bar, A)
-    return lifts
+    walk = _walk_tree(group, gens, gen_blocks, matmul, eye, (group.generators, at))
+    gen_blocks, (at_dist, at_values) = walk
+    _assert_full_table(gen_blocks.transpose(1, 0, 2, 3), gens, rho_bar, A, at_dist)
+    return at_values.transpose(1, 0, 2, 3)
 
 
-def _walk_tree(group, gens, gen_blocks, matmul, eye) -> np.ndarray:
+def _walk_tree(group, gens, gen_blocks, matmul, eye, at):
     """The assignments of the (#gens, B, d, d) stack `gen_blocks` that pass
-    the level walk of `enumerate_lifts`, as such a stack.  Each level is one
-    `matmul` of its values, (level, 1, B, d, d), by the generator images,
-    (#gens, B, d, d), which folds into one kernel product of (B, level d, d)
-    by (B, d, #gens d).  The value stack is let go on return, before the
-    lifts are checked on Gamma's relators."""
+    the level walk of `enumerate_lifts`, as such a stack, and their values
+    at each tuple of elements in `at`.  Each level is one `matmul` of its
+    values, (level, 1, B, d, d), by the generator images, (#gens, B, d, d),
+    which folds into one kernel product of (B, level d, d) by
+    (B, d, #gens d).  Only the values at `at` outlive the call, so the value
+    stack is let go before the lifts are checked on Gamma's relators."""
     off_tree = group.off_tree_edges(gens)
     values = np.empty((group.order, *gen_blocks.shape[1:]), dtype=np.int64)
     values[0] = eye
@@ -273,57 +300,46 @@ def _walk_tree(group, gens, gen_blocks, matmul, eye) -> np.ndarray:
         del prods  # not held through the next level's product
         if not alive.all():
             gen_blocks, values = gen_blocks[:, alive], values[:, alive]
-    return gen_blocks
+    return gen_blocks, [values[list(elements)] for elements in at]
 
 
-def _values_at(group, A, gen_blocks, gens, at) -> np.ndarray:
-    """The values at the elements `at` of the homomorphisms with images
-    `gen_blocks` at `gens`, stacked like `gen_blocks`: each is the product
-    of the images along the word of its element in the spanning tree of
-    `gens` (`FiniteGroup.extend` with `at`)."""
-    add, mul, _ = A.tables()
-    d = gen_blocks.shape[-1]
-    one = np.broadcast_to(_identity(A, d), gen_blocks.shape[1:])
-    return group.extend(gen_blocks, _stack_matmul(add, mul, d), one, gens, at=at)
-
-
-def _assert_full_table(lifts, gens, rho_bar, A):
+def _assert_full_table(lifts, gens, rho_bar, A, at_dist):
     """Definitive check that every lift of the (lifts, #gens, d, d) stack
     `lifts` is a homomorphism Gamma -> GL_d(A) reducing to rho_bar, in four
     steps on the lift L, given on the enumeration generators s = `gens`:
 
-    1. evaluate L along the words of the distinguished generators t in the
-       spanning tree of the s (`_values_at`, which `functor_compare` also
-       uses to give walked lifts at the report generators), giving values
-       M[t];
+    1. take the values M[t] of L at the distinguished generators t from
+       `at_dist`, a (#t, lifts, d, d) stack (in `enumerate_lifts`, the
+       level walk's values);
     2. check every relator of Gamma's presentation (`violated_relators`)
        on the M[t].  By von Dyck's theorem there is then a homomorphism phi
        with phi(t) = M[t];
     3. evaluate phi at each s, as the product of the M[t] along the word of
-       s in the distinguished spanning tree, and check phi(s) = L(s).  Then
-       L is the restriction of phi to the s, which generate Gamma, so L
-       extends to the homomorphism phi;
+       s in the distinguished spanning tree (`FiniteGroup.extend` with
+       `at`), and check phi(s) = L(s).  Then L is the restriction of phi to
+       the s, which generate Gamma, so L extends to the homomorphism phi;
     4. check that every generator image reduces to rho_bar's image.
 
     Step 3 is needed, as the relators only see the M[t]: an s that no word
-    of a t passes through is otherwise unchecked.  The relators of
-    Gamma = K x| G come from K and G, not from the enumeration's tree.
-    Products are batched over the lifts and the words: one per tree level
-    in steps 1 and 3, one per word depth of the relator trie in step 2
-    (`FiniteGroup.relator_values`), none at depth 1, whose values are the
-    generator values."""
+    of a t passes through is otherwise unchecked.  Steps 2 and 3 hold
+    whatever step 1 is given, so M[t] that are not L's values fail one of
+    them.  The relators of Gamma = K x| G come from K and G, not from the
+    enumeration's tree.  Products are batched over the lifts and the words:
+    one per tree level in step 3, one per word depth of the relator trie in
+    step 2 (`FiniteGroup.relator_values`), none at depth 1, whose values are
+    the generator values."""
     if not len(lifts):
         return
     group, d = rho_bar.group, rho_bar.degree
     add, mul, _ = A.tables()
+    matmul = _stack_matmul(add, mul, d)
     gen_blocks = lifts.transpose(1, 0, 2, 3)
-    at_gens = _values_at(group, A, gen_blocks, gens, group.generators)
     one = np.broadcast_to(_identity(A, d), (len(lifts), d, d))
-    bad = violated_relators(group, at_gens, _stack_matmul(add, mul, d), one)
+    bad = violated_relators(group, at_dist, matmul, one)
     if bad:
         u, v = bad[0]
         raise OracleError(f"lift is not a homomorphism: relator {u} = {v} fails")
-    if (_values_at(group, A, at_gens, group.generators, gens) != gen_blocks).any():
+    if (group.extend(at_dist, matmul, one, group.generators, at=gens) != gen_blocks).any():
         raise OracleError("lift is not a homomorphism: its extension differs from it at a generator")
     res = A.elements()[:, 0] % A.p
     for gb, s in zip(gen_blocks, gens):
@@ -357,37 +373,35 @@ def deformation_classes(
 
     The conjugating group is listed as codes (the coset of the identity
     matrix), and each orbit is one stacked pair of products over the group
-    and the generators; its rows are looked up among the lifts by their
-    bytes."""
-    if not len(lifts):
-        return DeformationClassSet([], [], {})
+    and the generators.  The lifts are visited in the order of their keys
+    (`_lift_keys`); an orbit's members are found by one `searchsorted` of
+    its unique keys, the smallest of which is its representative."""
     add, mul, maximal, _, d = _ring_data(A, rho_bar)
+    keys = _lift_keys(lifts, A.size)
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
     U = _candidates_for_generator(_identity(A, d), maximal, add, d)
     Uinv = _kernel_inverses(A, U)[:, None]
     matmul = _stack_matmul(add, mul, d)
     ngen = lifts.shape[1]
     U = U[:, None]
-    keys = [row.tobytes() for row in lifts.reshape(len(lifts), -1).astype(np.int64)]
-    index_of = {key: i for i, key in enumerate(keys)}
-    class_idx = np.full(len(lifts), -1)
+    key_class = np.full(len(lifts), -1)
     reps, sizes = [], []
-    for i, lift in enumerate(lifts):
-        if class_idx[i] >= 0:
+    for i in range(len(lifts)):
+        if key_class[i] >= 0:
             continue
-        conj = matmul(matmul(U, lift), Uinv)
-        orbit = np.unique(conj.reshape(len(U), -1), axis=0)  # sorted: row 0 is the minimum
-        members = [index_of.get(row.tobytes()) for row in orbit]
-        if None in members:
+        conj = matmul(matmul(U, lifts[by_key[i]]), Uinv)
+        orbit = np.unique(_lift_keys(conj, A.size))  # sorted: the first is the minimum
+        members = np.searchsorted(keys, orbit)
+        if members[-1] >= len(keys) or (keys[members] != orbit).any():
             raise OracleError("conjugate of a lift is not a lift (internal error)")
-        class_idx[members] = len(reps)
-        reps.append(tuple(map(tuple, orbit[0].reshape(ngen, -1).tolist())))
+        key_class[members] = len(reps)
+        reps.append(tuple(map(tuple, lifts[by_key[members[0]]].reshape(ngen, -1).tolist())))
         sizes.append(len(orbit))
     order = np.argsort([str(r) for r in reps], kind="stable")
-    remap = np.argsort(order)
     reps = [reps[int(i)] for i in order]
     sizes = [sizes[int(i)] for i in order]
-    class_of = {key: int(remap[c]) for key, c in zip(keys, class_idx)}
-    return DeformationClassSet(reps, sizes, class_of)
+    return DeformationClassSet(reps, sizes, keys, np.argsort(order)[key_class], A.size)
 
 
 @dataclass
@@ -432,10 +446,9 @@ def functor_compare(
     bijection onto the deformation classes.
 
     The lifts are enumerated on `enumeration_generators(rho_bar, gens)` and
-    then given by their values at `gens` (default: `small_generating_set`),
-    on which the classes and the report are keyed; each pushed-forward
-    lift is found by the bytes of its int64 codes, as `deformation_classes`
-    keys them."""
+    given by the walk's values at `gens` (default: `small_generating_set`),
+    on which the classes and the report are keyed; the pushed-forward lifts
+    are looked up among them by their keys (`DeformationClassSet.class_of`)."""
     t0 = time.monotonic()
     p, n, N = asm.p, asm.n, asm.N
     if A.p != p:
@@ -449,22 +462,15 @@ def functor_compare(
         gens = rho_bar.group.small_generating_set()
     gens = tuple(int(g) for g in gens)
     walked = enumeration_generators(rho_bar, gens)
-    lifts = enumerate_lifts(rho_bar, A, walked)
-    if walked != gens:
-        by_gen = _values_at(rho_bar.group, A, lifts.transpose(1, 0, 2, 3), walked, gens)
-        lifts = by_gen.transpose(1, 0, 2, 3)
+    lifts = enumerate_lifts(rho_bar, A, walked, at=gens)
     classes = deformation_classes(rho_bar, A, lifts)
     homs = count_homs_from_R(n, A)
     # rho_R at the generators over R; t -> x sends w + t u to w 1 + u x in A
     at_gens = np.stack([rho_r.at(g) for g in gens]).astype(object)[None]
     pushed = at_gens[..., :1] * A.one + at_gens[..., 1:] * homs[:, None, None, None]
-    codes = A.encode(A.reduce(pushed)).reshape(len(homs), -1).astype(np.int64)
-    hom_to_class = []
-    for row in codes:
-        key = row.tobytes()
-        if key not in classes.class_of:
-            raise OracleError("pushed-forward lift is not among the enumerated lifts")
-        hom_to_class.append(classes.class_of[key])
+    hom_to_class = classes.class_of(A.encode(A.reduce(pushed))).tolist()
+    if -1 in hom_to_class:
+        raise OracleError("pushed-forward lift is not among the enumerated lifts")
     injective = len(set(hom_to_class)) == len(hom_to_class)
     surjective = set(hom_to_class) == set(range(classes.class_count))
     ms = int((time.monotonic() - t0) * 1000)

@@ -69,6 +69,65 @@ def test_extend_at_some_elements_walks_only_their_paths():
             assert len(calls) == max(depth - 1, 0) and sum(calls) < G.order
 
 
+def _extend_groups():
+    a4 = FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
+    return [symmetric_group(3), symmetric_group(4), a4, twisted_frobenius_group(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.integers(0, 3), tree=st.sampled_from(["distinguished", "small"]), data=st.data())
+def test_extend_at_some_elements_gives_the_rows_of_the_full_extension(group, tree, data):
+    G = _extend_groups()[group]
+    gens = None if tree == "distinguished" else G.small_generating_set()
+    ngens = len(G.generators if gens is None else gens)
+    at = data.draw(st.lists(st.integers(0, G.order - 1), max_size=8))
+    stack = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # arbitrary matrices mod 7: the walk multiplies along the words whether
+    # or not the values are a homomorphism
+    gen_values = rng.integers(0, 7, (ngens, stack, 2, 2))
+    one = np.broadcast_to(np.eye(2, dtype=np.int64), (stack, 2, 2))
+
+    def mul(a, b):
+        return a @ b % 7
+
+    full = G.extend(gen_values, mul, one, gens)
+    got = G.extend(gen_values, mul, one, gens, at=at)
+    assert got.shape == (len(at), stack, 2, 2)
+    assert (got == full[at]).all()
+
+
+def test_extend_at_some_elements_holds_only_their_values():
+    # twisted-p3n2's Gamma, |Gamma| = 1296, walked on the tree the oracle
+    # walks; values at every element would be 1296 x 4096 2 x 2 int64
+    # matrices, 170 MB
+    import tracemalloc
+
+    from defring.certify import assemble, parse_instance_name
+
+    asm = assemble(parse_instance_name("twisted-p3n2"))
+    G = asm.gamma
+    gens = (1, 18)
+    assert G.order == 1296 and len(G.tree_levels(gens)) > 20
+    rng = np.random.default_rng(0)
+    gen_values = rng.integers(0, 9, (len(gens), 4096, 2, 2))
+    one = np.broadcast_to(np.eye(2, dtype=np.int64), (4096, 2, 2))
+    full_bytes = G.order * 4096 * 4 * 8
+
+    def mul(a, b):
+        return a @ b % 9
+
+    tracemalloc.start()
+    try:
+        got = G.extend(gen_values, mul, one, gens, at=G.generators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_bytes / 20
+    full = G.extend(gen_values[:, :8], mul, one[:8], gens)  # on a few of the matrices
+    assert (got[:, :8] == full[list(G.generators)]).all()
+
+
 def test_inverse_and_orders():
     G = symmetric_group(4)
     for e, e_inv in enumerate(inverses(G)):

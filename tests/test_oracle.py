@@ -4,12 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defring import kernels, oracle
 from defring.certify import (
+    AlphaMap,
     InstanceSpec,
+    _injective_commutative_alpha,
     assemble,
     build_rho_R,
     find_alpha,
@@ -28,8 +30,8 @@ from defring.oracle import (
     _candidates_for_generator,
     _identity,
     _kernel_inverses,
+    _lift_keys,
     _stack_matmul,
-    _values_at,
     deformation_classes,
     enumerate_lifts,
     enumeration_generators,
@@ -37,11 +39,29 @@ from defring.oracle import (
     functor_compare,
 )
 
-from reference import AlgMatrix, ScalarAlgebra, inverse
+from reference import AlgMatrix, ScalarAlgebra, byte_keyed_classes, inverse
 
 
 def s4_assembly():
     return assemble(InstanceSpec("twisted", 2, 1))
+
+
+def _values_at(group, A, gen_blocks, gens, at):
+    """The values at the elements `at` of the homomorphisms with images
+    `gen_blocks`, a (#gens, lifts, d, d) stack, at `gens`: the products of
+    the images along the words of `at` in the spanning tree of `gens`."""
+    add, mul, _ = A.tables()
+    d = gen_blocks.shape[-1]
+    one = np.broadcast_to(_identity(A, d), gen_blocks.shape[1:])
+    return group.extend(gen_blocks, _stack_matmul(add, mul, d), one, gens, at=at)
+
+
+def _full_table(lifts, gens, rho_bar, A):
+    """`_assert_full_table` started from the lifts' own values at Gamma's
+    distinguished generators, read off along the spanning tree of `gens`."""
+    group = rho_bar.group
+    at_dist = _values_at(group, A, lifts.transpose(1, 0, 2, 3), gens, group.generators)
+    _assert_full_table(lifts, gens, rho_bar, A, at_dist)
 
 
 def test_trivial_ring_extension_single_lift():
@@ -288,7 +308,7 @@ def test_full_table_check_catches_a_relation_broken_inside_m_A(ring):
     A = standard_rings(2)[ring]
     gens = asm.gamma.small_generating_set()
     lifts = enumerate_lifts(asm.rho_bar, A, gens)
-    _assert_full_table(lifts, gens, asm.rho_bar, A)
+    _full_table(lifts, gens, asm.rho_bar, A)
     valid = {lift.tobytes() for lift in lifts}
     add = A.tables()[0]
     S = ScalarAlgebra.of(A)
@@ -309,7 +329,7 @@ def test_full_table_check_catches_a_relation_broken_inside_m_A(ring):
     half = len(lifts) // 2
     corrupted = np.concatenate([lifts[:half], bad[None], lifts[half:]])
     with pytest.raises(OracleError, match="not a homomorphism"):
-        _assert_full_table(corrupted, gens, asm.rho_bar, A)
+        _full_table(corrupted, gens, asm.rho_bar, A)
 
 
 def _assignment_on(gens, lift, lift_gens, rho_bar, A):
@@ -338,7 +358,7 @@ def test_full_table_check_needs_both_the_relators_and_the_extension(ring):
         """A one-lift stack at `gens`: the lift with one entry of its
         image at gens[si] moved by m, which is then no lift."""
         images = _assignment_on(gens, lift, walked, rho_bar, A)
-        _assert_full_table(images[None], gens, rho_bar, A)
+        _full_table(images[None], gens, rho_bar, A)
         for i, j in product(range(2), repeat=2):
             bad = images.copy()
             bad[si, i, j] = add[bad[si, i, j], m]
@@ -350,13 +370,13 @@ def test_full_table_check_needs_both_the_relators_and_the_extension(ring):
     # only the relators can reject the corrupted lift
     dist = tuple(gamma.generators)
     with pytest.raises(OracleError, match="relator"):
-        _assert_full_table(corrupted(dist, 0), dist, rho_bar, A)
+        _full_table(corrupted(dist, 0), dist, rho_bar, A)
     # a corrupted extra generator leaves the distinguished images (and so
     # every relator) intact; comparing the two extensions rejects it
     extra = next(e for e in range(1, gamma.order) if e not in dist)
     gens = dist + (extra,)
     with pytest.raises(OracleError, match="extension differs"):
-        _assert_full_table(corrupted(gens, len(dist)), gens, rho_bar, A)
+        _full_table(corrupted(gens, len(dist)), gens, rho_bar, A)
 
 
 @pytest.mark.parametrize("ring", ["F3t3", "Z27"])
@@ -375,7 +395,7 @@ def test_full_table_check_rejects_a_homomorphism_of_another_reduction():
     gens = tuple(asm.gamma.small_generating_set())
     trivial = np.broadcast_to(_identity(A, 2), (1, len(gens), 2, 2))
     with pytest.raises(OracleError, match="does not reduce"):
-        _assert_full_table(trivial, gens, asm.rho_bar, A)
+        _full_table(trivial, gens, asm.rho_bar, A)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +470,8 @@ def test_deformation_classes_match_the_per_lift_orbit_loop(instance, ring):
     reps, sizes, class_of = _reference_classes(rho_bar, A, lifts)
     assert got.representatives == reps
     assert got.sizes == sizes
-    assert got.class_of == class_of
+    assert len(got.keys) == len(class_of)
+    assert got.class_of(lifts).tolist() == [class_of[lift.tobytes()] for lift in lifts]
     assert len(lifts) == sum(sizes)
 
 
@@ -459,9 +480,7 @@ def test_deformation_classes_refuse_a_list_missing_a_lift(instance, ring):
     rho_bar, A, lifts = _lifts_of(instance, ring)
     classes = deformation_classes(rho_bar, A, lifts)
     # drop a lift whose orbit has other members: one of them reaches it
-    drop = next(
-        i for i, lift in enumerate(lifts) if classes.sizes[classes.class_of[lift.tobytes()]] > 1
-    )
+    drop = int(np.flatnonzero(np.array(classes.sizes)[classes.class_of(lifts)] > 1)[0])
     partial = np.delete(lifts, drop, axis=0)
     with pytest.raises(OracleError, match="conjugate of a lift is not a lift"):
         deformation_classes(rho_bar, A, partial)
@@ -635,9 +654,12 @@ def test_an_empty_stack_of_lifts_is_checked_and_partitioned(ngen):
     rho_bar, A = asm.rho_bar, dual_numbers(2)
     gens = tuple(asm.gamma.generators)[:ngen]
     empty = np.empty((0, ngen, 2, 2), dtype=np.int64)
-    _assert_full_table(empty, gens, rho_bar, A)
+    no_values = np.empty((len(asm.gamma.generators), 0, 2, 2), dtype=np.int64)
+    _assert_full_table(empty, gens, rho_bar, A, no_values)
     classes = deformation_classes(rho_bar, A, empty)
-    assert (classes.representatives, classes.sizes, classes.class_of) == ([], [], {})
+    assert (classes.representatives, classes.sizes, len(classes.keys)) == ([], [], 0)
+    assert classes.class_of(empty).tolist() == []
+    assert classes.class_of(np.broadcast_to(_identity(A, 2), (1, ngen, 2, 2))).tolist() == [-1]
 
 
 def test_functor_compare_refuses_a_pushed_forward_lift_missing_from_the_lifts(monkeypatch):
@@ -649,8 +671,164 @@ def test_functor_compare_refuses_a_pushed_forward_lift_missing_from_the_lifts(mo
     classes = deformation_classes(rho_bar, A, lifts)
     # drop the whole class of the hom t -> 0, so the rest still partitions
     zero_class = functor_compare(asm, rho_r, A).hom_to_class[0]
-    kept = lifts[[classes.class_of[lift.tobytes()] != zero_class for lift in lifts]]
+    kept = lifts[classes.class_of(lifts) != zero_class]
     assert 0 < len(kept) < len(lifts)
-    monkeypatch.setattr(oracle, "enumerate_lifts", lambda rho_bar, A, gens: kept)
+    monkeypatch.setattr(oracle, "enumerate_lifts", lambda rho_bar, A, gens, at: kept)
     with pytest.raises(OracleError, match="pushed-forward lift is not among the enumerated lifts"):
         functor_compare(asm, rho_r, A)
+
+
+# ---------------------------------------------------------------------------
+# The walk's values, handed to the relator check and the report
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", ["dual", "Z4", "Z8", "F2t3", "Z4u"])
+def test_the_walk_gives_the_values_at_the_report_and_the_distinguished_generators(ring, monkeypatch):
+    asm, _ = _oracle_inputs("standard-d2p2")
+    rho_bar, A, group = asm.rho_bar, standard_rings(2)[ring], asm.gamma
+    gens = group.small_generating_set()
+    walked = enumeration_generators(rho_bar, gens)
+    assert (gens, walked) == ((1, 8), (1, 9))
+    handed = []
+
+    def record(lifts, gens, rho_bar, A, at_dist):
+        handed.append(at_dist)
+        return _assert_full_table(lifts, gens, rho_bar, A, at_dist)
+
+    monkeypatch.setattr(oracle, "_assert_full_table", record)
+    blocks = enumerate_lifts(rho_bar, A, walked).transpose(1, 0, 2, 3)
+    at_gens = enumerate_lifts(rho_bar, A, walked, at=gens).transpose(1, 0, 2, 3)
+    assert at_gens.shape == blocks.shape
+    assert (at_gens == _values_at(group, A, blocks, walked, gens)).all()
+    at_dist = _values_at(group, A, blocks, walked, group.generators)
+    assert len(handed) == 2
+    for values in handed:
+        assert values.shape == at_dist.shape and (values == at_dist).all()
+
+
+@pytest.mark.parametrize("instance,ring", [("twisted-p2n1", "Z4"), ("standard-d2p2", "Z4u")])
+def test_full_table_check_refuses_values_that_are_not_the_lifts(instance, ring):
+    asm, _ = _oracle_inputs(instance)
+    rho_bar, A, group = asm.rho_bar, standard_rings(2)[ring], asm.gamma
+    walked = enumeration_generators(rho_bar, group.small_generating_set())
+    lifts = enumerate_lifts(rho_bar, A, walked)
+    at_dist = _values_at(group, A, lifts.transpose(1, 0, 2, 3), walked, group.generators)
+    assert len(lifts) > 1 and tuple(walked) != tuple(group.generators)
+    _assert_full_table(lifts, walked, rho_bar, A, at_dist)
+    # each lift handed the next one's values: they satisfy every relator,
+    # but extend to another homomorphism
+    for i in range(len(lifts)):
+        other = at_dist[:, [(i + 1) % len(lifts)]]
+        with pytest.raises(OracleError, match="not a homomorphism"):
+            _assert_full_table(lifts[[i]], walked, rho_bar, A, other)
+    # the identity at every distinguished generator: the trivial homomorphism
+    identity = np.broadcast_to(_identity(A, 2), at_dist.shape)
+    with pytest.raises(OracleError, match="extension differs"):
+        _assert_full_table(lifts, walked, rho_bar, A, identity)
+
+
+# ---------------------------------------------------------------------------
+# One integer key per lift
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.sampled_from([2, 3, 4, 8, 9, 25, 27, 81]),
+    ngen=st.integers(1, 64),
+    d=st.integers(1, 2),
+    rows=st.tuples(st.integers(1, 5), st.integers(0, 12)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=2, ngen=62, d=1, rows=(3, 8), seed=0)  # 2^62: int64
+@example(size=2, ngen=63, d=1, rows=(3, 8), seed=0)  # 2^63: Python ints
+@example(size=3, ngen=39, d=1, rows=(3, 8), seed=1)  # 3^39 < 2^63 < 3^40
+@example(size=3, ngen=40, d=1, rows=(3, 8), seed=1)
+@example(size=25, ngen=4, d=2, rows=(5, 12), seed=2)  # twisted-p5n1's report: 25^16
+def test_lift_keys_order_and_equality_are_those_of_the_rows(size, ngen, d, rows, seed):
+    distinct, count = rows
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, size, (distinct, ngen, d, d), dtype=np.int64)
+    pool[0] = size - 1  # the largest key
+    lifts = pool[rng.integers(0, distinct, count)]
+    keys = _lift_keys(lifts, size)
+    assert keys.dtype == (np.int64 if size ** (ngen * d * d) < 2**63 else object)
+    flat = lifts.reshape(count, ngen * d * d)
+    assert np.argsort(keys, kind="stable").tolist() == np.lexsort(flat.T[::-1]).tolist()
+    if count:
+        by_key = np.unique(keys, return_inverse=True)[1].reshape(-1)
+        by_row = np.unique(flat, axis=0, return_inverse=True)[1].reshape(-1)
+        assert by_key.tolist() == by_row.tolist()
+        top = keys[flat.sum(axis=1) == (size - 1) * flat.shape[1]]
+        assert all(int(k) == size ** flat.shape[1] - 1 for k in top)
+
+
+@pytest.mark.parametrize("ring", ["dual", "Z25"])
+def test_object_keyed_classes_match_the_byte_keyed_classes(ring, monkeypatch):
+    asm, rho_r = _oracle_inputs("twisted-p5n1")
+    rho_bar, A = asm.rho_bar, standard_rings(5)[ring]
+    gens = asm.gamma.small_generating_set()
+    assert len(gens) == 4 and A.size ** (len(gens) * 4) >= 2**63
+    lifts = enumerate_lifts(rho_bar, A, enumeration_generators(rho_bar, gens), at=gens)
+    assert _lift_keys(lifts, A.size).dtype == object
+    classes = deformation_classes(rho_bar, A, lifts)
+    reps, sizes, class_of = byte_keyed_classes(rho_bar, A, lifts)
+    assert (classes.representatives, classes.sizes) == (reps, sizes)
+    assert classes.class_of(lifts).tolist() == [class_of[lift.tobytes()] for lift in lifts]
+    # the pushed-forward lifts `functor_compare` looks up, through the bytes
+    pushed = []
+    lookup = oracle.DeformationClassSet.class_of
+
+    def record(self, lifts):
+        pushed.append(lifts)
+        return lookup(self, lifts)
+
+    monkeypatch.setattr(oracle.DeformationClassSet, "class_of", record)
+    report = functor_compare(asm, rho_r, A)
+    (homs,) = pushed
+    by_bytes = [class_of[hom.astype(np.int64).tobytes()] for hom in homs]
+    assert report.hom_to_class == by_bytes and report.bijective
+
+
+# ---------------------------------------------------------------------------
+# Verdicts that can fail: the negative controls and a non-injective rho_R
+# ---------------------------------------------------------------------------
+
+
+def _control_report(instance, ring):
+    """`functor_compare` on rho_R built from the first injective alpha of
+    the control's commutative-image module (`_injective_commutative_alpha`)."""
+    asm = assemble(parse_instance_name(instance))
+    rho_r = build_rho_R(asm, _injective_commutative_alpha(asm))
+    return functor_compare(asm, rho_r, standard_rings(asm.p)[ring])
+
+
+@pytest.mark.parametrize(
+    "instance,ring,counts",
+    [("twisted-p2n1-scalar", "Z8", (4, 2))]
+    + [
+        ("twisted-p2n2-commutative", r, (4, 2) if r == "dual" else None)
+        for r in ("dual", "Z4", "Z8", "F2t3", "Z4u")
+    ]
+    + [("twisted-p3n1-commutative", r, (9, 3)) for r in ("dual", "Z9")],
+)
+def test_the_oracle_finds_classes_no_hom_reaches_on_the_controls(instance, ring, counts):
+    report = _control_report(instance, ring)
+    assert not report.surjective and not report.bijective
+    if counts is not None:
+        assert (report.class_count, report.hom_count) == counts
+
+
+@pytest.mark.parametrize("ring", ["dual", "Z4", "F2t3", "Z4u"])
+def test_the_scalar_control_is_bijective_on_its_other_rings(ring):
+    assert _control_report("twisted-p2n1-scalar", ring).bijective
+
+
+def test_rho_r_of_the_zero_alpha_sends_every_hom_to_one_class():
+    asm, _ = _oracle_inputs("twisted-p2n1")
+    alpha = find_alpha(asm).alpha
+    zero = AlphaMap(alpha.p, alpha.n, alpha.d, alpha.rank, np.zeros_like(alpha.matrix))
+    report = functor_compare(asm, build_rho_R(asm, zero), standard_rings(2)["Z4u"])
+    assert report.hom_to_class == [0, 0, 0, 0]
+    assert not report.injective and not report.bijective
