@@ -230,36 +230,32 @@ class FiniteGroup:
         multiplicative on all pairs.  The checks built on this compare
         |G| x #gens products instead of |G|^2.
 
-        With `at`, only the elements `at` and their tree ancestors (the
-        prefixes of their words) are walked, at one `mul` per level past the
-        first, and only the values at `at` are held, stacked in that order.
+        With `at` (default: every element), only the elements `at` and their
+        tree ancestors (the prefixes of their words) are walked and held, at
+        one `mul` per level past the first, and the values at `at` are
+        returned, stacked in that order.
         """
         parent, genidx = map(np.asarray, self.spanning_tree(gens)[1:])
+        at = np.arange(self.order) if at is None else np.asarray(at, dtype=np.int64).reshape(-1)
+        needed = np.zeros(self.order, dtype=bool)
+        needed[at] = True
         levels = self.tree_levels(gens)
-        if at is not None:
-            at = np.asarray(at, dtype=np.int64).reshape(-1)
-            needed = np.zeros(self.order, dtype=bool)
-            needed[at] = True
-            for level in levels[:0:-1]:  # and their tree ancestors
-                needed[parent[level[needed[level]]]] = True
-            # the needed elements are closed under parents, so the empty
-            # levels are the deepest ones
-            levels = [level[needed[level]] for level in levels if needed[level].any()]
-            depth = np.empty(self.order, dtype=np.int64)
-            for k, level in enumerate(levels):
-                depth[level] = k
+        for level in levels[:0:-1]:  # and their tree ancestors
+            needed[parent[level[needed[level]]]] = True
+        # the needed elements are closed under parents, so the empty levels
+        # are the deepest ones
+        levels = [level[needed[level]] for level in levels if needed[level].any()]
+        depth = np.empty(self.order, dtype=np.int64)
         pos = np.empty(self.order, dtype=np.int64)  # position within its level
-        for level in levels:
-            pos[level] = np.arange(len(level))
+        for k, level in enumerate(levels):
+            depth[level], pos[level] = k, np.arange(len(level))
         steps = [(pos[parent[level]], genidx[level]) for level in levels[1:]]
         one = np.asarray(one)
-        values = np.empty((self.order if at is None else len(at), *one.shape), dtype=one.dtype)
-        for k, (level, live) in enumerate(zip(levels, _walk(steps, gen_values, mul, one))):
-            if at is None:
-                values[level] = live
-            else:  # the elements of `at` on this level
-                on_level = depth[at] == k
-                values[on_level] = live[pos[at[on_level]]]
+        values = np.empty((len(at), *one.shape), dtype=one.dtype)
+        at_depth, at_pos = depth[at], pos[at]
+        for k, live in enumerate(_walk(steps, gen_values, mul, one)):
+            on_level = at_depth == k  # the elements of `at` on this level
+            values[on_level] = live[at_pos[on_level]]
         return values
 
     def relators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

@@ -8,9 +8,8 @@ obstructions, a backtracking isomorphism search, brute-force listings of
 spans and solution sets over Z/p^N, Howell forms by elimination on lists
 of Python ints, the element arithmetic of local algebras on tuples of
 Python ints with matrices over them (`ScalarAlgebra`, `AlgMatrix`) and
-structure tables written out pair by pair (`basis_products`), Newton
-inversion over a local algebra, and the oracle's strict-equivalence classes
-with each lift keyed by the bytes of its codes.  A method of a package class appears
+structure tables written out pair by pair (`basis_products`), and Newton
+inversion over a local algebra.  A method of a package class appears
 here as a function taking the object as its first argument.
 """
 
@@ -819,51 +818,3 @@ def x_matrices(d: int, p: int) -> StandardGenerators:
     for _ in range(1, d):
         xs.append((cyc @ xs[-1] @ cyc_inv) % p)
     return StandardGenerators(d, p, xs, True)
-
-
-# ---------------------------------------------------------------------------
-# The oracle's classes, keyed by bytes
-# ---------------------------------------------------------------------------
-
-
-def byte_keyed_classes(rho_bar: Representation, A, lifts: np.ndarray):
-    """`oracle.deformation_classes` as it was with bytes keys: the orbit of
-    each unclassified lift is sorted as rows (`np.unique(..., axis=0)`) and
-    each row is looked up in a dict from the bytes of the lifts' int64
-    codes.  Returns (representatives, sizes, class_of), the classes in the
-    order of the representatives' `str` and class_of mapping each lift's
-    bytes to its class."""
-    from defring.oracle import (
-        OracleError,
-        _candidates_for_generator,
-        _identity,
-        _kernel_inverses,
-        _ring_data,
-        _stack_matmul,
-    )
-
-    add, mul, maximal, _, d = _ring_data(A, rho_bar)
-    U = _candidates_for_generator(_identity(A, d), maximal, add, d)
-    Uinv = _kernel_inverses(A, U)[:, None]
-    matmul = _stack_matmul(add, mul, d)
-    ngen = lifts.shape[1]
-    U = U[:, None]
-    keys = [row.tobytes() for row in lifts.reshape(len(lifts), -1).astype(np.int64)]
-    index_of = {key: i for i, key in enumerate(keys)}
-    class_idx = np.full(len(lifts), -1)
-    reps, sizes = [], []
-    for i, lift in enumerate(lifts):
-        if class_idx[i] >= 0:
-            continue
-        conj = matmul(matmul(U, lift), Uinv)
-        orbit = np.unique(conj.reshape(len(U), -1), axis=0)  # sorted: row 0 is the minimum
-        members = [index_of.get(row.tobytes()) for row in orbit]
-        if None in members:
-            raise OracleError("conjugate of a lift is not a lift (internal error)")
-        class_idx[members] = len(reps)
-        reps.append(tuple(map(tuple, orbit[0].reshape(ngen, -1).tolist())))
-        sizes.append(len(orbit))
-    order = np.argsort([str(r) for r in reps], kind="stable")
-    remap = np.argsort(order)
-    class_of = {key: int(remap[c]) for key, c in zip(keys, class_idx)}
-    return [reps[int(i)] for i in order], [sizes[int(i)] for i in order], class_of

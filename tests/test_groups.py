@@ -91,10 +91,15 @@ def test_extend_at_some_elements_gives_the_rows_of_the_full_extension(group, tre
     def mul(a, b):
         return a @ b % 7
 
-    full = G.extend(gen_values, mul, one, gens)
+    # the full extension, element by element along the tree
+    order, parent, genidx = G.spanning_tree(gens)
+    full = {0: one}
+    for e in order[1:]:
+        full[e] = mul(full[parent[e]], gen_values[genidx[e]])
+    assert (G.extend(gen_values, mul, one, gens) == [full[e] for e in range(G.order)]).all()
     got = G.extend(gen_values, mul, one, gens, at=at)
     assert got.shape == (len(at), stack, 2, 2)
-    assert (got == full[at]).all()
+    assert all((got[i] == full[e]).all() for i, e in enumerate(at))
 
 
 def test_extend_at_some_elements_holds_only_their_values():

@@ -39,7 +39,7 @@ from defring.oracle import (
     functor_compare,
 )
 
-from reference import AlgMatrix, ScalarAlgebra, byte_keyed_classes, inverse
+from reference import AlgMatrix, ScalarAlgebra, inverse
 
 
 def s4_assembly():
@@ -408,7 +408,7 @@ def _reference_classes(rho_bar, A, lifts):
     replaced: conjugate each unclassified lift by every matrix of
     1 + M_d(m_A), listed entry by entry, one generator at a time, and
     collect the orbit as a set of tuples.  The classes map the int64 bytes
-    of each lift to its class, as `deformation_classes` keys them."""
+    of each lift to its class."""
     add, mul, _ = A.tables()
     d = rho_bar.degree
     eye = _identity(A, d).reshape(-1)
@@ -765,7 +765,7 @@ def test_lift_keys_order_and_equality_are_those_of_the_rows(size, ngen, d, rows,
 
 
 @pytest.mark.parametrize("ring", ["dual", "Z25"])
-def test_object_keyed_classes_match_the_byte_keyed_classes(ring, monkeypatch):
+def test_object_keyed_classes_match_the_per_lift_orbit_loop(ring, monkeypatch):
     asm, rho_r = _oracle_inputs("twisted-p5n1")
     rho_bar, A = asm.rho_bar, standard_rings(5)[ring]
     gens = asm.gamma.small_generating_set()
@@ -773,7 +773,7 @@ def test_object_keyed_classes_match_the_byte_keyed_classes(ring, monkeypatch):
     lifts = enumerate_lifts(rho_bar, A, enumeration_generators(rho_bar, gens), at=gens)
     assert _lift_keys(lifts, A.size).dtype == object
     classes = deformation_classes(rho_bar, A, lifts)
-    reps, sizes, class_of = byte_keyed_classes(rho_bar, A, lifts)
+    reps, sizes, class_of = _reference_classes(rho_bar, A, lifts)
     assert (classes.representatives, classes.sizes) == (reps, sizes)
     assert classes.class_of(lifts).tolist() == [class_of[lift.tobytes()] for lift in lifts]
     # the pushed-forward lifts `functor_compare` looks up, through the bytes
