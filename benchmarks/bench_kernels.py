@@ -5,19 +5,18 @@ H^2(SD_16, F_2) and the tallest H^1 system of the acceptance battery: the
 Fox-derivative rows of standard-d4p2's presentation), H^1 end to end on four
 of the largest battery instances, direct H^2 with trivial coefficients on
 A_4, SD_16 and S_4 over F_2 and F_3, table-driven batched matrix products (oracle
-enumeration), one level product of the oracle's walk folded into a single
-kernel call (`oracle._stack_matmul` on (L, 1, B, 2, 2) values by (2, B, 2,
-2) generator images), and the construction of Gamma = K x| G, the hash of its table
+enumeration), and the construction of Gamma = K x| G, the hash of its table
 (`table_hash`, streamed from K and G, against building the table and hashing
 it) and the whole assembly of an instance (`assemble`) for three of the
 largest battery instances.  Also times one end-to-end oracle enumeration, and the
 enumeration and the class partition on three rows of the oracle benchmark
 (and the relator check of the lifts, `_assert_full_table`, on one), the
+enumeration of the 3^9 lifts of standard-d3p3 over F_3[eps], the
 class partition of the lifts `functor_compare` classifies on standard-d2p2
 over (Z/4)[u]/(u^2, 2u) (int64 keys) and twisted-p5n1 over F_5[eps] (Python
-int keys), the whole functor comparison (`functor_compare`: the choice of
-the generators walked, the walk with its values at the report generators,
-and the classes) on standard-d2p2 over (Z/4)[u]/(u^2, 2u), twisted-p3n2 over
+int keys), the whole functor comparison (`functor_compare`: the small
+extensions with their values at the report generators, and the classes)
+on standard-d2p2 over (Z/4)[u]/(u^2, 2u), twisted-p3n2 over
 F_3[eps] and standard-d2p7 over F_7[eps], one oracle command through the
 command-line entry point (`cli.main` on twisted-p2n1 over F_2[eps], with the
 parser built by an earlier call), the check of rho_R on Gamma's relators
@@ -225,16 +224,6 @@ def main():
             f"table_matmul 65536x(2x2) over {ring.name}",
             lambda a=a, b=b, add=add, mul=mul: kernels.table_matmul(a, b, add, mul),
         )
-    from defring.oracle import _stack_matmul
-
-    ring = truncated_polynomials(2, 3)
-    add, mul, _ = ring.tables()
-    values = rng.integers(0, ring.size, (16, 1, 4096, 2, 2), dtype=np.int64)
-    images = rng.integers(0, ring.size, (2, 4096, 2, 2), dtype=np.int64)
-    bench(
-        f"folded level product 4096x(16 x 2) over {ring.name}",
-        lambda: _stack_matmul(add, mul, 2)(values, images),
-    )
 
     print("== Gamma construction (semidirect_product) ==")
     from defring.certify import InstanceSpec
@@ -271,7 +260,6 @@ def main():
         _stack_matmul,
         deformation_classes,
         enumerate_lifts,
-        enumeration_generators,
     )
 
     asm = assemble(InstanceSpec("twisted", 2, 1))
@@ -301,13 +289,16 @@ def main():
                 lambda: _assert_full_table(lifts, gens, asm.rho_bar, ring, at_dist),
                 repeat=5,
             )
+    asm = assemble(parse_instance_name("standard-d3p3"))
+    ring = standard_rings(3)["dual"]
+    bench("enumerate_lifts standard-d3p3/dual (19683 lifts)", lambda: enumerate_lifts(asm.rho_bar, ring), repeat=3)
 
     print("== classes of the lifts functor_compare classifies: int64 and Python-int keys ==")
     for name, ring_name in (("standard-d2p2", "Z4u"), ("twisted-p5n1", "dual")):
         asm = assemble(parse_instance_name(name))
         ring = standard_rings(asm.p)[ring_name]
         gens = asm.gamma.small_generating_set()
-        lifts = enumerate_lifts(asm.rho_bar, ring, enumeration_generators(asm.rho_bar, gens), at=gens)
+        lifts = enumerate_lifts(asm.rho_bar, ring, gens)
         dtype = _lift_keys(lifts, ring.size).dtype
         bench(
             f"deformation_classes {name}/{ring_name} at {gens} ({len(lifts)} lifts, {dtype} keys)",

@@ -138,6 +138,7 @@ class Assembly:
     M: Representation  # End(V) over F_p, G-action
     MW_mod_pn: Representation  # End(V_W)/p^n, G-action
     ring: ArtinLocalAlgebra
+    alpha_maps: dict = field(default_factory=dict, repr=False, compare=False)  # of `alpha_map`
 
     @property
     def p(self) -> int:
@@ -162,6 +163,12 @@ class Assembly:
         p kills K, so K/pK and K hold the same generator matrices mod p, and
         End(V_W)/p is End V."""
         return self.hom_b if self.n == 1 else hom_space(self.K.reduce_mod(1), self.M)
+
+    def alpha_map(self, H) -> AlphaMap:
+        """The AlphaMap of H, one per distinct matrix: each is tested for injectivity once."""
+        H = np.asarray(H, dtype=np.int64)
+        alpha = AlphaMap(self.p, self.n, self.rho_w.degree, self.K.degree, H)
+        return self.alpha_maps.setdefault(H.tobytes(), alpha)
 
 
 def assemble(spec: InstanceSpec) -> Assembly:
@@ -360,7 +367,7 @@ def find_alpha(asm: Assembly) -> ConditionB:
     hs = asm.hom_b
     alpha = None
     for H in hs.basis:
-        cand = AlphaMap(p, n, asm.rho_w.degree, asm.K.degree, H)
+        cand = asm.alpha_map(H)
         if cand.injective:
             alpha = cand
             break
@@ -821,8 +828,7 @@ def _injective_commutative_alpha(asm: Assembly) -> AlphaMap:
         for _ in range(k):
             c, r = divmod(c, mn)
             coeffs.append(r)
-        H = sum(c * B for c, B in zip(coeffs, hs.basis)) % mn
-        cand = AlphaMap(p, n, asm.rho_w.degree, asm.K.degree, H)
+        cand = asm.alpha_map(sum(c * B for c, B in zip(coeffs, hs.basis)) % mn)
         if cand.injective:
             return cand
     raise CertifyError("no injective element in the Hom module")

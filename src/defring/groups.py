@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import cached_property, reduce
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -371,23 +371,16 @@ class FiniteGroup:
     def generates(self, seeds) -> bool:
         return len(self.closure(seeds)) == self.order
 
-    def first_generating_tuple(self, pool, max_size: int, budget: int | None = None):
-        """The first tuple of at most `max_size` elements of `pool` that
-        generates the group, by size and then in the order of `pool`
-        (`itertools.combinations`); None if there is none, or if the first
-        `budget` tuples tried (all of them when `budget` is None) hold
-        none.  Each tuple tried is one `generates` call."""
-        tuples = chain.from_iterable(combinations(pool, k) for k in range(1, max_size + 1))
-        return next((c for c in islice(tuples, budget) if self.generates(c)), None)
-
     def small_generating_set(self) -> tuple[int, ...]:
         """First generating tuple of minimal size, at most 3, scanning element
-        indices; the distinguished generators if none is found."""
+        indices (by size, then in `itertools.combinations` order); the
+        distinguished generators if none is found."""
         if self.order > 1000:
             return self.generators
         if self.order == 1:
             return ()
-        return self.first_generating_tuple(range(1, self.order), 3) or self.generators
+        tuples = chain.from_iterable(combinations(range(1, self.order), k) for k in (1, 2, 3))
+        return next((c for c in tuples if self.generates(c)), self.generators)
 
     def _table_blocks(self):
         """The table's entries in row-major order, in contiguous blocks."""

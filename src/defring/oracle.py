@@ -1,44 +1,39 @@
 """Brute-force evaluation of the deformation functor on Artinian test rings.
 
 Ground truth for the certification: enumerate every lift of the mod-p
-representation over a small test ring A, partition the valid lifts into
-strict-equivalence classes (conjugation by matrices reducing to the
-identity), and compare the class count and the induced correspondence with
-the set of local W-algebra maps R -> A.  Each generator image ranges over its
-reduction coset, cut to the matrices X with X^o(s) = I for the order o(s) of
-the generator s; every lift satisfies this, since rho(s)^o(s) = rho(1) = I.
-Where rho_bar is injective on the cyclic group of s, o(s) = o(rho_bar(s)),
-X^o(s) = I is a full condition on X: the lift must keep the order of
-rho_bar(s).  Elsewhere X^o(rho_bar(s)) already lies in 1 + M_d(m_A), whose
-elements the remaining factor o(s) / o(rho_bar(s)) mostly sends to I, and
-the cut keeps almost the whole coset.  So `functor_compare` walks on
-generators of the first kind when the report generators are not
-(`enumeration_generators`), and gives each lift by its values at the report
-generators, the values the walk gave them, as it also gives the values at
-Gamma's distinguished generators where the check of the lifts on Gamma's
-relators starts.  Before the walk, the post-cut product B of assignments is
-refused when its value stack, |Gamma| B d^2 int64s, is past WALK_BUDGET
-bytes.
-The products of the survivors are extended down Gamma's BFS spanning tree
-and filtered by the equations e*s in one walk, one batched product per tree
-level for all the generators, and every lift is then validated against the
-relators of Gamma's presentation, which come from K and G rather than from
-the enumeration's spanning tree, at one batched product per relator-word
-depth past the first.  The classes come from one stacked conjugation per
-orbit.  This route is deliberately independent of the cohomology module so
-the two can cross-check each other.
+representation over a small test ring A, partition the lifts into strict-
+equivalence classes (conjugation by matrices reducing to the identity), and
+compare the class count and the induced correspondence with the set of
+local W-algebra maps R -> A.
+
+The lifts are built on Gamma's distinguished generators t by small
+extensions (Schlessinger, "Functors of Artin rings", 1968), one layer
+m^j / m^(j+1) of A's m-adic filtration at a time (`_layers`).  The lifts
+over A/m^(j+1) of a lift rho' over A/m^j are rho'(t) + delta_t, with
+delta_t in M_d(m^j).  Every relator's defect then lies in M_d(m^j), and as
+m m^j lies in m^(j+1), it is affine in delta modulo m^(j+1), with a linear
+part L that depends only on rho_bar.  So one `kernels.rref_modp` of
+[L^T | I] over F_p gives every parent whose equations are consistent and a
+particular solution of each, and its lifts are that solution plus the span
+of L's kernel.  No lift is missed, as every lift over A reduces to a lift
+modulo each m^j, and none is found twice.  At the last layer the defects
+vanish exactly, so the values satisfy Gamma's relators, which come from K
+and G rather than from any spanning tree, and by von Dyck's theorem they
+extend to homomorphisms.  `_assert_full_table` checks that again on the
+element codes, and the values at the report generators are the extension
+along Gamma's spanning tree.  This route is deliberately independent of the
+cohomology module so the two can cross-check each other.
 
 The lifts stay in one format from the enumeration to the report: an int64
-(lifts, #gens, d, d) stack of the codes of their images at the generators.
-The walk and the extensions along the spanning tree work on its
-generator-major view (#gens, lifts, d, d), and a lift is looked up among the
-others by one integer key, its row's codes read as base-|A| digits.
+(lifts, #gens, d, d) stack of the codes of their images at the generators,
+and a lift is looked up among the others by one integer key, its row's
+codes read as base-|A| digits.  The classes come from one stacked
+conjugation per orbit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -50,24 +45,11 @@ from .groups import violated_relators
 from .localalg import ArtinLocalAlgebra, count_homs_from_R
 from .modrep import Representation
 
-DEFAULT_GUARD = 100_000_000
-WALK_BUDGET = 2**30  # bytes of the level walk's value stack, |Gamma| x assignments x d^2 x 8
-GENERATES_BUDGET = 2_000  # generating tuples `enumeration_generators` tries
+LIFT_BUDGET = 2**30  # bytes of the relator check on one layer's lifts
 
 
 class OracleError(ValueError):
     pass
-
-
-def enumeration_guard() -> int:
-    """The largest search space `enumerate_lifts` takes on: DEFAULT_GUARD,
-    or the positive integer in DEFRING_GUARD_OVERRIDE."""
-    override = os.environ.get("DEFRING_GUARD_OVERRIDE")
-    if not override:
-        return DEFAULT_GUARD
-    if not override.isdecimal() or int(override) < 1:
-        raise OracleError(f"DEFRING_GUARD_OVERRIDE={override!r} is not a positive integer")
-    return int(override)
 
 
 def _lift_keys(lifts: np.ndarray, size: int) -> np.ndarray:
@@ -108,13 +90,9 @@ class DeformationClassSet:
         return np.where(right > left, np.append(self.key_class, -1)[left], -1)
 
 
-def _ring_data(A: ArtinLocalAlgebra, rho_bar: Representation):
-    """A's op tables, the codes of its maximal ideal, and the codes of
-    0, 1, ..., p - 1 in A."""
-    add, mul, _ = A.tables()
-    maximal = np.flatnonzero(A.elements()[:, 0] % A.p == 0)  # element c has code c
-    lift_of = A.encode(A.reduce(np.arange(rho_bar.p)[:, None] * A.one))
-    return add, mul, maximal, lift_of, rho_bar.degree
+def _maximal(A: ArtinLocalAlgebra) -> np.ndarray:
+    """The codes of A's maximal ideal, in increasing order."""
+    return np.flatnonzero(A.elements()[:, 0] % A.p == 0)  # element c has code c
 
 
 def _identity(A: ArtinLocalAlgebra, d: int) -> np.ndarray:
@@ -122,7 +100,8 @@ def _identity(A: ArtinLocalAlgebra, d: int) -> np.ndarray:
 
 
 def _candidates_for_generator(base_mat, maximal, add, d):
-    """All lifts of one generator image: base + Delta, Delta over M_d(m_A)."""
+    """All lifts of one generator image: base + Delta, Delta over M_d(m_A),
+    entry (0, 0) of Delta varying fastest through m_A in code order."""
     k = len(maximal)
     count = k ** (d * d)
     cands = np.empty((count, d, d), dtype=np.int64)
@@ -168,139 +147,157 @@ def _stack_matmul(add, mul, d):
     return matmul
 
 
-def faithful_cyclic_mask(rho_bar: Representation) -> np.ndarray:
-    """The mask of the elements e of Gamma with o(e) = o(rho_bar(e)), those
-    on whose cyclic group rho_bar is injective: no power e^k != 1 lies in
-    rho_bar's kernel, as rho_bar(e)^k = rho_bar(e^k).  One walk
-    e -> e^2 -> e^3 ... over Gamma's table, every element at once, until
-    each has met 1."""
-    group, p, d = rho_bar.group, rho_bar.p, rho_bar.degree
-    kernel = (rho_bar.mats % p == np.eye(d, dtype=np.int64)).all(axis=(1, 2))
-    elements = np.arange(group.order)
-    power = elements
-    faithful = np.ones(group.order, dtype=bool)
-    met_one = power == 0
-    while not met_one.all():
-        power = group.table[power, elements]
-        faithful &= (power == 0) | ~kernel[power]
-        met_one |= power == 0
-    return faithful
+def _additive_span(add: np.ndarray, codes) -> np.ndarray:
+    """The codes of the additive subgroup generated by `codes`, in increasing
+    order: each g joins the cosets S + g, S + 2g, ... of the span S so far
+    until one of them is S again."""
+    span = np.zeros(len(add), dtype=bool)
+    span[0] = True
+    for g in codes:
+        coset = add[np.flatnonzero(span), g]
+        while not span[coset[0]]:  # coset = S + i g, and coset[0] = i g
+            span[coset] = True
+            coset = add[coset, g]
+    return np.flatnonzero(span)
 
 
-def enumeration_generators(rho_bar: Representation, gens: tuple[int, ...]) -> tuple[int, ...]:
-    """The generating tuple `functor_compare` enumerates on, for lifts
-    reported at `gens`: `gens` if rho_bar is injective on the cyclic group
-    of each of its elements (`faithful_cyclic_mask`); otherwise the first
-    generating tuple of at most min(3, #gens) such elements, by size and
-    then in index order (`FiniteGroup.first_generating_tuple`, at most
-    GENERATES_BUDGET tuples tried); otherwise `gens`.
+def _layers(A: ArtinLocalAlgebra) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The layers m^j / m^(j+1), j >= 1, of A's m-adic filtration, with
+    m^(j+1) the additive span of the products of m and m^j, each as
+    (k, combo, coord) for a basis b_0..b_(k-1) in m^j chosen greedily in
+    code order: combo[c] is the code of sum_i c_i b_i for c = sum_i c_i p^i,
+    and coord[x] is the c with x = combo[c] modulo m^(j+1) for x in m^j, -1
+    elsewhere.  Each new b joins the cosets S + i b, 0 < i < p, of the span
+    S so far, which holds p b."""
+    add, mul, _ = A.tables()
+    p, maximal = A.p, _maximal(A)
+    ideal, layers = maximal, []
+    while len(ideal) > 1:
+        below = _additive_span(add, np.unique(mul[np.ix_(maximal, ideal)]))
+        coord = np.full(A.size, -1)
+        coord[below] = 0
+        k, combo, span = 0, np.zeros(1, dtype=np.int64), below
+        for x in ideal:
+            if coord[x] >= 0:
+                continue
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(add[multiples[-1], x])
+            cosets = add[np.ix_(multiples[1:], span)]
+            coord[cosets] = coord[span] + p**k * np.arange(1, p)[:, None]
+            combo = np.concatenate([add[combo, ix] for ix in multiples])
+            k, span = k + 1, np.concatenate([span, cosets.reshape(-1)])
+        layers.append((k, combo, coord))
+        ideal = below
+    return layers
 
-    On such an e the order cut of `enumerate_lifts`, X^o(e) = I, asks the
-    lift to keep the order of rho_bar(e); on another e, X^o(rho_bar(e))
-    already lies in 1 + M_d(m_A) and the cut keeps almost every candidate
-    (see the module docstring)."""
-    faithful = faithful_cyclic_mask(rho_bar)
-    if faithful[list(gens)].all():
-        return gens
-    pool = np.flatnonzero(faithful[1:]) + 1
-    found = rho_bar.group.first_generating_tuple(
-        pool.tolist(), min(3, len(gens)), GENERATES_BUDGET
-    )
-    return gens if found is None else found
+
+def _defects(group, A: ArtinLocalAlgebra, stack: np.ndarray, k: int, coord: np.ndarray) -> np.ndarray:
+    """The relator defects (`FiniteGroup.relator_values`, evaluated in ring
+    coordinates) of each assignment of the (S, #t, d, d) code stack `stack`
+    to Gamma's distinguished generators, all in M_d(m^j), as an
+    (S, #relators d^2 k) array of their F_p-coordinates on the layer
+    m^j / m^(j+1) of `coord` (`_layers`)."""
+    d = stack.shape[-1]
+    one = np.broadcast_to(A.identity(d), (len(stack), d, d, A.nbasis))
+    diff = group.relator_values(A.elements()[stack].swapaxes(0, 1), A.matmul, one)
+    c = coord[A.encode(A.reduce(diff))]
+    if (c < 0).any():
+        raise OracleError("a relator defect of a parent lies outside its layer (internal error)")
+    return (c[..., None] // A.p ** np.arange(k) % A.p).swapaxes(0, 1).reshape(len(stack), -1)
+
+
+def _solve_layer(defects: np.ndarray, linear: np.ndarray, p: int):
+    """L delta = -D over F_p for each row D of `defects`, L^T the
+    (unknowns, equations) matrix `linear`, by one `kernels.rref_modp` of
+    [L^T | I].  Its rows [R | E] with a pivot in R have R = E L^T, a reduced
+    basis of L's column space, so a consistent D is the combination c of
+    them read off at their pivots, and -c E solves for it; the E of the
+    other rows span L's kernel.  Returns (the mask of the consistent D,
+    their solutions, the kernel basis)."""
+    n, eqs = linear.shape
+    r, pivots = kernels.rref_modp(np.hstack([linear, np.eye(n, dtype=np.int64)]), p)
+    rank = sum(col < eqs for col in pivots)
+    coef = defects[:, pivots[:rank]]
+    consistent = ~((defects - coef @ r[:rank, :eqs]) % p).any(axis=1)
+    return consistent, -coef[consistent] @ r[:rank, eqs:] % p, r[rank:n, eqs:]
+
+
+def _check_bytes(group, lifts: int, d: int, coords: int) -> int:
+    """The bytes the relator check (`FiniteGroup.relator_values`) of `lifts`
+    assignments of d x d matrices holds, as measured on standard-d3p3: per
+    lift and entry, an int64 for each relator's difference and six for each
+    word prefix at the trie's widest depth (its values, its parents', the
+    product's operands and temporaries); times coords^2 in `coords` ring
+    coordinates, for `ArtinLocalAlgebra.matmul`'s weighted operand."""
+    words = [w for rel in group.relators() for w in rel]
+    depths = range(1, 1 + max(map(len, words), default=0))
+    widest = max((len({w[:k] for w in words if len(w) >= k}) for k in depths), default=0)
+    return lifts * d * d * 8 * coords**2 * (len(group.relators()) + 6 * widest)
+
+
+def _coset_keys(lifts: np.ndarray, base: np.ndarray, A: ArtinLocalAlgebra) -> np.ndarray:
+    """`_lift_keys` in the lexicographic order of the reduction cosets'
+    candidates (`_candidates_for_generator`), the first generator most
+    significant: each entry of the (lifts, #gens, d, d) stack as the index
+    in m_A of its difference from `base` (#gens, d, d), the last entry of a
+    generator the most significant of its d^2."""
+    add, _, neg = A.tables()
+    maximal = _maximal(A)
+    index = np.zeros(A.size, dtype=np.int64)
+    index[maximal] = np.arange(len(maximal))
+    digits = index[add[lifts, neg[base]]]
+    return _lift_keys(digits.reshape(*lifts.shape[:2], -1)[..., ::-1], len(maximal))
 
 
 def enumerate_lifts(
-    rho_bar: Representation,
-    A: ArtinLocalAlgebra,
-    gens: tuple[int, ...] | None = None,
-    at: tuple[int, ...] | None = None,
+    rho_bar: Representation, A: ArtinLocalAlgebra, gens: tuple[int, ...] | None = None
 ) -> np.ndarray:
-    """All lifts of rho_bar over A, as an int64 (lifts, #at, d, d) stack
-    of the codes of their images at the elements `at` (default: `gens`):
-    the assignments at `gens` in the reduction cosets whose extension over
-    Gamma satisfies every multiplication-table equation, in lexicographic
-    order of the coset candidates (first generator most significant).
-
-    Each generator's coset is first cut to the candidates X with
-    X^o(s) = I, where o(s) is the order of s.  The cut loses no lift: a lift
-    has rho(s)^o(s) = rho(s^o(s)) = I.  The product of the survivors is then
-    walked down the BFS spanning tree of `gens` one level at a time
-    (`FiniteGroup.tree_levels`), extension and e*s filter in one: each level
-    forms value(e) value(s) for every element e on it and generator s, in
-    one product (`_walk_tree`); the tree edges among them give the values of
-    the next level (as in `FiniteGroup.extend`), and then every product on
-    an edge off the tree (`FiniteGroup.off_tree_edges`) is compared with the
-    value it must equal.
-    The assignments failing an equation are dropped before the next level,
-    so the deep levels run on tiny stacks.  The walk's values at `at`, and
-    at Gamma's distinguished generators for `_assert_full_table`, are kept.
-
-    Two refusals, each an OracleError: the unpruned product
-    |m_A|^(d^2 #gens) past `enumeration_guard()`, before the cut, and the
-    walk's value stack, |Gamma| x (post-cut product) x d^2 int64s, past
-    WALK_BUDGET bytes, before it is allocated."""
+    """All lifts of rho_bar over A, as an int64 (lifts, #gens, d, d) stack
+    of the codes of their images at `gens` (default: `small_generating_set`),
+    in the order of `_coset_keys`: their extension along Gamma's spanning
+    tree (`FiniteGroup.extend`) from the distinguished generators t, where
+    the small extensions of the module docstring build them from rho_bar's
+    lift with entries in 0..p-1.  At each layer, one `_defects` call takes
+    every parent and the first parent moved by each basis element of
+    M_d(m^j / m^(j+1)) at one t, whose differences from the first are the
+    rows of L^T.  A layer's count of lifts is refused with an OracleError,
+    before they are formed, when their relator check would hold more than
+    LIFT_BUDGET bytes (`_check_bytes`: in ring coordinates while a layer
+    follows, on codes after the last)."""
     group = rho_bar.group
-    if gens is None:
-        gens = group.small_generating_set()
-    gens = tuple(int(g) for g in gens)
-    at = gens if at is None else tuple(int(e) for e in at)
-    add, mul, maximal, lift_of, d = _ring_data(A, rho_bar)
-    search = len(maximal) ** (d * d * len(gens))
-    guard = enumeration_guard()
-    if search > guard:
-        raise OracleError(
-            f"search space {search} exceeds guard {guard}; "
-            "set DEFRING_GUARD_OVERRIDE to raise"
-        )
-    eye = _identity(A, d)
-    matmul = _stack_matmul(add, mul, d)
-
-    cands = []
-    for s in gens:
-        cand = _candidates_for_generator(
-            lift_of[rho_bar.mats[s] % rho_bar.p], maximal, add, d
-        )
-        power = cand
-        for _ in range(group.element_order(s) - 1):
-            power = matmul(power, cand)
-        cands.append(cand[(power == eye).all(axis=(1, 2))])
-    assignments = math.prod(len(c) for c in cands)
-    walk_bytes = group.order * assignments * d * d * 8
-    if walk_bytes > WALK_BUDGET:
-        raise OracleError(
-            f"{assignments} assignments after the order cut on |Gamma| = {group.order} "
-            f"elements, d = {d}, need {walk_bytes} bytes of values, past the budget "
-            f"{WALK_BUDGET}"
-        )
-    grid = np.meshgrid(*(np.arange(len(c)) for c in cands), indexing="ij")
-    gen_blocks = np.stack([c[idx.reshape(-1)] for c, idx in zip(cands, grid)])
-    walk = _walk_tree(group, gens, gen_blocks, matmul, eye, (group.generators, at))
-    gen_blocks, (at_dist, at_values) = walk
-    _assert_full_table(gen_blocks.transpose(1, 0, 2, 3), gens, rho_bar, A, at_dist)
-    return at_values.transpose(1, 0, 2, 3)
-
-
-def _walk_tree(group, gens, gen_blocks, matmul, eye, at):
-    """The assignments of the (#gens, B, d, d) stack `gen_blocks` that pass
-    the level walk of `enumerate_lifts`, as such a stack, and their values
-    at each tuple of elements in `at`.  Each level is one `matmul` of its
-    values, (level, 1, B, d, d), by the generator images, (#gens, B, d, d),
-    which folds into one kernel product of (B, level d, d) by
-    (B, d, #gens d).  Only the values at `at` outlive the call, so the value
-    stack is let go before the lifts are checked on Gamma's relators."""
-    off_tree = group.off_tree_edges(gens)
-    values = np.empty((group.order, *gen_blocks.shape[1:]), dtype=np.int64)
-    values[0] = eye
-    for depth, level in enumerate(group.tree_levels(gens)):
-        children, off = group.table[level][:, list(gens)], off_tree[level]
-        # (level, #gens, B, d, d); at depth 0, value(1) value(s) is the generator image itself
-        prods = matmul(values[level][:, None], gen_blocks) if depth else gen_blocks[None]
-        values[children[~off]] = prods[~off]
-        alive = (prods[off] == values[children[off]]).all(axis=(0, 2, 3))
-        del prods  # not held through the next level's product
-        if not alive.all():
-            gen_blocks, values = gen_blocks[:, alive], values[:, alive]
-    return gen_blocks, [values[list(elements)] for elements in at]
+    gens = tuple(int(g) for g in (group.small_generating_set() if gens is None else gens))
+    p, d = A.p, rho_bar.degree
+    add, mul, _ = A.tables()
+    lift_of = A.encode(A.reduce(np.arange(p)[:, None] * A.one))
+    lifts = lift_of[rho_bar.mats[list(group.generators)] % p][None]  # (lifts, #t, d, d)
+    layers = _layers(A)
+    for j, (k, combo, coord) in enumerate(layers, 1):
+        unknowns = lifts[0].size * k  # (entry of an image at a t, basis element)
+        entry, basis = np.divmod(np.arange(unknowns), k)
+        moved = np.repeat(lifts[:1].reshape(1, -1), unknowns, axis=0)
+        moved[np.arange(unknowns), entry] = add[moved[0, entry], combo[p**basis]]
+        defects = _defects(group, A, np.concatenate([lifts, moved.reshape(-1, *lifts.shape[1:])]), k, coord)
+        linear = (defects[len(lifts) :] - defects[0]) % p
+        consistent, particular, kernel = _solve_layer(defects[: len(lifts)], linear, p)
+        count = len(particular) * p ** len(kernel)
+        held = _check_bytes(group, count, d, A.nbasis if j < len(layers) else 1)
+        if held > LIFT_BUDGET:
+            raise OracleError(
+                f"{count} lifts over {A.name} modulo m^{j + 1} on |Gamma| = {group.order}, d = {d}: "
+                f"their relator check holds {held} bytes, past the budget {LIFT_BUDGET}"
+            )
+        span = np.indices((p,) * len(kernel)).reshape(len(kernel), -1).T @ kernel
+        deltas = (particular[:, None] + span) % p  # (parents, span, unknowns)
+        codes = combo[deltas.reshape(*deltas.shape[:2], -1, k) @ p ** np.arange(k)]
+        lifts = add[lifts[consistent].reshape(len(particular), 1, -1), codes].reshape(-1, *lifts.shape[1:])
+    at_dist = lifts.swapaxes(0, 1)
+    one = np.broadcast_to(_identity(A, d), (len(lifts), d, d))
+    at_gens = group.extend(at_dist, _stack_matmul(add, mul, d), one, at=gens).swapaxes(0, 1)
+    order = np.argsort(_coset_keys(at_gens, lift_of[rho_bar.mats[list(gens)] % p], A), kind="stable")
+    at_gens, at_dist = at_gens[order], at_dist[:, order]
+    _assert_full_table(at_gens, gens, rho_bar, A, at_dist)
+    return at_gens
 
 
 def _assert_full_table(lifts, gens, rho_bar, A, at_dist):
@@ -310,7 +307,7 @@ def _assert_full_table(lifts, gens, rho_bar, A, at_dist):
 
     1. take the values M[t] of L at the distinguished generators t from
        `at_dist`, a (#t, lifts, d, d) stack (in `enumerate_lifts`, the
-       level walk's values);
+       values the small extensions built);
     2. check every relator of Gamma's presentation (`violated_relators`)
        on the M[t].  By von Dyck's theorem there is then a homomorphism phi
        with phi(t) = M[t];
@@ -376,7 +373,8 @@ def deformation_classes(
     and the generators.  The lifts are visited in the order of their keys
     (`_lift_keys`); an orbit's members are found by one `searchsorted` of
     its unique keys, the smallest of which is its representative."""
-    add, mul, maximal, _, d = _ring_data(A, rho_bar)
+    add, mul, _ = A.tables()
+    maximal, d = _maximal(A), rho_bar.degree
     keys = _lift_keys(lifts, A.size)
     by_key = np.argsort(keys)
     keys = keys[by_key]
@@ -445,10 +443,10 @@ def functor_compare(
     class of the pushed-forward lift and check the correspondence is a
     bijection onto the deformation classes.
 
-    The lifts are enumerated on `enumeration_generators(rho_bar, gens)` and
-    given by the walk's values at `gens` (default: `small_generating_set`),
-    on which the classes and the report are keyed; the pushed-forward lifts
-    are looked up among them by their keys (`DeformationClassSet.class_of`)."""
+    The lifts are given by their values at `gens` (default:
+    `small_generating_set`), on which the classes and the report are keyed;
+    the pushed-forward lifts are looked up among them by their keys
+    (`DeformationClassSet.class_of`)."""
     t0 = time.monotonic()
     p, n, N = asm.p, asm.n, asm.N
     if A.p != p:
@@ -461,8 +459,7 @@ def functor_compare(
     if gens is None:
         gens = rho_bar.group.small_generating_set()
     gens = tuple(int(g) for g in gens)
-    walked = enumeration_generators(rho_bar, gens)
-    lifts = enumerate_lifts(rho_bar, A, walked, at=gens)
+    lifts = enumerate_lifts(rho_bar, A, gens)
     classes = deformation_classes(rho_bar, A, lifts)
     homs = count_homs_from_R(n, A)
     # rho_R at the generators over R; t -> x sends w + t u to w 1 + u x in A

@@ -194,6 +194,17 @@ def test_negative_control_solves_each_hom_system_once(monkeypatch, p, n):
     assert len(keys) == len(set(keys)) == (1 if n == 1 else 2)
 
 
+@pytest.mark.parametrize("p,n,systems", [(2, 1, 1), (2, 2, 1), (3, 1, 4)])
+def test_negative_control_solves_each_alpha_system_once(monkeypatch, p, n, systems):
+    # find_alpha, in the certification, and the control's own search for an
+    # injective alpha try some of the same maps; each is solved once
+    import defring.certify
+
+    keys = _record_solves(monkeypatch, [defring.certify])  # AlphaMap.injective's solves
+    assert negative_control(p, n).verdict == "refuted"
+    assert len(keys) == len(set(keys)) == systems
+
+
 def test_alpha_scale_invariance():
     # multiplying alpha by any unit changes no bullet outcome
     from defring.certify import AlphaMap
@@ -655,3 +666,12 @@ def test_verify_reports_a_condition_b_that_is_not_an_object(value):
     data["condition_b"] = value
     ok, problems = verify_certificate(data)
     assert not ok and problems == ["certified verdict without alpha"]
+
+
+@pytest.mark.parametrize("where", [None, "condition_b", "rho_R"])
+def test_verify_reports_an_extra_key_and_does_not_raise(where):
+    data = as_json(certify_instance(InstanceSpec("twisted", 2, 1)))
+    (data if where is None else data[where])["extra"] = 1
+    ok, problems = verify_certificate(data)
+    assert not ok
+    assert problems == [f"{where or 'extra'} differs from the certificate rebuilt from its evidence"]

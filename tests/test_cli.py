@@ -65,8 +65,7 @@ def test_oracle_subcommand(capsys):
 
 @pytest.mark.parametrize("ring", ["dual", "Z9"])
 def test_oracle_twisted_p3n2(capsys, ring):
-    # the 4 distinguished generators asked for a (1296, 531441, 2, 2) stack;
-    # the walk on elements of orders (2, 8) that rho_bar keeps faithful has 81
+    # |Gamma| = 1296: 81 lifts at the report generators, in 3 classes
     code, out, _ = run_cli(capsys, "oracle", "twisted-p3n2", "--ring", ring)
     assert code == 0
     data = json.loads(out)
@@ -75,13 +74,15 @@ def test_oracle_twisted_p3n2(capsys, ring):
 
 
 def test_oracle_walk_past_the_budget_exits_2_before_allocating(capsys, monkeypatch):
-    monkeypatch.setenv("DEFRING_GUARD_OVERRIDE", str(10**12))
-    monkeypatch.setattr(oracle.np, "meshgrid", _refuse)
+    monkeypatch.setattr(oracle, "LIFT_BUDGET", 2**20)
+    # refused before the lifts are extended along the spanning tree or checked
+    monkeypatch.setattr(oracle.kernels, "table_matmul", _refuse)
     code, _, err = run_cli(capsys, "oracle", "standard-d3p3", "--ring", "dual")
     assert code == 2
-    # |Gamma| x B x d^2 x 8 = 648 x 531441 x 9 x 8
-    assert "531441 assignments" in err and "|Gamma| = 648" in err and "d = 3" in err
-    assert "24794911296 bytes" in err
+    # 3^9 lifts x d^2 x 8 x (21 relators + 6 x 27 prefixes at the relator
+    # trie's widest depth) bytes of the relator check on the codes
+    assert "19683 lifts over F3[eps] modulo m^2" in err and "|Gamma| = 648" in err and "d = 3" in err
+    assert "259343208 bytes, past the budget 1048576" in err
 
 
 @pytest.mark.parametrize("instance", ["twisted-p11n1-scalar", "twisted-p13n1-scalar"])

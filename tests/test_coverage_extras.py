@@ -2,14 +2,11 @@
 exercise only implicitly."""
 
 import numpy as np
-import pytest
 
 from defring.certify import AlphaMap, InstanceSpec, assemble, exp_lift_on_kernel, scalar_control_module
-from defring.cli import main
 from defring.cohomology import BarComplex, h2_dim, trivial_module
 from defring.groups import FiniteGroup, symmetric_group
 from defring.localalg import make_ring_Rprime_2_1
-from defring.oracle import OracleError, enumerate_lifts
 
 
 def test_bar_differentials_compose_to_zero():
@@ -47,25 +44,6 @@ def test_exp_lift_nilpotent_alpha_with_a0():
     Rp = make_ring_Rprime_2_1(0, N=3)
     x = Rp.reduce((1, 1, 0))
     assert Rp.mul(x, x).tolist() == [1, 0, 1]  # (1+t)^2 = 1 + t^2 when a = 0
-
-
-def test_guard_override_env(monkeypatch):
-    asm = assemble(InstanceSpec("twisted", 2, 1))
-    from defring.localalg import standard_rings
-
-    A = standard_rings(2)["dual"]
-    monkeypatch.setenv("DEFRING_GUARD_OVERRIDE", "10")
-    with pytest.raises(OracleError, match="exceeds guard 10"):
-        enumerate_lifts(asm.rho_bar, A)
-    # anything but a positive integer is refused, naming the value
-    for bad in ("abc", "-5", "0", "1.5"):
-        monkeypatch.setenv("DEFRING_GUARD_OVERRIDE", bad)
-        with pytest.raises(OracleError, match=f"DEFRING_GUARD_OVERRIDE='{bad}' is not a positive integer"):
-            enumerate_lifts(asm.rho_bar, A)
-    monkeypatch.setenv("DEFRING_GUARD_OVERRIDE", "abc")
-    assert main(["oracle", "twisted-p2n1", "--ring", "dual"]) == 2
-    monkeypatch.delenv("DEFRING_GUARD_OVERRIDE")
-    assert len(enumerate_lifts(asm.rho_bar, A)) > 0
 
 
 def test_h2_direct_on_the_trivial_group():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
 from unittest import mock
@@ -19,6 +20,7 @@ from defring.certify import (
 )
 from defring.cohomology import h1_dim
 from defring.localalg import (
+    _monogenic,
     cyclic_ring,
     dual_numbers,
     standard_rings,
@@ -34,8 +36,6 @@ from defring.oracle import (
     _stack_matmul,
     deformation_classes,
     enumerate_lifts,
-    enumeration_generators,
-    faithful_cyclic_mask,
     functor_compare,
 )
 
@@ -104,13 +104,19 @@ def test_class_count_independent_of_generating_set():
     assert c1.class_count == c2.class_count == 2
 
 
-def test_guard_violation():
+def test_guard_violation(monkeypatch):
     asm = s4_assembly()
     A = standard_rings(2)["Z4u"]
-    # four generators blow past the default guard of 1e8: 4^(4*4*...)
-    gens = tuple(asm.gamma.generators)  # 4 generators
-    with pytest.raises(OracleError):
-        enumerate_lifts(asm.rho_bar, A, gens)
+    # one layer, m_A itself: 256 lifts, whose relator check on the codes
+    # holds per lift and entry (d^2 = 4) an int64 for each of the 10
+    # relators and six for each of the 14 words' prefixes of length 2
+    held = 256 * 4 * 8 * (10 + 6 * 14)
+    monkeypatch.setattr(oracle, "LIFT_BUDGET", held - 1)
+    refusal = f"^256 lifts over Z4\\[u\\] .* holds {held} bytes, past the budget {held - 1}$"
+    with pytest.raises(OracleError, match=refusal):
+        enumerate_lifts(asm.rho_bar, A)
+    monkeypatch.setattr(oracle, "LIFT_BUDGET", held)
+    assert len(enumerate_lifts(asm.rho_bar, A)) == 256
 
 
 def test_functor_compare_all_five_rings():
@@ -489,7 +495,7 @@ def test_deformation_classes_refuse_a_list_missing_a_lift(instance, ring):
 
 
 # ---------------------------------------------------------------------------
-# Walking on generators that rho_bar keeps faithful, reporting on the old ones
+# Lifts at any generating pair, reported at the report generators
 # ---------------------------------------------------------------------------
 
 
@@ -506,53 +512,20 @@ def _generating_pairs(instance):
 
 
 def _report(asm, rho_r, A, walked=None):
-    """`functor_compare`'s JSON without runtime_ms, walking on `walked`
-    (default: by `enumeration_generators`)."""
+    """`functor_compare`'s JSON without runtime_ms; with `walked`, on the
+    lifts enumerated at `walked` and moved to the report generators along
+    the spanning tree of `walked`."""
     if walked is None:
         report = functor_compare(asm, rho_r, A)
     else:
-        with mock.patch.object(oracle, "enumeration_generators", lambda rho_bar, gens: walked):
+        gens = asm.gamma.small_generating_set()
+        blocks = enumerate_lifts(asm.rho_bar, A, walked).transpose(1, 0, 2, 3)
+        moved = _values_at(asm.gamma, A, blocks, walked, gens).transpose(1, 0, 2, 3)
+        with mock.patch.object(oracle, "enumerate_lifts", lambda rho_bar, A, gens: moved):
             report = functor_compare(asm, rho_r, A)
     out = report.to_json_dict()
     out.pop("runtime_ms")
     return out
-
-
-@pytest.mark.parametrize("instance", ["twisted-p2n1", "twisted-p2n2", "standard-d2p2", "twisted-p3n1"])
-def test_faithful_cyclic_mask_matches_the_orders_of_the_images(instance):
-    rho_bar = _oracle_inputs(instance)[0].rho_bar
-    group, p, d = rho_bar.group, rho_bar.p, rho_bar.degree
-    eye = np.eye(d, dtype=np.int64)
-    expected = []
-    for e in range(group.order):
-        image = rho_bar.mats[e] % p
-        power, k = image, 1
-        while not (power == eye).all():
-            power, k = power @ image % p, k + 1
-        expected.append(k == group.element_order(e))
-    assert faithful_cyclic_mask(rho_bar).tolist() == expected
-
-
-def test_enumeration_generators_keep_faithful_generators_and_replace_the_others():
-    twisted = _oracle_inputs("twisted-p2n1")[0].rho_bar
-    assert enumeration_generators(twisted, (1, 8)) == (1, 8)
-    faithful = faithful_cyclic_mask(twisted)
-    last = next(c for c in reversed(_generating_pairs("twisted-p2n1")) if faithful[list(c)].all())
-    assert last != (1, 8) and enumeration_generators(twisted, last) == last
-    standard = _oracle_inputs("standard-d2p2")[0].rho_bar
-    gens = standard.group.small_generating_set()
-    assert gens == (1, 8) and not faithful_cyclic_mask(standard)[8]
-    walked = enumeration_generators(standard, gens)
-    assert walked == (1, 9)
-    # the post-cut product over Z4u, read off the walk's budget refusal
-    A = standard_rings(2)["Z4u"]
-    with mock.patch.object(oracle, "WALK_BUDGET", 0):
-        for tup, product_after_cut in ((gens, 4096), (walked, 256)):
-            with pytest.raises(OracleError, match=f"^{product_after_cut} assignments after the order cut"):
-                enumerate_lifts(standard, A, tup)
-    # no generating tuple of faithful elements within the budget: keep gens
-    with mock.patch.object(oracle, "GENERATES_BUDGET", 0):
-        assert enumeration_generators(standard, gens) == gens
 
 
 @pytest.mark.parametrize("instance", ["twisted-p2n1", "standard-d2p2"])
@@ -583,10 +556,10 @@ def test_functor_compare_report_is_the_report_walked_on_gens(ring):
 # (a's leading shape, b's leading shape) of the products the oracle makes,
 # from drawn sizes (L, B, g)
 FOLDED = {
-    "values of a level by every image": lambda L, B, g: ((L, 1, B), (g, B)),
+    "rows and columns folded at once": lambda L, B, g: ((L, 1, B), (g, B)),
     "1 + M_d(m_A) by a lift's images": lambda L, B, g: ((L, 1), (g,)),
     "a conjugate stack by the inverses": lambda L, B, g: ((L, g), (L, 1)),
-    "equal shapes, in the walks and the order cut": lambda L, B, g: ((L, B), (L, B)),
+    "equal shapes, in the extensions and the relator checks": lambda L, B, g: ((L, B), (L, B)),
 }
 
 
@@ -644,7 +617,7 @@ def test_enumerate_lifts_returns_an_int64_lift_major_stack(instance, ring):
     lifts = enumerate_lifts(rho_bar, A, gens)
     assert lifts.dtype == np.int64
     assert lifts.shape == (len(lifts), len(gens), d, d) and len(lifts) > 0
-    walked = enumerate_lifts(rho_bar, A, enumeration_generators(rho_bar, gens))
+    walked = enumerate_lifts(rho_bar, A, asm.gamma.generators)
     assert functor_compare(asm, rho_r, A).lift_count == len(walked) == len(lifts)
 
 
@@ -666,20 +639,19 @@ def test_functor_compare_refuses_a_pushed_forward_lift_missing_from_the_lifts(mo
     asm, rho_r = _oracle_inputs("twisted-p2n1")
     rho_bar, A = asm.rho_bar, standard_rings(2)["Z4"]
     gens = asm.gamma.small_generating_set()
-    assert enumeration_generators(rho_bar, gens) == gens
     lifts = enumerate_lifts(rho_bar, A, gens)
     classes = deformation_classes(rho_bar, A, lifts)
     # drop the whole class of the hom t -> 0, so the rest still partitions
     zero_class = functor_compare(asm, rho_r, A).hom_to_class[0]
     kept = lifts[classes.class_of(lifts) != zero_class]
     assert 0 < len(kept) < len(lifts)
-    monkeypatch.setattr(oracle, "enumerate_lifts", lambda rho_bar, A, gens, at: kept)
+    monkeypatch.setattr(oracle, "enumerate_lifts", lambda rho_bar, A, gens: kept)
     with pytest.raises(OracleError, match="pushed-forward lift is not among the enumerated lifts"):
         functor_compare(asm, rho_r, A)
 
 
 # ---------------------------------------------------------------------------
-# The walk's values, handed to the relator check and the report
+# The values handed to the relator check and the report
 # ---------------------------------------------------------------------------
 
 
@@ -688,8 +660,8 @@ def test_the_walk_gives_the_values_at_the_report_and_the_distinguished_generator
     asm, _ = _oracle_inputs("standard-d2p2")
     rho_bar, A, group = asm.rho_bar, standard_rings(2)[ring], asm.gamma
     gens = group.small_generating_set()
-    walked = enumeration_generators(rho_bar, gens)
-    assert (gens, walked) == ((1, 8), (1, 9))
+    walked = (1, 9)  # another generating pair, of elements of orders 2 and 3
+    assert gens == (1, 8) and group.generates(walked)
     handed = []
 
     def record(lifts, gens, rho_bar, A, at_dist):
@@ -698,12 +670,13 @@ def test_the_walk_gives_the_values_at_the_report_and_the_distinguished_generator
 
     monkeypatch.setattr(oracle, "_assert_full_table", record)
     blocks = enumerate_lifts(rho_bar, A, walked).transpose(1, 0, 2, 3)
-    at_gens = enumerate_lifts(rho_bar, A, walked, at=gens).transpose(1, 0, 2, 3)
+    at_gens = enumerate_lifts(rho_bar, A, gens).transpose(1, 0, 2, 3)
     assert at_gens.shape == blocks.shape
-    assert (at_gens == _values_at(group, A, blocks, walked, gens)).all()
-    at_dist = _values_at(group, A, blocks, walked, group.generators)
+    moved = _values_at(group, A, blocks, walked, gens)
+    assert sorted(_tuples(at_gens.transpose(1, 0, 2, 3))) == sorted(_tuples(moved.transpose(1, 0, 2, 3)))
     assert len(handed) == 2
-    for values in handed:
+    for values, lifts, tup in zip(handed, (blocks, at_gens), (walked, gens)):
+        at_dist = _values_at(group, A, lifts, tup, group.generators)
         assert values.shape == at_dist.shape and (values == at_dist).all()
 
 
@@ -711,7 +684,7 @@ def test_the_walk_gives_the_values_at_the_report_and_the_distinguished_generator
 def test_full_table_check_refuses_values_that_are_not_the_lifts(instance, ring):
     asm, _ = _oracle_inputs(instance)
     rho_bar, A, group = asm.rho_bar, standard_rings(2)[ring], asm.gamma
-    walked = enumeration_generators(rho_bar, group.small_generating_set())
+    walked = group.small_generating_set()
     lifts = enumerate_lifts(rho_bar, A, walked)
     at_dist = _values_at(group, A, lifts.transpose(1, 0, 2, 3), walked, group.generators)
     assert len(lifts) > 1 and tuple(walked) != tuple(group.generators)
@@ -770,7 +743,7 @@ def test_object_keyed_classes_match_the_per_lift_orbit_loop(ring, monkeypatch):
     rho_bar, A = asm.rho_bar, standard_rings(5)[ring]
     gens = asm.gamma.small_generating_set()
     assert len(gens) == 4 and A.size ** (len(gens) * 4) >= 2**63
-    lifts = enumerate_lifts(rho_bar, A, enumeration_generators(rho_bar, gens), at=gens)
+    lifts = enumerate_lifts(rho_bar, A, gens)
     assert _lift_keys(lifts, A.size).dtype == object
     classes = deformation_classes(rho_bar, A, lifts)
     reps, sizes, class_of = _reference_classes(rho_bar, A, lifts)
@@ -811,7 +784,8 @@ def _control_report(instance, ring):
         ("twisted-p2n2-commutative", r, (4, 2) if r == "dual" else None)
         for r in ("dual", "Z4", "Z8", "F2t3", "Z4u")
     ]
-    + [("twisted-p3n1-commutative", r, (9, 3)) for r in ("dual", "Z9")],
+    + [("twisted-p3n1-commutative", r, (9, 3)) for r in ("dual", "Z9")]
+    + [("twisted-p3n1-commutative", r, c) for r, c in (("Z27", (9, 3)), ("F3t3", (81, 3)), ("Z9u", (81, 9)))],
 )
 def test_the_oracle_finds_classes_no_hom_reaches_on_the_controls(instance, ring, counts):
     report = _control_report(instance, ring)
@@ -832,3 +806,64 @@ def test_rho_r_of_the_zero_alpha_sends_every_hom_to_one_class():
     report = functor_compare(asm, build_rho_R(asm, zero), standard_rings(2)["Z4u"])
     assert report.hom_to_class == [0, 0, 0, 0]
     assert not report.injective and not report.bijective
+
+
+# ---------------------------------------------------------------------------
+# Rings that tell R = W[[t]]/(p^n t, t^2) from W[[t]]/(t^2)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "A",
+    [*standard_rings(2).values(), *standard_rings(3).values()]
+    + [_monogenic(2, (4, 4), "Z4[eps]", "eps"), cyclic_ring(2, 4)],
+    ids=lambda A: A.name,
+)
+def test_the_layers_of_the_filtration_have_the_coordinates_of_their_combinations(A):
+    # layer j: coord is defined on m^j, of p^(k_j + k_(j+1) + ...) elements
+    size = len(oracle._maximal(A))
+    for k, combo, coord in oracle._layers(A):
+        assert (coord >= 0).sum() == size
+        assert coord[combo].tolist() == list(range(A.p**k))
+        size //= A.p**k
+    assert size == 1
+
+
+def _square_zero_count(A):
+    """#Hom(W[[t]]/(t^2), A): the x in m_A with x^2 = 0."""
+    x = A.elements()
+    x = x[x[:, 0] % A.p == 0]
+    return int((~A.mul(x, x).any(axis=-1)).sum())
+
+
+@pytest.mark.parametrize(
+    "instance,N,ring,homs,complete_intersection",
+    [
+        (instance, N, ring, homs, ci)
+        for instance in ("twisted-p2n1", "standard-d2p2")
+        for N, ring, homs, ci in [
+            (3, lambda: _monogenic(2, (4, 4), "Z4[eps]", "eps"), 4, 8),
+            (4, lambda: cyclic_ring(2, 4), 2, 4),  # Z16 needs W-precision 2^4
+        ]
+    ],
+    ids=["twisted-p2n1-Z4[eps]", "twisted-p2n1-Z16", "standard-d2p2-Z4[eps]", "standard-d2p2-Z16"],
+)
+def test_the_oracle_counts_the_homs_of_R_not_of_the_complete_intersection(
+    instance, N, ring, homs, complete_intersection
+):
+    asm = assemble(replace(parse_instance_name(instance), N=N))
+    rho_r = build_rho_R(asm, find_alpha(asm).alpha)
+    A = ring()
+    report = functor_compare(asm, rho_r, A)
+    assert report.bijective
+    assert report.class_count == report.hom_count == homs
+    assert _square_zero_count(A) == complete_intersection != homs
+
+
+def test_standard_d3p3_over_the_dual_numbers_has_p_to_the_tangent_dimension_classes():
+    asm, rho_r = _oracle_inputs("standard-d3p3")
+    report = functor_compare(asm, rho_r, dual_numbers(3))
+    tangent = h1_dim(asm.M.inflate(asm.gamma))
+    assert report.bijective
+    assert report.class_count == report.hom_count == 3**tangent == 3
+    assert report.lift_count == 3**9  # |Z^1(Gamma, End V)| = p^(d^2)
