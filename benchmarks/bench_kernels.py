@@ -11,6 +11,8 @@ it) and the whole assembly of an instance (`assemble`) for three of the
 largest battery instances.  Also times one end-to-end oracle enumeration, and the
 enumeration and the class partition on three rows of the oracle benchmark
 (and the relator check of the lifts, `_assert_full_table`, on one), the
+scan for a small generating set of twisted-p3n1's Gamma and four calls of
+`FiniteGroup.extend` with one `at` on it, the
 enumeration of the 3^9 lifts of standard-d3p3 over F_3[eps], the
 class partition of the lifts `functor_compare` classifies on standard-d2p2
 over (Z/4)[u]/(u^2, 2u) (int64 keys) and twisted-p5n1 over F_5[eps] (Python
@@ -289,6 +291,25 @@ def main():
                 lambda: _assert_full_table(lifts, gens, asm.rho_bar, ring, at_dist),
                 repeat=5,
             )
+
+    print("== pieces of one oracle row: the generating-set scan and extend(at=) ==")
+    gamma = assemble(parse_instance_name("twisted-p3n1")).gamma
+
+    def scan():
+        gamma._small_generating_set = None  # the result is cached on the group
+        return gamma.small_generating_set()
+
+    bench(f"small_generating_set twisted-p3n1 (|Gamma| = {gamma.order})", scan, repeat=20)
+    gens = gamma.small_generating_set()
+    values = rng.integers(0, 3, (len(gamma.generators), 2, 2))
+    eye = np.eye(2, dtype=np.int64)
+
+    def extend_at():
+        for _ in range(4):  # as many calls with one (gens, at) as one oracle row makes
+            gamma.extend(values, lambda a, b: a @ b % 3, eye, at=gens)
+
+    bench("extend(at=small_generating_set) x4 twisted-p3n1", extend_at, repeat=20)
+
     asm = assemble(parse_instance_name("standard-d3p3"))
     ring = standard_rings(3)["dual"]
     bench("enumerate_lifts standard-d3p3/dual (19683 lifts)", lambda: enumerate_lifts(asm.rho_bar, ring), repeat=3)

@@ -70,6 +70,8 @@ class FiniteGroup:
         self.action = None if action is None else np.asarray(action, dtype=np.int64)
         self._candidates = tuple((tuple(u), tuple(v)) for u, v in candidates)
         self._trees: dict[tuple[int, ...], tuple] = {}
+        self._plans: dict[tuple, tuple] = {}  # of `extend`, by (gens, at)
+        self._small_generating_set = None
         self._relators = None
         self._trie = None
         self._validate_table()
@@ -233,10 +235,32 @@ class FiniteGroup:
         With `at` (default: every element), only the elements `at` and their
         tree ancestors (the prefixes of their words) are walked and held, at
         one `mul` per level past the first, and the values at `at` are
-        returned, stacked in that order.
+        returned, stacked in that order.  The walk's plan (`_plan`) depends
+        only on the tree and `at`, so it is built once per (gens, at) and
+        cached with the tree.
         """
+        steps, count, reads = self._plan(gens, at)
+        one = np.asarray(one)
+        values = np.empty((count, *one.shape), dtype=one.dtype)
+        for live, (slots, positions) in zip(_walk(steps, gen_values, mul, one), reads):
+            values[slots] = live[positions]
+        return values
+
+    def _plan(self, gens, at) -> tuple:
+        """The walk of `extend` on the tree of `gens` to the elements `at`
+        (None: every element), cached by (gens, at) with gens normalised to
+        a tuple: (steps, #at, reads), where `steps` are `_walk`'s (parent,
+        genidx) per level past the first over the needed elements (`at` and
+        their tree ancestors), and reads[k] = (slots, positions) places the
+        elements of `at` on level k: at[slots] sit at `positions` within it."""
+        gens = self.generators if gens is None else tuple(int(g) for g in gens)
+        at = None if at is None else np.asarray(at, dtype=np.int64).reshape(-1)
+        key = (gens, None if at is None else tuple(at.tolist()))
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
         parent, genidx = map(np.asarray, self.spanning_tree(gens)[1:])
-        at = np.arange(self.order) if at is None else np.asarray(at, dtype=np.int64).reshape(-1)
+        at = np.arange(self.order) if at is None else at
         needed = np.zeros(self.order, dtype=bool)
         needed[at] = True
         levels = self.tree_levels(gens)
@@ -250,13 +274,10 @@ class FiniteGroup:
         for k, level in enumerate(levels):
             depth[level], pos[level] = k, np.arange(len(level))
         steps = [(pos[parent[level]], genidx[level]) for level in levels[1:]]
-        one = np.asarray(one)
-        values = np.empty((len(at), *one.shape), dtype=one.dtype)
-        at_depth, at_pos = depth[at], pos[at]
-        for k, live in enumerate(_walk(steps, gen_values, mul, one)):
-            on_level = at_depth == k  # the elements of `at` on this level
-            values[on_level] = live[at_pos[on_level]]
-        return values
+        at_depth = depth[at]
+        reads = [(slots, pos[at[slots]]) for slots in (np.flatnonzero(at_depth == k) for k in range(len(levels)))]
+        plan = self._plans[key] = steps, len(at), reads
+        return plan
 
     def relators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """A presentation on the distinguished generators, as pairs (u, v) of
@@ -371,15 +392,41 @@ class FiniteGroup:
     def generates(self, seeds) -> bool:
         return len(self.closure(seeds)) == self.order
 
+    def _element_orders(self) -> np.ndarray:
+        """The order of every element, by one vectorised power loop: the
+        powers e^k of all elements at once, one gather per k, until every
+        element has met the identity, so at most exp(G) gathers.  An element
+        whose powers miss the identity within |G| steps (only in a table
+        that is not a group) gets 0."""
+        ar = np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
+        power = ar
+        for k in range(1, self.order + 1):
+            orders[(power == 0) & (orders == 0)] = k
+            if orders.all():
+                break
+            power = self.table[power, ar]
+        return orders
+
     def small_generating_set(self) -> tuple[int, ...]:
         """First generating tuple of minimal size, at most 3, scanning element
         indices (by size, then in `itertools.combinations` order); the
-        distinguished generators if none is found."""
+        distinguished generators if none is found.  A single element
+        generates exactly when its order is |G| (`_element_orders`), so only
+        pairs and triples are closed.  Cached on the group."""
+        if self._small_generating_set is None:
+            self._small_generating_set = self._first_generating_tuple()
+        return self._small_generating_set
+
+    def _first_generating_tuple(self) -> tuple[int, ...]:
         if self.order > 1000:
             return self.generators
         if self.order == 1:
             return ()
-        tuples = chain.from_iterable(combinations(range(1, self.order), k) for k in (1, 2, 3))
+        cyclic = np.flatnonzero(self._element_orders() == self.order)
+        if len(cyclic):
+            return (int(cyclic[0]),)
+        tuples = chain.from_iterable(combinations(range(1, self.order), k) for k in (2, 3))
         return next((c for c in tuples if self.generates(c)), self.generators)
 
     def _table_blocks(self):

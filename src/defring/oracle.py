@@ -11,17 +11,21 @@ extensions (Schlessinger, "Functors of Artin rings", 1968), one layer
 m^j / m^(j+1) of A's m-adic filtration at a time (`_layers`).  The lifts
 over A/m^(j+1) of a lift rho' over A/m^j are rho'(t) + delta_t, with
 delta_t in M_d(m^j).  Every relator's defect then lies in M_d(m^j), and as
-m m^j lies in m^(j+1), it is affine in delta modulo m^(j+1), with a linear
-part L that depends only on rho_bar.  So one `kernels.rref_modp` of
-[L^T | I] over F_p gives every parent whose equations are consistent and a
-particular solution of each, and its lifts are that solution plus the span
-of L's kernel.  No lift is missed, as every lift over A reduces to a lift
-modulo each m^j, and none is found twice.  At the last layer the defects
-vanish exactly, so the values satisfy Gamma's relators, which come from K
-and G rather than from any spanning tree, and by von Dyck's theorem they
-extend to homomorphisms.  `_assert_full_table` checks that again on the
-element codes, and the values at the report generators are the extension
-along Gamma's spanning tree.  This route is deliberately independent of the
+m m^j lies in m^(j+1), it is affine in delta modulo m^(j+1): rho'(u) delta
+rho'(v) is rho_bar_0(u) delta rho_bar_0(v) there, for rho_bar_0 the lift of
+rho_bar with integer entries, which acts on m^j / m^(j+1) through F_p.  So
+the linear part is L = Lbar (x) I_k on the k coordinates of the layer, with
+Lbar over F_p the same on every layer (`_linear_bar`, read off the first),
+and one `kernels.rref_modp` of [Lbar^T | I] per enumeration solves every
+layer: a parent is consistent when each of its k slices of defects is, its
+particular solution is theirs, and its lifts are that solution plus the
+span of kron(Lbar's kernel, I_k).  No lift is missed, as every lift over A
+reduces to a lift modulo each m^j, and none is found twice.  At the last
+layer the defects vanish exactly, so the values satisfy Gamma's relators,
+which come from K and G rather than from any spanning tree, and by von
+Dyck's theorem they extend to homomorphisms.  `_assert_full_table` checks
+that again on the element codes, and the values at the report generators
+are the extension along Gamma's spanning tree.  This route is deliberately independent of the
 cohomology module so the two can cross-check each other.
 
 The lifts stay in one format from the enumeration to the report: an int64
@@ -207,20 +211,46 @@ def _defects(group, A: ArtinLocalAlgebra, stack: np.ndarray, k: int, coord: np.n
     return (c[..., None] // A.p ** np.arange(k) % A.p).swapaxes(0, 1).reshape(len(stack), -1)
 
 
-def _solve_layer(defects: np.ndarray, linear: np.ndarray, p: int):
-    """L delta = -D over F_p for each row D of `defects`, L^T the
-    (unknowns, equations) matrix `linear`, by one `kernels.rref_modp` of
-    [L^T | I].  Its rows [R | E] with a pivot in R have R = E L^T, a reduced
-    basis of L's column space, so a consistent D is the combination c of
-    them read off at their pivots, and -c E solves for it; the E of the
-    other rows span L's kernel.  Returns (the mask of the consistent D,
-    their solutions, the kernel basis)."""
+def _layer_solver(linear: np.ndarray, p: int):
+    """L delta = -D over F_p, L^T the (unknowns, equations) matrix `linear`,
+    by one `kernels.rref_modp` of [L^T | I].  Its rows [R | E] with a pivot
+    in R have R = E L^T, a reduced basis of L's column space, so a
+    consistent D is the combination c of them read off at their pivots, and
+    -c E solves for it; the E of the other rows span L's kernel.  Returns
+    (solve, the kernel basis), where solve(defects) gives, for each row D of
+    `defects`, whether it is consistent and a solution (meaningful only
+    where it is)."""
     n, eqs = linear.shape
     r, pivots = kernels.rref_modp(np.hstack([linear, np.eye(n, dtype=np.int64)]), p)
     rank = sum(col < eqs for col in pivots)
-    coef = defects[:, pivots[:rank]]
-    consistent = ~((defects - coef @ r[:rank, :eqs]) % p).any(axis=1)
-    return consistent, -coef[consistent] @ r[:rank, eqs:] % p, r[rank:n, eqs:]
+
+    def solve(defects):
+        coef = defects[:, pivots[:rank]]
+        consistent = ~((defects - coef @ r[:rank, :eqs]) % p).any(axis=1)
+        return consistent, -coef @ r[:rank, eqs:] % p
+
+    return solve, r[rank:n, eqs:]
+
+
+def _linear_bar(group, A: ArtinLocalAlgebra, layer, lift: np.ndarray):
+    """The relator defects of `lift`, the (#t, d, d) codes of rho_bar's lift
+    with entries in 0..p-1, on the first layer (k, combo, coord) of
+    `_layers`, and Lbar^T, the (#t d^2, #relators d^2) matrix over F_p of
+    the defects' linear part: row e is the change of the defects when entry
+    e moves by b_0 = combo[1], read at coordinate 0.  The change has
+    coordinate 0 only, as b_0 times the integer matrices of rho_bar's lift
+    is b_0 times their residues modulo m^2; anything else is an
+    OracleError."""
+    k, combo, coord = layer
+    add = A.tables()[0]
+    entries = lift.size
+    moved = np.repeat(lift.reshape(1, -1), entries, axis=0)
+    moved[np.arange(entries), np.arange(entries)] = add[lift.reshape(-1), combo[1]]
+    defects = _defects(group, A, np.concatenate([lift[None], moved.reshape(-1, *lift.shape)]), k, coord)
+    change = ((defects[1:] - defects[0]) % A.p).reshape(entries, -1, k)
+    if change[..., 1:].any():
+        raise OracleError("a defect moved by b_0 has a coordinate past b_0 (internal error)")
+    return defects[:1], change[..., 0]
 
 
 def _check_bytes(group, lifts: int, d: int, coords: int) -> int:
@@ -258,28 +288,36 @@ def enumerate_lifts(
     in the order of `_coset_keys`: their extension along Gamma's spanning
     tree (`FiniteGroup.extend`) from the distinguished generators t, where
     the small extensions of the module docstring build them from rho_bar's
-    lift with entries in 0..p-1.  At each layer, one `_defects` call takes
-    every parent and the first parent moved by each basis element of
-    M_d(m^j / m^(j+1)) at one t, whose differences from the first are the
-    rows of L^T.  A layer's count of lifts is refused with an OracleError,
-    before they are formed, when their relator check would hold more than
-    LIFT_BUDGET bytes (`_check_bytes`: in ring coordinates while a layer
-    follows, on codes after the last)."""
+    lift with entries in 0..p-1.  rho_bar is read at the t (`gen_mats`) and,
+    for the report, at `gens` (`_residues_at`), never on all of Gamma.  The
+    first layer's one `_defects` call takes that lift and its #t d^2 copies
+    moved by b_0 at one entry each, whose differences give Lbar^T
+    (`_linear_bar`); each later layer evaluates only its parents.  A layer's
+    count of lifts is refused with an OracleError, before they are formed,
+    when their relator check would hold more than LIFT_BUDGET bytes
+    (`_check_bytes`: in ring coordinates while a layer follows, on codes
+    after the last)."""
     group = rho_bar.group
     gens = tuple(int(g) for g in (group.small_generating_set() if gens is None else gens))
     p, d = A.p, rho_bar.degree
     add, mul, _ = A.tables()
     lift_of = A.encode(A.reduce(np.arange(p)[:, None] * A.one))
-    lifts = lift_of[rho_bar.mats[list(group.generators)] % p][None]  # (lifts, #t, d, d)
+    lifts = lift_of[rho_bar.gen_mats % p][None]  # (lifts, #t, d, d)
     layers = _layers(A)
     for j, (k, combo, coord) in enumerate(layers, 1):
-        unknowns = lifts[0].size * k  # (entry of an image at a t, basis element)
-        entry, basis = np.divmod(np.arange(unknowns), k)
-        moved = np.repeat(lifts[:1].reshape(1, -1), unknowns, axis=0)
-        moved[np.arange(unknowns), entry] = add[moved[0, entry], combo[p**basis]]
-        defects = _defects(group, A, np.concatenate([lifts, moved.reshape(-1, *lifts.shape[1:])]), k, coord)
-        linear = (defects[len(lifts) :] - defects[0]) % p
-        consistent, particular, kernel = _solve_layer(defects[: len(lifts)], linear, p)
+        if j == 1:
+            defects, linear = _linear_bar(group, A, layers[0], lifts[0])
+            solve, kernel_bar = _layer_solver(linear, p)
+        else:
+            defects = _defects(group, A, lifts, k, coord)
+        # one slice of #relators d^2 equations per basis element of the layer
+        slices = defects.reshape(len(lifts), -1, k).swapaxes(1, 2).reshape(len(lifts) * k, -1)
+        consistent, particular = solve(slices)
+        consistent = consistent.reshape(-1, k).all(axis=1)
+        # back in (entry, basis) order, as the kernel kron(kernel_bar, I_k)
+        particular = particular.reshape(len(lifts), k, -1)[consistent].swapaxes(1, 2)
+        particular = particular.reshape(len(particular), -1)
+        kernel = np.kron(kernel_bar, np.eye(k, dtype=np.int64))
         count = len(particular) * p ** len(kernel)
         held = _check_bytes(group, count, d, A.nbasis if j < len(layers) else 1)
         if held > LIFT_BUDGET:
@@ -294,10 +332,18 @@ def enumerate_lifts(
     at_dist = lifts.swapaxes(0, 1)
     one = np.broadcast_to(_identity(A, d), (len(lifts), d, d))
     at_gens = group.extend(at_dist, _stack_matmul(add, mul, d), one, at=gens).swapaxes(0, 1)
-    order = np.argsort(_coset_keys(at_gens, lift_of[rho_bar.mats[list(gens)] % p], A), kind="stable")
+    order = np.argsort(_coset_keys(at_gens, lift_of[_residues_at(rho_bar, gens)], A), kind="stable")
     at_gens, at_dist = at_gens[order], at_dist[:, order]
     _assert_full_table(at_gens, gens, rho_bar, A, at_dist)
     return at_gens
+
+
+def _residues_at(rho_bar: Representation, gens) -> np.ndarray:
+    """rho_bar's matrices modulo p at the elements `gens`, extended from its
+    distinguished generators along the spanning tree (`FiniteGroup.extend`),
+    without its table of every element."""
+    p, eye = rho_bar.p, np.eye(rho_bar.degree, dtype=np.int64)
+    return rho_bar.group.extend(rho_bar.gen_mats % p, lambda a, b: a @ b % p, eye, at=gens)
 
 
 def _assert_full_table(lifts, gens, rho_bar, A, at_dist):
@@ -315,7 +361,8 @@ def _assert_full_table(lifts, gens, rho_bar, A, at_dist):
        s in the distinguished spanning tree (`FiniteGroup.extend` with
        `at`), and check phi(s) = L(s).  Then L is the restriction of phi to
        the s, which generate Gamma, so L extends to the homomorphism phi;
-    4. check that every generator image reduces to rho_bar's image.
+    4. check that every L(s) reduces to rho_bar(s), extended from rho_bar's
+       distinguished generators (`_residues_at`).
 
     Step 3 is needed, as the relators only see the M[t]: an s that no word
     of a t passes through is otherwise unchecked.  Steps 2 and 3 hold
@@ -339,9 +386,8 @@ def _assert_full_table(lifts, gens, rho_bar, A, at_dist):
     if (group.extend(at_dist, matmul, one, group.generators, at=gens) != gen_blocks).any():
         raise OracleError("lift is not a homomorphism: its extension differs from it at a generator")
     res = A.elements()[:, 0] % A.p
-    for gb, s in zip(gen_blocks, gens):
-        if (res[gb] != rho_bar.mats[s] % rho_bar.p).any():
-            raise OracleError("lift does not reduce to the base representation")
+    if (res[gen_blocks] != _residues_at(rho_bar, gens)[:, None]).any():
+        raise OracleError("lift does not reduce to the base representation")
 
 
 def _kernel_inverses(A: ArtinLocalAlgebra, U: np.ndarray) -> np.ndarray:

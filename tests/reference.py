@@ -8,15 +8,16 @@ obstructions, a backtracking isomorphism search, brute-force listings of
 spans and solution sets over Z/p^N, Howell forms by elimination on lists
 of Python ints, the element arithmetic of local algebras on tuples of
 Python ints with matrices over them (`ScalarAlgebra`, `AlgMatrix`) and
-structure tables written out pair by pair (`basis_products`), and Newton
-inversion over a local algebra.  A method of a package class appears
+structure tables written out pair by pair (`basis_products`), Newton
+inversion over a local algebra, and the first generating tuple by closing
+every candidate tuple in turn.  A method of a package class appears
 here as a function taking the object as its first argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable
 
 import numpy as np
@@ -96,6 +97,22 @@ def orbit_count_triples(G: FiniteGroup) -> int:
                             seen[t] = True
                             stack.append(t)
     return count
+
+
+def small_generating_set(G: FiniteGroup) -> tuple[int, ...]:
+    """The first tuple of 1, 2 or 3 elements, by size and then in
+    `itertools.combinations` order of the indices past the identity, whose
+    closure is G; the distinguished generators if none is found (or if
+    |G| > 1000), () for the trivial group."""
+    if G.order > 1000:
+        return G.generators
+    if G.order == 1:
+        return ()
+    for size in (1, 2, 3):
+        for c in combinations(range(1, G.order), size):
+            if len(G.closure(c)) == G.order:
+                return c
+    return G.generators
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> np.ndarray | None:

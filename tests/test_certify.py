@@ -1,7 +1,10 @@
+import copy
 import functools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,6 +255,23 @@ def test_build_rho_R_faithful_s4():
     for e in range(asm.gamma.order):
         _, g = asm.gamma.decode(e)
         assert (rho.at(e)[..., 0] == asm.rho_w.mats[g]).all()
+
+
+def test_an_unfaithful_rho_w_stops_certification_at_rho_R_faithful(monkeypatch):
+    # no family reaches this stage, as rho_W is faithful by construction:
+    # patch in a rho_W whose table sends a non-identity element of G to 1
+    from defring import certify
+
+    asm = assemble(InstanceSpec("twisted", 2, 1))
+    rho_w = copy.copy(asm.rho_w)
+    rho_w.mats = asm.rho_w.mats.copy()
+    rho_w.mats[1] = np.eye(rho_w.degree, dtype=np.int64)
+    monkeypatch.setattr(certify, "h1_dim", mock.Mock(side_effect=AssertionError))
+    cert = certify_assembly(replace(asm, rho_w=rho_w))
+    assert cert.condition_a.passed and cert.condition_b.passed
+    assert not cert.rho_r.faithful and cert.rho_r.order_checks_passed
+    assert (cert.verdict, cert.failed_stage, cert.tangent_dim) == ("refuted", "rho_R_faithful", None)
+    assert asm.rho_w.is_faithful()
 
 
 def test_rho_R_kernel_orders_p2n2():

@@ -18,7 +18,7 @@ from defring.groups import (
 )
 from defring.modrep import Representation, RepresentationError
 
-from reference import find_isomorphism, inverses, orbit_count_triples, word
+from reference import find_isomorphism, inverses, orbit_count_triples, small_generating_set, word
 
 
 def test_symmetric_group_orders():
@@ -80,7 +80,7 @@ def test_extend_at_some_elements_gives_the_rows_of_the_full_extension(group, tre
     G = _extend_groups()[group]
     gens = None if tree == "distinguished" else G.small_generating_set()
     ngens = len(G.generators if gens is None else gens)
-    at = data.draw(st.lists(st.integers(0, G.order - 1), max_size=8))
+    ats = [data.draw(st.lists(st.integers(0, G.order - 1), max_size=8)) for _ in range(2)]
     stack = data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     # arbitrary matrices mod 7: the walk multiplies along the words whether
@@ -97,9 +97,14 @@ def test_extend_at_some_elements_gives_the_rows_of_the_full_extension(group, tre
     for e in order[1:]:
         full[e] = mul(full[parent[e]], gen_values[genidx[e]])
     assert (G.extend(gen_values, mul, one, gens) == [full[e] for e in range(G.order)]).all()
-    got = G.extend(gen_values, mul, one, gens, at=at)
-    assert got.shape == (len(at), stack, 2, 2)
-    assert all((got[i] == full[e]).all() for i, e in enumerate(at))
+    # two `at` on one group, each walked as a list and then as an array:
+    # the second walk of each reads its cached plan, with the other's cached
+    for at in ats + [np.array(at, dtype=np.int64) for at in ats]:
+        got = G.extend(gen_values, mul, one, gens, at=at)
+        assert got.shape == (len(at), stack, 2, 2)
+        assert all((got[i] == full[e]).all() for i, e in enumerate(at))
+    keys = {(G.generators if gens is None else tuple(gens), tuple(at)) for at in ats}
+    assert keys <= set(G._plans) and len(G._plans) == len(keys) + 1  # and at=None
 
 
 def test_extend_at_some_elements_holds_only_their_values():
@@ -351,6 +356,37 @@ def test_small_generating_set_s4():
     gens = G.small_generating_set()
     assert len(gens) == 2
     assert G.generates(gens)
+
+
+def _cyclic(n):
+    ar = np.arange(n)
+    return FiniteGroup((ar[:, None] + ar[None, :]) % n, [1 % n], name=f"C{n}")
+
+
+def _cyclic_product(m, n):
+    """C_m x C_n on the codes a n + b."""
+    a, b = np.divmod(np.arange(m * n), n)
+    table = (a[:, None] + a[None, :]) % m * n + (b[:, None] + b[None, :]) % n
+    return FiniteGroup(table, [n % (m * n), 1 % n], name=f"C{m}xC{n}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 60).map(_cyclic),
+        st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda mn: _cyclic_product(*mn)),
+        st.sampled_from([symmetric_group(3), twisted_frobenius_group(2)]),
+    )
+)
+def test_small_generating_set_is_the_first_tuple_the_plain_scan_closes(G):
+    assert G.small_generating_set() == small_generating_set(G)
+
+
+def test_small_generating_set_is_scanned_once_per_group():
+    G = symmetric_group(4)
+    first = G.small_generating_set()
+    with mock.patch.object(G, "generates", side_effect=AssertionError):
+        assert G.small_generating_set() == first
 
 
 def test_table_hash_deterministic():

@@ -263,7 +263,9 @@ def _reference_lifts(rho_bar, A, gens):
     + [("twisted-p2n2", "dual", 0)]
     # three generators: here the deepest tree level carries equations that
     # the shallower levels do not imply
-    + [("twisted-p2n1", r, (1, 3, 6)) for r in ("dual", "Z4")],
+    + [("twisted-p2n1", r, (1, 3, 6)) for r in ("dual", "Z4")]
+    # a layer with k = 2: m / m^2 = <2, u>, solved as two slices of Lbar
+    + [("twisted-p2n1", "Z4u", 0)],
 )
 def test_pruned_enumeration_matches_unpruned_reference(instance, ring, which):
     asm = assemble(parse_instance_name(instance))
@@ -827,6 +829,67 @@ def test_the_layers_of_the_filtration_have_the_coordinates_of_their_combinations
         assert coord[combo].tolist() == list(range(A.p**k))
         size //= A.p**k
     assert size == 1
+
+
+def _moved_parent_linear(group, A, parent, layer):
+    """L^T of the layer (k, combo, coord) above `parent`, a (#t, d, d) code
+    stack, as the change of the relator defects (`oracle._defects`) when
+    one entry of `parent` moves by one basis element of the layer, in
+    (entry, basis) order of the rows."""
+    k, combo, coord = layer
+    add = A.tables()[0]
+    unknowns = parent.size * k
+    entry, basis = np.divmod(np.arange(unknowns), k)
+    moved = np.repeat(parent.reshape(1, -1), unknowns, axis=0)
+    moved[np.arange(unknowns), entry] = add[moved[0, entry], combo[A.p**basis]]
+    stack = np.concatenate([parent[None], moved.reshape(-1, *parent.shape)])
+    defects = oracle._defects(group, A, stack, k, coord)
+    return (defects[1:] - defects[0]) % A.p
+
+
+@pytest.mark.parametrize(
+    "instance,ring",
+    [("twisted-p2n1", r) for r in ("F2t3", "Z8", "Z4u")] + [("twisted-p3n1", r) for r in ("Z9u", "F3t3", "Z27")],
+)
+def test_every_layer_solves_against_the_kronecker_product_of_lbar(instance, ring):
+    # the linear part L^T of a layer's defects, built above the layer's
+    # first parent by moving it at each (entry, basis element), is
+    # kron(Lbar^T, I_k)
+    asm = assemble(parse_instance_name(instance))
+    group, A = asm.gamma, standard_rings(asm.p)[ring]
+    layers = oracle._layers(A)
+    parents = []
+    defects = oracle._defects
+
+    def record(group, A, stack, k, coord):
+        parents.append(stack[0].copy())
+        return defects(group, A, stack, k, coord)
+
+    with mock.patch.object(oracle, "_defects", record):
+        enumerate_lifts(asm.rho_bar, A)
+    assert len(parents) == len(layers) >= 1
+    _, lbar_t = oracle._linear_bar(group, A, layers[0], parents[0])
+    assert lbar_t.any()
+    for parent, layer in zip(parents, layers):
+        expected = np.kron(lbar_t, np.eye(layer[0], dtype=np.int64))
+        assert (_moved_parent_linear(group, A, parent, layer) == expected).all()
+    assert any(k > 1 for k, _, _ in layers) == (ring in ("Z4u", "Z9u"))
+
+
+def test_lbar_refuses_a_move_with_a_coordinate_past_b0(monkeypatch):
+    # a defect change outside coordinate 0 contradicts m m^j in m^(j+1)
+    asm = s4_assembly()
+    A = standard_rings(2)["Z4u"]
+    defects = oracle._defects
+
+    def skewed(group, A, stack, k, coord):
+        out = defects(group, A, stack, k, coord)
+        out[1:, 1] ^= 1
+        return out
+
+    monkeypatch.setattr(oracle, "_defects", skewed)
+    with pytest.raises(OracleError, match="past b_0"):
+        enumerate_lifts(asm.rho_bar, A)
 
 
 def _square_zero_count(A):
