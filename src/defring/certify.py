@@ -356,21 +356,22 @@ def evaluate_condition_b(alpha: AlphaMap, witness, clause, invariant_factors=())
     )
 
 
+def first_injective_alpha(asm: Assembly) -> AlphaMap | None:
+    """The first injective Howell generator of Hom_G(K, End(V_W)/p^n), in
+    the order of its basis, or None if none is injective."""
+    return next((alpha for alpha in map(asm.alpha_map, asm.hom_b.basis) if alpha.injective), None)
+
+
 def find_alpha(asm: Assembly) -> ConditionB:
-    """Pick the first injective Howell generator of Hom_G(K, End(V_W)/p^n)
-    and search for the evidence of both disjuncts of condition (b): a
-    non-commuting pair among the basis pairs of K, and (p = 2, n = 1) for
-    each scalar a the first vector of K violating alpha(g)^2 = a alpha(g).
-    An injective alpha is nonzero mod p, since p beta sends p^(n-1) e_1 != 0
-    to 0, so `residue_nonzero` needs no test of its own."""
+    """Pick alpha (`first_injective_alpha`) and search for the evidence of
+    both disjuncts of condition (b): a non-commuting pair among the basis
+    pairs of K, and (p = 2, n = 1) for each scalar a the first vector of K
+    violating alpha(g)^2 = a alpha(g).  An injective alpha is nonzero mod
+    p, since p beta sends p^(n-1) e_1 != 0 to 0, so `residue_nonzero` needs
+    no test of its own."""
     p, n = asm.p, asm.n
     hs = asm.hom_b
-    alpha = None
-    for H in hs.basis:
-        cand = asm.alpha_map(H)
-        if cand.injective:
-            alpha = cand
-            break
+    alpha = first_injective_alpha(asm)
     if alpha is None:
         return ConditionB(
             "no_injective_generator", None, False, False, None, False, None, False,

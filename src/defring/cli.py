@@ -23,7 +23,7 @@ from .certify import (
     assemble,
     build_rho_R,
     certify_instance,
-    find_alpha,
+    first_injective_alpha,
     negative_control,
     parse_instance_name,
     verify_certificate,
@@ -126,17 +126,22 @@ def cmd_certify(args) -> int:
     return 0 if cert.verdict == "certified" else 1
 
 
+def _rho_R(asm):
+    """The lift over R that the oracle compares against, from alpha
+    (`first_injective_alpha`), without condition (b)'s evidence search."""
+    alpha = first_injective_alpha(asm)
+    if alpha is None:
+        raise CertifyError("instance has no injective alpha; oracle needs the lift")
+    return build_rho_R(asm, alpha)
+
+
 def cmd_oracle(args) -> int:
     spec = _spec_from_args(args)
     rings = standard_ring_builders(spec.p)
     if args.ring not in rings:
         raise OracleError(f"unknown ring {args.ring!r}; choose from {sorted(rings)}")
-    asm = assemble(spec)
-    cb = find_alpha(asm)
-    if cb.alpha is None:
-        raise CertifyError("instance has no injective alpha; oracle needs the lift")
-    rho_r = build_rho_R(asm, cb.alpha)
-    report = functor_compare(asm, rho_r, rings[args.ring]())
+    rho_r = _rho_R(assemble(spec))
+    report = functor_compare(rho_r.asm, rho_r, rings[args.ring]())
     _emit(report.to_json_dict(), args)
     print(
         f"{spec.name} over {args.ring}: classes={report.class_count} "
@@ -181,11 +186,9 @@ def cmd_report(args) -> int:
         cert = certify_instance(InstanceSpec("standard", p, 1, d=d))
         out["certifications"].append(cert.to_json_dict())
         failures += cert.verdict != "certified"
-    asm = assemble(InstanceSpec("twisted", 2, 1))
-    cb = find_alpha(asm)
-    rho_r = build_rho_R(asm, cb.alpha)
+    rho_r = _rho_R(assemble(InstanceSpec("twisted", 2, 1)))
     for name, ring in sorted(standard_rings(2).items()):
-        report = functor_compare(asm, rho_r, ring)
+        report = functor_compare(rho_r.asm, rho_r, ring)
         out["oracle"].append(report.to_json_dict())
         failures += not report.bijective
     for p, n in [(2, 1), (2, 2), (3, 1)]:

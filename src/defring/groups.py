@@ -292,41 +292,37 @@ class FiniteGroup:
             self._relators = tuple(self._presentation())
         return self._relators
 
-    def relator_values(self, gen_values, mul, one) -> np.ndarray:
-        """value(u) - value(v) for the relators (u, v), stacked in the order
-        of `relators()`, from gen_values[t] for generator index t, as in
-        `extend`.  Callers give canonical values (residues, codes, ring
-        coordinates), so a zero difference means the sides are equal.  The
-        words are walked as the trie of their prefixes, built once per group:
-        one `mul` per letter of the longest word after its first, as the
-        one-letter prefixes are the generator values.  Only the live depth
-        of the trie and the one difference array are held; a node that ends
-        a word is added to (u) or subtracted from (v) its relator's
-        difference as the walk passes it."""
-        rels = self.relators()
+    def relator_values(self, gen_values, mul, one, sub=np.subtract) -> np.ndarray:
+        """sub(value(u), value(v)) for the relators (u, v), stacked in the
+        order of `relators()`, from gen_values[t] for generator index t, as
+        in `extend`; `sub` defaults to the difference.  Callers give
+        canonical values (residues, codes, ring coordinates) and a `sub`
+        that vanishes exactly on equal ones, such as add[u, neg[v]] on codes.
+        The words are walked as the trie of their prefixes (`_relator_trie`,
+        built once per group): one `mul` per letter of the longest word after
+        its first, as the one-letter prefixes are the generator values.
+        Only the live depth of the trie and one array of a value per relator
+        are held: a relator's side that ends first waits there for the
+        other, and at the depth where the second side ends, one `sub` call
+        takes every relator completed there."""
         if self._trie is None:
-            words = [w for rel in rels for w in rel]
-            depth = max(map(len, words), default=0)
-            levels = [[()]] + [sorted({w[:k] for w in words if len(w) >= k}) for k in range(1, depth + 1)]
-            pos = {w: x for level in levels for x, w in enumerate(level)}  # position within its level
-            steps = [
-                (np.array([pos[w[:-1]] for w in level]), np.array([w[-1] for w in level]))
-                for level in levels[1:]
-            ]
-            lengths = np.array([[len(w) for w in rel] for rel in rels], dtype=np.int64).reshape(-1, 2)
-            nodes = np.array([[pos[w] for w in rel] for rel in rels], dtype=np.int64).reshape(-1, 2)
-            ends = []  # by depth, for each side: (relators, node of their word)
-            for k in range(depth + 1):
-                slots = [np.flatnonzero(lengths[:, side] == k) for side in (0, 1)]
-                ends.append([(sl, nodes[sl, side]) for side, sl in enumerate(slots)])
-            self._trie = steps, ends
+            self._trie = _relator_trie(self.relators())
         steps, ends = self._trie
         one = np.asarray(one)
-        diff = np.zeros((len(rels), *one.shape), dtype=one.dtype)
-        for live, ((lhs, at_l), (rhs, at_r)) in zip(_walk(steps, gen_values, mul, one), ends):
-            diff[lhs] += live[at_l]
-            diff[rhs] -= live[at_r]
-        return diff
+        out = np.empty((len(self.relators()), *one.shape), dtype=one.dtype)
+        for live, end in zip(_walk(steps, gen_values, mul, one), ends):
+            if end is None:
+                continue
+            held, held_at, done, sides = end
+            if len(held):
+                out[held] = live[held_at]
+            if len(done):
+                values = [live[at] if now is None else out[done] for now, at in sides]
+                for (now, at), side in zip(sides, values):
+                    if now is not None:  # the side's other relators wait in `out`
+                        side[now] = live[at]
+                out[done] = sub(*values)
+        return out
 
     def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The candidate relators the group was built with (`candidates`),
@@ -714,6 +710,58 @@ def check_extension_order(k_order: int, g_order: int) -> None:
         raise GroupError(f"|Gamma| = |K| |G| with |K| = {k} and |G| = {g} exceeds the guard {TABLE_GUARD}")
 
 
+def _relator_trie(rels) -> tuple:
+    """The trie of the words of the relators `rels` for `relator_values`,
+    built in one pass over their letters: the nodes of each depth are keyed
+    by (parent node, letter), numbered as they are first met.  Returns
+    (steps, ends): `_walk`'s (parent, genidx) per depth past the first, and
+    for each depth None if no word ends there, else (held, held_at, done,
+    sides).  `held` are the relators whose first side to end ends there,
+    the other one later, and `held_at` that side's node; `done` are the
+    relators whose second side (or both) ends there, and sides[s] =
+    (now, at) gives side s of them: at the nodes `at` for the positions
+    `now` within `done` (None: all of them), the rest waiting in the
+    relator's held value."""
+    levels = [{}]  # depth k + 1: (parent node, letter) -> node
+    held, done = {}, {}  # by depth, as lists: (held, held_at); (done, now_u, at_u, now_v, at_v)
+    for i, rel in enumerate(rels):
+        spans = []  # (length, node) of each side
+        for word in rel:
+            node = 0
+            for k, letter in enumerate(word):
+                if k == len(levels):
+                    levels.append({})
+                node = levels[k].setdefault((node, letter), len(levels[k]))
+            spans.append((len(word), node))
+        (lu, nu), (lv, nv) = spans
+        if lu != lv:
+            slots, at = held.setdefault(min(lu, lv), ([], []))
+            slots.append(i)
+            at.append(nu if lu < lv else nv)
+        last = max(lu, lv)
+        slots, *sides = done.setdefault(last, ([], [], [], [], []))
+        for s, (length, node) in enumerate(spans):
+            if length == last:
+                sides[2 * s].append(len(slots))
+                sides[2 * s + 1].append(node)
+        slots.append(i)
+    if not levels[-1]:  # no word has a letter
+        levels.pop()
+
+    def ints(x):
+        return np.array(x, dtype=np.int64)
+
+    steps = [ints(list(level)).reshape(-1, 2).T for level in levels]
+    ends = [None] * (len(steps) + 1)
+    for k in held.keys() | done.keys():
+        slots, *sides = done.get(k, ([], [], [], [], []))
+        sides = [
+            (None if len(now) == len(slots) else ints(now), ints(at)) for now, at in (sides[:2], sides[2:])
+        ]
+        ends[k] = (*map(ints, held.get(k, ([], []))), ints(slots), sides)
+    return steps, ends
+
+
 def _walk(steps, gen_values, mul, one):
     """The values of a tree of words, one depth at a time: yields the stack
     [one] of the empty word, then for each step (parent, genidx) the next
@@ -731,7 +779,9 @@ def _walk(steps, gen_values, mul, one):
     yield live
     for depth, (parent, genidx) in enumerate(steps, 1):
         values = gen_values[genidx]
-        if depth == 1:  # mul(one, values) == values
+        if depth == 1 and values.shape[1:] == one.shape:  # mul(one, values) == values
+            live = values
+        elif depth == 1:
             live = np.broadcast_to(values, np.broadcast_shapes(live.shape, values.shape))
         else:
             live = mul(live[parent], values)

@@ -37,14 +37,15 @@ def rref_modp(a, p: int, N: int = 1):
     N = 1, the reduced row echelon form over F_p.
 
     Column by column, a remaining row of least valuation becomes the pivot
-    row (``np.gcd`` with p^N gives p^e, and p^N at a zero entry).  It is
-    scaled by a unit so that its pivot is p^e, and every other row loses
-    the multiple of it that clears the column below the pivot and reduces
-    it mod p^e above.  When e > 0, the shadow row p^(N-e) times the pivot
-    row, zero up to the pivot column, joins the remaining rows, so the
-    span's elements that vanish before a column are spanned by the rows
-    from its pivot on.  That and the reduction make the form unique for
-    the span.
+    row (``np.gcd`` with p^N gives p^e, and p^N at a zero entry); a column
+    zero in the remaining rows has no pivot, and one ``any`` passes over it
+    and the zero columns that follow it.  The pivot row is scaled by a unit
+    so that its pivot is p^e, and every other row loses the multiple of it
+    that clears the column below the pivot and reduces it mod p^e above.
+    When e > 0, the shadow row p^(N-e) times the pivot row, zero up to the
+    pivot column, joins the remaining rows, so the span's elements that
+    vanish before a column are spanned by the rows from its pivot on.  That
+    and the reduction make the form unique for the span.
 
     Returns ``(r, pivots)``: row i of ``r`` is the Howell row whose pivot
     p^e stands in column ``pivots[i]``, and the rows after the last pivot
@@ -58,14 +59,16 @@ def rref_modp(a, p: int, N: int = 1):
     if N > 1:  # room for one shadow row per pivot
         r = np.concatenate([r, np.zeros((ncols, ncols), dtype=r.dtype)])
     pivots = []
-    row, end = 0, nrows
-    for col in range(ncols):
-        if row == end:
-            break
+    row, end, col = 0, nrows, 0
+    while row < end and col < ncols:
         val = np.gcd(r[row:end, col], m)
         k = val.argmin()
         pe = int(val[k])
-        if pe == m:
+        if pe == m:  # on to the next column nonzero in the remaining rows
+            live = (r[row:end, col:] != 0).any(axis=0)
+            if not live.any():
+                break
+            col += int(live.argmax())
             continue
         if k:
             r[row], r[row + k] = r[row + k], r[row].copy()
@@ -83,7 +86,7 @@ def rref_modp(a, p: int, N: int = 1):
             r[end] = r[row] * (m // pe) % m
             end += 1
         pivots.append(col)
-        row += 1
+        row, col = row + 1, col + 1
     return r, pivots
 
 

@@ -131,6 +131,9 @@ def _stack_matmul(add, mul, d):
 
     def matmul(a, b):
         a, b = np.asarray(a), np.asarray(b)
+        if a.shape == b.shape:  # all batch
+            prod = kernels.table_matmul(a.reshape(-1, d, d), b.reshape(-1, d, d), add, mul)
+            return prod.reshape(a.shape)
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         lead = len(shape)
         a = a.reshape((1,) * (lead + 2 - a.ndim) + a.shape)
@@ -197,15 +200,16 @@ def _layers(A: ArtinLocalAlgebra) -> list[tuple[int, np.ndarray, np.ndarray]]:
 
 
 def _defects(group, A: ArtinLocalAlgebra, stack: np.ndarray, k: int, coord: np.ndarray) -> np.ndarray:
-    """The relator defects (`FiniteGroup.relator_values`, evaluated in ring
-    coordinates) of each assignment of the (S, #t, d, d) code stack `stack`
-    to Gamma's distinguished generators, all in M_d(m^j), as an
-    (S, #relators d^2 k) array of their F_p-coordinates on the layer
-    m^j / m^(j+1) of `coord` (`_layers`)."""
+    """The relator defects (`FiniteGroup.relator_values` on element codes,
+    with the difference add[u, neg[v]]) of each assignment of the
+    (S, #t, d, d) code stack `stack` to Gamma's distinguished generators,
+    all in M_d(m^j), as an (S, #relators d^2 k) array of their
+    F_p-coordinates on the layer m^j / m^(j+1) of `coord` (`_layers`)."""
     d = stack.shape[-1]
-    one = np.broadcast_to(A.identity(d), (len(stack), d, d, A.nbasis))
-    diff = group.relator_values(A.elements()[stack].swapaxes(0, 1), A.matmul, one)
-    c = coord[A.encode(A.reduce(diff))]
+    add, mul, neg = A.tables()
+    one = np.broadcast_to(_identity(A, d), (len(stack), d, d))
+    matmul = _stack_matmul(add, mul, d)
+    c = coord[group.relator_values(stack.swapaxes(0, 1), matmul, one, lambda u, v: add[u, neg[v]])]
     if (c < 0).any():
         raise OracleError("a relator defect of a parent lies outside its layer (internal error)")
     return (c[..., None] // A.p ** np.arange(k) % A.p).swapaxes(0, 1).reshape(len(stack), -1)
@@ -253,17 +257,19 @@ def _linear_bar(group, A: ArtinLocalAlgebra, layer, lift: np.ndarray):
     return defects[:1], change[..., 0]
 
 
-def _check_bytes(group, lifts: int, d: int, coords: int) -> int:
-    """The bytes the relator check (`FiniteGroup.relator_values`) of `lifts`
-    assignments of d x d matrices holds, as measured on standard-d3p3: per
-    lift and entry, an int64 for each relator's difference and six for each
-    word prefix at the trie's widest depth (its values, its parents', the
-    product's operands and temporaries); times coords^2 in `coords` ring
-    coordinates, for `ArtinLocalAlgebra.matmul`'s weighted operand."""
+def _check_bytes(group, lifts: int, d: int) -> int:
+    """The bytes the relator check on element codes
+    (`FiniteGroup.relator_values`) of `lifts` assignments of d x d
+    matrices holds: per lift and entry, an int64 for each relator's value
+    and six for each word prefix at the trie's widest depth (its values, its
+    parents', the product's operands and temporaries).  tracemalloc on 4,000
+    assignments gave 162 int64s per assignment and entry on standard-d3p3
+    (bound 183), 84 on twisted-p2n1 (94) and 236 on standard-d4p2 (269), the
+    same for a layer's defects (`_defects`) as for the final check."""
     words = [w for rel in group.relators() for w in rel]
     depths = range(1, 1 + max(map(len, words), default=0))
     widest = max((len({w[:k] for w in words if len(w) >= k}) for k in depths), default=0)
-    return lifts * d * d * 8 * coords**2 * (len(group.relators()) + 6 * widest)
+    return lifts * d * d * 8 * (len(group.relators()) + 6 * widest)
 
 
 def _coset_keys(lifts: np.ndarray, base: np.ndarray, A: ArtinLocalAlgebra) -> np.ndarray:
@@ -294,9 +300,8 @@ def enumerate_lifts(
     moved by b_0 at one entry each, whose differences give Lbar^T
     (`_linear_bar`); each later layer evaluates only its parents.  A layer's
     count of lifts is refused with an OracleError, before they are formed,
-    when their relator check would hold more than LIFT_BUDGET bytes
-    (`_check_bytes`: in ring coordinates while a layer follows, on codes
-    after the last)."""
+    when their relator check, a later layer's defects or the final check,
+    would hold more than LIFT_BUDGET bytes (`_check_bytes`)."""
     group = rho_bar.group
     gens = tuple(int(g) for g in (group.small_generating_set() if gens is None else gens))
     p, d = A.p, rho_bar.degree
@@ -319,7 +324,7 @@ def enumerate_lifts(
         particular = particular.reshape(len(particular), -1)
         kernel = np.kron(kernel_bar, np.eye(k, dtype=np.int64))
         count = len(particular) * p ** len(kernel)
-        held = _check_bytes(group, count, d, A.nbasis if j < len(layers) else 1)
+        held = _check_bytes(group, count, d)
         if held > LIFT_BUDGET:
             raise OracleError(
                 f"{count} lifts over {A.name} modulo m^{j + 1} on |Gamma| = {group.order}, d = {d}: "

@@ -9,8 +9,9 @@ spans and solution sets over Z/p^N, Howell forms by elimination on lists
 of Python ints, the element arithmetic of local algebras on tuples of
 Python ints with matrices over them (`ScalarAlgebra`, `AlgMatrix`) and
 structure tables written out pair by pair (`basis_products`), Newton
-inversion over a local algebra, and the first generating tuple by closing
-every candidate tuple in turn.  A method of a package class appears
+inversion over a local algebra, the first generating tuple by closing
+every candidate tuple in turn, relator values word by word, and the row
+reduction that visits every column.  A method of a package class appears
 here as a function taking the object as its first argument.
 """
 
@@ -115,6 +116,22 @@ def small_generating_set(G: FiniteGroup) -> tuple[int, ...]:
     return G.generators
 
 
+def relator_values(relators, gen_values, mul, one, sub=np.subtract) -> np.ndarray:
+    """sub(value(u), value(v)) for each relator (u, v), stacked, each word
+    evaluated on its own letter by letter from `one`, with no shared
+    prefixes: the reference for `FiniteGroup.relator_values`."""
+
+    def value(word):
+        acc = np.asarray(one)
+        for t in word:
+            acc = mul(acc, gen_values[t])
+        return acc
+
+    shape = np.shape(one)
+    values = [np.broadcast_to(sub(value(u), value(v)), shape) for u, v in relators]
+    return np.array(values).reshape(-1, *shape)
+
+
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> np.ndarray | None:
     """Backtracking search for an isomorphism (small orders only), as the
     array of images by element.  A candidate, extended from images of a
@@ -157,6 +174,45 @@ def multiplicative_on_all_pairs(group: FiniteGroup, mats: np.ndarray, p: int, m:
 # ---------------------------------------------------------------------------
 # Linear algebra over F_p and Z/p^N
 # ---------------------------------------------------------------------------
+
+
+def rref_modp_columnwise(a, p: int, N: int = 1):
+    """`kernels.rref_modp` as it stepped through every column one at a
+    time, zero columns included: the same Howell pivot choice and shadow
+    rows, for checking that passing over zero columns changes nothing."""
+    m = p**N
+    r = kernels.residues(a, m)
+    nrows, ncols = r.shape
+    if N > 1:
+        r = np.concatenate([r, np.zeros((ncols, ncols), dtype=r.dtype)])
+    pivots = []
+    row, end = 0, nrows
+    for col in range(ncols):
+        if row == end:
+            break
+        val = np.gcd(r[row:end, col], m)
+        k = val.argmin()
+        pe = int(val[k])
+        if pe == m:
+            continue
+        if k:
+            r[row], r[row + k] = r[row + k], r[row].copy()
+        prow = r[row, col:]
+        unit = int(prow[0]) // pe
+        if unit != 1:
+            prow *= pow(unit, -1, m)
+            prow %= m
+        q = r[:end, col] // pe
+        q[row] = 0
+        hit = q.nonzero()[0]
+        if hit.size:
+            r[hit, col:] = (r[hit, col:] - q[hit][:, None] * prow) % m
+        if pe > 1:
+            r[end] = r[row] * (m // pe) % m
+            end += 1
+        pivots.append(col)
+        row += 1
+    return r, pivots
 
 
 def nullspace_modp(a, p: int) -> np.ndarray:

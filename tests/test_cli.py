@@ -75,8 +75,10 @@ def test_oracle_twisted_p3n2(capsys, ring):
 
 def test_oracle_walk_past_the_budget_exits_2_before_allocating(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "LIFT_BUDGET", 2**20)
-    # refused before the lifts are extended along the spanning tree or checked
-    monkeypatch.setattr(oracle.kernels, "table_matmul", _refuse)
+    # refused before the lifts are extended along Gamma's spanning tree or
+    # checked (G's `extend` still builds the representations of the assembly)
+    monkeypatch.setattr(SemidirectGroup, "extend", _refuse)
+    monkeypatch.setattr(oracle, "violated_relators", _refuse)
     code, _, err = run_cli(capsys, "oracle", "standard-d3p3", "--ring", "dual")
     assert code == 2
     # 3^9 lifts x d^2 x 8 x (21 relators + 6 x 27 prefixes at the relator
@@ -104,6 +106,33 @@ def test_oracle_unknown_ring_is_refused_before_assembly(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "oracle", "twisted-p2n1", "--ring", "Z16")
     assert code == 2
     assert "unknown ring 'Z16'" in err
+
+
+def test_oracle_runs_no_search_for_condition_b_evidence(capsys, monkeypatch):
+    # the oracle needs alpha only: no non-commuting pair, and at p = 2,
+    # n = 1 no vector violating the scalar clause, is looked for
+    monkeypatch.setattr(certify, "_noncommuting", _refuse)
+    monkeypatch.setattr(certify, "_scalar_violations", _refuse)
+    code, out, _ = run_cli(capsys, "oracle", "twisted-p2n1", "--ring", "Z4")
+    assert code == 0
+    assert json.loads(out)["bijective"] is True
+
+
+class _Certified:
+    verdict = "certified"
+
+    def to_json_dict(self):
+        return {}
+
+
+@pytest.mark.parametrize("argv", [["oracle", "twisted-p2n1", "--ring", "Z4"], ["report", "--all"]])
+def test_oracle_and_report_refuse_an_instance_without_injective_alpha(capsys, monkeypatch, argv):
+    # the report's certifications are stubbed: only its oracle rows need alpha
+    monkeypatch.setattr(cli, "certify_instance", lambda spec: _Certified())
+    monkeypatch.setattr(cli, "first_injective_alpha", lambda asm: None)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "instance has no injective alpha; oracle needs the lift" in err
 
 
 def test_cohomology_subcommand(capsys):

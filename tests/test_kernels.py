@@ -11,7 +11,7 @@ from defring.exactalg import solve_module
 from defring.kernels._numpy import RANK_BLOCK, _fmod
 from defring.localalg import standard_ring_builders
 
-from reference import nullspace_modp
+from reference import nullspace_modp, rref_modp_columnwise
 
 
 def random_matrix(rng, rows, cols, p):
@@ -32,6 +32,36 @@ def test_rref_properties():
         if len(null):
             assert ((a @ null.T) % p == 0).all()
         assert kernels.rank_modp(a, p) + len(null) == a.shape[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pN=st.sampled_from([(2, 1), (3, 1), (7, 1), (2, 3), (3, 2), (5, 2), (2, 33)]),
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 14),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_modp_matches_the_columnwise_reference(pN, rows, cols, rank, seed):
+    # low rank, zero columns and columns scaled by powers of p, so that
+    # columns are zero in the remaining rows with pivots above them; at
+    # p^N = 2^33 the entries are Python ints
+    p, N = pN
+    m = p**N
+    rng = random.Random(seed)
+    left = [[rng.randrange(m) for _ in range(rank)] for _ in range(rows)]
+    right = [
+        [rng.randrange(m) * p ** rng.randrange(N + 1) * (rng.random() > 0.3) for _ in range(cols)]
+        for _ in range(rank)
+    ]
+    a = [[sum(x * y for x, y in zip(row, col)) % m for col in zip(*right)] for row in left]
+    r, pivots = kernels.rref_modp(a, p, N)
+    expected, expected_pivots = rref_modp_columnwise(a, p, N)
+    assert pivots == expected_pivots
+    assert r.dtype == expected.dtype and r.shape == expected.shape
+    assert (r.tolist() if r.dtype == object else r.tobytes()) == (
+        expected.tolist() if expected.dtype == object else expected.tobytes()
+    )
 
 
 def test_solve_modp_solves():

@@ -4,11 +4,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from defring import groups
+import reference
+from defring import groups, kernels
 from defring.certify import assemble, build_rho_R, find_alpha, parse_instance_name
 from defring.cohomology import h1_dim
 from defring.groups import (
@@ -18,9 +19,9 @@ from defring.groups import (
     twisted_frobenius_group,
     violated_relators,
 )
-from defring.localalg import dual_numbers
+from defring.localalg import dual_numbers, standard_rings
 from defring.modrep import Representation
-from defring.oracle import enumerate_lifts
+from defring.oracle import _identity, _stack_matmul, enumerate_lifts
 
 BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]] + [
     f"standard-d{d}p{p}" for d, p in [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]
@@ -83,6 +84,71 @@ def test_relator_values_call_mul_once_per_word_depth():
         assert not diff.any()
         assert len(calls) == max(map(len, words)) - 1 == depth - 1, name
         assert sum(calls) == len({w[:k] for w in words for k in range(2, len(w) + 1)})
+
+
+class _WordGroup(FiniteGroup):
+    """The trivial group on `ngens` generators, whose `relators()` are the
+    given pairs of words: any word set walked through the relator trie."""
+
+    def __init__(self, relators, ngens):
+        super().__init__(np.zeros((1, 1), dtype=np.int64), [0] * ngens, name="words")
+        self._relators = tuple(relators)
+
+
+NGENS = 3
+_WORDS = st.lists(st.integers(0, NGENS - 1), max_size=5).map(tuple)
+_WORD_SETS = st.lists(st.tuples(_WORDS, _WORDS), min_size=1, max_size=8)
+EDGE_WORDS = [
+    ((), ()),  # both sides empty
+    ((0, 1, 2), ()),  # an empty side, waiting from depth 0
+    ((), (2, 2)),
+    ((0, 1), (1, 0)),  # both sides end at one depth
+    ((0, 1, 1), (0, 1)),  # one side a prefix of the other
+    ((0, 1, 2, 0), (0, 1, 2, 1)),  # sides sharing a prefix
+    ((2,), (0, 1, 2, 0)),  # shares prefixes with the relators above
+    ((1, 1), (1, 1)),  # one word on both sides
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rels=_WORD_SETS, seed=st.integers(0, 2**32 - 1))
+@example(rels=EDGE_WORDS, seed=0)
+def test_relator_values_match_word_by_word_on_residues(rels, seed):
+    # the default `sub`, the difference, on 3 x 3 matrices mod 7
+    values = np.random.default_rng(seed).integers(0, 7, (NGENS, 3, 3))
+    eye = np.eye(3, dtype=np.int64)
+
+    def mul(a, b):
+        return a @ b % 7
+
+    got = _WordGroup(rels, NGENS).relator_values(values, mul, eye)
+    assert np.array_equal(got, reference.relator_values(rels, values, mul, eye))
+
+
+@lru_cache(maxsize=None)
+def _ring(name):
+    return standard_rings(2)[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rels=_WORD_SETS, ring=st.sampled_from(["dual", "Z4u", "F2t3"]), seed=st.integers(0, 2**32 - 1))
+@example(rels=EDGE_WORDS, ring="Z4u", seed=0)
+def test_relator_values_match_word_by_word_on_codes(rels, ring, seed):
+    # a code `sub`, add[u, neg[v]], on a stack of 2 x 2 matrices of element
+    # codes, multiplied as the oracle does
+    A = _ring(ring)
+    add, mul, neg = A.tables()
+    values = np.random.default_rng(seed).integers(0, A.size, (NGENS, 4, 2, 2))
+    one = np.broadcast_to(_identity(A, 2), (4, 2, 2))
+
+    def sub(u, v):
+        return add[u, neg[v]]
+
+    def product(a, b):
+        return kernels.table_matmul(a, b, add, mul)
+
+    got = _WordGroup(rels, NGENS).relator_values(values, _stack_matmul(add, mul, 2), one, sub)
+    assert np.array_equal(got, reference.relator_values(rels, values, product, one, sub))
 
 
 @st.composite
