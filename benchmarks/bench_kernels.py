@@ -2,7 +2,9 @@
 
 Mod-p elimination (random matrices, plus the Z^2 system E of direct
 H^2(SD_16, F_2) and the tallest H^1 system of the acceptance battery: the
-Fox-derivative rows of standard-d4p2's presentation), H^1 end to end on four
+Fox-derivative rows of standard-d4p2's presentation; and the reduced row
+echelon forms over F_2 of standard-d4p2's Hom system and of twisted-p2n1's
+[Lbar^T | I] in the oracle's layer solve), H^1 end to end on four
 of the largest battery instances, direct H^2 with trivial coefficients on
 A_4, SD_16 and S_4 over F_2 and F_3, table-driven batched matrix products (oracle
 enumeration), and the construction of Gamma = K x| G, the hash of its table
@@ -105,6 +107,22 @@ def program_rank_inputs():
     return inputs
 
 
+def program_rref_inputs():
+    """(label, matrix) of the program's two largest row reductions over
+    F_2: the Hom system certifying standard-d4p2 solves and the [Lbar^T | I]
+    of an oracle enumeration on twisted-p2n1."""
+    from defring.certify import assemble, certify_assembly, parse_instance_name
+    from defring.localalg import standard_rings
+    from defring.oracle import enumerate_lifts
+
+    asm = assemble(parse_instance_name("standard-d4p2"))
+    hom = max(recorded_calls(kernels, "rref_modp", lambda: certify_assembly(asm)), key=lambda c: np.size(c[0]))
+    asm = assemble(parse_instance_name("twisted-p2n1"))
+    ring = standard_rings(2)["dual"]
+    (layer,) = recorded_calls(kernels, "rref_modp", lambda: enumerate_lifts(asm.rho_bar, ring))
+    return [("standard-d4p2 Hom", hom[0]), ("twisted-p2n1 [Lbar^T | I]", layer[0])]
+
+
 def howell_rows():
     from defring import modrep
     from defring.certify import assemble, certify_assembly, parse_instance_name
@@ -173,6 +191,9 @@ def main():
     for label, a, p in program_rank_inputs():
         rows, cols = a.shape
         bench(f"rank_modp {label} {rows}x{cols} mod {p}", lambda a=a, p=p: kernels.rank_modp(a, p))
+    for label, a in program_rref_inputs():
+        rows, cols = np.shape(a)
+        bench(f"rref_modp {label} {rows}x{cols} mod 2", lambda a=a: kernels.rref_modp(a, 2), repeat=20)
 
     print("== presentations of the battery's G (FiniteGroup._presentation, once per group) ==")
     from defring.groups import _symmetric_relators, coset_count, pgl2, symmetric_group, twisted_frobenius_group

@@ -14,6 +14,18 @@ plus one residue, so every partial sum is an integer that float64 holds
 exactly while ``cols * (p-1)**2 < 2**53``; ``rank_modp`` raises
 ``ValueError`` past that bound.  The reduction is x - p floor(x / p)
 (`_fmod`), not ``np.mod``, which costs several times more on float64.
+
+Over F_2 both take another route, chosen by the modulus alone: ``rref_modp``
+when p^N = 2 and ``rank_modp`` when p = 2.  `_xor_insert` packs each 0/1
+row into one Python int with ``np.packbits`` (column 0 most significant)
+and inserts it into an XOR basis indexed by ``bit_length()``, which names
+the row's leading column.  An elimination step is then one XOR of two
+Python ints, in place of a numpy step per pivot over the whole matrix.
+``rref_modp`` clears each pivot column above its pivot, from the lowest
+pivot up, and unpacks the rows; the reduced row echelon form over F_2 is
+unique, so this is the Howell loop's output byte for byte.  ``rank_modp``
+inserts its rows ``RANK_BLOCK`` at a time and stops once the rank reaches
+``cols``.
 """
 
 from __future__ import annotations
@@ -49,12 +61,15 @@ def rref_modp(a, p: int, N: int = 1):
 
     Returns ``(r, pivots)``: row i of ``r`` is the Howell row whose pivot
     p^e stands in column ``pivots[i]``, and the rows after the last pivot
-    are zero.  ``r`` has the dtype `residues` chose.
+    are zero.  ``r`` has the dtype `residues` chose.  When p^N = 2 the same
+    form comes from an XOR basis of the packed rows (`_rref_f2`).
     """
     m = p**N
     r = residues(a, m)
     if r.ndim != 2:
         raise ValueError("expected a 2-d matrix")
+    if m == 2:
+        return _rref_f2(r)
     nrows, ncols = r.shape
     if N > 1:  # room for one shadow row per pivot
         r = np.concatenate([r, np.zeros((ncols, ncols), dtype=r.dtype)])
@@ -90,6 +105,64 @@ def rref_modp(a, p: int, N: int = 1):
     return r, pivots
 
 
+def _xor_insert(basis: list[int], rows: np.ndarray) -> int:
+    """Insert the 0/1 ``rows`` into the XOR basis ``basis`` over F_2 and
+    return how many of them joined it.
+
+    Each row is packed into a Python int, column c of w = 8 * ceil(cols / 8)
+    padded columns at bit w - 1 - c, so its ``bit_length()`` b names its
+    leading column w - b.  ``basis[b]`` is the one basis row leading there,
+    or 0, so ``basis`` has at least cols + 8 entries.  A row is XORed with
+    the basis row of its leading bit until it is zero (it lay in the span)
+    or leads with a bit no basis row has, and then joins the basis there.
+    """
+    if not rows.size:
+        return 0
+    nbytes = (rows.shape[1] + 7) // 8
+    buf = np.packbits(rows.astype(np.uint8), axis=1).tobytes()
+    added = 0
+    for start in range(0, len(buf), nbytes):
+        x = int.from_bytes(buf[start : start + nbytes], "big")
+        while x:
+            b = x.bit_length()
+            y = basis[b]
+            if not y:
+                basis[b] = x
+                added += 1
+                break
+            x ^= y
+    return added
+
+
+def _rref_f2(r: np.ndarray):
+    """`rref_modp` of the residues ``r`` mod 2: `_xor_insert` gives an
+    echelon basis, and from the lowest pivot up each row is cleared, by the
+    reduced rows below it, at their pivot columns."""
+    nrows, ncols = r.shape
+    basis = [0] * (ncols + 8)
+    _xor_insert(basis, r)
+    keys = [b for b, x in enumerate(basis) if x]  # the lowest pivot, the rightmost column, first
+    pivot_bits = sum(1 << (b - 1) for b in keys)
+    for b in keys:
+        # a reduced row is zero at every other pivot, so XORing it clears
+        # its own pivot in x and leaves x's other pivot bits as they were
+        x = basis[b]
+        hits = (x & pivot_bits) ^ (1 << (b - 1))
+        while hits:
+            c = hits.bit_length()
+            x ^= basis[c]
+            hits ^= 1 << (c - 1)
+        basis[b] = x
+    keys.reverse()
+    nbytes = (ncols + 7) // 8
+    out = np.zeros((nrows, ncols), dtype=r.dtype)
+    if keys:
+        buf = b"".join(basis[b].to_bytes(nbytes, "big") for b in keys)
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(keys), nbytes)
+        out[: len(keys)] = np.unpackbits(packed, axis=1, count=ncols)
+    return out, [8 * nbytes - b for b in keys]
+
+
 RANK_BLOCK = 64  # rows reduced against the echelon basis per product
 
 
@@ -114,11 +187,21 @@ def rank_modp(a, p: int) -> int:
     and their pivots are cleared from ``F`` with one more product.  Each
     product sums at most cols - 1 terms, so its entries x have |x| <=
     (cols - 1)(p - 1)^2 <= 2^53 - p under the bound, as `_fmod` needs.
+
+    At p = 2 the rows go into an XOR basis (`_xor_insert`) instead, with
+    no float64 bound.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     nrows, ncols = a.shape
+    if p == 2:
+        span, rank = [0] * (ncols + 8), 0
+        for start in range(0, nrows, RANK_BLOCK):
+            if rank == ncols:
+                break
+            rank += _xor_insert(span, a[start : start + RANK_BLOCK] & 1)
+        return rank
     if ncols * (p - 1) ** 2 >= 2**53:
         raise ValueError(f"cols * (p-1)^2 = {ncols * (p - 1) ** 2} is not exact in float64")
     free = np.arange(ncols)

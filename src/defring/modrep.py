@@ -255,13 +255,12 @@ def hom_space(X: Representation, Y: Representation) -> EquivariantHomSpace:
     if not _same_group(X.group, Y.group):
         raise RepresentationError("X and Y must be over the same group")
     a, b = X.degree, Y.degree
-    rows = []
-    eye_a = np.eye(a, dtype=np.int64)
-    eye_b = np.eye(b, dtype=np.int64)
-    for xg, yg in zip(X.gen_mats, Y.gen_mats):
-        block = np.kron(yg, eye_a) - np.kron(eye_b, xg.T)
-        rows.append(block)
-    system = np.vstack(rows)
+    # row (g, i, j), column (k, l): Y_g[i, k] [j = l] - [i = k] X_g[l, j],
+    # the coefficient of H[k, l] in (Y_g H - H X_g)[i, j]
+    system = (
+        np.einsum("gik,jl->gijkl", Y.gen_mats, np.eye(a, dtype=np.int64))
+        - np.einsum("ik,glj->gijkl", np.eye(b, dtype=np.int64), X.gen_mats)
+    ).reshape(-1, b * a)
     kernel = solve_module(system, np.zeros(len(system), dtype=np.int64), p, N).kernel
     basis = list(kernel.rows.astype(np.int64).reshape(-1, b, a))
     return EquivariantHomSpace(p, N, a, b, basis, kernel.invariant_factors)

@@ -64,6 +64,60 @@ def test_rref_modp_matches_the_columnwise_reference(pN, rows, cols, rank, seed):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(0, 12),
+    cols=st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65]),
+    rank=st.integers(0, 8),
+    form=st.sampled_from(["array", "list", "object"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_modp_over_f2_matches_the_columnwise_reference(rows, cols, rank, form, seed):
+    # widths around the byte and word edges of the packed rows; rank 0 is
+    # the zero matrix mod 2, and the offsets give negative entries and
+    # entries >= 2.  Z/4 (N = 2) keeps the Howell loop.
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, (rows, rank)) @ rng.integers(0, 2, (rank, cols)) * (rng.random(cols) > 0.3)
+    a = a + 2 * rng.integers(-3, 3, a.shape)
+    if form == "object":
+        a = a.astype(object)
+    elif form == "list" and rows:  # a list of no rows has no width
+        a = a.tolist()
+    for N in (1, 2):
+        r, pivots = kernels.rref_modp(a, 2, N)
+        expected, expected_pivots = rref_modp_columnwise(a, 2, N)
+        assert pivots == expected_pivots
+        assert r.dtype == expected.dtype and r.shape == expected.shape
+        assert r.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(3 * RANK_BLOCK + 5, 9), (2 * RANK_BLOCK, 64), (RANK_BLOCK + 1, 65), (4 * RANK_BLOCK, 1)]),
+    deficient=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_modp_over_f2_matches_the_columnwise_reference(shape, deficient, seed):
+    # tall matrices: a full-rank one (an identity planted among random rows)
+    # stops at the block that reaches rank = cols; a deficient one, whose
+    # row i uses only the first (cols - 1) i / rows directions, reads every
+    # block and finds pivots in later ones
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    if deficient:
+        k = cols - 1
+        left = rng.integers(0, 2, (rows, k)) * (np.arange(k) * rows <= np.arange(rows)[:, None] * k)
+        a = left @ rng.integers(0, 2, (k, cols))
+    else:
+        a = rng.integers(0, 2, (rows, cols))
+        start = rng.integers(rows - cols + 1)
+        a[start : start + cols] = np.eye(cols, dtype=np.int64)
+    a = a + 2 * rng.integers(-3, 3, a.shape)
+    expected = len(rref_modp_columnwise(a, 2)[1])
+    assert kernels.rank_modp(a, 2) == expected
+    assert (expected == cols) != deficient
+
+
 def test_solve_modp_solves():
     rng = random.Random(17)
     p = 3
