@@ -9,7 +9,8 @@ of the largest battery instances, direct H^2 with trivial coefficients on
 A_4, SD_16 and S_4 over F_2 and F_3, table-driven batched matrix products (oracle
 enumeration), and the construction of Gamma = K x| G, the hash of its table
 (`table_hash`, streamed from K and G, against building the table and hashing
-it) and the whole assembly of an instance (`assemble`) for three of the
+it; the streamed hash also from a fresh heap, as a new process meets it) and
+the whole assembly of an instance (`assemble`) for three of the
 largest battery instances.  Also times one end-to-end oracle enumeration, and the
 enumeration and the class partition on three rows of the oracle benchmark
 (and the relator check of the lifts, `_assert_full_table`, on one), the
@@ -47,6 +48,8 @@ Usage: python benchmarks/bench_kernels.py
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import gc
 import hashlib
 import io
 import json
@@ -58,18 +61,36 @@ import numpy as np
 
 from defring import kernels
 
+try:
+    MALLOC_TRIM = ctypes.CDLL("libc.so.6").malloc_trim
+    MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+    MALLOC_TRIM.restype = ctypes.c_int
+except (OSError, AttributeError):  # not glibc
+    MALLOC_TRIM = None
 
-def timeit(fn, repeat=3):
+
+def fresh_heap():
+    """Collect garbage and hand the free heap back to the system (glibc's
+    `malloc_trim`, where there is one), so that the next call touches its
+    buffers' pages for the first time, as in a new process."""
+    gc.collect()
+    if MALLOC_TRIM is not None:
+        MALLOC_TRIM(0)
+
+
+def timeit(fn, repeat=3, before=None):
     best = float("inf")
     for _ in range(repeat):
+        if before is not None:
+            before()
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
 
 
-def bench(name, fn, repeat=3):
-    print(f"{name:<46} {timeit(fn, repeat) * 1e3:9.2f} ms", flush=True)
+def bench(name, fn, repeat=3, before=None):
+    print(f"{name:<46} {timeit(fn, repeat, before) * 1e3:9.2f} ms", flush=True)
 
 
 def recorded_calls(module, name, run):
@@ -264,6 +285,12 @@ def main():
             f"table_hash streamed {name}",
             lambda asm=asm: semidirect_product(asm.K, asm.G).table_hash(),
             repeat=5,
+        )
+        bench(
+            f"table_hash streamed, fresh heap {name}",
+            lambda asm=asm: semidirect_product(asm.K, asm.G).table_hash(),
+            repeat=5,
+            before=fresh_heap,
         )
         bench(
             f"table built, then sha256 {name}",

@@ -38,7 +38,12 @@ import numpy as np
 from .exactalg import companion, defining_rule, has_order, matpow_mod
 
 TABLE_GUARD = 10_000  # max order for full-table construction
-TABLE_BLOCK = 2**18  # entries per block of a streamed K x| G table
+# Entries per block of a streamed K x| G table: 256 KiB of int64, one buffer
+# reused for every block.  Each certify or verify runs on a fresh heap, where
+# every page of the buffer is a first-touch fault (512 of them for a 2 MiB
+# buffer, 64 for this one), and a block this size stays inside one core's
+# 2 MiB L2 while it is built and hashed.
+TABLE_BLOCK = 2**15
 COSET_LIMIT = 2**15  # cosets a coset enumeration defines before it gives up
 
 
@@ -625,7 +630,8 @@ class SemidirectGroup(FiniteGroup):
         blocks of at most TABLE_BLOCK entries: row (k1, g1) at column
         (k2, g2) is kadd[k1, act[g1, k2]] |G| + g1 g2, for kadd the addition
         table of K and act[g, k] = g.k, as codes.  The blocks share one
-        buffer, so each is to be used before the next is asked for."""
+        buffer of whole rows, allocated once per call and refilled for each
+        block, so each block is to be used before the next is asked for."""
         K, G = self.kmod, self.gq
         m, radix, vecs = K.modulus, K.radix, K.vectors()
         act = (vecs @ K.mats.transpose(0, 2, 1) % m) @ radix

@@ -37,10 +37,15 @@ def residues(a, m: int) -> np.ndarray:
     """a mod m as an array of exact integers: int64 while m^2 < 2^63, and
     Python ints otherwise.  Input other than a numeric array is read as
     Python ints, as numpy reads a list holding an integer past 2^63 as
-    float64."""
+    float64.  On int64 a power-of-two m reduces by ``& (m - 1)``, which gives
+    the same residues as ``% m`` (negative entries included, in two's
+    complement) at a fraction of the cost."""
     if not isinstance(a, np.ndarray) or a.dtype == object:
         a = np.array(a, dtype=object) % m
-    return a.astype(np.int64 if m * m < 2**63 else object, copy=False) % m
+    a = a.astype(np.int64 if m * m < 2**63 else object, copy=False)
+    if a.dtype == np.int64 and m & (m - 1) == 0:
+        return a & (m - 1)
+    return a % m
 
 
 def rref_modp(a, p: int, N: int = 1):

@@ -579,3 +579,36 @@ def test_streamed_table_hash_is_the_hash_of_the_table(gamma, data):
     with mock.patch.object(groups, "TABLE_BLOCK", block):
         assert gamma.table_hash() == hashlib.sha256(np.ascontiguousarray(expected, "<i8")).hexdigest()[:16]
         assert np.array_equal(gamma.table, expected)
+
+
+@pytest.mark.parametrize("name", ["twisted-p2n2", "twisted-p3n1", "standard-d2p5"])
+def test_table_hash_is_the_hash_of_the_table_at_every_block_size(name):
+    # one entry per block; blocks that end inside a row; one row per block;
+    # the whole table in one block
+    from defring.certify import assemble, parse_instance_name
+
+    gamma = assemble(parse_instance_name(name)).gamma
+    order = gamma.order
+    expected = hashlib.sha256(np.ascontiguousarray(gamma.table, "<i8")).hexdigest()[:16]
+    non_divisor = next(b for b in range(2, order) if order % b)
+    for block in (1, non_divisor, order, order * order):
+        with mock.patch.object(groups, "TABLE_BLOCK", block):
+            assert gamma.table_hash() == expected, block
+
+
+@pytest.mark.parametrize("name", ["twisted-p3n2", "twisted-p5n1", "standard-d4p2", "standard-d3p3"])
+def test_table_hash_streams_through_a_small_buffer(name):
+    # a buffer of 2^18 entries (2 MiB) peaks at 2,311-2,568 KiB on these;
+    # 2^15 entries (256 KiB) at 408-464 KiB
+    import tracemalloc
+
+    from defring.certify import assemble, parse_instance_name
+
+    gamma = assemble(parse_instance_name(name)).gamma
+    tracemalloc.start()
+    try:
+        gamma.table_hash()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 1024

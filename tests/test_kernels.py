@@ -209,6 +209,22 @@ def test_fmod_matches_np_mod(p, quotients, offsets, extremes):
     assert np.array_equal(_fmod(x, p), np.mod(x, p))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.sampled_from([2, 4, 2**20]),
+    entries=st.lists(
+        st.integers(-(2**63), 2**63 - 1) | st.integers(-(2**62) - 9, -(2**62) + 9) | st.integers(2**62 - 9, 2**62 + 9),
+        max_size=30,
+    ),
+)
+def test_residues_mod_a_power_of_two_match_the_remainder(m, entries):
+    # the & (m - 1) route on int64, negative entries included
+    a = np.array(entries, dtype=np.int64)
+    r = kernels.residues(a, m)
+    assert r.dtype == np.int64
+    assert np.array_equal(r, a % m)
+
+
 def test_blocked_rank_refuses_inexact_float64():
     # cols * (p-1)^2 >= 2^53: the float64 products would not be exact
     with pytest.raises(ValueError, match="float64"):
