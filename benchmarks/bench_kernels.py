@@ -31,7 +31,10 @@ PGL_2(F_q) and S_6 (the last two close permutations with
 on the Hom systems that certifying standard-d4p2 solves, and the
 certify-and-verify rows run `certify_instance` and then `verify_certificate`
 on its JSON for standard-d4p2, twisted-p3n1 (both n = 1, where one Hom solve
-serves conditions (a) and (b)) and twisted-p3n2 (n = 2).  The presentation
+serves conditions (a) and (b)) and twisted-p3n2 (n = 2), and, where the
+fixed per-instance set-up dominates, for twisted-p2n1 and standard-d2p5;
+with them, `assemble twisted-p3n1` and the certificate's JSON form
+(`Certificate.to_json_dict`) for standard-d4p2.  The presentation
 rows time `FiniteGroup._presentation` on the groups G of the battery and on
 S_3 to S_6: the proof of a family's own relators (their check in the table
 and a coset enumeration), which every group construction pays once, or the
@@ -162,7 +165,7 @@ def howell_rows():
 
 
 def certify_verify_rows():
-    from defring.certify import certify_instance, parse_instance_name, verify_certificate
+    from defring.certify import assemble, certify_instance, parse_instance_name, verify_certificate
 
     print("== certify, then verify its certificate (certify) ==", flush=True)
 
@@ -175,6 +178,14 @@ def certify_verify_rows():
     for name in ("standard-d4p2", "twisted-p3n1", "twisted-p3n2"):
         spec = parse_instance_name(name)
         bench(f"certify + verify {name}", lambda spec=spec: certify_and_verify(spec), repeat=5)
+    # small instances: the fixed set-up of an instance, not its size, dominates
+    for name in ("twisted-p2n1", "standard-d2p5"):
+        spec = parse_instance_name(name)
+        bench(f"certify + verify {name}", lambda spec=spec: certify_and_verify(spec), repeat=20)
+    spec = parse_instance_name("twisted-p3n1")
+    bench("assemble twisted-p3n1", lambda: assemble(spec), repeat=20)
+    cert = certify_instance(parse_instance_name("standard-d4p2"))
+    bench("Certificate.to_json_dict standard-d4p2", cert.to_json_dict, repeat=20)
 
 
 def local_algebra_rows(rng):
@@ -334,9 +345,10 @@ def main():
             one = np.broadcast_to(_identity(ring, 2), (len(lifts), 2, 2))
             matmul = _stack_matmul(add, mul, 2)
             at_dist = group.extend(lifts.transpose(1, 0, 2, 3), matmul, one, gens, at=group.generators)
+            residues = asm.rho_bar.mats[list(gens)]  # rho_bar mod p at the gens
             bench(
                 f"_assert_full_table {name}/{ring_name} ({len(lifts)} lifts)",
-                lambda: _assert_full_table(lifts, gens, asm.rho_bar, ring, at_dist),
+                lambda: _assert_full_table(lifts, gens, asm.rho_bar, ring, at_dist, residues),
                 repeat=5,
             )
 

@@ -172,6 +172,9 @@ class Assembly:
 
 
 def assemble(spec: InstanceSpec) -> Assembly:
+    """The groups, modules and ring of an instance.  A twisted K is read off
+    rho_W's matrices, and End V and End(V_W)/p^n are reductions of one
+    End(V_W), as the conjugation action commutes with reduction."""
     p, n, N = spec.p, spec.n, spec.precision
     # int64 products of d x d matrices over Z/p^N are exact while (p^N)^2 * d < 2^63.
     # Every p >= 2^32 fails that for all N, d >= 1, whatever the spec gives for
@@ -233,11 +236,11 @@ def assemble(spec: InstanceSpec) -> Assembly:
     elif spec.control == "commutative":
         K = commutative_control_module(G, p, n)
     else:
-        K = twisted_kernel_module(G, p, n) if spec.family == "twisted" else rho_bar_g
+        K = twisted_kernel_module(rho_w, n) if spec.family == "twisted" else rho_bar_g
     gamma = semidirect_product(K, G)
     rho_bar = rho_bar_g.inflate(gamma)
-    M = end_rep(rho_bar_g)
-    MW_mod_pn = end_rep(rho_w).reduce_mod(n)
+    EW = end_rep(rho_w)
+    M, MW_mod_pn = EW.reduce_mod(1), EW.reduce_mod(n)
     return Assembly(spec, G, K, gamma, rho_bar_g, rho_bar, rho_w, M, MW_mod_pn, ring)
 
 
@@ -404,19 +407,15 @@ def find_alpha(asm: Assembly) -> ConditionB:
 
 @dataclass
 class RhoR:
-    """rho_R(k, g) = (1 + t alpha(k)) rho_W(g) over R = W (+) (W/p^n)t."""
+    """rho_R(k, g) = (1 + t alpha(k)) rho_W(g) over R = W (+) (W/p^n)t, given
+    by `gen_values`: its (#gens, d, d, 2) values (`_over_R`) at Gamma's
+    distinguished generators, as `build_rho_R` checked them on the relators."""
 
     asm: Assembly
     alpha: AlphaMap
     faithful: bool
     order_checks_passed: bool
-
-    def at(self, e: int) -> np.ndarray:
-        """rho_R(e) for e = (k, g) over R, the product (1 + t alpha(k)) rho_W(g)."""
-        kvec, g = self.asm.gamma.decode(e)
-        eye = np.eye(self.alpha.d, dtype=np.int64)
-        x, y = _over_R(eye, self.alpha.of_vec(kvec)), _over_R(self.asm.rho_w.mats[g], 0)
-        return self.asm.ring.matmul(x, y)
+    gen_values: np.ndarray
 
 
 def _over_R(w, u) -> np.ndarray:
@@ -437,7 +436,8 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     (1, alpha(k)) (rho_W(g), 0), as alpha is additive and rho_W (validated
     when it was built) multiplicative.  The relators y_s x_i = X(s.e_i) y_s
     say rho_W(s) alpha(e_i) = alpha(s.e_i) rho_W(s), which is the
-    equivariance of alpha; G's relators check rho_W on the y's.
+    equivariance of alpha; G's relators check rho_W on the y's.  The checked
+    values are `RhoR.gen_values`; the certificate emits them as they are.
 
     rho_R(k, g) = 1 exactly when rho_W(g) = 1 and alpha(k) rho_W(g) = 0, that
     is alpha(k) = 0, so rho_R is faithful exactly when rho_W is faithful and
@@ -458,7 +458,7 @@ def build_rho_R(asm: Assembly, alpha: AlphaMap) -> RhoR:
     if bad:
         u, v = bad[0]
         raise CertifyError(f"rho_R fails the relator {u} = {v} of Gamma's presentation")
-    return RhoR(asm, alpha, asm.rho_w.is_faithful() and alpha.injective, alpha.injective)
+    return RhoR(asm, alpha, asm.rho_w.is_faithful() and alpha.injective, alpha.injective, gen_values)
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +606,9 @@ class Certificate:
             "group": None,
         }
         if self.rho_r is not None:
-            gens = self.rho_r.asm.gamma.generators
             out["rho_R"] = {
-                # each entry w + t u of R as its coordinates [w, u]
-                "generators": [self.rho_r.at(g).tolist() for g in gens],
+                # as checked on Gamma's relators; w + t u of R as [w, u]
+                "generators": self.rho_r.gen_values.tolist(),
                 "faithful": self.rho_r.faithful,
                 "order_checks": self.rho_r.order_checks_passed,
             }

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import kernels
 from .exactalg import solve_module
-from .groups import FiniteGroup, twisted_frobenius_group
-from .modrep import Representation, twisted_kernel_module
+from .groups import FiniteGroup
+from .modrep import Representation, galois_module_rep, twisted_kernel_module
 
 DENSE_ENTRY_LIMIT = 25_000_000  # entries of E, the Z^2 system of direct H^2
 ASSEMBLY_GUARD = 10_000_000  # entries of its f tensor, (|G| - 1) |G| dim M #unknowns
@@ -294,6 +294,6 @@ def wedge_cocycle(p: int) -> WedgeReport:
 
     cocycle = cx.is_cocycle(cochain)
     coboundary = None if p == 2 else cx.is_coboundary(cochain)
-    A = twisted_kernel_module(twisted_frobenius_group(p), p, 1).gen_mats[0]
+    A = twisted_kernel_module(galois_module_rep(p, 1), 1).gen_mats[0]
     invariant = bool((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) % p == 1)
     return WedgeReport(p, cocycle, coboundary, invariant)

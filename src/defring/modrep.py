@@ -205,17 +205,20 @@ def galois_module_rep(p: int, N: int) -> Representation:
     return Representation(G, list(galois_matrices(p, N)), p, N)
 
 
-def twisted_kernel_module(G: FiniteGroup, p: int, n: int) -> Representation:
+def twisted_kernel_module(rho_w: Representation, n: int) -> Representation:
     """The rank-2 free Z/p^n module on which the twisted group G =
     `twisted_frobenius_group(p)` acts through the sigma-part of its
-    endomorphism ring.
+    endomorphism ring, read off rho_W = `galois_module_rep(p, N)`, N >= n.
 
     The multiplicative generator acts as multiplication by u^{1-p} (u its
     Teichmuller lift) and the order-2 generator as Frobenius; mod p this is
     the simple 2-dimensional module carried by the sigma-part of End(F_{p^2}).
+    Teichmuller units and the Frobenius commute with reduction, so rho_W's
+    (U, F) mod p^n is `galois_matrices(p, n)`; G's relators still check K.
     """
-    U, F = galois_matrices(p, n)
-    return Representation(G, [matpow_mod(U, p * p - p, p**n), F], p, n)
+    p, m = rho_w.p, rho_w.p**n
+    U, F = rho_w.reduce_mod(n).gen_mats
+    return Representation(rho_w.group, [matpow_mod(U, p * p - p, m), F], p, n)
 
 
 # ---------------------------------------------------------------------------

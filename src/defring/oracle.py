@@ -298,8 +298,8 @@ def enumerate_lifts(
     in the order of `_coset_keys`: their extension along Gamma's spanning
     tree (`FiniteGroup.extend`) from the distinguished generators t, where
     the small extensions of the module docstring build them from rho_bar's
-    lift with entries in 0..p-1.  rho_bar is read at the t (`gen_mats`) and,
-    for the report, at `gens` (`_residues_at`), never on all of Gamma.  The
+    lift with entries in 0..p-1.  rho_bar is read at the t (`gen_mats`) and
+    once at `gens`, extended from the t mod p, never on all of Gamma.  The
     first layer's one `_defects` call takes that lift and its #t d^2 copies
     moved by b_0 at one entry each, whose differences give Lbar^T
     (`_linear_bar`); each later layer evaluates only its parents.  A layer's
@@ -341,21 +341,15 @@ def enumerate_lifts(
     at_dist = lifts.swapaxes(0, 1)
     one = np.broadcast_to(_identity(A, d), (len(lifts), d, d))
     at_gens = group.extend(at_dist, _stack_matmul(add, mul, d), one, at=gens).swapaxes(0, 1)
-    order = np.argsort(_coset_keys(at_gens, lift_of[_residues_at(rho_bar, gens)], A), kind="stable")
+    eye = np.eye(d, dtype=np.int64)
+    residues = group.extend(rho_bar.gen_mats % p, lambda a, b: a @ b % p, eye, at=gens)
+    order = np.argsort(_coset_keys(at_gens, lift_of[residues], A), kind="stable")
     at_gens, at_dist = at_gens[order], at_dist[:, order]
-    _assert_full_table(at_gens, gens, rho_bar, A, at_dist)
+    _assert_full_table(at_gens, gens, rho_bar, A, at_dist, residues)
     return at_gens
 
 
-def _residues_at(rho_bar: Representation, gens) -> np.ndarray:
-    """rho_bar's matrices modulo p at the elements `gens`, extended from its
-    distinguished generators along the spanning tree (`FiniteGroup.extend`),
-    without its table of every element."""
-    p, eye = rho_bar.p, np.eye(rho_bar.degree, dtype=np.int64)
-    return rho_bar.group.extend(rho_bar.gen_mats % p, lambda a, b: a @ b % p, eye, at=gens)
-
-
-def _assert_full_table(lifts, gens, rho_bar, A, at_dist):
+def _assert_full_table(lifts, gens, rho_bar, A, at_dist, residues):
     """Definitive check that every lift of the (lifts, #gens, d, d) stack
     `lifts` is a homomorphism Gamma -> GL_d(A) reducing to rho_bar, in four
     steps on the lift L, given on the enumeration generators s = `gens`:
@@ -370,8 +364,8 @@ def _assert_full_table(lifts, gens, rho_bar, A, at_dist):
        s in the distinguished spanning tree (`FiniteGroup.extend` with
        `at`), and check phi(s) = L(s).  Then L is the restriction of phi to
        the s, which generate Gamma, so L extends to the homomorphism phi;
-    4. check that every L(s) reduces to rho_bar(s), extended from rho_bar's
-       distinguished generators (`_residues_at`).
+    4. check that every L(s) reduces to rho_bar(s), the (#gens, d, d)
+       stack `residues` of its matrices mod p at the s.
 
     Step 3 is needed, as the relators only see the M[t]: an s that no word
     of a t passes through is otherwise unchecked.  Steps 2 and 3 hold
@@ -395,7 +389,7 @@ def _assert_full_table(lifts, gens, rho_bar, A, at_dist):
     if (group.extend(at_dist, matmul, one, group.generators, at=gens) != gen_blocks).any():
         raise OracleError("lift is not a homomorphism: its extension differs from it at a generator")
     res = A.elements()[:, 0] % A.p
-    if (res[gen_blocks] != _residues_at(rho_bar, gens)[:, None]).any():
+    if (res[gen_blocks] != residues[:, None]).any():
         raise OracleError("lift does not reduce to the base representation")
 
 
@@ -500,7 +494,8 @@ def functor_compare(
 
     The lifts are given by their values at `gens` (default:
     `small_generating_set`), on which the classes and the report are keyed;
-    the pushed-forward lifts are looked up among them by their keys
+    rho_R there extends its checked `gen_values` by the lifts' walk, and the
+    pushed-forward lifts are looked up among them by their keys
     (`DeformationClassSet.class_of`)."""
     t0 = time.monotonic()
     p, n, N = asm.p, asm.n, asm.N
@@ -518,7 +513,9 @@ def functor_compare(
     classes = deformation_classes(rho_bar, A, lifts)
     homs = count_homs_from_R(n, A)
     # rho_R at the generators over R; t -> x sends w + t u to w 1 + u x in A
-    at_gens = np.stack([rho_r.at(g) for g in gens]).astype(object)[None]
+    R = asm.ring
+    at_gens = asm.gamma.extend(rho_r.gen_values, R.matmul, R.identity(rho_bar.degree), at=gens)[None]
+    at_gens = at_gens.astype(object)
     pushed = at_gens[..., :1] * A.one + at_gens[..., 1:] * homs[:, None, None, None]
     hom_to_class = classes.class_of(A.encode(A.reduce(pushed))).tolist()
     if -1 in hom_to_class:

@@ -9,7 +9,8 @@ spans and solution sets over Z/p^N, Howell forms by elimination on lists
 of Python ints, the element arithmetic of local algebras on tuples of
 Python ints with matrices over them (`ScalarAlgebra`, `AlgMatrix`) and
 structure tables written out pair by pair (`basis_products`), Newton
-inversion over a local algebra, the first generating tuple by closing
+inversion over a local algebra, rho_R by its closed form at each element
+of Gamma, the first generating tuple by closing
 every candidate tuple in turn, relator values word by word, and the row
 reduction that visits every column.  A method of a package class appears
 here as a function taking the object as its first argument.
@@ -792,6 +793,18 @@ def hensel_lift_rep(Vbar: Representation, N: int) -> Representation:
         assert (checked.mats == new).all()
         current = new
     return Representation(G, current[list(gens)], p, N)
+
+
+def rho_R_closed_form(asm, alpha, e: int) -> np.ndarray:
+    """rho_R(e) for e = (k, g) of Gamma, by the closed form
+    rho_R(k, g) = (1 + t alpha(k)) rho_W(g) over R = W[[t]]/(p^n t, t^2) at
+    W-precision p^N: as t^2 = 0, it is rho_W(g) + t alpha(k) rho_W(g), a
+    (d, d, 2) array of each entry's coordinates [w, u] on the basis 1, t,
+    w mod p^N and u mod p^n."""
+    kvec, g = asm.gamma.decode(e)
+    w = asm.rho_w.mats[g]
+    u = alpha.of_vec(kvec) @ w % asm.p**asm.n
+    return np.stack([w, u], axis=-1)
 
 
 def strictly_equivalent(rep1: Representation, rep2: Representation) -> np.ndarray | None:

@@ -25,7 +25,13 @@ from defring.localalg import dual_numbers, standard_rings
 from defring.modrep import Representation, end_rep, galois_module_rep, hom_space, standard_rep
 from defring.oracle import deformation_classes, enumerate_lifts, functor_compare
 
-from reference import find_isomorphism, is_projective_higman, orbit_count_triples, x_matrices
+from reference import (
+    find_isomorphism,
+    is_projective_higman,
+    orbit_count_triples,
+    rho_R_closed_form,
+    x_matrices,
+)
 
 TWISTED = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
 STANDARD = [(2, 2), (2, 5), (3, 3), (4, 2), (2, 7)]
@@ -149,7 +155,7 @@ def test_criterion_6_order_identities():
         for code in range(1, K.size):
             kv = K.decode(code)
             e = K.encode(kv) * asm.G.order  # the element (kv, 1)
-            t1 = rho_r.at(e)[..., 1]
+            t1 = rho_R_closed_form(asm, rho_r.alpha, e)[..., 1]
             order4 = any(c % 2 for c in kv)
             sq = (2 * t1) % 4
             if order4:

@@ -32,7 +32,7 @@ from defring.cohomology import h1_dim
 from defring.groups import FiniteGroup, SemidirectGroup, symmetric_group
 from defring.modrep import end_rep, hom_space
 
-from reference import find_isomorphism, permutation_pieces, x_matrices
+from reference import find_isomorphism, permutation_pieces, rho_R_closed_form, x_matrices
 
 
 def as_json(cert):
@@ -254,7 +254,29 @@ def test_build_rho_R_faithful_s4():
     # t -> 0 specialization recovers rho_W composed with the quotient
     for e in range(asm.gamma.order):
         _, g = asm.gamma.decode(e)
-        assert (rho.at(e)[..., 0] == asm.rho_w.mats[g]).all()
+        assert (rho_R_closed_form(asm, rho.alpha, e)[..., 0] == asm.rho_w.mats[g]).all()
+
+
+@pytest.mark.parametrize("name", ["twisted-p2n1", "standard-d2p2", "twisted-p3n1"])
+def test_rho_R_generator_values_extend_to_the_closed_form(name):
+    # the values checked on Gamma's relators, extended along the spanning
+    # tree as the oracle extends them, are (1 + t alpha(k)) rho_W(g) on all of Gamma
+    asm = assemble(parse_instance_name(name))
+    rho = build_rho_R(asm, find_alpha(asm).alpha)
+    ring, d = asm.ring, asm.rho_w.degree
+    table = asm.gamma.extend(rho.gen_values, ring.matmul, ring.identity(d))
+    closed = np.stack([rho_R_closed_form(asm, rho.alpha, e) for e in range(asm.gamma.order)])
+    assert table.shape == closed.shape and (table == closed).all()
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_certificate_rho_R_generators_are_the_closed_form(name):
+    asm = assemble(parse_instance_name(name))
+    cert = as_json(certify_assembly(asm))
+    H = np.array(cert["condition_b"]["alpha"]["matrix"], dtype=np.int64)
+    alpha = AlphaMap(asm.p, asm.n, asm.rho_w.degree, asm.K.degree, H)
+    closed = [rho_R_closed_form(asm, alpha, e).tolist() for e in asm.gamma.generators]
+    assert cert["rho_R"]["generators"] == closed
 
 
 def test_an_unfaithful_rho_w_stops_certification_at_rho_R_faithful(monkeypatch):

@@ -61,7 +61,7 @@ def test_h1_cyclic_p_trivial_coeffs():
 
 def test_h1_s4_end_module():
     # the tangent-space count for the order-24 semidirect instance
-    K = twisted_kernel_module(twisted_frobenius_group(2), 2, 1)
+    K = twisted_kernel_module(galois_module_rep(2, 1), 1)
     gamma = semidirect_product(K, K.group)
     V = galois_module_rep(2, 1).inflate(gamma)
     M = end_rep(V)
@@ -70,7 +70,7 @@ def test_h1_s4_end_module():
 
 def test_h1_matches_hom_invariants_on_twisted_instances():
     for p, n in [(2, 1), (2, 2), (3, 1)]:
-        K = twisted_kernel_module(twisted_frobenius_group(p), p, n)
+        K = twisted_kernel_module(galois_module_rep(p, n), n)
         gamma = semidirect_product(K, K.group)
         V = galois_module_rep(p, 1).inflate(gamma)
         M = end_rep(V)
@@ -287,7 +287,7 @@ def test_wedge_cocycle_p2_inconclusive():
 def test_wedge_invariance_matches_the_pair_loop(p):
     # c(Au, Av) = c(u, v) for every pair of (Z/p)^2, A the action of the
     # multiplicative generator on the twisted kernel module mod p
-    A = twisted_kernel_module(twisted_frobenius_group(p), p, 1).gen_mats[0]
+    A = twisted_kernel_module(galois_module_rep(p, 1), 1).gen_mats[0]
     vectors = [np.array([a, b]) for a in range(p) for b in range(p)]
 
     def c(u, v):
@@ -483,7 +483,7 @@ def _gamma_pieces(piece):
     representations of G over F_p."""
     kind, p, n = piece
     if kind == "twisted":
-        K = twisted_kernel_module(twisted_frobenius_group(p), p, n)
+        K = twisted_kernel_module(galois_module_rep(p, n), n)
         reps = [galois_module_rep(p, 1)]
     elif kind == "standard":
         V = standard_rep(symmetric_group(3), p, 1)

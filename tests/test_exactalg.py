@@ -239,6 +239,27 @@ def test_unit_generator_is_teichmuller_and_generates():
     assert galois_matrices(3, 1)[0][:, 0].tolist() == [1, 1]
 
 
+@st.composite
+def _galois_precisions(draw):
+    """(p, n, N) with 1 <= n < N and (p^N)^2 <= 2^62, the largest N
+    galois_matrices accepts."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    top = max(N for N in range(1, 63) if (p**N) ** 2 <= 2**62)
+    N = draw(st.integers(2, top))
+    return p, draw(st.integers(1, N - 1)), N
+
+
+@settings(max_examples=60, deadline=None)
+@given(_galois_precisions())
+def test_galois_matrices_reduce_to_the_lower_precision_pair(pnN):
+    # the twisted kernel module reads (U, F) off rho_W at precision N and
+    # reduces them mod p^n: the Teichmuller unit and the Frobenius commute
+    # with reduction, so this is the pair computed at precision n
+    p, n, N = pnN
+    for high, low in zip(galois_matrices(p, N), galois_matrices(p, n)):
+        assert (high % p**n == low).all()
+
+
 # (U, F) of galois_matrices, recorded from the element-level construction
 # they replace
 GALOIS_MATRICES = {

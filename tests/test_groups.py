@@ -487,10 +487,11 @@ def test_assembled_gamma_passes_generic_validation(name, N):
 
 def _kernel_module(kind, group, p, n):
     from defring.certify import commutative_control_module, scalar_control_module
+    from defring.exactalg import galois_matrices
     from defring.modrep import standard_rep, twisted_kernel_module
 
     if kind == "twisted":
-        return twisted_kernel_module(group, p, n)
+        return twisted_kernel_module(Representation(group, list(galois_matrices(p, n)), p, n), n)
     if kind == "commutative":
         return commutative_control_module(group, p, n)
     if kind == "scalar":
@@ -547,11 +548,12 @@ def _small_semidirect(draw):
     p, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]))
     if name.startswith("TF") and int(name[2]) == p and draw(st.booleans()):
         kind = draw(st.sampled_from(["twisted", "commutative", "galois"]))
+        galois = Representation(G, list(galois_matrices(p, n)), p, n)
         if kind == "twisted":
-            return semidirect_product(twisted_kernel_module(G, p, n), G)
+            return semidirect_product(twisted_kernel_module(galois, n), G)
         if kind == "commutative":
             return semidirect_product(commutative_control_module(G, p, n), G)
-        return semidirect_product(Representation(G, list(galois_matrices(p, n)), p, n), G)
+        return semidirect_product(galois, G)
     chars = draw(st.lists(st.sampled_from(_characters(name)), min_size=1, max_size=2))
     mats = [np.diag([c[t] for c in chars]) for t in range(len(G.generators))]
     return semidirect_product(Representation(G, mats, p, n), G)

@@ -191,7 +191,7 @@ def test_twisted_end_decomposition():
 def test_kernel_module_reduces_to_sigma_part():
     # K/pK is isomorphic to the sigma-part of End(V) as a module
     for p, n in [(2, 1), (2, 2), (3, 2)]:
-        K = twisted_kernel_module(twisted_frobenius_group(p), p, n)
+        K = twisted_kernel_module(galois_module_rep(p, n), n)
         Kbar = K.reduce_mod(1)
         V, M, sigma_part, _ = twisted_end_decomposition(p)
 
@@ -211,10 +211,25 @@ def test_kernel_module_reduces_to_sigma_part():
             assert kernels.rank_modp(aug, p) == 2
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+def test_twisted_kernel_module_refuses_a_tampered_frobenius(p, n):
+    # K is read off rho_W's matrices, and its relator check still runs: a
+    # Frobenius moved mod p^n, or replaced by 1, fails a relator of G
+    rho_w = galois_module_rep(p, n + 2)
+    assert twisted_kernel_module(rho_w, n).N == n
+    U, F = rho_w.gen_mats
+    moved = F.copy()
+    moved[0, 1] += 1
+    for tampered in (moved, np.eye(2, dtype=np.int64)):
+        bad = Representation._homomorphism(rho_w.group, [U, tampered], p, rho_w.N)
+        with pytest.raises(RepresentationError, match="relator"):
+            twisted_kernel_module(bad, n)
+
+
 def test_hom_space_invariant_factors_twisted():
     # Hom(K, End(V_W)/p^n) is free of rank one over Z/p^n
     for p, n in [(2, 2), (3, 2)]:
-        K = twisted_kernel_module(twisted_frobenius_group(p), p, n)
+        K = twisted_kernel_module(galois_module_rep(p, n), n)
         rho_w = galois_module_rep(p, n + 2)
         Mn = end_rep(rho_w).reduce_mod(n)
         hs = hom_space(K, Mn)
@@ -279,7 +294,7 @@ def test_dual_of_standard_selfdual():
 
 
 def test_inflation_through_semidirect():
-    K = twisted_kernel_module(twisted_frobenius_group(2), 2, 1)
+    K = twisted_kernel_module(galois_module_rep(2, 1), 1)
     G = K.group
     gamma = semidirect_product(K, G)
     V = galois_module_rep(2, 1)
@@ -341,7 +356,7 @@ def test_vector_codes_refuse_a_module_past_int64():
     assert V.size >= 2**63
     with pytest.raises(RepresentationError, match="int64"):
         V.encode((1, 0, 0, 0))
-    K = twisted_kernel_module(twisted_frobenius_group(3), 3, 2)
+    K = twisted_kernel_module(galois_module_rep(3, 2), 2)
     assert [K.decode(K.encode(v)) for v in K.vectors().tolist()] == [tuple(v) for v in K.vectors().tolist()]
     assert [K.encode(v) for v in K.vectors()] == list(range(K.size))
 

@@ -61,7 +61,7 @@ def _full_table(lifts, gens, rho_bar, A):
     distinguished generators, read off along the spanning tree of `gens`."""
     group = rho_bar.group
     at_dist = _values_at(group, A, lifts.transpose(1, 0, 2, 3), gens, group.generators)
-    _assert_full_table(lifts, gens, rho_bar, A, at_dist)
+    _assert_full_table(lifts, gens, rho_bar, A, at_dist, rho_bar.mats[list(gens)])
 
 
 def test_trivial_ring_extension_single_lift():
@@ -630,7 +630,7 @@ def test_an_empty_stack_of_lifts_is_checked_and_partitioned(ngen):
     gens = tuple(asm.gamma.generators)[:ngen]
     empty = np.empty((0, ngen, 2, 2), dtype=np.int64)
     no_values = np.empty((len(asm.gamma.generators), 0, 2, 2), dtype=np.int64)
-    _assert_full_table(empty, gens, rho_bar, A, no_values)
+    _assert_full_table(empty, gens, rho_bar, A, no_values, rho_bar.mats[list(gens)])
     classes = deformation_classes(rho_bar, A, empty)
     assert (classes.representatives, classes.sizes, len(classes.keys)) == ([], [], 0)
     assert classes.class_of(empty).tolist() == []
@@ -666,9 +666,9 @@ def test_the_walk_gives_the_values_at_the_report_and_the_distinguished_generator
     assert gens == (1, 8) and group.generates(walked)
     handed = []
 
-    def record(lifts, gens, rho_bar, A, at_dist):
+    def record(lifts, gens, rho_bar, A, at_dist, residues):
         handed.append(at_dist)
-        return _assert_full_table(lifts, gens, rho_bar, A, at_dist)
+        return _assert_full_table(lifts, gens, rho_bar, A, at_dist, residues)
 
     monkeypatch.setattr(oracle, "_assert_full_table", record)
     blocks = enumerate_lifts(rho_bar, A, walked).transpose(1, 0, 2, 3)
@@ -689,18 +689,19 @@ def test_full_table_check_refuses_values_that_are_not_the_lifts(instance, ring):
     walked = group.small_generating_set()
     lifts = enumerate_lifts(rho_bar, A, walked)
     at_dist = _values_at(group, A, lifts.transpose(1, 0, 2, 3), walked, group.generators)
+    residues = rho_bar.mats[list(walked)]
     assert len(lifts) > 1 and tuple(walked) != tuple(group.generators)
-    _assert_full_table(lifts, walked, rho_bar, A, at_dist)
+    _assert_full_table(lifts, walked, rho_bar, A, at_dist, residues)
     # each lift handed the next one's values: they satisfy every relator,
     # but extend to another homomorphism
     for i in range(len(lifts)):
         other = at_dist[:, [(i + 1) % len(lifts)]]
         with pytest.raises(OracleError, match="not a homomorphism"):
-            _assert_full_table(lifts[[i]], walked, rho_bar, A, other)
+            _assert_full_table(lifts[[i]], walked, rho_bar, A, other, residues)
     # the identity at every distinguished generator: the trivial homomorphism
     identity = np.broadcast_to(_identity(A, 2), at_dist.shape)
     with pytest.raises(OracleError, match="extension differs"):
-        _assert_full_table(lifts, walked, rho_bar, A, identity)
+        _assert_full_table(lifts, walked, rho_bar, A, identity, residues)
 
 
 # ---------------------------------------------------------------------------

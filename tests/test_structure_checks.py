@@ -90,10 +90,9 @@ def test_end_decomposes_as_sigma_plus_regular():
         ok, _ = is_projective_higman(M)
         assert ok
         Kbar = None
-        from defring.groups import twisted_frobenius_group
-        from defring.modrep import twisted_kernel_module
+        from defring.modrep import galois_module_rep, twisted_kernel_module
 
-        Kbar = twisted_kernel_module(twisted_frobenius_group(p), p, 1)
+        Kbar = twisted_kernel_module(galois_module_rep(p, 1), 1)
         assert hom_space(Kbar, M).dimension == 1
 
 
