@@ -37,9 +37,8 @@ with them, `assemble twisted-p3n1` and the certificate's JSON form
 (`Certificate.to_json_dict`) for standard-d4p2.  The presentation
 rows time `FiniteGroup._presentation` on the groups G of the battery and on
 S_3 to S_6: the proof of a family's own relators (their check in the table
-and a coset enumeration), which every group construction pays once, or the
-Schreier relators where there is no proof; for S_7 they time the coset
-enumeration alone.  The local-algebra rows time the construction of
+and a coset enumeration), which every group construction pays once; for S_7
+they time the coset enumeration alone.  The local-algebra rows time the construction of
 R(5, 1, 27), whose products are past int64, the op tables of R'(3, 1, 3) (a
 fresh ring each time, as the tables are cached), and one stacked product of
 2 x 2 matrices over R(2, 1, 3) (`ArtinLocalAlgebra.matmul`).
@@ -344,7 +343,10 @@ def main():
             add, mul, _ = ring.tables()
             one = np.broadcast_to(_identity(ring, 2), (len(lifts), 2, 2))
             matmul = _stack_matmul(add, mul, 2)
-            at_dist = group.extend(lifts.transpose(1, 0, 2, 3), matmul, one, gens, at=group.generators)
+            # the lifts' values at the distinguished generators, along the
+            # spanning tree of gens on the same table
+            on_gens = FiniteGroup(group.table, gens)
+            at_dist = on_gens.extend(lifts.transpose(1, 0, 2, 3), matmul, one, at=group.generators)
             residues = asm.rho_bar.mats[list(gens)]  # rho_bar mod p at the gens
             bench(
                 f"_assert_full_table {name}/{ring_name} ({len(lifts)} lifts)",
@@ -365,7 +367,7 @@ def main():
     eye = np.eye(2, dtype=np.int64)
 
     def extend_at():
-        for _ in range(4):  # as many calls with one (gens, at) as one oracle row makes
+        for _ in range(4):  # as many calls with one `at` as one oracle row makes
             gamma.extend(values, lambda a, b: a @ b % 3, eye, at=gens)
 
     bench("extend(at=small_generating_set) x4 twisted-p3n1", extend_at, repeat=20)

@@ -7,19 +7,19 @@ exactly by Light's associativity test on the generators.  Gamma = K x| G is
 kept as its factors instead: it is a group by construction, so only G and K
 are checked, its table's rows come from K and G on demand
 (`SemidirectGroup.table_hash` streams them), and its table and spanning
-tree are built only when something asks for them.  A breadth-first
-spanning tree of the Cayley graph on a generating set gives each element a
-word in the generators; `FiniteGroup.extend` carries generator data
-(matrices, images) along it to the whole group.
+tree are built only when something asks for them.  Each group has one
+breadth-first spanning tree, of the Cayley graph on its distinguished
+generators: it gives each element a word in them, and `FiniteGroup.extend`
+carries generator data (matrices, images) along it to the whole group.
 
 `FiniteGroup.relators` gives a presentation on the distinguished generators.
 S_m, PGL_2(q) and TF_p are built with a few relators of their own, used once
 proved (they hold in the table, and coset enumeration, `coset_count`, closes
-at |G| cosets); other groups, or a failed proof, get the Schreier relators of
-the spanning tree, and K x| G the split-extension presentation built from
-G's relators and the action on K.  By von Dyck's theorem, generator values
-that satisfy every relator extend to a homomorphism; `violated_relators`
-checks them.  Words are evaluated by one
+at |G| cosets); a group without such candidates, or whose proof fails, has
+no presentation and `relators` raises GroupError.  K x| G has the
+split-extension presentation built from G's relators and the action on K.
+By von Dyck's theorem, generator values that satisfy every relator extend to
+a homomorphism; `violated_relators` checks them.  Words are evaluated by one
 routine, `_walk`, on a tree of words one depth at a time: the spanning tree
 for `extend`, and for the relators the trie of their prefixes
 (`FiniteGroup.relator_values`), one stacked `mul` per depth past the first
@@ -74,8 +74,8 @@ class FiniteGroup:
         self.name = name
         self.action = None if action is None else np.asarray(action, dtype=np.int64)
         self._candidates = tuple((tuple(u), tuple(v)) for u, v in candidates)
-        self._trees: dict[tuple[int, ...], tuple] = {}
-        self._plans: dict[tuple, tuple] = {}  # of `extend`, by (gens, at)
+        self._tree = None
+        self._plans: dict[tuple | None, tuple] = {}  # of `extend`, by `at`
         self._small_generating_set = None
         self._relators = None
         self._trie = None
@@ -88,54 +88,43 @@ class FiniteGroup:
         """Close a set of permutations (tuples mapping i -> perm[i]) under
         composition; element order is BFS discovery order from the identity.
 
-        The table is filled in blocks of rows with numpy.  An element is told
-        apart by its images of a few base points, chosen greedily; after each
-        base point the codes are renumbered densely, so code * npts + image
-        stays below |G| npts and one lookup array per base point maps it to
-        the next code.  Composing a block of rows with every element needs
-        only the images of the base points, and the last code gives the
-        element's index."""
+        The closure records each element's right multiples by the generators
+        and the BFS parent it was found from, and refuses the group as soon
+        as it passes TABLE_GUARD elements.  The table is then filled one BFS
+        level at a time: an element h = g s with g its parent has the column
+        a h = (a g) s, the right multiple by s of column g."""
         npts = len(gens[0])
         ident = tuple(range(npts))
         elems = [ident]
         index = {ident: 0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
+        right, parent, genidx = [], [0], [0]  # right[e][t] = e gens[t]
+        levels = [[0]]
+        while levels[-1]:
+            levels.append([])
+            for e in levels[-2]:
+                g = elems[e]
+                row = []
+                for t, s in enumerate(gens):
                     h = tuple(g[s[i]] for i in range(npts))  # g after s
                     if h not in index:
+                        if len(elems) == TABLE_GUARD:
+                            raise GroupError(
+                                f"closure reaches element {TABLE_GUARD + 1}, past the full-table guard {TABLE_GUARD}"
+                            )
                         index[h] = len(elems)
                         elems.append(h)
-                        nxt.append(h)
-            frontier = nxt
+                        parent.append(e)
+                        genidx.append(t)
+                        levels[-1].append(index[h])
+                    row.append(index[h])
+                right.append(row)
         n = len(elems)
-        if n > TABLE_GUARD:
-            raise GroupError(f"closure has {n} elements; exceeds guard")
-        action = np.array(elems, dtype=np.int64)
-        steps = []  # (base point, lookup array)
-        code = np.zeros(n, dtype=np.int64)
-        for b in range(npts):
-            distinct = int(code.max()) + 1
-            if distinct == n:
-                break
-            keys, code_b = np.unique(code * npts + action[:, b], return_inverse=True)
-            if len(keys) > distinct:
-                lookup = np.zeros(distinct * npts, dtype=np.int64)
-                lookup[keys] = np.arange(len(keys))
-                steps.append((b, lookup))
-                code = code_b.reshape(-1)
-        element_of = np.empty(n, dtype=np.int64)
-        element_of[code] = np.arange(n)
+        right, parent, genidx = np.array(right), np.array(parent), np.array(genidx)
         table = np.empty((n, n), dtype=np.int64)
-        rows = max(1, 2**22 // n)  # rows per block: bounds the temporaries
-        for x in range(0, n, rows):
-            block = action[x : x + rows]
-            code = np.zeros((len(block), n), dtype=np.int64)
-            for b, lookup in steps:
-                code = lookup[code * npts + block[:, action[:, b]]]  # (a b)[pt] = a[b[pt]]
-            table[x : x + rows] = element_of[code]
+        table[:, 0] = np.arange(n)
+        for level in levels[1:-1]:
+            table[:, level] = right[table[:, parent[level]], genidx[level]]
+        action = np.array(elems, dtype=np.int64)
         return cls(table, [index[g] for g in gens], name=name, action=action, candidates=candidates)
 
     def _validate_table(self):
@@ -167,33 +156,31 @@ class FiniteGroup:
         if not (t == 0).any(axis=1).all():
             raise GroupError("an element has no inverse")
 
-    def spanning_tree(self, gens=None) -> tuple:
-        """The BFS spanning tree of the Cayley graph on `gens` (default: the
-        distinguished generators), cached per generator tuple.
+    def spanning_tree(self) -> tuple:
+        """The BFS spanning tree of the Cayley graph on the distinguished
+        generators, built once and cached.
 
         Returns (order, parent, genidx): `order` lists the elements in
         discovery order from the identity, so every parent comes before its
-        children, and e = parent[e] * gens[genidx[e]] for e != 0.
+        children, and e = parent[e] * generators[genidx[e]] for e != 0.
         """
-        return self._bfs(gens)[0]
+        return self._bfs()[0]
 
-    def tree_levels(self, gens=None) -> list[np.ndarray]:
+    def tree_levels(self) -> list[np.ndarray]:
         """The spanning tree's elements by depth, as index arrays in BFS
         order: level k holds the elements at distance k from the identity,
         level 0 is [0].  Cached with the tree."""
-        return self._bfs(gens)[1]
+        return self._bfs()[1]
 
-    def _bfs(self, gens) -> tuple:
-        gens = self.generators if gens is None else tuple(int(g) for g in gens)
-        cached = self._trees.get(gens)
-        if cached is not None:
-            return cached
+    def _bfs(self) -> tuple:
+        if self._tree is not None:
+            return self._tree
         parent = [-1] * self.order
         genidx = [-1] * self.order
         parent[0] = 0
         levels = [[0]]
-        off_tree = np.ones((self.order, len(gens)), dtype=bool)
-        rows = self.table[:, list(gens)].tolist()
+        off_tree = np.ones((self.order, len(self.generators)), dtype=bool)
+        rows = self.table[:, list(self.generators)].tolist()
         while levels[-1]:  # breadth-first, one level at a time
             levels.append([])
             for e in levels[-2]:
@@ -205,23 +192,21 @@ class FiniteGroup:
                         levels[-1].append(h)
         order = tuple(e for level in levels for e in level)
         if len(order) != self.order:
-            raise GroupError(f"generators {gens} do not generate the group")
-        cached = (order, tuple(parent), tuple(genidx)), [np.array(lv) for lv in levels[:-1]], off_tree
-        self._trees[gens] = cached
-        return cached
+            raise GroupError(f"generators {self.generators} do not generate the group")
+        self._tree = (order, tuple(parent), tuple(genidx)), [np.array(lv) for lv in levels[:-1]], off_tree
+        return self._tree
 
-    def off_tree_edges(self, gens=None) -> np.ndarray:
-        """The Cayley-graph edges off the spanning tree of `gens` (default:
-        the distinguished generators), as an (order, #gens) boolean array:
-        True at (e, t) unless the tree reached e gens[t] from e through t
-        (parent[e gens[t]] == e and genidx[e gens[t]] == t).  Cached with
-        the tree."""
-        return self._bfs(gens)[2]
+    def off_tree_edges(self) -> np.ndarray:
+        """The Cayley-graph edges off the spanning tree, as an (order, #gens)
+        boolean array: True at (e, t) unless the tree reached e s through t,
+        s = generators[t] (parent[e s] == e and genidx[e s] == t).  Cached
+        with the tree."""
+        return self._bfs()[2]
 
-    def extend(self, gen_values, mul, one, gens=None, at=None) -> np.ndarray:
-        """Values on every element from values on the generators `gens`
-        (default: the distinguished ones), along the spanning tree:
-        value(0) = one and value(e) = mul(value(parent[e]), gen_values[genidx[e]]).
+    def extend(self, gen_values, mul, one, *, at=None) -> np.ndarray:
+        """Values on every element from values on the distinguished
+        generators, along the spanning tree: value(0) = one and
+        value(e) = mul(value(parent[e]), gen_values[genidx[e]]).
         The walk (`_walk`) goes one tree level at a time: the values of all
         elements at depth k >= 2 come from one `mul` on the stacked values
         of their parents (depth k - 1) and generators, so `mul` works on a
@@ -241,34 +226,33 @@ class FiniteGroup:
         tree ancestors (the prefixes of their words) are walked and held, at
         one `mul` per level past the first, and the values at `at` are
         returned, stacked in that order.  The walk's plan (`_plan`) depends
-        only on the tree and `at`, so it is built once per (gens, at) and
-        cached with the tree.
+        only on the tree and `at`, so it is built once per `at` and cached
+        with the tree.
         """
-        steps, count, reads = self._plan(gens, at)
+        steps, count, reads = self._plan(at)
         one = np.asarray(one)
         values = np.empty((count, *one.shape), dtype=one.dtype)
         for live, (slots, positions) in zip(_walk(steps, gen_values, mul, one), reads):
             values[slots] = live[positions]
         return values
 
-    def _plan(self, gens, at) -> tuple:
-        """The walk of `extend` on the tree of `gens` to the elements `at`
-        (None: every element), cached by (gens, at) with gens normalised to
-        a tuple: (steps, #at, reads), where `steps` are `_walk`'s (parent,
-        genidx) per level past the first over the needed elements (`at` and
-        their tree ancestors), and reads[k] = (slots, positions) places the
-        elements of `at` on level k: at[slots] sit at `positions` within it."""
-        gens = self.generators if gens is None else tuple(int(g) for g in gens)
+    def _plan(self, at) -> tuple:
+        """The walk of `extend` to the elements `at` (None: every element),
+        cached by `at`: (steps, #at, reads), where `steps` are `_walk`'s
+        (parent, genidx) per level past the first over the needed elements
+        (`at` and their tree ancestors), and reads[k] = (slots, positions)
+        places the elements of `at` on level k: at[slots] sit at `positions`
+        within it."""
         at = None if at is None else np.asarray(at, dtype=np.int64).reshape(-1)
-        key = (gens, None if at is None else tuple(at.tolist()))
+        key = None if at is None else tuple(at.tolist())
         plan = self._plans.get(key)
         if plan is not None:
             return plan
-        parent, genidx = map(np.asarray, self.spanning_tree(gens)[1:])
+        parent, genidx = map(np.asarray, self.spanning_tree()[1:])
         at = np.arange(self.order) if at is None else at
         needed = np.zeros(self.order, dtype=bool)
         needed[at] = True
-        levels = self.tree_levels(gens)
+        levels = self.tree_levels()
         for level in levels[:0:-1]:  # and their tree ancestors
             needed[parent[level[needed[level]]]] = True
         # the needed elements are closed under parents, so the empty levels
@@ -288,11 +272,11 @@ class FiniteGroup:
         """A presentation on the distinguished generators, as pairs (u, v) of
         positive words (tuples of generator indices, multiplied left to
         right) with u = v in the group, built once by `_presentation` and
-        cached.  They present the group as a monoid too (the Schreier
-        relators by the induction in `extend`; a family's own relators as
-        each generator is invertible in their monoid, by an x^n = 1 among
-        them or as for TF_p), so values in any monoid, such as matrices,
-        that satisfy them extend to a homomorphism."""
+        cached.  They present the group as a monoid too (a family's own
+        relators as each generator is invertible in their monoid, by an
+        x^n = 1 among them or as for TF_p; K x| G's as G's do and the x_i
+        have finite order), so values in any monoid, such as matrices, that
+        satisfy them extend to a homomorphism."""
         if self._relators is None:
             self._relators = tuple(self._presentation())
         return self._relators
@@ -331,34 +315,29 @@ class FiniteGroup:
 
     def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The candidate relators the group was built with (`candidates`),
-        once proved to present it, else `_schreier_relators`.  The proof:
-        every candidate holds in the table, so the group P they present maps
-        onto this one, and coset enumeration over the trivial subgroup
-        (`coset_count`) closes at exactly |G| cosets, so |P| = |G| and the
-        map is an isomorphism."""
+        once proved to present it.  The proof: every candidate holds in the
+        table, so the group P they present maps onto this one, and coset
+        enumeration over the trivial subgroup (`coset_count`) closes at
+        exactly |G| cosets, so |P| = |G| and the map is an isomorphism.
+        A group without candidates, or whose candidates fail the proof, has
+        no presentation here: GroupError names the group and the reason."""
         rels, gens = self._candidates, self.generators
+        if not rels:
+            raise GroupError(f"{self.name} has no candidate relators to prove a presentation from")
 
         def value(word):
             return reduce(lambda e, t: self.table[e, gens[t]], word, 0)
 
-        if rels and all(value(u) == value(v) for u, v in rels) and coset_count(len(gens), rels) == self.order:
-            return list(rels)
-        return self._schreier_relators()
-
-    def _schreier_relators(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The Schreier relators of the spanning tree: word(e) t = word(e t)
-        for every edge (e, t) off the tree (`off_tree_edges`; on tree edges
-        the words coincide), in BFS order of e, |G| (#gens - 1) + 1 of them.
-        Values v(e) of the words satisfying them have v(e) v(t) = v(e t) for
-        all e and t, so they are multiplicative by the induction in
-        `extend`.
-        """
-        order, parent, genidx = self.spanning_tree()
-        words = {0: ()}
-        for e in order[1:]:
-            words[e] = words[parent[e]] + (genidx[e],)
-        rows, off = self.table[:, list(self.generators)].tolist(), self.off_tree_edges().tolist()
-        return [(words[e] + (t,), words[h]) for e in order for t, h in enumerate(rows[e]) if off[e][t]]
+        for u, v in rels:
+            if value(u) != value(v):
+                raise GroupError(f"{self.name}: candidate relator {u} = {v} fails in the table")
+        count = coset_count(len(gens), rels)
+        if count != self.order:
+            found = f"{count} cosets" if count is not None else f"no count within {COSET_LIMIT} cosets"
+            raise GroupError(
+                f"{self.name}: coset enumeration of the candidates gives {found}, not |G| = {self.order}"
+            )
+        return list(rels)
 
     # -- basic operations ------------------------------------------------------
 
@@ -668,10 +647,6 @@ class SemidirectGroup(FiniteGroup):
         checked ones by `reduce_mod`.  Left to check: K is over this G."""
         if self.kmod.group is not self.gq and not np.array_equal(self.kmod.group.table, self.gq.table):
             raise GroupError("module must be over the same group")
-
-    def decode(self, e: int) -> tuple[tuple[int, ...], int]:
-        kcode, g = divmod(e, self.gq.order)
-        return self.kmod.decode(kcode), g
 
     def _presentation(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The presentation of the split extension on x_i = (e_i, 1)

@@ -88,11 +88,8 @@ class Representation:
     def encode(self, vec) -> int:
         return int(np.asarray(vec, dtype=np.int64) % self.modulus @ self.radix)
 
-    def decode(self, code: int) -> tuple[int, ...]:
-        return tuple((code // self.radix % self.modulus).tolist())
-
     def vectors(self) -> np.ndarray:
-        """Every vector of the module, decoded: row c is decode(c)."""
+        """Every vector of the module: row c is the vector of code c."""
         return np.arange(self.size, dtype=np.int64)[:, None] // self.radix % self.modulus
 
     def basis_vectors(self):
@@ -232,8 +229,6 @@ class EquivariantHomSpace:
 
     p: int
     N: int
-    src_dim: int
-    dst_dim: int
     basis: list[np.ndarray] = field(default_factory=list)
     invariant_factors: list[int] = field(default_factory=list)
 
@@ -266,4 +261,4 @@ def hom_space(X: Representation, Y: Representation) -> EquivariantHomSpace:
     ).reshape(-1, b * a)
     kernel = solve_module(system, np.zeros(len(system), dtype=np.int64), p, N).kernel
     basis = list(kernel.rows.astype(np.int64).reshape(-1, b, a))
-    return EquivariantHomSpace(p, N, a, b, basis, kernel.invariant_factors)
+    return EquivariantHomSpace(p, N, basis, kernel.invariant_factors)

@@ -386,7 +386,7 @@ def _assert_full_table(lifts, gens, rho_bar, A, at_dist, residues):
     if bad:
         u, v = bad[0]
         raise OracleError(f"lift is not a homomorphism: relator {u} = {v} fails")
-    if (group.extend(at_dist, matmul, one, group.generators, at=gens) != gen_blocks).any():
+    if (group.extend(at_dist, matmul, one, at=gens) != gen_blocks).any():
         raise OracleError("lift is not a homomorphism: its extension differs from it at a generator")
     res = A.elements()[:, 0] % A.p
     if (res[gen_blocks] != residues[:, None]).any():
@@ -482,18 +482,13 @@ class FunctorReport:
         }
 
 
-def functor_compare(
-    asm: Assembly,
-    rho_r: RhoR,
-    A: ArtinLocalAlgebra,
-    gens: tuple[int, ...] | None = None,
-) -> FunctorReport:
+def functor_compare(asm: Assembly, rho_r: RhoR, A: ArtinLocalAlgebra) -> FunctorReport:
     """Desk-scale universality: map each local W-algebra hom R -> A to the
     class of the pushed-forward lift and check the correspondence is a
     bijection onto the deformation classes.
 
-    The lifts are given by their values at `gens` (default:
-    `small_generating_set`), on which the classes and the report are keyed;
+    The lifts are given by their values at `gens`, the group's
+    `small_generating_set`, on which the classes and the report are keyed;
     rho_R there extends its checked `gen_values` by the lifts' walk, and the
     pushed-forward lifts are looked up among them by their keys
     (`DeformationClassSet.class_of`)."""
@@ -506,9 +501,7 @@ def functor_compare(
             f"precision insufficient: 1 has additive order > p^{N} in {A.name}; raise N"
         )
     rho_bar = asm.rho_bar
-    if gens is None:
-        gens = rho_bar.group.small_generating_set()
-    gens = tuple(int(g) for g in gens)
+    gens = rho_bar.group.small_generating_set()
     lifts = enumerate_lifts(rho_bar, A, gens)
     classes = deformation_classes(rho_bar, A, lifts)
     homs = count_homs_from_R(n, A)

@@ -4,7 +4,8 @@ Nothing the package runs calls these.  They decide the paper's hypotheses
 and the program's answers by other routes: Higman's projectivity criterion,
 the orbit counts on triples of points, the non-commuting matrices x_1..x_d
 of the standard family, level-by-level lifting through the vanishing of the
-obstructions, a backtracking isomorphism search, brute-force listings of
+obstructions, a backtracking isomorphism search, the Schreier relators of
+a spanning tree, brute-force listings of
 spans and solution sets over Z/p^N, Howell forms by elimination on lists
 of Python ints, the element arithmetic of local algebras on tuples of
 Python ints with matrices over them (`ScalarAlgebra`, `AlgMatrix`) and
@@ -72,7 +73,40 @@ def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, list[int]]:
         if e not in span:
             gens.append(e)
             span = set(G.closure(gens))
-    return FiniteGroup(table, pos[gens], name=f"{G.name}-sub{len(elems)}"), elems
+    return presented(FiniteGroup(table, pos[gens], name=f"{G.name}-sub{len(elems)}")), elems
+
+
+def schreier_relators(G: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The Schreier relators of the spanning tree: word(e) t = word(e t)
+    for every edge (e, t) off the tree (`off_tree_edges`; on tree edges
+    the words coincide), in BFS order of e, |G| (#gens - 1) + 1 of them.
+    Values v(e) of the words satisfying them have v(e) v(t) = v(e t) for
+    all e and t, so they are multiplicative by the induction in
+    `FiniteGroup.extend`: they present G, as a monoid too."""
+    order, parent, genidx = G.spanning_tree()
+    words = {0: ()}
+    for e in order[1:]:
+        words[e] = words[parent[e]] + (genidx[e],)
+    rows, off = G.table[:, list(G.generators)].tolist(), G.off_tree_edges().tolist()
+    return [(words[e] + (t,), words[h]) for e in order for t, h in enumerate(rows[e]) if off[e][t]]
+
+
+def presented(G: FiniteGroup) -> FiniteGroup:
+    """G's table and generators with its Schreier relators as candidates,
+    for a group built without candidates of its own: `relators` proves and
+    returns them."""
+    return FiniteGroup(G.table, G.generators, name=G.name, action=G.action, candidates=schreier_relators(G))
+
+
+def decode(K: Representation, code: int) -> tuple[int, ...]:
+    """The vector of the module K with code `code`."""
+    return tuple((code // K.radix % K.modulus).tolist())
+
+
+def gamma_decode(gamma, e: int) -> tuple[tuple[int, ...], int]:
+    """Element e = k_code |G| + g of K x| G as (k, g)."""
+    kcode, g = divmod(e, gamma.gq.order)
+    return decode(gamma.kmod, kcode), g
 
 
 def orbit_count_triples(G: FiniteGroup) -> int:
@@ -143,13 +177,14 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> np.ndarray | None:
     if G.order > 48:
         raise GroupError("isomorphism search guard: order <= 48")
     gens = G.small_generating_set()
+    on_gens = FiniteGroup(G.table, gens)  # G's elements, on the spanning tree of gens
     gen_orders = [G.element_order(g) for g in gens]
     by_order: dict[int, list[int]] = {}
     for h in range(H.order):
         by_order.setdefault(H.element_order(h), []).append(h)
     candidates = [by_order.get(o, []) for o in gen_orders]
     for images in product(*candidates):
-        img = G.extend(images, lambda a, b: H.table[a, b], 0, gens)
+        img = on_gens.extend(images, lambda a, b: H.table[a, b], 0)
         if len(set(img.tolist())) != G.order:
             continue
         if all((img[G.table[:, s]] == H.table[img, img[s]]).all() for s in G.generators):
@@ -801,7 +836,7 @@ def rho_R_closed_form(asm, alpha, e: int) -> np.ndarray:
     W-precision p^N: as t^2 = 0, it is rho_W(g) + t alpha(k) rho_W(g), a
     (d, d, 2) array of each entry's coordinates [w, u] on the basis 1, t,
     w mod p^N and u mod p^n."""
-    kvec, g = asm.gamma.decode(e)
+    kvec, g = gamma_decode(asm.gamma, e)
     w = asm.rho_w.mats[g]
     u = alpha.of_vec(kvec) @ w % asm.p**asm.n
     return np.stack([w, u], axis=-1)

@@ -26,6 +26,7 @@ from defring.modrep import Representation, end_rep, galois_module_rep, hom_space
 from defring.oracle import deformation_classes, enumerate_lifts, functor_compare
 
 from reference import (
+    decode,
     find_isomorphism,
     is_projective_higman,
     orbit_count_triples,
@@ -153,7 +154,7 @@ def test_criterion_6_order_identities():
         K = asm.K
         zero = np.zeros((2, 2), dtype=np.int64)
         for code in range(1, K.size):
-            kv = K.decode(code)
+            kv = decode(K, code)
             e = K.encode(kv) * asm.G.order  # the element (kv, 1)
             t1 = rho_R_closed_form(asm, rho_r.alpha, e)[..., 1]
             order4 = any(c % 2 for c in kv)

@@ -32,7 +32,14 @@ from defring.cohomology import h1_dim
 from defring.groups import FiniteGroup, SemidirectGroup, symmetric_group
 from defring.modrep import end_rep, hom_space
 
-from reference import find_isomorphism, permutation_pieces, rho_R_closed_form, x_matrices
+from reference import (
+    decode,
+    find_isomorphism,
+    gamma_decode,
+    permutation_pieces,
+    rho_R_closed_form,
+    x_matrices,
+)
 
 
 def as_json(cert):
@@ -86,7 +93,7 @@ def test_find_alpha_twisted_p2n1():
     assert all(entry["violating_g"] is not None for entry in cb.clause_p2n1)
     # alpha(g)^2 is the identity for g != 0 (norm-one property)
     for code in range(1, asm.K.size):
-        ak = cb.alpha.of_vec(asm.K.decode(code)) % 2
+        ak = cb.alpha.of_vec(decode(asm.K, code)) % 2
         assert ((ak @ ak) % 2 == np.eye(2, dtype=int)).all()
 
 
@@ -253,7 +260,7 @@ def test_build_rho_R_faithful_s4():
     assert rho.order_checks_passed
     # t -> 0 specialization recovers rho_W composed with the quotient
     for e in range(asm.gamma.order):
-        _, g = asm.gamma.decode(e)
+        _, g = gamma_decode(asm.gamma, e)
         assert (rho_R_closed_form(asm, rho.alpha, e)[..., 0] == asm.rho_w.mats[g]).all()
 
 
@@ -306,7 +313,7 @@ def test_rho_R_kernel_orders_p2n2():
     mn = 4
     K = asm.K
     for code in range(1, K.size):
-        kv = K.decode(code)
+        kv = decode(K, code)
         ak = cb.alpha.of_vec(kv)
         add_order = 4 if any(c % 2 for c in kv) else 2
         sq = (2 * ak) % mn

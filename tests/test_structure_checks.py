@@ -13,7 +13,7 @@ from defring.exactalg import solve_module
 from defring.groups import FiniteGroup
 from defring.modrep import Representation, hom_space
 
-from reference import find_isomorphism, is_projective_higman, subgroup, twisted_end_decomposition
+from reference import find_isomorphism, gamma_decode, is_projective_higman, subgroup, twisted_end_decomposition
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "defring"
 
@@ -29,7 +29,7 @@ def test_index_two_subgroup_is_a4_for_p2():
     G = asm.G
     zeta = G.generators[0]
     zeta_sub = set(G.closure([zeta]))
-    elems = [e for e in range(gamma.order) if gamma.decode(e)[1] in zeta_sub]
+    elems = [e for e in range(gamma.order) if gamma_decode(gamma, e)[1] in zeta_sub]
     gamma0, _ = subgroup(gamma, elems)
     assert gamma0.order == 12
     assert find_isomorphism(gamma0, alternating_4()) is not None
