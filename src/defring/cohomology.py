@@ -12,11 +12,12 @@ H^2 follows the same idea one degree up (Holt, Eick and O'Brien, Handbook
 of Computational Group Theory, 2005, ch. 7): a normalized 2-cochain is a
 cocycle once d2 f vanishes on the triples (g, h, s) with s a generator, and
 those conditions carry f down the spanning tree from its values f(g, s), so
-Z^2 is the kernel of one block row per edge off the tree
-(`BarComplex.d2_matrix`), in (|G| - 1) #gens dim M unknowns instead of
-dim C^2 = (|G| - 1)^2 dim M.  `h2_dim` answers 0 without assembling
-anything when p does not divide |G|: |G| kills H^2(G, M) and is a unit on the
-F_p-module M.
+Z^2 is the kernel of one block row per generator s and edge off the tree,
+read off the tree's fundamental cycles (`BarComplex.d2_matrix`): at most
+#gens (|G| (#gens - 1) + 1) dim M rows in (|G| - 1) #gens dim M unknowns,
+instead of dim C^2 = (|G| - 1)^2 dim M.  `h2_dim` answers 0 without
+assembling anything when p does not divide |G|: |G| kills H^2(G, M) and is
+a unit on the F_p-module M.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .groups import FiniteGroup
 from .modrep import Representation, galois_module_rep, twisted_kernel_module
 
 DENSE_ENTRY_LIMIT = 25_000_000  # entries of E, the Z^2 system of direct H^2
-ASSEMBLY_GUARD = 10_000_000  # entries of its f tensor, (|G| - 1) |G| dim M #unknowns
 
 
 class CohomologyError(ValueError):
@@ -103,6 +103,8 @@ class BarComplex:
         self.nontriv = self.n - 1  # elements 1..n-1
         self.gens = np.array(G.generators, dtype=np.int64)
         self.n_unknowns = self.nontriv * len(self.gens) * self.dm
+        self.row_gens = sorted(set(G.generators) - {0})  # E's rows are at these
+        self.row_mats = self.M.gen_mats[[G.generators.index(s) for s in self.row_gens]]
 
     @property
     def dim_c1(self) -> int:
@@ -128,39 +130,15 @@ class BarComplex:
         return mat.reshape(g.size * dm, self.dim_c1) % self.p
 
     def oversize(self) -> str | None:
-        """Why `d2_matrix` would exceed a guard, with the sizes; None if it
-        fits.  The spanning tree has |G| - 1 of the |G| #gens edges (h, t)."""
-        tensor = self.nontriv * self.n * self.dm * self.n_unknowns
-        if tensor > ASSEMBLY_GUARD:
-            return (
-                f"the f tensor of direct H^2 has (|G| - 1) |G| dim M #unknowns = {tensor} "
-                f"entries, past the guard {ASSEMBLY_GUARD}"
-            )
-        rows = (self.n * len(self.gens) - self.nontriv) * self.nontriv * self.dm
+        """Why `d2_matrix` would exceed the dense limit, with E's size; None
+        if it fits.  The spanning tree has |G| - 1 of the |G| #gens edges."""
+        rows = len(self.row_gens) * (self.n * len(self.gens) - self.nontriv) * self.dm
         if rows * self.n_unknowns > DENSE_ENTRY_LIMIT:
             return (
                 f"the Z^2 system of direct H^2 has {rows} x {self.n_unknowns} entries, "
                 f"past the dense limit {DENSE_ENTRY_LIMIT}"
             )
         return None
-
-    def _col(self, x, t):
-        """The column of the unknown (x, t, 0)."""
-        return ((x - 1) * len(self.gens) + t) * self.dm
-
-    def _add_step(self, block, hs, ts, sign: int):
-        """block[g - 1, i] += sign * S(g, hs[i], ts[i]) for every g != 1, with
-        S(g, h, t) = u(gh, t) - g.u(h, t) as coefficients on the unknowns and
-        u(1, t) = 0.  Each of the two terms hits an entry at most once, so
-        fancy-index ``+=`` accumulates exactly."""
-        diag = np.arange(self.dm)
-        gh = self.M.group.table[1:, hs]
-        gi, ki = np.nonzero(gh)
-        block[gi[:, None], ki[:, None], diag, self._col(gh[gi, ki], ts[ki])[:, None] + diag] += sign
-        live = np.flatnonzero(hs)
-        cols = self._col(hs[live], ts[live])[:, None] + diag
-        g = np.arange(self.nontriv)[:, None, None, None]
-        block[g, live[:, None, None], diag[:, None], cols[:, None, :]] -= sign * self.M.mats[1:, None]
 
     def d2_matrix(self) -> np.ndarray:
         """E, the cocycle condition d2 f = 0 in the unknowns u(x, t) = f(x, s_t).
@@ -173,34 +151,53 @@ class BarComplex:
            a cocycle iff F(g, h, s) = 0 for all g, h and every generator s.
         2. Solve on the spanning tree.  F(g, h, s_t) = 0 reads
            f(g, h s_t) = f(g, h) + S(g, h, t), S(g, h, t) = u(gh, t) - g.u(h, t).
-           On the tree edge from h to h s_t this defines f(g, h s_t), starting
-           from f(g, 1) = 0, one stacked update per tree level (as
-           `FiniteGroup.extend` walks); every other edge (h, t), including
-           (1, t) when s_t's tree edge is not (1, t), is a condition on u: a
-           block row for each g != 1.  The rows are ordered (g, h, t, c), the
-           non-tree edges (h, t) lexicographically.
-           A cocycle f gives u = (f(x, s_t)) in ker E, and f is the tree
-           recursion from it, so f -> u is injective.  For u in ker E the
-           recursion gives a normalized f with f(x, s_t) = u(x, t) (by the
-           edge (1, t): a tree edge gives it, a non-tree one is the row), so
-           F(g, h, s) = 0 at every edge for g != 1, and for g = 1 because
-           f(1, .) = 0; f is a cocycle by step 1.  So Z^2 = ker E.
+           On the tree edges this makes f(g, y) the sum of S(g, .) over P(y),
+           the tree edges on the path from 1 to y.  Every other edge
+           j = (h, t), (1, t) included when s_t's tree edge is not (1, t), and
+           g != 1 give a condition on u through the fundamental cycle
+           Z_j = e_j + P(h) - P(h s_t): sum Z_j(x, t') (g.u(x, t') - u(gx, t')) = 0.
+           A cocycle f gives u = (f(x, s_t)) meeting every condition, and f is
+           the tree recursion from it, so f -> u is injective.  For u meeting
+           them the recursion gives a normalized f with f(x, s_t) = u(x, t)
+           (by the edge (1, t): a tree edge gives it, a non-tree one is its
+           condition), so F(g, h, s) = 0 at every edge for g != 1, and for
+           g = 1 as f(1, .) = 0; f is a cocycle by step 1.
+        3. Generators suffice for the conditions too.  G acts on the Cayley
+           graph's cycle space C by g.(x, t) = (gx, t) and on M* by the
+           contragredient action; the conditions at (g, j) are the v - g.v
+           for v in Z_j (x) M*, so all of them span I_G(C (x) M*).  As
+           v - s g'.v = (v - s.v) + s.(v - g'.v) and s.w = w - (w - s.w), the
+           v - s.v for the generators s span it (induction on word length).
+           So Z^2 = ker E, E the rows (s, j, c): s the distinct non-identity
+           generators, increasing, j the non-tree edges, lexicographically,
+           and c < dim M.  Row (s, j) has Z_j(x, t) M(s) at (x, t) and
+           -Z_j(x, t) I at (s x, t), none at x = 1 or s x = 1 as u(1, t) = 0;
+           each term hits an entry once at most, so ``+=`` adds exactly.
         """
         reason = self.oversize()
         if reason is not None:
             raise CohomologyError(reason)
-        G = self.M.group
+        G, dm = self.M.group, self.dm
         _, parent, genidx = map(np.asarray, G.spanning_tree())
-        f = np.zeros((self.nontriv, self.n, self.dm, self.n_unknowns), dtype=np.int64)
-        for level in G.tree_levels()[1:]:  # f[g - 1, h] holds f(g, h)
-            block = f[:, parent[level]]
-            self._add_step(block, parent[level], genidx[level], 1)
-            f[:, level] = block
+        path = np.zeros((self.n, self.n), dtype=np.int8)  # path[y, z] = 1: z's tree edge is in P(y)
+        for level in G.tree_levels()[1:]:
+            path[level] = path[parent[level]]
+            path[level, level] = 1
         h, t = np.nonzero(G.off_tree_edges())
-        rows = f[:, G.table[h, self.gens[t]]]
-        rows -= f[:, h]
-        self._add_step(rows, h, t, -1)
-        return rows.reshape(self.nontriv * len(h) * self.dm, self.n_unknowns) % self.p
+        cycles = path[h] - path[G.table[h, self.gens[t]]]  # Z_j on the tree edges
+        j, z = np.nonzero(cycles)
+        sign = np.append(cycles[j, z], np.ones(len(h), dtype=np.int8)).astype(np.int64)
+        j = np.append(j, np.arange(len(h)))  # and e_j, the edge off the tree
+        x, t = np.append(parent[z], h), np.append(genidx[z], t)
+        E = np.zeros((len(self.row_gens), len(h), dm, self.nontriv, len(self.gens), dm), dtype=np.int64)
+        diag, on = np.arange(dm), x != 0
+        for Es, s, mat in zip(E, self.row_gens, self.row_mats):
+            Es[j[on], :, x[on] - 1, t[on], :] += sign[on, None, None] * mat
+            sx = G.table[s, x]
+            live = sx != 0
+            Es[j[live, None], diag, sx[live, None] - 1, t[live, None], diag] -= sign[live, None]
+        np.remainder(E, self.p, out=E)
+        return E.reshape(len(self.row_gens) * len(h) * dm, self.n_unknowns)
 
     def h2_dim_direct(self) -> int:
         """dim Z^2 - dim B^2 with Z^2 = ker E (`d2_matrix`) and B^2 the image
@@ -248,9 +245,10 @@ def h2_dim(M: Representation, method: str = "auto") -> int:
     """dim_k H^2(G, M) for an F_p module M.
 
     method="direct" solves for Z^2 on the values of 2-cochains at the
-    generators (`BarComplex.d2_matrix`) and raises past its guards, with the
-    sizes it computed.  "auto" returns 0 when p does not divide |G|, as |G|
-    kills H^2(G, M) and is a unit on M, and otherwise goes direct.
+    generators (`BarComplex.d2_matrix`) and raises past the dense limit,
+    with the size of E it computed.  "auto" returns 0 when p does not divide
+    |G|, as |G| kills H^2(G, M) and is a unit on M, and otherwise goes
+    direct.
     """
     if M.N != 1:
         raise CohomologyError("coefficients must be mod p")

@@ -148,11 +148,21 @@ def test_cohomology_degree_2(capsys):
     code, out, _ = run_cli(capsys, "cohomology", "twisted-p2n1", "--degree", "2")
     assert code == 0
     assert json.loads(out)["h2_dim"] == 2
-    # past the guards on Gamma itself: exit 2 with the size of Gamma's own
-    # direct route, (|Gamma| - 1) |Gamma| dim M #unknowns f-tensor entries
+    # past the dense limit on Gamma itself: exit 2 with the size of E, with
+    # |Gamma| = 1296, 4 generators and dim End V = 4: 4 * 3889 edges off the
+    # tree * 4 rows by 1295 * 4 * 4 unknowns
     code, _, err = run_cli(capsys, "cohomology", "twisted-p3n2", "--degree", "2")
     assert code == 2
-    assert "139099161600 entries" in err
+    assert "62224 x 20720 entries" in err
+
+
+@pytest.mark.parametrize("name", ["twisted-p2n2", "twisted-p3n1", "standard-d2p5"])
+def test_cohomology_degree_2_reaches_larger_instances(name, capsys):
+    # E keeps only the rows at the generators, so these fit under the dense
+    # limit; h2 >= 2 for the reason above, and the direct route gives 2
+    code, out, _ = run_cli(capsys, "cohomology", name, "--degree", "2")
+    assert code == 0
+    assert json.loads(out)["h2_dim"] == 2
 
 
 def test_cohomology_degree_3_is_refused_before_assembly(capsys, monkeypatch):
@@ -164,11 +174,12 @@ def test_cohomology_degree_3_is_refused_before_assembly(capsys, monkeypatch):
 
 
 def test_cohomology_degree_2_refusal_builds_no_table_of_gamma(capsys, monkeypatch):
-    # |Gamma| = 4704: the direct route's size is refused from |Gamma| alone
+    # |Gamma| = 4704: E's size is refused from |Gamma|, the generators and
+    # dim M alone
     monkeypatch.setattr(SemidirectGroup, "table", property(_refuse))
     code, _, err = run_cli(capsys, "cohomology", "twisted-p7n1", "--degree", "2")
     assert code == 2
-    assert "past the guard" in err
+    assert "225808 x 75248 entries, past the dense limit" in err
 
 
 @pytest.mark.parametrize(
