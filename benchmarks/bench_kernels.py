@@ -315,9 +315,7 @@ def main():
     from defring.localalg import standard_rings
     from defring.oracle import (
         _assert_full_table,
-        _identity,
         _lift_keys,
-        _stack_matmul,
         deformation_classes,
         enumerate_lifts,
     )
@@ -338,19 +336,11 @@ def main():
             repeat=5,
         )
         if name == "twisted-p3n1":
-            gens = asm.gamma.small_generating_set()
-            group = asm.gamma
-            add, mul, _ = ring.tables()
-            one = np.broadcast_to(_identity(ring, 2), (len(lifts), 2, 2))
-            matmul = _stack_matmul(add, mul, 2)
-            # the lifts' values at the distinguished generators, along the
-            # spanning tree of gens on the same table
-            on_gens = FiniteGroup(group.table, gens)
-            at_dist = on_gens.extend(lifts.transpose(1, 0, 2, 3), matmul, one, at=group.generators)
-            residues = asm.rho_bar.mats[list(gens)]  # rho_bar mod p at the gens
+            # the lifts' values at the distinguished generators, as checked
+            at_dist = enumerate_lifts(asm.rho_bar, ring, asm.gamma.generators).swapaxes(0, 1)
             bench(
                 f"_assert_full_table {name}/{ring_name} ({len(lifts)} lifts)",
-                lambda: _assert_full_table(lifts, gens, asm.rho_bar, ring, at_dist, residues),
+                lambda: _assert_full_table(at_dist, asm.rho_bar, ring),
                 repeat=5,
             )
 

@@ -753,8 +753,8 @@ def _walk(steps, gen_values, mul, one):
     Precondition: mul(one, x) == x for the canonical values x the callers
     give (residues, codes, ring coordinates).  Every node of depth 1 is a
     child of the empty word, so its value is its generator's value, taken
-    as it is, in the dtype and broadcast shape `mul` would give, with no
-    `mul`: a walk to depth k makes k - 1 products."""
+    as it is, with no `mul`, when its trailing shape is `one`'s, as it is
+    for every caller: a walk to depth k makes k - 1 products."""
     gen_values, one = np.asarray(gen_values), np.asarray(one)
     live = one[None]
     yield live
@@ -762,8 +762,6 @@ def _walk(steps, gen_values, mul, one):
         values = gen_values[genidx]
         if depth == 1 and values.shape[1:] == one.shape:  # mul(one, values) == values
             live = values
-        elif depth == 1:
-            live = np.broadcast_to(values, np.broadcast_shapes(live.shape, values.shape))
         else:
             live = mul(live[parent], values)
         live = np.asarray(live, dtype=one.dtype)

@@ -24,9 +24,10 @@ reduces to a lift modulo each m^j, and none is found twice.  At the last
 layer the defects vanish exactly, so the values satisfy Gamma's relators,
 which come from K and G rather than from any spanning tree, and by von
 Dyck's theorem they extend to homomorphisms.  `_assert_full_table` checks
-that again on the element codes, and the values at the report generators
-are the extension along Gamma's spanning tree.  This route is deliberately independent of the
-cohomology module so the two can cross-check each other.
+that again on the element codes, with the reduction to rho_bar at the t,
+and only then are the values at the report generators extended along
+Gamma's spanning tree, once.  This route is deliberately independent of
+the cohomology module so the two can cross-check each other.
 
 The lifts stay in one format from the enumeration to the report: an int64
 (lifts, #gens, d, d) stack of the codes of their images at the generators,
@@ -80,7 +81,6 @@ class DeformationClassSet:
     and the class of each, for `class_of`."""
 
     representatives: list[tuple]
-    sizes: list[int]
     keys: np.ndarray
     key_class: np.ndarray
     ring_size: int
@@ -276,32 +276,19 @@ def _check_bytes(group, lifts: int, d: int) -> int:
     return lifts * d * d * 8 * (len(group.relators()) + 6 * widest)
 
 
-def _coset_keys(lifts: np.ndarray, base: np.ndarray, A: ArtinLocalAlgebra) -> np.ndarray:
-    """`_lift_keys` in the lexicographic order of the reduction cosets'
-    candidates (`_candidates_for_generator`), the first generator most
-    significant: each entry of the (lifts, #gens, d, d) stack as the index
-    in m_A of its difference from `base` (#gens, d, d), the last entry of a
-    generator the most significant of its d^2."""
-    add, _, neg = A.tables()
-    maximal = _maximal(A)
-    index = np.zeros(A.size, dtype=np.int64)
-    index[maximal] = np.arange(len(maximal))
-    digits = index[add[lifts, neg[base]]]
-    return _lift_keys(digits.reshape(*lifts.shape[:2], -1)[..., ::-1], len(maximal))
-
-
 def enumerate_lifts(
     rho_bar: Representation, A: ArtinLocalAlgebra, gens: tuple[int, ...] | None = None
 ) -> np.ndarray:
     """All lifts of rho_bar over A, as an int64 (lifts, #gens, d, d) stack
     of the codes of their images at `gens` (default: `small_generating_set`),
-    in the order of `_coset_keys`: their extension along Gamma's spanning
-    tree (`FiniteGroup.extend`) from the distinguished generators t, where
-    the small extensions of the module docstring build them from rho_bar's
-    lift with entries in 0..p-1.  rho_bar is read at the t (`gen_mats`) and
-    once at `gens`, extended from the t mod p, never on all of Gamma.  The
-    first layer's one `_defects` call takes that lift and its #t d^2 copies
-    moved by b_0 at one entry each, whose differences give Lbar^T
+    in the order the small extensions of the module docstring build them
+    from rho_bar's lift with entries in 0..p-1 at the distinguished
+    generators t.  rho_bar is read at the t (`gen_mats`) only, never on all
+    of Gamma.  The values at the t pass `_assert_full_table` and are then
+    extended along Gamma's spanning tree (`FiniteGroup.extend`) to `gens`,
+    once, so the order is that of the values at the t whatever `gens` is.
+    The first layer's one `_defects` call takes that lift and its #t d^2
+    copies moved by b_0 at one entry each, whose differences give Lbar^T
     (`_linear_bar`); each later layer evaluates only its parents.  A layer's
     count of lifts is refused with an OracleError, before they are formed,
     when their relator check, a later layer's defects or the final check,
@@ -339,57 +326,31 @@ def enumerate_lifts(
         codes = combo[deltas.reshape(*deltas.shape[:2], -1, k) @ p ** np.arange(k)]
         lifts = add[lifts[consistent].reshape(len(particular), 1, -1), codes].reshape(-1, *lifts.shape[1:])
     at_dist = lifts.swapaxes(0, 1)
+    _assert_full_table(at_dist, rho_bar, A)
     one = np.broadcast_to(_identity(A, d), (len(lifts), d, d))
-    at_gens = group.extend(at_dist, _stack_matmul(add, mul, d), one, at=gens).swapaxes(0, 1)
-    eye = np.eye(d, dtype=np.int64)
-    residues = group.extend(rho_bar.gen_mats % p, lambda a, b: a @ b % p, eye, at=gens)
-    order = np.argsort(_coset_keys(at_gens, lift_of[residues], A), kind="stable")
-    at_gens, at_dist = at_gens[order], at_dist[:, order]
-    _assert_full_table(at_gens, gens, rho_bar, A, at_dist, residues)
-    return at_gens
+    return group.extend(at_dist, _stack_matmul(add, mul, d), one, at=gens).swapaxes(0, 1)
 
 
-def _assert_full_table(lifts, gens, rho_bar, A, at_dist, residues):
-    """Definitive check that every lift of the (lifts, #gens, d, d) stack
-    `lifts` is a homomorphism Gamma -> GL_d(A) reducing to rho_bar, in four
-    steps on the lift L, given on the enumeration generators s = `gens`:
-
-    1. take the values M[t] of L at the distinguished generators t from
-       `at_dist`, a (#t, lifts, d, d) stack (in `enumerate_lifts`, the
-       values the small extensions built);
-    2. check every relator of Gamma's presentation (`violated_relators`)
-       on the M[t].  By von Dyck's theorem there is then a homomorphism phi
-       with phi(t) = M[t];
-    3. evaluate phi at each s, as the product of the M[t] along the word of
-       s in the distinguished spanning tree (`FiniteGroup.extend` with
-       `at`), and check phi(s) = L(s).  Then L is the restriction of phi to
-       the s, which generate Gamma, so L extends to the homomorphism phi;
-    4. check that every L(s) reduces to rho_bar(s), the (#gens, d, d)
-       stack `residues` of its matrices mod p at the s.
-
-    Step 3 is needed, as the relators only see the M[t]: an s that no word
-    of a t passes through is otherwise unchecked.  Steps 2 and 3 hold
-    whatever step 1 is given, so M[t] that are not L's values fail one of
-    them.  The relators of Gamma = K x| G come from K and G, not from the
-    enumeration's tree.  Products are batched over the lifts and the words:
-    one per tree level in step 3, one per word depth of the relator trie in
-    step 2 (`FiniteGroup.relator_values`), none at depth 1, whose values are
-    the generator values."""
-    if not len(lifts):
-        return
+def _assert_full_table(at_dist, rho_bar, A):
+    """Definitive check that the values of the (#t, lifts, d, d) stack
+    `at_dist` at Gamma's distinguished generators t are those of
+    homomorphisms Gamma -> GL_d(A) reducing to rho_bar: every relator of
+    Gamma's presentation holds on them (`violated_relators`), so by von
+    Dyck's theorem each extends to a homomorphism phi, and each reduces mod
+    m_A to rho_bar at the t (`gen_mats`), so phi mod m_A, which agrees with
+    rho_bar on generators, is rho_bar.  The relators of Gamma = K x| G come
+    from K and G, not from any spanning tree.  Products are batched over
+    the lifts and the words, one per word depth of the relator trie
+    (`FiniteGroup.relator_values`) past the first."""
     group, d = rho_bar.group, rho_bar.degree
     add, mul, _ = A.tables()
-    matmul = _stack_matmul(add, mul, d)
-    gen_blocks = lifts.transpose(1, 0, 2, 3)
-    one = np.broadcast_to(_identity(A, d), (len(lifts), d, d))
-    bad = violated_relators(group, at_dist, matmul, one)
+    one = np.broadcast_to(_identity(A, d), at_dist.shape[1:])
+    bad = violated_relators(group, at_dist, _stack_matmul(add, mul, d), one)
     if bad:
         u, v = bad[0]
         raise OracleError(f"lift is not a homomorphism: relator {u} = {v} fails")
-    if (group.extend(at_dist, matmul, one, at=gens) != gen_blocks).any():
-        raise OracleError("lift is not a homomorphism: its extension differs from it at a generator")
     res = A.elements()[:, 0] % A.p
-    if (res[gen_blocks] != residues[:, None]).any():
+    if (res[at_dist] != rho_bar.gen_mats[:, None] % A.p).any():
         raise OracleError("lift does not reduce to the base representation")
 
 
@@ -433,7 +394,7 @@ def deformation_classes(
     ngen = lifts.shape[1]
     U = U[:, None]
     key_class = np.full(len(lifts), -1)
-    reps, sizes = [], []
+    reps = []
     for i in range(len(lifts)):
         if key_class[i] >= 0:
             continue
@@ -444,11 +405,9 @@ def deformation_classes(
             raise OracleError("conjugate of a lift is not a lift (internal error)")
         key_class[members] = len(reps)
         reps.append(tuple(map(tuple, lifts[by_key[members[0]]].reshape(ngen, -1).tolist())))
-        sizes.append(len(orbit))
     order = np.argsort([str(r) for r in reps], kind="stable")
     reps = [reps[int(i)] for i in order]
-    sizes = [sizes[int(i)] for i in order]
-    return DeformationClassSet(reps, sizes, keys, np.argsort(order)[key_class], A.size)
+    return DeformationClassSet(reps, keys, np.argsort(order)[key_class], A.size)
 
 
 @dataclass
